@@ -1,9 +1,14 @@
-"""Regenerate the shipped certificate fixtures.
+"""Regenerate or check the shipped certificate fixtures.
 
-Run from the repository root:  python scripts/make_fixtures.py
-Writes deterministic certificates into fixtures/.
+Run from the repository root:
+  python scripts/make_fixtures.py          # write the certificates into fixtures/
+  python scripts/make_fixtures.py --check  # compare them with fixtures/, write nothing
+
+The certificates are deterministic.  --check builds all of them in memory
+and exits 1 if any differs from its fixture byte for byte (or is missing).
 """
 
+import argparse
 import os
 import sys
 
@@ -41,15 +46,13 @@ EXTENSION_SEEDS = [
 ]
 
 
-def write(name, cert):
-    path = os.path.join(FIXDIR, name)
-    with open(path, "w") as fh:
-        fh.write(dumps_certificate(cert))
-    print("wrote", path)
+def build_certificates():
+    """{fixture file name: certificate text} for every shipped fixture."""
+    out = {}
 
+    def write(name, cert):
+        out[name] = dumps_certificate(cert)
 
-def main():
-    os.makedirs(FIXDIR, exist_ok=True)
     F5 = field_make(5)
     F7 = field_make(7)
 
@@ -102,7 +105,43 @@ def main():
         "space_basis": [matrix_to_json(B) for B in code.space.basis],
     })
     write("gabidulin_dual_f3_m3_n3.cert.json", cert)
+    return out
+
+
+def check(certs) -> int:
+    stale = []
+    for name, text in certs.items():
+        path = os.path.join(FIXDIR, name)
+        try:
+            with open(path) as fh:
+                same = fh.read() == text
+        except FileNotFoundError:
+            same = False
+        if not same:
+            stale.append(name)
+            print("differs:", path)
+    if stale:
+        return 1
+    print(f"all {len(certs)} fixtures match")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with fixtures/ instead of writing")
+    args = parser.parse_args(argv)
+    certs = build_certificates()
+    if args.check:
+        return check(certs)
+    os.makedirs(FIXDIR, exist_ok=True)
+    for name, text in certs.items():
+        path = os.path.join(FIXDIR, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        print("wrote", path)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

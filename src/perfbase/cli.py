@@ -114,18 +114,21 @@ def reverify(cert: dict, guard: int) -> dict:
         space = MatrixSpace(
             field, shape,
             [matrix_from_json(field, o) for o in code["space_basis"]])
+        # the base was checked against target_basis, so it proves nothing
+        # about the code unless the two spaces coincide
+        space_ok = space == target
         rank_code = rmcode.RankCode(space)
         dim_ok = rank_code.k == claimed_k
         d_real = rank_code.distance(guard)
         d_ok = d_real == claimed_d
         verdict["code_checks"] = {"dim_ok": dim_ok, "distance": d_real,
-                                  "distance_ok": d_ok}
+                                  "distance_ok": d_ok, "space_ok": space_ok}
         if code.get("mtr"):
-            mtr_ok = (report.passed and dim_ok and d_ok
+            mtr_ok = (report.passed and space_ok and dim_ok and d_ok
                       and len(base_mats) == kruskal_bound(claimed_k, claimed_d))
             verdict["code_checks"]["mtr_ok"] = mtr_ok
             verdict["ok"] = verdict["ok"] and mtr_ok
-        verdict["ok"] = verdict["ok"] and dim_ok and d_ok
+        verdict["ok"] = verdict["ok"] and space_ok and dim_ok and d_ok
     return verdict
 
 

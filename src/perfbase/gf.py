@@ -6,12 +6,26 @@ basis of the modulus root) encodes to sum(c_i * p**i).  The encoding order is
 the canonical element order used for every "smallest"/tie-breaking rule in
 the rest of the package.
 
-Field and FieldElement are immutable; all operations are pure, so values can
-be shared freely between threads.
+`field_make` builds each field once per process: it memoises one Field per
+normalised (p, deg, modulus), so the irreducible search, the primitive
+element and the arithmetic tables are paid for once however often a field
+is asked for.  Prime fields multiply with machine integers.  Extension
+fields with q <= _TABLE_LIMIT multiply and invert through log/antilog tables
+of O(q) size, built on the first `mul` or `inv` by walking the powers of the
+primitive element; larger extension fields multiply polynomials per
+operation (`Field._mul_slow`, the one polynomial multiply, which also builds
+the tables).
+
+Field and FieldElement are immutable in value; all operations are pure, so
+values can be shared freely between threads.  The lazily computed primitive
+element and tables are each published by a single attribute store of a
+complete value, so threads that race on first use at worst compute the same
+value twice and never see a partial table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import (
@@ -22,10 +36,11 @@ from .errors import (
     NotPrime,
 )
 
-# Extension fields at or below this size get full multiplication/inverse
-# lookup tables on first use; larger fields fall back to per-op polynomial
-# arithmetic.
-_TABLE_LIMIT = 256
+# Extension fields at or below this size get log/antilog tables on first
+# use; larger fields fall back to per-op polynomial arithmetic.  A table
+# build costs about q polynomial multiplies (F_4096: 0.06 s on a Xeon), so
+# a larger limit only pays off for callers known to do many more multiplies.
+_TABLE_LIMIT = 4096
 
 
 def _is_prime(n: int) -> bool:
@@ -46,7 +61,7 @@ class Field:
 
     __slots__ = (
         "p", "deg", "q", "modulus",
-        "_mul_table", "_inv_table", "_coeff_cache", "_reduction_tail",
+        "_reduction_tail", "_primitive", "_tables",
     )
 
     def __init__(self, p: int, deg: int = 1, modulus=None):
@@ -75,9 +90,8 @@ class Field:
             self.modulus = coeffs
         # x^deg == -(low part of modulus), used to fold products back down
         self._reduction_tail = tuple((-c) % p for c in self.modulus[:-1])
-        self._mul_table = None
-        self._inv_table = None
-        self._coeff_cache = None
+        self._primitive = None  # encoding, set by find_primitive
+        self._tables = None  # (log, antilog), set by _build_tables
 
     # -- identity -------------------------------------------------------------
 
@@ -98,8 +112,6 @@ class Field:
 
     def coeffs_of(self, enc: int):
         """Coefficient vector (c_0, ..., c_{deg-1}) of an encoding."""
-        if self._coeff_cache is not None:
-            return self._coeff_cache[enc]
         p = self.p
         out = []
         for _ in range(self.deg):
@@ -169,11 +181,15 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.deg == 1:
             return (a * b) % self.p
-        if self._mul_table is None and self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_slow(a, b)
+        if not (a and b):
+            return 0
+        tables = self._tables
+        if tables is None:
+            if self.q > _TABLE_LIMIT:
+                return self._mul_slow(a, b)
+            tables = self._build_tables()
+        log, antilog = tables
+        return antilog[log[a] + log[b]]
 
     def _mul_slow(self, a: int, b: int) -> int:
         p = self.p
@@ -199,51 +215,37 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.deg == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is None and self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        tables = self._tables
+        if tables is None:
+            if self.q > _TABLE_LIMIT:
+                return self.pow(a, self.q - 2)
+            tables = self._build_tables()
+        log, antilog = tables
+        return antilog[self.q - 1 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return _power(self.mul, a, e)
 
     def _build_tables(self):
-        q = self.q
-        self._coeff_cache = [None] * q
-        for e in range(q):
-            self._coeff_cache[e] = tuple(self._digits(e))
-        table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            row = table[a]
-            for b in range(a, q):
-                v = self._mul_slow(a, b)
-                row[b] = v
-                table[b][a] = v
-        self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            if inv[a]:
-                continue
-            b = self.pow(a, q - 2)
-            inv[a] = b
-            inv[b] = a
-        self._inv_table = inv
+        """Log and antilog tables from the powers of the primitive element.
 
-    def _digits(self, enc: int):
-        p = self.p
-        for _ in range(self.deg):
-            enc, c = divmod(enc, p)
-            yield c
+        antilog has length 2(q-1), so a sum of two logs needs no reduction.
+        The pair is stored only once complete (see the module docstring).
+        """
+        order = self.q - 1
+        g = find_primitive(self).enc
+        log = [0] * self.q
+        antilog = [0] * (2 * order)
+        x = 1
+        for i in range(order):
+            log[x] = i
+            antilog[i] = antilog[i + order] = x
+            x = self._mul_slow(x, g)
+        tables = (log, antilog)
+        self._tables = tables
+        return tables
 
     def multiplicative_order(self, a: int) -> int:
         if a == 0:
@@ -489,7 +491,7 @@ class FqPolynomial:
 def _poly_is_irreducible(coeffs, p: int) -> bool:
     """Irreducibility over F_p: root scan for degree <= 3, gcd criterion beyond."""
     deg = len(coeffs) - 1
-    Fp = Field(p)
+    Fp = field_make(p)
     f = FqPolynomial(Fp, coeffs)
     if deg <= 0:
         return False
@@ -519,19 +521,64 @@ def _smallest_irreducible(p: int, deg: int):
 # --- public operations -----------------------------------------------------------
 
 def field_make(p: int, deg: int = 1, modulus=None) -> Field:
-    """Build F_{p^deg}; the modulus defaults to the canonical irreducible."""
-    if modulus is not None and not isinstance(modulus, (tuple, list)):
-        modulus = modulus.coeffs
+    """Build F_{p^deg}; the modulus defaults to the canonical irreducible.
+
+    Equal arguments return the same Field object; a modulus may be given as
+    a tuple, a list or an FqPolynomial.
+    """
+    if modulus is not None:
+        if isinstance(modulus, FqPolynomial):
+            modulus = modulus.coeffs
+        modulus = tuple(int(c) for c in modulus)
+    return _cached_field(p, deg, modulus)
+
+
+# bounded: a process works in a handful of fields at a time
+@functools.lru_cache(maxsize=64)
+def _cached_field(p: int, deg: int, modulus) -> Field:
     return Field(p, deg, modulus)
 
 
 def find_primitive(field: Field) -> FieldElement:
-    """Smallest element (canonical order) of multiplicative order q-1."""
-    target = field.q - 1
-    for enc in range(1, field.q):
-        if field.multiplicative_order(enc) == target:
-            return FieldElement(field, enc)
-    raise AssertionError("a primitive element always exists")  # unreachable
+    """Smallest element (canonical order) of multiplicative order q-1.
+
+    a is primitive iff a^((q-1)/r) != 1 for every prime r dividing q-1.  The
+    search multiplies without tables, since the tables are built from its
+    result; the answer is kept on the field.
+    """
+    if field._primitive is None:
+        q = field.q
+        exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+        field._primitive = next(
+            a for a in range(1, q)
+            if all(_power(field._mul_slow, a, e) != 1 for e in exponents))
+    return FieldElement(field, field._primitive)
+
+
+def _prime_factors(n: int):
+    """Distinct prime factors of n >= 1, ascending."""
+    out = []
+    r = 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _power(mul, a: int, e: int) -> int:
+    """a^e for e >= 0 by square-and-multiply with the given multiply."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
 
 
 def norm(theta: FieldElement, sub_q: int) -> FieldElement:

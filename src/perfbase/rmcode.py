@@ -17,6 +17,7 @@ scale live over F_p.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -493,14 +494,12 @@ def one_dim_power_base(gamma: GammaBasis, s: int) -> ConstructionResult:
     polynomial.  Needs q >= m+s-2 distinct points.
     """
     Fq = gamma.base_field
-    ext = gamma.ext_field
     m = gamma.m
     if not 1 <= s <= m:
         raise ParametersOutOfRange("need 1 <= s <= m")
     npts = m + s - 2
     if Fq.q < npts:
         raise FieldTooSmall(f"need q >= {npts} evaluation points")
-    alpha = gamma.elements[1] if m > 1 else None
     minpoly = _generator_min_poly(gamma)
     points = list(range(npts))
     members = []
@@ -663,7 +662,6 @@ def _power_multiple(gamma: GammaBasis, span: MatrixSpace, s: int) -> int:
             raise CaseNotCovered(
                 "entry span is not a scalar multiple of a power span")
     pi_coords = shifted.basis[0].rows[0]
-    F = gamma.base_field
     acc = 0
     for c, g in zip(pi_coords, gamma.elements):
         if c:
@@ -722,9 +720,10 @@ def dual_gabidulin_mtr_base(q: int, m: int, n: int,
 def two_dim_bound(G_rows, gamma: GammaBasis):
     """Tensor-rank bounds and a witness for a two-row generator matrix.
 
-    Returns (lower, upper, candidate): the lower bound comes from the
-    dimension-plus-distance bound, the upper bound is the size of the pruned
-    union of the two single-row bases.
+    Returns (lower, upper, candidate): the lower bound is the
+    dimension-plus-distance bound k + d - 1 with d the exact distance of the
+    expanded code, the upper bound is the size of the pruned union of the
+    two single-row bases.
     """
     ext = gamma.ext_field
     Fq = gamma.base_field
@@ -754,7 +753,14 @@ def two_dim_bound(G_rows, gamma: GammaBasis):
     report = verify_base(cand)
     if not report.passed:
         raise InternalVerificationError("two-row witness failed verification")
-    lower = kruskal_bound(2 * m, m - 1)
+    # rank weight is invariant under F_{q^m} scalars, so the q^m + 1
+    # projective codewords row0 and a*row0 + row1 attain the distance
+    row0, row1 = red.rows[0], red.rows[1]
+    words = itertools.chain([row0], (
+        [ext.add(ext.mul(a, x), y) for x, y in zip(row0, row1)]
+        for a in range(ext.q)))
+    d = min(gamma_expand(w, gamma).rank() for w in words)
+    lower = kruskal_bound(target.dim, d)
     return lower, len(picked), cand
 
 

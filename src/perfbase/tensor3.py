@@ -122,7 +122,6 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
             break
 
     dependent = None
-    span = MatrixSpace.zero(field, shape)
     # incremental reduction keeps the first offending index deterministic
     rows = []
     pivots = []

@@ -9,10 +9,15 @@ from perfbase.cli import (
     dumps_certificate,
     load_certificate,
     main,
+    matrix_from_json,
+    matrix_to_json,
     reverify,
 )
+from perfbase.exactla import FqMatrix, MatrixSpace
+from perfbase.gf import field_make
 
-FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+FIXDIR = os.path.join(ROOT, "fixtures")
 
 
 def run_cli(args, **kw):
@@ -89,6 +94,35 @@ def test_shipped_fixtures_verify(name):
     proc = run_cli(["verify", path])
     assert proc.returncode == 0, proc.stdout
     assert last_json(proc)["ok"]
+
+
+def test_verify_rejects_code_space_other_than_target(tmp_path):
+    # L.C.N has the same dimension and distance as C but is another space,
+    # which the stored base does not cover
+    cert = load_certificate(os.path.join(FIXDIR, "gabidulin_dual_f3_m3_n3.cert.json"))
+    F3 = field_make(3)
+    L = FqMatrix(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    N = FqMatrix(F3, [[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    code = [matrix_from_json(F3, o) for o in cert["code"]["space_basis"]]
+    moved = [L @ B @ N for B in code]
+    assert MatrixSpace.from_matrices(moved) != MatrixSpace.from_matrices(code)
+    cert["code"]["space_basis"] = [matrix_to_json(B) for B in moved]
+    bad = tmp_path / "moved.json"
+    bad.write_text(dumps_certificate(cert))
+    proc = run_cli(["verify", str(bad)])
+    assert proc.returncode == 1
+    verdict = last_json(proc)
+    assert not verdict["ok"]
+    checks = verdict["code_checks"]
+    assert checks["dim_ok"] and checks["distance_ok"]
+    assert not checks["space_ok"] and not checks["mtr_ok"]
+
+
+def test_fixtures_match_their_generator():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "make_fixtures.py"), "--check"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_certificate_round_trip_is_byte_stable(tmp_path):

@@ -1,10 +1,14 @@
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from perfbase.errors import NotASubfield, NotIrreducible, NotPrime
 from perfbase.gf import (
+    _TABLE_LIMIT,
+    Field,
     FqPolynomial,
     field_make,
     find_primitive,
@@ -81,6 +85,113 @@ def test_find_primitive_examples(p, deg, expected):
     smallest = min(a for a, o in orders.items() if o == F.q - 1)
     assert smallest == expected
     assert find_primitive(F).enc == expected
+
+
+EXTENSIONS_LE_125 = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5),
+                     (7, 2), (2, 6), (3, 4), (11, 2), (5, 3)]
+LARGE_TABLED = [(7, 3), (5, 4), (7, 4)]  # F_343, F_625, F_2401
+
+
+def slow_pow(F, a, e):
+    """a^e by repeated squaring over the polynomial multiply alone."""
+    result = 1
+    while e:
+        if e & 1:
+            result = F._mul_slow(result, a)
+        a = F._mul_slow(a, a)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,deg", EXTENSIONS_LE_125)
+def test_table_arithmetic_matches_polynomial_path_exhaustive(p, deg):
+    F = field_make(p, deg)
+    for a in range(F.q):
+        for b in range(a, F.q):
+            assert F.mul(a, b) == F._mul_slow(a, b)
+    for a in range(1, F.q):
+        assert F.inv(a) == slow_pow(F, a, F.q - 2)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(LARGE_TABLED), st.data())
+def test_table_arithmetic_matches_polynomial_path_sampled(pdeg, data):
+    F = field_make(*pdeg)
+    a = data.draw(st.integers(min_value=0, max_value=F.q - 1))
+    b = data.draw(st.integers(min_value=0, max_value=F.q - 1))
+    assert F.mul(a, b) == F._mul_slow(a, b)
+    if a:
+        assert F.inv(a) == slow_pow(F, a, F.q - 2)
+
+
+@pytest.mark.parametrize(
+    "p,deg", [pd for pd in PRIME_POWERS_LE_49 if pd[1] > 1] + [(5, 3)] + LARGE_TABLED)
+def test_find_primitive_matches_order_oracle(p, deg):
+    F = field_make(p, deg)
+    oracle = next(a for a in range(1, F.q)
+                  if F.multiplicative_order(a) == F.q - 1)
+    assert find_primitive(F).enc == oracle
+
+
+def test_find_primitive_canonical_values():
+    assert find_primitive(field_make(7, 4)).enc == 13
+    assert find_primitive(field_make(5, 4)).enc == 30
+
+
+def test_field_make_returns_one_object_per_field():
+    F = field_make(3, 3)
+    assert field_make(3, 3) is F
+    G = field_make(3, 3, modulus=F.modulus)
+    assert G == F
+    assert field_make(3, 3, modulus=list(F.modulus)) is G
+    assert field_make(3, 3, modulus=FqPolynomial(field_make(3), F.modulus)) is G
+    assert field_make(3) is field_make(3)
+
+
+def test_field_make_caches_no_errors():
+    for _ in range(2):
+        with pytest.raises(NotPrime):
+            field_make(6)
+        with pytest.raises(NotIrreducible):
+            field_make(2, 2, modulus=[1, 0, 1])
+
+
+def test_table_limit_separates_the_two_arithmetic_paths():
+    # F_4096 is the largest tabled field, F_67^2 = F_4489 the smallest above
+    for p, deg, tabled in [(2, 12, True), (67, 2, False)]:
+        F = Field(p, deg)  # fresh, so its tables cannot exist yet
+        assert (F.q <= _TABLE_LIMIT) == tabled
+        for a in range(1, F.q, 97):
+            b = (a * 31 + 5) % F.q
+            assert F.mul(a, b) == F._mul_slow(a, b)
+            assert F._mul_slow(a, F.inv(a)) == 1
+        assert (F._tables is not None) == tabled
+
+
+def test_lazy_tables_are_safe_to_share_between_threads():
+    # a fresh, unshared field, so the threads race on the first table build
+    F = Field(7, 4)
+    pairs = [(a, (a * 37 + 11) % F.q) for a in range(F.q)]
+    expected = [F._mul_slow(a, b) for a, b in pairs]
+    results = {}
+    start = threading.Barrier(8, timeout=60)
+
+    def work(i):
+        start.wait()
+        results[i] = [F.mul(a, b) for a, b in pairs]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[i] == expected for i in range(8))
 
 
 @pytest.mark.parametrize("p,deg", SMALL_FIELDS + [(5, 2), (3, 3)])

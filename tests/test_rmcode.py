@@ -324,6 +324,28 @@ def test_two_dim_bound_examples():
     assert RankCode(cand.target).distance() == 3  # m - 1
 
 
+def test_two_dim_bound_lower_uses_the_real_distance():
+    # the expanded code contains rank-one codewords, so d = 1, not m - 1
+    g = GammaBasis.power(7, 3)
+    lo, hi, cand = two_dim_bound([[1, 0, 0], [0, 1, 0]], g)
+    assert RankCode(cand.target).distance() == 1
+    assert lo == 6 <= hi
+    assert verify_base(cand).passed
+
+
+def test_two_dim_bound_distance_beyond_the_scan_guard():
+    # the F_11-span of the expansion has 21.4M projective codewords, more
+    # than the default scan guard; a 2-row Gabidulin code is MRD, d = 3
+    g = GammaBasis.power(11, 4)
+    e = g.ext_field
+    row0 = list(g.elements)
+    row1 = [e.pow(x, 11) for x in row0]
+    lo, hi, cand = two_dim_bound([row0, row1], g)
+    assert lo == kruskal_bound(8, 3) == 10
+    assert lo <= hi
+    assert verify_base(cand).passed
+
+
 def test_two_dim_bound_degenerate_rows():
     g = GammaBasis.power(7, 3)
     a = g.elements[1]
