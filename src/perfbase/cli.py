@@ -25,6 +25,7 @@ from .errors import GuardExceeded, InternalVerificationError, PerfbaseError
 from .exactla import FqMatrix, MatrixSpace
 from .gf import Field, field_make
 from .tensor3 import (
+    DEFAULT_GUARD,
     BaseCandidate,
     exhaustive_trk,
     kruskal_bound,
@@ -32,7 +33,6 @@ from .tensor3 import (
 )
 
 SCHEMA_VERSION = "1"
-DEFAULT_ORACLE_GUARD = 100_000_000
 
 
 # --- serialization -------------------------------------------------------------------
@@ -176,13 +176,14 @@ def _gammas_from_args(field, args, s):
     return cons.GammaSet.canonical(field, s)
 
 
-def _guard(args) -> int:
-    env = os.environ.get("PERFBASE_GUARD")
-    if getattr(args, "guard", None):
+def _guard(args, default: int) -> int:
+    """--guard if given (0 included), else PERFBASE_GUARD if set, else default."""
+    if args.guard is not None:
         return args.guard
+    env = os.environ.get("PERFBASE_GUARD")
     if env:
         return int(env)
-    return rmcode.DEFAULT_SCAN_GUARD
+    return default
 
 
 # --- subcommands -------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def _guard(args) -> int:
 
 def cmd_construct(args) -> int:
     field = _field_from_args(args)
-    guard = _guard(args)
+    guard = _guard(args, rmcode.DEFAULT_SCAN_GUARD)
     code_info = None
     name = args.kind
     if name == "dual-powers":
@@ -250,7 +251,7 @@ def cmd_verify(args) -> int:
         print(json.dumps({"ok": False, "error": f"unreadable certificate: {exc}"}))
         return 2
     try:
-        verdict = reverify(cert, _guard(args))
+        verdict = reverify(cert, _guard(args, rmcode.DEFAULT_SCAN_GUARD))
     except (KeyError, ValueError, TypeError) as exc:
         print(json.dumps({"ok": False, "error": f"malformed certificate: {exc}"}))
         return 2
@@ -264,8 +265,7 @@ def cmd_oracle(args) -> int:
     field = field_from_json(obj["field"])
     mats = [matrix_from_json(field, o) for o in obj["basis"]]
     space = MatrixSpace(field, mats[0].shape, mats)
-    guard = args.guard or int(os.environ.get("PERFBASE_GUARD",
-                                             DEFAULT_ORACLE_GUARD))
+    guard = _guard(args, DEFAULT_GUARD)
     trk, witness = exhaustive_trk(space, guard)
     cert = {
         "schema_version": SCHEMA_VERSION,

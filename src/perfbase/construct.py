@@ -229,14 +229,7 @@ def _shift_family_members(spec: CompanionSpec, s: int, S: GammaSet,
 
 
 def _vec_mat(F, vec, M: FqMatrix):
-    out = []
-    for j in range(M.m):
-        acc = 0
-        for k, v in enumerate(vec):
-            if v:
-                acc = F.add(acc, F.mul(v, M.rows[k][j]))
-        out.append(acc)
-    return out
+    return list((FqMatrix(F, [vec]) @ M).rows[0])
 
 
 def _check_power_family_args(spec, s, S):
@@ -315,19 +308,21 @@ def base_left_factor(spec: CompanionSpec, s: int, B: FqMatrix,
 
 
 def _left_eigenrows(M: FqMatrix, eig_encs) -> FqMatrix:
-    """P with P M P^{-1} diagonal: rows are left eigenvectors in given order."""
+    """Lead-normalized left eigenvectors of M, one row per eigenvalue, in order.
+
+    For a full list of eigenvalues this is P with P M P^{-1} diagonal.
+    """
     F = M.field
-    m = M.n
     rows = []
     Mt = M.transpose()
     for e in eig_encs:
-        shifted = Mt - FqMatrix.identity(F, m).scale(e)
+        shifted = Mt - FqMatrix.identity(F, M.n).scale(e)
         basis = _nullspace_rows(shifted)
         if not basis:
             raise InternalVerificationError(f"{e} is not an eigenvalue")
         rows.append(_normalize_lead(F, basis[0]))
     P = FqMatrix(F, rows)
-    if not P.is_invertible():
+    if P.rank() != P.n:
         raise InternalVerificationError("eigenvector rows were dependent")
     return P
 
@@ -357,7 +352,7 @@ def _split_block_form(spec: CompanionSpec, alpha_encs, g: FqPolynomial) -> FqMat
     m, r = spec.m, g.degree
     rows = []
     if alpha_encs:
-        rows.extend(_left_eigenrows_for(M, alpha_encs))
+        rows.extend(_left_eigenrows(M, alpha_encs).rows)
     gM = _poly_at_matrix(g, M)
     null = _nullspace_rows(gM.transpose())
     if len(null) != r:
@@ -372,17 +367,6 @@ def _split_block_form(spec: CompanionSpec, alpha_encs, g: FqPolynomial) -> FqMat
         if P.is_invertible():
             return P
     raise InternalVerificationError("no cyclic row for the cofactor block")
-
-
-def _left_eigenrows_for(M, eig_encs):
-    F = M.field
-    out = []
-    Mt = M.transpose()
-    for e in eig_encs:
-        shifted = Mt - FqMatrix.identity(F, M.n).scale(e)
-        basis = _nullspace_rows(shifted)
-        out.append(_normalize_lead(F, basis[0]))
-    return out
 
 
 def _poly_at_matrix(f: FqPolynomial, M: FqMatrix) -> FqMatrix:

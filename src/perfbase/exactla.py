@@ -5,10 +5,29 @@ Matrices store entries by canonical integer encoding; all arithmetic is exact
 canonical RREF-reduced basis of their vectorized members, so equality of
 spaces is equality of canonical bases.
 
-Everything here is immutable after construction and safe for concurrent use.
+All row reduction goes through one kernel, the incremental `Echelon`
+(`insert`, `reduce`, `contains`, `coords`, `rank`): `FqMatrix.rref`, `rank`
+and `inverse`, every `MatrixSpace`, `tensor3.verify_base` and rmcode's
+solves and probe loops use it.  It keeps its rows fully reduced, so the rows
+sorted by pivot are the unique RREF and results do not depend on the order
+of elimination.  Its backend is chosen from the input alone:
+
+- prime fields with rows at least `_NUMPY_MIN_WIDTH` (20) wide, and p small
+  enough that int64 sums of products cannot overflow, use numpy row
+  operations.  numpy is imported by the first such echelon, not by this
+  module;
+- all other rows are Python lists, with inline arithmetic mod p over prime
+  fields, and `Field.sub` and `Field.mul` (log tables up to q = 4096) over
+  extension fields.
+
+Everything here except a filling `Echelon` is immutable after construction
+and safe for concurrent use.
 """
 
 from __future__ import annotations
+
+import itertools
+import operator
 
 from .errors import FieldMismatch, ShapeMismatch, Singular
 from .gf import Field, FieldElement
@@ -29,7 +48,9 @@ class FqMatrix:
 
     def __init__(self, field: Field, rows):
         self.field = field
-        self.rows = tuple(tuple(_enc(field, v) for v in row) for row in rows)
+        q = field.q
+        self.rows = tuple(tuple([v % q if type(v) is int else _enc(field, v)
+                                 for v in row]) for row in rows)
         self.n = len(self.rows)
         if self.n == 0:
             raise ShapeMismatch("matrix needs at least one row")
@@ -38,6 +59,16 @@ class FqMatrix:
             raise ShapeMismatch("ragged or empty rows")
 
     # -- constructors ----------------------------------------------------------
+
+    @classmethod
+    def _of(cls, field, rows):
+        """Wrap a nonempty tuple of equal-length tuples of valid encodings."""
+        M = object.__new__(cls)
+        M.field = field
+        M.rows = rows
+        M.n = len(rows)
+        M.m = len(rows[0])
+        return M
 
     @classmethod
     def zeros(cls, field, n, m):
@@ -93,7 +124,7 @@ class FqMatrix:
 
     def vectorize(self):
         """Row-major flattening (a_11, ..., a_1m, a_21, ..., a_nm)."""
-        return tuple(v for row in self.rows for v in row)
+        return tuple(itertools.chain.from_iterable(self.rows))
 
     def transpose(self):
         return FqMatrix(self.field,
@@ -127,11 +158,16 @@ class FqMatrix:
         if self.m != other.n:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
         F = self.field
-        bt = other.transpose().rows
+        cols = tuple(zip(*other.rows))
+        if F.deg == 1:
+            p = F.p
+            out = tuple(tuple([sum(map(operator.mul, row, col)) % p for col in cols])
+                        for row in self.rows)
+            return FqMatrix._of(F, out)
         out = []
         for row in self.rows:
             new = []
-            for col in bt:
+            for col in cols:
                 acc = 0
                 for a, b in zip(row, col):
                     if a and b:
@@ -174,51 +210,43 @@ class FqMatrix:
     def rref(self):
         """Reduced row echelon form: (matrix, rank, pivot columns).
 
-        Deterministic: leftmost pivot column, first nonzero row in order.
+        The nonzero rows come first, in pivot order, then the zero rows.
         """
-        F = self.field
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.m):
-            pivot = None
-            for i in range(r, self.n):
-                if rows[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = F.inv(rows[r][c])
-            rows[r] = [F.mul(inv, v) for v in rows[r]]
-            for i in range(self.n):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [F.sub(a, F.mul(f, b))
-                               for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.n:
-                break
-        return FqMatrix(F, rows), r, tuple(pivots)
+        rows, pivots = Echelon(self.field, self.m, self.rows).rref()
+        rank = len(rows)
+        rows += ((0,) * self.m,) * (self.n - rank)
+        return FqMatrix._of(self.field, rows), rank, pivots
 
     def rank(self) -> int:
-        return self.rref()[1]
+        return Echelon(self.field, self.m, self.rows).rank
 
     def is_rank_one(self) -> bool:
-        return self.rank() == 1
+        """Nonzero, and every row a multiple of the first nonzero row."""
+        F = self.field
+        first = next((row for row in self.rows if any(row)), None)
+        if first is None:
+            return False
+        lead = next(j for j, v in enumerate(first) if v)
+        unit = _scale(F, F.inv(first[lead]), first)  # first, scaled to unit[lead] == 1
+        for row in self.rows:
+            c = row[lead]
+            if c == 0:
+                if any(row):
+                    return False
+            elif _scale(F, c, unit) != list(row):
+                return False
+        return True
 
     def inverse(self):
         if self.n != self.m:
             raise Singular("only square matrices invert")
-        F = self.field
         n = self.n
-        aug = FqMatrix(F, [list(self.rows[i]) + [1 if j == i else 0 for j in range(n)]
-                           for i in range(n)])
-        red, rank, pivots = aug.rref()
+        aug = [row + tuple(1 if j == i else 0 for j in range(n))
+               for i, row in enumerate(self.rows)]
+        rows, pivots = Echelon(self.field, 2 * n, aug).rref()
         if pivots[:n] != tuple(range(n)):
             raise Singular("matrix is singular")
-        return FqMatrix(F, [row[n:] for row in red.rows])
+        return FqMatrix._of(self.field, tuple(row[n:] for row in rows))
 
     def is_invertible(self) -> bool:
         return self.n == self.m and self.rank() == self.n
@@ -240,37 +268,230 @@ def trace_pair(A: FqMatrix, B: FqMatrix) -> FieldElement:
     return FieldElement(F, acc)
 
 
-def _row_reduce_vectors(field, vectors, width):
-    """RREF of a list of coordinate vectors; returns (rows, pivots)."""
-    M = FqMatrix(field, list(vectors) or [[0] * width])
-    red, rank, pivots = M.rref()
-    return [red.rows[i] for i in range(rank)], pivots
+# --- the echelon kernel -----------------------------------------------------------
+
+# Prime-field rows at least this wide are reduced with numpy, narrower ones
+# on Python lists, whose per-call cost is lower.  Measured crossover for an
+# echelon of w rows of width w over F_13 (Intel Xeon, Python 3.11, numpy
+# 2.4): dense rows 12-16, sparse rows of rank-one matrices about 20.  At
+# w = 20 numpy takes 0.5x (dense) and 0.9x (sparse) the list time; at w = 16
+# it takes 1.4x for sparse rows.
+_NUMPY_MIN_WIDTH = 20
+
+
+def _numpy():
+    import numpy
+    return numpy
+
+
+def _axpy(F, vec, c, row):
+    """vec - c * row, entrywise, as a list."""
+    if F.deg == 1:
+        p = F.p
+        return [(a - c * b) % p for a, b in zip(vec, row)]
+    sub, mul = F.sub, F.mul
+    return [sub(a, mul(c, b)) if b else a for a, b in zip(vec, row)]
+
+
+def _scale(F, c, vec):
+    """c * vec, entrywise, as a list."""
+    if F.deg == 1:
+        p = F.p
+        return [c * a % p for a in vec]
+    mul = F.mul
+    return [mul(c, a) for a in vec]
+
+
+class Echelon:
+    """Incremental reduced row echelon form of vectors of one width.
+
+    The rows are kept fully reduced: each row has a 1 at its pivot column and
+    every other row is zero there.  So the residue of a vector is the vector
+    minus, for each row, its entry at that row's pivot times the row; those
+    entries, in pivot order, are its coordinates in the canonical basis
+    `rref()`, the unique RREF of everything inserted.
+
+    Over prime fields, rows at least `_NUMPY_MIN_WIDTH` wide live in an int64
+    numpy array, with a residue as one vector-matrix product, when p is small
+    enough that the sums of products fit in int64; all other rows are Python
+    lists.  Not safe to fill from several threads at once.
+    """
+
+    __slots__ = ("field", "width", "_rows", "_pivots", "_np_pivots")
+
+    def __init__(self, field: Field, width: int, vectors=()):
+        self.field = field
+        self.width = width
+        self._pivots = []  # in insertion order, the order of the rows
+        if (field.deg == 1 and width >= _NUMPY_MIN_WIDTH
+                and (field.p - 1) ** 2 * width < 1 << 63):
+            np = _numpy()
+            cap = max(1, min(len(vectors), width))  # grows on demand
+            self._rows = np.zeros((cap, width), dtype=np.int64)  # rank used
+            self._np_pivots = np.zeros(cap, dtype=np.intp)
+            if len(vectors):
+                for vec in self._as_array(vectors):
+                    self._insert_np(vec)
+        else:
+            self._rows = []
+            self._np_pivots = None
+            for vec in vectors:
+                self.insert(vec)
+
+    @classmethod
+    def _from_rref(cls, field, width, rows, pivots):
+        """The echelon of rows that are already an rref() (no elimination)."""
+        E = cls(field, width)
+        if E._np and rows:
+            E._rows = E._as_array(rows)
+            E._np_pivots = _numpy().array(pivots)
+        elif not E._np:
+            E._rows = list(rows)
+        E._pivots = list(pivots)
+        return E
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    @property
+    def _np(self) -> bool:
+        return self._np_pivots is not None
+
+    def insert(self, vec) -> bool:
+        """Add a vector; True when it was not already in the span."""
+        if self._np:
+            return self._insert_np(self._as_array(vec))
+        F = self.field
+        vec = self._residue(vec)
+        lead = next((j for j, v in enumerate(vec) if v), None)
+        if lead is None:
+            return False
+        vec = _scale(F, F.inv(vec[lead]), vec)
+        rows = self._rows
+        for i, row in enumerate(rows):
+            if row[lead]:
+                rows[i] = _axpy(F, row, row[lead], vec)
+        rows.append(vec)
+        self._pivots.append(lead)
+        return True
+
+    def reduce(self, vec) -> tuple:
+        """The residue of a vector modulo the span (zero when contained)."""
+        if self._np:
+            return tuple(self._residue_np(self._as_array(vec)).tolist())
+        return tuple(self._residue(vec))
+
+    def contains(self, vec) -> bool:
+        return self.first_missing([vec]) is None
+
+    def first_missing(self, vectors):
+        """Index of the first of a sequence of vectors outside the span, or None."""
+        if not self._np:
+            return next((i for i, vec in enumerate(vectors)
+                         if any(self._residue(vec))), None)
+        if not len(vectors):
+            return None
+        np = _numpy()
+        V = self._as_array(vectors)
+        outside = self._residue_np(V).any(axis=1)
+        return int(np.argmax(outside)) if outside.any() else None
+
+    def coords(self, vec):
+        """Coefficients of vec in the `rref()` rows; None if not contained."""
+        if not self.contains(vec):
+            return None
+        return tuple(vec[pc] for pc in sorted(self._pivots))
+
+    def rref(self):
+        """(rows, pivots): the rows as tuples in pivot order, and the pivots."""
+        order = sorted(range(self.rank), key=self._pivots.__getitem__)
+        rows = self._rows[:self.rank].tolist() if self._np else self._rows
+        return (tuple(tuple(rows[i]) for i in order),
+                tuple(self._pivots[i] for i in order))
+
+    # -- list backend ---------------------------------------------------------
+
+    def _residue(self, vec):
+        if len(vec) != self.width:
+            raise ShapeMismatch(f"vector of length {len(vec)}, expected {self.width}")
+        F = self.field
+        vec = list(vec)
+        for row, pc in zip(self._rows, self._pivots):
+            c = vec[pc]
+            if c:
+                vec = _axpy(F, vec, c, row)
+        return vec
+
+    # -- numpy backend --------------------------------------------------------
+
+    def _as_array(self, vectors):
+        np = _numpy()
+        V = np.asarray(vectors, dtype=np.int64)
+        if V.shape[-1:] != (self.width,):
+            raise ShapeMismatch(f"vectors of shape {V.shape}, expected width {self.width}")
+        return V
+
+    def _residue_np(self, V):
+        """Residues of a vector or of the rows of a matrix."""
+        r = self.rank
+        if not r:
+            return V
+        return (V - V[..., self._np_pivots[:r]] @ self._rows[:r]) % self.field.p
+
+    def _insert_np(self, v) -> bool:
+        np = _numpy()
+        p = self.field.p
+        v = self._residue_np(v)
+        nz = np.flatnonzero(v)
+        if not nz.size:
+            return False
+        lead = int(nz[0])
+        v = v * pow(int(v[lead]), p - 2, p) % p
+        r = self.rank
+        R = self._rows
+        hit = np.flatnonzero(R[:r, lead])
+        if hit.size:
+            R[hit] = (R[hit] - R[hit, lead, None] * v) % p
+        if r == len(R):
+            R = self._rows = np.concatenate((R, np.zeros_like(R)))
+            self._np_pivots = np.concatenate((self._np_pivots,
+                                              np.zeros_like(self._np_pivots)))
+        R[r] = v
+        self._np_pivots[r] = lead
+        self._pivots.append(lead)
+        return True
 
 
 def _nullspace(field, rows, width):
     """Null space basis of the row list, free-column index ascending."""
-    if rows:
-        red, rank, pivots = FqMatrix(field, rows).rref()
-        red_rows = red.rows[:rank]
-    else:
-        red_rows, rank, pivots = [], 0, ()
+    red_rows, pivots = Echelon(field, width, rows).rref()
     pivot_set = set(pivots)
-    free_cols = [c for c in range(width) if c not in pivot_set]
-    F = field
     basis = []
-    for fc in free_cols:
+    for fc in range(width):
+        if fc in pivot_set:
+            continue
         vec = [0] * width
         vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = F.neg(red_rows[r][fc])
+        for row, pc in zip(red_rows, pivots):
+            vec[pc] = field.neg(row[fc])
         basis.append(tuple(vec))
     return basis
 
 
-class MatrixSpace:
-    """An F_q-subspace of n x m matrices with a canonical RREF basis."""
+def _unvectorize(field, vec, n, m) -> FqMatrix:
+    """The n x m matrix of a row-major vector of valid encodings."""
+    return FqMatrix._of(field, tuple(tuple(vec[i * m:(i + 1) * m]) for i in range(n)))
 
-    __slots__ = ("field", "n", "m", "basis", "_rrows", "_pivots")
+
+class MatrixSpace:
+    """An F_q-subspace of n x m matrices with a canonical RREF basis.
+
+    Residues, membership and coordinates go through an `Echelon` of the
+    canonical rows, built on the first such query and never filled further.
+    """
+
+    __slots__ = ("field", "n", "m", "basis", "_rrows", "_pivots", "_echelon")
 
     def __init__(self, field: Field, shape, matrices):
         self.field = field
@@ -282,10 +503,9 @@ class MatrixSpace:
             if M.shape != (self.n, self.m):
                 raise ShapeMismatch("basis matrix with a different shape")
             vecs.append(M.vectorize())
-        rows, pivots = _row_reduce_vectors(field, vecs, self.n * self.m)
-        self._rrows = tuple(tuple(r) for r in rows)
-        self._pivots = tuple(pivots)
-        self.basis = tuple(FqMatrix.from_vector(field, r, self.n, self.m)
+        self._rrows, self._pivots = Echelon(field, self.n * self.m, vecs).rref()
+        self._echelon = None
+        self.basis = tuple(_unvectorize(field, r, self.n, self.m)
                            for r in self._rrows)
 
     @classmethod
@@ -324,41 +544,31 @@ class MatrixSpace:
     def __repr__(self):
         return f"MatrixSpace({self.n}x{self.m}, dim={self.dim})"
 
+    def _span(self) -> Echelon:
+        # published by one attribute store, so a race builds it twice at worst
+        if self._echelon is None:
+            self._echelon = Echelon._from_rref(self.field, self.n * self.m,
+                                               self._rrows, self._pivots)
+        return self._echelon
+
     def reduce_vector(self, vec):
         """Residue of a coordinate vector modulo the space."""
-        F = self.field
-        vec = list(vec)
-        for row, pc in zip(self._rrows, self._pivots):
-            c = vec[pc]
-            if c:
-                vec = [F.sub(a, F.mul(c, b)) for a, b in zip(vec, row)]
-        return tuple(vec)
+        return self._span().reduce(vec)
 
     def contains(self, A: FqMatrix) -> bool:
         if A.shape != self.shape:
             raise ShapeMismatch("containment across shapes")
-        return all(v == 0 for v in self.reduce_vector(A.vectorize()))
+        return self._span().contains(A.vectorize())
 
     def coordinates(self, A: FqMatrix):
         """Coefficients of A in the canonical basis; None if not contained."""
-        F = self.field
-        vec = list(A.vectorize())
-        coords = []
-        for row, pc in zip(self._rrows, self._pivots):
-            c = vec[pc]
-            coords.append(c)
-            if c:
-                vec = [F.sub(a, F.mul(c, b)) for a, b in zip(vec, row)]
-        if any(vec):
-            return None
-        return tuple(coords)
+        return self._span().coords(A.vectorize())
 
     def dual_complement(self) -> "MatrixSpace":
         """Orthogonal complement under the trace bilinear form."""
-        basis = _nullspace(self.field, [list(r) for r in self._rrows],
-                           self.n * self.m)
+        basis = _nullspace(self.field, self._rrows, self.n * self.m)
         return MatrixSpace(self.field, self.shape,
-                           [FqMatrix.from_vector(self.field, v, self.n, self.m)
+                           [_unvectorize(self.field, v, self.n, self.m)
                             for v in basis])
 
     def transform(self, L: FqMatrix, N: FqMatrix) -> "MatrixSpace":

@@ -176,7 +176,17 @@ class Field:
         return out
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.deg == 1:
+            return (a - b) % self.p
+        p = self.p
+        out = 0
+        mult = 1
+        while a or b:
+            a, ca = divmod(a, p)
+            b, cb = divmod(b, p)
+            out += ((ca - cb) % p) * mult
+            mult *= p
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if self.deg == 1:

@@ -43,7 +43,7 @@ from .errors import (
     ParametersOutOfRange,
     ShapeMismatch,
 )
-from .exactla import FqMatrix, MatrixSpace
+from .exactla import Echelon, FqMatrix, MatrixSpace
 from .gf import Field, FieldElement, FqPolynomial, field_make, find_primitive
 from .tensor3 import BaseCandidate, kruskal_bound, verify_base
 
@@ -573,12 +573,8 @@ def one_dim_row_base(gamma: GammaBasis, v_row) -> ConstructionResult:
     span = MatrixSpace(Fq, (1, m), entry_rows)
     s = span.dim
     # independent entry positions, in order
-    idx = []
-    probe = MatrixSpace.zero(Fq, (1, m))
-    for t, row in enumerate(entry_rows):
-        if not probe.contains(row):
-            probe = probe.sum_with(MatrixSpace(Fq, (1, m), [row]))
-            idx.append(t)
+    probe = Echelon(Fq, m)
+    idx = [t for t, row in enumerate(entry_rows) if probe.insert(row.rows[0])]
     dep = [t for t in range(len(v)) if t not in idx]
 
     pi = _power_multiple(gamma, span, s)
@@ -598,11 +594,8 @@ def one_dim_row_base(gamma: GammaBasis, v_row) -> ConstructionResult:
     power = one_dim_power_base(gamma, s)
     core = [L @ A @ mult_pi for A in power.candidate.matrices]
 
-    lambdas = []
-    for t in dep:
-        coords = _solve_combination(Fq, [entry_rows[i] for i in idx],
-                                    entry_rows[t])
-        lambdas.append(coords)
+    lambdas = _solve_combination(Fq, [entry_rows[i].rows[0] for i in idx],
+                                 [entry_rows[t].rows[0] for t in dep])
     reduced_target = MatrixSpace(
         Fq, (s, m),
         [L @ B @ mult_pi for B in power.candidate.target.basis])
@@ -627,19 +620,25 @@ def _permute_rows(M: FqMatrix, perm) -> FqMatrix:
     return FqMatrix(M.field, [M.rows[p] for p in perm])
 
 
-def _solve_combination(F, basis_rows, target_row):
-    """Coefficients writing target as a combination of the basis rows."""
-    cols = [B.rows[0] for B in basis_rows]
-    width = len(cols)
-    aug = [[cols[j][i] for j in range(width)] + [target_row.rows[0][i]]
-           for i in range(len(target_row.rows[0]))]
-    red, rank, pivots = FqMatrix(F, aug).rref()
-    if pivots and pivots[-1] == width:
-        raise InternalVerificationError("target row is not a combination")
-    coeffs = [0] * width
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = red.rows[r][width]
-    return coeffs
+def _solve_combination(F, basis_rows, targets):
+    """Coefficients writing each target vector in the independent basis_rows.
+
+    The basis rows are inserted with an identity block appended, [b_i | e_i],
+    so each echelon row carries its expression in the basis; the residue of
+    [t | 0] is then [0 | -x] with t = sum x_i b_i.
+    """
+    k = len(basis_rows)
+    width = len(basis_rows[0])
+    span = Echelon(F, width + k,
+                   [tuple(b) + tuple(int(i == j) for j in range(k))
+                    for i, b in enumerate(basis_rows)])
+    out = []
+    for t in targets:
+        res = span.reduce(tuple(t) + (0,) * k)
+        if any(res[:width]):
+            raise InternalVerificationError("target row is not a combination")
+        out.append([F.neg(c) for c in res[width:]])
+    return out
 
 
 def _power_multiple(gamma: GammaBasis, span: MatrixSpace, s: int) -> int:
@@ -742,12 +741,8 @@ def two_dim_bound(G_rows, gamma: GammaBasis):
         return size, size, res.candidate
     parts = [one_dim_row_base(gamma, red.rows[i]) for i in range(2)]
     union = list(parts[0].candidate.matrices) + list(parts[1].candidate.matrices)
-    picked = []
-    probe = MatrixSpace.zero(Fq, union[0].shape)
-    for A in union:
-        if not probe.contains(A):
-            probe = probe.sum_with(MatrixSpace(Fq, A.shape, [A]))
-            picked.append(A)
+    probe = Echelon(Fq, union[0].n * union[0].m)
+    picked = [A for A in union if probe.insert(A.vectorize())]
     target = parts[0].candidate.target.sum_with(parts[1].candidate.target)
     cand = BaseCandidate(tuple(picked), target)
     report = verify_base(cand)
@@ -774,14 +769,9 @@ def psi_block(C: RankCode, A: BaseCandidate,
         ok = False
     if not ok:
         raise NotABase("the candidate does not cover the code")
-    F = C.field
-    rows = []
-    for B in C.space.basis:
-        coords = _solve_combination(
-            F, [FqMatrix(F, [M.vectorize()]) for M in A.matrices],
-            FqMatrix(F, [B.vectorize()]))
-        rows.append(coords)
-    return BlockCode(F, rows)
+    rows = _solve_combination(C.field, [M.vectorize() for M in A.matrices],
+                              C.space._rrows)
+    return BlockCode(C.field, rows)
 
 
 def shorten_mtr(C: RankCode, A: BaseCandidate, S):

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, ShapeMismatch
-from .exactla import FqMatrix, MatrixSpace
+from .exactla import Echelon, FqMatrix, MatrixSpace
 from .gf import Field
 
 DEFAULT_GUARD = 100_000_000
@@ -109,37 +109,25 @@ def kruskal_bound(dim: int, d: int) -> int:
 
 
 def verify_base(cand: BaseCandidate) -> VerificationReport:
-    """Check rank-one-ness, independence, and target containment."""
+    """Check rank-one-ness, independence, and target containment.
+
+    One incremental elimination of the members gives the first member that
+    depends on the earlier ones; target containment is then tested against
+    the same echelon.
+    """
     target = cand.target
     field = target.field
     shape = target.shape
-    bad_rank = None
     for idx, A in enumerate(cand.matrices):
         if A.field != field or A.shape != shape:
             raise ShapeMismatch(f"member {idx} has wrong field or shape")
-        if A.rank() != 1:
-            bad_rank = idx
-            break
+    bad_rank = next((idx for idx, A in enumerate(cand.matrices)
+                     if not A.is_rank_one()), None)
 
-    dependent = None
-    # incremental reduction keeps the first offending index deterministic
-    rows = []
-    pivots = []
-    for idx, A in enumerate(cand.matrices):
-        vec = _reduce_against(field, rows, pivots, A.vectorize())
-        lead = _leading_index(vec)
-        if lead is None:
-            dependent = idx
-            break
-        _insert_row(field, rows, pivots, vec, lead)
-
-    missing = None
-    if dependent is None:
-        span = MatrixSpace(field, shape, cand.matrices)
-        for idx, B in enumerate(target.basis):
-            if not span.contains(B):
-                missing = idx
-                break
+    span = Echelon(field, target.n * target.m)
+    dependent = next((idx for idx, A in enumerate(cand.matrices)
+                      if not span.insert(A.vectorize())), None)
+    missing = span.first_missing(target._rrows) if dependent is None else None
     return VerificationReport(
         all_rank_one=bad_rank is None,
         independent=dependent is None,
@@ -152,6 +140,8 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
     )
 
 
+# The oracle's DFS keeps its own echelon lists, pushed and popped per pick, so
+# it does not use exactla.Echelon; `_proportionality` also uses `_leading_index`.
 def _leading_index(vec):
     for i, v in enumerate(vec):
         if v:
@@ -166,13 +156,6 @@ def _reduce_against(F, rows, pivots, vec):
         if c:
             vec = [F.sub(a, F.mul(c, b)) for a, b in zip(vec, row)]
     return vec
-
-
-def _insert_row(F, rows, pivots, vec, lead):
-    inv = F.inv(vec[lead])
-    vec = [F.mul(inv, v) for v in vec]
-    rows.append(vec)
-    pivots.append(lead)
 
 
 # --- rank-one enumeration and the exact oracle -----------------------------------
@@ -239,17 +222,9 @@ def exhaustive_trk(V: MatrixSpace, limit: int = DEFAULT_GUARD):
     start = max(k, kruskal_bound(k, d) if d else k)
     budget = [limit]
 
-    base_rows = []
-    base_pivots = []
-    for row in V.basis:
-        vec = _reduce_against(field, base_rows, base_pivots, row.vectorize())
-        lead = _leading_index(vec)
-        if lead is not None:
-            _insert_row(field, base_rows, base_pivots, vec, lead)
-
     for R in range(start, width + 1):
         found = _search_subsets(field, candidates, V, R,
-                                base_rows, base_pivots, budget)
+                                V._rrows, V._pivots, budget)
         if found is not None:
             mats = [FqMatrix.from_vector(field, candidates[i], n, m)
                     for i in found]

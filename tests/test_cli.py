@@ -164,6 +164,26 @@ def test_guard_env_variable(tmp_path):
     assert last_json(proc)["kind"] == "guard"
 
 
+def test_guard_flag_zero_is_not_ignored(tmp_path, capsys, monkeypatch):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "field": {"p": 3, "deg": 1, "modulus": []},
+        "basis": [{"n": 2, "m": 2, "entries": [[1, 0], [0, 1]]}],
+    }))
+    monkeypatch.delenv("PERFBASE_GUARD", raising=False)
+    assert main(["oracle", str(space), "--guard", "0"]) == 3
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["kind"] == "guard"
+    # --guard wins over PERFBASE_GUARD, in both directions
+    monkeypatch.setenv("PERFBASE_GUARD", "0")
+    assert main(["oracle", str(space), "--guard", "1000"]) == 0
+    monkeypatch.setenv("PERFBASE_GUARD", "1000")
+    assert main(["oracle", str(space), "--guard", "0"]) == 3
+    cert = os.path.join(FIXDIR, "gabidulin_dual_f3_m3_n3.cert.json")
+    assert main(["verify", cert, "--guard", "0"]) == 3
+    assert main(["verify", cert]) == 0
+    capsys.readouterr()
+
+
 def test_main_entry_in_process(tmp_path, capsys):
     out = tmp_path / "c.json"
     rc = main(["construct", "build-mtr", "--p", "7", "--n", "3", "--m", "3",

@@ -1,0 +1,325 @@
+"""Differential tests of the echelon kernel against the plain list RREF.
+
+`reference_rref` and `reference_verify_base` are the Gauss-Jordan
+elimination and the two-pass base check that `exactla.Echelon` replaced,
+kept here as the simple path the kernel must agree with.  Both backends are
+exercised: the numpy one by forcing `_NUMPY_MIN_WIDTH` down and by widths
+above it, the list one over extension fields and narrow prime-field rows.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from perfbase import exactla
+from perfbase.errors import ShapeMismatch
+from perfbase.exactla import Echelon, FqMatrix, MatrixSpace
+from perfbase.gf import field_make
+from perfbase.tensor3 import BaseCandidate, VerificationReport, verify_base
+
+FIELDS = [(2, 1), (13, 1), (3, 2), (5, 4)]  # F_2, F_13, F_9, F_625
+
+
+def reference_rref(F, rows, width):
+    """Gauss-Jordan over Field methods: (nonzero rows, rank, pivots)."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, v) for v in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return [tuple(x) for x in rows[:r]], r, tuple(pivots)
+
+
+def reference_residue(F, red_rows, pivots, vec):
+    vec = list(vec)
+    for row, pc in zip(red_rows, pivots):
+        c = vec[pc]
+        if c:
+            vec = [F.sub(a, F.mul(c, b)) for a, b in zip(vec, row)]
+    return tuple(vec)
+
+
+def reference_verify_base(cand):
+    """The base check before the kernel: RREF rank per member, then a
+    sequential elimination for independence, then a second span."""
+    target = cand.target
+    F = target.field
+    width = target.n * target.m
+    bad_rank = None
+    for idx, A in enumerate(cand.matrices):
+        if reference_rref(F, A.rows, A.m)[1] != 1:
+            bad_rank = idx
+            break
+    dependent = None
+    rows, pivots = [], []
+    for idx, A in enumerate(cand.matrices):
+        vec = list(A.vectorize())
+        for row, pc in zip(rows, pivots):
+            c = vec[pc]
+            if c:
+                vec = [F.sub(a, F.mul(c, b)) for a, b in zip(vec, row)]
+        lead = next((i for i, v in enumerate(vec) if v), None)
+        if lead is None:
+            dependent = idx
+            break
+        inv = F.inv(vec[lead])
+        rows.append([F.mul(inv, v) for v in vec])
+        pivots.append(lead)
+    missing = None
+    if dependent is None:
+        span_rows, _, span_piv = reference_rref(
+            F, [A.vectorize() for A in cand.matrices] or [[0] * width], width)
+        for idx, B in enumerate(target.basis):
+            if any(reference_residue(F, span_rows, span_piv, B.vectorize())):
+                missing = idx
+                break
+    return VerificationReport(
+        all_rank_one=bad_rank is None,
+        independent=dependent is None,
+        contains_target=dependent is None and missing is None,
+        base_size=len(cand.matrices),
+        target_dim=target.dim,
+        bad_rank_index=bad_rank,
+        dependent_index=dependent,
+        missing_target_index=missing,
+    )
+
+
+def random_rows(rng, F, n, width, rank_cap=None):
+    """n random rows; with rank_cap, combinations of rank_cap random rows."""
+    if rank_cap is None:
+        return [tuple(rng.randrange(F.q) for _ in range(width)) for _ in range(n)]
+    gens = random_rows(rng, F, rank_cap, width)
+    out = []
+    for _ in range(n):
+        acc = [0] * width
+        for g in gens:
+            c = rng.randrange(F.q)
+            acc = [F.add(a, F.mul(c, b)) for a, b in zip(acc, g)]
+        out.append(tuple(acc))
+    return out
+
+
+@pytest.fixture(params=["default", "numpy-forced"])
+def backend(request, monkeypatch):
+    if request.param == "numpy-forced":
+        monkeypatch.setattr(exactla, "_NUMPY_MIN_WIDTH", 1)
+    return request.param
+
+
+def check_against_reference(F, rows, width, probes):
+    red, rank, pivots = reference_rref(F, rows, width)
+    E = Echelon(F, width)
+    fresh = [E.insert(r) for r in rows]
+    assert E.rank == rank
+    assert E.rref() == (tuple(red), pivots)
+    # insert reports exactly the rows that grow the rank of the prefix
+    prefix_ranks = [reference_rref(F, rows[:i + 1], width)[1] for i in range(len(rows))]
+    assert fresh == [b > a for a, b in zip([0] + prefix_ranks, prefix_ranks)]
+    # built in one go, or adopted from its rref, the same echelon
+    assert Echelon(F, width, rows).rref() == E.rref()
+    adopted = Echelon._from_rref(F, width, *E.rref())
+    assert adopted.rank == rank
+    assert [adopted.insert(v) for v in probes] == [E.insert(v) for v in probes]
+    assert adopted.rref() == E.rref()
+    red, rank, pivots = reference_rref(F, list(rows) + list(probes), width)
+    assert E.rref() == (tuple(red), pivots)
+    M = FqMatrix(F, list(rows) + list(probes))
+    m_red, m_rank, m_piv = M.rref()
+    assert (m_rank, m_piv) == (rank, pivots)
+    assert m_red.rows[:rank] == tuple(red)
+    assert all(not any(r) for r in m_red.rows[rank:])
+    assert M.rank() == rank
+    probes = probes + random_rows(random.Random(width), F, 3, width)
+    for vec in probes:
+        res = reference_residue(F, red, pivots, vec)
+        assert E.reduce(vec) == res
+        assert E.contains(vec) == (not any(res))
+        coords = E.coords(vec)
+        if any(res):
+            assert coords is None
+        else:
+            assert coords == tuple(vec[pc] for pc in pivots)
+            acc = [0] * width
+            for c, row in zip(coords, red):
+                acc = [F.add(a, F.mul(c, b)) for a, b in zip(acc, row)]
+            assert tuple(acc) == tuple(vec)
+
+
+@pytest.mark.parametrize("p,deg", FIELDS)
+def test_echelon_matches_reference_rref(p, deg, backend):
+    F = field_make(p, deg)
+    rng = random.Random(f"echelon-{p}-{deg}-{backend}")
+    for trial in range(30):
+        width = rng.choice([1, 2, 3, 5, 8, 12])
+        n = rng.randrange(1, 10)
+        kind = trial % 3
+        if kind == 0:
+            rows = random_rows(rng, F, n, width)
+        elif kind == 1:  # rank-deficient
+            rows = random_rows(rng, F, n, width, rank_cap=rng.randrange(0, min(n, width) + 1))
+        else:  # zero
+            rows = [(0,) * width] * n
+        probes = random_rows(rng, F, 3, width) + rows[:2] + [(0,) * width]
+        check_against_reference(F, rows, width, probes)
+
+
+@pytest.mark.parametrize("p", [2, 13])
+def test_numpy_backend_at_its_natural_width(p):
+    F = field_make(p)
+    width = exactla._NUMPY_MIN_WIDTH + 3
+    assert Echelon(F, width)._np and not Echelon(F, width - 4)._np
+    rng = random.Random(p)
+    for cap in (None, 5, 0):
+        rows = random_rows(rng, F, 12, width, rank_cap=cap)
+        probes = random_rows(rng, F, 2, width) + rows[:2]
+        check_against_reference(F, rows, width, probes)
+
+
+def test_backend_choice_depends_only_on_the_input():
+    wide = exactla._NUMPY_MIN_WIDTH
+    assert Echelon(field_make(13), wide)._np
+    assert not Echelon(field_make(13), wide - 1)._np
+    assert not Echelon(field_make(5, 4), 4 * wide)._np
+    # sums of products would overflow int64: lists, whatever the width
+    assert not Echelon(field_make(2 ** 31 - 1), 4 * wide)._np
+
+
+def test_echelon_rejects_wrong_length(backend):
+    E = Echelon(field_make(13), 4, [(1, 2, 3, 4)])
+    with pytest.raises(ShapeMismatch):
+        E.insert((1, 2, 3))
+    with pytest.raises(ShapeMismatch):
+        E.reduce((1, 2, 3, 4, 5))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+def test_matrix_space_matches_reference(pdeg, n, m, data):
+    F = field_make(*pdeg)
+    k = data.draw(st.integers(0, 5))
+    entries = st.integers(0, F.q - 1)
+    mats = [FqMatrix(F, [[data.draw(entries) for _ in range(m)] for _ in range(n)])
+            for _ in range(k)]
+    V = MatrixSpace(F, (n, m), mats)
+    red, rank, pivots = reference_rref(
+        F, [A.vectorize() for A in mats] or [[0] * (n * m)], n * m)
+    assert V._rrows == tuple(red) and V._pivots == pivots and V.dim == rank
+    assert tuple(B.vectorize() for B in V.basis) == tuple(red)
+    probe = FqMatrix(F, [[data.draw(entries) for _ in range(m)] for _ in range(n)])
+    res = reference_residue(F, red, pivots, probe.vectorize())
+    assert V.reduce_vector(probe.vectorize()) == res
+    assert V.contains(probe) == (not any(res))
+    assert V.coordinates(probe) == (None if any(res) else
+                                    tuple(probe.vectorize()[pc] for pc in pivots))
+
+
+def test_matrix_space_queries_on_the_numpy_backend():
+    F = field_make(13)
+    rng = random.Random("space-np")
+    for _ in range(10):
+        n, m = 5, 5
+        k = rng.randrange(0, 8)
+        gens = random_rows(rng, F, k, n * m, rank_cap=rng.randrange(0, k + 1) if k else 0)
+        V = MatrixSpace(F, (n, m), [FqMatrix.from_vector(F, g, n, m) for g in gens])
+        assert V._span()._np
+        red, rank, pivots = reference_rref(F, gens or [[0] * (n * m)], n * m)
+        assert V._rrows == tuple(red) and V._pivots == pivots
+        for vec in random_rows(rng, F, 3, n * m) + gens[:2]:
+            A = FqMatrix.from_vector(F, vec, n, m)
+            res = reference_residue(F, red, pivots, vec)
+            assert V.reduce_vector(vec) == res
+            assert V.contains(A) == (not any(res))
+            assert V.coordinates(A) == (None if any(res) else
+                                        tuple(vec[pc] for pc in pivots))
+
+
+# --- verify_base against the two-pass check ----------------------------------------
+
+
+def rank_one(rng, F, n, m):
+    u = [rng.randrange(F.q) for _ in range(n)]
+    v = [rng.randrange(F.q) for _ in range(m)]
+    return FqMatrix(F, [[F.mul(a, b) for b in v] for a in u])
+
+
+def mutated_candidate(rng, F, n, m):
+    """A random base-like candidate with a few members spoiled."""
+    k = rng.randrange(1, n * m + 1)
+    members = [rank_one(rng, F, n, m) for _ in range(k)]
+    mode = rng.randrange(5)
+    if mode == 0 and k > 1:  # a dependent member
+        i = rng.randrange(1, k)
+        members[i] = members[rng.randrange(i)].scale(rng.randrange(F.q))
+    elif mode == 1:  # a rank-two member
+        i = rng.randrange(k)
+        members[i] = members[i] + rank_one(rng, F, n, m)
+    elif mode == 2:  # a zero member
+        members[rng.randrange(k)] = FqMatrix.zeros(F, n, m)
+    tdim = rng.randrange(0, n * m + 1)
+    target = MatrixSpace(F, (n, m), [
+        FqMatrix(F, [[rng.randrange(F.q) for _ in range(m)] for _ in range(n)])
+        for _ in range(tdim)])
+    if mode == 3:  # a target the members span
+        target = MatrixSpace(F, (n, m), members[:rng.randrange(1, k + 1)])
+    return BaseCandidate(tuple(members), target)
+
+
+@pytest.mark.parametrize("p,deg", FIELDS)
+def test_verify_base_reports_match_reference(p, deg, backend):
+    F = field_make(p, deg)
+    rng = random.Random(f"verify-{p}-{deg}-{backend}")
+    seen = set()
+    for _ in range(60):
+        n, m = rng.choice([(1, 2), (2, 2), (2, 3), (3, 3), (3, 4)])
+        cand = mutated_candidate(rng, F, n, m)
+        report = verify_base(cand)
+        assert report == reference_verify_base(cand)
+        seen.update(name for name in ("bad_rank_index", "dependent_index",
+                                      "missing_target_index")
+                    if getattr(report, name) is not None)
+        if report.passed:
+            seen.add("passed")
+    # the corpus reaches every kind of failure witness and some passes
+    assert seen == {"bad_rank_index", "dependent_index", "missing_target_index",
+                    "passed"}
+
+
+def test_verify_base_reports_match_reference_on_wide_bases():
+    F = field_make(13)
+    rng = random.Random("verify-wide")
+    n, m = 6, 7
+    assert Echelon(F, n * m)._np
+    for _ in range(8):
+        cand = mutated_candidate(rng, F, n, m)
+        assert verify_base(cand) == reference_verify_base(cand)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_is_rank_one_matches_rank(pdeg, n, m, data):
+    F = field_make(*pdeg)
+    elem = st.integers(0, F.q - 1)
+    if data.draw(st.booleans()):  # outer products, often rank one
+        u = [data.draw(elem) for _ in range(n)]
+        v = [data.draw(elem) for _ in range(m)]
+        A = FqMatrix(F, [[F.mul(a, b) for b in v] for a in u])
+    else:
+        A = FqMatrix(F, [[data.draw(elem) for _ in range(m)] for _ in range(n)])
+    assert A.is_rank_one() == (reference_rref(F, A.rows, m)[1] == 1) == (A.rank() == 1)

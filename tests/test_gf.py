@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from perfbase.errors import NotASubfield, NotIrreducible, NotPrime
 from perfbase.gf import (
     _TABLE_LIMIT,
+    _is_prime,
     Field,
     FqPolynomial,
     field_make,
@@ -111,6 +112,15 @@ def test_table_arithmetic_matches_polynomial_path_exhaustive(p, deg):
             assert F.mul(a, b) == F._mul_slow(a, b)
     for a in range(1, F.q):
         assert F.inv(a) == slow_pow(F, a, F.q - 2)
+
+
+@pytest.mark.parametrize("p,deg", [(p, 1) for p in range(2, 126) if _is_prime(p)]
+                         + EXTENSIONS_LE_125)
+def test_sub_matches_add_of_neg_exhaustive(p, deg):
+    F = field_make(p, deg)
+    for a in range(F.q):
+        for b in range(F.q):
+            assert F.sub(a, b) == F.add(a, F.neg(b))
 
 
 @settings(deadline=None, max_examples=300)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -145,6 +147,62 @@ def test_distance_is_basis_independent():
     d1 = gamma_expand_code(code, power).distance()
     d2 = gamma_expand_code(code, other).distance()
     assert d1 == d2
+
+
+def _combinations(F, vectors):
+    """Every F-linear combination of the vectors, by brute force."""
+    out = []
+    for coeffs in itertools.product(range(F.q), repeat=len(vectors)):
+        acc = [0] * len(vectors[0])
+        for c, vec in zip(coeffs, vectors):
+            acc = [F.add(a, F.mul(c, b)) for a, b in zip(acc, vec)]
+        out.append(tuple(acc))
+    return out
+
+
+def _brute_rank(F, rows):
+    """log_q of the size of the row space: no elimination involved."""
+    size = len(set(_combinations(F, rows)))
+    return round(math.log(size, F.q))
+
+
+def test_min_rank_distance_extension_field_matches_brute_force():
+    F9 = field_make(3, 2)
+    rng = random.Random(9)
+    seen = set()
+    for _ in range(12):
+        n, m = rng.choice([(2, 2), (2, 3)])
+        mats = [FqMatrix(F9, [[rng.randrange(9) for _ in range(m)] for _ in range(n)])
+                for _ in range(2)]
+        if rng.random() < 0.4:  # a rank-one member makes d = 1 likely
+            u, v = [rng.randrange(9) for _ in range(n)], [rng.randrange(9) for _ in range(m)]
+            mats[1] = FqMatrix(F9, [[F9.mul(a, b) for b in v] for a in u])
+        space = MatrixSpace(F9, (n, m), mats)
+        if space.dim == 0:
+            continue
+        words = _combinations(F9, [B.vectorize() for B in space.basis])
+        brute = min(_brute_rank(F9, [w[i * m:(i + 1) * m] for i in range(n)])
+                    for w in words if any(w))
+        assert min_rank_distance(RankCode(space)) == brute
+        seen.add(brute)
+    assert seen == {1, 2}
+
+
+def test_min_hamming_distance_extension_field_matches_brute_force():
+    F9 = field_make(3, 2)
+    rng = random.Random(90)
+    seen = set()
+    for _ in range(12):
+        length = rng.choice([3, 4, 5])
+        gens = [[rng.randrange(9) for _ in range(length)] for _ in range(2)]
+        if FqMatrix(F9, gens).rank() != 2:
+            continue
+        B = BlockCode(F9, gens)
+        brute = min(sum(1 for v in w if v)
+                    for w in _combinations(F9, B.generators) if any(w))
+        assert min_hamming_distance(B) == brute
+        seen.add(brute)
+    assert len(seen) > 1
 
 
 # --- evaluation codes ----------------------------------------------------------------

@@ -11,6 +11,7 @@ from perfbase.tensor3 import (
     Tensor3,
     exhaustive_trk,
     kruskal_bound,
+    rank_one_completion_exists,
     rank_one_matrices,
     slice_space,
     verify_base,
@@ -175,3 +176,43 @@ def test_slice_space_equivariance():
             continue
         rhs = equivalence_transform(V, P, Q)
         assert lhs == rhs
+
+
+def _minors_vanish(F, rows):
+    """Every 2x2 minor is zero: rank at most one, without elimination."""
+    n, m = len(rows), len(rows[0])
+    return all(F.mul(rows[i][j], rows[k][l]) == F.mul(rows[i][l], rows[k][j])
+               for i in range(n) for k in range(i + 1, n)
+               for j in range(m) for l in range(j + 1, m))
+
+
+def test_rank_one_completion_extension_field_matches_brute_force():
+    # T lies in span + <N> for a rank-one N outside the span exactly when
+    # span + <T> holds a rank-one matrix outside the span
+    F9 = field_make(3, 2)
+    rng = random.Random(99)
+    outcomes = set()
+    for _ in range(10):
+        n, m = rng.choice([(2, 3), (3, 3)])
+        rand = lambda: FqMatrix(F9, [[rng.randrange(9) for _ in range(m)]
+                                     for _ in range(n)])
+        span = MatrixSpace(F9, (n, m), [rand()])
+        targets = [T for T in (rand(), rand()) if not span.contains(T)]
+        if not targets:
+            continue
+        found, detail = rank_one_completion_exists(span, targets)
+        brute = []
+        for j, T in enumerate(targets):
+            pencil = MatrixSpace(F9, (n, m), list(span.basis) + [T])
+            brute.append(any(any(A.vectorize()) and _minors_vanish(F9, A.rows)
+                             and not span.contains(A)
+                             for A in pencil.iter_elements()))
+        assert found == any(brute)
+        if found:
+            N, j = detail["witness"], detail["target_index"]
+            assert brute[j] and _minors_vanish(F9, N.rows) and any(N.vectorize())
+            assert span.sum_with(MatrixSpace(F9, (n, m), [N])).contains(targets[j])
+        else:
+            assert detail["pairs_scanned"] == len(rank_one_matrices(F9, n, m))
+        outcomes.add(found)
+    assert outcomes == {True, False}
