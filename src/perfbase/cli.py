@@ -252,19 +252,30 @@ def cmd_verify(args) -> int:
         return 2
     try:
         verdict = reverify(cert, _guard(args, rmcode.DEFAULT_SCAN_GUARD))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
         print(json.dumps({"ok": False, "error": f"malformed certificate: {exc}"}))
         return 2
     print(json.dumps(verdict, sort_keys=True))
     return 0 if verdict["ok"] else 1
 
 
+def _space_from_json(obj) -> MatrixSpace:
+    """The space of an oracle input `{"field": {...}, "basis": [matrix...]}`."""
+    try:
+        field = field_from_json(obj["field"])
+        mats = [matrix_from_json(field, o) for o in obj["basis"]]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed oracle input: {exc!r}") from exc
+    if not mats:
+        raise ValueError("malformed oracle input: the basis is empty")
+    return MatrixSpace(field, mats[0].shape, mats)
+
+
 def cmd_oracle(args) -> int:
     with open(args.space) as fh:
         obj = json.load(fh)
-    field = field_from_json(obj["field"])
-    mats = [matrix_from_json(field, o) for o in obj["basis"]]
-    space = MatrixSpace(field, mats[0].shape, mats)
+    space = _space_from_json(obj)
+    field = space.field
     guard = _guard(args, DEFAULT_GUARD)
     trk, witness = exhaustive_trk(space, guard)
     cert = {
@@ -330,7 +341,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except GuardExceeded as exc:
-        print(json.dumps({"ok": False, "error": str(exc), "kind": "guard"}))
+        line = {"ok": False, "error": str(exc), "kind": "guard"}
+        if exc.progress is not None:
+            line["progress"] = exc.progress
+        print(json.dumps(line))
         return 3
     except InternalVerificationError as exc:
         print(json.dumps({"ok": False, "error": str(exc), "kind": "internal"}))

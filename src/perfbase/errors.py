@@ -113,7 +113,15 @@ class ParametersOutOfRange(PerfbaseError):
 # --- search / verification ----------------------------------------------------
 
 class GuardExceeded(PerfbaseError):
-    """A scan or subset search would exceed its work guard."""
+    """A scan or subset search would exceed its work guard.
+
+    `progress`, when the search reports it, says how far the run got, for
+    example `{"phase": "oracle", "R": 5, "tests_used": 100}`.
+    """
+
+    def __init__(self, message, progress=None):
+        super().__init__(message)
+        self.progress = progress
 
 
 class InternalVerificationError(PerfbaseError):

@@ -34,6 +34,7 @@ from .errors import (
     NotASubfield,
     NotIrreducible,
     NotPrime,
+    ParametersOutOfRange,
 )
 
 # Extension fields at or below this size get log/antilog tables on first
@@ -43,16 +44,36 @@ from .errors import (
 _TABLE_LIMIT = 4096
 
 
+# Fields are defined for p below this bound; certificates and oracle inputs
+# are untrusted, so a larger p is refused before any arithmetic.
+_P_LIMIT = 1 << 64
+
+# The prime bases 2..37 make Miller-Rabin exact for every n below
+# 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 2017), far above _P_LIMIT.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3.3 * 10^24."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -65,6 +86,8 @@ class Field:
     )
 
     def __init__(self, p: int, deg: int = 1, modulus=None):
+        if p >= _P_LIMIT:
+            raise ParametersOutOfRange(f"p = {p} is not below 2^64")
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if deg < 1:

@@ -9,8 +9,16 @@ the first failure of each kind.
 The oracle enumerates rank-one matrices up to scalar (both factors normalized
 to leading coefficient one) and searches independent subsets in lexicographic
 order, so the returned witness is the lexicographically least successful
-subset.  A work guard bounds the number of subset-membership tests; sharded
-runs must reduce with lexicographic minimum to preserve that contract.
+subset.  Each candidate is reduced modulo V once.  Every node of the search
+then holds the residues of the remaining candidates modulo the chosen span
+and modulo the chosen span plus V, so a membership test reads whether two
+table rows are zero, and a pick updates the later rows of each table with one
+rank-one update: int64 numpy over prime fields, lists with `Field`
+arithmetic over extension fields.  A work guard bounds the number of
+subset-membership tests, counted as if the candidates were tested one at a
+time; sharded runs must reduce with lexicographic minimum to preserve that
+contract.  Inputs whose candidate list would exceed ORACLE_MAX_ENTRIES are
+refused before any enumeration.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import GuardExceeded, ShapeMismatch
-from .exactla import Echelon, FqMatrix, MatrixSpace
+from .errors import GuardExceeded, ParametersOutOfRange, ShapeMismatch
+from .exactla import Echelon, FqMatrix, MatrixSpace, _axpy, _scale
 from .gf import Field
 
 DEFAULT_GUARD = 100_000_000
@@ -140,22 +148,11 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
     )
 
 
-# The oracle's DFS keeps its own echelon lists, pushed and popped per pick, so
-# it does not use exactla.Echelon; `_proportionality` also uses `_leading_index`.
 def _leading_index(vec):
     for i, v in enumerate(vec):
         if v:
             return i
     return None
-
-
-def _reduce_against(F, rows, pivots, vec):
-    vec = list(vec)
-    for row, pc in zip(rows, pivots):
-        c = vec[pc]
-        if c:
-            vec = [F.sub(a, F.mul(c, b)) for a, b in zip(vec, row)]
-    return vec
 
 
 # --- rank-one enumeration and the exact oracle -----------------------------------
@@ -203,33 +200,71 @@ def _min_rank(space: MatrixSpace, cap: int):
     return best
 
 
+# exhaustive_trk refuses a space whose candidate list would hold more entries
+# than this (candidates x n*m) before it enumerates anything.  The search
+# keeps two residue tables per level of depth, and 2^20 entries make 8 MB.
+ORACLE_MAX_ENTRIES = 1 << 20
+
+
+def _normalized_count(q, length, cap):
+    """(q^length - 1) / (q - 1), or cap + 1 once the count exceeds cap."""
+    total, power = 0, 1
+    for _ in range(length):
+        total += power
+        if total > cap:
+            return cap + 1
+        power *= q
+    return total
+
+
 def exhaustive_trk(V: MatrixSpace, limit: int = DEFAULT_GUARD):
     """Exact tensor rank of V with a lexicographically least witness.
 
     Searches subsets of the canonical rank-one list by size, requiring each
     pick to grow the chosen span and pruning branches whose span together
-    with V already exceeds the subset size.  Raises GuardExceeded once more
-    than `limit` subset-membership tests have run.
+    with V already exceeds the subset size.  Raises GuardExceeded, with
+    `progress = {"phase", "R", "tests_used"}`, once more than `limit`
+    subset-membership tests would run, and ParametersOutOfRange before any
+    enumeration when the candidate list would exceed ORACLE_MAX_ENTRIES.
+    """
+    for R, witness, _ in _rank_levels(V, limit):
+        if witness is not None:
+            n, m = V.shape
+            mats = [FqMatrix.from_vector(V.field, vec, n, m) for vec in witness]
+            return R, BaseCandidate(tuple(mats), V)
+    raise AssertionError("the full unit basis always succeeds")  # unreachable
+
+
+def _rank_levels(V: MatrixSpace, limit: int):
+    """Yield (R, witness vectors or None, membership tests) for R = bound, ...
+
+    The first level with a witness is the tensor rank; the generator stops
+    there.  `limit` bounds the tests of all levels together.
     """
     field = V.field
     n, m = V.shape
+    width = n * m
+    cap = ORACLE_MAX_ENTRIES // width
+    count = (_normalized_count(field.q, n, cap)
+             * _normalized_count(field.q, m, cap))
+    if count > cap:
+        raise ParametersOutOfRange(
+            f"the oracle's rank-one candidates of {n}x{m} matrices over"
+            f" F_{field.q} exceed {ORACLE_MAX_ENTRIES} entries")
     k = V.dim
     if k == 0:
-        return 0, BaseCandidate((), V)
-    candidates = [A.vectorize() for A in rank_one_matrices(field, n, m)]
-    width = n * m
+        yield 0, [], 0
+        return
+    tables, A, Q = _candidate_tables(V)
     d = _min_rank(V, cap=4096)
-    start = max(k, kruskal_bound(k, d) if d else k)
     budget = [limit]
-
-    for R in range(start, width + 1):
-        found = _search_subsets(field, candidates, V, R,
-                                V._rrows, V._pivots, budget)
-        if found is not None:
-            mats = [FqMatrix.from_vector(field, candidates[i], n, m)
-                    for i in found]
-            return R, BaseCandidate(tuple(mats), V)
-    raise AssertionError("the full unit basis always succeeds")  # unreachable
+    for R in range(max(k, kruskal_bound(k, d) if d else k), width + 1):
+        before = budget[0]
+        found = _search_subsets(tables, A, Q, k, R, budget, limit)
+        witness = None if found is None else [tables.vector(A, i) for i in found]
+        yield R, witness, before - budget[0]
+        if witness is not None:
+            return
 
 
 def rank_one_completion_exists(span_space: MatrixSpace, targets,
@@ -315,50 +350,164 @@ def _np_completion_scan(span_space, targets, guard):
     return False, {"pairs_scanned": U.shape[0] * V.shape[1]}
 
 
-def _search_subsets(F, candidates, V, R, vrows, vpivots, budget):
-    n_cand = len(candidates)
+# --- the oracle's subset search ---------------------------------------------------
+#
+# Each DFS node holds two residue tables for the candidates from `start` on:
+# A, their residues modulo span(chosen), and Q, their residues modulo
+# span(chosen) + V, taken in the coordinates of K^{nm} that are not pivots of
+# V.  A candidate is independent of the chosen ones when its A row is nonzero,
+# and grows span(chosen) + V when its Q row is nonzero, so a membership test
+# is a lookup.  A pick eliminates its own row's lead column from the later
+# rows of each table, one rank-one update per table.
 
-    def dfs(start, chosen, arows, apivots, avrows, avpivots):
-        t = len(chosen)
-        if t == R:
-            return list(chosen) if len(avrows) == R else None
-        if n_cand - start < R - t:
+
+class _NumpyTables:
+    """Residue tables as int64 arrays, over prime fields small enough that
+    the products of two entries, summed over a row, fit in int64."""
+
+    def __init__(self, field):
+        import numpy
+
+        self.np = numpy
+        self.field = field
+        self.p = field.p
+
+    def candidates(self, n, m):
+        np, p = self.np, self.p
+        U = np.array(_normalized_vectors(self.field, n), dtype=np.int64)
+        W = np.array(_normalized_vectors(self.field, m), dtype=np.int64)
+        return (U[:, None, :, None] * W[None, :, None, :] % p).reshape(-1, n * m)
+
+    def quotient(self, A, V, free):
+        np = self.np
+        rows = np.array(V._rrows, dtype=np.int64)
+        A = (A - A[:, list(V._pivots)] @ rows) % self.p
+        return np.ascontiguousarray(A[:, free])
+
+    def vector(self, T, i):
+        return tuple(T[i].tolist())
+
+    def nonzero(self, T, stop):
+        """Bit i set when row i < stop of the table is nonzero."""
+        mask = T[:stop].any(axis=1)
+        return int.from_bytes(self.np.packbits(mask, bitorder="little").tobytes(),
+                              "little")
+
+    def pick(self, T, i):
+        """(rows after i modulo row i, whether row i was nonzero)."""
+        p = self.p
+        row = T[i]
+        rest = T[i + 1:]
+        lead = _leading_index(row.tolist())
+        if lead is None:
+            return rest, False
+        row = row * pow(int(row[lead]), p - 2, p) % p
+        out = rest[:, lead, None] * row
+        self.np.subtract(rest, out, out=out)
+        out %= p
+        return out, True
+
+
+class _ListTables:
+    """Residue tables as lists of lists, with `Field` arithmetic."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def candidates(self, n, m):
+        return [list(A.vectorize()) for A in rank_one_matrices(self.field, n, m)]
+
+    def quotient(self, A, V, free):
+        return [[res[j] for j in free] for res in map(V.reduce_vector, A)]
+
+    def vector(self, T, i):
+        return tuple(T[i])
+
+    def nonzero(self, T, stop):
+        bits = 0
+        for i in range(stop):
+            if any(T[i]):
+                bits |= 1 << i
+        return bits
+
+    def pick(self, T, i):
+        F = self.field
+        row = T[i]
+        rest = T[i + 1:]
+        lead = _leading_index(row)
+        if lead is None:
+            return rest, False
+        row = _scale(F, F.inv(row[lead]), row)
+        return [_axpy(F, r, r[lead], row) if r[lead] else r for r in rest], True
+
+
+def _candidate_tables(V: MatrixSpace):
+    """(tables, A, Q): the rank-one candidates in canonical order, and their
+    residues modulo V in V's non-pivot coordinates."""
+    field = V.field
+    n, m = V.shape
+    width = n * m
+    if field.deg == 1 and (field.p - 1) ** 2 * width < 1 << 63:
+        tables = _NumpyTables(field)
+    else:
+        tables = _ListTables(field)
+    A = tables.candidates(n, m)
+    pivots = set(V._pivots)
+    free = [j for j in range(width) if j not in pivots]
+    return tables, A, tables.quotient(A, V, free)
+
+
+def _search_subsets(tables, A, Q, k, R, budget, limit):
+    """Indices of the lexicographically least R-subset of the candidates
+    that is independent and spans V, or None.
+
+    Each candidate a node tests costs one unit of `budget`, as in a search
+    that tests them one at a time: candidates that cannot be picked are
+    charged in bulk, and a pick at depth R - 1 is decided from the tables
+    without a child node.
+    """
+    n_cand = len(A)
+
+    def charge(tests):
+        budget[0] -= tests
+        if budget[0] < 0:
+            raise GuardExceeded(
+                "rank oracle exceeded its membership-test guard",
+                progress={"phase": "oracle", "R": R,
+                          "tests_used": max(limit, 0)})
+
+    def dfs(t, start, av, A, Q):
+        # av = dim(span(chosen) + V); a pick must keep it at most R.  The
+        # node tests its first `stop` candidates: a later pick would leave
+        # fewer candidates after it than the R - t - 1 picks still needed.
+        stop = n_cand - start - (R - t) + 1
+        if stop <= 0:
             return None
-        for idx in range(start, n_cand):
-            if n_cand - idx < R - t:
-                break
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise GuardExceeded(
-                    "rank oracle exceeded its membership-test guard")
-            vec = candidates[idx]
-            red = _reduce_against(F, arows, apivots, vec)
-            lead = _leading_index(red)
-            if lead is None:
-                continue  # dependent on chosen
-            redv = _reduce_against(F, avrows, avpivots, vec)
-            leadv = _leading_index(redv)
-            new_av = len(avrows) + (1 if leadv is not None else 0)
-            if new_av > R:
-                continue  # span + V can no longer shrink back to R
-            # remaining picks must absorb the rest of V's span
-            if new_av - (t + 1) > R - (t + 1):
-                continue
-            arows.append([F.mul(F.inv(red[lead]), v) for v in red])
-            apivots.append(lead)
-            if leadv is not None:
-                avrows.append([F.mul(F.inv(redv[leadv]), v) for v in redv])
-                avpivots.append(leadv)
-            chosen.append(idx)
-            hit = dfs(idx + 1, chosen, arows, apivots, avrows, avpivots)
+        independent = tables.nonzero(A, stop)
+        outside = tables.nonzero(Q, stop)
+        viable = independent & ~outside if av == R else independent
+        if t == R - 1:
+            # A viable last pick gives R independent members inside a span
+            # of dim R containing V (av < R means V is inside span(chosen)).
+            if not viable:
+                charge(stop)
+                return None
+            i = (viable & -viable).bit_length() - 1
+            charge(i + 1)
+            return [start + i]
+        tested = 0
+        while viable:
+            low = viable & -viable
+            viable ^= low
+            i = low.bit_length() - 1
+            charge(i + 1 - tested)
+            tested = i + 1
+            A2, _ = tables.pick(A, i)
+            Q2, grew = tables.pick(Q, i)
+            hit = dfs(t + 1, start + i + 1, av + grew, A2, Q2)
             if hit is not None:
-                return hit
-            chosen.pop()
-            arows.pop()
-            apivots.pop()
-            if leadv is not None:
-                avrows.pop()
-                avpivots.pop()
+                return [start + i] + hit
+        charge(stop - tested)
         return None
 
-    return dfs(0, [], [], [], [list(r) for r in vrows], list(vpivots))
+    return dfs(0, 0, k, A, Q)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,3 +194,29 @@ def test_main_entry_in_process(tmp_path, capsys):
     assert verdict["base_size"] == 4
     rc = main(["verify", str(out)])
     assert rc == 0
+
+
+def test_verify_large_prime_is_fast_and_p_beyond_2_64_is_input_error(tmp_path, capsys):
+    row = {"n": 1, "m": 2, "entries": [[1, 5]]}
+    path = tmp_path / "big.json"
+    for p, code in ((10 ** 18 + 9, 0), ((1 << 64) + 13, 2)):
+        path.write_text(json.dumps({
+            "schema_version": "1", "field": {"p": p, "deg": 1, "modulus": []},
+            "construction": {"name": "hand", "params": {}},
+            "target_basis": [row], "base": [row], "auxiliary": {}}))
+        t0 = time.perf_counter()
+        assert main(["verify", str(path)]) == code
+        assert time.perf_counter() - t0 < 0.5
+        line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert line["ok"] == (code == 0)
+
+
+@pytest.mark.parametrize("cert", [
+    [1, 2],
+    {"schema_version": "1", "field": [3], "target_basis": [], "base": []},
+])
+def test_verify_certificate_of_wrong_json_types_exits_2(tmp_path, capsys, cert):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cert))
+    assert main(["verify", str(path)]) == 2
+    assert not json.loads(capsys.readouterr().out.strip().splitlines()[-1])["ok"]

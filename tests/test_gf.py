@@ -1,11 +1,12 @@
 import itertools
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfbase.errors import NotASubfield, NotIrreducible, NotPrime
+from perfbase.errors import NotASubfield, NotIrreducible, NotPrime, ParametersOutOfRange
 from perfbase.gf import (
     _TABLE_LIMIT,
     _is_prime,
@@ -33,6 +34,39 @@ def test_field_make_prime_and_validation():
         field_make(6)
     with pytest.raises(NotIrreducible):
         field_make(2, 2, modulus=(1, 0, 1))  # x^2+1 = (x+1)^2 over F_2
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    for n in range(10 ** 5):
+        assert _is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745,
+                  825265, 321197185, 5394826801, 232250619601, 9746347772161]
+    assert not any(_is_prime(n) for n in carmichael)
+    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not _is_prime(3825123056546413051)  # ... to every prime base up to 31
+    assert not _is_prime(4294967291 * 4294967279)  # two primes just below 2^32
+    for p in ((1 << 61) - 1, (1 << 64) - 59, 10 ** 18 + 9, 4294967291):
+        assert _is_prime(p)
+    for c in ((1 << 64) - 1, (1 << 61) + 1, 10 ** 18 + 7):
+        assert not _is_prime(c)
+
+
+def test_primes_up_to_2_64_are_fast_and_larger_p_out_of_range():
+    t0 = time.perf_counter()
+    assert field_make((1 << 64) - 59).q == (1 << 64) - 59
+    with pytest.raises(NotPrime):
+        field_make((1 << 64) - 1)
+    assert time.perf_counter() - t0 < 0.5
+    for p in (1 << 64, (1 << 89) - 1):
+        with pytest.raises(ParametersOutOfRange):
+            field_make(p)
 
 
 def test_field_make_singles_out_smallest_irreducible():
