@@ -21,7 +21,12 @@ import sys
 
 from . import construct as cons
 from . import rmcode
-from .errors import GuardExceeded, InternalVerificationError, PerfbaseError
+from .errors import (
+    GuardExceeded,
+    InternalVerificationError,
+    ParametersOutOfRange,
+    PerfbaseError,
+)
 from .exactla import FqMatrix, MatrixSpace
 from .gf import Field, field_make
 from .tensor3 import (
@@ -43,8 +48,12 @@ def field_to_json(F: Field) -> dict:
 
 
 def field_from_json(obj) -> Field:
-    modulus = obj.get("modulus") or None
-    return field_make(int(obj["p"]), int(obj.get("deg", 1)), modulus)
+    p, deg = int(obj["p"]), int(obj.get("deg", 1))
+    # untrusted: the irreducible search doubles in time with each degree
+    if deg > 16 or (deg >= 2 and p ** deg > 1 << 16):
+        raise ParametersOutOfRange(
+            f"extension field {p}^{deg} exceeds 2^16 elements")
+    return field_make(p, deg, obj.get("modulus") or None)
 
 
 def matrix_to_json(M: FqMatrix) -> dict:
@@ -226,11 +235,9 @@ def cmd_construct(args) -> int:
     elif name == "build-mtr":
         _require(args, "n", "m", "k", "d")
         code, cand = rmcode.build_mtr(args.p, args.n, args.m, args.k, args.d)
-        report = verify_base(cand)
-        result = cons.ConstructionResult(
+        result = cons._finish(
             cand, "build-mtr",
-            {"q": args.p, "n": args.n, "m": args.m, "k": args.k, "d": args.d},
-            {}, report)
+            {"q": args.p, "n": args.n, "m": args.m, "k": args.k, "d": args.d}, {})
         code_info = _code_info(code, guard, mtr=True)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(name)
@@ -272,22 +279,12 @@ def _space_from_json(obj) -> MatrixSpace:
 
 
 def cmd_oracle(args) -> int:
-    with open(args.space) as fh:
-        obj = json.load(fh)
-    space = _space_from_json(obj)
-    field = space.field
+    space = _space_from_json(load_certificate(args.space))
     guard = _guard(args, DEFAULT_GUARD)
     trk, witness = exhaustive_trk(space, guard)
-    cert = {
-        "schema_version": SCHEMA_VERSION,
-        "field": field_to_json(field),
-        "construction": {"name": "oracle", "params": {"guard": guard}},
-        "target_basis": [matrix_to_json(B) for B in space.basis],
-        "base": [matrix_to_json(A) for A in witness.matrices],
-        "auxiliary": {},
-        "report": verify_base(witness).to_dict(),
-        "tensor_rank": trk,
-    }
+    result = cons._finish(witness, "oracle", {"guard": guard}, {})
+    cert = certificate_from_result(space.field, result)
+    cert["tensor_rank"] = trk
     if args.out:
         write_certificate(cert, args.out)
     print(json.dumps({"ok": True, "tensor_rank": trk,

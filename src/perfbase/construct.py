@@ -7,7 +7,9 @@ the singular-companion glue, and the square-plus-one-column pencil base.
 
 Every constructor verifies its own output (rank one, independent, contains
 the target) before returning; a failure raises InternalVerificationError and
-is always a bug, never a caller error.  All constructors are pure.
+is always a bug, never a caller error.  All constructors are pure.  The one
+helper that does this, `_finish`, also finishes rmcode's constructions and
+the `build-mtr` and `oracle` certificates of the command line.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     UnsupportedCofactorDegree,
     ZeroGamma,
 )
-from .exactla import FqMatrix, MatrixSpace
+from .exactla import FqMatrix, MatrixSpace, _nullspace, _scale
 from .gf import Field, FieldElement, FqPolynomial, poly_roots
 from .tensor3 import BaseCandidate, VerificationReport, verify_base
 
@@ -114,6 +116,7 @@ class ConstructionResult:
 
 
 def _finish(candidate, construction, params, auxiliary) -> ConstructionResult:
+    """Verify a candidate and wrap it; InternalVerificationError if it fails."""
     report = verify_base(candidate)
     if not report.passed:
         raise InternalVerificationError(
@@ -328,15 +331,13 @@ def _left_eigenrows(M: FqMatrix, eig_encs) -> FqMatrix:
 
 
 def _nullspace_rows(M: FqMatrix):
-    from .exactla import _nullspace
-    return _nullspace(M.field, [list(r) for r in M.rows], M.m)
+    return _nullspace(M.field, M.rows, M.m)
 
 
 def _normalize_lead(F, vec):
     for v in vec:
         if v:
-            inv = F.inv(v)
-            return [F.mul(inv, x) for x in vec]
+            return _scale(F, F.inv(v), vec)
     raise InternalVerificationError("zero vector cannot be normalized")
 
 

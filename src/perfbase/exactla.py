@@ -7,10 +7,11 @@ spaces is equality of canonical bases.
 
 All row reduction goes through one kernel, the incremental `Echelon`
 (`insert`, `reduce`, `contains`, `coords`, `rank`): `FqMatrix.rref`, `rank`
-and `inverse`, every `MatrixSpace`, `tensor3.verify_base` and rmcode's
-solves and probe loops use it.  It keeps its rows fully reduced, so the rows
-sorted by pivot are the unique RREF and results do not depend on the order
-of elimination.  Its backend is chosen from the input alone:
+and `inverse`, every `MatrixSpace` (`intersect` by Zassenhaus included),
+`tensor3.verify_base` and rmcode's solves and probe loops use it.  It keeps
+its rows fully reduced, so the rows sorted by pivot are the unique RREF and
+results do not depend on the order of elimination.  Its backend is chosen
+from the input alone:
 
 - prime fields with rows at least `_NUMPY_MIN_WIDTH` (20) wide, and p small
   enough that int64 sums of products cannot overflow, use numpy row
@@ -19,6 +20,10 @@ of elimination.  Its backend is chosen from the input alone:
 - all other rows are Python lists, with inline arithmetic mod p over prime
   fields, and `Field.sub` and `Field.mul` (log tables up to q = 4096) over
   extension fields.
+
+Row combinations outside the kernel are `FqMatrix` products: rmcode's
+coordinate expansion (`gamma_expand`, behind `GammaBasis.expand_scalar` and
+`mult_matrix`) and its dependent-row extension (`extend_base_lindep`).
 
 Everything here except a filling `Echelon` is immutable after construction
 and safe for concurrent use.
@@ -94,10 +99,13 @@ class FqMatrix:
 
     @classmethod
     def row_stack(cls, field, matrices):
-        rows = []
-        for M in matrices:
-            rows.extend(M.rows)
-        return cls(field, rows)
+        """The rows of the matrices, in order, as one matrix."""
+        matrices = tuple(matrices)
+        if any(M.field != field for M in matrices):
+            raise FieldMismatch("row stack across fields")
+        if not matrices or any(M.m != matrices[0].m for M in matrices):
+            raise ShapeMismatch("row stack of matrices of different widths")
+        return cls._of(field, sum((M.rows for M in matrices), ()))
 
     # -- basics ------------------------------------------------------------------
 
@@ -585,30 +593,20 @@ class MatrixSpace:
                            list(self.basis) + list(other.basis))
 
     def intersect(self, other: "MatrixSpace") -> "MatrixSpace":
-        """Intersection via the kernel of the stacked coefficient relation."""
+        """Intersection by Zassenhaus: echelon [u | u] and [w | 0] together.
+
+        The rows whose pivot lies in the right half are [0 | x], and those x
+        span the intersection.
+        """
         if self.shape != other.shape or self.field != other.field:
             raise ShapeMismatch("intersection across ambients")
-        k1, k2 = self.dim, other.dim
-        if k1 == 0 or k2 == 0:
-            return MatrixSpace.zero(self.field, self.shape)
-        F = self.field
-        # columns: coefficients (lambda, mu); rows: one per ambient coordinate
-        # of lambda*B1 - mu*B2 = 0.
-        width = k1 + k2
-        rows = []
-        for coord in range(self.n * self.m):
-            row = [self._rrows[i][coord] for i in range(k1)]
-            row += [F.neg(other._rrows[j][coord]) for j in range(k2)]
-            rows.append(row)
-        members = []
-        for vec in _nullspace(F, rows, width):
-            lam = vec[:k1]
-            acc = [0] * (self.n * self.m)
-            for c, brow in zip(lam, self._rrows):
-                if c:
-                    acc = [F.add(a, F.mul(c, b)) for a, b in zip(acc, brow)]
-            members.append(FqMatrix.from_vector(F, acc, self.n, self.m))
-        return MatrixSpace(self.field, self.shape, members)
+        size = self.n * self.m
+        E = Echelon(self.field, 2 * size,
+                    [u + u for u in self._rrows]
+                    + [w + (0,) * size for w in other._rrows])
+        return MatrixSpace(self.field, self.shape,
+                           [_unvectorize(self.field, row[size:], self.n, self.m)
+                            for row, pc in zip(*E.rref()) if pc >= size])
 
     def iter_elements(self, nonzero_only=False, projective=False):
         """All members as coefficient combinations of the canonical basis.
@@ -630,24 +628,15 @@ class MatrixSpace:
         if projective:
             for lead in range(k):
                 zeros = (0,) * lead
-                for rest in _tuples(F.q, k - lead - 1):
+                for rest in itertools.product(range(F.q), repeat=k - lead - 1):
                     yield combine(zeros + (1,) + rest)
             if not nonzero_only:
                 yield FqMatrix.zeros(F, self.n, self.m)
             return
-        for coeffs in _tuples(F.q, k):
+        for coeffs in itertools.product(range(F.q), repeat=k):
             if nonzero_only and not any(coeffs):
                 continue
             yield combine(coeffs)
-
-
-def _tuples(q, length):
-    if length == 0:
-        yield ()
-        return
-    for head in range(q):
-        for rest in _tuples(q, length - 1):
-            yield (head,) + rest
 
 
 # --- spec-level operation wrappers ----------------------------------------------

@@ -26,6 +26,7 @@ import numpy as np
 from .construct import (
     CompanionSpec,
     ConstructionResult,
+    _finish,
     base_dual_powers_rect,
 )
 from .errors import (
@@ -89,17 +90,7 @@ class GammaBasis:
 
     def expand_scalar(self, theta) -> tuple:
         """Coordinates of a scalar with respect to this basis."""
-        enc = theta.enc if isinstance(theta, FieldElement) else int(theta)
-        vec = self.ext_field.coeffs_of(enc)
-        F = self.base_field
-        out = []
-        for j in range(self.m):
-            acc = 0
-            for kk, v in enumerate(vec):
-                if v:
-                    acc = F.add(acc, F.mul(v, self._Ginv.rows[kk][j]))
-            out.append(acc)
-        return tuple(out)
+        return gamma_expand([theta], self).rows[0]
 
     def generator_companion(self) -> CompanionSpec:
         """Companion of the minimal polynomial of the basis generator.
@@ -119,9 +110,7 @@ class GammaBasis:
     def mult_matrix(self, beta) -> FqMatrix:
         """Right-multiplication matrix of beta in this coordinate frame."""
         enc = beta.enc if isinstance(beta, FieldElement) else int(beta)
-        rows = [self.expand_scalar(self.ext_field.mul(g, enc))
-                for g in self.elements]
-        return FqMatrix(self.base_field, rows)
+        return gamma_expand([self.ext_field.mul(g, enc) for g in self.elements], self)
 
     def frame_change_from(self, other: "GammaBasis") -> FqMatrix:
         """T with expand_self(theta) = expand_other(theta) @ T ... inverse map."""
@@ -132,8 +121,10 @@ class GammaBasis:
 
 def gamma_expand(v, gamma: GammaBasis) -> FqMatrix:
     """Coordinate matrix of a vector over the extension field."""
-    rows = [gamma.expand_scalar(x) for x in v]
-    return FqMatrix(gamma.base_field, rows)
+    ext = gamma.ext_field
+    coeffs = [ext.coeffs_of(x.enc if isinstance(x, FieldElement) else int(x))
+              for x in v]
+    return FqMatrix(gamma.base_field, coeffs) @ gamma._Ginv
 
 
 # --- codes ---------------------------------------------------------------------------
@@ -464,17 +455,13 @@ def extend_base_lindep(base_s: BaseCandidate, lambdas) -> BaseCandidate:
     s = base_s.target.n
     if any(len(row) != s for row in lam):
         raise ShapeMismatch("each coefficient row must have s entries")
+    if not lam:
+        return base_s
     F = base_s.target.field
+    Lam = FqMatrix(F, lam)
 
     def extend(M: FqMatrix) -> FqMatrix:
-        rows = [list(r) for r in M.rows]
-        for row in lam:
-            new = [0] * M.m
-            for j, c in enumerate(row):
-                if c:
-                    new = [F.add(a, F.mul(c, b)) for a, b in zip(new, rows[j])]
-            rows.append(new)
-        return FqMatrix(F, rows)
+        return FqMatrix.row_stack(F, (M, Lam @ M))
 
     members = tuple(extend(M) for M in base_s.matrices)
     target = MatrixSpace(F, (s + len(lam), base_s.target.m),
@@ -522,14 +509,9 @@ def one_dim_power_base(gamma: GammaBasis, s: int) -> ConstructionResult:
     rows[s - 1] = list(r_inf)
     members.append(FqMatrix(Fq, rows))
 
-    code = power_vector_code(gamma, s)
-    target = gamma_expand_code(code, gamma).space
-    cand = BaseCandidate(tuple(members), target)
-    report = verify_base(cand)
-    if not report.passed:
-        raise InternalVerificationError("interpolation base failed verification")
-    return ConstructionResult(cand, "one-dim-interpolation",
-                              {"q": Fq.p, "m": m, "s": s}, {}, report)
+    target = gamma_expand_code(power_vector_code(gamma, s), gamma).space
+    return _finish(BaseCandidate(tuple(members), target), "one-dim-interpolation",
+                   {"q": Fq.p, "m": m, "s": s}, {})
 
 
 def _generator_min_poly(gamma: GammaBasis) -> FqPolynomial:
@@ -569,33 +551,30 @@ def one_dim_row_base(gamma: GammaBasis, v_row) -> ConstructionResult:
     v = [x.enc if isinstance(x, FieldElement) else int(x) for x in v_row]
     if not any(v):
         raise ParametersOutOfRange("the row must be nonzero")
-    entry_rows = [FqMatrix(Fq, [gamma.expand_scalar(x)]) for x in v]
-    span = MatrixSpace(Fq, (1, m), entry_rows)
+    entry_rows = gamma_expand(v, gamma).rows
+    span = MatrixSpace(Fq, (1, m), [FqMatrix._of(Fq, (row,)) for row in entry_rows])
     s = span.dim
     # independent entry positions, in order
     probe = Echelon(Fq, m)
-    idx = [t for t, row in enumerate(entry_rows) if probe.insert(row.rows[0])]
+    idx = [t for t, row in enumerate(entry_rows) if probe.insert(row)]
     dep = [t for t in range(len(v)) if t not in idx]
 
     pi = _power_multiple(gamma, span, s)
     mult_pi = gamma.mult_matrix(pi)
     # coefficients of beta / pi in the power frame, restricted to degree < s
-    Linv_rows = []
     pi_inv = ext.inv(pi)
-    for t in idx:
-        coords = gamma.expand_scalar(ext.mul(v[t], pi_inv))
-        if any(coords[s:]):
-            raise InternalVerificationError("entry left the power span")
-        Linv_rows.append(list(coords[:s]))
-    L = FqMatrix(Fq, Linv_rows)
+    coords = gamma_expand([ext.mul(v[t], pi_inv) for t in idx], gamma).rows
+    if any(any(row[s:]) for row in coords):
+        raise InternalVerificationError("entry left the power span")
+    L = FqMatrix(Fq, [row[:s] for row in coords])
     if not L.is_invertible():
         raise InternalVerificationError("independent entries became dependent")
 
     power = one_dim_power_base(gamma, s)
     core = [L @ A @ mult_pi for A in power.candidate.matrices]
 
-    lambdas = _solve_combination(Fq, [entry_rows[i].rows[0] for i in idx],
-                                 [entry_rows[t].rows[0] for t in dep])
+    lambdas = _solve_combination(Fq, [entry_rows[i] for i in idx],
+                                 [entry_rows[t] for t in dep])
     reduced_target = MatrixSpace(
         Fq, (s, m),
         [L @ B @ mult_pi for B in power.candidate.target.basis])
@@ -608,12 +587,8 @@ def one_dim_row_base(gamma: GammaBasis, v_row) -> ConstructionResult:
     target = MatrixSpace(
         Fq, (len(v), m),
         [_permute_rows(B, restore) for B in cand.target.basis])
-    final = BaseCandidate(members, target)
-    report = verify_base(final)
-    if not report.passed:
-        raise InternalVerificationError("row base failed verification")
-    return ConstructionResult(final, "one-dim-row",
-                              {"q": Fq.p, "m": m, "row": list(v)}, {}, report)
+    return _finish(BaseCandidate(members, target), "one-dim-row",
+                   {"q": Fq.p, "m": m, "row": list(v)}, {})
 
 
 def _permute_rows(M: FqMatrix, perm) -> FqMatrix:
@@ -643,39 +618,24 @@ def _solve_combination(F, basis_rows, targets):
 
 def _power_multiple(gamma: GammaBasis, span: MatrixSpace, s: int) -> int:
     """A scalar pi with pi * (power span of dimension s) equal to `span`."""
-    ext = gamma.ext_field
     if s == gamma.m:
         return 1
-    alpha = gamma.elements[1] if gamma.m > 1 else 1
-    shifted = span
-    cur = span
-    alpha_inv = ext.inv(alpha)
+    # B -> B * alpha^{-1}; alpha = elements[1] exists, since m == 1 forces s == m
+    one = FqMatrix.identity(gamma.base_field, 1)
+    shift = gamma.mult_matrix(gamma.ext_field.inv(gamma.elements[1]))
+    shifted = cur = span
     for _ in range(s - 1):
-        cur = MatrixSpace(
-            gamma.base_field, (1, gamma.m),
-            [FqMatrix(gamma.base_field,
-                      [gamma.expand_scalar(ext.mul(_row_scalar(gamma, B), alpha_inv))])
-             for B in cur.basis])
+        cur = cur.transform(one, shift)
         shifted = shifted.intersect(cur)
         if shifted.dim == 0:
             raise CaseNotCovered(
                 "entry span is not a scalar multiple of a power span")
-    pi_coords = shifted.basis[0].rows[0]
-    acc = 0
-    for c, g in zip(pi_coords, gamma.elements):
-        if c:
-            acc = ext.add(acc, ext.mul(c, g))
-    return acc
+    return _row_scalar(gamma, shifted.basis[0])
 
 
 def _row_scalar(gamma: GammaBasis, row_matrix: FqMatrix) -> int:
     """The extension scalar whose expansion is the given 1 x m row."""
-    ext = gamma.ext_field
-    acc = 0
-    for c, g in zip(row_matrix.rows[0], gamma.elements):
-        if c:
-            acc = ext.add(acc, ext.mul(c, g))
-    return acc
+    return gamma.ext_field.enc_of((row_matrix @ gamma._G).rows[0])
 
 
 # --- headline constructions ---------------------------------------------------------------
@@ -707,13 +667,8 @@ def dual_gabidulin_mtr_base(q: int, m: int, n: int,
         code = dual_code(primal)
         Tt_inv = T.transpose().inverse()
         members = tuple(A @ Tt_inv for A in members)
-    cand = BaseCandidate(members, code.space)
-    report = verify_base(cand)
-    if not report.passed:
-        raise InternalVerificationError("dual base failed verification")
-    result = ConstructionResult(cand, "gabidulin-dual-mtr",
-                                {"q": q, "m": m, "n": n}, {}, report)
-    return code, result
+    return code, _finish(BaseCandidate(members, code.space), "gabidulin-dual-mtr",
+                         {"q": q, "m": m, "n": n}, {})
 
 
 def two_dim_bound(G_rows, gamma: GammaBasis):
@@ -744,10 +699,8 @@ def two_dim_bound(G_rows, gamma: GammaBasis):
     probe = Echelon(Fq, union[0].n * union[0].m)
     picked = [A for A in union if probe.insert(A.vectorize())]
     target = parts[0].candidate.target.sum_with(parts[1].candidate.target)
-    cand = BaseCandidate(tuple(picked), target)
-    report = verify_base(cand)
-    if not report.passed:
-        raise InternalVerificationError("two-row witness failed verification")
+    cand = _finish(BaseCandidate(tuple(picked), target), "two-dim-bound",
+                   {"q": Fq.p, "m": m}, {}).candidate
     # rank weight is invariant under F_{q^m} scalars, so the q^m + 1
     # projective codewords row0 and a*row0 + row1 attain the distance
     row0, row1 = red.rows[0], red.rows[1]
@@ -823,9 +776,6 @@ def build_mtr(q: int, n: int, m: int, k: int, d: int):
         zeros = [[0] * d for _ in range(n - d)]
         witness = extend_base_lindep(witness, zeros)
         sub = RankCode(witness.target)
-    code = sub
-    cand = BaseCandidate(witness.matrices, code.space)
-    report = verify_base(cand)
-    if not report.passed:
-        raise InternalVerificationError("built code failed witness verification")
-    return code, cand
+    cand = _finish(BaseCandidate(witness.matrices, sub.space), "build-mtr",
+                   {"q": q, "n": n, "m": m, "k": k, "d": d}, {}).candidate
+    return sub, cand

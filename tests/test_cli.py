@@ -6,16 +6,20 @@ import time
 
 import pytest
 
+from perfbase import cli
 from perfbase.cli import (
     dumps_certificate,
+    field_from_json,
     load_certificate,
     main,
     matrix_from_json,
     matrix_to_json,
     reverify,
 )
+from perfbase.errors import ParametersOutOfRange
 from perfbase.exactla import FqMatrix, MatrixSpace
 from perfbase.gf import field_make
+from perfbase.tensor3 import BaseCandidate
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FIXDIR = os.path.join(ROOT, "fixtures")
@@ -220,3 +224,43 @@ def test_verify_certificate_of_wrong_json_types_exits_2(tmp_path, capsys, cert):
     path.write_text(json.dumps(cert))
     assert main(["verify", str(path)]) == 2
     assert not json.loads(capsys.readouterr().out.strip().splitlines()[-1])["ok"]
+
+
+def test_field_from_json_refuses_extensions_beyond_2_16_before_building():
+    assert field_from_json({"p": 251, "deg": 2}).q == 251 ** 2
+    assert field_from_json({"p": 10 ** 18 + 9}).q == 10 ** 18 + 9
+    # the degree is checked before p ** deg is formed
+    for p, deg in ((257, 2), (3, 11), (2, 17), (2, 10 ** 9)):
+        with pytest.raises(ParametersOutOfRange):
+            field_from_json({"p": p, "deg": deg})
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_huge_extension_degree_exits_2_at_once(tmp_path, capsys, command):
+    field = {"p": 2, "deg": 30, "modulus": []}
+    row = {"n": 1, "m": 2, "entries": [[1, 5]]}
+    obj = {"field": field, "basis": [row]}
+    if command == "verify":
+        obj = {"schema_version": "1", "field": field,
+               "construction": {"name": "hand", "params": {}},
+               "target_basis": [row], "base": [row], "auxiliary": {}}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    t0 = time.perf_counter()
+    assert main([command, str(path)]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input" and not line["ok"]
+
+
+def test_oracle_witness_failing_verification_exits_1(tmp_path, capsys, monkeypatch):
+    def short_witness(space, guard):
+        return 1, BaseCandidate((space.basis[0],), space)
+    monkeypatch.setattr(cli, "exhaustive_trk", short_witness)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "field": {"p": 3},
+        "basis": [{"n": 2, "m": 2, "entries": [[1, 0], [0, 1]]}]}))
+    assert main(["oracle", str(space)]) == 1
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "internal" and not line["ok"]

@@ -250,6 +250,71 @@ def test_matrix_space_queries_on_the_numpy_backend():
                                         tuple(vec[pc] for pc in pivots))
 
 
+# --- intersect against the coefficient-kernel intersection ---------------------------
+
+
+def reference_intersect(U, W):
+    """The intersection before Zassenhaus: the null space of the relation
+    sum lambda_i u_i - sum mu_j w_j = 0, mapped back through U's basis."""
+    F = U.field
+    size = U.n * U.m
+    k1, k2 = U.dim, W.dim
+    if k1 == 0 or k2 == 0:
+        return MatrixSpace.zero(F, U.shape)
+    rows = [[u[c] for u in U._rrows] + [F.neg(w[c]) for w in W._rrows]
+            for c in range(size)]
+    red, _, pivots = reference_rref(F, rows, k1 + k2)
+    members = []
+    for fc in (c for c in range(k1 + k2) if c not in pivots):
+        coeffs = [0] * (k1 + k2)
+        coeffs[fc] = 1
+        for row, pc in zip(red, pivots):
+            coeffs[pc] = F.neg(row[fc])
+        acc = [0] * size
+        for c, u in zip(coeffs[:k1], U._rrows):
+            acc = [F.add(a, F.mul(c, b)) for a, b in zip(acc, u)]
+        members.append(FqMatrix.from_vector(F, acc, U.n, U.m))
+    return MatrixSpace(F, U.shape, members)
+
+
+def space_of(F, vecs, n, m):
+    return MatrixSpace(F, (n, m), [FqMatrix.from_vector(F, v, n, m) for v in vecs])
+
+
+@pytest.mark.parametrize("p,deg", [(2, 1), (13, 1), (3, 2)])
+def test_intersect_matches_reference(p, deg, backend):
+    F = field_make(p, deg)
+    rng = random.Random(f"intersect-{p}-{deg}-{backend}")
+    # doubled widths 12 and 18 run on lists, 20 and 24 on numpy over prime fields
+    for n, m in [(2, 3), (3, 3), (2, 5), (3, 4)]:
+        size = n * m
+        full = random_rows(rng, F, size, size)
+        while reference_rref(F, full, size)[1] < size:
+            full = random_rows(rng, F, size, size)
+        k = rng.randrange(1, size)
+        U = space_of(F, full[:k], n, m)
+        pairs = [
+            (U, space_of(F, full[k:], n, m)),  # complementary
+            (U, space_of(F, full[:1] + random_rows(rng, F, 2, size), n, m)),  # meeting
+            (U, space_of(F, [], n, m)),  # zero
+            (space_of(F, [], n, m), U),
+            (U, space_of(F, [[F.add(a, b) for a, b in zip(x, y)]  # equal
+                             for x, y in zip(full[:k], full[1:k] + full[:1])]
+                         + full[:1], n, m)),
+        ]
+        for _ in range(4):
+            gens = random_rows(rng, F, rng.randrange(0, size), size,
+                               rank_cap=rng.randrange(0, size))
+            pairs.append((U, space_of(F, gens + full[:rng.randrange(0, k + 1)], n, m)))
+        dims = []
+        for A, B in pairs:
+            inter = A.intersect(B)
+            assert inter == reference_intersect(A, B)
+            assert inter == B.intersect(A)
+            dims.append(inter.dim)
+        assert dims[0] == 0 and dims[1] >= 1 and dims[4] == k
+
+
 # --- verify_base against the two-pass check ----------------------------------------
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from perfbase.construct import CompanionSpec, companion, y_matrix
 from perfbase.errors import (
     BadEta,
+    CaseNotCovered,
     DependentBasis,
     GuardExceeded,
     NotABase,
@@ -18,6 +19,7 @@ from perfbase.exactla import FqMatrix, MatrixSpace
 from perfbase.gf import FieldElement, FqPolynomial, field_make
 from perfbase.rmcode import (
     BlockCode,
+    _power_multiple,
     GammaBasis,
     RankCode,
     VectorCode,
@@ -363,6 +365,37 @@ def test_one_dim_row_base_general_rows():
     C = RankCode(res.candidate.target)
     assert C.k == 4
     assert res.candidate.size == 4 + C.distance() - 1
+
+
+@pytest.mark.parametrize("q,m", [(5, 3), (7, 3), (3, 4)])
+def test_power_multiple_matches_brute_force(q, m):
+    g = GammaBasis.power(q, m)
+    ext = g.ext_field
+
+    def span(scalars):
+        return MatrixSpace(g.base_field, (1, m),
+                           [FqMatrix(g.base_field, [g.expand_scalar(x)]) for x in scalars])
+
+    # every nonzero c, by the span c * (1, a, ..., a^{s-1}) it gives, for s < m
+    multiples = {}
+    for s in range(1, m):
+        for c in range(1, ext.q):
+            V = span([ext.mul(c, g.elements[i]) for i in range(s)])
+            multiples.setdefault(V, []).append(c)
+    rng = random.Random(f"power-multiple-{q}-{m}")
+    outcomes = set()
+    for _ in range(60):
+        V = span([rng.randrange(1, ext.q) for _ in range(rng.randrange(1, m + 2))])
+        try:
+            pi = _power_multiple(g, V, V.dim)
+        except CaseNotCovered:
+            assert V not in multiples
+            outcomes.add("not covered")
+        else:
+            assert V.dim == m or pi in multiples[V]
+            outcomes.add("covered")
+    # over F_3^4 only 40 of the 130 planes are multiples of span(1, a)
+    assert outcomes == ({"covered", "not covered"} if m == 4 else {"covered"})
 
 
 def test_two_dim_bound_examples():
