@@ -1,7 +1,8 @@
 """Exhaustive scan: the 7-member inverse-power base over F_7 (m=5) admits no
 single rank-one extension covering any of the powers 2, -2, 3, -3.
 
-Scans all ~7.8M projective rank-one pairs; takes a few minutes of CPU.
+Decides all 2801^2 (about 7.8M) projective rank-one pairs u (x) v with one
+linear solve per left factor u; takes about a second of CPU.
 Run from the repository root:  python scripts/negative_extension_scan.py
 """
 

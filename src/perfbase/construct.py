@@ -14,6 +14,7 @@ the `build-mtr` and `oracle` certificates of the command line.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -185,18 +186,15 @@ def y_matrix(field: Field, n: int, m: int) -> FqMatrix:
                             for i in range(n)])
 
 
-def _power_target(spec: CompanionSpec, s: int, nrows=None) -> MatrixSpace:
-    """Dual of the span of the first s powers, optionally row-truncated."""
+def _power_target(spec: CompanionSpec, s: int, left=None) -> MatrixSpace:
+    """Dual of the span of left M^r for r < s; left defaults to the identity."""
     M = companion(spec)
-    m = spec.m
-    n = nrows if nrows is not None else m
-    Y = y_matrix(spec.field, n, m)
+    cur = FqMatrix.identity(spec.field, spec.m) if left is None else left
     slices = []
-    cur = Y
     for _ in range(s):
         slices.append(cur)
         cur = cur @ M
-    return MatrixSpace(spec.field, (n, m), slices).dual_complement()
+    return MatrixSpace(spec.field, cur.shape, slices).dual_complement()
 
 
 def _shift_family_members(spec: CompanionSpec, s: int, S: GammaSet,
@@ -274,7 +272,7 @@ def base_dual_powers_rect(spec: CompanionSpec, n: int, s: int,
     S = _check_power_family_args(spec, s, S)
     members = _shift_family_members(spec, s, S, nrows=n,
                                     max_i_unit=n - 1, max_i_eps=n - 2)
-    target = _power_target(spec, s, nrows=n)
+    target = _power_target(spec, s, y_matrix(spec.field, n, spec.m))
     cand = BaseCandidate(tuple(members), target)
     return _finish(cand, "dual-powers-rect",
                    {"m": spec.m, "n": n, "s": s, "bottom": list(spec.bottom),
@@ -292,14 +290,7 @@ def base_left_factor(spec: CompanionSpec, s: int, B: FqMatrix,
     members = [Bt @ A for A in
                _shift_family_members(spec, s, S, nrows=m,
                                      max_i_unit=m - 1, max_i_eps=m - 2)]
-    Binv = B.inverse()
-    M = companion(spec)
-    slices = []
-    cur = Binv
-    for _ in range(s):
-        slices.append(cur)
-        cur = cur @ M
-    target = MatrixSpace(spec.field, (m, m), slices).dual_complement()
+    target = _power_target(spec, s, B.inverse())
     cand = BaseCandidate(tuple(members), target)
     return _finish(cand, "left-factor",
                    {"m": m, "s": s, "bottom": list(spec.bottom),
@@ -379,17 +370,12 @@ def _poly_at_matrix(f: FqPolynomial, M: FqMatrix) -> FqMatrix:
 
 
 def _combination_stream(F, basis):
-    """Nonzero combinations of basis rows in canonical coefficient order."""
-    q = F.q
-    k = len(basis)
-    for code in range(1, q ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            c, digit = divmod(c, q)
-            coeffs.append(digit)
+    """Nonzero combinations of basis rows in canonical coefficient order, the
+    first coefficient varying fastest."""
+    digits = itertools.product(range(F.q), repeat=len(basis))
+    for coeffs in itertools.islice(digits, 1, None):
         acc = [0] * len(basis[0])
-        for coeff, row in zip(coeffs, basis):
+        for coeff, row in zip(reversed(coeffs), basis):
             if coeff:
                 acc = [F.add(a, F.mul(coeff, b)) for a, b in zip(acc, row)]
         yield acc
@@ -541,6 +527,7 @@ def base_rect_small_n(spec: CompanionSpec, n: int,
     alphas, g = _factor_char_poly(spec)
     r = g.degree
     M = companion(spec)
+    Y = y_matrix(F, n, m)
     aux = {}
 
     if r == 0:
@@ -553,7 +540,6 @@ def base_rect_small_n(spec: CompanionSpec, n: int,
         Mh = CompanionSpec.from_polynomial(h).matrix()
         P = _left_eigenrows(Mh, sorted(alphas + betas))
         core = _projectors(P, nrows=n)
-        Y = y_matrix(F, n, m)
         if used_zero:
             # a singular split companion: correct the top power instead of M^{-1}
             D1 = Y @ (M.power(m - 1) - Mh.power(m - 1))
@@ -571,7 +557,6 @@ def base_rect_small_n(spec: CompanionSpec, n: int,
         Q = _identity_block_diag(F, m - 2, Q1)
         core = _projectors(Q @ P, nrows=n)
         D1 = _embed_bottom_right(F, m, Mg - Mh)
-        Y = y_matrix(F, n, m)
         core.append(Y @ (P.inverse() @ D1 @ P))
         aux.update({"P": P, "Q": Q, "M_h": Mh, "D1": D1})
     else:
@@ -580,14 +565,12 @@ def base_rect_small_n(spec: CompanionSpec, n: int,
         Mh = CompanionSpec.from_polynomial(h).matrix()
         P = _left_eigenrows(Mh, sorted(alphas + betas))
         core = _projectors(P, nrows=n)
-        Y = y_matrix(F, n, m)
         D1 = Y @ (companion_inverse(spec) - Mh.inverse())
         D2 = Y @ (M.power(m - 2) - Mh.power(m - 2))
         core.extend([D1, D2])
         aux.update({"P": P, "M_h": Mh, "D1": D1, "D2": D2})
 
     members = [L @ A @ N for A in core]
-    Y = y_matrix(F, n, m)
     slices = [L @ (Y @ companion_inverse(spec)) @ N]
     cur = Y
     for _ in range(m - 1):
@@ -703,13 +686,8 @@ def _glue(spec, s, target, i, tail_members, case):
         padded = FqMatrix(F, list(A.rows) + [[0] * m for _ in range(m - i)])
         members.append(padded)
         seen.add(padded.rows)
-    off = i - 1
-    for A in tail_members:
-        rows = [[0] * m for _ in range(m)]
-        for a in range(A.n):
-            for b in range(A.m):
-                rows[off + a][off + b] = A.rows[a][b]
-        emb = FqMatrix(F, rows)
+    for A in tail_members:  # square, of size m - i + 1
+        emb = _embed_bottom_right(F, m, A)
         if emb.rows not in seen:
             members.append(emb)
             seen.add(emb.rows)
@@ -756,6 +734,6 @@ def atkinson_base(n: int, field: Field) -> ConstructionResult:
                 rows[i][i - 1 + t] = signs[3 + t] % field.p
             members.append(FqMatrix(field, rows))
     spec = CompanionSpec(field, m, (1,) + (0,) * n)
-    target = _power_target(spec, 2, nrows=n)
+    target = _power_target(spec, 2, y_matrix(field, n, m))
     cand = BaseCandidate(tuple(members), target)
     return _finish(cand, "atkinson", {"n": n}, {})

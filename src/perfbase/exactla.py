@@ -8,10 +8,11 @@ spaces is equality of canonical bases.
 All row reduction goes through one kernel, the incremental `Echelon`
 (`insert`, `reduce`, `contains`, `coords`, `rank`): `FqMatrix.rref`, `rank`
 and `inverse`, every `MatrixSpace` (`intersect` by Zassenhaus included),
-`tensor3.verify_base` and rmcode's solves and probe loops use it.  It keeps
-its rows fully reduced, so the rows sorted by pivot are the unique RREF and
-results do not depend on the order of elimination.  Its backend is chosen
-from the input alone:
+`tensor3.verify_base` and its completion check, the row-combination solve
+`_solve_combination` and rmcode's probe loops use it.  It keeps its rows
+fully reduced, so the rows sorted by pivot are the unique RREF and results
+do not depend on the order of elimination.  Its backend is chosen from the
+input alone:
 
 - prime fields with rows at least `_NUMPY_MIN_WIDTH` (20) wide, and p small
   enough that int64 sums of products cannot overflow, use numpy row
@@ -485,6 +486,28 @@ def _nullspace(field, rows, width):
             vec[pc] = field.neg(row[fc])
         basis.append(tuple(vec))
     return basis
+
+
+def _solve_combination(field, rows, targets):
+    """For each target t, coefficients x with sum x_i rows[i] == t, or None
+    when t is outside the row span.
+
+    The rows are inserted with an identity block appended, [r_i | e_i], so
+    each echelon row carries its expression in the rows, dependent ones
+    included; the residue of [t | 0] is [0 | -x] exactly when t is a
+    combination.
+    """
+    k = len(rows)
+    width = len(rows[0])
+    span = Echelon(field, width + k,
+                   [tuple(r) + tuple(int(i == j) for j in range(k))
+                    for i, r in enumerate(rows)])
+    out = []
+    for t in targets:
+        res = span.reduce(tuple(t) + (0,) * k)
+        out.append(None if any(res[:width])
+                   else [field.neg(c) for c in res[width:]])
+    return out
 
 
 def _unvectorize(field, vec, n, m) -> FqMatrix:

@@ -280,16 +280,6 @@ class Field:
         self._tables = tables
         return tables
 
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        order = 1
-        x = a
-        while x != 1:
-            x = self.mul(x, a)
-            order += 1
-        return order
-
 
 class FieldElement:
     """A single element of a Field, identified by its canonical encoding."""

@@ -44,9 +44,9 @@ from .errors import (
     ParametersOutOfRange,
     ShapeMismatch,
 )
-from .exactla import Echelon, FqMatrix, MatrixSpace
+from .exactla import Echelon, FqMatrix, MatrixSpace, _solve_combination
 from .gf import Field, FieldElement, FqPolynomial, field_make, find_primitive
-from .tensor3 import BaseCandidate, kruskal_bound, verify_base
+from .tensor3 import BaseCandidate, _min_rank, kruskal_bound, verify_base
 
 DEFAULT_SCAN_GUARD = 1 << 24
 
@@ -235,43 +235,38 @@ def _projective_count(q: int, k: int) -> int:
     return (q ** k - 1) // (q - 1)
 
 
+def _check_scan(q: int, k: int, guard: int):
+    needed = _projective_count(q, k)
+    if needed > guard:
+        raise GuardExceeded(
+            f"{needed} codewords exceed the guard",
+            progress={"phase": "distance", "needed": needed, "guard": guard})
+
+
 def min_rank_distance(C: RankCode, guard: int = DEFAULT_SCAN_GUARD) -> int:
     """Exact minimum rank over nonzero codewords; n+1 for the zero code."""
     k = C.k
     if k == 0:
         return C.n + 1
     q = C.field.q
-    if _projective_count(q, k) > guard:
-        raise GuardExceeded(f"{_projective_count(q, k)} codewords exceed the guard")
+    _check_scan(q, k, guard)
     if C.field.deg == 1:
         basis = np.array([B.vectorize() for B in C.space.basis], dtype=np.int64)
         return _np_min_stat(basis, q, C.n, C.m, stat="rank")
-    best = None
-    for A in C.space.iter_elements(nonzero_only=True, projective=True):
-        r = A.rank()
-        if best is None or r < best:
-            best = r
-            if best == 1:
-                break
-    return best
+    return _min_rank(C.space, guard)
 
 
 def min_hamming_distance(B: BlockCode, guard: int = DEFAULT_SCAN_GUARD) -> int:
     """Exact minimum Hamming weight over nonzero codewords."""
     q = B.field.q
-    if _projective_count(q, B.k) > guard:
-        raise GuardExceeded("Hamming scan exceeds the guard")
+    _check_scan(q, B.k, guard)
     if B.field.deg == 1:
         gen = np.array(B.generators, dtype=np.int64)
         return _np_min_stat(gen, q, 1, B.length, stat="weight")
-    best = None
     space = MatrixSpace(B.field, (1, B.length),
                         [FqMatrix(B.field, [g]) for g in B.generators])
-    for A in space.iter_elements(nonzero_only=True, projective=True):
-        w = sum(1 for v in A.rows[0] if v)
-        if best is None or w < best:
-            best = w
-    return best
+    return min(sum(map(bool, A.rows[0]))
+               for A in space.iter_elements(nonzero_only=True, projective=True))
 
 
 def _np_min_stat(basis, p, n, m, stat):
@@ -279,7 +274,6 @@ def _np_min_stat(basis, p, n, m, stat):
     k = basis.shape[0]
     inv = np.array([0] + [pow(i, p - 2, p) for i in range(1, p)], dtype=np.int64)
     best = None
-    floor = 1
     for lead in range(k):
         free = k - lead - 1
         total = p ** free
@@ -300,7 +294,7 @@ def _np_min_stat(basis, p, n, m, stat):
             v = int(vals.min())
             if best is None or v < best:
                 best = v
-                if best <= floor:
+                if best <= 1:
                     return best
     return best
 
@@ -573,8 +567,8 @@ def one_dim_row_base(gamma: GammaBasis, v_row) -> ConstructionResult:
     power = one_dim_power_base(gamma, s)
     core = [L @ A @ mult_pi for A in power.candidate.matrices]
 
-    lambdas = _solve_combination(Fq, [entry_rows[i] for i in idx],
-                                 [entry_rows[t] for t in dep])
+    lambdas = _combinations(Fq, [entry_rows[i] for i in idx],
+                            [entry_rows[t] for t in dep])
     reduced_target = MatrixSpace(
         Fq, (s, m),
         [L @ B @ mult_pi for B in power.candidate.target.basis])
@@ -595,24 +589,10 @@ def _permute_rows(M: FqMatrix, perm) -> FqMatrix:
     return FqMatrix(M.field, [M.rows[p] for p in perm])
 
 
-def _solve_combination(F, basis_rows, targets):
-    """Coefficients writing each target vector in the independent basis_rows.
-
-    The basis rows are inserted with an identity block appended, [b_i | e_i],
-    so each echelon row carries its expression in the basis; the residue of
-    [t | 0] is then [0 | -x] with t = sum x_i b_i.
-    """
-    k = len(basis_rows)
-    width = len(basis_rows[0])
-    span = Echelon(F, width + k,
-                   [tuple(b) + tuple(int(i == j) for j in range(k))
-                    for i, b in enumerate(basis_rows)])
-    out = []
-    for t in targets:
-        res = span.reduce(tuple(t) + (0,) * k)
-        if any(res[:width]):
-            raise InternalVerificationError("target row is not a combination")
-        out.append([F.neg(c) for c in res[width:]])
+def _combinations(F, rows, targets):
+    out = _solve_combination(F, rows, targets)
+    if None in out:
+        raise InternalVerificationError("target row is not a combination")
     return out
 
 
@@ -722,8 +702,8 @@ def psi_block(C: RankCode, A: BaseCandidate,
         ok = False
     if not ok:
         raise NotABase("the candidate does not cover the code")
-    rows = _solve_combination(C.field, [M.vectorize() for M in A.matrices],
-                              C.space._rrows)
+    rows = _combinations(C.field, [M.vectorize() for M in A.matrices],
+                         C.space._rrows)
     return BlockCode(C.field, rows)
 
 

@@ -19,6 +19,10 @@ subset-membership tests, counted as if the candidates were tested one at a
 time; sharded runs must reduce with lexicographic minimum to preserve that
 contract.  Inputs whose candidate list would exceed ORACLE_MAX_ENTRIES are
 refused before any enumeration.
+
+The completion check (is one rank-one N enough to bring a target into a
+span?) runs one exact solve per normalized left factor u on the Echelon
+kernel, over every field alike: the residues of u (x) v are linear in v.
 """
 
 from __future__ import annotations
@@ -27,7 +31,14 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, ParametersOutOfRange, ShapeMismatch
-from .exactla import Echelon, FqMatrix, MatrixSpace, _axpy, _scale
+from .exactla import (
+    Echelon,
+    FqMatrix,
+    MatrixSpace,
+    _axpy,
+    _scale,
+    _solve_combination,
+)
 from .gf import Field
 
 DEFAULT_GUARD = 100_000_000
@@ -271,83 +282,38 @@ def rank_one_completion_exists(span_space: MatrixSpace, targets,
                                guard: int = DEFAULT_GUARD):
     """Is there one rank-one N putting some target inside span + <N>?
 
-    A target T already inside the span counts immediately.  Otherwise T lies
-    in span + <N> exactly when the residue of N modulo the span is a nonzero
-    scalar multiple of the residue of T, which is checked for every projective
-    rank-one matrix, vectorized over prime fields.  Returns (found, detail).
+    A target T already inside the span counts immediately.  Otherwise, for a
+    normalized left factor u, the residue of u (x) v modulo the span is v R_u,
+    where row j of R_u is the residue of u (x) e_j; so some u (x) v puts T in
+    span + <u (x) v> exactly when the residue of T is a combination v of the
+    rows of R_u, and then u (x) v is a witness.  One solve per u decides every
+    target.  The witness comes from the first u in canonical order and, for
+    that u, the lowest target index.  The guard counts the (u, v) pairs of
+    normalized factors and is checked once, before the scan: GuardExceeded
+    carries `progress = {"phase": "completion", "needed", "guard"}`.
+    Returns (found, detail), detail holding `pairs_scanned` when nothing is
+    found.
     """
     F = span_space.field
     n, m = span_space.shape
     for j, T in enumerate(targets):
         if span_space.contains(T):
             return True, {"target_index": j, "inside_span": True}
-    if F.deg == 1:
-        return _np_completion_scan(span_space, targets, guard)
-    count = 0
+    pairs = (F.q ** n - 1) // (F.q - 1) * ((F.q ** m - 1) // (F.q - 1))
+    if pairs > guard:
+        raise GuardExceeded(
+            "completion scan exceeded its guard",
+            progress={"phase": "completion", "needed": pairs, "guard": guard})
     residues = [span_space.reduce_vector(T.vectorize()) for T in targets]
-    for N in rank_one_matrices(F, n, m):
-        count += 1
-        if count > guard:
-            raise GuardExceeded("completion scan exceeded its guard")
-        res = span_space.reduce_vector(N.vectorize())
-        for j, rj in enumerate(residues):
-            lam = _proportionality(F, res, rj)
-            if lam is not None:
+    for u in _normalized_vectors(F, n):
+        R_u = [span_space.reduce_vector(
+                   [a if c == j else 0 for a in u for c in range(m)])
+               for j in range(m)]
+        for j, v in enumerate(_solve_combination(F, R_u, residues)):
+            if v is not None:
+                N = FqMatrix(F, [[F.mul(a, c) for c in v] for a in u])
                 return True, {"target_index": j, "witness": N}
-    return False, {"pairs_scanned": count}
-
-
-def _proportionality(F, vec, ref):
-    """The nonzero scalar lam with vec == lam * ref, if it exists."""
-    lead = _leading_index(ref)
-    if lead is None or vec[lead] == 0:
-        return None
-    lam = F.mul(vec[lead], F.inv(ref[lead]))
-    for a, b in zip(vec, ref):
-        if a != F.mul(lam, b):
-            return None
-    return lam
-
-
-def _np_completion_scan(span_space, targets, guard):
-    import numpy as np
-
-    F = span_space.field
-    p = F.p
-    n, m = span_space.shape
-    w = n * m
-    red = np.eye(w, dtype=np.int64)
-    for row, pc in zip(span_space._rrows, span_space._pivots):
-        red[pc] = (red[pc] - np.array(row, dtype=np.int64)) % p
-        red[pc, pc] = 0  # residue zeroes every pivot coordinate
-    refs = []
-    for T in targets:
-        r = (np.array(T.vectorize(), dtype=np.int64) @ red) % p
-        refs.append(r)
-    leads = [int(np.argmax(r != 0)) for r in refs]
-    inv = np.array([0] + [pow(i, p - 2, p) for i in range(1, p)], dtype=np.int64)
-
-    U = np.array(_normalized_vectors(F, n), dtype=np.int64)
-    V = np.array(_normalized_vectors(F, m), dtype=np.int64).T  # (m, Nv)
-    if U.shape[0] * V.shape[1] > guard:
-        raise GuardExceeded("completion scan exceeded its guard")
-    red3 = red.reshape(n, m, w)
-    chunk = max(1, (1 << 22) // max(1, w * V.shape[1]))
-    for start in range(0, U.shape[0], chunk):
-        ub = U[start:start + chunk]
-        per_u = np.einsum("bi,ijk->bkj", ub, red3) % p  # (B, w, m)
-        resid = np.einsum("bkj,jv->bkv", per_u, V) % p  # (B, w, Nv)
-        for j, (rj, lead) in enumerate(zip(refs, leads)):
-            lam = (resid[:, lead, :] * inv[rj[lead]]) % p  # (B, Nv)
-            expected = (rj[None, :, None] * lam[:, None, :]) % p
-            match = (resid == expected).all(axis=1) & (lam != 0)
-            if match.any():
-                b, v = map(int, np.argwhere(match)[0])
-                u_vec = [int(x) for x in ub[b]]
-                v_vec = [int(x) for x in V[:, v]]
-                N = FqMatrix(F, [[F.mul(a, c) for c in v_vec] for a in u_vec])
-                return True, {"target_index": j, "witness": N}
-    return False, {"pairs_scanned": U.shape[0] * V.shape[1]}
+    return False, {"pairs_scanned": pairs}
 
 
 # --- the oracle's subset search ---------------------------------------------------

@@ -264,3 +264,52 @@ def test_oracle_witness_failing_verification_exits_1(tmp_path, capsys, monkeypat
     assert main(["oracle", str(space)]) == 1
     line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert line["kind"] == "internal" and not line["ok"]
+
+
+def test_verify_guard_exit_reports_distance_progress():
+    cert = os.path.join(FIXDIR, "gabidulin_dual_f3_m3_n3.cert.json")
+    proc = run_cli(["verify", cert, "--guard", "1"])
+    assert proc.returncode == 3
+    line = last_json(proc)
+    assert line["kind"] == "guard"
+    k = load_certificate(cert)["code"]["k"]
+    assert line["progress"] == {"phase": "distance",
+                                "needed": (3 ** k - 1) // 2, "guard": 1}
+
+
+def test_size_check_boundary():
+    cap = cli.MAX_INPUT_ENTRIES
+    cli._check_size([{"n": 1, "m": cap - 4}], [{"n": 2, "m": 2}])
+    with pytest.raises(ParametersOutOfRange):
+        cli._check_size([{"n": 1, "m": cap - 4}], [{"n": 1, "m": 5}])
+    with pytest.raises(ValueError):
+        cli._check_size([{"n": -1, "m": cap}, {"n": 1, "m": cap}])
+
+
+def test_million_member_certificate_is_refused_at_once():
+    row = {"n": 1, "m": 2, "entries": [[1, 5]]}
+    cert = {"schema_version": "1", "field": {"p": 5, "deg": 1, "modulus": []},
+            "construction": {"name": "hand", "params": {}},
+            "target_basis": [row], "base": [row] * 10 ** 6, "auxiliary": {}}
+    t0 = time.perf_counter()
+    with pytest.raises(ParametersOutOfRange):
+        reverify(cert, 1 << 24)
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_declared_size_beyond_the_cap_exits_2_before_building(tmp_path, capsys,
+                                                               command):
+    # the entries are not even there: the declared shape alone is refused
+    field = {"p": 5, "deg": 1, "modulus": []}
+    huge = {"n": 1024, "m": 1024, "entries": []}
+    obj = {"field": field, "basis": [huge]}
+    if command == "verify":
+        obj = {"schema_version": "1", "field": field,
+               "construction": {"name": "hand", "params": {}},
+               "target_basis": [huge], "base": [], "auxiliary": {}}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, str(path)]) == 2
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input" and "entries" in line["error"]

@@ -388,3 +388,31 @@ def test_is_rank_one_matches_rank(pdeg, n, m, data):
     else:
         A = FqMatrix(F, [[data.draw(elem) for _ in range(m)] for _ in range(n)])
     assert A.is_rank_one() == (reference_rref(F, A.rows, m)[1] == 1) == (A.rank() == 1)
+
+
+@pytest.mark.parametrize("p,deg", [(2, 1), (13, 1), (3, 2)])
+def test_solve_combination_with_dependent_rows(p, deg, backend):
+    # x . rows == t whenever t is in the row span, dependent rows included;
+    # None exactly for targets outside it
+    F = field_make(p, deg)
+    rng = random.Random(f"solve-{p}-{deg}-{backend}")
+    for width, k, cap in [(6, 4, 2), (9, 5, 3), (24, 6, 4)]:
+        rows = random_rows(rng, F, k, width, rank_cap=cap)
+        targets = (random_rows(rng, F, 3, width)
+                   + [tuple(reference_combine(F, rng, rows))])
+        rank = reference_rref(F, rows, width)[1]
+        for t, x in zip(targets, exactla._solve_combination(F, rows, targets)):
+            inside = reference_rref(F, rows + [t], width)[1] == rank
+            assert (x is not None) == inside
+            if inside:
+                assert tuple(reference_combine(F, None, rows, x)) == t
+
+
+def reference_combine(F, rng, rows, coeffs=None):
+    """sum c_i rows[i], with random coefficients when none are given."""
+    if coeffs is None:
+        coeffs = [rng.randrange(F.q) for _ in rows]
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        acc = [F.add(a, F.mul(c, b)) for a, b in zip(acc, row)]
+    return acc

@@ -141,6 +141,20 @@ def test_min_hamming_distance():
     assert min_hamming_distance(B) == naive
 
 
+def test_distance_scan_guard_boundary_and_progress():
+    # the guard counts projective codewords: (q^k - 1) / (q - 1)
+    g = GammaBasis.power(3, 3)
+    D = dual_code(gamma_expand_code(power_vector_code(g, 3), g))
+    B = BlockCode(F5, [(1, 1, 1, 0), (0, 0, 1, 1)])
+    for scan, code, needed, d in ((min_rank_distance, D, 364, 2),
+                                  (min_hamming_distance, B, 6, 2)):
+        with pytest.raises(GuardExceeded) as exc:
+            scan(code, guard=needed - 1)
+        assert exc.value.progress == {"phase": "distance", "needed": needed,
+                                      "guard": needed - 1}
+        assert scan(code, guard=needed) == d
+
+
 def test_distance_is_basis_independent():
     ext = field_make(3, 3)
     power = GammaBasis(ext)

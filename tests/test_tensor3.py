@@ -186,33 +186,94 @@ def _minors_vanish(F, rows):
                for j in range(m) for l in range(j + 1, m))
 
 
-def test_rank_one_completion_extension_field_matches_brute_force():
+def _proportional(F, vec, ref):
+    """Is vec a nonzero scalar multiple of the nonzero vector ref?"""
+    lead = next(i for i, b in enumerate(ref) if b)
+    if vec[lead] == 0:
+        return False
+    lam = F.mul(vec[lead], F.inv(ref[lead]))
+    return all(a == F.mul(lam, b) for a, b in zip(vec, ref))
+
+
+def reference_completion(span, targets):
+    """The completion check as one loop over every projective rank-one N:
+    T lies in span + <N> when the residue of N is a multiple of T's."""
+    F = span.field
+    n, m = span.shape
+    residues = [span.reduce_vector(T.vectorize()) for T in targets]
+    count = 0
+    for N in rank_one_matrices(F, n, m):
+        count += 1
+        res = span.reduce_vector(N.vectorize())
+        for j, rj in enumerate(residues):
+            if _proportional(F, res, rj):
+                return True, {"target_index": j, "witness": N}
+    return False, {"pairs_scanned": count}
+
+
+def check_completion_against_reference(F):
     # T lies in span + <N> for a rank-one N outside the span exactly when
     # span + <T> holds a rank-one matrix outside the span
-    F9 = field_make(3, 2)
     rng = random.Random(99)
     outcomes = set()
     for _ in range(10):
         n, m = rng.choice([(2, 3), (3, 3)])
-        rand = lambda: FqMatrix(F9, [[rng.randrange(9) for _ in range(m)]
-                                     for _ in range(n)])
-        span = MatrixSpace(F9, (n, m), [rand()])
+        rand = lambda: FqMatrix(F, [[rng.randrange(F.q) for _ in range(m)]
+                                    for _ in range(n)])
+        span = MatrixSpace(F, (n, m), [rand()])
         targets = [T for T in (rand(), rand()) if not span.contains(T)]
         if not targets:
             continue
         found, detail = rank_one_completion_exists(span, targets)
+        ref_found, ref_detail = reference_completion(span, targets)
+        assert found == ref_found
         brute = []
         for j, T in enumerate(targets):
-            pencil = MatrixSpace(F9, (n, m), list(span.basis) + [T])
-            brute.append(any(any(A.vectorize()) and _minors_vanish(F9, A.rows)
+            pencil = MatrixSpace(F, (n, m), list(span.basis) + [T])
+            brute.append(any(any(A.vectorize()) and _minors_vanish(F, A.rows)
                              and not span.contains(A)
                              for A in pencil.iter_elements()))
         assert found == any(brute)
         if found:
             N, j = detail["witness"], detail["target_index"]
-            assert brute[j] and _minors_vanish(F9, N.rows) and any(N.vectorize())
-            assert span.sum_with(MatrixSpace(F9, (n, m), [N])).contains(targets[j])
+            assert brute[j] and _minors_vanish(F, N.rows) and any(N.vectorize())
+            assert span.sum_with(MatrixSpace(F, (n, m), [N])).contains(targets[j])
         else:
-            assert detail["pairs_scanned"] == len(rank_one_matrices(F9, n, m))
+            assert detail == ref_detail
+            assert detail["pairs_scanned"] == len(rank_one_matrices(F, n, m))
         outcomes.add(found)
     assert outcomes == {True, False}
+
+
+def test_rank_one_completion_extension_field_matches_brute_force():
+    check_completion_against_reference(field_make(3, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rank_one_completion_prime_field_matches_brute_force(p):
+    check_completion_against_reference(field_make(p))
+
+
+def test_rank_one_completion_takes_the_first_left_factor_and_lowest_target():
+    # both targets are rank one, so each is its own witness; the lowest wins
+    span = MatrixSpace(F3, (2, 2), [FqMatrix.identity(F3, 2)])
+    targets = [FqMatrix(F3, [[0, 1], [0, 0]]), FqMatrix(F3, [[0, 0], [1, 0]])]
+    found, detail = rank_one_completion_exists(span, targets)
+    assert found and detail["target_index"] == 0
+    # u = (1, 0) is the first normalized vector, and v = (0, 1) solves it
+    assert detail["witness"] == targets[0]
+
+
+@pytest.mark.parametrize("F", [F2, field_make(2, 2)])
+def test_rank_one_completion_guard_boundary(F):
+    # the guard counts (u, v) pairs and is checked before the scan
+    span = MatrixSpace(F, (2, 3), [FqMatrix(F, [[1, 0, 1], [0, 1, 1]])])
+    targets = [FqMatrix(F, [[1, 1, 1], [1, 0, 0]])]
+    pairs = len(rank_one_matrices(F, 2, 3))
+    with pytest.raises(GuardExceeded) as exc:
+        rank_one_completion_exists(span, targets, guard=pairs - 1)
+    assert exc.value.progress == {"phase": "completion", "needed": pairs,
+                                  "guard": pairs - 1}
+    found, detail = rank_one_completion_exists(span, targets, guard=pairs)
+    assert (found, detail) == reference_completion(span, targets)
+    assert detail == {"pairs_scanned": pairs}
