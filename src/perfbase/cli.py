@@ -279,13 +279,11 @@ def cmd_verify(args) -> int:
     try:
         cert = load_certificate(args.certificate)
     except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"ok": False, "error": f"unreadable certificate: {exc}"}))
-        return 2
+        raise ValueError(f"unreadable certificate: {exc}") from exc
     try:
         verdict = reverify(cert, _guard(args, rmcode.DEFAULT_SCAN_GUARD))
     except (AttributeError, KeyError, ValueError, TypeError) as exc:
-        print(json.dumps({"ok": False, "error": f"malformed certificate: {exc}"}))
-        return 2
+        raise ValueError(f"malformed certificate: {exc}") from exc
     print(json.dumps(verdict, sort_keys=True))
     return 0 if verdict["ok"] else 1
 

@@ -7,9 +7,10 @@ families.  The dual of a one-dimensional such code admits an explicit
 size m+s-1, and shortening plus row extension turns those into codes meeting
 the tensor-rank lower bound for every admissible parameter set.
 
-Minimum distances are computed exhaustively (projective enumeration under a
-guard, vectorized for prime fields); no estimation is ever used.  Scans may
-be sharded externally as long as results reduce with `min`.
+Minimum distances are computed exhaustively by `exactla._min_distance`
+(one word per scalar class, under a guard); `min_rank_distance` and
+`min_hamming_distance` are its public faces, and no estimation is ever used.
+Scans may be sharded externally as long as results reduce with `min`.
 
 The base field of every expansion here is prime: all constructions at desk
 scale live over F_p.
@@ -20,8 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .construct import (
     CompanionSpec,
@@ -36,7 +35,6 @@ from .errors import (
     DependentBasis,
     FieldTooSmall,
     FieldMismatch,
-    GuardExceeded,
     InternalVerificationError,
     InvalidWitness,
     NotABase,
@@ -44,9 +42,16 @@ from .errors import (
     ParametersOutOfRange,
     ShapeMismatch,
 )
-from .exactla import Echelon, FqMatrix, MatrixSpace, _solve_combination
+from .exactla import (
+    Echelon,
+    FqMatrix,
+    MatrixSpace,
+    _min_distance,
+    _projective_count,
+    _solve_combination,
+)
 from .gf import Field, FieldElement, FqPolynomial, field_make, find_primitive
-from .tensor3 import BaseCandidate, _min_rank, kruskal_bound, verify_base
+from .tensor3 import BaseCandidate, kruskal_bound, verify_base
 
 DEFAULT_SCAN_GUARD = 1 << 24
 
@@ -231,103 +236,16 @@ def gamma_expand_code(C: VectorCode, gamma: GammaBasis) -> RankCode:
 # --- exhaustive distance scans -------------------------------------------------------
 
 
-def _projective_count(q: int, k: int) -> int:
-    return (q ** k - 1) // (q - 1)
-
-
-def _check_scan(q: int, k: int, guard: int):
-    needed = _projective_count(q, k)
-    if needed > guard:
-        raise GuardExceeded(
-            f"{needed} codewords exceed the guard",
-            progress={"phase": "distance", "needed": needed, "guard": guard})
-
-
 def min_rank_distance(C: RankCode, guard: int = DEFAULT_SCAN_GUARD) -> int:
     """Exact minimum rank over nonzero codewords; n+1 for the zero code."""
-    k = C.k
-    if k == 0:
+    if C.k == 0:
         return C.n + 1
-    q = C.field.q
-    _check_scan(q, k, guard)
-    if C.field.deg == 1:
-        basis = np.array([B.vectorize() for B in C.space.basis], dtype=np.int64)
-        return _np_min_stat(basis, q, C.n, C.m, stat="rank")
-    return _min_rank(C.space, guard)
+    return _min_distance(C.field, C.space._rrows, guard, C.m)
 
 
 def min_hamming_distance(B: BlockCode, guard: int = DEFAULT_SCAN_GUARD) -> int:
     """Exact minimum Hamming weight over nonzero codewords."""
-    q = B.field.q
-    _check_scan(q, B.k, guard)
-    if B.field.deg == 1:
-        gen = np.array(B.generators, dtype=np.int64)
-        return _np_min_stat(gen, q, 1, B.length, stat="weight")
-    space = MatrixSpace(B.field, (1, B.length),
-                        [FqMatrix(B.field, [g]) for g in B.generators])
-    return min(sum(map(bool, A.rows[0]))
-               for A in space.iter_elements(nonzero_only=True, projective=True))
-
-
-def _np_min_stat(basis, p, n, m, stat):
-    """Minimum rank or weight over projective combinations of basis rows."""
-    k = basis.shape[0]
-    inv = np.array([0] + [pow(i, p - 2, p) for i in range(1, p)], dtype=np.int64)
-    best = None
-    for lead in range(k):
-        free = k - lead - 1
-        total = p ** free
-        chunk = 1 << 14
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            coeffs = np.zeros((idx.size, k), dtype=np.int64)
-            coeffs[:, lead] = 1
-            rest = idx
-            for t in range(free):
-                rest, digit = np.divmod(rest, p)
-                coeffs[:, lead + 1 + t] = digit
-            words = (coeffs @ basis) % p
-            if stat == "weight":
-                vals = np.count_nonzero(words, axis=1)
-            else:
-                vals = _np_batch_rank(words.reshape(-1, n, m), p, inv)
-            v = int(vals.min())
-            if best is None or v < best:
-                best = v
-                if best <= 1:
-                    return best
-    return best
-
-
-def _np_batch_rank(A, p, inv):
-    """Vectorized row reduction over F_p; returns the rank of each matrix."""
-    A = A.copy()
-    B, n, m = A.shape
-    rowptr = np.zeros(B, dtype=np.int64)
-    rows = np.arange(n, dtype=np.int64)[None, :]
-    for j in range(m):
-        col = A[:, :, j]
-        eligible = (col != 0) & (rows >= rowptr[:, None])
-        has = eligible.any(axis=1)
-        if not has.any():
-            continue
-        piv = np.argmax(eligible, axis=1)
-        sel = np.nonzero(has)[0]
-        idx = np.tile(np.arange(n), (B, 1))
-        idx[sel, rowptr[sel]] = piv[sel]
-        idx[sel, piv[sel]] = rowptr[sel]
-        A = np.take_along_axis(A, idx[:, :, None], axis=1)
-        pivrow = np.zeros((B, m), dtype=np.int64)
-        pivvals = A[sel, rowptr[sel], j]
-        pivrow[sel] = (A[sel, rowptr[sel], :] * inv[pivvals][:, None]) % p
-        A[sel, rowptr[sel], :] = pivrow[sel]
-        below = rows > rowptr[:, None]
-        fac = np.where(below, A[:, :, j], 0)
-        A = (A - fac[:, :, None] * pivrow[:, None, :]) % p
-        rowptr = rowptr + has
-        if (rowptr == n).all():
-            break
-    return rowptr
+    return _min_distance(B.field, B.generators, guard)
 
 
 # --- MRD / MTR predicates and duality -------------------------------------------------

@@ -9,16 +9,18 @@ the first failure of each kind.
 The oracle enumerates rank-one matrices up to scalar (both factors normalized
 to leading coefficient one) and searches independent subsets in lexicographic
 order, so the returned witness is the lexicographically least successful
-subset.  Each candidate is reduced modulo V once.  Every node of the search
-then holds the residues of the remaining candidates modulo the chosen span
-and modulo the chosen span plus V, so a membership test reads whether two
-table rows are zero, and a pick updates the later rows of each table with one
-rank-one update: int64 numpy over prime fields, lists with `Field`
-arithmetic over extension fields.  A work guard bounds the number of
-subset-membership tests, counted as if the candidates were tested one at a
-time; sharded runs must reduce with lexicographic minimum to preserve that
-contract.  Inputs whose candidate list would exceed ORACLE_MAX_ENTRIES are
-refused before any enumeration.
+subset.  It starts at the Kruskal bound dim V + d - 1, with d from the
+package's one distance scan `exactla._min_distance` when V has at most 4096
+words up to scalar, and at dim V otherwise.  Each candidate is reduced modulo
+V once.  Every node of the search then holds the residues of the remaining
+candidates modulo the chosen span and modulo the chosen span plus V, so a
+membership test reads whether two table rows are zero, and a pick updates the
+later rows of each table with one rank-one update: int64 numpy over prime
+fields, lists with `Field` arithmetic over extension fields.  A work guard
+bounds the number of subset-membership tests, counted as if the candidates
+were tested one at a time; sharded runs must reduce with lexicographic
+minimum to preserve that contract.  Inputs whose candidate list would exceed
+ORACLE_MAX_ENTRIES are refused before any enumeration.
 
 The completion check (is one rank-one N enough to bring a target into a
 span?) runs one exact solve per normalized left factor u on the Echelon
@@ -27,7 +29,6 @@ kernel, over every field alike: the residues of u (x) v are linear in v.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, ParametersOutOfRange, ShapeMismatch
@@ -36,6 +37,10 @@ from .exactla import (
     FqMatrix,
     MatrixSpace,
     _axpy,
+    _int64_safe,
+    _min_distance,
+    _normalized_vectors,
+    _projective_count,
     _scale,
     _solve_combination,
 )
@@ -183,49 +188,10 @@ def rank_one_matrices(field: Field, n: int, m: int):
     return out
 
 
-def _normalized_vectors(field, length):
-    """Nonzero vectors with first nonzero coordinate equal to 1."""
-    vecs = []
-    for lead in range(length):
-        head = (0,) * lead + (1,)
-        tails = itertools.product(range(field.q), repeat=length - lead - 1)
-        for tail in tails:
-            vecs.append(head + tail)
-    return vecs
-
-
-def _min_rank(space: MatrixSpace, cap: int):
-    """Minimum rank over nonzero members, or None if the scan exceeds cap."""
-    if space.dim == 0:
-        return None
-    count = (space.field.q ** space.dim - 1) // (space.field.q - 1)
-    if count > cap:
-        return None
-    best = None
-    for A in space.iter_elements(nonzero_only=True, projective=True):
-        r = A.rank()
-        if best is None or r < best:
-            best = r
-            if best == 1:
-                break
-    return best
-
-
 # exhaustive_trk refuses a space whose candidate list would hold more entries
 # than this (candidates x n*m) before it enumerates anything.  The search
 # keeps two residue tables per level of depth, and 2^20 entries make 8 MB.
 ORACLE_MAX_ENTRIES = 1 << 20
-
-
-def _normalized_count(q, length, cap):
-    """(q^length - 1) / (q - 1), or cap + 1 once the count exceeds cap."""
-    total, power = 0, 1
-    for _ in range(length):
-        total += power
-        if total > cap:
-            return cap + 1
-        power *= q
-    return total
 
 
 def exhaustive_trk(V: MatrixSpace, limit: int = DEFAULT_GUARD):
@@ -256,9 +222,9 @@ def _rank_levels(V: MatrixSpace, limit: int):
     n, m = V.shape
     width = n * m
     cap = ORACLE_MAX_ENTRIES // width
-    count = (_normalized_count(field.q, n, cap)
-             * _normalized_count(field.q, m, cap))
-    if count > cap:
+    # a side above 20 has over 2^20 >= cap vectors alone; q^n is not formed
+    if (max(n, m) > 20 or _projective_count(field.q, n)
+            * _projective_count(field.q, m) > cap):
         raise ParametersOutOfRange(
             f"the oracle's rank-one candidates of {n}x{m} matrices over"
             f" F_{field.q} exceed {ORACLE_MAX_ENTRIES} entries")
@@ -267,9 +233,11 @@ def _rank_levels(V: MatrixSpace, limit: int):
         yield 0, [], 0
         return
     tables, A, Q = _candidate_tables(V)
-    d = _min_rank(V, cap=4096)
+    start = k  # raised to the Kruskal bound when V's scan is at most 4096 words
+    if _projective_count(field.q, k) <= 4096:
+        start = kruskal_bound(k, _min_distance(field, V._rrows, 4096, m))
     budget = [limit]
-    for R in range(max(k, kruskal_bound(k, d) if d else k), width + 1):
+    for R in range(start, width + 1):
         before = budget[0]
         found = _search_subsets(tables, A, Q, k, R, budget, limit)
         witness = None if found is None else [tables.vector(A, i) for i in found]
@@ -299,7 +267,7 @@ def rank_one_completion_exists(span_space: MatrixSpace, targets,
     for j, T in enumerate(targets):
         if span_space.contains(T):
             return True, {"target_index": j, "inside_span": True}
-    pairs = (F.q ** n - 1) // (F.q - 1) * ((F.q ** m - 1) // (F.q - 1))
+    pairs = _projective_count(F.q, n) * _projective_count(F.q, m)
     if pairs > guard:
         raise GuardExceeded(
             "completion scan exceeded its guard",
@@ -340,8 +308,8 @@ class _NumpyTables:
 
     def candidates(self, n, m):
         np, p = self.np, self.p
-        U = np.array(_normalized_vectors(self.field, n), dtype=np.int64)
-        W = np.array(_normalized_vectors(self.field, m), dtype=np.int64)
+        U = np.array(list(_normalized_vectors(self.field, n)), dtype=np.int64)
+        W = np.array(list(_normalized_vectors(self.field, m)), dtype=np.int64)
         return (U[:, None, :, None] * W[None, :, None, :] % p).reshape(-1, n * m)
 
     def quotient(self, A, V, free):
@@ -413,7 +381,7 @@ def _candidate_tables(V: MatrixSpace):
     field = V.field
     n, m = V.shape
     width = n * m
-    if field.deg == 1 and (field.p - 1) ** 2 * width < 1 << 63:
+    if _int64_safe(field, width):
         tables = _NumpyTables(field)
     else:
         tables = _ListTables(field)

@@ -215,6 +215,40 @@ def test_verify_large_prime_is_fast_and_p_beyond_2_64_is_input_error(tmp_path, c
         assert line["ok"] == (code == 0)
 
 
+@pytest.mark.parametrize("p", [10 ** 9 + 7, (1 << 61) - 1])
+def test_verify_one_dimensional_code_certificate_over_a_large_prime_is_fast(
+        tmp_path, capsys, p):
+    one = {"n": 1, "m": 1, "entries": [[1]]}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({
+        "schema_version": "1", "field": {"p": p, "deg": 1, "modulus": []},
+        "construction": {"name": "hand", "params": {}},
+        "target_basis": [one], "base": [one], "auxiliary": {},
+        "code": {"q": p, "n": 1, "m": 1, "k": 1, "d": 1, "mtr": True,
+                 "space_basis": [one]}}))
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - t0 < 1
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["ok"] and line["code_checks"]["distance"] == 1
+
+
+def test_verify_unreadable_and_malformed_certificates_exit_2_as_input(
+        tmp_path, capsys):
+    ragged = {"n": 2, "m": 2, "entries": [[1, 0], [1]]}
+    path = tmp_path / "bad.json"
+    for text, error in (
+            ("{not json", "unreadable certificate"),
+            (json.dumps({"schema_version": "1",
+                         "field": {"p": 5, "deg": 1, "modulus": []},
+                         "target_basis": [ragged], "base": [ragged]}),
+             "malformed certificate")):
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
+        line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert line["kind"] == "input" and line["error"].startswith(error)
+
+
 @pytest.mark.parametrize("cert", [
     [1, 2],
     {"schema_version": "1", "field": [3], "target_basis": [], "base": []},

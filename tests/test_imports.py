@@ -1,4 +1,5 @@
-"""Every name a perfbase module imports is used in that module.
+"""Every name a perfbase module imports is used in that module, and numpy
+is imported where the package loads, not where a scan first needs it.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.  `__init__.py` re-exports names and is skipped.
@@ -6,6 +7,8 @@ with the standard library.  `__init__.py` re-exports names and is skipped.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +38,28 @@ def test_every_import_is_used(path):
 def test_unused_import_check_sees_unused_names():
     source = "import os\nimport numpy as np\nfrom .x import a, b\nprint(np, a)\n"
     assert unused_imports(source) == [(1, "os"), (3, "b")]
+
+
+def imported_modules(source: str):
+    """Top-level names of the modules a source imports from."""
+    mods = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            mods.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            mods.add(node.module.split(".")[0])
+    return mods
+
+
+def test_rmcode_imports_no_numpy():
+    assert "numpy" not in imported_modules((SRC / "rmcode.py").read_text())
+    assert "numpy" in imported_modules("from numpy import int64\n")
+
+
+def test_importing_the_cli_loads_numpy():
+    # exactla imports numpy at module top, so a process pays for it at start
+    # and never inside the first call that scans or eliminates with it
+    code = "import sys, perfbase.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"

@@ -91,10 +91,13 @@ def reference_levels(V, limit):
     n, m = V.shape
     k = V.dim
     candidates = [A.vectorize() for A in rank_one_matrices(V.field, n, m)]
-    d = tensor3._min_rank(V, cap=4096)
+    start = k
+    if (V.field.q ** k - 1) // (V.field.q - 1) <= 4096:
+        d = min(A.rank() for A in V.iter_elements(nonzero_only=True))
+        start = kruskal_bound(k, d)
     budget = [limit]
     out = []
-    for R in range(max(k, kruskal_bound(k, d) if d else k), n * m + 1):
+    for R in range(start, n * m + 1):
         before = budget[0]
         found = _reference_search(V.field, candidates, R, V._rrows, V._pivots,
                                   budget)

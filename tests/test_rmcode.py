@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfbase import exactla
 from perfbase.construct import CompanionSpec, companion, y_matrix
 from perfbase.errors import (
     BadEta,
@@ -219,6 +220,52 @@ def test_min_hamming_distance_extension_field_matches_brute_force():
         assert min_hamming_distance(B) == brute
         seen.add(brute)
     assert len(seen) > 1
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_distance_scan_backends_match_brute_force(monkeypatch, q):
+    # k = 2 scans fewer words than the numpy crossover, k = 3 more; each
+    # input runs on both backends (numpy stays off over F_9)
+    F = field_make(3, 2) if q == 9 else field_make(q)
+    assert (exactla._projective_count(q, 2) < exactla._SCAN_NUMPY_MIN_WORDS
+            <= exactla._projective_count(q, 3))
+    rng = random.Random(q)
+    seen = set()
+    for k in (2, 3):
+        for _ in range(4):
+            m = rng.choice([2, 3])
+            mats = [FqMatrix(F, [[rng.randrange(q) for _ in range(m)]
+                                 for _ in range(2)]) for _ in range(k)]
+            if rng.random() < 0.4:  # a rank-one member makes d = 1 likely
+                u = [rng.randrange(q) for _ in range(2)]
+                v = [rng.randrange(q) for _ in range(m)]
+                mats[0] = FqMatrix(F, [[F.mul(a, b) for b in v] for a in u])
+            space = MatrixSpace(F, (2, m), mats)
+            if space.dim != k:
+                continue
+            rows = [B.vectorize() for B in space.basis]
+            words = [w for w in _combinations(F, rows) if any(w)]
+            rank = min(_brute_rank(F, [w[:m], w[m:]]) for w in words)
+            weight = min(sum(1 for v in w if v) for w in words)
+            for threshold in (1, 1 << 30):
+                monkeypatch.setattr(exactla, "_SCAN_NUMPY_MIN_WORDS", threshold)
+                assert exactla._min_distance(F, rows, 1 << 24, m) == rank
+                assert exactla._min_distance(F, rows, 1 << 24) == weight
+            seen.add((k, rank))
+    assert {k for k, _ in seen} == {2, 3} and {d for _, d in seen} == {1, 2}
+
+
+def test_min_rank_distance_beyond_the_int64_rule_scans_lists(monkeypatch):
+    # over p = 2^61 - 1 a product of two entries overflows int64, so even a
+    # scan that the word count would send to numpy runs on lists
+    monkeypatch.setattr(exactla, "_SCAN_NUMPY_MIN_WORDS", 1)
+    p = (1 << 61) - 1
+    F = field_make(p)
+    u, v = (3 << 40, 5), (7, 11 << 35)
+    rank_one = FqMatrix(F, [[a * b % p for b in v] for a in u])
+    invertible = FqMatrix(F, [[1 << 40, 3], [5, 1 << 50]])
+    for A, d in ((rank_one, 1), (invertible, 2)):
+        assert min_rank_distance(RankCode(MatrixSpace(F, (2, 2), [A]))) == d
 
 
 # --- evaluation codes ----------------------------------------------------------------
