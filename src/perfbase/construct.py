@@ -47,9 +47,7 @@ class CompanionSpec:
     def __post_init__(self):
         if self.m < 2:
             raise ParametersOutOfRange("companion matrices need m >= 2")
-        enc = tuple(int(a) % self.field.q if self.field.deg > 1
-                    else int(a) % self.field.p
-                    for a in self.bottom)
+        enc = tuple(int(a) % self.field.q for a in self.bottom)
         if len(enc) != self.m:
             raise ParametersOutOfRange("bottom row length must equal m")
         object.__setattr__(self, "bottom", enc)

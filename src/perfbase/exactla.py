@@ -18,8 +18,8 @@ input alone:
   enough that int64 sums of products cannot overflow (`_int64_safe`, the
   package's one int64 rule), use numpy row operations;
 - all other rows are Python lists, with inline arithmetic mod p over prime
-  fields, and `Field.sub` and `Field.mul` (log tables up to q = 4096) over
-  extension fields.
+  fields, and the table-driven `Field.add` and `Field.mul` over extension
+  fields.
 
 Every minimum distance is one scan, `_min_distance`: rmcode's
 `min_rank_distance` and `min_hamming_distance` (behind certificate
@@ -54,7 +54,7 @@ def _enc(field, value) -> int:
         if value.field != field:
             raise FieldMismatch("entry from a different field")
         return value.enc
-    return int(value) % field.q if field.deg > 1 else int(value) % field.p
+    return int(value) % field.q
 
 
 class FqMatrix:
@@ -309,8 +309,8 @@ def _axpy(F, vec, c, row):
     if F.deg == 1:
         p = F.p
         return [(a - c * b) % p for a, b in zip(vec, row)]
-    sub, mul = F.sub, F.mul
-    return [sub(a, mul(c, b)) if b else a for a, b in zip(vec, row)]
+    add, mul, nc = F.add, F.mul, F.neg(c)
+    return [add(a, mul(nc, b)) if b else a for a, b in zip(vec, row)]
 
 
 def _scale(F, c, vec):

@@ -9,18 +9,18 @@ the rest of the package.
 `field_make` builds each field once per process: it memoises one Field per
 normalised (p, deg, modulus), so the irreducible search, the primitive
 element and the arithmetic tables are paid for once however often a field
-is asked for.  Prime fields multiply with machine integers.  Extension
-fields with q <= _TABLE_LIMIT multiply and invert through log/antilog tables
-of O(q) size, built on the first `mul` or `inv` by walking the powers of the
-primitive element; larger extension fields multiply polynomials per
-operation (`Field._mul_slow`, the one polynomial multiply, which also builds
-the tables).
+is asked for.  Each kind of field has one arithmetic path.  Prime fields
+work with machine integers mod p.  Extension fields walk the powers of the
+primitive element g once, at construction, with `Field._mul_slow` (the one
+polynomial multiply) to build log, antilog and Zech tables: multiply and
+invert add or negate logs, and a + b = g^(la + zech[lb - la]) with
+zech[i] = log(1 + g^i) (Lidl and Niederreiter, *Finite Fields*).  So
+extension fields stop at 2^16 elements: F_{2^16} takes about 4 s (half of
+it the irreducible search, which doubles in time with each degree) and
+7 MB of tables, and a larger field is refused before any search.
 
-Field and FieldElement are immutable in value; all operations are pure, so
-values can be shared freely between threads.  The lazily computed primitive
-element and tables are each published by a single attribute store of a
-complete value, so threads that race on first use at worst compute the same
-value twice and never see a partial table.
+Field and FieldElement are immutable after construction; all operations are
+pure, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -36,13 +36,6 @@ from .errors import (
     NotPrime,
     ParametersOutOfRange,
 )
-
-# Extension fields at or below this size get log/antilog tables on first
-# use; larger fields fall back to per-op polynomial arithmetic.  A table
-# build costs about q polynomial multiplies (F_4096: 0.06 s on a Xeon), so
-# a larger limit only pays off for callers known to do many more multiplies.
-_TABLE_LIMIT = 4096
-
 
 # Fields are defined for p below this bound; certificates and oracle inputs
 # are untrusted, so a larger p is refused before any arithmetic.
@@ -82,12 +75,16 @@ class Field:
 
     __slots__ = (
         "p", "deg", "q", "modulus",
-        "_reduction_tail", "_primitive", "_tables",
+        "_reduction_tail", "_log", "_antilog", "_zech",
     )
 
     def __init__(self, p: int, deg: int = 1, modulus=None):
         if p >= _P_LIMIT:
             raise ParametersOutOfRange(f"p = {p} is not below 2^64")
+        # the degree first, so p ** deg is never formed for a huge degree
+        if deg > 16 or (deg >= 2 and p ** deg > 1 << 16):
+            raise ParametersOutOfRange(
+                f"extension field {p}^{deg} exceeds 2^16 elements")
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if deg < 1:
@@ -113,8 +110,8 @@ class Field:
             self.modulus = coeffs
         # x^deg == -(low part of modulus), used to fold products back down
         self._reduction_tail = tuple((-c) % p for c in self.modulus[:-1])
-        self._primitive = None  # encoding, set by find_primitive
-        self._tables = None  # (log, antilog), set by _build_tables
+        if deg > 1:
+            self._build_tables()
 
     # -- identity -------------------------------------------------------------
 
@@ -176,53 +173,31 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.deg == 1:
             return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            a, ca = divmod(a, p)
-            b, cb = divmod(b, p)
-            out += ((ca + cb) % p) * mult
-            mult *= p
-        return out
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        return self._antilog[la + self._zech[log[b] - la]]
 
     def neg(self, a: int) -> int:
         if self.deg == 1:
             return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            a, ca = divmod(a, p)
-            out += ((-ca) % p) * mult
-            mult *= p
-        return out
+        return self.mul(a, self.p - 1)  # -1 encodes as p - 1
 
     def sub(self, a: int, b: int) -> int:
         if self.deg == 1:
             return (a - b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            a, ca = divmod(a, p)
-            b, cb = divmod(b, p)
-            out += ((ca - cb) % p) * mult
-            mult *= p
-        return out
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self.deg == 1:
             return (a * b) % self.p
         if not (a and b):
             return 0
-        tables = self._tables
-        if tables is None:
-            if self.q > _TABLE_LIMIT:
-                return self._mul_slow(a, b)
-            tables = self._build_tables()
-        log, antilog = tables
-        return antilog[log[a] + log[b]]
+        log = self._log
+        return self._antilog[log[a] + log[b]]
 
     def _mul_slow(self, a: int, b: int) -> int:
         p = self.p
@@ -248,13 +223,7 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.deg == 1:
             return pow(a, self.p - 2, self.p)
-        tables = self._tables
-        if tables is None:
-            if self.q > _TABLE_LIMIT:
-                return self.pow(a, self.q - 2)
-            tables = self._build_tables()
-        log, antilog = tables
-        return antilog[self.q - 1 - log[a]]
+        return self._antilog[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -262,23 +231,29 @@ class Field:
         return _power(self.mul, a, e)
 
     def _build_tables(self):
-        """Log and antilog tables from the powers of the primitive element.
+        """Log, antilog and Zech tables from the powers of the primitive element.
 
-        antilog has length 2(q-1), so a sum of two logs needs no reduction.
-        The pair is stored only once complete (see the module docstring).
+        antilog has length 3(q-1): two periods of g^i, so a sum of two logs
+        needs no reduction, then q-1 zeros.  Where 1 + g^i = 0, zech[i] is
+        2(q-1), so `add` lands in the zeros and a + (-a) needs no branch.
         """
-        order = self.q - 1
-        g = find_primitive(self).enc
+        p, order = self.p, self.q - 1
+        g = _least_primitive(self.q, self._mul_slow)
         log = [0] * self.q
-        antilog = [0] * (2 * order)
+        antilog = [0] * (3 * order)
         x = 1
         for i in range(order):
             log[x] = i
             antilog[i] = antilog[i + order] = x
             x = self._mul_slow(x, g)
-        tables = (log, antilog)
-        self._tables = tables
-        return tables
+        zech = [2 * order] * order
+        for i in range(order):
+            x = antilog[i]
+            # 1 + x adds 1 to the constant coefficient, the lowest base-p digit
+            one_plus = x + 1 if x % p != p - 1 else x + 1 - p
+            if one_plus:
+                zech[i] = log[one_plus]
+        self._log, self._antilog, self._zech = log, antilog, zech
 
 
 class FieldElement:
@@ -320,8 +295,7 @@ class FieldElement:
                 raise FieldMismatch("elements from different fields")
             return other.enc
         if isinstance(other, int):
-            return other % self.field.p if self.field.deg == 1 \
-                else other % self.field.q
+            return other % self.field.q
         raise TypeError(f"cannot combine field element with {type(other)}")
 
     def __add__(self, other):
@@ -372,7 +346,7 @@ class FqPolynomial:
                     raise FieldMismatch("coefficient from a different field")
                 encs.append(c.enc)
             else:
-                encs.append(int(c) % field.q if field.deg > 1 else int(c) % field.p)
+                encs.append(int(c) % field.q)
         while encs and encs[-1] == 0:
             encs.pop()
         self.field = field
@@ -565,17 +539,19 @@ def _cached_field(p: int, deg: int, modulus) -> Field:
 def find_primitive(field: Field) -> FieldElement:
     """Smallest element (canonical order) of multiplicative order q-1.
 
-    a is primitive iff a^((q-1)/r) != 1 for every prime r dividing q-1.  The
-    search multiplies without tables, since the tables are built from its
-    result; the answer is kept on the field.
+    An extension field found it while building its tables (antilog[1] = g);
+    a prime field searches each time it is asked.
     """
-    if field._primitive is None:
-        q = field.q
-        exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
-        field._primitive = next(
-            a for a in range(1, q)
-            if all(_power(field._mul_slow, a, e) != 1 for e in exponents))
-    return FieldElement(field, field._primitive)
+    if field.deg > 1:
+        return FieldElement(field, field._antilog[1])
+    return FieldElement(field, _least_primitive(field.q, field.mul))
+
+
+def _least_primitive(q: int, mul) -> int:
+    """a is primitive iff a^((q-1)/r) != 1 for every prime r dividing q-1."""
+    exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+    return next(a for a in range(1, q)
+                if all(_power(mul, a, e) != 1 for e in exponents))
 
 
 def _prime_factors(n: int):

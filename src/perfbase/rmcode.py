@@ -18,6 +18,7 @@ scale live over F_p.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,10 +85,14 @@ class GammaBasis:
         self._G = G
         self._Ginv = G.inverse()
 
-    @classmethod
-    def power(cls, q: int, m: int) -> "GammaBasis":
-        """Power basis 1, a, ..., a^{m-1} of the canonical primitive element."""
-        return cls(field_make(q, m))
+    @staticmethod
+    @functools.lru_cache(maxsize=64)
+    def power(q: int, m: int) -> "GammaBasis":
+        """Power basis 1, a, ..., a^{m-1} of the canonical primitive element.
+
+        Equal arguments return the same (immutable) basis object.
+        """
+        return GammaBasis(field_make(q, m))
 
     @property
     def q(self) -> int:

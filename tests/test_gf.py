@@ -6,9 +6,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfbase import gf
 from perfbase.errors import NotASubfield, NotIrreducible, NotPrime, ParametersOutOfRange
 from perfbase.gf import (
-    _TABLE_LIMIT,
     _is_prime,
     Field,
     FqPolynomial,
@@ -134,6 +134,8 @@ def test_find_primitive_examples(p, deg, expected):
 EXTENSIONS_LE_125 = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5),
                      (7, 2), (2, 6), (3, 4), (11, 2), (5, 3)]
 LARGE_TABLED = [(7, 3), (5, 4), (7, 4)]  # F_343, F_625, F_2401
+# F_{67^2} and F_{251^2} have more than 4096 elements
+SAMPLED_EXTENSIONS = LARGE_TABLED + [(67, 2), (251, 2)]
 
 
 def slow_pow(F, a, e):
@@ -147,10 +149,61 @@ def slow_pow(F, a, e):
     return result
 
 
+# The base-p digit loops that Field.add, neg and sub ran before the Zech
+# tables: the reference the table paths are compared with.
+
+def reference_add(F, a, b):
+    p = F.p
+    out = 0
+    mult = 1
+    while a or b:
+        a, ca = divmod(a, p)
+        b, cb = divmod(b, p)
+        out += ((ca + cb) % p) * mult
+        mult *= p
+    return out
+
+
+def reference_neg(F, a):
+    p = F.p
+    out = 0
+    mult = 1
+    while a:
+        a, ca = divmod(a, p)
+        out += ((-ca) % p) * mult
+        mult *= p
+    return out
+
+
+def reference_sub(F, a, b):
+    p = F.p
+    out = 0
+    mult = 1
+    while a or b:
+        a, ca = divmod(a, p)
+        b, cb = divmod(b, p)
+        out += ((ca - cb) % p) * mult
+        mult *= p
+    return out
+
+
+def check_against_references(F, a, b):
+    assert F.add(a, b) == reference_add(F, a, b)
+    assert F.sub(a, b) == reference_sub(F, a, b)
+    assert F.neg(a) == reference_neg(F, a)
+    assert F.mul(a, b) == F._mul_slow(a, b)
+    if a:
+        assert F.inv(a) == slow_pow(F, a, F.q - 2)
+
+
 @pytest.mark.parametrize("p,deg", EXTENSIONS_LE_125)
 def test_table_arithmetic_matches_polynomial_path_exhaustive(p, deg):
     F = field_make(p, deg)
     for a in range(F.q):
+        assert F.neg(a) == reference_neg(F, a)
+        for b in range(F.q):
+            assert F.add(a, b) == reference_add(F, a, b)
+            assert F.sub(a, b) == reference_sub(F, a, b)
         for b in range(a, F.q):
             assert F.mul(a, b) == F._mul_slow(a, b)
     for a in range(1, F.q):
@@ -167,14 +220,22 @@ def test_sub_matches_add_of_neg_exhaustive(p, deg):
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.sampled_from(LARGE_TABLED), st.data())
+@given(st.sampled_from(SAMPLED_EXTENSIONS), st.data())
 def test_table_arithmetic_matches_polynomial_path_sampled(pdeg, data):
     F = field_make(*pdeg)
     a = data.draw(st.integers(min_value=0, max_value=F.q - 1))
     b = data.draw(st.integers(min_value=0, max_value=F.q - 1))
-    assert F.mul(a, b) == F._mul_slow(a, b)
-    if a:
-        assert F.inv(a) == slow_pow(F, a, F.q - 2)
+    check_against_references(F, a, b)
+
+
+@pytest.mark.parametrize("p,deg", SAMPLED_EXTENSIONS)
+def test_table_arithmetic_at_zero_one_and_opposites(p, deg):
+    # the Zech table's one undefined entry is where a + b = 0
+    F = field_make(p, deg)
+    for a in (0, 1, p - 1, p, F.q - 1, find_primitive(F).enc):
+        for b in (0, a, F.neg(a), 1, F.q - 1):
+            check_against_references(F, a, b)
+        assert F.add(a, F.neg(a)) == 0
 
 
 @pytest.mark.parametrize(
@@ -209,20 +270,33 @@ def test_field_make_caches_no_errors():
             field_make(2, 2, modulus=[1, 0, 1])
 
 
-def test_table_limit_separates_the_two_arithmetic_paths():
-    # F_4096 is the largest tabled field, F_67^2 = F_4489 the smallest above
-    for p, deg, tabled in [(2, 12, True), (67, 2, False)]:
-        F = Field(p, deg)  # fresh, so its tables cannot exist yet
-        assert (F.q <= _TABLE_LIMIT) == tabled
-        for a in range(1, F.q, 97):
-            b = (a * 31 + 5) % F.q
-            assert F.mul(a, b) == F._mul_slow(a, b)
-            assert F._mul_slow(a, F.inv(a)) == 1
-        assert (F._tables is not None) == tabled
+def test_field_make_refuses_extensions_beyond_2_16_before_building(monkeypatch):
+    F = Field(251, 2)  # fresh: its tables are built here, above 4096 elements
+    for a in range(1, F.q, 97):
+        b = (a * 31 + 5) % F.q
+        assert F.mul(a, b) == F._mul_slow(a, b)
+        assert F._mul_slow(a, F.inv(a)) == 1
+    # the degree is checked before p ** deg is formed
+    t0 = time.perf_counter()
+    for p, deg in ((257, 2), (3, 11), (2, 17), (2, 10 ** 9)):
+        with pytest.raises(ParametersOutOfRange):
+            field_make(p, deg)
+    assert time.perf_counter() - t0 < 0.1
+
+    class SearchStarted(Exception):
+        pass
+
+    def search(p, deg):
+        raise SearchStarted
+
+    # at the boundaries the rule lets the field through to its modulus search
+    monkeypatch.setattr(gf, "_smallest_irreducible", search)
+    for p, deg in ((2, 16), (3, 10), (251, 2)):
+        with pytest.raises(SearchStarted):
+            Field(p, deg)
 
 
-def test_lazy_tables_are_safe_to_share_between_threads():
-    # a fresh, unshared field, so the threads race on the first table build
+def test_tables_are_safe_to_share_between_threads():
     F = Field(7, 4)
     pairs = [(a, (a * 37 + 11) % F.q) for a in range(F.q)]
     expected = [F._mul_slow(a, b) for a, b in pairs]

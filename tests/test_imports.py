@@ -1,5 +1,6 @@
-"""Every name a perfbase module imports is used in that module, and numpy
-is imported where the package loads, not where a scan first needs it.
+"""Every name a perfbase module imports is used in that module, every
+private name the package defines is used somewhere in it, and numpy is
+imported where the package loads, not where a scan first needs it.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.  `__init__.py` re-exports names and is skipped.
@@ -38,6 +39,59 @@ def test_every_import_is_used(path):
 def test_unused_import_check_sees_unused_names():
     source = "import os\nimport numpy as np\nfrom .x import a, b\nprint(np, a)\n"
     assert unused_imports(source) == [(1, "os"), (3, "b")]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unreferenced_private_names(sources):
+    """Private module-level names and private methods that no source uses.
+
+    A use is a loaded name or an attribute access anywhere in `sources`
+    (module name -> text), so a dead knob or helper shows up even when
+    another module of the package once imported it.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names if _is_private(name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, f"{node.name}.{item.name}") for item in node.body
+                            if isinstance(item, ast.FunctionDef) and _is_private(item.name)]
+    return sorted((module, name) for module, name in defined
+                  if name.rsplit(".", 1)[-1] not in used)
+
+
+def test_every_private_name_is_used_in_the_package():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_private_name_check_sees_dead_knobs_and_methods():
+    sources = {
+        "a.py": "_LIMIT = 4096\n_USED = 1\ndef _dead(): pass\n"
+                "class C:\n    def _slow(self): pass\n    def _fast(self): pass\n"
+                "    def __init__(self): self._fast()\n",
+        "b.py": "from .a import _USED\nprint(_USED)\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a.py", "C._slow"), ("a.py", "_LIMIT"), ("a.py", "_dead")]
 
 
 def imported_modules(source: str):
