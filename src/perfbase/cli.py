@@ -254,10 +254,7 @@ def cmd_construct(args) -> int:
         code_info = _code_info(code, guard, mtr=True)
     elif name == "build-mtr":
         _require(args, "n", "m", "k", "d")
-        code, cand = rmcode.build_mtr(args.p, args.n, args.m, args.k, args.d)
-        result = cons._finish(
-            cand, "build-mtr",
-            {"q": args.p, "n": args.n, "m": args.m, "k": args.k, "d": args.d}, {})
+        code, result = rmcode._build_mtr(args.p, args.n, args.m, args.k, args.d)
         code_info = _code_info(code, guard, mtr=True)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(name)

@@ -304,15 +304,6 @@ def _int64_safe(field, terms) -> bool:
     return field.deg == 1 and (field.p - 1) ** 2 * terms < 1 << 63
 
 
-def _axpy(F, vec, c, row):
-    """vec - c * row, entrywise, as a list."""
-    if F.deg == 1:
-        p = F.p
-        return [(a - c * b) % p for a, b in zip(vec, row)]
-    add, mul, nc = F.add, F.mul, F.neg(c)
-    return [add(a, mul(nc, b)) if b else a for a, b in zip(vec, row)]
-
-
 def _scale(F, c, vec):
     """c * vec, entrywise, as a list."""
     if F.deg == 1:
@@ -389,7 +380,7 @@ class Echelon:
         rows = self._rows
         for i, row in enumerate(rows):
             if row[lead]:
-                rows[i] = _axpy(F, row, row[lead], vec)
+                rows[i] = F.sub_scaled(row, row[lead], vec)
         rows.append(vec)
         self._pivots.append(lead)
         return True
@@ -437,7 +428,7 @@ class Echelon:
         for row, pc in zip(self._rows, self._pivots):
             c = vec[pc]
             if c:
-                vec = _axpy(F, vec, c, row)
+                vec = F.sub_scaled(vec, c, row)
         return vec
 
     # -- numpy backend --------------------------------------------------------
@@ -562,7 +553,7 @@ def _min_distance(field, rows, guard, width=None) -> int:
         word = (0,) * size  # becomes -(coeffs . rows): same rank and weight
         for c, row in zip(coeffs, rows):
             if c:
-                word = _axpy(field, word, c, row)
+                word = field.sub_scaled(word, c, row)
         if width is None:
             stat = sum(map(bool, word))
         else:

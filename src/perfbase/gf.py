@@ -11,13 +11,15 @@ normalised (p, deg, modulus), so the irreducible search, the primitive
 element and the arithmetic tables are paid for once however often a field
 is asked for.  Each kind of field has one arithmetic path.  Prime fields
 work with machine integers mod p.  Extension fields walk the powers of the
-primitive element g once, at construction, with `Field._mul_slow` (the one
-polynomial multiply) to build log, antilog and Zech tables: multiply and
-invert add or negate logs, and a + b = g^(la + zech[lb - la]) with
-zech[i] = log(1 + g^i) (Lidl and Niederreiter, *Finite Fields*).  So
-extension fields stop at 2^16 elements: F_{2^16} takes about 4 s (half of
-it the irreducible search, which doubles in time with each degree) and
-7 MB of tables, and a larger field is refused before any search.
+primitive element g once, at construction, to build log, antilog and Zech
+tables: multiply and invert add or negate logs, and a + b =
+g^(la + zech[lb - la]) with zech[i] = log(1 + g^i) (Lidl and Niederreiter,
+*Finite Fields*).  The modulus search, the primitive element and the walk
+work on plain ints mod p, with `_poly_mulmod` as the one polynomial
+multiply.  Tables take O(q) memory, so extension fields stop at 2^16
+elements: F_{2^16} takes about 0.15 s (half of it the irreducible search,
+which doubles in time with each degree over F_2) and 7 MB of tables, and a
+larger field is refused before any search.
 
 Field and FieldElement are immutable after construction; all operations are
 pure, so values can be shared freely between threads.
@@ -73,10 +75,7 @@ def _is_prime(n: int) -> bool:
 class Field:
     """An exact finite field F_{p^deg} with a fixed monic irreducible modulus."""
 
-    __slots__ = (
-        "p", "deg", "q", "modulus",
-        "_reduction_tail", "_log", "_antilog", "_zech",
-    )
+    __slots__ = ("p", "deg", "q", "modulus", "_log", "_antilog", "_zech")
 
     def __init__(self, p: int, deg: int = 1, modulus=None):
         if p >= _P_LIMIT:
@@ -108,8 +107,6 @@ class Field:
                     raise NotIrreducible(
                         f"modulus {coeffs} is reducible over F_{p}")
             self.modulus = coeffs
-        # x^deg == -(low part of modulus), used to fold products back down
-        self._reduction_tail = tuple((-c) % p for c in self.modulus[:-1])
         if deg > 1:
             self._build_tables()
 
@@ -199,24 +196,22 @@ class Field:
         log = self._log
         return self._antilog[log[a] + log[b]]
 
-    def _mul_slow(self, a: int, b: int) -> int:
-        p = self.p
-        ca = self.coeffs_of(a)
-        cb = self.coeffs_of(b)
-        prod = [0] * (2 * self.deg - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # fold degrees >= deg using x^deg = reduction tail
-        tail = self._reduction_tail
-        for k in range(len(prod) - 1, self.deg - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j, t in enumerate(tail):
-                    prod[k - self.deg + j] = (prod[k - self.deg + j] + c * t) % p
-        return self.enc_of(prod[: self.deg])
+    def sub_scaled(self, vec, c: int, row) -> list:
+        """vec - c * row, entrywise, as a list: the row update of elimination.
+
+        In an extension field log(-c) is looked up once; then an entry with
+        both terms nonzero costs one Zech and one antilog lookup, as in `add`.
+        """
+        if self.deg == 1:
+            p = self.p
+            return [(a - c * b) % p for a, b in zip(vec, row)]
+        if not c:
+            return list(vec)
+        log, antilog, zech, order = self._log, self._antilog, self._zech, self.q - 1
+        ln = log[self.neg(c)]
+        return [(antilog[(la := log[a]) + zech[(ln + log[b] - la) % order]]
+                 if a else antilog[ln + log[b]]) if b else a
+                for a, b in zip(vec, row)]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -236,24 +231,47 @@ class Field:
         antilog has length 3(q-1): two periods of g^i, so a sum of two logs
         needs no reduction, then q-1 zeros.  Where 1 + g^i = 0, zech[i] is
         2(q-1), so `add` lands in the zeros and a + (-a) needs no branch.
+
+        The walk splits a power e = u + P v (P = p^h, h = deg // 2), so that
+        g e = g u + g x^h v.  Both products are looked up in radix 2p - 1,
+        where their digit sum cannot carry; each half of the sum is then
+        reduced mod p and re-encoded by one table of (2p - 1)^(deg - h)
+        entries (fewer than q, but for the 9 of F_8).
         """
-        p, order = self.p, self.q - 1
-        g = _least_primitive(self.q, self._mul_slow)
-        log = [0] * self.q
-        antilog = [0] * (3 * order)
-        x = 1
-        for i in range(order):
+        p, deg, q = self.p, self.deg, self.q
+        order = q - 1
+        tail = [(-c) % p for c in self.modulus[:-1]]  # x^deg, reduced mod f
+        one = [1] + [0] * (deg - 1)
+        # the elements of F_p, encoded below p, have orders dividing p - 1
+        g = _least_primitive(
+            q, p, lambda a, e: _poly_powmod(self.coeffs_of(a), e, tail, p) == one)
+        h = deg // 2
+        P, R = p ** h, 2 * p - 1
+        RH = R ** h
+
+        def times_g(enc):  # in radix R
+            prod = _poly_mulmod(self.coeffs_of(g), self.coeffs_of(enc), tail, p)
+            return sum(c * R ** j for j, c in enumerate(prod))
+
+        low = [times_g(u) for u in range(P)]
+        high = [times_g(v * P) for v in range(q // P)]
+        # radix-R digits, each reduced mod p, in base p; h digits take a prefix
+        red = [0]
+        for j in range(deg - h):
+            red = [t + p ** j * (d % p) for d in range(R) for t in red]
+        walk = []
+        u, v = 1, 0
+        for _ in range(order):
+            walk.append(u + P * v)
+            s = low[u] + high[v]
+            u, v = red[s % RH], red[s // RH]
+        log = [0] * q
+        for i, x in enumerate(walk):
             log[x] = i
-            antilog[i] = antilog[i + order] = x
-            x = self._mul_slow(x, g)
-        zech = [2 * order] * order
-        for i in range(order):
-            x = antilog[i]
-            # 1 + x adds 1 to the constant coefficient, the lowest base-p digit
-            one_plus = x + 1 if x % p != p - 1 else x + 1 - p
-            if one_plus:
-                zech[i] = log[one_plus]
-        self._log, self._antilog, self._zech = log, antilog, zech
+        # 1 + x adds 1 to the constant coefficient, the lowest base-p digit
+        zech = [log[x + 1 - p if x % p == p - 1 else x + 1] for x in walk]
+        zech[log[p - 1]] = 2 * order
+        self._log, self._antilog, self._zech = log, walk + walk + [0] * order, zech
 
 
 class FieldElement:
@@ -357,10 +375,6 @@ class FqPolynomial:
         return cls(field, ())
 
     @classmethod
-    def x(cls, field):
-        return cls(field, (0, 1))
-
-    @classmethod
     def from_roots(cls, field: Field, roots) -> "FqPolynomial":
         poly = cls(field, (1,))
         for r in roots:
@@ -453,17 +467,6 @@ class FqPolynomial:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def monic(self) -> "FqPolynomial":
-        if self.is_zero() or self.is_monic():
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
-
-    def gcd(self, other) -> "FqPolynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
     def evaluate(self, x) -> FieldElement:
         F = self.field
         enc = x.enc if isinstance(x, FieldElement) else int(x)
@@ -472,36 +475,70 @@ class FqPolynomial:
             acc = F.add(F.mul(acc, enc), c)
         return FieldElement(F, acc)
 
-    def pow_mod(self, e: int, modpoly: "FqPolynomial") -> "FqPolynomial":
-        result = FqPolynomial(self.field, (1,))
-        base = self % modpoly
-        while e:
-            if e & 1:
-                result = (result * base) % modpoly
-            base = (base * base) % modpoly
-            e >>= 1
-        return result
-
 
 # --- irreducibility ------------------------------------------------------------
 
+def _poly_mulmod(a, b, tail, p: int) -> list:
+    """a * b mod f over F_p, on coefficient lists (low to high) of length at
+    most deg = len(tail), where x^deg = tail mod f: the one polynomial
+    multiply."""
+    n = len(tail)
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k] % p
+        if c:
+            for j, t in enumerate(tail, k - n):
+                prod[j] += c * t
+    return [c % p for c in prod[:n]]
+
+
+def _poly_powmod(a, e: int, tail, p: int) -> list:
+    """a^e mod f, with the `_poly_mulmod` conventions."""
+    return _power(lambda s, t: _poly_mulmod(s, t, tail, p), a, e,
+                  [1] + [0] * (len(tail) - 1))
+
+
+def _poly_coprime(a, b, p: int) -> bool:
+    """Whether gcd(a, b) = 1 over F_p, for coefficient lists; b[-1] != 0."""
+    while len(b) > 1:
+        a, inv = list(a), pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a.pop() * inv % p
+            for j, y in enumerate(b[:-1], len(a) + 1 - len(b)):
+                a[j] = (a[j] - c * y) % p
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
+
+
 def _poly_is_irreducible(coeffs, p: int) -> bool:
-    """Irreducibility over F_p: root scan for degree <= 3, gcd criterion beyond."""
+    """Irreducibility over F_p of a monic coefficient tuple of degree >= 2.
+
+    A root in F_p is a linear factor, and up to degree 3 every reducible
+    polynomial has one.  Beyond, f is irreducible iff gcd(x^(p^i) - x, f) = 1
+    for 1 <= i <= deg/2 (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, ch. 14); without a root, i = 1 holds already.
+    """
     deg = len(coeffs) - 1
-    Fp = field_make(p)
-    f = FqPolynomial(Fp, coeffs)
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
+    for a in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * a + c) % p
+        if not acc:
+            return False
     if deg <= 3:
-        return all(f.evaluate(a).enc != 0 for a in range(p))
-    x = FqPolynomial.x(Fp)
-    t = x
-    for _ in range(deg // 2):
-        t = t.pow_mod(p, f)
-        g = (t - x).gcd(f)
-        if g.degree > 0:
+        return True
+    tail = [(-c) % p for c in coeffs[:-1]]
+    t = _poly_powmod([0, 1], p, tail, p)  # x^p mod f
+    for _ in range(deg // 2 - 1):
+        t = _poly_powmod(t, p, tail, p)
+        if not _poly_coprime([(c - (j == 1)) % p for j, c in enumerate(t)],
+                             coeffs, p):
             return False
     return True
 
@@ -544,14 +581,17 @@ def find_primitive(field: Field) -> FieldElement:
     """
     if field.deg > 1:
         return FieldElement(field, field._antilog[1])
-    return FieldElement(field, _least_primitive(field.q, field.mul))
+    q = field.q
+    return FieldElement(
+        field, _least_primitive(q, 1, lambda a, e: pow(a, e, q) == 1))
 
 
-def _least_primitive(q: int, mul) -> int:
-    """a is primitive iff a^((q-1)/r) != 1 for every prime r dividing q-1."""
+def _least_primitive(q: int, start: int, is_one) -> int:
+    """Least a >= start of order q - 1, where is_one(a, e) says a^e = 1:
+    a is primitive iff a^((q-1)/r) != 1 for every prime r dividing q-1."""
     exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
-    return next(a for a in range(1, q)
-                if all(_power(mul, a, e) != 1 for e in exponents))
+    return next(a for a in range(start, q)
+                if not any(is_one(a, e) for e in exponents))
 
 
 def _prime_factors(n: int):
@@ -569,9 +609,9 @@ def _prime_factors(n: int):
     return out
 
 
-def _power(mul, a: int, e: int) -> int:
+def _power(mul, a, e: int, one=1):
     """a^e for e >= 0 by square-and-multiply with the given multiply."""
-    result = 1
+    result = one
     while e:
         if e & 1:
             result = mul(result, a)

@@ -666,6 +666,13 @@ def build_mtr(q: int, n: int, m: int, k: int, d: int):
     [d x m, m, d] code with an (m+d-1)-base), shorten to dimension k, then
     append n-d zero rows to both the code and the witness.
     """
+    code, result = _build_mtr(q, n, m, k, d)
+    return code, result.candidate
+
+
+def _build_mtr(q, n, m, k, d):
+    """`build_mtr` with its witness's ConstructionResult, which holds the
+    verification report the CLI's certificate carries."""
     if not (1 <= k <= m and 1 <= d <= n and d <= m):
         raise ParametersOutOfRange("need 1 <= k <= m and 1 <= d <= min(n, m)")
     if q < m + d - 2:
@@ -679,6 +686,5 @@ def build_mtr(q: int, n: int, m: int, k: int, d: int):
         zeros = [[0] * d for _ in range(n - d)]
         witness = extend_base_lindep(witness, zeros)
         sub = RankCode(witness.target)
-    cand = _finish(BaseCandidate(witness.matrices, sub.space), "build-mtr",
-                   {"q": q, "n": n, "m": m, "k": k, "d": d}, {}).candidate
-    return sub, cand
+    return sub, _finish(BaseCandidate(witness.matrices, sub.space), "build-mtr",
+                        {"q": q, "n": n, "m": m, "k": k, "d": d}, {})

@@ -36,7 +36,6 @@ from .exactla import (
     Echelon,
     FqMatrix,
     MatrixSpace,
-    _axpy,
     _int64_safe,
     _min_distance,
     _normalized_vectors,
@@ -372,7 +371,7 @@ class _ListTables:
         if lead is None:
             return rest, False
         row = _scale(F, F.inv(row[lead]), row)
-        return [_axpy(F, r, r[lead], row) if r[lead] else r for r in rest], True
+        return [F.sub_scaled(r, r[lead], row) if r[lead] else r for r in rest], True
 
 
 def _candidate_tables(V: MatrixSpace):

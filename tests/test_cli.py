@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import time
 
 import pytest
 
-from perfbase import cli
+from perfbase import cli, construct, rmcode, tensor3
 from perfbase.cli import (
     dumps_certificate,
     field_from_json,
@@ -198,6 +199,26 @@ def test_main_entry_in_process(tmp_path, capsys):
     assert verdict["base_size"] == 4
     rc = main(["verify", str(out)])
     assert rc == 0
+
+
+def test_construct_build_mtr_verifies_each_base_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(cand):
+        calls.append(cand)
+        return tensor3.verify_base(cand)
+
+    for module in (construct, rmcode, cli):
+        monkeypatch.setattr(module, "verify_base", counting)
+    out = tmp_path / "c.json"
+    assert main(["construct", "build-mtr", "--p", "7", "--n", "4", "--m", "4",
+                 "--k", "2", "--d", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    # the power base of the one-dimensional code, then the shortened witness
+    assert len(calls) == 2
+    # the bytes written while the CLI verified the witness a third time
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "ed3a7d39074e6280b29261d7a683bee5299c520664e2f4bc94cc3db5fce35b8a"
 
 
 def test_verify_large_prime_is_fast_and_p_beyond_2_64_is_input_error(tmp_path, capsys):

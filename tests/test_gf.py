@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 import sys
 import threading
 import time
@@ -138,13 +140,32 @@ LARGE_TABLED = [(7, 3), (5, 4), (7, 4)]  # F_343, F_625, F_2401
 SAMPLED_EXTENSIONS = LARGE_TABLED + [(67, 2), (251, 2)]
 
 
+def reference_mul(F, a, b):
+    """a * b by the schoolbook polynomial multiply, folding with the modulus."""
+    p, deg = F.p, F.deg
+    ca, cb = F.coeffs_of(a), F.coeffs_of(b)
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(ca):
+        if x:
+            for j, y in enumerate(cb):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    tail = [(-c) % p for c in F.modulus[:-1]]
+    for k in range(len(prod) - 1, deg - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for j, t in enumerate(tail):
+                prod[k - deg + j] = (prod[k - deg + j] + c * t) % p
+    return F.enc_of(prod[:deg])
+
+
 def slow_pow(F, a, e):
     """a^e by repeated squaring over the polynomial multiply alone."""
     result = 1
     while e:
         if e & 1:
-            result = F._mul_slow(result, a)
-        a = F._mul_slow(a, a)
+            result = reference_mul(F, result, a)
+        a = reference_mul(F, a, a)
         e >>= 1
     return result
 
@@ -191,7 +212,7 @@ def check_against_references(F, a, b):
     assert F.add(a, b) == reference_add(F, a, b)
     assert F.sub(a, b) == reference_sub(F, a, b)
     assert F.neg(a) == reference_neg(F, a)
-    assert F.mul(a, b) == F._mul_slow(a, b)
+    assert F.mul(a, b) == reference_mul(F, a, b)
     if a:
         assert F.inv(a) == slow_pow(F, a, F.q - 2)
 
@@ -205,7 +226,7 @@ def test_table_arithmetic_matches_polynomial_path_exhaustive(p, deg):
             assert F.add(a, b) == reference_add(F, a, b)
             assert F.sub(a, b) == reference_sub(F, a, b)
         for b in range(a, F.q):
-            assert F.mul(a, b) == F._mul_slow(a, b)
+            assert F.mul(a, b) == reference_mul(F, a, b)
     for a in range(1, F.q):
         assert F.inv(a) == slow_pow(F, a, F.q - 2)
 
@@ -274,8 +295,8 @@ def test_field_make_refuses_extensions_beyond_2_16_before_building(monkeypatch):
     F = Field(251, 2)  # fresh: its tables are built here, above 4096 elements
     for a in range(1, F.q, 97):
         b = (a * 31 + 5) % F.q
-        assert F.mul(a, b) == F._mul_slow(a, b)
-        assert F._mul_slow(a, F.inv(a)) == 1
+        assert F.mul(a, b) == reference_mul(F, a, b)
+        assert reference_mul(F, a, F.inv(a)) == 1
     # the degree is checked before p ** deg is formed
     t0 = time.perf_counter()
     for p, deg in ((257, 2), (3, 11), (2, 17), (2, 10 ** 9)):
@@ -296,10 +317,182 @@ def test_field_make_refuses_extensions_beyond_2_16_before_building(monkeypatch):
             Field(p, deg)
 
 
+# The FqPolynomial gcd test and modulus search that built every extension
+# field before the int-list search, with the FqPolynomial power and gcd they
+# used: the reference the int-list search is compared with.
+
+def reference_pow_mod(f, e, modpoly):
+    result = FqPolynomial(f.field, (1,))
+    base = f % modpoly
+    while e:
+        if e & 1:
+            result = (result * base) % modpoly
+        base = (base * base) % modpoly
+        e >>= 1
+    return result
+
+
+def reference_gcd_degree(a, b):
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.degree
+
+
+def reference_is_irreducible(coeffs, p):
+    deg = len(coeffs) - 1
+    Fp = field_make(p)
+    f = FqPolynomial(Fp, coeffs)
+    if deg <= 0:
+        return False
+    if deg == 1:
+        return True
+    if deg <= 3:
+        return all(f.evaluate(a).enc != 0 for a in range(p))
+    x = FqPolynomial(Fp, (0, 1))
+    t = x
+    for _ in range(deg // 2):
+        t = reference_pow_mod(t, p, f)
+        if reference_gcd_degree(t - x, f) > 0:
+            return False
+    return True
+
+
+def reference_smallest_irreducible(p, deg):
+    for low in itertools.product(range(p), repeat=deg):
+        coeffs = low + (1,)
+        if reference_is_irreducible(coeffs, p):
+            return coeffs
+
+
+def reducible_monics(p, deg):
+    """Every reducible monic polynomial of degree deg over F_p: the products
+    of two monic factors of positive degree."""
+    def monics(d):
+        return [low + (1,) for low in itertools.product(range(p), repeat=d)]
+
+    out = set()
+    for i in range(1, deg // 2 + 1):
+        for f in monics(i):
+            for g in monics(deg - i):
+                prod = [0] * (deg + 1)
+                for a, x in enumerate(f):
+                    for b, y in enumerate(g, a):
+                        prod[b] += x * y
+                out.add(tuple(c % p for c in prod))
+    return out
+
+
+FIELDS_LE_2_12 = [(p, deg) for p in range(2, 65) if _is_prime(p)
+                  for deg in range(2, 13) if p ** deg <= 1 << 12]
+
+
+@pytest.mark.parametrize("p,deg", FIELDS_LE_2_12)
+def test_irreducibility_and_modulus_match_the_references(p, deg):
+    # every monic polynomial against the factor products; the gcd reference
+    # would take about 5 s on all of them (Intel Xeon, Python 3.11), so it
+    # sees those with p^deg <= 2^10
+    reducible = reducible_monics(p, deg)
+    for low in itertools.product(range(p), repeat=deg):
+        coeffs = low + (1,)
+        irreducible = gf._poly_is_irreducible(coeffs, p)
+        assert irreducible == (coeffs not in reducible), coeffs
+        if p ** deg <= 1 << 10:
+            assert irreducible == reference_is_irreducible(coeffs, p), coeffs
+    assert gf._smallest_irreducible(p, deg) == \
+        reference_smallest_irreducible(p, deg)
+
+
+def test_reducible_modulus_is_refused():
+    def product(p, *factors):
+        out = FqPolynomial(field_make(p), (1,))
+        for f in factors:
+            out = out * FqPolynomial(field_make(p), f)
+        return out
+
+    # without a root in F_p, so only the gcd test can refuse them
+    for p, factors in ((7, [(1, 0, 1), (3, 1, 1)]), (7, [(1, 0, 1)] * 2),
+                       (2, [(1, 1, 1)] * 6), (3, [(2, 0, 0, 1, 1), (1, 0, 1)])):
+        f = product(p, *factors)
+        assert all(f.evaluate(a).enc for a in range(p))
+        with pytest.raises(NotIrreducible):
+            Field(p, f.degree, modulus=f.coeffs)
+    with pytest.raises(NotIrreducible):
+        Field(5, 3, modulus=(0, 1, 1, 1))  # root 0
+    with pytest.raises(NotIrreducible):
+        Field(2, 12, modulus=(1,) + (0,) * 11 + (1,))  # root 1
+
+
+def reference_tables(F):
+    """Least primitive g by its factored order test, then log, antilog and
+    Zech tables from g^i, one reference_mul per power."""
+    q, order = F.q, F.q - 1
+    exponents = [order // r for r in range(2, q) if order % r == 0
+                 and _is_prime(r)]
+    mul = functools.partial(reference_mul, F)
+    g = next(a for a in range(1, q)
+             if all(gf._power(mul, a, e) != 1 for e in exponents))
+    log, antilog, x = [0] * q, [0] * (3 * order), 1
+    for i in range(order):
+        log[x] = i
+        antilog[i] = antilog[i + order] = x
+        x = mul(x, g)
+    zech = [2 * order] * order
+    for i in range(order):
+        one_plus = reference_add(F, antilog[i], 1)
+        if one_plus:
+            zech[i] = log[one_plus]
+    return log, antilog, zech
+
+
+@pytest.mark.parametrize("p,deg", [(2, 2), (3, 3), (7, 3), (5, 4), (7, 4),
+                                   (2, 12), (67, 2)])
+def test_tables_match_a_walk_with_the_reference_multiply(p, deg):
+    F = Field(p, deg)
+    assert (F._log, F._antilog, F._zech) == reference_tables(F)
+
+
+def test_fields_are_built_on_plain_ints(monkeypatch):
+    class Used(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Used
+
+    modulus = field_make(7, 4).modulus
+    monkeypatch.setattr(gf, "FqPolynomial", refuse)
+    monkeypatch.setattr(gf, "field_make", refuse)
+    for F in (Field(7, 4), Field(2, 12), Field(7, 4, modulus=modulus)):
+        assert F.mul(F.p, F.inv(F.p)) == 1
+
+
+def reference_sub_scaled(F, vec, c, row):
+    """vec - c * row by one Field.add and one Field.mul per entry."""
+    nc = F.neg(c)
+    return [F.add(a, F.mul(nc, b)) if b else a for a, b in zip(vec, row)]
+
+
+@pytest.mark.parametrize("p,deg", [(2, 1), (5, 1), (7, 1)] + EXTENSIONS_LE_125
+                         + [(7, 4)])
+def test_sub_scaled_matches_add_and_mul(p, deg):
+    F = field_make(p, deg)
+    if F.q <= 125:  # every pair (a, b), zeros included
+        vec = [a for a in range(F.q) for _ in range(F.q)]
+        row = list(range(F.q)) * F.q
+    else:
+        rnd = random.Random(p ** deg)
+        vec = [rnd.randrange(F.q) if rnd.random() < 0.8 else 0 for _ in range(4000)]
+        row = [rnd.randrange(F.q) if rnd.random() < 0.8 else 0 for _ in range(4000)]
+    g = find_primitive(F).enc
+    for c in (0, 1, F.neg(1), g, F.q - 1):
+        assert F.sub_scaled(vec, c, row) == reference_sub_scaled(F, vec, c, row)
+    assert F.sub_scaled(vec, 1, vec) == [0] * len(vec)  # a + (-a)
+    assert F.sub_scaled(vec, F.neg(1), [F.neg(a) for a in vec]) == [0] * len(vec)
+
+
 def test_tables_are_safe_to_share_between_threads():
     F = Field(7, 4)
     pairs = [(a, (a * 37 + 11) % F.q) for a in range(F.q)]
-    expected = [F._mul_slow(a, b) for a, b in pairs]
+    expected = [reference_mul(F, a, b) for a, b in pairs]
     results = {}
     start = threading.Barrier(8, timeout=60)
 
