@@ -58,16 +58,16 @@ def build_certificates():
 
     # 13-member dual-power base, m=4, s=3
     res = base_dual_powers(CompanionSpec(F5, 4, (1, 0, 0, 0)), 3)
-    write("dual_powers_f5_m4_s3.cert.json", certificate_from_result(F5, res))
+    write("dual_powers_f5_m4_s3.cert.json", certificate_from_result(res))
 
     # 7-member rectangular family base with the two displayed corrections
     f = FqPolynomial.from_roots(F7, [1, 2]) * FqPolynomial(F7, (4, 0, 6, 1))
     res = base_rect_small_n(CompanionSpec.from_polynomial(f), 3)
-    write("rect_family_f7_m5_n3.cert.json", certificate_from_result(F7, res))
+    write("rect_family_f7_m5_n3.cert.json", certificate_from_result(res))
 
     # 7-member inverse-power base whose powers 2 and 3 admit no extension
     res = base_inverse_family(CompanionSpec(F7, 5, (3, 6, 0, 0, 0)))
-    write("inverse_family_f7_m5.cert.json", certificate_from_result(F7, res))
+    write("inverse_family_f7_m5.cert.json", certificate_from_result(res))
 
     # the row-extension instance: six 4x4 members against a four-row code
     spec = CompanionSpec.from_polynomial(FqPolynomial(F5, (2, 4, 4, 0, 1)))
@@ -99,7 +99,7 @@ def build_certificates():
 
     # the smallest verified dual evaluation-code instance
     code, res = dual_gabidulin_mtr_base(3, 3, 3)
-    cert = certificate_from_result(field_make(3), res, {
+    cert = certificate_from_result(res, {
         "q": 3, "n": 3, "m": 3, "k": code.k, "d": code.distance(),
         "mtr": True,
         "space_basis": [matrix_to_json(B) for B in code.space.basis],

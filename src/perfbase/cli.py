@@ -85,10 +85,11 @@ def _check_size(*groups):
                 f"input declares more than {MAX_INPUT_ENTRIES} matrix entries")
 
 
-def certificate_from_result(field: Field, result, code_info=None) -> dict:
+def certificate_from_result(result, code_info=None) -> dict:
+    """The certificate of a ConstructionResult, labelled with its matrices' field."""
     cert = {
         "schema_version": SCHEMA_VERSION,
-        "field": field_to_json(field),
+        "field": field_to_json(result.candidate.target.field),
         "construction": {"name": result.construction,
                          "params": result.params},
         "target_basis": [matrix_to_json(B) for B in result.candidate.target.basis],
@@ -219,10 +220,13 @@ def _guard(args, default: int) -> int:
 
 
 def cmd_construct(args) -> int:
+    name = args.kind
+    # the code constructions always build over the prime field
+    if name in ("gabidulin-dual-mtr", "build-mtr") and args.deg != 1:
+        raise ParametersOutOfRange(f"{name} builds over F_p: --deg must be 1")
     field = _field_from_args(args)
     guard = _guard(args, rmcode.DEFAULT_SCAN_GUARD)
     code_info = None
-    name = args.kind
     if name == "dual-powers":
         _require(args, "s")
         spec = _spec_from_args(field, args)
@@ -258,7 +262,7 @@ def cmd_construct(args) -> int:
         code_info = _code_info(code, guard, mtr=True)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(name)
-    cert = certificate_from_result(field, result, code_info)
+    cert = certificate_from_result(result, code_info)
     out = args.out or f"{name}.cert.json"
     write_certificate(cert, out)
     print(json.dumps({"ok": True, "construction": name,
@@ -299,7 +303,7 @@ def cmd_oracle(args) -> int:
     guard = _guard(args, DEFAULT_GUARD)
     trk, witness = exhaustive_trk(space, guard)
     result = cons._finish(witness, "oracle", {"guard": guard}, {})
-    cert = certificate_from_result(space.field, result)
+    cert = certificate_from_result(result)
     cert["tensor_rank"] = trk
     if args.out:
         write_certificate(cert, args.out)

@@ -5,11 +5,15 @@ their rectangular truncations, left-factor variants, the inverse-power family
 bases (diagonalizable part plus one or two companion-difference corrections),
 the singular-companion glue, and the square-plus-one-column pencil base.
 
-Every constructor verifies its own output (rank one, independent, contains
-the target) before returning; a failure raises InternalVerificationError and
-is always a bug, never a caller error.  All constructors are pure.  The one
-helper that does this, `_finish`, also finishes rmcode's constructions and
-the `build-mtr` and `oracle` certificates of the command line.
+Every public constructor verifies its own output once (rank one,
+independent, contains the target) before returning; a failure raises
+InternalVerificationError and is always a bug, never a caller error.  All
+constructors are pure.  The one helper that verifies, `_finish`, runs only
+at a public entry, on the object it returns.  Compositions (the singular
+glue, rmcode's dual evaluation codes) take members from the unverified
+builder `_power_members`, not from a public constructor, so no part of a
+result is verified on its own.  `_finish` also finishes rmcode's
+constructions and the `oracle` certificate of the command line.
 """
 
 from __future__ import annotations
@@ -195,43 +199,16 @@ def _power_target(spec: CompanionSpec, s: int, left=None) -> MatrixSpace:
     return MatrixSpace(spec.field, cur.shape, slices).dual_complement()
 
 
-def _shift_family_members(spec: CompanionSpec, s: int, S: GammaSet,
-                          nrows: int, max_i_unit: int, max_i_eps: int):
-    """Members J^i E (M^{-i})^t for the unit and geometric rank-one seeds.
+def _power_members(spec: CompanionSpec, nrows: int, s: int,
+                   S: GammaSet | None = None):
+    """Checked members J^i E (M^{-i})^t of the nrows x m dual-power base.
 
     Per shift index i: the geometric members first (in S order, while
-    i <= max_i_eps), then the single-entry members for columns s+1..m (while
-    i <= max_i_unit).  Rows beyond `nrows` are never touched, so the list is
-    built at the truncated shape directly.
+    i <= nrows-2), then the single-entry members for columns s+1..m (while
+    i <= nrows-1).  Rows beyond `nrows` are never touched, so the list is
+    built at the truncated shape directly.  Returns (members, S), S defaulting
+    to the canonical gamma set.
     """
-    F = spec.field
-    m = spec.m
-    Minv_t = companion_inverse(spec).transpose()
-    T = FqMatrix.identity(F, m)  # (M^{-i})^t, updated incrementally
-    members = []
-    for i in range(max(max_i_unit, max_i_eps) + 1):
-        if i <= max_i_eps:
-            for g in S.elements:
-                geo = [F.pow(g, m - 1 - j) for j in range(m)]
-                rowvec = _vec_mat(F, geo, T)
-                rows = [[0] * m for _ in range(nrows)]
-                rows[i] = rowvec
-                rows[i + 1] = [F.neg(F.mul(g, v)) for v in rowvec]
-                members.append(FqMatrix(F, rows))
-        if i <= max_i_unit:
-            for j in range(s + 1, m + 1):
-                rows = [[0] * m for _ in range(nrows)]
-                rows[i] = list(T.rows[j - 1])
-                members.append(FqMatrix(F, rows))
-        T = Minv_t @ T
-    return members
-
-
-def _vec_mat(F, vec, M: FqMatrix):
-    return list((FqMatrix(F, [vec]) @ M).rows[0])
-
-
-def _check_power_family_args(spec, s, S):
     if not spec.invertible:
         raise SingularM("a_1 = 0: use the singular-companion constructor")
     if not 1 <= s <= spec.m - 1:
@@ -242,7 +219,30 @@ def _check_power_family_args(spec, s, S):
         S = GammaSet.canonical(spec.field, s)
     if S.field != spec.field or len(S) != s:
         raise BadGammaSet("gamma set must have s elements of the same field")
-    return S
+    F = spec.field
+    m = spec.m
+    Minv_t = companion_inverse(spec).transpose()
+    T = FqMatrix.identity(F, m)  # (M^{-i})^t, updated incrementally
+    members = []
+    for i in range(nrows):
+        if i <= nrows - 2:
+            for g in S.elements:
+                geo = [F.pow(g, m - 1 - j) for j in range(m)]
+                rowvec = _vec_mat(F, geo, T)
+                rows = [[0] * m for _ in range(nrows)]
+                rows[i] = rowvec
+                rows[i + 1] = [F.neg(F.mul(g, v)) for v in rowvec]
+                members.append(FqMatrix(F, rows))
+        for j in range(s + 1, m + 1):
+            rows = [[0] * m for _ in range(nrows)]
+            rows[i] = list(T.rows[j - 1])
+            members.append(FqMatrix(F, rows))
+        T = Minv_t @ T
+    return tuple(members), S
+
+
+def _vec_mat(F, vec, M: FqMatrix):
+    return list((FqMatrix(F, [vec]) @ M).rows[0])
 
 
 # --- power-family dual bases -----------------------------------------------------
@@ -251,14 +251,9 @@ def _check_power_family_args(spec, s, S):
 def base_dual_powers(spec: CompanionSpec, s: int,
                      S: GammaSet | None = None) -> ConstructionResult:
     """(m^2-s)-base for the dual of the span of I, M, ..., M^{s-1}."""
-    S = _check_power_family_args(spec, s, S)
-    m = spec.m
-    members = _shift_family_members(spec, s, S, nrows=m,
-                                    max_i_unit=m - 1, max_i_eps=m - 2)
-    target = _power_target(spec, s)
-    cand = BaseCandidate(tuple(members), target)
-    return _finish(cand, "dual-powers",
-                   {"m": m, "s": s, "bottom": list(spec.bottom),
+    members, S = _power_members(spec, spec.m, s, S)
+    return _finish(BaseCandidate(members, _power_target(spec, s)), "dual-powers",
+                   {"m": spec.m, "s": s, "bottom": list(spec.bottom),
                     "gammas": list(S.elements)}, {})
 
 
@@ -267,12 +262,9 @@ def base_dual_powers_rect(spec: CompanionSpec, n: int, s: int,
     """(nm-s)-base for the dual of the truncated power span in K^{n x m}."""
     if not 2 <= n <= spec.m:
         raise ParametersOutOfRange("need 2 <= n <= m")
-    S = _check_power_family_args(spec, s, S)
-    members = _shift_family_members(spec, s, S, nrows=n,
-                                    max_i_unit=n - 1, max_i_eps=n - 2)
+    members, S = _power_members(spec, n, s, S)
     target = _power_target(spec, s, y_matrix(spec.field, n, spec.m))
-    cand = BaseCandidate(tuple(members), target)
-    return _finish(cand, "dual-powers-rect",
+    return _finish(BaseCandidate(members, target), "dual-powers-rect",
                    {"m": spec.m, "n": n, "s": s, "bottom": list(spec.bottom),
                     "gammas": list(S.elements)}, {})
 
@@ -280,16 +272,13 @@ def base_dual_powers_rect(spec: CompanionSpec, n: int, s: int,
 def base_left_factor(spec: CompanionSpec, s: int, B: FqMatrix,
                      S: GammaSet | None = None) -> ConstructionResult:
     """(m^2-s)-base for the dual of the span of B^{-1}M^r, r < s."""
-    S = _check_power_family_args(spec, s, S)
+    members, S = _power_members(spec, spec.m, s, S)
     m = spec.m
     if B.shape != (m, m) or B.field != spec.field or not B.is_invertible():
         raise Singular("B must be an invertible m x m matrix")
     Bt = B.transpose()
-    members = [Bt @ A for A in
-               _shift_family_members(spec, s, S, nrows=m,
-                                     max_i_unit=m - 1, max_i_eps=m - 2)]
-    target = _power_target(spec, s, B.inverse())
-    cand = BaseCandidate(tuple(members), target)
+    cand = BaseCandidate(tuple(Bt @ A for A in members),
+                         _power_target(spec, s, B.inverse()))
     return _finish(cand, "left-factor",
                    {"m": m, "s": s, "bottom": list(spec.bottom),
                     "gammas": list(S.elements), "B": [list(r) for r in B.rows]},
@@ -437,31 +426,15 @@ def base_inverse_family(spec: CompanionSpec,
     F = spec.field
     m = spec.m
     M = companion(spec)
-    aux = {}
     if r == 0:
         P = _left_eigenrows(M, alphas)
         members = _projectors(P)
-        aux["P"] = P
+        aux = {"P": P}
     else:
         if r >= 4 and extra_powers:
             raise UnsupportedCofactorDegree(
                 "extra powers need a cofactor of degree at most 3")
-        betas, _ = _beta_pool(F, alphas, r, allow_zero_fallback=(r == 2))
-        h = FqPolynomial.from_roots(F, betas)
-        Mg = CompanionSpec.from_polynomial(g).matrix()
-        Mh = CompanionSpec.from_polynomial(h).matrix()
-        P = _split_block_form(spec, alphas, g)
-        Q1 = _left_eigenrows(Mh, betas)
-        Q = _identity_block_diag(F, m - r, Q1)
-        members = _projectors(Q @ P)
-        Pinv = P.inverse()
-        D1 = _embed_bottom_right(F, m, Mg - Mh)
-        members.append(Pinv @ D1 @ P)
-        aux.update({"P": P, "Q": Q, "M_h": Mh, "D1": D1})
-        if r >= 3:
-            D2 = _embed_bottom_right(F, m, Mg.inverse() - Mh.inverse())
-            members.append(Pinv @ D2 @ P)
-            aux["D2"] = D2
+        members, aux = _block_split(spec, alphas, g, m)
     slices = [FqMatrix.identity(F, m), M, companion_inverse(spec)]
     for e in extra_powers:
         slices.append(M.power(e))
@@ -470,6 +443,34 @@ def base_inverse_family(spec: CompanionSpec,
     return _finish(cand, "inverse-family",
                    {"m": m, "bottom": list(spec.bottom),
                     "extra_powers": list(extra_powers)}, aux)
+
+
+def _block_split(spec: CompanionSpec, alpha_encs, g: FqPolynomial, nrows: int):
+    """Members from the block form of M with a rootless cofactor g of degree r >= 2.
+
+    P puts M in block form (`_split_block_form`); M_h is the companion of r
+    fresh split scalars standing in for the g-block, and Q diagonalizes it, so
+    the projectors of QP are rank ones.  The corrections P^{-1} D P, for D the
+    bottom-right embedding of M_g - M_h (and of M_g^{-1} - M_h^{-1} when
+    r >= 3), restore the g-block.  Every member keeps its first `nrows` rows.
+    Returns (members, auxiliary matrices).
+    """
+    F = spec.field
+    m, r = spec.m, g.degree
+    betas, _ = _beta_pool(F, alpha_encs, r, allow_zero_fallback=(r == 2))
+    h = FqPolynomial.from_roots(F, betas)
+    Mg = CompanionSpec.from_polynomial(g).matrix()
+    Mh = CompanionSpec.from_polynomial(h).matrix()
+    P = _split_block_form(spec, alpha_encs, g)
+    Q = _identity_block_diag(F, m - r, _left_eigenrows(Mh, betas))
+    members = _projectors(Q @ P, nrows)
+    Pinv = P.inverse()
+    aux = {"P": P, "Q": Q, "M_h": Mh, "D1": _embed_bottom_right(F, m, Mg - Mh)}
+    if r >= 3:
+        aux["D2"] = _embed_bottom_right(F, m, Mg.inverse() - Mh.inverse())
+    members += [FqMatrix._of(F, (Pinv @ aux[D] @ P).rows[:nrows])
+                for D in ("D1", "D2") if D in aux]
+    return members, aux
 
 
 def _identity_block_diag(F, head: int, B: FqMatrix) -> FqMatrix:
@@ -546,17 +547,7 @@ def base_rect_small_n(spec: CompanionSpec, n: int,
         core.append(D1)
         aux.update({"P": P, "M_h": Mh, "D1": D1})
     elif r == 2:
-        betas, _ = _beta_pool(F, alphas, r, allow_zero_fallback=True)
-        h = FqPolynomial.from_roots(F, betas)
-        Mg = CompanionSpec.from_polynomial(g).matrix()
-        Mh = CompanionSpec.from_polynomial(h).matrix()
-        P = _split_block_form(spec, alphas, g)
-        Q1 = _left_eigenrows(Mh, betas)
-        Q = _identity_block_diag(F, m - 2, Q1)
-        core = _projectors(Q @ P, nrows=n)
-        D1 = _embed_bottom_right(F, m, Mg - Mh)
-        core.append(Y @ (P.inverse() @ D1 @ P))
-        aux.update({"P": P, "Q": Q, "M_h": Mh, "D1": D1})
+        core, aux = _block_split(spec, alphas, g, n)
     else:
         betas, _ = _beta_pool(F, alphas, r, allow_zero_fallback=False)
         h = FqPolynomial.from_roots(F, alphas + betas)
@@ -587,37 +578,32 @@ def base_singular(spec: CompanionSpec, s: int) -> ConstructionResult:
     """(m^2-s)-base for the dual power span when the companion may be singular.
 
     Dispatches on the least index i with a_i != 0: an invertible companion
-    delegates to the main construction, the mid-range cases glue a shift-dual
-    base with a trailing-block base, and the i in {m-1, m} fringes use the
-    2x2 quadratic or singular pair on the trailing block.
+    takes the main construction's members, the mid-range cases glue a
+    shift-dual base with a trailing-block base, and the i in {m-1, m} fringes
+    use the 2x2 quadratic or singular pair on the trailing block.
     """
+    members, case = _singular_members(spec, s)
+    return _finish(BaseCandidate(tuple(members), _power_target(spec, s)), "singular",
+                   {"m": spec.m, "s": s, "bottom": list(spec.bottom),
+                    "case": case}, {})
+
+
+def _singular_members(spec: CompanionSpec, s: int):
+    """The members of `base_singular` and the name of the case that built them."""
     m = spec.m
     F = spec.field
     nz = [j for j, a in enumerate(spec.bottom, start=1) if a != 0]
     i = nz[0] if nz else None
-    target = _power_target(spec, s)
 
     if i == 1:
         if 1 <= s <= m - 1:
-            inner = base_dual_powers(spec, s)
-            return _finish(BaseCandidate(inner.candidate.matrices, target),
-                           "singular", {"m": m, "s": s,
-                                        "bottom": list(spec.bottom), "case": "invertible"},
-                           inner.auxiliary)
+            return _power_members(spec, m, s)[0], "invertible"
         if m == 2 and s == 2:
-            pair = _quadratic_pair(F, spec.bottom[0], spec.bottom[1])
-            cand = BaseCandidate(tuple(pair), target)
-            return _finish(cand, "singular",
-                           {"m": m, "s": s, "bottom": list(spec.bottom),
-                            "case": "quadratic"}, {})
+            return _quadratic_pair(F, spec.bottom[0], spec.bottom[1]), "quadratic"
         raise CaseNotCovered("invertible companion with s out of range")
 
     if s == 1:
-        members = _identity_dual_members(F, m)
-        cand = BaseCandidate(tuple(members), target)
-        return _finish(cand, "singular",
-                       {"m": m, "s": 1, "bottom": list(spec.bottom),
-                        "case": "identity-dual"}, {})
+        return _shift_dual_members(F, m, m, 1), "identity-dual"
 
     if i is None:
         raise CaseNotCovered(
@@ -625,29 +611,27 @@ def base_singular(spec: CompanionSpec, s: int) -> ConstructionResult:
 
     if 2 <= i <= m - 1 and 1 <= s <= m - i:
         tail = CompanionSpec(F, m - i + 1, spec.bottom[i - 1:])
-        tail_base = base_dual_powers(tail, s).candidate.matrices
-        return _glue(spec, s, target, i, tail_base, case="glued")
+        return _glue(spec, s, i, _power_members(tail, tail.m, s)[0]), "glued"
 
     if i == m - 1 and s == 2:
         pair = _quadratic_pair(F, spec.bottom[m - 2], spec.bottom[m - 1])
-        return _glue(spec, s, target, i, tuple(pair), case="glued-quadratic")
+        return _glue(spec, s, i, pair), "glued-quadratic"
 
     if i == m and s == 2:
         pair = _singular_pair(F, spec.bottom[m - 1])
         if m == 2:
-            cand = BaseCandidate(tuple(pair), target)
-            return _finish(cand, "singular",
-                           {"m": m, "s": s, "bottom": list(spec.bottom),
-                            "case": "trailing-pair"}, {})
-        return _glue(spec, s, target, m - 1, tuple(pair), case="glued-trailing")
+            return pair, "trailing-pair"
+        return _glue(spec, s, m - 1, pair), "glued-trailing"
 
     raise CaseNotCovered(f"no construction for least nonzero index {i}, s={s}")
 
 
-def _identity_dual_members(F, m):
-    """Base of the trace-zero space from the invertible cyclic-shift companion."""
-    aux_spec = CompanionSpec(F, m, (1,) + (0,) * (m - 1))
-    return base_dual_powers(aux_spec, 1).candidate.matrices
+def _shift_dual_members(F, m, nrows, s):
+    """Dual-power members of the cyclic-shift companion J, on `nrows` rows.
+
+    With nrows = m and s = 1 they are a base of the trace-zero space.
+    """
+    return _power_members(CompanionSpec(F, m, (1,) + (0,) * (m - 1)), nrows, s)[0]
 
 
 def _quadratic_pair(F, a1, a2):
@@ -672,15 +656,13 @@ def _singular_pair(F, a2):
     return [first, second]
 
 
-def _glue(spec, s, target, i, tail_members, case):
+def _glue(spec, s, i, tail_members):
     """Stack a shift-dual base over an embedded trailing-block base."""
     F = spec.field
     m = spec.m
-    shift_spec = CompanionSpec(F, m, (1,) + (0,) * (m - 1))
-    top = base_dual_powers_rect(shift_spec, n=i, s=s).candidate.matrices
     members = []
     seen = set()
-    for A in top:
+    for A in _shift_dual_members(F, m, i, s):
         padded = FqMatrix(F, list(A.rows) + [[0] * m for _ in range(m - i)])
         members.append(padded)
         seen.add(padded.rows)
@@ -698,10 +680,7 @@ def _glue(spec, s, target, i, tail_members, case):
     if len(members) != m * m - s:
         raise InternalVerificationError(
             f"glued base has {len(members)} members, expected {m * m - s}")
-    cand = BaseCandidate(tuple(members), target)
-    return _finish(cand, "singular",
-                   {"m": m, "s": s, "bottom": list(spec.bottom), "case": case},
-                   {})
+    return members
 
 
 # --- the square-plus-one-column pencil ----------------------------------------------

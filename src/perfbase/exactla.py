@@ -17,9 +17,9 @@ input alone:
 - prime fields with rows at least `_NUMPY_MIN_WIDTH` (20) wide, and p small
   enough that int64 sums of products cannot overflow (`_int64_safe`, the
   package's one int64 rule), use numpy row operations;
-- all other rows are Python lists, with inline arithmetic mod p over prime
-  fields, and the table-driven `Field.add` and `Field.mul` over extension
-  fields.
+- all other rows are Python lists, updated by `Field.sub_scaled`: inline
+  arithmetic mod p over prime fields, one log/Zech/antilog lookup per entry
+  over extension fields.
 
 Every minimum distance is one scan, `_min_distance`: rmcode's
 `min_rank_distance` and `min_hamming_distance` (behind certificate

@@ -27,7 +27,7 @@ from .construct import (
     CompanionSpec,
     ConstructionResult,
     _finish,
-    base_dual_powers_rect,
+    _power_members,
 )
 from .errors import (
     BadEta,
@@ -51,7 +51,7 @@ from .exactla import (
     _projective_count,
     _solve_combination,
 )
-from .gf import Field, FieldElement, FqPolynomial, field_make, find_primitive
+from .gf import Field, FieldElement, field_make, find_primitive
 from .tensor3 import BaseCandidate, kruskal_bound, verify_base
 
 DEFAULT_SCAN_GUARD = 1 << 24
@@ -110,12 +110,21 @@ class GammaBasis:
         """
         if self.m < 2:
             raise ParametersOutOfRange("companions need m >= 2")
+        top = self.ext_field.pow(self._generator(), self.m)
+        return CompanionSpec(self.base_field, self.m, self.expand_scalar(top))
+
+    def _generator(self) -> int:
+        """The a of a power basis (1, a, ..., a^{m-1}); 1 when m = 1.
+
+        ParametersOutOfRange for a basis of m >= 2 elements of any other form.
+        """
+        if self.m == 1:
+            return 1
         a = self.elements[1]
         if any(self.elements[i] != self.ext_field.pow(a, i)
                for i in range(self.m)):
             raise ParametersOutOfRange("not a power basis")
-        top = self.ext_field.pow(a, self.m)
-        return CompanionSpec(self.base_field, self.m, self.expand_scalar(top))
+        return a
 
     def mult_matrix(self, beta) -> FqMatrix:
         """Right-multiplication matrix of beta in this coordinate frame."""
@@ -393,58 +402,53 @@ def one_dim_power_base(gamma: GammaBasis, s: int) -> ConstructionResult:
     """(m+s-1)-base for the expansion of the one-dimensional power code.
 
     Built by evaluation at m+s-2 points plus a leading-coefficient term: each
-    member is an outer product of a point-power column with the reduction of
-    the matching interpolation polynomial modulo the generator's minimal
-    polynomial.  Needs q >= m+s-2 distinct points.
+    member is an outer product of a point-power column with the coordinates
+    of the matching interpolation polynomial evaluated at the generator.
+    Needs a power basis and q >= m+s-2 distinct points.
+    """
+    return _finish(_power_candidate(gamma, s), "one-dim-interpolation",
+                   {"q": gamma.q, "m": gamma.m, "s": s}, {})
+
+
+def _power_candidate(gamma: GammaBasis, s: int) -> BaseCandidate:
+    """The unverified base of `one_dim_power_base`.
+
+    For each point c, the member's row is the power-basis coordinates of
+    l_c(a) = prod_{c' != c} (a - c') / (c - c'), computed in F_{q^m}; the
+    last member carries prod_c (a - c) in its bottom row.
     """
     Fq = gamma.base_field
+    ext = gamma.ext_field
     m = gamma.m
     if not 1 <= s <= m:
         raise ParametersOutOfRange("need 1 <= s <= m")
     npts = m + s - 2
     if Fq.q < npts:
         raise FieldTooSmall(f"need q >= {npts} evaluation points")
-    minpoly = _generator_min_poly(gamma)
-    points = list(range(npts))
-    members = []
-    pi_all = FqPolynomial(Fq, (1,))
-    for c in points:
-        pi_all = pi_all * FqPolynomial(Fq, (Fq.neg(c), 1))
-    for c in points:
-        lag = FqPolynomial(Fq, (1,))
-        denom = 1
-        for c2 in points:
+    a = gamma._generator()
+    # a base-field scalar c is the extension element of encoding c
+    diffs = [ext.sub(a, c) for c in range(npts)]
+    values = []
+    for c in range(npts):
+        num = denom = 1
+        for c2 in range(npts):
             if c2 != c:
-                lag = lag * FqPolynomial(Fq, (Fq.neg(c2), 1))
+                num = ext.mul(num, diffs[c2])
                 denom = Fq.mul(denom, Fq.sub(c, c2))
-        lag = lag.scale(Fq.inv(denom))
-        r = _poly_coords(lag % minpoly, m)
+        values.append(ext.mul(num, Fq.inv(denom)))
+    pi_all = 1
+    for diff in diffs:
+        pi_all = ext.mul(pi_all, diff)
+    coords = gamma_expand(values + [pi_all], gamma).rows
+    members = []
+    for c in range(npts):
         col = [Fq.pow(c, t) for t in range(s)]
-        members.append(FqMatrix(Fq, [[Fq.mul(a, b) for b in r] for a in col]))
-    r_inf = _poly_coords(pi_all % minpoly, m)
+        members.append(FqMatrix(Fq, [[Fq.mul(x, y) for y in coords[c]] for x in col]))
     rows = [[0] * m for _ in range(s)]
-    rows[s - 1] = list(r_inf)
+    rows[s - 1] = list(coords[npts])
     members.append(FqMatrix(Fq, rows))
-
     target = gamma_expand_code(power_vector_code(gamma, s), gamma).space
-    return _finish(BaseCandidate(tuple(members), target), "one-dim-interpolation",
-                   {"q": Fq.p, "m": m, "s": s}, {})
-
-
-def _generator_min_poly(gamma: GammaBasis) -> FqPolynomial:
-    """Minimal polynomial of the power-basis generator over the base field."""
-    Fq = gamma.base_field
-    m = gamma.m
-    if m == 1:
-        # the generator is 1; x - 1 keeps the interpolation machinery uniform
-        return FqPolynomial(Fq, (Fq.neg(1), 1))
-    spec = gamma.generator_companion()
-    return spec.char_poly()
-
-
-def _poly_coords(f: FqPolynomial, m: int):
-    out = list(f.coeffs) + [0] * (m - len(f.coeffs))
-    return out[:m]
+    return BaseCandidate(tuple(members), target)
 
 
 def power_vector_code(gamma: GammaBasis, s: int) -> VectorCode:
@@ -462,10 +466,16 @@ def one_dim_row_base(gamma: GammaBasis, v_row) -> ConstructionResult:
     scalar's multiplication matrix, and dependent entries are appended as
     fixed row combinations.
     """
+    v = [x.enc if isinstance(x, FieldElement) else int(x) for x in v_row]
+    return _finish(_row_candidate(gamma, v), "one-dim-row",
+                   {"q": gamma.q, "m": gamma.m, "row": list(v)}, {})
+
+
+def _row_candidate(gamma: GammaBasis, v) -> BaseCandidate:
+    """The unverified base of `one_dim_row_base` for a row of encodings."""
     ext = gamma.ext_field
     Fq = gamma.base_field
     m = gamma.m
-    v = [x.enc if isinstance(x, FieldElement) else int(x) for x in v_row]
     if not any(v):
         raise ParametersOutOfRange("the row must be nonzero")
     entry_rows = gamma_expand(v, gamma).rows
@@ -487,14 +497,14 @@ def one_dim_row_base(gamma: GammaBasis, v_row) -> ConstructionResult:
     if not L.is_invertible():
         raise InternalVerificationError("independent entries became dependent")
 
-    power = one_dim_power_base(gamma, s)
-    core = [L @ A @ mult_pi for A in power.candidate.matrices]
+    power = _power_candidate(gamma, s)
+    core = [L @ A @ mult_pi for A in power.matrices]
 
     lambdas = _combinations(Fq, [entry_rows[i] for i in idx],
                             [entry_rows[t] for t in dep])
     reduced_target = MatrixSpace(
         Fq, (s, m),
-        [L @ B @ mult_pi for B in power.candidate.target.basis])
+        [L @ B @ mult_pi for B in power.target.basis])
     cand = extend_base_lindep(
         BaseCandidate(tuple(core), reduced_target), lambdas)
     # rows are currently ordered [independent..., dependent...]; restore order
@@ -504,8 +514,7 @@ def one_dim_row_base(gamma: GammaBasis, v_row) -> ConstructionResult:
     target = MatrixSpace(
         Fq, (len(v), m),
         [_permute_rows(B, restore) for B in cand.target.basis])
-    return _finish(BaseCandidate(members, target), "one-dim-row",
-                   {"q": Fq.p, "m": m, "row": list(v)}, {})
+    return BaseCandidate(members, target)
 
 
 def _permute_rows(M: FqMatrix, perm) -> FqMatrix:
@@ -560,9 +569,7 @@ def dual_gabidulin_mtr_base(q: int, m: int, n: int,
     primal_v = VectorCode(ext, [[power.elements[i] for i in range(n)]])
     primal = gamma_expand_code(primal_v, power)
     code = dual_code(primal)
-    spec = power.generator_companion()
-    inner = base_dual_powers_rect(spec, n, m - 1)
-    members = inner.candidate.matrices
+    members, _ = _power_members(power.generator_companion(), n, m - 1)
     if gamma is not None and gamma.elements != power.elements:
         T = gamma.frame_change_from(power)
         primal = RankCode(primal.space.transform(
@@ -597,11 +604,11 @@ def two_dim_bound(G_rows, gamma: GammaBasis):
         res = one_dim_row_base(gamma, red.rows[0])
         size = res.candidate.size
         return size, size, res.candidate
-    parts = [one_dim_row_base(gamma, red.rows[i]) for i in range(2)]
-    union = list(parts[0].candidate.matrices) + list(parts[1].candidate.matrices)
+    parts = [_row_candidate(gamma, red.rows[i]) for i in range(2)]
+    union = parts[0].matrices + parts[1].matrices
     probe = Echelon(Fq, union[0].n * union[0].m)
     picked = [A for A in union if probe.insert(A.vectorize())]
-    target = parts[0].candidate.target.sum_with(parts[1].candidate.target)
+    target = parts[0].target.sum_with(parts[1].target)
     cand = _finish(BaseCandidate(tuple(picked), target), "two-dim-bound",
                    {"q": Fq.p, "m": m}, {}).candidate
     # rank weight is invariant under F_{q^m} scalars, so the q^m + 1
@@ -677,11 +684,10 @@ def _build_mtr(q, n, m, k, d):
         raise ParametersOutOfRange("need 1 <= k <= m and 1 <= d <= min(n, m)")
     if q < m + d - 2:
         raise FieldTooSmall("need q >= m + d - 2")
-    gamma = GammaBasis.power(q, m)
-    base = one_dim_power_base(gamma, d)
-    C0 = RankCode(base.candidate.target)
+    base = _power_candidate(GammaBasis.power(q, m), d)
+    C0 = RankCode(base.target)
     S = list(range(k + d - 1))
-    sub, witness = shorten_mtr(C0, base.candidate, S)
+    sub, witness = shorten_mtr(C0, base, S)
     if n > d:
         zeros = [[0] * d for _ in range(n - d)]
         witness = extend_base_lindep(witness, zeros)

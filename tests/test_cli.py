@@ -214,11 +214,54 @@ def test_construct_build_mtr_verifies_each_base_once(tmp_path, capsys, monkeypat
     assert main(["construct", "build-mtr", "--p", "7", "--n", "4", "--m", "4",
                  "--k", "2", "--d", "3", "--out", str(out)]) == 0
     capsys.readouterr()
-    # the power base of the one-dimensional code, then the shortened witness
-    assert len(calls) == 2
+    # the shortened witness only: the power base it came from is not checked
+    assert len(calls) == 1
     # the bytes written while the CLI verified the witness a third time
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "ed3a7d39074e6280b29261d7a683bee5299c520664e2f4bc94cc3db5fce35b8a"
+
+
+@pytest.mark.parametrize("kind", ["build-mtr", "gabidulin-dual-mtr"])
+def test_code_constructions_refuse_extension_degrees(tmp_path, capsys, kind):
+    # they build over F_p; an F_25 label would make `verify` reject the code
+    out = tmp_path / "c.json"
+    assert main(["construct", kind, "--p", "5", "--deg", "2", "--n", "2",
+                 "--m", "2", "--k", "2", "--d", "2", "--out", str(out)]) == 2
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input" and not out.exists()
+
+
+@pytest.mark.parametrize("args,field", [
+    (["dual-powers", "--p", "5", "--deg", "2", "--s", "2",
+      "--bottom", "1,7,9"], (5, 2)),
+    (["dual-powers-rect", "--p", "5", "--n", "2", "--s", "2",
+      "--bottom", "1,2,3,4"], (5, 1)),
+    (["inverse-family", "--p", "7", "--bottom", "3,6,0,0,0"], (7, 1)),
+    (["rect-small-n", "--p", "7", "--n", "2", "--bottom", "3,6,0,0,0"], (7, 1)),
+    (["singular", "--p", "5", "--deg", "2", "--s", "2",
+      "--bottom", "0,1,2,0"], (5, 2)),
+    (["atkinson", "--p", "5", "--n", "3"], (5, 1)),
+    (["gabidulin-dual-mtr", "--p", "3", "--m", "3", "--n", "3"], (3, 1)),
+    (["build-mtr", "--p", "5", "--n", "2", "--m", "2", "--k", "2",
+      "--d", "2"], (5, 1)),
+], ids=lambda v: v[0] if isinstance(v, list) else "F%d^%d" % v)
+def test_certificate_field_is_the_field_of_its_matrices(tmp_path, capsys,
+                                                        monkeypatch, args, field):
+    built = []
+    make = cli.certificate_from_result
+
+    def recording(result, *rest):
+        built.append(result.candidate.target.field)
+        return make(result, *rest)
+
+    monkeypatch.setattr(cli, "certificate_from_result", recording)
+    out = tmp_path / "c.json"
+    assert main(["construct", *args, "--out", str(out)]) == 0
+    cert = load_certificate(out)
+    assert cert["field"] == cli.field_to_json(built[0])
+    assert (built[0].p, built[0].deg) == field
+    assert main(["verify", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_verify_large_prime_is_fast_and_p_beyond_2_64_is_input_error(tmp_path, capsys):

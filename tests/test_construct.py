@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfbase import construct, rmcode, tensor3
 from perfbase.construct import (
     CompanionSpec,
     GammaSet,
@@ -442,3 +443,47 @@ def test_constructors_self_verify_randomized(q, m, data):
     n = data.draw(st.integers(2, m))
     res = base_dual_powers_rect(spec, n, s)
     assert res.report.passed and res.candidate.size == n * m - s
+
+
+# --- each result is verified once ------------------------------------------------------
+
+def _two_row_bound():
+    g = rmcode.GammaBasis.power(5, 4)
+    return rmcode.two_dim_bound([[1, 0, 524, 498], [0, 1, 415, 311]], g)
+
+
+def _one_dim_row():
+    g = rmcode.GammaBasis.power(5, 4)
+    a = g.elements[1]
+    return rmcode.one_dim_row_base(g, [1, 0, a, g.ext_field.add(1, a)])
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: base_singular(spec_of(F5, 1, 0, 0, 0), 2), id="invertible"),
+    pytest.param(lambda: base_singular(spec_of(F5, 0, 0, 0), 1), id="identity-dual"),
+    pytest.param(lambda: base_singular(spec_of(F5, 0, 1, 2, 0), 2), id="glued"),
+    pytest.param(lambda: base_singular(spec_of(F7, 0, 3, 1, 2, 4), 3), id="glued-m5"),
+    pytest.param(lambda: base_singular(spec_of(F5, 0, 0, 2, 1), 2), id="glued-quadratic"),
+    pytest.param(lambda: base_singular(spec_of(F5, 0, 0, 0, 2), 2), id="glued-trailing"),
+    pytest.param(lambda: rmcode.dual_gabidulin_mtr_base(5, 3, 3), id="gabidulin-dual"),
+    pytest.param(_one_dim_row, id="one-dim-row"),
+    pytest.param(lambda: rmcode.build_mtr(7, 4, 4, 2, 3), id="build-mtr"),
+    pytest.param(_two_row_bound, id="two-dim-bound-two-rows"),
+])
+def test_composed_constructions_verify_once(monkeypatch, build):
+    calls = []
+
+    def counting(cand):
+        calls.append(cand)
+        return tensor3.verify_base(cand)
+
+    for module in (construct, rmcode):
+        monkeypatch.setattr(module, "verify_base", counting)
+    out = build()
+    # a result, (code, result), (code, witness) or (lower, upper, witness)
+    returned = out[-1] if isinstance(out, tuple) else out
+    if isinstance(returned, construct.ConstructionResult):
+        assert returned.report.passed
+        returned = returned.candidate
+    # one check, on the very object that is returned
+    assert len(calls) == 1 and calls[0] is returned

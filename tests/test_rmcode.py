@@ -24,6 +24,7 @@ from perfbase.rmcode import (
     GammaBasis,
     RankCode,
     VectorCode,
+    _power_candidate,
     build_mtr,
     dual_code,
     dual_gabidulin_mtr_base,
@@ -414,6 +415,76 @@ def test_one_dim_power_base_all_row_counts(q, m):
         # the target is the expansion of the one-dimensional power code
         C = RankCode(res.candidate.target)
         assert C.k == m and C.distance() == s
+
+
+def _lagrange_mod_minpoly(gamma, s):
+    """Reference members of `one_dim_power_base`: each Lagrange polynomial on
+    the points 0..m+s-3 (and their product, for the last member) as a
+    polynomial over F_q, reduced modulo the generator's minimal polynomial."""
+    Fq, m = gamma.base_field, gamma.m
+    minpoly = (gamma.generator_companion().char_poly() if m > 1
+               else FqPolynomial(Fq, (Fq.neg(1), 1)))
+    points = range(m + s - 2)
+
+    def coords(f):
+        return (list((f % minpoly).coeffs) + [0] * m)[:m]
+
+    members = []
+    pi_all = FqPolynomial(Fq, (1,))
+    for c in points:
+        pi_all = pi_all * FqPolynomial(Fq, (Fq.neg(c), 1))
+        lag, denom = FqPolynomial(Fq, (1,)), 1
+        for c2 in points:
+            if c2 != c:
+                lag = lag * FqPolynomial(Fq, (Fq.neg(c2), 1))
+                denom = Fq.mul(denom, Fq.sub(c, c2))
+        r = coords(lag.scale(Fq.inv(denom)))
+        members.append(FqMatrix(Fq, [[Fq.mul(Fq.pow(c, t), b) for b in r]
+                                     for t in range(s)]))
+    rows = [[0] * m for _ in range(s)]
+    rows[s - 1] = coords(pi_all)
+    members.append(FqMatrix(Fq, rows))
+    return tuple(members)
+
+
+POWER_BASE_CASES = [(q, m, s) for q in (2, 3, 5, 7, 11, 13)
+                    for m in range(1, 17) if q ** m <= 1 << 16
+                    for s in range(1, m + 1) if q >= m + s - 2]
+
+
+def test_power_base_case_count():
+    assert len(POWER_BASE_CASES) == 56
+
+
+@pytest.mark.parametrize("q,m,s", POWER_BASE_CASES)
+def test_power_candidate_matches_lagrange_mod_minpoly(q, m, s):
+    g = GammaBasis.power(q, m)
+    assert _power_candidate(g, s).matrices == _lagrange_mod_minpoly(g, s)
+
+
+def test_one_dim_power_base_needs_a_power_basis_and_covers_m_1():
+    power = GammaBasis.power(5, 3)
+    ext = power.ext_field
+    a = power.elements[1]
+    # a * (1, a, a^2) is a basis, but not of the form (1, b, b^2)
+    shifted = GammaBasis(ext, [ext.mul(a, x) for x in power.elements])
+    with pytest.raises(ParametersOutOfRange, match="not a power basis"):
+        one_dim_power_base(shifted, 2)
+    res = one_dim_power_base(GammaBasis.power(5, 1), 1)
+    assert res.candidate.matrices == (FqMatrix(F5, [[1]]),)
+    assert res.report.passed
+
+
+def test_one_dim_row_base_needs_a_power_basis_and_covers_m_1():
+    power = GammaBasis.power(5, 3)
+    ext = power.ext_field
+    a = power.elements[1]
+    shifted = GammaBasis(ext, [ext.mul(a, x) for x in power.elements])
+    with pytest.raises(ParametersOutOfRange, match="not a power basis"):
+        one_dim_row_base(shifted, shifted.elements)
+    res = one_dim_row_base(GammaBasis.power(5, 1), [1, 2, 3])
+    assert res.report.passed and res.candidate.size == 1
+    assert res.candidate.target.shape == (3, 1)
 
 
 def test_one_dim_row_base_general_rows():
