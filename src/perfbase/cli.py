@@ -151,14 +151,15 @@ def reverify(cert: dict, guard: int) -> dict:
         dim_ok = rank_code.k == claimed_k
         d_real = rank_code.distance(guard)
         d_ok = d_real == claimed_d
-        verdict["code_checks"] = {"dim_ok": dim_ok, "distance": d_real,
-                                  "distance_ok": d_ok, "space_ok": space_ok}
+        facts_ok = [int(code[key]) for key in "qnm"] == [field.q, *shape]
+        verdict["code_checks"] = {"dim_ok": dim_ok, "distance": d_real, "distance_ok": d_ok,
+                                  "facts_ok": facts_ok, "space_ok": space_ok}
         if code.get("mtr"):
             mtr_ok = (report.passed and space_ok and dim_ok and d_ok
                       and len(base_mats) == kruskal_bound(claimed_k, claimed_d))
             verdict["code_checks"]["mtr_ok"] = mtr_ok
             verdict["ok"] = verdict["ok"] and mtr_ok
-        verdict["ok"] = verdict["ok"] and space_ok and dim_ok and d_ok
+        verdict["ok"] = verdict["ok"] and facts_ok and space_ok and dim_ok and d_ok
     return verdict
 
 

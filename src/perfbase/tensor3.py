@@ -11,12 +11,12 @@ to leading coefficient one) and searches independent subsets in lexicographic
 order, so the returned witness is the lexicographically least successful
 subset.  It starts at the Kruskal bound dim V + d - 1, with d from the
 package's one distance scan `exactla._min_distance` when V has at most 4096
-words up to scalar, and at dim V otherwise.  Each candidate is reduced modulo
-V once.  Every node of the search then holds the residues of the remaining
-candidates modulo the chosen span and modulo the chosen span plus V, so a
-membership test reads whether two table rows are zero, and a pick updates the
-later rows of each table with one rank-one update: int64 numpy over prime
-fields, lists with `Field` arithmetic over extension fields.  A work guard
+words up to scalar, and at dim V otherwise.  A search node holds the residues
+of the later candidates modulo the chosen span and modulo the chosen span plus
+V (int64 numpy over prime fields, lists with `Field` arithmetic otherwise).
+It reads the projective class of each table row once, and its children's
+membership tests are bit operations on the rows of those classes.  Only a
+child with a viable pick and a level below it gets tables.  A work guard
 bounds the number of subset-membership tests, counted as if the candidates
 were tested one at a time; sharded runs must reduce with lexicographic
 minimum to preserve that contract.  Inputs whose candidate list would exceed
@@ -164,10 +164,7 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
 
 
 def _leading_index(vec):
-    for i, v in enumerate(vec):
-        if v:
-            return i
-    return None
+    return next((i for i, v in enumerate(vec) if v), None)
 
 
 # --- rank-one enumeration and the exact oracle -----------------------------------
@@ -179,12 +176,9 @@ def rank_one_matrices(field: Field, n: int, m: int):
     Both factors are normalized to leading coefficient 1; the order is
     lexicographic in (u, v) encodings with u varying slowest.
     """
-    out = []
-    for u in _normalized_vectors(field, n):
-        for v in _normalized_vectors(field, m):
-            out.append(FqMatrix(field,
-                                [[field.mul(a, b) for b in v] for a in u]))
-    return out
+    return [FqMatrix(field, [[field.mul(a, b) for b in v] for a in u])
+            for u in _normalized_vectors(field, n)
+            for v in _normalized_vectors(field, m)]
 
 
 # exhaustive_trk refuses a space whose candidate list would hold more entries
@@ -231,7 +225,12 @@ def _rank_levels(V: MatrixSpace, limit: int):
     if k == 0:
         yield 0, [], 0
         return
-    tables, A, Q = _candidate_tables(V)
+    # numpy's inverse table has p entries: the size check keeps p below 2^19
+    # in every space but a 1x1 one, which has a single candidate
+    tables = (_NumpyTables if width > 1 and _int64_safe(field, width)
+              else _ListTables)(field)
+    A = tables.candidates(n, m)
+    Q = tables.quotient(A, V, [j for j in range(width) if j not in V._pivots])
     start = k  # raised to the Kruskal bound when V's scan is at most 4096 words
     if _projective_count(field.q, k) <= 4096:
         start = kruskal_bound(k, _min_distance(field, V._rrows, 4096, m))
@@ -239,7 +238,7 @@ def _rank_levels(V: MatrixSpace, limit: int):
     for R in range(start, width + 1):
         before = budget[0]
         found = _search_subsets(tables, A, Q, k, R, budget, limit)
-        witness = None if found is None else [tables.vector(A, i) for i in found]
+        witness = None if found is None else [tuple(map(int, A[i])) for i in found]
         yield R, witness, before - budget[0]
         if witness is not None:
             return
@@ -285,28 +284,32 @@ def rank_one_completion_exists(span_space: MatrixSpace, targets,
 
 # --- the oracle's subset search ---------------------------------------------------
 #
-# Each DFS node holds two residue tables for the candidates from `start` on:
-# A, their residues modulo span(chosen), and Q, their residues modulo
-# span(chosen) + V, taken in the coordinates of K^{nm} that are not pivots of
-# V.  A candidate is independent of the chosen ones when its A row is nonzero,
-# and grows span(chosen) + V when its Q row is nonzero, so a membership test
-# is a lookup.  A pick eliminates its own row's lead column from the later
-# rows of each table, one rank-one update per table.
+# A DFS node holds two residue tables for the candidates from `start` on: A,
+# their residues modulo span(chosen), and Q, their residues modulo
+# span(chosen) + V, in V's non-pivot coordinates.  A candidate is independent
+# of the chosen ones when its A row is nonzero, and grows span(chosen) + V
+# when its Q row is nonzero.  Picking row i zeroes exactly the later rows
+# that are scalar multiples of row i, so a node reads each table's row
+# classes once and derives its children's nonzero rows with bit operations.
 
 
 class _NumpyTables:
     """Residue tables as int64 arrays, over prime fields small enough that
-    the products of two entries, summed over a row, fit in int64."""
+    the products of two entries, summed over a row, fit in int64.  A class id
+    packs the row scaled to leading coefficient 1 as a base-p integer, which
+    is exact: p^(nm) < 2^63 for every input the oracle admits."""
 
     def __init__(self, field):
         import numpy
 
         self.np = numpy
         self.field = field
-        self.p = field.p
+        self.p = p = field.p
+        self.inv = numpy.array([pow(a, p - 2, p) for a in range(p)], dtype=numpy.int64)
 
     def candidates(self, n, m):
         np, p = self.np, self.p
+        self.powers = p ** np.arange(n * m, dtype=np.int64)
         U = np.array(list(_normalized_vectors(self.field, n)), dtype=np.int64)
         W = np.array(list(_normalized_vectors(self.field, m)), dtype=np.int64)
         return (U[:, None, :, None] * W[None, :, None, :] % p).reshape(-1, n * m)
@@ -317,32 +320,30 @@ class _NumpyTables:
         A = (A - A[:, list(V._pivots)] @ rows) % self.p
         return np.ascontiguousarray(A[:, free])
 
-    def vector(self, T, i):
-        return tuple(T[i].tolist())
-
-    def nonzero(self, T, stop):
-        """Bit i set when row i < stop of the table is nonzero."""
-        mask = T[:stop].any(axis=1)
-        return int.from_bytes(self.np.packbits(mask, bitorder="little").tobytes(),
-                              "little")
+    def classes(self, T, stop):
+        """(bits, ids, masks) for the rows i < stop of T: bit i is set when row
+        i is nonzero, ids[i] is the class id of row i (0 for a zero row), and
+        masks maps each class id to the bits of its rows."""
+        np, w = self.np, T.shape[1]  # w = 0 when V is the whole space
+        T = T[:stop]
+        lead = T[np.arange(len(T)), (T != 0).argmax(axis=1)] if w else 0
+        ids = ((T * self.inv[lead, None] % self.p) @ self.powers[:w]).tolist()
+        masks = _class_masks(ids)
+        return ((1 << len(ids)) - 1) & ~masks.get(0, 0), ids, masks
 
     def pick(self, T, i):
-        """(rows after i modulo row i, whether row i was nonzero)."""
-        p = self.p
-        row = T[i]
-        rest = T[i + 1:]
+        """The rows after i modulo the nonzero row i."""
+        row, rest = T[i], T[i + 1:]
         lead = _leading_index(row.tolist())
-        if lead is None:
-            return rest, False
-        row = row * pow(int(row[lead]), p - 2, p) % p
-        out = rest[:, lead, None] * row
+        out = rest[:, lead, None] * (row * self.inv[row[lead]] % self.p)
         self.np.subtract(rest, out, out=out)
-        out %= p
-        return out, True
+        out %= self.p
+        return out
 
 
 class _ListTables:
-    """Residue tables as lists of lists, with `Field` arithmetic."""
+    """Residue tables as lists of lists, with `Field` arithmetic.  A class id
+    is the row scaled to leading coefficient 1, as a tuple."""
 
     def __init__(self, field):
         self.field = field
@@ -353,41 +354,28 @@ class _ListTables:
     def quotient(self, A, V, free):
         return [[res[j] for j in free] for res in map(V.reduce_vector, A)]
 
-    def vector(self, T, i):
-        return tuple(T[i])
-
-    def nonzero(self, T, stop):
-        bits = 0
-        for i in range(stop):
-            if any(T[i]):
-                bits |= 1 << i
-        return bits
+    def classes(self, T, stop):
+        """As `_NumpyTables.classes`."""
+        F, ids = self.field, []
+        for row in T[:stop]:
+            lead = _leading_index(row)
+            ids.append(tuple(row if lead is None else _scale(F, F.inv(row[lead]), row)))
+        bits = sum(1 << i for i, c in enumerate(ids) if any(c))
+        return bits, ids, _class_masks(ids)
 
     def pick(self, T, i):
-        F = self.field
-        row = T[i]
-        rest = T[i + 1:]
+        F, row = self.field, T[i]
         lead = _leading_index(row)
-        if lead is None:
-            return rest, False
         row = _scale(F, F.inv(row[lead]), row)
-        return [F.sub_scaled(r, r[lead], row) if r[lead] else r for r in rest], True
+        return [F.sub_scaled(r, r[lead], row) if r[lead] else r for r in T[i + 1:]]
 
 
-def _candidate_tables(V: MatrixSpace):
-    """(tables, A, Q): the rank-one candidates in canonical order, and their
-    residues modulo V in V's non-pivot coordinates."""
-    field = V.field
-    n, m = V.shape
-    width = n * m
-    if _int64_safe(field, width):
-        tables = _NumpyTables(field)
-    else:
-        tables = _ListTables(field)
-    A = tables.candidates(n, m)
-    pivots = set(V._pivots)
-    free = [j for j in range(width) if j not in pivots]
-    return tables, A, tables.quotient(A, V, free)
+def _class_masks(ids):
+    """Class id -> the bits of the rows with that id."""
+    masks = {}
+    for i, c in enumerate(ids):
+        masks[c] = masks.get(c, 0) | 1 << i
+    return masks
 
 
 def _search_subsets(tables, A, Q, k, R, budget, limit):
@@ -396,8 +384,8 @@ def _search_subsets(tables, A, Q, k, R, budget, limit):
 
     Each candidate a node tests costs one unit of `budget`, as in a search
     that tests them one at a time: candidates that cannot be picked are
-    charged in bulk, and a pick at depth R - 1 is decided from the tables
-    without a child node.
+    charged in bulk, and a node with no viable pick, or whose pick is the
+    last, is decided from its parent's bits without tables.
     """
     n_cand = len(A)
 
@@ -409,25 +397,28 @@ def _search_subsets(tables, A, Q, k, R, budget, limit):
                 progress={"phase": "oracle", "R": R,
                           "tests_used": max(limit, 0)})
 
-    def dfs(t, start, av, A, Q):
+    def last(start, stop, viable):
+        # A viable last pick gives R independent members inside a span of
+        # dim R containing V (av < R means V is inside span(chosen)).
+        if not viable:
+            charge(stop)
+            return None
+        i = (viable & -viable).bit_length() - 1
+        charge(i + 1)
+        return [start + i]
+
+    def node(t, start, av, A, Q):
         # av = dim(span(chosen) + V); a pick must keep it at most R.  The
         # node tests its first `stop` candidates: a later pick would leave
         # fewer candidates after it than the R - t - 1 picks still needed.
+        # Its classes take one row more, the last one its children test.
+        # There are at least nm >= R candidates, so stop >= 1.
         stop = n_cand - start - (R - t) + 1
-        if stop <= 0:
-            return None
-        independent = tables.nonzero(A, stop)
-        outside = tables.nonzero(Q, stop)
-        viable = independent & ~outside if av == R else independent
-        if t == R - 1:
-            # A viable last pick gives R independent members inside a span
-            # of dim R containing V (av < R means V is inside span(chosen)).
-            if not viable:
-                charge(stop)
-                return None
-            i = (viable & -viable).bit_length() - 1
-            charge(i + 1)
-            return [start + i]
+        independent, ids_a, masks_a = tables.classes(A, stop + 1)
+        outside, ids_q, masks_q = tables.classes(Q, stop + 1)
+        viable = (independent & ~outside if av == R else independent) & ((1 << stop) - 1)
+        if t == R - 1:  # the root, when R = 1
+            return last(start, stop, viable)
         tested = 0
         while viable:
             low = viable & -viable
@@ -435,12 +426,20 @@ def _search_subsets(tables, A, Q, k, R, budget, limit):
             i = low.bit_length() - 1
             charge(i + 1 - tested)
             tested = i + 1
-            A2, _ = tables.pick(A, i)
-            Q2, grew = tables.pick(Q, i)
-            hit = dfs(t + 1, start + i + 1, av + grew, A2, Q2)
+            # the pick zeroes the later rows of row i's class (a zero Q row
+            # changes nothing: its class holds only zero rows)
+            grew = outside >> i & 1
+            independent2 = (independent & ~masks_a[ids_a[i]]) >> (i + 1)
+            outside2 = (outside & ~masks_q[ids_q[i]]) >> (i + 1)
+            viable2 = independent2 & ~outside2 if av + grew == R else independent2
+            if t + 2 == R or not viable2:
+                hit = last(start + i + 1, stop - i, viable2)
+            else:
+                hit = node(t + 1, start + i + 1, av + grew, tables.pick(A, i),
+                           tables.pick(Q, i) if grew else Q[i + 1:])
             if hit is not None:
                 return [start + i] + hit
         charge(stop - tested)
         return None
 
-    return dfs(0, 0, k, A, Q)
+    return node(0, 0, k, A, Q)

@@ -124,6 +124,24 @@ def test_verify_rejects_code_space_other_than_target(tmp_path):
     assert not checks["space_ok"] and not checks["mtr_ok"]
 
 
+@pytest.mark.parametrize("facts", [{"q": 99, "n": 17, "m": 1}, {"q": 9},
+                                   {"n": 4}, {"m": 2}])
+def test_verify_rejects_wrong_code_facts(tmp_path, facts):
+    # q, n and m are claims about the code: they must match the certificate's
+    # field and the target's shape, or verify fails
+    cert = load_certificate(os.path.join(FIXDIR, "gabidulin_dual_f3_m3_n3.cert.json"))
+    assert reverify(cert, rmcode.DEFAULT_SCAN_GUARD)["code_checks"]["facts_ok"]
+    cert["code"].update(facts)
+    bad = tmp_path / "facts.json"
+    bad.write_text(dumps_certificate(cert))
+    proc = run_cli(["verify", str(bad)])
+    assert proc.returncode == 1
+    verdict = last_json(proc)
+    assert not verdict["ok"] and not verdict["code_checks"]["facts_ok"]
+    checks = verdict["code_checks"]
+    assert checks["space_ok"] and checks["dim_ok"] and checks["distance_ok"]
+
+
 def test_fixtures_match_their_generator():
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "make_fixtures.py"), "--check"],

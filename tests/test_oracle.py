@@ -7,24 +7,34 @@ tensor rank, the same witness and the same number of membership tests at
 every candidate rank R, so its guard fires on exactly the same inputs.
 """
 
+import itertools
 import json
 import random
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from perfbase import tensor3
 from perfbase.cli import main
 from perfbase.errors import GuardExceeded, ParametersOutOfRange
-from perfbase.exactla import FqMatrix, MatrixSpace, dual_complement
+from perfbase.exactla import (
+    FqMatrix,
+    MatrixSpace,
+    _int64_safe,
+    _projective_count,
+    dual_complement,
+)
 from perfbase.gf import field_make
 from perfbase.tensor3 import exhaustive_trk, kruskal_bound, rank_one_matrices
 
 F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(2, 2)
+F5 = field_make(5)
+F7 = field_make(7)
 
 
 # --- the reference search -------------------------------------------------------
@@ -182,11 +192,157 @@ def test_table_search_matches_reference_on_small_fields(F, V):
     assert levels[-1][2] > 0
 
 
+def _pencil(F, bottom):
+    """<I, C> for the companion matrix C with the given bottom row."""
+    n = len(bottom)
+    C = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)] + [list(bottom)]
+    return _space(F, [[[int(i == j) for j in range(n)] for i in range(n)], C])
+
+
+CUBIC_BOTTOMS_F3 = list(itertools.product(range(3), repeat=3))
+# x^3 (nilpotent C), x^3 - x (split), x^3 - x - 2 (irreducible) and six
+# more: tensor rank 3 and 4, one level searched and two
+SOME_CUBIC_BOTTOMS_F3 = [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 0, 2), (1, 1, 1),
+                         (1, 2, 2), (2, 0, 1), (2, 1, 0), (2, 2, 1)]
+
+
+@pytest.mark.parametrize("bottom", list(itertools.product(range(2), repeat=3)))
+def test_table_search_matches_reference_on_cubic_pencils_over_f2(bottom):
+    _assert_same_levels(_pencil(F2, bottom))
+
+
+@pytest.mark.parametrize("bottom", SOME_CUBIC_BOTTOMS_F3)
+def test_table_search_matches_reference_on_cubic_pencils_over_f3(bottom):
+    _assert_same_levels(_pencil(F3, bottom))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("bottom", CUBIC_BOTTOMS_F3)
+def test_table_search_matches_reference_on_every_cubic_pencil_over_f3(bottom):
+    _assert_same_levels(_pencil(F3, bottom))
+
+
 def test_list_tables_match_numpy_tables_over_prime_fields(monkeypatch):
-    spaces = [V for _, V in SMALL_FIELD_CASES if V.field.deg == 1][::2]
+    spaces = ([V for _, V in SMALL_FIELD_CASES if V.field.deg == 1][::2]
+              + _random_spaces(F5, 3, (1, 2, 8), 51)
+              + _random_spaces(F7, 2, (1, 2, 3), 71))
     expected = [table_levels(V) for V in spaces]
     monkeypatch.setattr(tensor3, "_NumpyTables", tensor3._ListTables)
     assert [table_levels(V) for V in spaces] == expected
+
+
+# --- row classes ---------------------------------------------------------------------
+
+
+def _backends(F, n, m):
+    """Both table backends over F, ready for n x m rows (numpy only over F_p)."""
+    backends = [tensor3._ListTables(F)]
+    if F.deg == 1:
+        backends.append(tensor3._NumpyTables(F))
+    for tables in backends:
+        tables.candidates(n, m)
+    return backends
+
+
+def _as_table(tables, rows):
+    if isinstance(tables, tensor3._NumpyTables):
+        return tables.np.array(rows, dtype=tables.np.int64).reshape(len(rows), -1)
+    return [list(r) for r in rows]
+
+
+def _multiples(F, u, v):
+    return any(all(F.mul(c, a) == b for a, b in zip(u, v)) for c in range(1, F.q))
+
+
+def _class_bits(rows, i):
+    return sum(1 << j for j, v in enumerate(rows) if v == rows[i])
+
+
+@pytest.mark.parametrize("F,n", [(F2, 3), (F3, 3), (F4, 2), (F5, 2), (F7, 2)])
+def test_classes_are_exact_projective_classes(F, n):
+    # every vector of F^n, twice, in a shuffled order: ids agree exactly for
+    # scalar multiples, the zero rows have an id of their own, and masks hold
+    # the rows of each class
+    rows = list(itertools.product(range(F.q), repeat=n)) * 2
+    random.Random(F.q).shuffle(rows)
+    for tables in _backends(F, 1, n):
+        bits, ids, masks = tables.classes(_as_table(tables, rows), len(rows))
+        assert bits == sum(1 << i for i, r in enumerate(rows) if any(r))
+        assert len(ids) == len(rows)
+        for i, u in enumerate(rows):
+            for j, v in enumerate(rows):
+                same = (not any(u) and not any(v)) or (
+                    any(u) and any(v) and _multiples(F, u, v))
+                assert (ids[i] == ids[j]) == same, (tables, u, v)
+        assert len(set(ids)) == 1 + (F.q ** n - 1) // (F.q - 1)
+        assert masks == {c: _class_bits(ids, i) for i, c in enumerate(ids)}
+
+
+def test_classes_read_only_the_first_stop_rows():
+    rows = [[1, 2, 0], [0, 0, 0], [2, 4, 0], [0, 1, 3], [1, 1, 0], [0, 0, 0],
+            [0, 3, 4]]
+    for tables in _backends(F5, 1, 3):
+        bits, ids, masks = tables.classes(_as_table(tables, rows), len(rows))
+        assert bits == 0b1011101
+        assert ids[0] == ids[2] and ids[3] == ids[6] and ids[1] == ids[5]
+        assert len({ids[0], ids[1], ids[3], ids[4]}) == 4
+        assert masks == {ids[0]: 0b101, ids[1]: 0b100010, ids[3]: 0b1001000,
+                         ids[4]: 0b10000}
+        bits, ids, masks = tables.classes(_as_table(tables, rows), 4)
+        assert bits == 0b1101 and len(ids) == 4
+        assert masks == {ids[0]: 0b101, ids[1]: 0b10, ids[3]: 0b1000}
+
+
+@pytest.mark.parametrize("F,V", [(F, V) for F, V in SMALL_FIELD_CASES
+                                 if V.shape == (2, 2)])
+def test_a_pick_zeroes_exactly_the_class_of_its_row(F, V):
+    # the lemma the search rests on: after picking the nonzero row i, the
+    # nonzero later rows are the nonzero rows outside row i's class
+    n, m = V.shape
+    for tables in _backends(F, n, m):
+        A = tables.candidates(n, m)
+        pivots = set(V._pivots)
+        Q = tables.quotient(A, V, [j for j in range(n * m) if j not in pivots])
+        for T in (A, Q):
+            size = len(T)
+            bits, ids, masks = tables.classes(T, size)
+            for i in range(size):
+                if bits >> i & 1:
+                    child, _, _ = tables.classes(tables.pick(T, i), size)
+                    assert child == (bits & ~masks[ids[i]]) >> (i + 1)
+
+
+def test_packed_class_ids_fit_in_int64():
+    # numpy class ids pack a row of n*m entries as a base-p integer.  Every
+    # (p, n, m) that the oracle's size check and _int64_safe admit has
+    # p^(nm) < 2^63, and p < 2^19 (the inverse table) once nm > 1.
+    limit = (1 << 19) + 64  # past the next prime above 2^19
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(limit ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+    primes = [p for p in range(limit + 1) if sieve[p]]
+    checked = 0
+    for n in range(1, 21):
+        for m in range(1, 21):
+            width = n * m
+            cap = tensor3.ORACLE_MAX_ENTRIES // width
+            if width == 1:
+                # one candidate for every p, and list tables: _int64_safe
+                # alone bounds p, below 2^32
+                assert not _int64_safe(SimpleNamespace(p=(1 << 32) + 1, deg=1), 1)
+                continue
+            for p in primes:
+                F = field_make(p)
+                if _projective_count(p, n) * _projective_count(p, m) > cap:
+                    break  # the count grows with p
+                if _int64_safe(F, width):
+                    assert p ** width < 1 << 63 and p < 1 << 19, (p, n, m)
+                    checked += 1
+            else:
+                raise AssertionError(f"{n}x{m} admits a prime beyond 2^19")
+    assert checked > 40000
 
 
 def test_oracle_over_a_prime_beyond_int64_products():
@@ -211,6 +367,13 @@ def test_guard_boundary_is_the_exact_test_count(deg):
             exhaustive_trk(V, limit=total - 1)
         assert info.value.progress == {"phase": "oracle", "R": trk,
                                        "tests_used": total - 1}
+
+
+def test_guard_on_a_quartic_pencil_over_f5():
+    # <I, C((x-1)^2 (x-2)(x-3))>: 24336 candidates, undecided at R = 4
+    with pytest.raises(GuardExceeded) as info:
+        exhaustive_trk(_pencil(F5, (4, 2, 3, 2)), limit=10 ** 6)
+    assert info.value.progress == {"phase": "oracle", "R": 4, "tests_used": 10 ** 6}
 
 
 def test_guard_progress_names_the_rank_reached():
