@@ -28,7 +28,7 @@ from .errors import (
     ParametersOutOfRange,
     PerfbaseError,
 )
-from .exactla import FqMatrix, MatrixSpace
+from .exactla import FqMatrix, MatrixSpace, _min_distance
 from .gf import Field, field_make
 from .tensor3 import (
     DEFAULT_GUARD,
@@ -39,6 +39,9 @@ from .tensor3 import (
 )
 
 SCHEMA_VERSION = "1"
+# the top-level keys a certificate may carry; `verify` refuses any other
+CERTIFICATE_KEYS = frozenset({"schema_version", "field", "construction", "target_basis",
+                              "base", "auxiliary", "report", "code", "tensor_rank"})
 
 
 # --- serialization -------------------------------------------------------------------
@@ -117,7 +120,16 @@ def load_certificate(path: str) -> dict:
 
 
 def reverify(cert: dict, guard: int) -> dict:
-    """Re-check a loaded certificate from scratch; returns a verdict dict."""
+    """Re-check a loaded certificate from scratch; returns a verdict dict.
+
+    Every claim is re-derived from the certificate's matrices: the base
+    report, the code facts, and a `tensor_rank` (by `_rank_checks`).
+    `construction` and `auxiliary` are labels: nothing is proved from them.
+    `guard` bounds each distance scan and the oracle re-run.
+    """
+    unknown = sorted(set(cert) - CERTIFICATE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown certificate keys {unknown}")
     if cert.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported schema version")
     code = cert.get("code")
@@ -160,7 +172,32 @@ def reverify(cert: dict, guard: int) -> dict:
             verdict["code_checks"]["mtr_ok"] = mtr_ok
             verdict["ok"] = verdict["ok"] and mtr_ok
         verdict["ok"] = verdict["ok"] and facts_ok and space_ok and dim_ok and d_ok
+    if "tensor_rank" in cert:
+        R = cert["tensor_rank"]
+        if type(R) is not int:
+            raise ValueError("tensor_rank must be an integer")
+        checks = _rank_checks(target, R, report.passed and R == len(base_mats), guard)
+        verdict["rank_checks"] = checks
+        verdict["ok"] = verdict["ok"] and checks["lower"] == R
     return verdict
+
+
+def _rank_checks(target: MatrixSpace, R: int, upper_ok: bool, guard: int) -> dict:
+    """Proof that the tensor rank of `target` is R, given that a verified base
+    of R members bounds it from above (`upper_ok`).
+
+    The lower bound is the cheapest that reaches R: the dimension, then
+    Kruskal's dim + d - 1, then a re-run of the oracle, which is exact.
+    """
+    lower = by = None
+    if upper_ok:
+        lower, by = target.dim, "dimension"
+        if 0 < lower < R:  # the zero space has rank 0 and no distance
+            d = _min_distance(target.field, target._rrows, guard, target.m)
+            lower, by = kruskal_bound(target.dim, d), "kruskal"
+        if lower < R:
+            lower, by = exhaustive_trk(target, guard)[0], "oracle"
+    return {"upper_ok": upper_ok, "lower": lower, "lower_by": by}
 
 
 def _code_info(code: rmcode.RankCode, guard: int, mtr: bool) -> dict:

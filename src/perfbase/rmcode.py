@@ -47,6 +47,7 @@ from .exactla import (
     Echelon,
     FqMatrix,
     MatrixSpace,
+    _enc,
     _min_distance,
     _projective_count,
     _solve_combination,
@@ -55,6 +56,13 @@ from .gf import Field, FieldElement, field_make, find_primitive
 from .tensor3 import BaseCandidate, kruskal_bound, verify_base
 
 DEFAULT_SCAN_GUARD = 1 << 24
+
+
+def _encs(field: Field, values) -> list:
+    """Encodings of ints or elements of `field`, by the rule of `exactla._enc`:
+    an int is reduced mod q, an element of another field is refused."""
+    q = field.q
+    return [x % q if type(x) is int else _enc(field, x) for x in values]
 
 
 # --- coordinate bases ---------------------------------------------------------------
@@ -73,8 +81,7 @@ class GammaBasis:
             alpha = find_primitive(ext_field)
             encs = [ext_field.pow(alpha.enc, i) for i in range(self.m)]
         else:
-            encs = [e.enc if isinstance(e, FieldElement) else int(e)
-                    for e in elements]
+            encs = _encs(ext_field, elements)
             if len(encs) != self.m:
                 raise DependentBasis("need exactly m basis elements")
         self.elements = tuple(encs)
@@ -128,7 +135,7 @@ class GammaBasis:
 
     def mult_matrix(self, beta) -> FqMatrix:
         """Right-multiplication matrix of beta in this coordinate frame."""
-        enc = beta.enc if isinstance(beta, FieldElement) else int(beta)
+        enc = _enc(self.ext_field, beta)
         return gamma_expand([self.ext_field.mul(g, enc) for g in self.elements], self)
 
     def frame_change_from(self, other: "GammaBasis") -> FqMatrix:
@@ -141,8 +148,7 @@ class GammaBasis:
 def gamma_expand(v, gamma: GammaBasis) -> FqMatrix:
     """Coordinate matrix of a vector over the extension field."""
     ext = gamma.ext_field
-    coeffs = [ext.coeffs_of(x.enc if isinstance(x, FieldElement) else int(x))
-              for x in v]
+    coeffs = [ext.coeffs_of(x) for x in _encs(ext, v)]
     return FqMatrix(gamma.base_field, coeffs) @ gamma._Ginv
 
 
@@ -154,10 +160,7 @@ class VectorCode:
 
     def __init__(self, ext_field: Field, generators):
         self.ext_field = ext_field
-        rows = []
-        for g in generators:
-            rows.append(tuple(x.enc if isinstance(x, FieldElement) else int(x)
-                              for x in g))
+        rows = [tuple(_encs(ext_field, g)) for g in generators]
         if not rows:
             raise ParametersOutOfRange("need at least one generator row")
         self.n = len(rows[0])
@@ -305,7 +308,7 @@ class LinearizedPoly:
         ext = self.ext_field
         q = ext.p
         order = ext.q - 1
-        enc = u.enc if isinstance(u, FieldElement) else int(u)
+        enc = _enc(ext, u)
         acc = 0
         for i, f in enumerate(self.coeffs):
             if f and enc:
@@ -347,7 +350,7 @@ def gabidulin(U_basis, k: int, s: int, eta, gamma: GammaBasis | None = None,
         raise ParametersOutOfRange("need 1 <= k < n")
     if math.gcd(s, m) != 1:
         raise NotCoprime("the Frobenius step must be coprime to m")
-    eta_enc = eta.enc if isinstance(eta, FieldElement) else int(eta)
+    eta_enc = _enc(ext, eta)
     if not _norm_condition_holds(ext, eta_enc, m, k, s):
         raise BadEta("the twist violates the norm condition")
     gamma = gamma or GammaBasis(ext)
@@ -462,70 +465,45 @@ def one_dim_row_base(gamma: GammaBasis, v_row) -> ConstructionResult:
     """Base of the expansion of a single-row code with arbitrary entries.
 
     The entry span is realized as a scalar multiple of a power span (found by
-    intersecting shifted copies), the power base is transported through the
-    scalar's multiplication matrix, and dependent entries are appended as
-    fixed row combinations.
+    intersecting shifted copies), and the power base is transported through
+    the scalar's multiplication matrix on the right and the entries' power
+    coordinates on the left.  Ints are reduced mod q; an element of another
+    field raises FieldMismatch.
     """
-    v = [x.enc if isinstance(x, FieldElement) else int(x) for x in v_row]
+    v = _encs(gamma.ext_field, v_row)
     return _finish(_row_candidate(gamma, v), "one-dim-row",
                    {"q": gamma.q, "m": gamma.m, "row": list(v)}, {})
 
 
 def _row_candidate(gamma: GammaBasis, v) -> BaseCandidate:
-    """The unverified base of `one_dim_row_base` for a row of encodings."""
+    """The unverified base of `one_dim_row_base` for a row of encodings.
+
+    With v_t / pi = sum_j Lam[t][j] a^j (j < s), the expansion of the row is
+    Lam times the expansion of the power row (1, a, ..., a^{s-1}) times M_pi,
+    so the power base maps through the one left factor Lam.
+    """
     ext = gamma.ext_field
     Fq = gamma.base_field
     m = gamma.m
     if not any(v):
         raise ParametersOutOfRange("the row must be nonzero")
-    entry_rows = gamma_expand(v, gamma).rows
-    span = MatrixSpace(Fq, (1, m), [FqMatrix._of(Fq, (row,)) for row in entry_rows])
+    span = MatrixSpace(Fq, (1, m), [FqMatrix._of(Fq, (row,))
+                                    for row in gamma_expand(v, gamma).rows])
     s = span.dim
-    # independent entry positions, in order
-    probe = Echelon(Fq, m)
-    idx = [t for t, row in enumerate(entry_rows) if probe.insert(row)]
-    dep = [t for t in range(len(v)) if t not in idx]
-
     pi = _power_multiple(gamma, span, s)
     mult_pi = gamma.mult_matrix(pi)
-    # coefficients of beta / pi in the power frame, restricted to degree < s
+    # coefficients of v_t / pi in the power frame, restricted to degree < s
     pi_inv = ext.inv(pi)
-    coords = gamma_expand([ext.mul(v[t], pi_inv) for t in idx], gamma).rows
+    coords = gamma_expand([ext.mul(x, pi_inv) for x in v], gamma).rows
     if any(any(row[s:]) for row in coords):
         raise InternalVerificationError("entry left the power span")
-    L = FqMatrix(Fq, [row[:s] for row in coords])
-    if not L.is_invertible():
-        raise InternalVerificationError("independent entries became dependent")
-
+    Lam = FqMatrix(Fq, [row[:s] for row in coords])
+    if Lam.rank() != s:
+        raise InternalVerificationError("the entries no longer span the power span")
     power = _power_candidate(gamma, s)
-    core = [L @ A @ mult_pi for A in power.matrices]
-
-    lambdas = _combinations(Fq, [entry_rows[i] for i in idx],
-                            [entry_rows[t] for t in dep])
-    reduced_target = MatrixSpace(
-        Fq, (s, m),
-        [L @ B @ mult_pi for B in power.target.basis])
-    cand = extend_base_lindep(
-        BaseCandidate(tuple(core), reduced_target), lambdas)
-    # rows are currently ordered [independent..., dependent...]; restore order
-    order = idx + dep
-    restore = [order.index(t) for t in range(len(v))]
-    members = tuple(_permute_rows(M, restore) for M in cand.matrices)
-    target = MatrixSpace(
-        Fq, (len(v), m),
-        [_permute_rows(B, restore) for B in cand.target.basis])
-    return BaseCandidate(members, target)
-
-
-def _permute_rows(M: FqMatrix, perm) -> FqMatrix:
-    return FqMatrix(M.field, [M.rows[p] for p in perm])
-
-
-def _combinations(F, rows, targets):
-    out = _solve_combination(F, rows, targets)
-    if None in out:
-        raise InternalVerificationError("target row is not a combination")
-    return out
+    return BaseCandidate(
+        tuple(Lam @ A @ mult_pi for A in power.matrices),
+        MatrixSpace(Fq, (len(v), m), [Lam @ B @ mult_pi for B in power.target.basis]))
 
 
 def _power_multiple(gamma: GammaBasis, span: MatrixSpace, s: int) -> int:
@@ -542,12 +520,8 @@ def _power_multiple(gamma: GammaBasis, span: MatrixSpace, s: int) -> int:
         if shifted.dim == 0:
             raise CaseNotCovered(
                 "entry span is not a scalar multiple of a power span")
-    return _row_scalar(gamma, shifted.basis[0])
-
-
-def _row_scalar(gamma: GammaBasis, row_matrix: FqMatrix) -> int:
-    """The extension scalar whose expansion is the given 1 x m row."""
-    return gamma.ext_field.enc_of((row_matrix @ gamma._G).rows[0])
+    # the extension scalar whose expansion is the first row of the basis
+    return gamma.ext_field.enc_of((shifted.basis[0] @ gamma._G).rows[0])
 
 
 # --- headline constructions ---------------------------------------------------------------
@@ -592,8 +566,7 @@ def two_dim_bound(G_rows, gamma: GammaBasis):
     ext = gamma.ext_field
     Fq = gamma.base_field
     m = gamma.m
-    rows = [[x.enc if isinstance(x, FieldElement) else int(x) for x in g]
-            for g in G_rows]
+    rows = [_encs(ext, g) for g in G_rows]
     if len(rows) != 2:
         raise ParametersOutOfRange("need exactly two generator rows")
     if Fq.q < 2 * m - 3:
@@ -632,8 +605,10 @@ def psi_block(C: RankCode, A: BaseCandidate,
         ok = False
     if not ok:
         raise NotABase("the candidate does not cover the code")
-    rows = _combinations(C.field, [M.vectorize() for M in A.matrices],
-                         C.space._rrows)
+    rows = _solve_combination(C.field, [M.vectorize() for M in A.matrices],
+                              C.space._rrows)
+    if None in rows:
+        raise InternalVerificationError("target row is not a combination")
     return BlockCode(C.field, rows)
 
 

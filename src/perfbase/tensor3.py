@@ -13,13 +13,15 @@ subset.  It starts at the Kruskal bound dim V + d - 1, with d from the
 package's one distance scan `exactla._min_distance` when V has at most 4096
 words up to scalar, and at dim V otherwise.  A search node holds the residues
 of the later candidates modulo the chosen span and modulo the chosen span plus
-V (int64 numpy over prime fields, lists with `Field` arithmetic otherwise).
-It reads the projective class of each table row once, and its children's
-membership tests are bit operations on the rows of those classes.  Only a
-child with a viable pick and a level below it gets tables.  A work guard
-bounds the number of subset-membership tests, counted as if the candidates
-were tested one at a time; sharded runs must reduce with lexicographic
-minimum to preserve that contract.  Inputs whose candidate list would exceed
+V, as int64 arrays over every field: products mod p over F_p, gathers from
+the field's log, antilog and Zech tables over F_{p^k}.  It reads the
+projective class of each table row once, as a base-q integer, and its
+children's membership tests are bit operations on the rows of those classes.
+Only a child with a viable pick and a level below it gets tables.  A 1x1
+space has one candidate and is answered without tables.  A work guard bounds
+the number of subset-membership tests, counted as if the candidates were
+tested one at a time; sharded runs must reduce with lexicographic minimum to
+preserve that contract.  Inputs whose candidate list would exceed
 ORACLE_MAX_ENTRIES are refused before any enumeration.
 
 The completion check (is one rank-one N enough to bring a target into a
@@ -31,16 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GuardExceeded, ParametersOutOfRange, ShapeMismatch
 from .exactla import (
     Echelon,
     FqMatrix,
     MatrixSpace,
-    _int64_safe,
     _min_distance,
     _normalized_vectors,
     _projective_count,
-    _scale,
     _solve_combination,
 )
 from .gf import Field
@@ -163,10 +165,6 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
     )
 
 
-def _leading_index(vec):
-    return next((i for i, v in enumerate(vec) if v), None)
-
-
 # --- rank-one enumeration and the exact oracle -----------------------------------
 
 
@@ -225,10 +223,12 @@ def _rank_levels(V: MatrixSpace, limit: int):
     if k == 0:
         yield 0, [], 0
         return
-    # numpy's inverse table has p entries: the size check keeps p below 2^19
-    # in every space but a 1x1 one, which has a single candidate
-    tables = (_NumpyTables if width > 1 and _int64_safe(field, width)
-              else _ListTables)(field)
+    if width == 1:  # one candidate, [1], which spans V; p may be huge here
+        if limit < 1:
+            raise _guard_exceeded(1, limit)
+        yield 1, [(1,)], 1
+        return
+    tables = _Tables(field)
     A = tables.candidates(n, m)
     Q = tables.quotient(A, V, [j for j in range(width) if j not in V._pivots])
     start = k  # raised to the Kruskal bound when V's scan is at most 4096 words
@@ -293,89 +293,79 @@ def rank_one_completion_exists(span_space: MatrixSpace, targets,
 # classes once and derives its children's nonzero rows with bit operations.
 
 
-class _NumpyTables:
-    """Residue tables as int64 arrays, over prime fields small enough that
-    the products of two entries, summed over a row, fit in int64.  A class id
-    packs the row scaled to leading coefficient 1 as a base-p integer, which
-    is exact: p^(nm) < 2^63 for every input the oracle admits."""
+class _Tables:
+    """Residue tables as int64 arrays.  Only `scaled` and `sub_scaled` see
+    the field: over F_p they multiply and reduce mod p (the size check keeps
+    p below 2^19 once nm > 1); over F_{p^k} they gather, as `Field.sub_scaled`
+    does.  There log[0] is 2(q-1) and antilog is zero from 2(q-1) to 4(q-1),
+    so a zero factor gives a zero product without a branch.  A class id packs
+    the row scaled to leading coefficient 1 as a base-q integer, which is
+    exact: q^(nm) < 2^63 for every input the oracle admits."""
 
     def __init__(self, field):
-        import numpy
+        self.field, self.q, order = field, field.q, field.q - 1
+        inv = [0] + [field.inv(a) for a in range(1, field.q)]
+        self.inv = np.array(inv, dtype=np.int64)
+        if field.deg > 1:
+            self.log = np.array([2 * order] + field._log[1:], dtype=np.int64)
+            self.antilog = np.array(field._antilog + [0] * (order + 1), dtype=np.int64)
+            self.zech = np.array(field._zech, dtype=np.int64)
+            self.lneg = self.log[[field.neg(a) for a in range(field.q)]]  # log(-a)
 
-        self.np = numpy
-        self.field = field
-        self.p = p = field.p
-        self.inv = numpy.array([pow(a, p - 2, p) for a in range(p)], dtype=numpy.int64)
+    def scaled(self, c, T):
+        """c * T, entrywise; c broadcasts against T."""
+        if self.field.deg == 1:
+            return c * T % self.q
+        return self.antilog[self.log[c] + self.log[T]]
+
+    def sub_scaled(self, T, c, row):
+        """T - c * row for a column c: the row update of elimination."""
+        if self.field.deg == 1:
+            out = c * row
+            np.subtract(T, out, out=out)
+            out %= self.q
+            return out
+        lp = self.lneg[c] + self.log[row]  # log(-c * row)
+        prod, la = self.antilog[lp], self.log[T]
+        both = self.antilog[la + self.zech[(lp - la) % (self.q - 1)]]
+        return np.where(T == 0, prod, np.where(prod == 0, T, both))
 
     def candidates(self, n, m):
-        np, p = self.np, self.p
-        self.powers = p ** np.arange(n * m, dtype=np.int64)
+        self.powers = self.q ** np.arange(n * m, dtype=np.int64)
         U = np.array(list(_normalized_vectors(self.field, n)), dtype=np.int64)
         W = np.array(list(_normalized_vectors(self.field, m)), dtype=np.int64)
-        return (U[:, None, :, None] * W[None, :, None, :] % p).reshape(-1, n * m)
+        return self.scaled(U[:, None, :, None], W[None, :, None, :]).reshape(-1, n * m)
 
     def quotient(self, A, V, free):
-        np = self.np
-        rows = np.array(V._rrows, dtype=np.int64)
-        A = (A - A[:, list(V._pivots)] @ rows) % self.p
+        # V's rows are reduced, so no step changes a later pivot column of A
+        for row, pc in zip(V._rrows, V._pivots):
+            A = self.sub_scaled(A, A[:, pc, None], np.array(row, dtype=np.int64))
         return np.ascontiguousarray(A[:, free])
 
     def classes(self, T, stop):
         """(bits, ids, masks) for the rows i < stop of T: bit i is set when row
         i is nonzero, ids[i] is the class id of row i (0 for a zero row), and
         masks maps each class id to the bits of its rows."""
-        np, w = self.np, T.shape[1]  # w = 0 when V is the whole space
-        T = T[:stop]
+        T, w = T[:stop], T.shape[1]  # w = 0 when V is the whole space
         lead = T[np.arange(len(T)), (T != 0).argmax(axis=1)] if w else 0
-        ids = ((T * self.inv[lead, None] % self.p) @ self.powers[:w]).tolist()
-        masks = _class_masks(ids)
+        ids = (self.scaled(self.inv[lead, None], T) @ self.powers[:w]).tolist()
+        masks = {}  # class id -> the bits of the rows with that id
+        for i, c in enumerate(ids):
+            masks[c] = masks.get(c, 0) | 1 << i
         return ((1 << len(ids)) - 1) & ~masks.get(0, 0), ids, masks
 
     def pick(self, T, i):
         """The rows after i modulo the nonzero row i."""
         row, rest = T[i], T[i + 1:]
-        lead = _leading_index(row.tolist())
-        out = rest[:, lead, None] * (row * self.inv[row[lead]] % self.p)
-        self.np.subtract(rest, out, out=out)
-        out %= self.p
-        return out
+        lead = next(j for j, x in enumerate(row.tolist()) if x)
+        return self.sub_scaled(rest, rest[:, lead, None],
+                               self.scaled(self.inv[row[lead]], row))
 
 
-class _ListTables:
-    """Residue tables as lists of lists, with `Field` arithmetic.  A class id
-    is the row scaled to leading coefficient 1, as a tuple."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def candidates(self, n, m):
-        return [list(A.vectorize()) for A in rank_one_matrices(self.field, n, m)]
-
-    def quotient(self, A, V, free):
-        return [[res[j] for j in free] for res in map(V.reduce_vector, A)]
-
-    def classes(self, T, stop):
-        """As `_NumpyTables.classes`."""
-        F, ids = self.field, []
-        for row in T[:stop]:
-            lead = _leading_index(row)
-            ids.append(tuple(row if lead is None else _scale(F, F.inv(row[lead]), row)))
-        bits = sum(1 << i for i, c in enumerate(ids) if any(c))
-        return bits, ids, _class_masks(ids)
-
-    def pick(self, T, i):
-        F, row = self.field, T[i]
-        lead = _leading_index(row)
-        row = _scale(F, F.inv(row[lead]), row)
-        return [F.sub_scaled(r, r[lead], row) if r[lead] else r for r in T[i + 1:]]
-
-
-def _class_masks(ids):
-    """Class id -> the bits of the rows with that id."""
-    masks = {}
-    for i, c in enumerate(ids):
-        masks[c] = masks.get(c, 0) | 1 << i
-    return masks
+def _guard_exceeded(R, limit):
+    return GuardExceeded("rank oracle exceeded its membership-test guard",
+                         progress={"phase": "oracle", "R": R,
+                                   "tests_used": max(limit, 0)})
 
 
 def _search_subsets(tables, A, Q, k, R, budget, limit):
@@ -392,10 +382,7 @@ def _search_subsets(tables, A, Q, k, R, budget, limit):
     def charge(tests):
         budget[0] -= tests
         if budget[0] < 0:
-            raise GuardExceeded(
-                "rank oracle exceeded its membership-test guard",
-                progress={"phase": "oracle", "R": R,
-                          "tests_used": max(limit, 0)})
+            raise _guard_exceeded(R, limit)
 
     def last(start, stop, viable):
         # A viable last pick gives R independent members inside a span of

@@ -429,3 +429,74 @@ def test_declared_size_beyond_the_cap_exits_2_before_building(tmp_path, capsys,
     assert main([command, str(path)]) == 2
     line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert line["kind"] == "input" and "entries" in line["error"]
+
+
+def _oracle_certificate(tmp_path, capsys, p, mats):
+    """Run `perfbase oracle` on span(mats) over F_p; returns the certificate."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "field": {"p": p},
+        "basis": [{"n": len(A), "m": len(A[0]), "entries": A} for A in mats]}))
+    out = tmp_path / "oracle.cert.json"
+    assert main(["oracle", str(space), "--out", str(out)]) == 0
+    capsys.readouterr()
+    return load_certificate(str(out))
+
+
+def _verify(tmp_path, capsys, cert, *extra):
+    path = tmp_path / "edited.cert.json"
+    path.write_text(dumps_certificate(cert))
+    rc = main(["verify", str(path), *extra])
+    return rc, json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def test_verify_refuses_a_false_tensor_rank(tmp_path, capsys):
+    cert = _oracle_certificate(tmp_path, capsys, 3,
+                               [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    assert cert["tensor_rank"] == 2
+    rc, line = _verify(tmp_path, capsys, cert)
+    assert rc == 0 and line["rank_checks"] == {
+        "upper_ok": True, "lower": 2, "lower_by": "dimension"}
+    for claim in (1, 7):
+        rc, line = _verify(tmp_path, capsys, dict(cert, tensor_rank=claim))
+        assert rc == 1 and not line["ok"]
+        assert line["rank_checks"] == {"upper_ok": False, "lower": None,
+                                       "lower_by": None}
+    for claim in ("2", 2.0, True):
+        rc, line = _verify(tmp_path, capsys, dict(cert, tensor_rank=claim))
+        assert rc == 2 and line["kind"] == "input"
+
+
+def test_verify_refuses_unknown_certificate_keys(tmp_path, capsys):
+    cert = _oracle_certificate(tmp_path, capsys, 3, [[[1, 0], [0, 1]]])
+    rc, line = _verify(tmp_path, capsys, dict(cert, bogus_claim=True))
+    assert rc == 2 and line["kind"] == "input" and "bogus_claim" in line["error"]
+    assert set(cert) | {"code"} == cli.CERTIFICATE_KEYS
+
+
+def test_verify_proves_tensor_rank_by_kruskal(tmp_path, capsys):
+    # x^2 + 1 has no root in F_3: every nonzero member has rank 2, so d = 2
+    cert = _oracle_certificate(tmp_path, capsys, 3,
+                               [[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
+    rc, line = _verify(tmp_path, capsys, cert)
+    assert rc == 0 and line["rank_checks"] == {
+        "upper_ok": True, "lower": 3, "lower_by": "kruskal"}
+
+
+def test_verify_proves_tensor_rank_by_the_oracle(tmp_path, capsys):
+    # a nilpotent pencil: Kruskal bound 2, tensor rank 3
+    mats = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    cert = _oracle_certificate(tmp_path, capsys, 3, mats)
+    rc, line = _verify(tmp_path, capsys, cert)
+    assert rc == 0 and line["rank_checks"] == {
+        "upper_ok": True, "lower": 3, "lower_by": "oracle"}
+    rc, line = _verify(tmp_path, capsys, cert, "--guard", "0")
+    assert rc == 3 and line["kind"] == "guard"
+    # a guard that covers the distance scan (4 words) but not the oracle
+    space = MatrixSpace.from_matrices([FqMatrix(field_make(3), A) for A in mats])
+    tests = sum(used for _, _, used in tensor3._rank_levels(space, tensor3.DEFAULT_GUARD))
+    rc, line = _verify(tmp_path, capsys, cert, "--guard", str(tests - 1))
+    assert rc == 3 and line["progress"] == {"phase": "oracle", "R": 3,
+                                            "tests_used": tests - 1}
+    rc, line = _verify(tmp_path, capsys, cert, "--guard", str(tests))
+    assert rc == 0

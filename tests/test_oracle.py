@@ -9,12 +9,13 @@ every candidate rank R, so its guard fires on exactly the same inputs.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 import time
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from perfbase import tensor3
@@ -23,7 +24,6 @@ from perfbase.errors import GuardExceeded, ParametersOutOfRange
 from perfbase.exactla import (
     FqMatrix,
     MatrixSpace,
-    _int64_safe,
     _projective_count,
     dual_complement,
 )
@@ -35,6 +35,8 @@ F3 = field_make(3)
 F4 = field_make(2, 2)
 F5 = field_make(5)
 F7 = field_make(7)
+F8 = field_make(2, 3)
+F9 = field_make(3, 2)
 
 
 # --- the reference search -------------------------------------------------------
@@ -169,7 +171,8 @@ SMALL_FIELD_CASES = (
     [(F, V) for F in (F2, F3, F4) for V in _random_spaces(F, 2, (1, 2, 3), F.q)]
     + [(F2, V) for V in _random_spaces(F2, 3, (1, 2, 3, 6), 21)]
     + [(F3, V) for V in _random_spaces(F3, 3, (1, 2, 7), 31)]
-    + [(F4, V) for V in _random_spaces(F4, 3, (1, 7, 8), 41)])
+    + [(F4, V) for V in _random_spaces(F4, 3, (1, 7, 8), 41)]
+    + [(F, V) for F in (F8, F9) for V in _random_spaces(F, 2, (1, 2, 3), F.q)])
 
 
 def _assert_same_levels(V):
@@ -222,32 +225,62 @@ def test_table_search_matches_reference_on_every_cubic_pencil_over_f3(bottom):
     _assert_same_levels(_pencil(F3, bottom))
 
 
-def test_list_tables_match_numpy_tables_over_prime_fields(monkeypatch):
-    spaces = ([V for _, V in SMALL_FIELD_CASES if V.field.deg == 1][::2]
-              + _random_spaces(F5, 3, (1, 2, 8), 51)
-              + _random_spaces(F7, 2, (1, 2, 3), 71))
-    expected = [table_levels(V) for V in spaces]
-    monkeypatch.setattr(tensor3, "_NumpyTables", tensor3._ListTables)
-    assert [table_levels(V) for V in spaces] == expected
+# (R, witness, tests) per level on spaces where the reference search takes
+# seconds, each witness vector packed as a base-q integer.  Pinned from the
+# earlier two-class implementation, whose int64 and list tables both gave
+# exactly these levels.
+PINNED_LEVELS = [
+    (F5, 3, 51, [
+        [(3, [1, 6826, 761191], 404098)],
+        [(3, None, 470785), (4, [1, 156255, 1536416, 1441871], 92948)],
+        [(8, [101, 106, 796926, 875056, 812526, 2016, 5166, 409526], 188)]]),
+    (F7, 2, 71, [
+        [(2, [1, 1653], 46)],
+        [(2, None, 77), (3, [1, 1100, 1485], 19)],
+        [(3, [29, 1100, 1485], 19)]]),
+]
+
+
+def test_table_search_matches_pinned_levels():
+    for F, n, seed, expected in PINNED_LEVELS:
+        spaces = _random_spaces(F, n, (1, 2, n * n - 1), seed)
+        packed = [[(R, None if w is None else
+                    [sum(x * F.q ** j for j, x in enumerate(v)) for v in w], tests)
+                   for R, w, tests in table_levels(V)] for V in spaces]
+        assert packed == expected, F
+
+
+def test_benchmark_oracle_reference_is_reproduced(monkeypatch):
+    # the least-witness contract on every item of the `oracle` benchmark's
+    # default seed, rebuilt in memory as perfbench/make_oracle_reference.py
+    # builds it
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    import workloads
+
+    rebuilt = {}
+    for pass_index in range(workloads.CHUNKS):
+        oracle = workloads.Oracle(workloads.DEFAULT_SEED, pass_index)
+        for item in oracle.items:
+            if item[0] not in rebuilt:
+                trk, witness = oracle.run(item)
+                rebuilt[item[0]] = [trk, [workloads.rows_of(A) for A in witness.matrices]]
+    with open(workloads.ORACLE_REFERENCE) as fh:
+        assert rebuilt == json.load(fh)
 
 
 # --- row classes ---------------------------------------------------------------------
 
 
-def _backends(F, n, m):
-    """Both table backends over F, ready for n x m rows (numpy only over F_p)."""
-    backends = [tensor3._ListTables(F)]
-    if F.deg == 1:
-        backends.append(tensor3._NumpyTables(F))
-    for tables in backends:
-        tables.candidates(n, m)
-    return backends
+def _tables(F, n, m):
+    """The oracle's tables over F, ready for n x m rows."""
+    tables = tensor3._Tables(F)
+    tables.candidates(n, m)
+    return tables
 
 
 def _as_table(tables, rows):
-    if isinstance(tables, tensor3._NumpyTables):
-        return tables.np.array(rows, dtype=tables.np.int64).reshape(len(rows), -1)
-    return [list(r) for r in rows]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
 
 
 def _multiples(F, u, v):
@@ -258,39 +291,40 @@ def _class_bits(rows, i):
     return sum(1 << j for j, v in enumerate(rows) if v == rows[i])
 
 
-@pytest.mark.parametrize("F,n", [(F2, 3), (F3, 3), (F4, 2), (F5, 2), (F7, 2)])
+@pytest.mark.parametrize("F,n", [(F2, 3), (F3, 3), (F4, 2), (F5, 2), (F7, 2),
+                                 (F8, 2), (F9, 2)])
 def test_classes_are_exact_projective_classes(F, n):
     # every vector of F^n, twice, in a shuffled order: ids agree exactly for
     # scalar multiples, the zero rows have an id of their own, and masks hold
     # the rows of each class
     rows = list(itertools.product(range(F.q), repeat=n)) * 2
     random.Random(F.q).shuffle(rows)
-    for tables in _backends(F, 1, n):
-        bits, ids, masks = tables.classes(_as_table(tables, rows), len(rows))
-        assert bits == sum(1 << i for i, r in enumerate(rows) if any(r))
-        assert len(ids) == len(rows)
-        for i, u in enumerate(rows):
-            for j, v in enumerate(rows):
-                same = (not any(u) and not any(v)) or (
-                    any(u) and any(v) and _multiples(F, u, v))
-                assert (ids[i] == ids[j]) == same, (tables, u, v)
-        assert len(set(ids)) == 1 + (F.q ** n - 1) // (F.q - 1)
-        assert masks == {c: _class_bits(ids, i) for i, c in enumerate(ids)}
+    tables = _tables(F, 1, n)
+    bits, ids, masks = tables.classes(_as_table(tables, rows), len(rows))
+    assert bits == sum(1 << i for i, r in enumerate(rows) if any(r))
+    assert len(ids) == len(rows)
+    for i, u in enumerate(rows):
+        for j, v in enumerate(rows):
+            same = (not any(u) and not any(v)) or (
+                any(u) and any(v) and _multiples(F, u, v))
+            assert (ids[i] == ids[j]) == same, (u, v)
+    assert len(set(ids)) == 1 + (F.q ** n - 1) // (F.q - 1)
+    assert masks == {c: _class_bits(ids, i) for i, c in enumerate(ids)}
 
 
 def test_classes_read_only_the_first_stop_rows():
     rows = [[1, 2, 0], [0, 0, 0], [2, 4, 0], [0, 1, 3], [1, 1, 0], [0, 0, 0],
             [0, 3, 4]]
-    for tables in _backends(F5, 1, 3):
-        bits, ids, masks = tables.classes(_as_table(tables, rows), len(rows))
-        assert bits == 0b1011101
-        assert ids[0] == ids[2] and ids[3] == ids[6] and ids[1] == ids[5]
-        assert len({ids[0], ids[1], ids[3], ids[4]}) == 4
-        assert masks == {ids[0]: 0b101, ids[1]: 0b100010, ids[3]: 0b1001000,
-                         ids[4]: 0b10000}
-        bits, ids, masks = tables.classes(_as_table(tables, rows), 4)
-        assert bits == 0b1101 and len(ids) == 4
-        assert masks == {ids[0]: 0b101, ids[1]: 0b10, ids[3]: 0b1000}
+    tables = _tables(F5, 1, 3)
+    bits, ids, masks = tables.classes(_as_table(tables, rows), len(rows))
+    assert bits == 0b1011101
+    assert ids[0] == ids[2] and ids[3] == ids[6] and ids[1] == ids[5]
+    assert len({ids[0], ids[1], ids[3], ids[4]}) == 4
+    assert masks == {ids[0]: 0b101, ids[1]: 0b100010, ids[3]: 0b1001000,
+                     ids[4]: 0b10000}
+    bits, ids, masks = tables.classes(_as_table(tables, rows), 4)
+    assert bits == 0b1101 and len(ids) == 4
+    assert masks == {ids[0]: 0b101, ids[1]: 0b10, ids[3]: 0b1000}
 
 
 @pytest.mark.parametrize("F,V", [(F, V) for F, V in SMALL_FIELD_CASES
@@ -299,23 +333,42 @@ def test_a_pick_zeroes_exactly_the_class_of_its_row(F, V):
     # the lemma the search rests on: after picking the nonzero row i, the
     # nonzero later rows are the nonzero rows outside row i's class
     n, m = V.shape
-    for tables in _backends(F, n, m):
-        A = tables.candidates(n, m)
-        pivots = set(V._pivots)
-        Q = tables.quotient(A, V, [j for j in range(n * m) if j not in pivots])
-        for T in (A, Q):
-            size = len(T)
-            bits, ids, masks = tables.classes(T, size)
-            for i in range(size):
-                if bits >> i & 1:
-                    child, _, _ = tables.classes(tables.pick(T, i), size)
-                    assert child == (bits & ~masks[ids[i]]) >> (i + 1)
+    tables = _tables(F, n, m)
+    A = tables.candidates(n, m)
+    pivots = set(V._pivots)
+    Q = tables.quotient(A, V, [j for j in range(n * m) if j not in pivots])
+    for T in (A, Q):
+        size = len(T)
+        bits, ids, masks = tables.classes(T, size)
+        for i in range(size):
+            if bits >> i & 1:
+                child, _, _ = tables.classes(tables.pick(T, i), size)
+                assert child == (bits & ~masks[ids[i]]) >> (i + 1)
+
+
+@pytest.mark.parametrize("F", [F4, F8, F9])
+def test_table_arithmetic_matches_the_field(F):
+    # the log, antilog and Zech gathers against Field arithmetic, entry by entry
+    V = _random_spaces(F, 2, (2,), F.q)[0]
+    tables = _tables(F, 2, 2)
+    A = tables.candidates(2, 2)
+    assert A.tolist() == [list(B.vectorize()) for B in rank_one_matrices(F, 2, 2)]
+    free = [j for j in range(4) if j not in V._pivots]
+    assert tables.quotient(A, V, free).tolist() == [
+        [V.reduce_vector(row)[j] for j in free] for row in A.tolist()]
+    for i in random.Random(F.q).sample(range(len(A)), 5):
+        row = A[i].tolist()
+        lead = next(j for j, x in enumerate(row) if x)
+        unit = [F.mul(F.inv(row[lead]), x) for x in row]
+        assert tables.pick(A, i).tolist() == [
+            F.sub_scaled(r, r[lead], unit) for r in A[i + 1:].tolist()]
 
 
 def test_packed_class_ids_fit_in_int64():
-    # numpy class ids pack a row of n*m entries as a base-p integer.  Every
-    # (p, n, m) that the oracle's size check and _int64_safe admit has
-    # p^(nm) < 2^63, and p < 2^19 (the inverse table) once nm > 1.
+    # class ids pack a row of n*m entries as a base-q integer.  Every
+    # (q, n, m) with nm > 1 that the oracle's size check admits has
+    # q^(nm) < 2^63, and q < 2^19 (the inverse table has q entries); 1x1
+    # spaces build no tables.  Extension fields have at most 2^16 elements.
     limit = (1 << 19) + 64  # past the next prime above 2^19
     sieve = bytearray([1]) * (limit + 1)
     sieve[:2] = b"\0\0"
@@ -323,26 +376,24 @@ def test_packed_class_ids_fit_in_int64():
         if sieve[i]:
             sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
     primes = [p for p in range(limit + 1) if sieve[p]]
-    checked = 0
+    powers = sorted(p ** k for p in primes if p < 1 << 8
+                    for k in range(2, 17) if p ** k <= 1 << 16)
+    checked = {}
     for n in range(1, 21):
         for m in range(1, 21):
             width = n * m
-            cap = tensor3.ORACLE_MAX_ENTRIES // width
             if width == 1:
-                # one candidate for every p, and list tables: _int64_safe
-                # alone bounds p, below 2^32
-                assert not _int64_safe(SimpleNamespace(p=(1 << 32) + 1, deg=1), 1)
                 continue
-            for p in primes:
-                F = field_make(p)
-                if _projective_count(p, n) * _projective_count(p, m) > cap:
-                    break  # the count grows with p
-                if _int64_safe(F, width):
-                    assert p ** width < 1 << 63 and p < 1 << 19, (p, n, m)
-                    checked += 1
-            else:
-                raise AssertionError(f"{n}x{m} admits a prime beyond 2^19")
-    assert checked > 40000
+            cap = tensor3.ORACLE_MAX_ENTRIES // width
+            for kind, qs in (("prime", primes), ("extension", powers)):
+                for q in qs:
+                    if _projective_count(q, n) * _projective_count(q, m) > cap:
+                        break  # the count grows with q
+                    assert q ** width < 1 << 63 and q < 1 << 19, (q, n, m)
+                    checked[kind] = checked.get(kind, 0) + 1
+                else:
+                    assert kind == "extension", f"{n}x{m} admits a prime beyond 2^19"
+    assert checked["prime"] > 40000 and checked["extension"] == 334
 
 
 def test_oracle_over_a_prime_beyond_int64_products():
@@ -350,6 +401,17 @@ def test_oracle_over_a_prime_beyond_int64_products():
     F = field_make(p)
     trk, wit = exhaustive_trk(_space(F, [[[5]]]))
     assert trk == 1 and wit.matrices[0].rows == ((1,),)
+
+
+@pytest.mark.parametrize("F", [F4, F5])
+def test_one_by_one_space_is_answered_directly(F):
+    # one candidate, [1]: it is the witness at R = 1 after one test
+    V = _space(F, [[[3]]])
+    assert table_levels(V) == table_levels(V, 1) == [(1, [(1,)], 1)]
+    for limit in (0, -3):
+        with pytest.raises(GuardExceeded) as info:
+            exhaustive_trk(V, limit=limit)
+        assert info.value.progress == {"phase": "oracle", "R": 1, "tests_used": 0}
 
 
 # --- the guard --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from perfbase.errors import (
     BadEta,
     CaseNotCovered,
     DependentBasis,
+    FieldMismatch,
     GuardExceeded,
     NotABase,
     NotCoprime,
@@ -485,6 +486,30 @@ def test_one_dim_row_base_needs_a_power_basis_and_covers_m_1():
     res = one_dim_row_base(GammaBasis.power(5, 1), [1, 2, 3])
     assert res.report.passed and res.candidate.size == 1
     assert res.candidate.target.shape == (3, 1)
+
+
+def test_scalars_of_another_field_are_refused():
+    g9 = GammaBasis(field_make(3, 2))
+    foreign = FieldElement(field_make(5, 2), 4)
+    with pytest.raises(FieldMismatch):
+        gamma_expand([foreign], g9)
+    with pytest.raises(FieldMismatch):
+        g9.mult_matrix(foreign)
+    with pytest.raises(FieldMismatch):
+        VectorCode(g9.ext_field, [[1, foreign]])
+    with pytest.raises(FieldMismatch):
+        one_dim_row_base(g9, [1, foreign])
+    with pytest.raises(FieldMismatch):
+        GammaBasis(g9.ext_field, [1, foreign])
+
+
+def test_int_scalars_are_reduced_mod_q():
+    g9 = GammaBasis(field_make(3, 2))
+    res = one_dim_row_base(g9, [1, 30])
+    assert res.params["row"] == [1, 3]
+    assert res.candidate.matrices == one_dim_row_base(g9, [1, 3]).candidate.matrices
+    assert gamma_expand([13, -1], g9) == gamma_expand([4, 8], g9)
+    assert g9.mult_matrix(10) == g9.mult_matrix(1)
 
 
 def test_one_dim_row_base_general_rows():
