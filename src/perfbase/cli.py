@@ -51,9 +51,26 @@ def field_to_json(F: Field) -> dict:
     return {"p": F.p, "deg": F.deg, "modulus": list(F.modulus)}
 
 
+def _json_int(value, what: str, low: int = 0, high: int | None = None) -> int:
+    """A JSON integer, not a bool, in [low, high); ValueError otherwise.
+
+    Certificates and oracle inputs are read only in this canonical form: a
+    float, a string or an out-of-range int is refused, never coerced.
+    """
+    if type(value) is not int or value < low or (high is not None and value >= high):
+        bound = f"[{low}, {high})" if high is not None else f">= {low}"
+        raise ValueError(f"{what} must be a JSON integer {bound}, not {value!r}")
+    return value
+
+
 def field_from_json(obj) -> Field:
-    return field_make(int(obj["p"]), int(obj.get("deg", 1)),
-                      obj.get("modulus") or None)
+    p = _json_int(obj["p"], "field.p", 2)
+    deg = _json_int(obj.get("deg", 1), "field.deg", 1)
+    modulus = obj.get("modulus") or None
+    if modulus is not None:
+        for c in modulus:
+            _json_int(c, "a modulus coefficient", 0, p)
+    return field_make(p, deg, modulus)
 
 
 def matrix_to_json(M: FqMatrix) -> dict:
@@ -61,9 +78,15 @@ def matrix_to_json(M: FqMatrix) -> dict:
 
 
 def matrix_from_json(field: Field, obj) -> FqMatrix:
+    """The matrix of `{"n", "m", "entries"}`, whose entries are encodings in
+    [0, q); any other entry is refused with ValueError."""
+    n, m = _json_int(obj["n"], "n", 1), _json_int(obj["m"], "m", 1)
     rows = obj["entries"]
-    if len(rows) != int(obj["n"]) or any(len(r) != int(obj["m"]) for r in rows):
+    if len(rows) != n or any(len(r) != m for r in rows):
         raise ValueError("matrix entries disagree with the declared shape")
+    q = field.q
+    if not all(type(v) is int and 0 <= v < q for r in rows for v in r):
+        raise ValueError(f"matrix entries must be JSON integers in [0, {q})")
     return FqMatrix(field, rows)
 
 
@@ -79,10 +102,7 @@ def _check_size(*groups):
     """Refuse matrix objects whose declared n x m sizes exceed the cap."""
     total = 0
     for obj in itertools.chain(*groups):
-        n, m = int(obj["n"]), int(obj["m"])
-        if n < 1 or m < 1:
-            raise ValueError("matrix shapes must be positive")
-        total += n * m
+        total += _json_int(obj["n"], "n", 1) * _json_int(obj["m"], "m", 1)
         if total > MAX_INPUT_ENTRIES:
             raise ParametersOutOfRange(
                 f"input declares more than {MAX_INPUT_ENTRIES} matrix entries")
@@ -135,6 +155,10 @@ def reverify(cert: dict, guard: int) -> dict:
     code = cert.get("code")
     _check_size(cert["target_basis"], cert["base"],
                 () if code is None else code["space_basis"])
+    if code is not None:
+        facts = [_json_int(code[key], f"code.{key}") for key in "qnmkd"]
+        if type(code.get("mtr", False)) is not bool:
+            raise ValueError("code.mtr must be a JSON boolean")
     field = field_from_json(cert["field"])
     target_mats = [matrix_from_json(field, o) for o in cert["target_basis"]]
     base_mats = [matrix_from_json(field, o) for o in cert["base"]]
@@ -151,8 +175,7 @@ def reverify(cert: dict, guard: int) -> dict:
         verdict["ok"] = False
         verdict["stored_report_mismatch"] = True
     if code is not None:
-        claimed_k = int(code["k"])
-        claimed_d = int(code["d"])
+        q, n, m, claimed_k, claimed_d = facts
         space = MatrixSpace(
             field, shape,
             [matrix_from_json(field, o) for o in code["space_basis"]])
@@ -163,7 +186,7 @@ def reverify(cert: dict, guard: int) -> dict:
         dim_ok = rank_code.k == claimed_k
         d_real = rank_code.distance(guard)
         d_ok = d_real == claimed_d
-        facts_ok = [int(code[key]) for key in "qnm"] == [field.q, *shape]
+        facts_ok = (q, n, m) == (field.q, *shape)
         verdict["code_checks"] = {"dim_ok": dim_ok, "distance": d_real, "distance_ok": d_ok,
                                   "facts_ok": facts_ok, "space_ok": space_ok}
         if code.get("mtr"):

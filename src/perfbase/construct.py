@@ -26,6 +26,7 @@ from .errors import (
     BadN,
     CaseNotCovered,
     CharTwo,
+    FieldMismatch,
     FieldTooSmall,
     InternalVerificationError,
     ParametersOutOfRange,
@@ -51,7 +52,7 @@ class CompanionSpec:
     def __post_init__(self):
         if self.m < 2:
             raise ParametersOutOfRange("companion matrices need m >= 2")
-        enc = tuple(int(a) % self.field.q for a in self.bottom)
+        enc = tuple(map(self.field.encode, self.bottom))
         if len(enc) != self.m:
             raise ParametersOutOfRange("bottom row length must equal m")
         object.__setattr__(self, "bottom", enc)
@@ -84,16 +85,19 @@ class GammaSet:
     elements: tuple
 
     def __post_init__(self):
-        encs = tuple(e.enc if isinstance(e, FieldElement) else int(e)
-                     for e in self.elements)
+        # an int must already be an encoding: -1 or q + 1 is refused, not reduced
+        try:
+            encs = tuple(map(self.field.encode, self.elements))
+        except FieldMismatch:
+            raise BadGammaSet("element of another field") from None
+        if any(e != x for e, x in zip(encs, self.elements)):
+            raise BadGammaSet("element outside the field")
         if not encs or encs[0] != 1:
             raise BadGammaSet("the first element must be 1")
         if 0 in encs:
             raise BadGammaSet("elements must be nonzero")
         if len(set(encs)) != len(encs):
             raise BadGammaSet("elements must be distinct")
-        if any(e >= self.field.q for e in encs):
-            raise BadGammaSet("element outside the field")
         object.__setattr__(self, "elements", encs)
 
     def __len__(self):
@@ -168,10 +172,10 @@ def shift_J(field: Field, m: int) -> FqMatrix:
 
 def epsilon(gamma, m: int) -> FqMatrix:
     """Rank-one matrix with geometric first row and -gamma-scaled second row."""
-    if isinstance(gamma, FieldElement):
-        field, g = gamma.field, gamma.enc
-    else:
+    if not isinstance(gamma, FieldElement):
         raise ZeroGamma("gamma must be a field element")
+    field = gamma.field
+    g = field.encode(gamma)
     if g == 0:
         raise ZeroGamma("gamma must be nonzero")
     if m < 2:

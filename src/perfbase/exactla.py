@@ -1,7 +1,9 @@
 """Exact dense linear algebra over a Field.
 
 Matrices store entries by canonical integer encoding; all arithmetic is exact
-(no pivot-magnitude concerns can exist).  Matrix spaces always keep a
+(no pivot-magnitude concerns can exist).  Entries and scalars given to a
+matrix are encoded by `Field.encode`, the package's one coercion rule, with
+plain ints reduced inline.  Matrix spaces always keep a
 canonical RREF-reduced basis of their vectorized members, so equality of
 spaces is equality of canonical bases.
 
@@ -49,14 +51,6 @@ from .errors import FieldMismatch, GuardExceeded, ShapeMismatch, Singular
 from .gf import Field, FieldElement
 
 
-def _enc(field, value) -> int:
-    if isinstance(value, FieldElement):
-        if value.field != field:
-            raise FieldMismatch("entry from a different field")
-        return value.enc
-    return int(value) % field.q
-
-
 class FqMatrix:
     """Dense n x m matrix over a Field; rows stored as tuples of encodings."""
 
@@ -65,7 +59,7 @@ class FqMatrix:
     def __init__(self, field: Field, rows):
         self.field = field
         q = field.q
-        self.rows = tuple(tuple([v % q if type(v) is int else _enc(field, v)
+        self.rows = tuple(tuple([v % q if type(v) is int else field.encode(v)
                                  for v in row]) for row in rows)
         self.n = len(self.rows)
         if self.n == 0:
@@ -168,7 +162,7 @@ class FqMatrix:
 
     def scale(self, c):
         F = self.field
-        ce = _enc(F, c)
+        ce = F.encode(c)
         return FqMatrix(F, [[F.mul(ce, a) for a in row] for row in self.rows])
 
     def __matmul__(self, other):

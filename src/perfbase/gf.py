@@ -21,6 +21,9 @@ elements: F_{2^16} takes about 0.15 s (half of it the irreducible search,
 which doubles in time with each degree over F_2) and 7 MB of tables, and a
 larger field is refused before any search.
 
+`Field.encode` is the package's one rule for turning a scalar into an
+encoding, and every entry point that takes a scalar goes through it.
+
 Field and FieldElement are immutable after construction; all operations are
 pure, so values can be shared freely between threads.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from .errors import (
     DegreeMismatch,
@@ -99,7 +103,7 @@ class Field:
             if modulus is None:
                 coeffs = _smallest_irreducible(p, deg)
             else:
-                coeffs = tuple(int(c) % p for c in modulus)
+                coeffs = tuple(operator.index(c) % p for c in modulus)
                 if len(coeffs) != deg + 1 or coeffs[-1] != 1:
                     raise DegreeMismatch(
                         f"modulus must be monic of degree {deg}")
@@ -139,18 +143,27 @@ class Field:
     def enc_of(self, coeffs) -> int:
         enc = 0
         for c in reversed(tuple(coeffs)):
-            enc = enc * self.p + (c % self.p)
+            enc = enc * self.p + operator.index(c) % self.p
         return enc
 
-    def element(self, value) -> "FieldElement":
-        """Wrap an encoding (int) or coefficient sequence as an element."""
+    def encode(self, value) -> int:
+        """The encoding of a scalar: the package's one coercion rule.
+
+        An element of this field gives its encoding and one of another field
+        raises FieldMismatch; an int (numpy integers included) is reduced mod
+        q; a float, a string or any other type raises TypeError.
+        """
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldMismatch("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, value % self.q)
-        return FieldElement(self, self.enc_of(value))
+            return value.enc
+        return operator.index(value) % self.q
+
+    def element(self, value) -> "FieldElement":
+        """Wrap a scalar (by `encode`) or a coefficient sequence as an element."""
+        if isinstance(value, (tuple, list)):
+            return FieldElement(self, self.enc_of(value))
+        return FieldElement(self, self.encode(value))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -294,12 +307,13 @@ class FieldElement:
         return f"{self.field!r}:{self.enc}"
 
     def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.enc == other.enc
-        if isinstance(other, int):
-            return self.enc == other % self.field.q if self.field.deg == 1 \
-                else self.enc == other
-        return NotImplemented
+        """Equal to an element or int that `Field.encode` maps to self.enc."""
+        if isinstance(other, FieldElement) and other.field != self.field:
+            return False
+        try:
+            return self.enc == self.field.encode(other)
+        except TypeError:
+            return NotImplemented
 
     def __hash__(self):
         return hash((self.field, self.enc))
@@ -307,38 +321,29 @@ class FieldElement:
     def __bool__(self):
         return self.enc != 0
 
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch("elements from different fields")
-            return other.enc
-        if isinstance(other, int):
-            return other % self.field.q
-        raise TypeError(f"cannot combine field element with {type(other)}")
-
     def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.enc, self._coerce(other)))
+        return FieldElement(self.field, self.field.add(self.enc, self.field.encode(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.enc, self._coerce(other)))
+        return FieldElement(self.field, self.field.sub(self.enc, self.field.encode(other)))
 
     def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.enc))
+        return FieldElement(self.field, self.field.sub(self.field.encode(other), self.enc))
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.enc))
 
     def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.enc, self._coerce(other)))
+        return FieldElement(self.field, self.field.mul(self.enc, self.field.encode(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         return FieldElement(
             self.field,
-            self.field.mul(self.enc, self.field.inv(self._coerce(other))))
+            self.field.mul(self.enc, self.field.inv(self.field.encode(other))))
 
     def __pow__(self, e: int):
         return FieldElement(self.field, self.field.pow(self.enc, e))
@@ -357,14 +362,7 @@ class FqPolynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        encs = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise FieldMismatch("coefficient from a different field")
-                encs.append(c.enc)
-            else:
-                encs.append(int(c) % field.q)
+        encs = list(map(field.encode, coeffs))
         while encs and encs[-1] == 0:
             encs.pop()
         self.field = field
@@ -378,8 +376,7 @@ class FqPolynomial:
     def from_roots(cls, field: Field, roots) -> "FqPolynomial":
         poly = cls(field, (1,))
         for r in roots:
-            enc = r.enc if isinstance(r, FieldElement) else int(r) % field.q
-            poly = poly * cls(field, (field.neg(enc), 1))
+            poly = poly * cls(field, (field.neg(field.encode(r)), 1))
         return poly
 
     @classmethod
@@ -439,8 +436,8 @@ class FqPolynomial:
         return FqPolynomial(F, out)
 
     def scale(self, c) -> "FqPolynomial":
-        enc = c.enc if isinstance(c, FieldElement) else int(c)
         F = self.field
+        enc = F.encode(c)
         return FqPolynomial(F, [F.mul(x, enc) for x in self.coeffs])
 
     def divmod(self, other):
@@ -469,7 +466,7 @@ class FqPolynomial:
 
     def evaluate(self, x) -> FieldElement:
         F = self.field
-        enc = x.enc if isinstance(x, FieldElement) else int(x)
+        enc = F.encode(x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = F.add(F.mul(acc, enc), c)
@@ -563,7 +560,7 @@ def field_make(p: int, deg: int = 1, modulus=None) -> Field:
     if modulus is not None:
         if isinstance(modulus, FqPolynomial):
             modulus = modulus.coeffs
-        modulus = tuple(int(c) for c in modulus)
+        modulus = tuple(map(operator.index, modulus))
     return _cached_field(p, deg, modulus)
 
 

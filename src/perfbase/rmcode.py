@@ -13,7 +13,8 @@ Minimum distances are computed exhaustively by `exactla._min_distance`
 Scans may be sharded externally as long as results reduce with `min`.
 
 The base field of every expansion here is prime: all constructions at desk
-scale live over F_p.
+scale live over F_p.  Scalars given to a code, a basis or a polynomial are
+encoded by `Field.encode`, the package's one coercion rule.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .exactla import (
     Echelon,
     FqMatrix,
     MatrixSpace,
-    _enc,
     _min_distance,
     _projective_count,
     _solve_combination,
@@ -56,13 +56,6 @@ from .gf import Field, FieldElement, field_make, find_primitive
 from .tensor3 import BaseCandidate, kruskal_bound, verify_base
 
 DEFAULT_SCAN_GUARD = 1 << 24
-
-
-def _encs(field: Field, values) -> list:
-    """Encodings of ints or elements of `field`, by the rule of `exactla._enc`:
-    an int is reduced mod q, an element of another field is refused."""
-    q = field.q
-    return [x % q if type(x) is int else _enc(field, x) for x in values]
 
 
 # --- coordinate bases ---------------------------------------------------------------
@@ -81,7 +74,7 @@ class GammaBasis:
             alpha = find_primitive(ext_field)
             encs = [ext_field.pow(alpha.enc, i) for i in range(self.m)]
         else:
-            encs = _encs(ext_field, elements)
+            encs = list(map(ext_field.encode, elements))
             if len(encs) != self.m:
                 raise DependentBasis("need exactly m basis elements")
         self.elements = tuple(encs)
@@ -135,7 +128,7 @@ class GammaBasis:
 
     def mult_matrix(self, beta) -> FqMatrix:
         """Right-multiplication matrix of beta in this coordinate frame."""
-        enc = _enc(self.ext_field, beta)
+        enc = self.ext_field.encode(beta)
         return gamma_expand([self.ext_field.mul(g, enc) for g in self.elements], self)
 
     def frame_change_from(self, other: "GammaBasis") -> FqMatrix:
@@ -148,7 +141,8 @@ class GammaBasis:
 def gamma_expand(v, gamma: GammaBasis) -> FqMatrix:
     """Coordinate matrix of a vector over the extension field."""
     ext = gamma.ext_field
-    coeffs = [ext.coeffs_of(x) for x in _encs(ext, v)]
+    q = ext.q
+    coeffs = [ext.coeffs_of(x % q if type(x) is int else ext.encode(x)) for x in v]
     return FqMatrix(gamma.base_field, coeffs) @ gamma._Ginv
 
 
@@ -160,7 +154,7 @@ class VectorCode:
 
     def __init__(self, ext_field: Field, generators):
         self.ext_field = ext_field
-        rows = [tuple(_encs(ext_field, g)) for g in generators]
+        rows = [tuple(map(ext_field.encode, g)) for g in generators]
         if not rows:
             raise ParametersOutOfRange("need at least one generator row")
         self.n = len(rows[0])
@@ -212,7 +206,7 @@ class BlockCode:
 
     def __init__(self, field: Field, generators):
         self.field = field
-        rows = [tuple(int(x) for x in g) for g in generators]
+        rows = [tuple(map(field.encode, g)) for g in generators]
         if not rows:
             raise ParametersOutOfRange("need at least one generator row")
         self.length = len(rows[0])
@@ -304,11 +298,16 @@ class LinearizedPoly:
     coeffs: tuple
     eta: int = 0
 
+    def __post_init__(self):
+        encode = self.ext_field.encode
+        object.__setattr__(self, "coeffs", tuple(map(encode, self.coeffs)))
+        object.__setattr__(self, "eta", encode(self.eta))
+
     def evaluate(self, u) -> FieldElement:
         ext = self.ext_field
         q = ext.p
         order = ext.q - 1
-        enc = _enc(ext, u)
+        enc = ext.encode(u)
         acc = 0
         for i, f in enumerate(self.coeffs):
             if f and enc:
@@ -350,7 +349,7 @@ def gabidulin(U_basis, k: int, s: int, eta, gamma: GammaBasis | None = None,
         raise ParametersOutOfRange("need 1 <= k < n")
     if math.gcd(s, m) != 1:
         raise NotCoprime("the Frobenius step must be coprime to m")
-    eta_enc = _enc(ext, eta)
+    eta_enc = ext.encode(eta)
     if not _norm_condition_holds(ext, eta_enc, m, k, s):
         raise BadEta("the twist violates the norm condition")
     gamma = gamma or GammaBasis(ext)
@@ -380,7 +379,7 @@ def extend_base_lindep(base_s: BaseCandidate, lambdas) -> BaseCandidate:
     Every member (and every target basis matrix) gains the same dependent
     rows, so ranks are unchanged and spanning is preserved in both directions.
     """
-    lam = [tuple(int(x) for x in row) for row in lambdas]
+    lam = [tuple(row) for row in lambdas]
     s = base_s.target.n
     if any(len(row) != s for row in lam):
         raise ShapeMismatch("each coefficient row must have s entries")
@@ -470,7 +469,7 @@ def one_dim_row_base(gamma: GammaBasis, v_row) -> ConstructionResult:
     coordinates on the left.  Ints are reduced mod q; an element of another
     field raises FieldMismatch.
     """
-    v = _encs(gamma.ext_field, v_row)
+    v = list(map(gamma.ext_field.encode, v_row))
     return _finish(_row_candidate(gamma, v), "one-dim-row",
                    {"q": gamma.q, "m": gamma.m, "row": list(v)}, {})
 
@@ -566,7 +565,7 @@ def two_dim_bound(G_rows, gamma: GammaBasis):
     ext = gamma.ext_field
     Fq = gamma.base_field
     m = gamma.m
-    rows = [_encs(ext, g) for g in G_rows]
+    rows = [list(map(ext.encode, g)) for g in G_rows]
     if len(rows) != 2:
         raise ParametersOutOfRange("need exactly two generator rows")
     if Fq.q < 2 * m - 3:

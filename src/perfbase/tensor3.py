@@ -342,17 +342,28 @@ class _Tables:
             A = self.sub_scaled(A, A[:, pc, None], np.array(row, dtype=np.int64))
         return np.ascontiguousarray(A[:, free])
 
+    @staticmethod
+    def nonzero(T, stop):
+        """The bits of the nonzero rows i < stop of T."""
+        rows = np.packbits(T[:stop].any(axis=1), bitorder="little")
+        return int.from_bytes(rows.tobytes(), "little")
+
     def classes(self, T, stop):
-        """(bits, ids, masks) for the rows i < stop of T: bit i is set when row
-        i is nonzero, ids[i] is the class id of row i (0 for a zero row), and
-        masks maps each class id to the bits of its rows."""
+        """(bits, ids, masks) for the rows i < stop of T: bits as `nonzero`,
+        ids[i] is the class id of row i (0 for a zero row), and masks maps
+        each class of two rows or more to the bits of its rows.  A pick of
+        row i clears only the later rows of its class, so a one-row class
+        needs no mask, and N one-row classes do not cost N^2 bits."""
         T, w = T[:stop], T.shape[1]  # w = 0 when V is the whole space
         lead = T[np.arange(len(T)), (T != 0).argmax(axis=1)] if w else 0
         ids = (self.scaled(self.inv[lead, None], T) @ self.powers[:w]).tolist()
-        masks = {}  # class id -> the bits of the rows with that id
+        masks, first = {}, {}  # first: class id -> its first row
         for i, c in enumerate(ids):
-            masks[c] = masks.get(c, 0) | 1 << i
-        return ((1 << len(ids)) - 1) & ~masks.get(0, 0), ids, masks
+            j = first.setdefault(c, i)
+            if j != i:
+                masks[c] = masks.get(c, 1 << j) | 1 << i
+        zero = masks.get(0) or (1 << first[0] if 0 in first else 0)
+        return ((1 << len(ids)) - 1) & ~zero, ids, masks
 
     def pick(self, T, i):
         """The rows after i modulo the nonzero row i."""
@@ -401,11 +412,13 @@ def _search_subsets(tables, A, Q, k, R, budget, limit):
         # Its classes take one row more, the last one its children test.
         # There are at least nm >= R candidates, so stop >= 1.
         stop = n_cand - start - (R - t) + 1
+        if t == R - 1:  # the root, when R = 1: its picks are last picks
+            independent = tables.nonzero(A, stop)
+            return last(start, stop, independent & ~tables.nonzero(Q, stop)
+                        if av == R else independent)
         independent, ids_a, masks_a = tables.classes(A, stop + 1)
         outside, ids_q, masks_q = tables.classes(Q, stop + 1)
         viable = (independent & ~outside if av == R else independent) & ((1 << stop) - 1)
-        if t == R - 1:  # the root, when R = 1
-            return last(start, stop, viable)
         tested = 0
         while viable:
             low = viable & -viable
@@ -416,8 +429,8 @@ def _search_subsets(tables, A, Q, k, R, budget, limit):
             # the pick zeroes the later rows of row i's class (a zero Q row
             # changes nothing: its class holds only zero rows)
             grew = outside >> i & 1
-            independent2 = (independent & ~masks_a[ids_a[i]]) >> (i + 1)
-            outside2 = (outside & ~masks_q[ids_q[i]]) >> (i + 1)
+            independent2 = (independent & ~masks_a.get(ids_a[i], 0)) >> (i + 1)
+            outside2 = (outside & ~masks_q.get(ids_q[i], 0)) >> (i + 1)
             viable2 = independent2 & ~outside2 if av + grew == R else independent2
             if t + 2 == R or not viable2:
                 hit = last(start + i + 1, stop - i, viable2)

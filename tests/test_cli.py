@@ -500,3 +500,97 @@ def test_verify_proves_tensor_rank_by_the_oracle(tmp_path, capsys):
                                             "tests_used": tests - 1}
     rc, line = _verify(tmp_path, capsys, cert, "--guard", str(tests))
     assert rc == 0
+
+
+# --- canonical input --------------------------------------------------------------
+
+
+def _entry(cert, i, j, value_of):
+    entries = cert["base"][0]["entries"]
+    entries[i][j] = value_of(entries[i][j])
+
+
+# each edit used to verify with exit 0: the reader reduced, truncated or
+# parsed the value instead of refusing it
+CANONICAL_EDITS = {
+    "entry-plus-5": lambda c: _entry(c, 1, 0, lambda x: x + 5),
+    "entry-minus-5": lambda c: _entry(c, 1, 0, lambda x: x - 5),
+    "entry-plus-half": lambda c: _entry(c, 1, 0, lambda x: x + 0.5),
+    "entry-as-string": lambda c: _entry(c, 1, 0, str),
+    "one-as-true": lambda c: _entry(c, 0, 0, lambda x: True),
+    "n-as-string": lambda c: c["base"][0].update(n="4"),
+    "n-as-float": lambda c: c["base"][0].update(n=4.9),
+    "p-as-string": lambda c: c["field"].update(p="5"),
+    "deg-as-float": lambda c: c["field"].update(deg=1.5),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CANONICAL_EDITS))
+def test_verify_refuses_non_canonical_json(tmp_path, capsys, edit):
+    cert = load_certificate(os.path.join(FIXDIR, "dual_powers_f5_m4_s3.cert.json"))
+    assert cert["base"][0]["entries"][1][0] == 4 and cert["base"][0]["entries"][0][0] == 1
+    CANONICAL_EDITS[edit](cert)
+    rc, line = _verify(tmp_path, capsys, cert)
+    assert rc == 2 and line["kind"] == "input" and not line["ok"]
+
+
+@pytest.mark.parametrize("key,value", [("k", "6"), ("d", 2.0), ("q", True),
+                                       ("n", "3"), ("mtr", 1)])
+def test_verify_refuses_non_canonical_code_facts(tmp_path, capsys, key, value):
+    cert = load_certificate(os.path.join(FIXDIR, "gabidulin_dual_f3_m3_n3.cert.json"))
+    cert["code"][key] = value
+    rc, line = _verify(tmp_path, capsys, cert)
+    assert rc == 2 and line["kind"] == "input"
+
+
+@pytest.mark.parametrize("modulus,code", [([1, 1, 1], 0), ([3, 1, 1], 2),
+                                          ([1, 1.0, 1], 2), ([1, -1, 1], 2)])
+def test_verify_refuses_modulus_coefficients_outside_f_p(tmp_path, capsys,
+                                                          modulus, code):
+    one = {"n": 1, "m": 1, "entries": [[1]]}
+    cert = {"schema_version": "1", "field": {"p": 2, "deg": 2, "modulus": modulus},
+            "construction": {"name": "hand", "params": {}},
+            "target_basis": [one], "base": [one], "auxiliary": {}}
+    rc, line = _verify(tmp_path, capsys, cert)
+    assert rc == code and line["ok"] == (code == 0)
+
+
+def test_oracle_refuses_an_entry_outside_the_field(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "field": {"p": 3},
+        "basis": [{"n": 2, "m": 2, "entries": [[1, 0], [0, 4]]}]}))
+    assert main(["oracle", str(space)]) == 2
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input" and "[0, 3)" in line["error"]
+
+
+def test_construct_refuses_a_negative_gamma(tmp_path, capsys):
+    # over F_9, -1 encodes as 2; the int -1 would have been built as 8 and
+    # labelled [1, -1]
+    out = tmp_path / "c.json"
+    args = ["construct", "dual-powers", "--p", "3", "--deg", "2", "--m", "4",
+            "--s", "2", "--bottom", "1,0,0,0", "--out", str(out)]
+    assert main([*args, "--gammas", "1,-1"]) == 2
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input" and "outside the field" in line["error"]
+    assert not out.exists()
+    assert main([*args, "--gammas", "1,2"]) == 0
+    capsys.readouterr()
+    assert load_certificate(str(out))["construction"]["params"]["gammas"] == [1, 2]
+
+
+def test_verify_flags_a_stored_report_that_differs_from_the_fresh_one(
+        tmp_path, capsys):
+    cert = load_certificate(os.path.join(FIXDIR, "dual_powers_f5_m4_s3.cert.json"))
+    cert["report"]["base_size"] += 1
+    rc, line = _verify(tmp_path, capsys, cert)
+    assert rc == 1 and line["stored_report_mismatch"] and not line["ok"]
+    assert line["checks"]["passed"]
+
+
+@pytest.mark.parametrize("edit", [{"schema_version": "2"}, {"target_basis": []}])
+def test_verify_refuses_other_schemas_and_empty_targets(tmp_path, capsys, edit):
+    cert = load_certificate(os.path.join(FIXDIR, "dual_powers_f5_m4_s3.cert.json"))
+    rc, line = _verify(tmp_path, capsys, dict(cert, **edit))
+    assert rc == 2 and line["kind"] == "input"

@@ -24,6 +24,7 @@ from perfbase.errors import (
     BadGammaSet,
     CaseNotCovered,
     CharTwo,
+    FieldMismatch,
     FieldTooSmall,
     RepeatedRoot,
     SingularM,
@@ -31,7 +32,7 @@ from perfbase.errors import (
     ZeroGamma,
 )
 from perfbase.exactla import FqMatrix, MatrixSpace, dual_complement, trace_pair
-from perfbase.gf import FqPolynomial, field_make
+from perfbase.gf import FieldElement, FqPolynomial, field_make
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -205,6 +206,25 @@ def test_base_dual_powers_errors():
         GammaSet(F5, (2, 1))
     with pytest.raises(BadGammaSet):
         GammaSet(F5, (1, 0))
+
+
+def test_specs_and_gamma_sets_encode_their_scalars():
+    F9, F25 = field_make(3, 2), field_make(5, 2)
+    foreign = FieldElement(F25, 20)
+    # the foreign element used to become the bottom entry 20 % 9 = 2
+    with pytest.raises(FieldMismatch):
+        CompanionSpec(F9, 2, (foreign, 1))
+    assert CompanionSpec(F9, 2, (FieldElement(F9, 5), 10)).bottom == (5, 1)
+    with pytest.raises(TypeError):
+        CompanionSpec(F5, 2, (1.5, 1))
+    assert GammaSet(F9, (1, FieldElement(F9, 8))).elements == (1, 8)
+    # a gamma is an encoding in [0, q): -1 is not reduced to 8, and an
+    # element of another field is refused like any value outside F_9
+    for bad in (-1, 9, foreign):
+        with pytest.raises(BadGammaSet):
+            GammaSet(F9, (1, bad))
+    with pytest.raises(TypeError):
+        GammaSet(F9, (1, 2.5))
 
 
 def test_base_dual_powers_rect_reduces_to_square():

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfbase.errors import ShapeMismatch, Singular
+from perfbase.errors import FieldMismatch, ShapeMismatch, Singular
 from perfbase.exactla import (
     FqMatrix,
     MatrixSpace,
@@ -13,7 +14,7 @@ from perfbase.exactla import (
     trace_pair,
     vectorize,
 )
-from perfbase.gf import field_make
+from perfbase.gf import FieldElement, field_make
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -29,6 +30,20 @@ def rand_invertible(rng, F, n):
         M = rand_matrix(rng, F, n, n)
         if M.is_invertible():
             return M
+
+
+def test_matrix_entries_and_scalars_are_encoded_by_the_field():
+    # a float or a string used to be truncated or parsed: 2.5 became 2
+    for bad in (2.5, "3"):
+        with pytest.raises(TypeError):
+            FqMatrix(F5, [[bad]])
+        with pytest.raises(TypeError):
+            FqMatrix(F5, [[1]]).scale(bad)
+    F9 = field_make(3, 2)
+    assert FqMatrix(F5, [[7, -1, np.int64(12)]]).rows == ((2, 4, 2),)
+    assert FqMatrix(F9, [[FieldElement(F9, 4), 10]]).rows == ((4, 1),)
+    with pytest.raises(FieldMismatch):
+        FqMatrix(F9, [[FieldElement(field_make(5, 2), 4)]])
 
 
 def test_rref_examples():

@@ -5,14 +5,22 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from perfbase import gf
-from perfbase.errors import NotASubfield, NotIrreducible, NotPrime, ParametersOutOfRange
+from perfbase.errors import (
+    FieldMismatch,
+    NotASubfield,
+    NotIrreducible,
+    NotPrime,
+    ParametersOutOfRange,
+)
 from perfbase.gf import (
     _is_prime,
     Field,
+    FieldElement,
     FqPolynomial,
     field_make,
     find_primitive,
@@ -599,3 +607,53 @@ def test_polynomial_division():
     q, r = f.divmod(g)
     assert q * g + r == f
     assert r.degree < g.degree
+
+
+# --- the one scalar rule, Field.encode ------------------------------------------------
+
+
+def test_encode_is_the_one_scalar_rule():
+    F9, F25 = field_make(3, 2), field_make(5, 2)
+    assert F9.encode(FieldElement(F9, 5)) == 5
+    assert [F9.encode(v) for v in (30, -1, np.int64(12), True)] == [3, 8, 3, 1]
+    with pytest.raises(FieldMismatch):
+        F9.encode(FieldElement(F25, 20))
+    for bad in (2.5, 3.0, "3", None, (1, 2)):
+        with pytest.raises(TypeError):
+            F9.encode(bad)
+    assert F9.element(30) == F9.element(3) and F9.element([0, 1]).enc == 3
+    with pytest.raises(FieldMismatch):
+        F9.element(FieldElement(F25, 1))
+
+
+def test_polynomial_entry_points_encode_their_scalars():
+    # each raised a raw IndexError, or used a foreign encoding, before
+    F9, F25 = field_make(3, 2), field_make(5, 2)
+    f = FqPolynomial(F9, [1, 2])
+    foreign = FieldElement(F25, 20)
+    assert f.evaluate(30) == f.evaluate(3)
+    assert f.scale(30) == f.scale(3)
+    with pytest.raises(FieldMismatch):
+        f.scale(foreign)
+    with pytest.raises(FieldMismatch):
+        FqPolynomial.from_roots(F9, [foreign])
+    with pytest.raises(FieldMismatch):
+        FqPolynomial(F9, [foreign])
+    assert FqPolynomial.from_roots(F9, [10]) == FqPolynomial.from_roots(F9, [1])
+    for bad in (2.5, "1"):
+        with pytest.raises(TypeError):
+            FqPolynomial(F9, [1, bad])
+        with pytest.raises(TypeError):
+            f.evaluate(bad)
+
+
+def test_element_equality_with_ints_reduces_mod_q_in_every_field():
+    F7, F9, F25 = field_make(7), field_make(3, 2), field_make(5, 2)
+    assert FieldElement(F7, 3) == 10 and FieldElement(F9, 1) == 10
+    assert FieldElement(F9, 8) == -1 and FieldElement(F9, 1) != 2
+    assert FieldElement(F9, 1) != FieldElement(F25, 1)
+    assert FieldElement(F9, 1) != 1.0 and FieldElement(F9, 1) != "1"
+    with pytest.raises(TypeError):
+        FieldElement(F9, 1) + 0.5
+    with pytest.raises(FieldMismatch):
+        FieldElement(F9, 1) * FieldElement(F25, 1)

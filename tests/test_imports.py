@@ -1,6 +1,8 @@
 """Every name a perfbase module imports is used in that module, every
-private name the package defines is used somewhere in it, and numpy is
-imported where the package loads, not where a scan first needs it.
+private name the package defines is used somewhere in it, numpy is
+imported where the package loads, not where a scan first needs it, and
+`Field.encode` is the package's only rule for turning a scalar into an
+encoding.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.  `__init__.py` re-exports names and is skipped.
@@ -92,6 +94,41 @@ def test_private_name_check_sees_dead_knobs_and_methods():
     }
     assert unreferenced_private_names(sources) == [
         ("a.py", "C._slow"), ("a.py", "_LIMIT"), ("a.py", "_dead")]
+
+
+def local_scalar_rules(source: str):
+    """Lines of the conditionals (`if` or `x if c else y`) that both test
+    `isinstance(..., FieldElement)` and read `.enc`: a copy of the rule that
+    `Field.encode` owns."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.If, ast.IfExp)):
+            continue
+        tests_type = any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == "isinstance" and len(n.args) == 2
+            and "FieldElement" in ast.unparse(n.args[1])
+            for n in ast.walk(node.test))
+        reads_enc = any(isinstance(n, ast.Attribute) and n.attr == "enc"
+                        for n in ast.walk(node))
+        if tests_type and reads_enc:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf.py"],
+                         ids=lambda p: p.name)
+def test_scalars_are_encoded_only_by_the_field(path):
+    assert local_scalar_rules(path.read_text()) == []
+
+
+def test_scalar_rule_check_sees_local_copies():
+    source = ("a = v.enc if isinstance(v, FieldElement) else int(v) % q\n"
+              "if isinstance(w, (int, FieldElement)):\n    b = w.enc\n"
+              "c = [x if isinstance(x, FieldElement) else None for x in xs]\n"
+              "if not isinstance(g, FieldElement):\n    raise TypeError\n"
+              "d = g.field.encode(g)\n")
+    assert local_scalar_rules(source) == [1, 2]
 
 
 def imported_modules(source: str):

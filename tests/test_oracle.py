@@ -320,11 +320,11 @@ def test_classes_read_only_the_first_stop_rows():
     assert bits == 0b1011101
     assert ids[0] == ids[2] and ids[3] == ids[6] and ids[1] == ids[5]
     assert len({ids[0], ids[1], ids[3], ids[4]}) == 4
-    assert masks == {ids[0]: 0b101, ids[1]: 0b100010, ids[3]: 0b1001000,
-                     ids[4]: 0b10000}
+    # a class of one row has no mask
+    assert masks == {ids[0]: 0b101, ids[1]: 0b100010, ids[3]: 0b1001000}
     bits, ids, masks = tables.classes(_as_table(tables, rows), 4)
     assert bits == 0b1101 and len(ids) == 4
-    assert masks == {ids[0]: 0b101, ids[1]: 0b10, ids[3]: 0b1000}
+    assert masks == {ids[0]: 0b101}
 
 
 @pytest.mark.parametrize("F,V", [(F, V) for F, V in SMALL_FIELD_CASES
@@ -343,7 +343,8 @@ def test_a_pick_zeroes_exactly_the_class_of_its_row(F, V):
         for i in range(size):
             if bits >> i & 1:
                 child, _, _ = tables.classes(tables.pick(T, i), size)
-                assert child == (bits & ~masks[ids[i]]) >> (i + 1)
+                # a class of one row has no mask: only row i is in it
+                assert child == (bits & ~masks.get(ids[i], 0)) >> (i + 1)
 
 
 @pytest.mark.parametrize("F", [F4, F8, F9])
@@ -473,6 +474,41 @@ def test_size_limit_boundary():
     assert exhaustive_trk(ones(16))[0] == 1
     with pytest.raises(ParametersOutOfRange):
         exhaustive_trk(ones(17))
+
+
+def test_the_zero_space_has_rank_zero_and_an_empty_witness():
+    for F, shape in ((F3, (2, 2)), (F4, (1, 3))):
+        trk, witness = exhaustive_trk(MatrixSpace.zero(F, shape))
+        assert trk == 0 and witness.matrices == () and witness.target.dim == 0
+
+
+# The child caps its own address space; the cap does not reach this process.
+_MEMORY_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from perfbase.exactla import FqMatrix, MatrixSpace
+from perfbase.gf import field_make
+from perfbase.tensor3 import exhaustive_trk
+F = field_make(int(sys.argv[1]))
+row = [int(x) for x in sys.argv[2].split(",")]
+trk, _ = exhaustive_trk(MatrixSpace.from_matrices([FqMatrix(F, [row])]))
+print(trk, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("p,row", [(2, [1] * 16), (524269, [1, 5])])
+def test_oracle_memory_is_linear_in_the_candidates(p, row):
+    # 65,535 and 524,270 candidates, each its own row class: one bit mask per
+    # class took 550 MB on the first and a MemoryError under this cap on the
+    # second
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _MEMORY_CHILD, str(p), ",".join(map(str, row))],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    trk, maxrss_kb = map(int, out.stdout.split())
+    assert trk == 1 and maxrss_kb < 200 * 1024
 
 
 def _oracle_cli(tmp_path, capsys, obj, *extra):

@@ -23,6 +23,7 @@ from perfbase.rmcode import (
     BlockCode,
     _power_multiple,
     GammaBasis,
+    LinearizedPoly,
     RankCode,
     VectorCode,
     _power_candidate,
@@ -510,6 +511,26 @@ def test_int_scalars_are_reduced_mod_q():
     assert res.candidate.matrices == one_dim_row_base(g9, [1, 3]).candidate.matrices
     assert gamma_expand([13, -1], g9) == gamma_expand([4, 8], g9)
     assert g9.mult_matrix(10) == g9.mult_matrix(1)
+
+
+def test_codes_and_polynomials_encode_their_scalars():
+    # a raw IndexError, or an unreduced generator, before
+    F7, F9 = field_make(7), field_make(3, 2)
+    assert LinearizedPoly(F9, 1, (30,), 0).evaluate(1) == \
+        LinearizedPoly(F9, 1, (3,), 0).evaluate(1)
+    assert LinearizedPoly(F9, 1, (1,), 10).eta == 1
+    assert BlockCode(F9, [[30, 1]]).distance() == 2
+    assert BlockCode(F7, [[30, 1]]).generators == ((2, 1),)
+    foreign = FieldElement(field_make(5, 2), 4)
+    with pytest.raises(FieldMismatch):
+        BlockCode(F9, [[foreign, 1]])
+    with pytest.raises(FieldMismatch):
+        LinearizedPoly(F9, 1, (foreign,), 0)
+    for bad in (2.5, "1"):
+        with pytest.raises(TypeError):
+            BlockCode(F7, [[bad, 1]])
+        with pytest.raises(TypeError):
+            VectorCode(F9, [[1, bad]])
 
 
 def test_one_dim_row_base_general_rows():

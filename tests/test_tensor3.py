@@ -264,6 +264,14 @@ def test_rank_one_completion_takes_the_first_left_factor_and_lowest_target():
     assert detail["witness"] == targets[0]
 
 
+def test_rank_one_completion_of_a_target_inside_the_span():
+    # answered before the guard is read: no scan is needed
+    span = MatrixSpace(F3, (2, 2), [FqMatrix(F3, [[1, 0], [0, 1]])])
+    targets = [FqMatrix(F3, [[0, 1], [0, 0]]), FqMatrix(F3, [[2, 0], [0, 2]])]
+    assert rank_one_completion_exists(span, targets, guard=0) == (
+        True, {"target_index": 1, "inside_span": True})
+
+
 @pytest.mark.parametrize("F", [F2, field_make(2, 2)])
 def test_rank_one_completion_guard_boundary(F):
     # the guard counts (u, v) pairs and is checked before the scan
