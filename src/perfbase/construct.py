@@ -4,6 +4,10 @@ Covers the power-family dual bases built from shift-conjugated rank ones,
 their rectangular truncations, left-factor variants, the inverse-power family
 bases (diagonalizable part plus one or two companion-difference corrections),
 the singular-companion glue, and the square-plus-one-column pencil base.
+Every rank-one member is built from its two factors, u v^t by
+`FqMatrix.outer`: a spectral projector, a geometric epsilon member, a unit
+matrix or a three-term sign member.  The corrections that complete a base
+are differences of powers, Y (M^e - M_h^e).
 
 Every public constructor verifies its own output once (rank one,
 independent, contains the target) before returning; a failure raises
@@ -19,6 +23,7 @@ constructions and the `oracle` certificate of the command line.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -180,10 +185,8 @@ def epsilon(gamma, m: int) -> FqMatrix:
         raise ZeroGamma("gamma must be nonzero")
     if m < 2:
         raise ParametersOutOfRange("need m >= 2")
-    row = [field.pow(g, m - 1 - j) for j in range(m)]
-    rows = [row, [field.neg(field.mul(g, v)) for v in row]]
-    rows += [[0] * m for _ in range(m - 2)]
-    return FqMatrix(field, rows)
+    return FqMatrix.outer(field, [1, field.neg(g)] + [0] * (m - 2),
+                          [field.pow(g, m - 1 - j) for j in range(m)])
 
 
 def y_matrix(field: Field, n: int, m: int) -> FqMatrix:
@@ -227,26 +230,19 @@ def _power_members(spec: CompanionSpec, nrows: int, s: int,
     m = spec.m
     Minv_t = companion_inverse(spec).transpose()
     T = FqMatrix.identity(F, m)  # (M^{-i})^t, updated incrementally
+    geos = [FqMatrix(F, [[F.pow(g, m - 1 - j) for j in range(m)]]) for g in S.elements]
     members = []
     for i in range(nrows):
+        e_i = [0] * nrows
+        e_i[i] = 1
         if i <= nrows - 2:
-            for g in S.elements:
-                geo = [F.pow(g, m - 1 - j) for j in range(m)]
-                rowvec = _vec_mat(F, geo, T)
-                rows = [[0] * m for _ in range(nrows)]
-                rows[i] = rowvec
-                rows[i + 1] = [F.neg(F.mul(g, v)) for v in rowvec]
-                members.append(FqMatrix(F, rows))
-        for j in range(s + 1, m + 1):
-            rows = [[0] * m for _ in range(nrows)]
-            rows[i] = list(T.rows[j - 1])
-            members.append(FqMatrix(F, rows))
+            for g, geo in zip(S.elements, geos):
+                u = list(e_i)
+                u[i + 1] = F.neg(g)  # e_i - g e_{i+1}
+                members.append(FqMatrix.outer(F, u, (geo @ T).rows[0]))
+        members += [FqMatrix.outer(F, e_i, row) for row in T.rows[s:]]
         T = Minv_t @ T
     return tuple(members), S
-
-
-def _vec_mat(F, vec, M: FqMatrix):
-    return list((FqMatrix(F, [vec]) @ M).rows[0])
 
 
 # --- power-family dual bases -----------------------------------------------------
@@ -302,7 +298,7 @@ def _left_eigenrows(M: FqMatrix, eig_encs) -> FqMatrix:
     Mt = M.transpose()
     for e in eig_encs:
         shifted = Mt - FqMatrix.identity(F, M.n).scale(e)
-        basis = _nullspace_rows(shifted)
+        basis = _nullspace(F, shifted.rows, M.n)
         if not basis:
             raise InternalVerificationError(f"{e} is not an eigenvalue")
         rows.append(_normalize_lead(F, basis[0]))
@@ -310,10 +306,6 @@ def _left_eigenrows(M: FqMatrix, eig_encs) -> FqMatrix:
     if P.rank() != P.n:
         raise InternalVerificationError("eigenvector rows were dependent")
     return P
-
-
-def _nullspace_rows(M: FqMatrix):
-    return _nullspace(M.field, M.rows, M.m)
 
 
 def _normalize_lead(F, vec):
@@ -337,15 +329,13 @@ def _split_block_form(spec: CompanionSpec, alpha_encs, g: FqPolynomial) -> FqMat
     if alpha_encs:
         rows.extend(_left_eigenrows(M, alpha_encs).rows)
     gM = _poly_at_matrix(g, M)
-    null = _nullspace_rows(gM.transpose())
+    null = _nullspace(F, gM.transpose().rows, m)
     if len(null) != r:
         raise InternalVerificationError("cofactor kernel has unexpected size")
     for w in _combination_stream(F, null):
-        orbit = []
-        cur = list(w)
-        for _ in range(r):
-            orbit.append(cur)
-            cur = _vec_mat(F, cur, M)
+        orbit = [w]
+        for _ in range(r - 1):
+            orbit.append((FqMatrix(F, [orbit[-1]]) @ M).rows[0])
         P = FqMatrix(F, rows + orbit)
         if P.is_invertible():
             return P
@@ -373,17 +363,10 @@ def _combination_stream(F, basis):
 
 
 def _projectors(X: FqMatrix, nrows=None):
-    """Rank-one conjugates X^{-1} E_{i,i} X, optionally row-truncated."""
-    F = X.field
-    m = X.n
-    n = nrows if nrows is not None else m
-    Xinv = X.inverse()
-    out = []
-    for i in range(m):
-        col = [Xinv.rows[t][i] for t in range(n)]
-        row = X.rows[i]
-        out.append(FqMatrix(F, [[F.mul(a, b) for b in row] for a in col]))
-    return out
+    """Rank-one conjugates X^{-1} E_{i,i} X = (column i of X^{-1}) (row i of X),
+    optionally row-truncated."""
+    cols = zip(*X.inverse().rows[:nrows])
+    return [FqMatrix.outer(X.field, col, row) for col, row in zip(cols, X.rows)]
 
 
 def _beta_pool(field: Field, root_encs, count, allow_zero_fallback):
@@ -424,7 +407,7 @@ def base_inverse_family(spec: CompanionSpec,
     """
     if not spec.invertible:
         raise SingularM("the inverse-power family needs an invertible companion")
-    extra_powers = tuple(int(e) for e in extra_powers)
+    extra_powers = tuple(map(operator.index, extra_powers))
     alphas, g = _factor_char_poly(spec)
     r = g.degree
     F = spec.field
@@ -506,10 +489,11 @@ def base_rect_small_n(spec: CompanionSpec, n: int,
     """Base for the n-row family (Y_n M^{-1} | Y_n | ... | Y_n M^{m-2}), n in {2,3}.
 
     Split characteristic polynomial: m members (truncated spectral
-    projectors).  Otherwise one correction for n=2 and, for n=3, either the
-    block-form correction (cofactor degree 2) or the two row-difference
-    corrections against a fully split companion, matching the displayed
-    worked instance exactly.
+    projectors).  For n = 3 and a cofactor of degree 2: the block-form
+    members.  Otherwise the truncated projectors of a fully split companion
+    M_h plus the corrections D_i = Y (M^e - M_h^e), for e = -1 (e = m - 1 when
+    M_h is singular, which only n = 2 allows) and, for n = 3, also e = m - 2,
+    matching the displayed worked instance exactly.
     """
     if n not in (2, 3):
         raise ParametersOutOfRange("this family covers n = 2 and n = 3 only")
@@ -537,31 +521,20 @@ def base_rect_small_n(spec: CompanionSpec, n: int,
         P = _left_eigenrows(M, alphas)
         core = _projectors(P, nrows=n)
         aux["P"] = P
-    elif n == 2:
-        betas, used_zero = _beta_pool(F, alphas, r, allow_zero_fallback=True)
-        h = FqPolynomial.from_roots(F, alphas + betas)
-        Mh = CompanionSpec.from_polynomial(h).matrix()
-        P = _left_eigenrows(Mh, sorted(alphas + betas))
-        core = _projectors(P, nrows=n)
-        if used_zero:
-            # a singular split companion: correct the top power instead of M^{-1}
-            D1 = Y @ (M.power(m - 1) - Mh.power(m - 1))
-        else:
-            D1 = Y @ (companion_inverse(spec) - Mh.inverse())
-        core.append(D1)
-        aux.update({"P": P, "M_h": Mh, "D1": D1})
-    elif r == 2:
+    elif n == 3 and r == 2:
         core, aux = _block_split(spec, alphas, g, n)
     else:
-        betas, _ = _beta_pool(F, alphas, r, allow_zero_fallback=False)
+        betas, used_zero = _beta_pool(F, alphas, r, allow_zero_fallback=(n == 2))
         h = FqPolynomial.from_roots(F, alphas + betas)
         Mh = CompanionSpec.from_polynomial(h).matrix()
         P = _left_eigenrows(Mh, sorted(alphas + betas))
         core = _projectors(P, nrows=n)
-        D1 = Y @ (companion_inverse(spec) - Mh.inverse())
-        D2 = Y @ (M.power(m - 2) - Mh.power(m - 2))
-        core.extend([D1, D2])
-        aux.update({"P": P, "M_h": Mh, "D1": D1, "D2": D2})
+        aux.update({"P": P, "M_h": Mh})
+        # a singular M_h (zero was used) has no inverse: its top power stands in
+        powers = [m - 1 if used_zero else -1] + ([m - 2] if n == 3 else [])
+        for k, e in enumerate(powers, start=1):
+            aux[f"D{k}"] = Y @ (M.power(e) - Mh.power(e))
+            core.append(aux[f"D{k}"])
 
     members = [L @ A @ N for A in core]
     slices = [L @ (Y @ companion_inverse(spec)) @ N]
@@ -654,10 +627,8 @@ def _singular_pair(F, a2):
     if a2 == 0:
         raise CaseNotCovered("trailing coefficient must be nonzero")
     inv = F.inv(a2)
-    first = FqMatrix(F, [[0, 0], [1, 0]])
-    second = FqMatrix(F, [[inv, 1],
-                          [F.neg(F.mul(inv, inv)), F.neg(inv)]])
-    return [first, second]
+    return [FqMatrix.outer(F, [0, 1], [1, 0]),
+            FqMatrix.outer(F, [1, F.neg(inv)], [inv, 1])]
 
 
 def _glue(spec, s, i, tail_members):
@@ -707,13 +678,15 @@ def atkinson_base(n: int, field: Field) -> ConstructionResult:
             if j == i or j == i + 1:
                 continue
             members.append(FqMatrix.unit(field, n, m, i - 1, j - 1))
-    for signs in ((1, 1, 1, -1, -1, -1), (1, -1, 1, 1, -1, 1)):
-        for i in range(1, n):
-            rows = [[0] * m for _ in range(n)]
-            for t in range(3):
-                rows[i - 1][i - 1 + t] = signs[t] % field.p
-                rows[i][i - 1 + t] = signs[3 + t] % field.p
-            members.append(FqMatrix(field, rows))
+    # (e_i - e_{i+1}) (e_i + e_{i+1} + e_{i+2})^t and
+    # (e_i + e_{i+1}) (e_i - e_{i+1} + e_{i+2})^t; -1 is field.neg(1), not the
+    # int -1, which encodes q - 1
+    minus = field.neg(1)
+    for su, sv in ((minus, 1), (1, minus)):
+        for i in range(n - 1):
+            pad = [0] * (n - i - 2)
+            members.append(FqMatrix.outer(field, [0] * i + [1, su] + pad,
+                                          [0] * i + [1, sv, 1] + pad))
     spec = CompanionSpec(field, m, (1,) + (0,) * n)
     target = _power_target(spec, 2, y_matrix(field, n, m))
     cand = BaseCandidate(tuple(members), target)

@@ -3,7 +3,8 @@
 Matrices store entries by canonical integer encoding; all arithmetic is exact
 (no pivot-magnitude concerns can exist).  Entries and scalars given to a
 matrix are encoded by `Field.encode`, the package's one coercion rule, with
-plain ints reduced inline.  Matrix spaces always keep a
+plain ints reduced inline.  Every rank-one matrix u v^t of the package is
+built by `FqMatrix.outer` from its two factors.  Matrix spaces always keep a
 canonical RREF-reduced basis of their vectorized members, so equality of
 spaces is equality of canonical bases.
 
@@ -90,10 +91,25 @@ class FqMatrix:
 
     @classmethod
     def unit(cls, field, n, m, i, j):
-        """E_{i,j} with one 1 entry, indices 0-based."""
-        rows = [[0] * m for _ in range(n)]
-        rows[i][j] = 1
-        return cls(field, rows)
+        """E_{i,j} = e_i e_j^t with one 1 entry, indices 0-based."""
+        u, v = [0] * n, [0] * m
+        u[i] = v[j] = 1
+        return cls.outer(field, u, v)
+
+    @classmethod
+    def outer(cls, field, u, v):
+        """The rank-one (or zero) matrix u v^t: entry (i, j) is u_i v_j.
+
+        Every entry of u and v is encoded by `Field.encode`; a zero u_i gives
+        a zero row, and all zero rows are one shared tuple.
+        """
+        u = list(map(field.encode, u))
+        v = list(map(field.encode, v))
+        if not u or not v:
+            raise ShapeMismatch("outer product of an empty vector")
+        zero = (0,) * len(v)
+        return cls._of(field, tuple(tuple(_scale(field, a, v)) if a else zero
+                                    for a in u))
 
     @classmethod
     def from_vector(cls, field, vec, n, m):
@@ -163,7 +179,7 @@ class FqMatrix:
     def scale(self, c):
         F = self.field
         ce = F.encode(c)
-        return FqMatrix(F, [[F.mul(ce, a) for a in row] for row in self.rows])
+        return FqMatrix._of(F, tuple(tuple(_scale(F, ce, row)) for row in self.rows))
 
     def __matmul__(self, other):
         if self.field != other.field:

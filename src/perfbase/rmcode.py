@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .construct import (
@@ -442,13 +443,9 @@ def _power_candidate(gamma: GammaBasis, s: int) -> BaseCandidate:
     for diff in diffs:
         pi_all = ext.mul(pi_all, diff)
     coords = gamma_expand(values + [pi_all], gamma).rows
-    members = []
-    for c in range(npts):
-        col = [Fq.pow(c, t) for t in range(s)]
-        members.append(FqMatrix(Fq, [[Fq.mul(x, y) for y in coords[c]] for x in col]))
-    rows = [[0] * m for _ in range(s)]
-    rows[s - 1] = list(coords[npts])
-    members.append(FqMatrix(Fq, rows))
+    members = [FqMatrix.outer(Fq, [Fq.pow(c, t) for t in range(s)], coords[c])
+               for c in range(npts)]
+    members.append(FqMatrix.outer(Fq, [0] * (s - 1) + [1], coords[npts]))
     target = gamma_expand_code(power_vector_code(gamma, s), gamma).space
     return BaseCandidate(tuple(members), target)
 
@@ -619,7 +616,7 @@ def shorten_mtr(C: RankCode, A: BaseCandidate, S):
     is the selected members themselves.  Returns (code, witness-or-None).
     """
     R = len(A.matrices)
-    S = sorted(set(int(i) for i in S))
+    S = sorted(set(map(operator.index, S)))
     if any(i < 0 or i >= R for i in S):
         raise BadSubset(f"indices must lie in 0..{R - 1}")
     d = C.distance()

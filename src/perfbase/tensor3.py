@@ -45,7 +45,7 @@ from .exactla import (
     _projective_count,
     _solve_combination,
 )
-from .gf import Field
+from .gf import Field, _power
 
 DEFAULT_GUARD = 100_000_000
 
@@ -174,8 +174,7 @@ def rank_one_matrices(field: Field, n: int, m: int):
     Both factors are normalized to leading coefficient 1; the order is
     lexicographic in (u, v) encodings with u varying slowest.
     """
-    return [FqMatrix(field, [[field.mul(a, b) for b in v] for a in u])
-            for u in _normalized_vectors(field, n)
+    return [FqMatrix.outer(field, u, v) for u in _normalized_vectors(field, n)
             for v in _normalized_vectors(field, m)]
 
 
@@ -277,7 +276,7 @@ def rank_one_completion_exists(span_space: MatrixSpace, targets,
                for j in range(m)]
         for j, v in enumerate(_solve_combination(F, R_u, residues)):
             if v is not None:
-                N = FqMatrix(F, [[F.mul(a, c) for c in v] for a in u])
+                N = FqMatrix.outer(F, u, v)
                 return True, {"target_index": j, "witness": N}
     return False, {"pairs_scanned": pairs}
 
@@ -304,13 +303,14 @@ class _Tables:
 
     def __init__(self, field):
         self.field, self.q, order = field, field.q, field.q - 1
-        inv = [0] + [field.inv(a) for a in range(1, field.q)]
-        self.inv = np.array(inv, dtype=np.int64)
         if field.deg > 1:
             self.log = np.array([2 * order] + field._log[1:], dtype=np.int64)
             self.antilog = np.array(field._antilog + [0] * (order + 1), dtype=np.int64)
             self.zech = np.array(field._zech, dtype=np.int64)
             self.lneg = self.log[[field.neg(a) for a in range(field.q)]]  # log(-a)
+        # a^(q-2) = 1/a for a != 0, and inv[0] only ever scales a zero row
+        self.inv = _power(self.scaled, np.arange(self.q), self.q - 2,
+                          np.ones(self.q, dtype=np.int64))
 
     def scaled(self, c, T):
         """c * T, entrywise; c broadcasts against T."""
@@ -416,9 +416,16 @@ def _search_subsets(tables, A, Q, k, R, budget, limit):
             independent = tables.nonzero(A, stop)
             return last(start, stop, independent & ~tables.nonzero(Q, stop)
                         if av == R else independent)
+        # at av == R every viable pick has a zero Q row, so no pick reads
+        # Q's classes: its child keeps Q, and Q's bits shift past the pick
         independent, ids_a, masks_a = tables.classes(A, stop + 1)
-        outside, ids_q, masks_q = tables.classes(Q, stop + 1)
-        viable = (independent & ~outside if av == R else independent) & ((1 << stop) - 1)
+        if av < R:
+            outside, ids_q, masks_q = tables.classes(Q, stop + 1)
+            viable = independent
+        else:
+            outside = tables.nonzero(Q, stop + 1)
+            viable = independent & ~outside
+        viable &= (1 << stop) - 1
         tested = 0
         while viable:
             low = viable & -viable
@@ -426,11 +433,11 @@ def _search_subsets(tables, A, Q, k, R, budget, limit):
             i = low.bit_length() - 1
             charge(i + 1 - tested)
             tested = i + 1
-            # the pick zeroes the later rows of row i's class (a zero Q row
-            # changes nothing: its class holds only zero rows)
+            # the pick zeroes the later rows of row i's class; a pick with a
+            # zero Q row leaves Q as it is
             grew = outside >> i & 1
             independent2 = (independent & ~masks_a.get(ids_a[i], 0)) >> (i + 1)
-            outside2 = (outside & ~masks_q.get(ids_q[i], 0)) >> (i + 1)
+            outside2 = (outside & ~masks_q.get(ids_q[i], 0) if grew else outside) >> (i + 1)
             viable2 = independent2 & ~outside2 if av + grew == R else independent2
             if t + 2 == R or not viable2:
                 hit = last(start + i + 1, stop - i, viable2)

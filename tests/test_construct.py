@@ -22,11 +22,14 @@ from perfbase.construct import (
 )
 from perfbase.errors import (
     BadGammaSet,
+    BadN,
     CaseNotCovered,
     CharTwo,
     FieldMismatch,
     FieldTooSmall,
+    ParametersOutOfRange,
     RepeatedRoot,
+    Singular,
     SingularM,
     UnsupportedCofactorDegree,
     ZeroGamma,
@@ -253,6 +256,13 @@ def test_base_dual_powers_rect_counts_and_exclusions():
     assert trace_pair(Y @ M.power(n - 1), geo).enc != 0
 
 
+def test_base_left_factor_refuses_a_singular_factor():
+    spec = spec_of(F5, 1, 0, 0, 0)
+    for B in (FqMatrix.zeros(F5, 4, 4), FqMatrix.identity(F5, 3)):
+        with pytest.raises(Singular):
+            base_left_factor(spec, 2, B)
+
+
 def test_base_left_factor():
     spec = spec_of(F5, 2, 1, 0, 3)
     S = GammaSet.canonical(F5, 2)
@@ -363,6 +373,30 @@ def test_rect_small_n_zero_fallback_at_q_equal_m():
     assert res.auxiliary["M_h"].rows[-1][0] == 0  # singular split companion
 
 
+def test_rect_small_n_refusals():
+    spec = worked_spec()  # m = 5 over F_7
+    for n in (1, 4):
+        with pytest.raises(ParametersOutOfRange):
+            base_rect_small_n(spec, n)
+    with pytest.raises(ParametersOutOfRange):
+        base_rect_small_n(spec_of(F7, 1, 2), 3)  # n > m
+    with pytest.raises(SingularM):
+        base_rect_small_n(spec_of(F7, 0, 1, 2), 2)
+    with pytest.raises(BadN):
+        base_rect_small_n(spec, 2, L=FqMatrix.zeros(F7, 2, 2))
+    with pytest.raises(BadN):
+        base_rect_small_n(spec, 2, N=FqMatrix.identity(F7, 4))
+
+
+def test_inverse_family_refuses_non_integer_powers():
+    # 2.5 and "2" both used to build the base for (2,) and label it [2]
+    spec = worked_spec()
+    assert base_inverse_family(spec, (2,)).params["extra_powers"] == [2]
+    for bad in ((2.5,), ("2",)):
+        with pytest.raises(TypeError):
+            base_inverse_family(spec, bad)
+
+
 # --- singular companions ---------------------------------------------------------------
 
 
@@ -416,6 +450,15 @@ def test_atkinson_base_small():
     assert res.candidate.size == 4 and res.report.passed
     res = atkinson_base(3, F5)
     assert res.candidate.size == 10 and res.report.passed
+
+
+def test_atkinson_base_over_extension_fields():
+    # the sign -1 is field.neg(1), encoding p - 1: the int -1 is reduced
+    # mod q to q - 1, which over F_9 and F_25 is another element
+    for F in (field_make(3, 2), field_make(5, 2)):
+        for n in (2, 3, 4):
+            res = atkinson_base(n, F)
+            assert res.candidate.size == n * n + n - 2 and res.report.passed
 
 
 def test_atkinson_char_two_families_coincide():

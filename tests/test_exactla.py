@@ -46,6 +46,42 @@ def test_matrix_entries_and_scalars_are_encoded_by_the_field():
         FqMatrix(F9, [[FieldElement(field_make(5, 2), 4)]])
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (13, 1), (3, 2), (5, 4), (2, 16)],
+                         ids=["F2", "F13", "F9", "F625", "F65536"])
+def test_outer_is_the_product_of_its_factors(p, k):
+    F = field_make(p, k)
+    rng = random.Random(F.q)
+    for trial in range(60):
+        u = [rng.choice((0, rng.randrange(F.q))) for _ in range(rng.randint(1, 5))]
+        v = [rng.randrange(F.q) for _ in range(rng.randint(1, 5))]
+        if trial % 10 == 0:
+            u = [0] * len(u)
+        elif trial % 10 == 1:
+            v = [0] * len(v)
+        A = FqMatrix.outer(F, u, v)
+        assert A.rows == tuple(tuple(F.mul(a, b) for b in v) for a in u)
+        assert A == FqMatrix(F, A.rows) and A.shape == (len(u), len(v))
+        assert A.is_rank_one() == (any(u) and any(v))
+        zero_rows = {id(row) for a, row in zip(u, A.rows) if not a}
+        assert len(zero_rows) <= 1  # one shared tuple
+
+
+def test_outer_encodes_its_factors():
+    F9 = field_make(3, 2)
+    assert FqMatrix.outer(F5, [6, -1], [7, np.int64(10)]).rows == ((2, 0), (3, 0))
+    assert FqMatrix.outer(F9, [FieldElement(F9, 4)], [10]).rows == ((4,),)
+    with pytest.raises(FieldMismatch):
+        FqMatrix.outer(F9, [1], [FieldElement(field_make(5, 2), 4)])
+    with pytest.raises(FieldMismatch):
+        FqMatrix.outer(F9, [FieldElement(F3, 1)], [1])
+    for u, v in (([2.5], [1]), ([1], [1, 0.5]), (["1"], [1])):
+        with pytest.raises(TypeError):
+            FqMatrix.outer(F5, u, v)
+    for u, v in (([], [1]), ([1], []), ([], [])):
+        with pytest.raises(ShapeMismatch):
+            FqMatrix.outer(F5, u, v)
+
+
 def test_rref_examples():
     red, rank, pivots = FqMatrix.identity(F5, 3).rref()
     assert (rank, pivots) == (3, (0, 1, 2))

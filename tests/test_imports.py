@@ -2,7 +2,7 @@
 private name the package defines is used somewhere in it, numpy is
 imported where the package loads, not where a scan first needs it, and
 `Field.encode` is the package's only rule for turning a scalar into an
-encoding.
+encoding, and `FqMatrix.outer` its only builder of a product matrix u v^t.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.  `__init__.py` re-exports names and is skipped.
@@ -129,6 +129,41 @@ def test_scalar_rule_check_sees_local_copies():
               "if not isinstance(g, FieldElement):\n    raise TypeError\n"
               "d = g.field.encode(g)\n")
     assert local_scalar_rules(source) == [1, 2]
+
+
+_COMPREHENSIONS = (ast.ListComp, ast.GeneratorExp, ast.SetComp)
+
+
+def hand_built_products(source: str):
+    """Lines of the comprehensions whose element is a comprehension (bare or
+    wrapped in one call, as in `tuple(...)`) whose element is a bare
+    `.mul(...)` call: the matrix u v^t that `FqMatrix.outer` builds."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, _COMPREHENSIONS):
+            continue
+        inner = node.elt
+        if isinstance(inner, ast.Call) and len(inner.args) == 1:
+            inner = inner.args[0]
+        if (isinstance(inner, _COMPREHENSIONS) and isinstance(inner.elt, ast.Call)
+                and isinstance(inner.elt.func, ast.Attribute)
+                and inner.elt.func.attr == "mul"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_product_matrices_are_built_only_by_outer(path):
+    assert hand_built_products(path.read_text()) == []
+
+
+def test_product_matrix_check_sees_hand_built_copies():
+    source = ("A = FqMatrix(F, [[F.mul(a, b) for b in v] for a in u])\n"
+              "B = tuple(tuple(F.mul(a, b) for b in v) for a in u)\n"
+              "words = ([F.add(F.mul(a, x), y) for x, y in zip(r0, r1)]\n"
+              "         for a in range(F.q))\n"
+              "C = [F.mul(c, a) for a in row]\n")
+    assert hand_built_products(source) == [1, 2]
 
 
 def imported_modules(source: str):

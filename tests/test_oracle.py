@@ -291,6 +291,36 @@ def _class_bits(rows, i):
     return sum(1 << j for j, v in enumerate(rows) if v == rows[i])
 
 
+def _prime_powers(limit):
+    for q in range(2, limit + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k, rest = 0, q
+        while rest % p == 0:
+            k, rest = k + 1, rest // p
+        if rest == 1:
+            yield p, k
+
+
+def test_inverse_table_inverts_every_unit_of_small_fields():
+    # a^(q-2) as gathers (or products mod p) against Field.inv, every field
+    # with q <= 125
+    fields = list(_prime_powers(125))
+    assert len(fields) == 30 + 12
+    for p, k in fields:
+        F = field_make(p, k)
+        inv = tensor3._Tables(F).inv.tolist()
+        assert inv[1:] == [F.inv(a) for a in range(1, F.q)], F
+
+
+@pytest.mark.parametrize("p,k", [(7, 4), (2, 16), (524269, 1)])
+def test_inverse_table_inverts_sampled_units_of_large_fields(p, k):
+    F = field_make(p, k)
+    inv = tensor3._Tables(F).inv
+    assert len(inv) == F.q
+    for a in random.Random(F.q).sample(range(1, F.q), 500) + [1, F.q - 1]:
+        assert int(inv[a]) == F.inv(a)
+
+
 @pytest.mark.parametrize("F,n", [(F2, 3), (F3, 3), (F4, 2), (F5, 2), (F7, 2),
                                  (F8, 2), (F9, 2)])
 def test_classes_are_exact_projective_classes(F, n):

@@ -9,13 +9,17 @@ from perfbase import exactla
 from perfbase.construct import CompanionSpec, companion, y_matrix
 from perfbase.errors import (
     BadEta,
+    BadSubset,
     CaseNotCovered,
     DependentBasis,
     FieldMismatch,
+    FieldTooSmall,
     GuardExceeded,
+    InvalidWitness,
     NotABase,
     NotCoprime,
     ParametersOutOfRange,
+    ShapeMismatch,
 )
 from perfbase.exactla import FqMatrix, MatrixSpace
 from perfbase.gf import FieldElement, FqPolynomial, field_make
@@ -394,6 +398,13 @@ def test_extend_base_lindep_worked_example():
     assert kruskal_bound(4, 3) == 6 == len(ext.matrices)
 
 
+def test_extend_base_lindep_checks_its_coefficient_rows():
+    _, cand = worked_pencil()
+    assert extend_base_lindep(cand, []) is cand
+    with pytest.raises(ShapeMismatch):
+        extend_base_lindep(cand, [[1, 2]])
+
+
 def test_extend_base_lindep_zero_rows():
     _, cand = worked_pencil()
     ext = extend_base_lindep(cand, [[0, 0, 0], [0, 0, 0]])
@@ -531,6 +542,50 @@ def test_codes_and_polynomials_encode_their_scalars():
             BlockCode(F7, [[bad, 1]])
         with pytest.raises(TypeError):
             VectorCode(F9, [[1, bad]])
+
+
+def test_code_and_basis_constructors_refuse_bad_generators():
+    F7, F9 = field_make(7), field_make(3, 2)
+    with pytest.raises(DependentBasis):
+        GammaBasis(F9, [1])  # one element for m = 2
+    with pytest.raises(DependentBasis):
+        GammaBasis(F9, [1, 2])  # 2 is the base-field scalar 2 * 1
+    with pytest.raises(ParametersOutOfRange):
+        VectorCode(F9, [])
+    with pytest.raises(ShapeMismatch):
+        VectorCode(F9, [[1, 0], [0]])
+    with pytest.raises(DependentBasis):
+        VectorCode(F9, [[1, 3], [2, 6]])
+    with pytest.raises(ParametersOutOfRange):
+        BlockCode(F7, [])
+    with pytest.raises(ShapeMismatch):
+        BlockCode(F7, [[1, 0], [0]])
+    with pytest.raises(DependentBasis):
+        BlockCode(F7, [[1, 3], [2, 6]])
+
+
+def test_one_dimensional_and_two_row_bases_refuse_bad_parameters():
+    g = GammaBasis.power(5, 3)
+    for s in (0, 4):
+        with pytest.raises(ParametersOutOfRange):
+            one_dim_power_base(g, s)
+    small = GammaBasis.power(3, 4)  # F_3 has too few points for m = 4
+    with pytest.raises(FieldTooSmall):
+        one_dim_power_base(small, 3)
+    with pytest.raises(ParametersOutOfRange):
+        one_dim_row_base(g, [0, 0])
+    for rows in ([[1, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        with pytest.raises(ParametersOutOfRange):
+            two_dim_bound(rows, g)
+    with pytest.raises(FieldTooSmall):
+        two_dim_bound([[1, 0, 0], [0, 1, 0]], small)
+    with pytest.raises(FieldMismatch):
+        gamma_expand_code(VectorCode(field_make(3, 2), [[1]]), g)
+    with pytest.raises(FieldTooSmall):
+        dual_gabidulin_mtr_base(3, 4, 2)
+    for n in (1, 4):
+        with pytest.raises(ParametersOutOfRange):
+            dual_gabidulin_mtr_base(5, 3, n)
 
 
 def test_one_dim_row_base_general_rows():
@@ -672,6 +727,27 @@ def test_shorten_mtr_cases():
     sub, w = shorten_mtr(code, wit, range(3))
     assert sub.k == 1 and sub.distance() == 3
     assert is_mtr(sub, BaseCandidate(w.matrices, sub.space))
+
+
+def test_shorten_mtr_refusals():
+    code, wit = build_mtr(7, 3, 3, 3, 3)
+    for S in ([0, 5], [-1, 1]):
+        with pytest.raises(BadSubset):
+            shorten_mtr(code, wit, S)
+    low, low_wit = build_mtr(7, 3, 3, 2, 2)  # distance 2 on 3 rows
+    with pytest.raises(ParametersOutOfRange):
+        shorten_mtr(low, low_wit, [0, 1])
+    with pytest.raises(InvalidWitness):
+        shorten_mtr(code, BaseCandidate(wit.matrices[:-1], wit.target), [0, 1, 2])
+
+
+def test_shorten_mtr_refuses_non_integer_indices():
+    # floats were truncated, so [0.9, 1.5, 2.2, 3.7] gave the code of
+    # [0, 1, 2, 3], and strings were parsed
+    code, wit = build_mtr(7, 3, 3, 3, 3)
+    for S in ([0.9, 1.5, 2.2, 3.7], ["1", "2", "3"]):
+        with pytest.raises(TypeError):
+            shorten_mtr(code, wit, S)
 
 
 def test_build_mtr_examples():
