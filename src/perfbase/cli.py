@@ -92,9 +92,10 @@ def matrix_from_json(field: Field, obj) -> FqMatrix:
 
 # Certificates and oracle input declaring more matrix entries than this are
 # refused before any matrix is built.  At the cap, `verify` of a full-space
-# 16x32 certificate (512 target and 512 base members) takes 2 s over F_5
-# and 14 s over F_4; at 4x the cap (32x32) it takes 19.5 s over F_5 (Intel
-# Xeon, Python 3.11).
+# 16x32 certificate (512 random dense target members, 512 random u v^t base
+# members with nonzero factors) takes 2.3-2.5 s over F_5 and 18-21 s over
+# F_4, in process and as a CLI run alike; with the 512 unit matrices as the
+# target it takes 10-11 s over F_4 (Intel Xeon, Python 3.11).
 MAX_INPUT_ENTRIES = 1 << 19
 
 

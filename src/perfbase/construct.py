@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedCofactorDegree,
     ZeroGamma,
 )
-from .exactla import FqMatrix, MatrixSpace, _nullspace, _scale
+from .exactla import FqMatrix, MatrixSpace, _combine, _nullspace, _scale
 from .gf import Field, FieldElement, FqPolynomial, poly_roots
 from .tensor3 import BaseCandidate, VerificationReport, verify_base
 
@@ -355,11 +355,7 @@ def _combination_stream(F, basis):
     first coefficient varying fastest."""
     digits = itertools.product(range(F.q), repeat=len(basis))
     for coeffs in itertools.islice(digits, 1, None):
-        acc = [0] * len(basis[0])
-        for coeff, row in zip(reversed(coeffs), basis):
-            if coeff:
-                acc = [F.add(a, F.mul(coeff, b)) for a, b in zip(acc, row)]
-        yield acc
+        yield _combine(F, coeffs[::-1], basis, len(basis[0]))
 
 
 def _projectors(X: FqMatrix, nrows=None):

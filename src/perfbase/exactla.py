@@ -14,8 +14,9 @@ and `inverse`, every `MatrixSpace` (`intersect` by Zassenhaus included),
 `tensor3.verify_base` and its completion check, the row-combination solve
 `_solve_combination` and rmcode's probe loops use it.  It keeps its rows
 fully reduced, so the rows sorted by pivot are the unique RREF and results
-do not depend on the order of elimination.  Its backend is chosen from the
-input alone:
+do not depend on the order of elimination.  A `MatrixSpace` keeps the
+`Echelon` that reduced its members and reads residues, membership and
+coordinates from it.  The backend is chosen from the input alone:
 
 - prime fields with rows at least `_NUMPY_MIN_WIDTH` (20) wide, and p small
   enough that int64 sums of products cannot overflow (`_int64_safe`, the
@@ -33,9 +34,14 @@ run as int64 batches with fraction-free elimination, which needs no
 inverses; all others run on lists with an `Echelon` per word.  numpy is
 imported with this module, so the package pays for it once, at import.
 
-Row combinations outside the kernel are `FqMatrix` products: rmcode's
-coordinate expansion (`gamma_expand`, behind `GammaBasis.expand_scalar` and
-`mult_matrix`) and its dependent-row extension (`extend_base_lindep`).
+`Field.sub_scaled` is the one row combination on lists.  Sums
+sum c_i * row_i are `_combine`, a fold of it: extension-field `FqMatrix`
+products (a row of A times the rows of B), `MatrixSpace.iter_elements`, the
+list scan's words, construct's combination stream and rmcode's two-row
+distance words.  Other row combinations outside the kernel are `FqMatrix`
+products: rmcode's coordinate expansion (`gamma_expand`, behind
+`GammaBasis.expand_scalar` and `mult_matrix`) and its dependent-row
+extension (`extend_base_lindep`).
 
 Everything here except a filling `Echelon` is immutable after construction
 and safe for concurrent use.
@@ -187,23 +193,14 @@ class FqMatrix:
         if self.m != other.n:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
         F = self.field
-        cols = tuple(zip(*other.rows))
         if F.deg == 1:
             p = F.p
+            cols = tuple(zip(*other.rows))
             out = tuple(tuple([sum(map(operator.mul, row, col)) % p for col in cols])
                         for row in self.rows)
             return FqMatrix._of(F, out)
-        out = []
-        for row in self.rows:
-            new = []
-            for col in cols:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = F.add(acc, F.mul(a, b))
-                new.append(acc)
-            out.append(new)
-        return FqMatrix(F, out)
+        return FqMatrix._of(F, tuple(tuple(_combine(F, row, other.rows, other.m))
+                                     for row in self.rows))
 
     def power(self, e: int):
         if self.n != self.m:
@@ -288,13 +285,7 @@ def vectorize(A: FqMatrix):
 def trace_pair(A: FqMatrix, B: FqMatrix) -> FieldElement:
     """Trace bilinear form Tr(A B^t) = dot of the vectorizations."""
     A._check_same(B)
-    F = A.field
-    acc = 0
-    for ra, rb in zip(A.rows, B.rows):
-        for a, b in zip(ra, rb):
-            if a and b:
-                acc = F.add(acc, F.mul(a, b))
-    return FieldElement(F, acc)
+    return (A @ B.transpose()).trace()
 
 
 # --- the echelon kernel -----------------------------------------------------------
@@ -321,6 +312,16 @@ def _scale(F, c, vec):
         return [c * a % p for a in vec]
     mul = F.mul
     return [mul(c, a) for a in vec]
+
+
+def _combine(F, coeffs, rows, width):
+    """sum c_i * rows[i] as a list of `width` encodings: a fold of
+    `Field.sub_scaled` that skips zero coefficients."""
+    acc = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = F.sub_scaled(acc, F.neg(c), row)
+    return acc
 
 
 class Echelon:
@@ -356,18 +357,6 @@ class Echelon:
             self._np_pivots = None
             for vec in vectors:
                 self.insert(vec)
-
-    @classmethod
-    def _from_rref(cls, field, width, rows, pivots):
-        """The echelon of rows that are already an rref() (no elimination)."""
-        E = cls(field, width)
-        if E._np and rows:
-            E._rows = E._as_array(rows)
-            E._np_pivots = np.array(pivots)
-        elif not E._np:
-            E._rows = list(rows)
-        E._pivots = list(pivots)
-        return E
 
     @property
     def rank(self) -> int:
@@ -560,10 +549,7 @@ def _min_distance(field, rows, guard, width=None) -> int:
         return _min_distance_np(field.p, rows, width)
     best = size = len(rows[0])
     for coeffs in _normalized_vectors(field, k):
-        word = (0,) * size  # becomes -(coeffs . rows): same rank and weight
-        for c, row in zip(coeffs, rows):
-            if c:
-                word = field.sub_scaled(word, c, row)
+        word = _combine(field, coeffs, rows, size)
         if width is None:
             stat = sum(map(bool, word))
         else:
@@ -633,11 +619,12 @@ def _unvectorize(field, vec, n, m) -> FqMatrix:
 class MatrixSpace:
     """An F_q-subspace of n x m matrices with a canonical RREF basis.
 
-    Residues, membership and coordinates go through an `Echelon` of the
-    canonical rows, built on the first such query and never filled further.
+    The space keeps the `Echelon` that reduced its members; residues,
+    membership and coordinates are read from it, and it is never filled
+    further.
     """
 
-    __slots__ = ("field", "n", "m", "basis", "_rrows", "_pivots", "_echelon")
+    __slots__ = ("field", "n", "m", "basis", "_rrows", "_pivots", "_span")
 
     def __init__(self, field: Field, shape, matrices):
         self.field = field
@@ -649,8 +636,8 @@ class MatrixSpace:
             if M.shape != (self.n, self.m):
                 raise ShapeMismatch("basis matrix with a different shape")
             vecs.append(M.vectorize())
-        self._rrows, self._pivots = Echelon(field, self.n * self.m, vecs).rref()
-        self._echelon = None
+        self._span = Echelon(field, self.n * self.m, vecs)
+        self._rrows, self._pivots = self._span.rref()
         self.basis = tuple(_unvectorize(field, r, self.n, self.m)
                            for r in self._rrows)
 
@@ -690,25 +677,18 @@ class MatrixSpace:
     def __repr__(self):
         return f"MatrixSpace({self.n}x{self.m}, dim={self.dim})"
 
-    def _span(self) -> Echelon:
-        # published by one attribute store, so a race builds it twice at worst
-        if self._echelon is None:
-            self._echelon = Echelon._from_rref(self.field, self.n * self.m,
-                                               self._rrows, self._pivots)
-        return self._echelon
-
     def reduce_vector(self, vec):
         """Residue of a coordinate vector modulo the space."""
-        return self._span().reduce(vec)
+        return self._span.reduce(vec)
 
     def contains(self, A: FqMatrix) -> bool:
         if A.shape != self.shape:
             raise ShapeMismatch("containment across shapes")
-        return self._span().contains(A.vectorize())
+        return self._span.contains(A.vectorize())
 
     def coordinates(self, A: FqMatrix):
         """Coefficients of A in the canonical basis; None if not contained."""
-        return self._span().coords(A.vectorize())
+        return self._span.coords(A.vectorize())
 
     def dual_complement(self) -> "MatrixSpace":
         """Orthogonal complement under the trace bilinear form."""
@@ -757,11 +737,7 @@ class MatrixSpace:
         size = self.n * self.m
 
         def combine(coeffs):
-            acc = [0] * size
-            for c, row in zip(coeffs, self._rrows):
-                if c:
-                    acc = [F.add(a, F.mul(c, b)) for a, b in zip(acc, row)]
-            return FqMatrix.from_vector(F, acc, self.n, self.m)
+            return _unvectorize(F, _combine(F, coeffs, self._rrows, size), self.n, self.m)
 
         if projective:
             yield from map(combine, _normalized_vectors(F, k))

@@ -431,8 +431,7 @@ class FqPolynomial:
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+                out[i:i + len(b)] = F.sub_scaled(out[i:i + len(b)], F.neg(x), b)
         return FqPolynomial(F, out)
 
     def scale(self, c) -> "FqPolynomial":
@@ -454,8 +453,7 @@ class FqPolynomial:
                 continue
             factor = F.mul(c, lead_inv)
             quo[k - d] = factor
-            for j, oc in enumerate(other.coeffs):
-                rem[k - d + j] = F.sub(rem[k - d + j], F.mul(factor, oc))
+            rem[k - d:k + 1] = F.sub_scaled(rem[k - d:k + 1], factor, other.coeffs)
         return FqPolynomial(F, quo), FqPolynomial(F, rem)
 
     def __floordiv__(self, other):

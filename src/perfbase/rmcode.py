@@ -49,6 +49,7 @@ from .exactla import (
     Echelon,
     FqMatrix,
     MatrixSpace,
+    _combine,
     _min_distance,
     _projective_count,
     _solve_combination,
@@ -354,7 +355,7 @@ def gabidulin(U_basis, k: int, s: int, eta, gamma: GammaBasis | None = None,
     if not _norm_condition_holds(ext, eta_enc, m, k, s):
         raise BadEta("the twist violates the norm condition")
     gamma = gamma or GammaBasis(ext)
-    coords = gamma_expand([e.enc for e in entries], gamma)
+    coords = gamma_expand(list(map(ext.encode, entries)), gamma)
     if coords.rank() != n:
         raise DependentBasis("U_basis entries are F_q-dependent")
     rows = []
@@ -583,9 +584,8 @@ def two_dim_bound(G_rows, gamma: GammaBasis):
     # rank weight is invariant under F_{q^m} scalars, so the q^m + 1
     # projective codewords row0 and a*row0 + row1 attain the distance
     row0, row1 = red.rows[0], red.rows[1]
-    words = itertools.chain([row0], (
-        [ext.add(ext.mul(a, x), y) for x, y in zip(row0, row1)]
-        for a in range(ext.q)))
+    words = itertools.chain([row0], (_combine(ext, (a, 1), (row0, row1), len(row0))
+                                     for a in range(ext.q)))
     d = min(gamma_expand(w, gamma).rank() for w in words)
     lower = kruskal_bound(target.dim, d)
     return lower, len(picked), cand

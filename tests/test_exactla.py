@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfbase import construct
 from perfbase.errors import FieldMismatch, ShapeMismatch, Singular
 from perfbase.exactla import (
     FqMatrix,
@@ -14,7 +16,7 @@ from perfbase.exactla import (
     trace_pair,
     vectorize,
 )
-from perfbase.gf import FieldElement, field_make
+from perfbase.gf import FieldElement, FqPolynomial, field_make
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -228,3 +230,215 @@ def test_inverse_and_power():
     assert M.power(-2) == M.inverse() @ M.inverse()
     with pytest.raises(Singular):
         FqMatrix.zeros(F5, 2, 2).inverse()
+
+
+def test_matrix_refusals():
+    F9 = field_make(3, 2)
+    A = FqMatrix(F5, [[1, 2, 3], [4, 0, 1]])
+    with pytest.raises(FieldMismatch):
+        A @ FqMatrix(F9, [[1], [2], [0]])
+    with pytest.raises(ShapeMismatch):
+        A @ A
+    for op in (lambda M: M.power(2), lambda M: M.trace()):
+        with pytest.raises(ShapeMismatch):
+            op(A)
+    with pytest.raises(Singular):
+        A.inverse()
+    with pytest.raises(FieldMismatch):
+        FqMatrix.row_stack(F5, [A, FqMatrix(F9, [[1, 2, 3]])])
+    with pytest.raises(ShapeMismatch):
+        FqMatrix.row_stack(F5, [A, FqMatrix(F5, [[1, 2]])])
+    with pytest.raises(ShapeMismatch):
+        FqMatrix.from_vector(F5, [1, 2, 3, 4, 5], 2, 3)
+    with pytest.raises(ShapeMismatch):
+        FqMatrix(F5, [])
+
+
+def test_matrix_space_refusals():
+    F9 = field_make(3, 2)
+    A = FqMatrix.unit(F5, 2, 2, 0, 1)
+    with pytest.raises(FieldMismatch):
+        MatrixSpace(F5, (2, 2), [A, FqMatrix.identity(F9, 2)])
+    with pytest.raises(ShapeMismatch):
+        MatrixSpace(F5, (2, 2), [A, FqMatrix.identity(F5, 3)])
+    with pytest.raises(ShapeMismatch):
+        MatrixSpace.from_matrices([])
+    V = MatrixSpace.from_matrices([A])
+    with pytest.raises(ShapeMismatch):
+        V.contains(FqMatrix.identity(F5, 3))
+    for other in (MatrixSpace.full(F5, (2, 3)), MatrixSpace.full(F9, (2, 2))):
+        with pytest.raises(ShapeMismatch):
+            V.sum_with(other)
+        with pytest.raises(ShapeMismatch):
+            V.intersect(other)
+
+
+# --- row combinations against entry-by-entry reference loops ------------------------
+#
+# Products, polynomial arithmetic, space enumeration and construct's
+# combination stream combine rows with `Field.sub_scaled`.  Each is compared
+# here with the plain add/mul loop it replaces.
+
+def ref_matmul(A, B):
+    F = A.field
+    cols = tuple(zip(*B.rows))
+    out = []
+    for row in A.rows:
+        new = []
+        for col in cols:
+            acc = 0
+            for a, b in zip(row, col):
+                if a and b:
+                    acc = F.add(acc, F.mul(a, b))
+            new.append(acc)
+        out.append(new)
+    return FqMatrix(F, out)
+
+
+def ref_trace_pair(A, B):
+    F = A.field
+    acc = 0
+    for ra, rb in zip(A.rows, B.rows):
+        for a, b in zip(ra, rb):
+            if a and b:
+                acc = F.add(acc, F.mul(a, b))
+    return FieldElement(F, acc)
+
+
+def ref_poly_mul(F, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return FqPolynomial(F, out).coeffs
+
+
+def ref_poly_divmod(F, a, b):
+    rem = list(a)
+    d = len(b) - 1
+    lead_inv = F.inv(b[-1])
+    quo = [0] * max(0, len(rem) - d)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        if c == 0:
+            continue
+        factor = F.mul(c, lead_inv)
+        quo[k - d] = factor
+        for j, oc in enumerate(b):
+            rem[k - d + j] = F.sub(rem[k - d + j], F.mul(factor, oc))
+    return FqPolynomial(F, quo).coeffs, FqPolynomial(F, rem).coeffs
+
+
+def ref_iter_elements(V, nonzero_only, projective):
+    F = V.field
+    size = V.n * V.m
+
+    def combine(coeffs):
+        acc = [0] * size
+        for c, row in zip(coeffs, V._rrows):
+            if c:
+                acc = [F.add(a, F.mul(c, b)) for a, b in zip(acc, row)]
+        return FqMatrix.from_vector(F, acc, V.n, V.m)
+
+    if projective:
+        for lead in range(V.dim):
+            for tail in itertools.product(range(F.q), repeat=V.dim - lead - 1):
+                yield combine((0,) * lead + (1,) + tail)
+        if not nonzero_only:
+            yield FqMatrix.zeros(F, V.n, V.m)
+        return
+    for coeffs in itertools.product(range(F.q), repeat=V.dim):
+        if nonzero_only and not any(coeffs):
+            continue
+        yield combine(coeffs)
+
+
+def ref_combination_stream(F, basis):
+    digits = itertools.product(range(F.q), repeat=len(basis))
+    for coeffs in itertools.islice(digits, 1, None):
+        acc = [0] * len(basis[0])
+        for coeff, row in zip(reversed(coeffs), basis):
+            if coeff:
+                acc = [F.add(a, F.mul(coeff, b)) for a, b in zip(acc, row)]
+        yield acc
+
+
+def sparse_matrix(rng, F, n, m):
+    """Random entries, a third of them zero, and now and then a zero row."""
+    return FqMatrix(F, [[0] * m if rng.random() < 0.2 else
+                        [rng.choice((0, rng.randrange(1, F.q))) for _ in range(m)]
+                        for _ in range(n)])
+
+
+@pytest.mark.parametrize("p,k,trials", [(5, 1, 40), (2, 2, 200), (3, 2, 200),
+                                        (5, 2, 200), (7, 4, 200), (2, 16, 30)],
+                         ids=["F5", "F4", "F9", "F25", "F2401", "F65536"])
+def test_products_match_the_reference_loop(p, k, trials):
+    F = field_make(p, k)
+    rng = random.Random(f"matmul-{F.q}")
+    for _ in range(trials):
+        n, inner, m = (rng.randint(1, 5) for _ in range(3))
+        A, B = sparse_matrix(rng, F, n, inner), sparse_matrix(rng, F, inner, m)
+        P = A @ B
+        assert P == ref_matmul(A, B)
+        assert all(type(v) is int and 0 <= v < F.q for row in P.rows for v in row)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2)], ids=["F4", "F9"])
+def test_trace_pair_matches_the_reference_loop(p, k):
+    F = field_make(p, k)
+    rng = random.Random(f"trace-{F.q}")
+    for _ in range(200):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        A, B = sparse_matrix(rng, F, n, m), sparse_matrix(rng, F, n, m)
+        assert trace_pair(A, B) == ref_trace_pair(A, B)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (2, 16)], ids=["F9", "F25", "F65536"])
+def test_polynomial_products_and_division_match_the_reference_loops(p, k):
+    F = field_make(p, k)
+    rng = random.Random(f"poly-{F.q}")
+    for _ in range(300):
+        a, b = ([rng.choice((0, rng.randrange(1, F.q)))
+                 for _ in range(rng.randint(0, 7))] for _ in range(2))
+        fa, fb = FqPolynomial(F, a), FqPolynomial(F, b)
+        assert (fa * fb).coeffs == ref_poly_mul(F, fa.coeffs, fb.coeffs)
+        if fb.is_zero():
+            continue
+        quo, rem = fa.divmod(fb)
+        assert (quo.coeffs, rem.coeffs) == ref_poly_divmod(F, fa.coeffs, fb.coeffs)
+        assert quo * fb + rem == fa and rem.degree < fb.degree
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2)],
+                         ids=["F2", "F3", "F4", "F9"])
+def test_iter_elements_matches_the_reference_loop(p, k):
+    F = field_make(p, k)
+    rng = random.Random(f"elements-{F.q}")
+    for trial in range(12):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        gens = [sparse_matrix(rng, F, n, m) for _ in range(trial % 4)]
+        V = MatrixSpace(F, (n, m), gens)
+        if F.q ** V.dim > 729:
+            continue
+        for nonzero_only, projective in itertools.product((False, True), repeat=2):
+            got = list(V.iter_elements(nonzero_only, projective))
+            assert got == list(ref_iter_elements(V, nonzero_only, projective))
+            full = F.q ** V.dim
+            nonzero = (full - 1) // (F.q - 1) if projective else full - 1
+            assert len(got) == nonzero + (not nonzero_only)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2)], ids=["F3", "F9"])
+def test_combination_stream_matches_the_reference_loop(p, k):
+    F = field_make(p, k)
+    rng = random.Random(f"stream-{F.q}")
+    for _ in range(10):
+        width = rng.randint(1, 4)
+        basis = [tuple(sparse_matrix(rng, F, 1, width).rows[0])
+                 for _ in range(rng.randint(1, 3))]
+        assert (list(construct._combination_stream(F, basis))
+                == list(ref_combination_stream(F, basis)))

@@ -2,7 +2,8 @@
 private name the package defines is used somewhere in it, numpy is
 imported where the package loads, not where a scan first needs it, and
 `Field.encode` is the package's only rule for turning a scalar into an
-encoding, and `FqMatrix.outer` its only builder of a product matrix u v^t.
+encoding, `FqMatrix.outer` its only builder of a product matrix u v^t, and
+`Field.sub_scaled` its only row combination acc + c * row.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.  `__init__.py` re-exports names and is skipped.
@@ -164,6 +165,38 @@ def test_product_matrix_check_sees_hand_built_copies():
               "         for a in range(F.q))\n"
               "C = [F.mul(c, a) for a in row]\n")
     assert hand_built_products(source) == [1, 2]
+
+
+def _is_method_call(node, names):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names)
+
+
+def hand_built_combinations(source: str):
+    """Lines of the comprehensions whose element is an `.add(...)` or
+    `.sub(...)` call with a `.mul(...)` call among its arguments: the row
+    update acc + c * row that `Field.sub_scaled` does with one log lookup."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, _COMPREHENSIONS) and _is_method_call(node.elt, ("add", "sub"))
+        and any(_is_method_call(arg, ("mul",)) for arg in node.elt.args))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_row_combinations_go_through_sub_scaled(path):
+    assert hand_built_combinations(path.read_text()) == []
+
+
+def test_row_combination_check_sees_hand_built_copies():
+    source = ("acc = [F.add(a, F.mul(c, b)) for a, b in zip(acc, row)]\n"
+              "words = ([F.add(F.mul(a, x), y) for x, y in zip(r0, r1)]\n"
+              "         for a in range(F.q))\n"
+              "rem = (F.sub(r, F.mul(f, o)) for r, o in zip(rem, other))\n"
+              "acc = F.add(acc, F.mul(a, b))\n"
+              "C = [F.mul(c, a) for a in row]\n"
+              "D = [F.add(a, b) for a, b in zip(u, v)]\n"
+              "E = [F.add(F.neg(a), b) for a, b in zip(u, v)]\n")
+    assert hand_built_combinations(source) == [1, 2, 4]
 
 
 def imported_modules(source: str):

@@ -298,6 +298,13 @@ def test_gabidulin_basic_and_errors():
         gabidulin(U, 2, 1, 0)
 
 
+def test_gabidulin_encodes_its_basis_by_the_field():
+    # an element of F_25 was read as an encoding in F_9 (DependentBasis)
+    with pytest.raises(FieldMismatch):
+        gabidulin([FieldElement(field_make(3, 2), 1),
+                   FieldElement(field_make(5, 2), 10)], 1, 1, 0)
+
+
 def test_gabidulin_twisted_valid_eta():
     ext = field_make(3, 2)  # norms onto F_3 hit every unit
     g = GammaBasis(ext)
