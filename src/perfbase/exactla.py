@@ -89,11 +89,16 @@ class FqMatrix:
 
     @classmethod
     def zeros(cls, field, n, m):
-        return cls(field, [[0] * m for _ in range(n)])
+        if n < 1 or m < 1:
+            raise ShapeMismatch("matrix needs at least one row and column")
+        return cls._of(field, ((0,) * m,) * n)
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ShapeMismatch("matrix needs at least one row")
+        return cls._of(field, tuple(tuple([1 if i == j else 0 for j in range(n)])
+                                    for i in range(n)))
 
     @classmethod
     def unit(cls, field, n, m, i, j):
@@ -162,25 +167,23 @@ class FqMatrix:
         return tuple(itertools.chain.from_iterable(self.rows))
 
     def transpose(self):
-        return FqMatrix(self.field,
-                        [[self.rows[i][j] for i in range(self.n)]
-                         for j in range(self.m)])
+        return FqMatrix._of(self.field, tuple(zip(*self.rows)))
 
     def __add__(self, other):
         self._check_same(other)
         F = self.field
-        return FqMatrix(F, [[F.add(a, b) for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
+        return FqMatrix._of(F, tuple(tuple(map(F.add, ra, rb))
+                                     for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
         self._check_same(other)
         F = self.field
-        return FqMatrix(F, [[F.sub(a, b) for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)])
+        return FqMatrix._of(F, tuple(tuple(map(F.sub, ra, rb))
+                                     for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self):
         F = self.field
-        return FqMatrix(F, [[F.neg(a) for a in row] for row in self.rows])
+        return FqMatrix._of(F, tuple(tuple(map(F.neg, row)) for row in self.rows))
 
     def scale(self, c):
         F = self.field

@@ -5,7 +5,8 @@ evaluation codes of (twisted) linearized polynomials give the classical MRD
 families.  The dual of a one-dimensional such code admits an explicit
 (nm-m+1)-base, one-dimensional codes admit evaluation-interpolation bases of
 size m+s-1, and shortening plus row extension turns those into codes meeting
-the tensor-rank lower bound for every admissible parameter set.
+the tensor-rank lower bound for every admissible parameter set.  `build_mtr`
+builds each such seed once per (q, m, d) per process, shared and never changed.
 
 Minimum distances are computed exhaustively by `exactla._min_distance`
 (one word per scalar class, under a guard); `min_rank_distance` and
@@ -637,12 +638,20 @@ def shorten_mtr(C: RankCode, A: BaseCandidate, S):
     return sub, witness
 
 
+@functools.lru_cache(maxsize=64)
+def _mtr_seed(q, m, d):
+    """`build_mtr`'s seed: the power base on d rows and its code C0."""
+    base = _power_candidate(GammaBasis.power(q, m), d)
+    return base, RankCode(base.target)
+
+
 def build_mtr(q: int, n: int, m: int, k: int, d: int):
     """An [n x m, k, d] code meeting the tensor-rank bound, with witness.
 
     Pipeline: expand the one-dimensional power code on d rows (an
     [d x m, m, d] code with an (m+d-1)-base), shorten to dimension k, then
-    append n-d zero rows to both the code and the witness.
+    append n-d zero rows to both the code and the witness.  The seed is
+    built and scanned once per (q, m, d) per process, shared and never changed.
     """
     code, result = _build_mtr(q, n, m, k, d)
     return code, result.candidate
@@ -655,10 +664,8 @@ def _build_mtr(q, n, m, k, d):
         raise ParametersOutOfRange("need 1 <= k <= m and 1 <= d <= min(n, m)")
     if q < m + d - 2:
         raise FieldTooSmall("need q >= m + d - 2")
-    base = _power_candidate(GammaBasis.power(q, m), d)
-    C0 = RankCode(base.target)
-    S = list(range(k + d - 1))
-    sub, witness = shorten_mtr(C0, base, S)
+    base, C0 = _mtr_seed(q, m, d)
+    sub, witness = shorten_mtr(C0, base, range(k + d - 1))
     if n > d:
         zeros = [[0] * d for _ in range(n - d)]
         witness = extend_base_lindep(witness, zeros)

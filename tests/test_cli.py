@@ -228,15 +228,19 @@ def test_construct_build_mtr_verifies_each_base_once(tmp_path, capsys, monkeypat
 
     for module in (construct, rmcode, cli):
         monkeypatch.setattr(module, "verify_base", counting)
-    out = tmp_path / "c.json"
-    assert main(["construct", "build-mtr", "--p", "7", "--n", "4", "--m", "4",
-                 "--k", "2", "--d", "3", "--out", str(out)]) == 0
-    capsys.readouterr()
-    # the shortened witness only: the power base it came from is not checked
-    assert len(calls) == 1
-    # the bytes written while the CLI verified the witness a third time
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "ed3a7d39074e6280b29261d7a683bee5299c520664e2f4bc94cc3db5fce35b8a"
+    rmcode._mtr_seed.cache_clear()
+    for seed in ("cold", "warm"):
+        calls.clear()
+        out = tmp_path / f"{seed}.json"
+        assert main(["construct", "build-mtr", "--p", "7", "--n", "4", "--m", "4",
+                     "--k", "2", "--d", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        # the shortened witness only: the power base it came from is not checked
+        assert len(calls) == 1
+        # the bytes written while the CLI verified the witness a third time,
+        # the same whether the seed was built for this call or shared
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "ed3a7d39074e6280b29261d7a683bee5299c520664e2f4bc94cc3db5fce35b8a"
 
 
 @pytest.mark.parametrize("kind", ["build-mtr", "gabidulin-dual-mtr"])

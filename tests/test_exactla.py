@@ -254,6 +254,42 @@ def test_matrix_refusals():
         FqMatrix(F5, [])
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (7, 1), (7, 4)],
+                         ids=["F2", "F4", "F7", "F2401"])
+def test_matrix_methods_match_the_encoding_constructor(p, k):
+    # the methods wrap results of field operations without re-encoding them;
+    # the reference passes the same entries through FqMatrix(F, rows)
+    F = field_make(p, k)
+    rng = random.Random(p * 10 + k)
+
+    def same(M, rows):
+        ref = FqMatrix(F, rows)
+        assert M == ref and M.rows == ref.rows and M.shape == ref.shape
+        assert all(type(row) is tuple for row in M.rows)
+        assert all(type(v) is int for row in M.rows for v in row)
+
+    for _ in range(40):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        A, B = rand_matrix(rng, F, n, m), rand_matrix(rng, F, n, m)
+        same(A.transpose(), [[A.rows[i][j] for i in range(n)] for j in range(m)])
+        same(A + B, [[F.add(a, b) for a, b in zip(ra, rb)]
+                     for ra, rb in zip(A.rows, B.rows)])
+        same(A - B, [[F.sub(a, b) for a, b in zip(ra, rb)]
+                     for ra, rb in zip(A.rows, B.rows)])
+        same(-A, [[F.neg(a) for a in row] for row in A.rows])
+        same(FqMatrix.zeros(F, n, m), [[0] * m for _ in range(n)])
+        same(FqMatrix.identity(F, n),
+             [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    for n, m in [(0, 2), (2, 0), (0, 0), (-1, 2), (2, -1)]:
+        with pytest.raises(ShapeMismatch):
+            FqMatrix(F, [[0] * m for _ in range(n)])
+        with pytest.raises(ShapeMismatch):
+            FqMatrix.zeros(F, n, m)
+    for n in (0, -1):
+        with pytest.raises(ShapeMismatch):
+            FqMatrix.identity(F, n)
+
+
 def test_matrix_space_refusals():
     F9 = field_make(3, 2)
     A = FqMatrix.unit(F5, 2, 2, 0, 1)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfbase import exactla
+from perfbase import exactla, rmcode
 from perfbase.construct import CompanionSpec, companion, y_matrix
 from perfbase.errors import (
     BadEta,
@@ -18,6 +18,7 @@ from perfbase.errors import (
     InvalidWitness,
     NotABase,
     NotCoprime,
+    NotPrime,
     ParametersOutOfRange,
     ShapeMismatch,
 )
@@ -30,6 +31,7 @@ from perfbase.rmcode import (
     LinearizedPoly,
     RankCode,
     VectorCode,
+    _mtr_seed,
     _power_candidate,
     build_mtr,
     dual_code,
@@ -767,6 +769,77 @@ def test_build_mtr_examples():
     assert (code.k, code.distance(), len(wit.matrices)) == (4, 4, 7)
     with pytest.raises(ParametersOutOfRange):
         build_mtr(7, 3, 3, 4, 3)
+
+
+# --- the MTR seed memo -----------------------------------------------------------------
+
+
+def criterion_7_parameters():
+    for q in (5, 7):
+        for n in range(1, 5):
+            for m in range(1, 5):
+                for k in range(1, m + 1):
+                    for d in range(1, min(n, m) + 1):
+                        if q >= m + d - 2:
+                            yield q, n, m, k, d
+
+
+def test_mtr_seed_is_one_shared_object():
+    assert _mtr_seed(7, 3, 3) is _mtr_seed(7, 3, 3)
+    base, C0 = _mtr_seed(7, 3, 3)
+    assert C0.space is base.target and len(base.matrices) == 3 + 3 - 1
+
+
+def test_mtr_seeds_are_unchanged_by_the_full_sweep():
+    _mtr_seed.cache_clear()
+    params = list(criterion_7_parameters())
+    for q, n, m, k, d in params:
+        code, wit = build_mtr(q, n, m, k, d)
+        assert (code.k, code.distance(), len(wit.matrices)) == (k, d, k + d - 1)
+    keys = sorted({(q, m, d) for q, n, m, k, d in params})
+    assert _mtr_seed.cache_info().currsize == len(keys) == 19
+    kept = {key: _mtr_seed(*key) for key in keys}
+    _mtr_seed.cache_clear()
+    for key, (base, C0) in kept.items():
+        fresh, fresh_C0 = _mtr_seed(*key)
+        assert fresh is not base
+        assert base.target._rrows == fresh.target._rrows
+        assert base.matrices == fresh.matrices
+        assert C0._distance == fresh_C0.distance() == key[2]
+
+
+def test_refused_mtr_calls_leave_the_seed_memo_unchanged():
+    _mtr_seed.cache_clear()
+    build_mtr(7, 3, 3, 2, 3)
+    before = _mtr_seed.cache_info().currsize
+    for args, error in [((5, 4, 4, 2, 4), FieldTooSmall),
+                        ((7, 3, 3, 4, 3), ParametersOutOfRange),
+                        ((7, 2, 3, 1, 3), ParametersOutOfRange),
+                        ((6, 2, 2, 1, 1), NotPrime)]:
+        with pytest.raises(error):
+            build_mtr(*args)
+        assert _mtr_seed.cache_info().currsize == before
+
+
+def test_warm_mtr_calls_do_no_seed_work(monkeypatch):
+    _mtr_seed.cache_clear()
+    calls = {"_power_candidate": 0, "_min_distance": 0}
+
+    def counting(name):
+        original = getattr(rmcode, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(rmcode, name, counting(name))
+    for k in (2, 3):
+        code, wit = build_mtr(7, 4, 4, k, 3)
+        assert (code.k, len(wit.matrices)) == (k, k + 2)
+    # the seed's build and its distance scan, once for both calls
+    assert calls == {"_power_candidate": 1, "_min_distance": 1}
 
 
 def test_singleton_and_kruskal_on_constructed_codes():
