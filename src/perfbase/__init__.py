@@ -45,12 +45,7 @@ from .gf import (
 from .exactla import (
     FqMatrix,
     MatrixSpace,
-    dual_complement,
-    equivalence_transform,
-    rref,
-    space_contains,
     trace_pair,
-    vectorize,
 )
 from .tensor3 import (
     BaseCandidate,

@@ -28,7 +28,7 @@ from .errors import (
     ParametersOutOfRange,
     PerfbaseError,
 )
-from .exactla import FqMatrix, MatrixSpace, _min_distance
+from .exactla import FqMatrix, MatrixSpace
 from .gf import Field, field_make
 from .tensor3 import (
     DEFAULT_GUARD,
@@ -217,7 +217,7 @@ def _rank_checks(target: MatrixSpace, R: int, upper_ok: bool, guard: int) -> dic
     if upper_ok:
         lower, by = target.dim, "dimension"
         if 0 < lower < R:  # the zero space has rank 0 and no distance
-            d = _min_distance(target.field, target._rrows, guard, target.m)
+            d = rmcode.RankCode(target).distance(guard)
             lower, by = kruskal_bound(target.dim, d), "kruskal"
         if lower < R:
             lower, by = exhaustive_trk(target, guard)[0], "oracle"

@@ -14,9 +14,9 @@ and `inverse`, every `MatrixSpace` (`intersect` by Zassenhaus included),
 `tensor3.verify_base` and its completion check, the row-combination solve
 `_solve_combination` and rmcode's probe loops use it.  It keeps its rows
 fully reduced, so the rows sorted by pivot are the unique RREF and results
-do not depend on the order of elimination.  A `MatrixSpace` keeps the
-`Echelon` that reduced its members and reads residues, membership and
-coordinates from it.  The backend is chosen from the input alone:
+do not depend on the order of elimination.  A `MatrixSpace` holds only its
+canonical rows, and each residue, membership or coordinate query reduces
+them again in a new `Echelon`.  The backend is chosen from the input alone:
 
 - prime fields with rows at least `_NUMPY_MIN_WIDTH` (20) wide, and p small
   enough that int64 sums of products cannot overflow (`_int64_safe`, the
@@ -279,10 +279,6 @@ class FqMatrix:
 
     def is_invertible(self) -> bool:
         return self.n == self.m and self.rank() == self.n
-
-
-def vectorize(A: FqMatrix):
-    return A.vectorize()
 
 
 def trace_pair(A: FqMatrix, B: FqMatrix) -> FieldElement:
@@ -622,27 +618,19 @@ def _unvectorize(field, vec, n, m) -> FqMatrix:
 class MatrixSpace:
     """An F_q-subspace of n x m matrices with a canonical RREF basis.
 
-    The space keeps the `Echelon` that reduced its members; residues,
-    membership and coordinates are read from it, and it is never filled
-    further.
+    The space holds its canonical rows once, as `_rrows` in pivot order with
+    their `_pivots`.  `basis` builds the matrices from those rows on each
+    read, and residues, membership and coordinates reduce against an
+    `Echelon` of the rows built for each call.
     """
 
-    __slots__ = ("field", "n", "m", "basis", "_rrows", "_pivots", "_span")
+    __slots__ = ("field", "n", "m", "_rrows", "_pivots")
 
     def __init__(self, field: Field, shape, matrices):
         self.field = field
         self.n, self.m = shape
-        vecs = []
-        for M in matrices:
-            if M.field != field:
-                raise FieldMismatch("basis matrix over a different field")
-            if M.shape != (self.n, self.m):
-                raise ShapeMismatch("basis matrix with a different shape")
-            vecs.append(M.vectorize())
-        self._span = Echelon(field, self.n * self.m, vecs)
-        self._rrows, self._pivots = self._span.rref()
-        self.basis = tuple(_unvectorize(field, r, self.n, self.m)
-                           for r in self._rrows)
+        vecs = [self._vector(M) for M in matrices]
+        self._rrows, self._pivots = Echelon(field, self.n * self.m, vecs).rref()
 
     @classmethod
     def from_matrices(cls, matrices):
@@ -680,18 +668,38 @@ class MatrixSpace:
     def __repr__(self):
         return f"MatrixSpace({self.n}x{self.m}, dim={self.dim})"
 
+    @property
+    def basis(self):
+        """The canonical basis as matrices, built from the rows on each read."""
+        return tuple(_unvectorize(self.field, r, self.n, self.m) for r in self._rrows)
+
+    def _vector(self, A: FqMatrix):
+        """The vectorization of A, a matrix of this space's field and shape."""
+        if A.field != self.field:
+            raise FieldMismatch("matrix over a different field than the space")
+        if A.shape != self.shape:
+            raise ShapeMismatch(f"{A.shape} matrix in a space of {self.shape} matrices")
+        return A.vectorize()
+
+    def _echelon(self):
+        """A new `Echelon` of the canonical rows."""
+        return Echelon(self.field, self.n * self.m, self._rrows)
+
     def reduce_vector(self, vec):
-        """Residue of a coordinate vector modulo the space."""
-        return self._span.reduce(vec)
+        """Residue of a coordinate vector modulo the space.  Each call reduces
+        the space's rows again."""
+        return self._echelon().reduce(vec)
 
     def contains(self, A: FqMatrix) -> bool:
-        if A.shape != self.shape:
-            raise ShapeMismatch("containment across shapes")
-        return self._span.contains(A.vectorize())
+        """Is A in the space?  Each call reduces the space's rows again."""
+        vec = self._vector(A)
+        return self._echelon().contains(vec)
 
     def coordinates(self, A: FqMatrix):
-        """Coefficients of A in the canonical basis; None if not contained."""
-        return self._span.coords(A.vectorize())
+        """Coefficients of A in the canonical basis; None if not contained.
+        Each call reduces the space's rows again."""
+        vec = self._vector(A)
+        return self._echelon().coords(vec)
 
     def dual_complement(self) -> "MatrixSpace":
         """Orthogonal complement under the trace bilinear form."""
@@ -751,21 +759,3 @@ class MatrixSpace:
             if nonzero_only and not any(coeffs):
                 continue
             yield combine(coeffs)
-
-
-# --- spec-level operation wrappers ----------------------------------------------
-
-def rref(M: FqMatrix):
-    return M.rref()
-
-
-def dual_complement(V: MatrixSpace) -> MatrixSpace:
-    return V.dual_complement()
-
-
-def space_contains(V: MatrixSpace, A: FqMatrix) -> bool:
-    return V.contains(A)
-
-
-def equivalence_transform(V: MatrixSpace, L: FqMatrix, N: FqMatrix) -> MatrixSpace:
-    return V.transform(L, N)

@@ -256,23 +256,25 @@ def rank_one_completion_exists(span_space: MatrixSpace, targets,
     that u, the lowest target index.  The guard counts the (u, v) pairs of
     normalized factors and is checked once, before the scan: GuardExceeded
     carries `progress = {"phase": "completion", "needed", "guard"}`.
-    Returns (found, detail), detail holding `pairs_scanned` when nothing is
-    found.
+    Targets of another field or shape raise as `MatrixSpace.contains` does,
+    and the span's rows are reduced once per call.  Returns (found, detail),
+    detail holding `pairs_scanned` when nothing is found.
     """
     F = span_space.field
     n, m = span_space.shape
-    for j, T in enumerate(targets):
-        if span_space.contains(T):
+    vecs = [span_space._vector(T) for T in targets]
+    span = span_space._echelon()
+    residues = [span.reduce(vec) for vec in vecs]
+    for j, res in enumerate(residues):
+        if not any(res):
             return True, {"target_index": j, "inside_span": True}
     pairs = _projective_count(F.q, n) * _projective_count(F.q, m)
     if pairs > guard:
         raise GuardExceeded(
             "completion scan exceeded its guard",
             progress={"phase": "completion", "needed": pairs, "guard": guard})
-    residues = [span_space.reduce_vector(T.vectorize()) for T in targets]
     for u in _normalized_vectors(F, n):
-        R_u = [span_space.reduce_vector(
-                   [a if c == j else 0 for a in u for c in range(m)])
+        R_u = [span.reduce([a if c == j else 0 for a in u for c in range(m)])
                for j in range(m)]
         for j, v in enumerate(_solve_combination(F, R_u, residues)):
             if v is not None:

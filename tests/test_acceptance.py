@@ -19,7 +19,7 @@ from perfbase.construct import (
     base_singular,
     companion,
 )
-from perfbase.exactla import FqMatrix, MatrixSpace, dual_complement
+from perfbase.exactla import FqMatrix, MatrixSpace
 from perfbase.gf import FqPolynomial, field_make, poly_roots
 from perfbase.rmcode import (
     build_mtr,
@@ -58,8 +58,8 @@ def test_criterion_1_thirteen_member_bases_for_random_specs():
         result = base_dual_powers(spec, 3, S)
         # independent re-verification against the power-span dual
         M = companion(spec)
-        target = dual_complement(MatrixSpace(
-            F5, (4, 4), [M.power(r) for r in range(3)]))
+        target = MatrixSpace(
+            F5, (4, 4), [M.power(r) for r in range(3)]).dual_complement()
         report = verify_base(BaseCandidate(result.candidate.matrices, target))
         assert result.candidate.size == 13
         assert report.passed
@@ -152,8 +152,7 @@ def test_criterion_5_oracle_agrees_with_the_dichotomy():
             assert trk == (2 if distinct else 3)
             assert verify_base(wit).passed
     for F in (F2, F3):
-        V = dual_complement(
-            MatrixSpace.from_matrices([FqMatrix.identity(F, 2)]))
+        V = MatrixSpace.from_matrices([FqMatrix.identity(F, 2)]).dual_complement()
         constructed = base_singular(CompanionSpec(F, 2, (0, 0)), 1)
         trk, wit = exhaustive_trk(V)
         assert trk == constructed.candidate.size == 3  # m^2 - 1
@@ -177,7 +176,7 @@ def test_criterion_6_randomized_property_suite():
         if expected_size is not None and result.candidate.size != expected_size:
             failures += 1
         target = result.candidate.target
-        if dual_complement(dual_complement(target)) != target:
+        if target.dual_complement().dual_complement() != target:
             failures += 1
 
     def random_spec(F, m):

@@ -34,7 +34,7 @@ from perfbase.errors import (
     UnsupportedCofactorDegree,
     ZeroGamma,
 )
-from perfbase.exactla import FqMatrix, MatrixSpace, dual_complement, trace_pair
+from perfbase.exactla import FqMatrix, MatrixSpace, trace_pair
 from perfbase.gf import FieldElement, FqPolynomial, field_make
 
 F2 = field_make(2)
@@ -188,8 +188,7 @@ def test_base_dual_powers_shape_example():
 def test_base_dual_powers_small_and_counts():
     res = base_dual_powers(spec_of(F3, 1, 1), 1)
     assert res.candidate.size == 3 and res.report.passed
-    target_i = dual_complement(
-        MatrixSpace.from_matrices([FqMatrix.identity(F3, 2)]))
+    target_i = MatrixSpace.from_matrices([FqMatrix.identity(F3, 2)]).dual_complement()
     assert all(target_i.contains(A) for A in res.candidate.matrices)
     for m in (3, 4):
         spec = spec_of(F7, *([1] + [0] * (m - 1)))

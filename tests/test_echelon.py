@@ -237,7 +237,7 @@ def test_matrix_space_queries_on_the_numpy_backend():
         k = rng.randrange(0, 8)
         gens = random_rows(rng, F, k, n * m, rank_cap=rng.randrange(0, k + 1) if k else 0)
         V = MatrixSpace(F, (n, m), [FqMatrix.from_vector(F, g, n, m) for g in gens])
-        assert V._span._np
+        assert V._echelon()._np
         red, rank, pivots = reference_rref(F, gens or [[0] * (n * m)], n * m)
         assert V._rrows == tuple(red) and V._pivots == pivots
         for vec in random_rows(rng, F, 3, n * m) + gens[:2]:

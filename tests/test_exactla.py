@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from perfbase import construct
 from perfbase.errors import FieldMismatch, ShapeMismatch, Singular
 from perfbase.exactla import (
+    Echelon,
     FqMatrix,
     MatrixSpace,
-    dual_complement,
-    equivalence_transform,
-    space_contains,
+    _unvectorize,
     trace_pair,
-    vectorize,
 )
 from perfbase.gf import FieldElement, FqPolynomial, field_make
 
@@ -109,8 +107,8 @@ def test_rref_idempotent_and_rank_stable(code, perm):
 
 
 def test_vectorize_units():
-    assert vectorize(FqMatrix.unit(F3, 2, 2, 0, 1)) == (0, 1, 0, 0)
-    assert vectorize(FqMatrix.unit(F3, 2, 2, 1, 0)) == (0, 0, 1, 0)
+    assert FqMatrix.unit(F3, 2, 2, 0, 1).vectorize() == (0, 1, 0, 0)
+    assert FqMatrix.unit(F3, 2, 2, 1, 0).vectorize() == (0, 0, 1, 0)
 
 
 def test_trace_pair_examples():
@@ -146,11 +144,11 @@ def test_trace_pair_quadratic_kernel_identity():
 
 def test_dual_complement_extremes():
     full = MatrixSpace.full(F3, (2, 2))
-    assert dual_complement(full).dim == 0
+    assert full.dual_complement().dim == 0
     zero = MatrixSpace.zero(F3, (2, 2))
-    assert dual_complement(zero).dim == 4
+    assert zero.dual_complement().dim == 4
     span_i = MatrixSpace.from_matrices([FqMatrix.identity(F3, 2)])
-    dual = dual_complement(span_i)
+    dual = span_i.dual_complement()
     assert dual.dim == 3
     assert all(B.trace().enc == 0 for B in dual.basis)
 
@@ -166,17 +164,17 @@ def test_dual_dimensions_and_involution_random_corpus():
         k = rng.randrange(0, n * m + 1)
         V = MatrixSpace(F, (n, m),
                         [rand_matrix(rng, F, n, m) for _ in range(k)])
-        D = dual_complement(V)
+        D = V.dual_complement()
         assert V.dim + D.dim == n * m
-        assert dual_complement(D) == V
+        assert D.dual_complement() == V
 
 
 def test_space_contains():
     V = MatrixSpace.from_matrices([FqMatrix.unit(F3, 2, 2, 0, 0)])
-    assert space_contains(V, FqMatrix.zeros(F3, 2, 2))
-    assert not space_contains(V, FqMatrix.unit(F3, 2, 2, 1, 1))
+    assert V.contains(FqMatrix.zeros(F3, 2, 2))
+    assert not V.contains(FqMatrix.unit(F3, 2, 2, 1, 1))
     with pytest.raises(ShapeMismatch):
-        space_contains(V, FqMatrix.zeros(F3, 2, 3))
+        V.contains(FqMatrix.zeros(F3, 2, 3))
 
 
 def test_equivalence_transform_preserves_member_ranks_and_dim():
@@ -186,12 +184,12 @@ def test_equivalence_transform_preserves_member_ranks_and_dim():
                         [rand_matrix(rng, F5, 3, 3) for _ in range(3)])
         L = rand_invertible(rng, F5, 3)
         N = rand_invertible(rng, F5, 3)
-        W = equivalence_transform(V, L, N)
+        W = V.transform(L, N)
         assert W.dim == V.dim
         assert sorted((L @ B @ N).rank() for B in V.basis) \
             == sorted(B.rank() for B in V.basis)
     with pytest.raises(Singular):
-        equivalence_transform(V, FqMatrix.zeros(F5, 3, 3), N)
+        V.transform(FqMatrix.zeros(F5, 3, 3), N)
 
 
 def test_transform_dual_identity():
@@ -202,9 +200,9 @@ def test_transform_dual_identity():
                         [rand_matrix(rng, F5, 3, 3) for _ in range(2)])
         P = rand_invertible(rng, F5, 3)
         Q = rand_invertible(rng, F5, 3)
-        lhs = dual_complement(V.transform(P, Q))
-        rhs = dual_complement(V).transform(P.transpose().inverse(),
-                                           Q.transpose().inverse())
+        lhs = V.transform(P, Q).dual_complement()
+        rhs = V.dual_complement().transform(P.transpose().inverse(),
+                                            Q.transpose().inverse())
         assert lhs == rhs
 
 
@@ -307,6 +305,44 @@ def test_matrix_space_refusals():
             V.sum_with(other)
         with pytest.raises(ShapeMismatch):
             V.intersect(other)
+
+
+def test_space_queries_refuse_another_field_or_shape():
+    # a 2x6 matrix has as many entries as a 3x4 one, and F_4 encodings are
+    # valid F_5 encodings, so neither can be read as a member of the space
+    V = MatrixSpace.full(F5, (3, 4))
+    wide = FqMatrix(F5, [[1] * 6, [0] * 6])
+    other_field = FqMatrix(field_make(2, 2), [[1, 2, 3, 0]] * 3)
+    for query in (V.contains, V.coordinates):
+        with pytest.raises(ShapeMismatch):
+            query(wide)
+        with pytest.raises(FieldMismatch):
+            query(other_field)
+
+
+def test_a_space_holds_its_rows_once():
+    assert set(MatrixSpace.__slots__) == {"field", "n", "m", "_rrows", "_pivots"}
+    V = MatrixSpace.full(F5, (2, 3))
+    held = [getattr(V, name) for name in MatrixSpace.__slots__]
+    assert not any(isinstance(x, Echelon) for x in held)
+    assert not any(isinstance(x, tuple) and x and isinstance(x[0], FqMatrix)
+                   for x in held)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 5)], ids=["lists", "numpy"])
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (13, 1), (7, 4)],
+                         ids=["F2", "F4", "F13", "F2401"])
+def test_basis_is_built_from_the_rows(p, k, shape):
+    F = field_make(p, k)
+    n, m = shape
+    rng = random.Random(f"basis-{F.q}-{n}x{m}")
+    V = MatrixSpace(F, shape, [rand_matrix(rng, F, n, m) for _ in range(n * m // 2)])
+    assert V._echelon()._np == (k == 1 and n * m >= 20)
+    assert V.dim > 0
+    assert V.basis == tuple(_unvectorize(F, r, n, m) for r in V._rrows)
+    assert V.basis == V.basis
+    assert all(V.coordinates(B) == tuple(int(i == j) for j in range(V.dim))
+               for i, B in enumerate(V.basis))
 
 
 # --- row combinations against entry-by-entry reference loops ------------------------

@@ -2,8 +2,9 @@
 private name the package defines is used somewhere in it, numpy is
 imported where the package loads, not where a scan first needs it, and
 `Field.encode` is the package's only rule for turning a scalar into an
-encoding, `FqMatrix.outer` its only builder of a product matrix u v^t, and
-`Field.sub_scaled` its only row combination acc + c * row.
+encoding, `FqMatrix.outer` its only builder of a product matrix u v^t,
+`Field.sub_scaled` its only row combination acc + c * row, and no
+module-level function is an alias that only forwards to a method.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.  `__init__.py` re-exports names and is skipped.
@@ -197,6 +198,44 @@ def test_row_combination_check_sees_hand_built_copies():
               "D = [F.add(a, b) for a, b in zip(u, v)]\n"
               "E = [F.add(F.neg(a), b) for a, b in zip(u, v)]\n")
     assert hand_built_combinations(source) == [1, 2, 4]
+
+
+def alias_wrappers(source: str):
+    """Names of the module-level functions whose body, past a docstring, is
+    only `return arg0.method(*rest)`, with the other parameters passed on in
+    order: a second name for a method."""
+    names = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = node.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        params = [a.arg for a in node.args.posonlyargs + node.args.args]
+        if not (len(body) == 1 and isinstance(body[0], ast.Return) and params):
+            continue
+        call = body[0].value
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == params[0] and not call.keywords
+                and [ast.unparse(arg) for arg in call.args] == params[1:]):
+            names.append(node.name)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_only_forwards_to_a_method(path):
+    assert alias_wrappers(path.read_text()) == []
+
+
+def test_alias_check_sees_forwarding_functions():
+    source = ("def rref(M):\n    return M.rref()\n"
+              "def transform(V, L, N):\n    \"\"\"Doc.\"\"\"\n    return V.transform(L, N)\n"
+              "def swapped(V, L, N):\n    return V.transform(N, L)\n"
+              "def checked(A, B):\n    A.check(B)\n    return A.pair(B)\n"
+              "def helper(x):\n    return len(x)\n"
+              "class C:\n    def rank(self):\n        return self.rref()\n")
+    assert alias_wrappers(source) == ["rref", "transform"]
 
 
 def imported_modules(source: str):

@@ -25,7 +25,6 @@ from perfbase.exactla import (
     FqMatrix,
     MatrixSpace,
     _projective_count,
-    dual_complement,
 )
 from perfbase.gf import field_make
 from perfbase.tensor3 import exhaustive_trk, kruskal_bound, rank_one_matrices
@@ -140,10 +139,10 @@ def _tensor3_cases():
         for a2 in range(3):
             cases.append(_space(F3, [[[1, 0], [0, 1]], [[0, 1], [a1, a2]]]))
     for F in (F2, F3):
-        cases.append(dual_complement(MatrixSpace.from_matrices(
-            [FqMatrix.identity(F, 2)])))
-    cases.append(dual_complement(MatrixSpace.from_matrices(
-        [FqMatrix.identity(F2, 3)])))
+        cases.append(MatrixSpace.from_matrices(
+            [FqMatrix.identity(F, 2)]).dual_complement())
+    cases.append(MatrixSpace.from_matrices(
+        [FqMatrix.identity(F2, 3)]).dual_complement())
     rng = random.Random(5)
     for _ in range(10):
         mats = [[[rng.randrange(2) for _ in range(3)] for _ in range(2)]

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from perfbase import exactla
 from perfbase.construct import CompanionSpec, base_dual_powers, companion, y_matrix
-from perfbase.errors import GuardExceeded
-from perfbase.exactla import FqMatrix, MatrixSpace, dual_complement, equivalence_transform
+from perfbase.errors import FieldMismatch, GuardExceeded, ShapeMismatch
+from perfbase.exactla import FqMatrix, MatrixSpace
 from perfbase.gf import FqPolynomial, field_make, poly_roots
 from perfbase.tensor3 import (
     BaseCandidate,
@@ -107,10 +108,10 @@ def test_exhaustive_trk_pencil_dichotomy():
 
 def test_exhaustive_trk_matches_construction_upper_bounds():
     for F in (F2, F3):
-        V = dual_complement(MatrixSpace.from_matrices([FqMatrix.identity(F, 2)]))
+        V = MatrixSpace.from_matrices([FqMatrix.identity(F, 2)]).dual_complement()
         trk, _ = exhaustive_trk(V)
         assert trk == 3  # m^2 - 1
-    V = dual_complement(MatrixSpace.from_matrices([FqMatrix.identity(F2, 3)]))
+    V = MatrixSpace.from_matrices([FqMatrix.identity(F2, 3)]).dual_complement()
     trk, wit = exhaustive_trk(V)
     assert trk == 8 and verify_base(wit).passed
 
@@ -149,7 +150,7 @@ def test_exhaustive_trk_witness_is_lexicographically_least():
 
 
 def test_exhaustive_trk_guard():
-    V = dual_complement(MatrixSpace.from_matrices([FqMatrix.identity(F3, 3)]))
+    V = MatrixSpace.from_matrices([FqMatrix.identity(F3, 3)]).dual_complement()
     with pytest.raises(GuardExceeded):
         exhaustive_trk(V, limit=10)
 
@@ -174,7 +175,7 @@ def test_slice_space_equivariance():
         V = slice_space(X)
         if V.dim == 0:
             continue
-        rhs = equivalence_transform(V, P, Q)
+        rhs = V.transform(P, Q)
         assert lhs == rhs
 
 
@@ -285,3 +286,37 @@ def test_rank_one_completion_guard_boundary(F):
     found, detail = rank_one_completion_exists(span, targets, guard=pairs)
     assert (found, detail) == reference_completion(span, targets)
     assert detail == {"pairs_scanned": pairs}
+
+
+def test_rank_one_completion_refuses_targets_of_another_field_or_shape():
+    # checked for every target before any answer, as MatrixSpace.contains does
+    span = MatrixSpace(F5, (2, 2), [FqMatrix.identity(F5, 2)])
+    inside = FqMatrix.identity(F5, 2)
+    with pytest.raises(FieldMismatch):
+        rank_one_completion_exists(span, [inside, FqMatrix.identity(field_make(2, 2), 2)])
+    with pytest.raises(ShapeMismatch):
+        rank_one_completion_exists(span, [inside, FqMatrix.zeros(F5, 1, 4)])
+
+
+# 4, 13 and 40 left factors; the 3x3 and 4x5 spans find no completion, so
+# every left factor is scanned, and the 4x5 span's rows are on numpy
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (4, 5)])
+def test_rank_one_completion_reduces_the_span_once_per_call(monkeypatch, shape):
+    built = []
+
+    class CountingEchelon(exactla.Echelon):
+        def __init__(self, field, width, vectors=()):
+            built.append(width)
+            super().__init__(field, width, vectors)
+
+    n, m = shape
+    rng = random.Random(f"completion-{n}x{m}")
+    span = MatrixSpace(F3, shape, [FqMatrix(F3, [[rng.randrange(3) for _ in range(m)]
+                                                 for _ in range(n)])])
+    targets = [FqMatrix(F3, [[rng.randrange(3) for _ in range(m)] for _ in range(n)])
+               for _ in range(3)]
+    targets = [T for T in targets if not span.contains(T)]
+    monkeypatch.setattr(exactla, "Echelon", CountingEchelon)
+    found, detail = rank_one_completion_exists(span, targets)
+    assert built.count(n * m) == 1  # the span; the per-u solves are wider
+    assert (found, detail) == reference_completion(span, targets)
