@@ -66,8 +66,10 @@ def _json_int(value, what: str, low: int = 0, high: int | None = None) -> int:
 def field_from_json(obj) -> Field:
     p = _json_int(obj["p"], "field.p", 2)
     deg = _json_int(obj.get("deg", 1), "field.deg", 1)
-    modulus = obj.get("modulus") or None
-    if modulus is not None:
+    modulus = obj.get("modulus")  # absent: the default; present: a list as written
+    if "modulus" in obj:
+        if type(modulus) is not list:
+            raise ValueError(f"field.modulus must be a JSON list, not {modulus!r}")
         for c in modulus:
             _json_int(c, "a modulus coefficient", 0, p)
     return field_make(p, deg, modulus)
@@ -244,8 +246,8 @@ def _parse_ints(text: str):
 
 
 def _field_from_args(args) -> Field:
-    modulus = _parse_ints(args.modulus) if getattr(args, "modulus", None) else None
-    return field_make(args.p, getattr(args, "deg", 1) or 1, modulus)
+    modulus = _parse_ints(args.modulus) if args.modulus is not None else None
+    return field_make(args.p, args.deg, modulus)
 
 
 def _require(args, *names):

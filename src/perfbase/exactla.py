@@ -16,23 +16,26 @@ and `inverse`, every `MatrixSpace` (`intersect` by Zassenhaus included),
 fully reduced, so the rows sorted by pivot are the unique RREF and results
 do not depend on the order of elimination.  A `MatrixSpace` holds only its
 canonical rows, and each residue, membership or coordinate query reduces
-them again in a new `Echelon`.  The backend is chosen from the input alone:
-
-- prime fields with rows at least `_NUMPY_MIN_WIDTH` (20) wide, and p small
-  enough that int64 sums of products cannot overflow (`_int64_safe`, the
-  package's one int64 rule), use numpy row operations;
-- all other rows are Python lists, updated by `Field.sub_scaled`: inline
-  arithmetic mod p over prime fields, one log/Zech/antilog lookup per entry
-  over extension fields.
+them again in a new `Echelon`.  The backend is chosen from the input alone,
+by the rule stated once, at `_NUMPY_MIN_WIDTH`: numpy row operations for
+prime-field rows at least 20 wide whose int64 sums cannot overflow
+(`_int64_safe`, the package's one int64 rule), and Python lists updated by
+`Field.sub_scaled` for all other rows, extension fields' at every width.
 
 Every minimum distance is one scan, `_min_distance`: rmcode's
 `min_rank_distance` and `min_hamming_distance` (behind certificate
 verification and gabidulin's MRD check) and the oracle's starting level.  It
-visits one word per scalar class under a guard.  Over prime fields, scans of
+visits one word per scalar class under a guard.  Over every field, scans of
 at least `_SCAN_NUMPY_MIN_WORDS` (16) words whose sums pass `_int64_safe`
 run as int64 batches with fraction-free elimination, which needs no
-inverses; all others run on lists with an `Echelon` per word.  numpy is
-imported with this module, so the package pays for it once, at import.
+inverses; all others run on lists with an `Echelon` per word.
+
+All int64 array arithmetic of the package, in `Echelon`'s numpy backend,
+the batched scan and the oracle's residue tables, is one kernel,
+`_Int64Field`: over F_p products mod p, kept within `_int64_safe`, and over
+F_{p^k} gathers from copies of the field's log, antilog and Zech tables, as
+`Field.sub_scaled` does.  numpy is imported with this module, so the
+package pays for it once, at import.
 
 `Field.sub_scaled` is the one row combination on lists.  Sums
 sum c_i * row_i are `_combine`, a fold of it: extension-field `FqMatrix`
@@ -55,7 +58,7 @@ import operator
 import numpy as np
 
 from .errors import FieldMismatch, GuardExceeded, ShapeMismatch, Singular
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, _power
 
 
 class FqMatrix:
@@ -289,19 +292,73 @@ def trace_pair(A: FqMatrix, B: FqMatrix) -> FieldElement:
 
 # --- the echelon kernel -----------------------------------------------------------
 
-# Prime-field rows at least this wide are reduced with numpy, narrower ones
-# on Python lists, whose per-call cost is lower.  Measured crossover for an
-# echelon of w rows of width w over F_13 (Intel Xeon, Python 3.11, numpy
-# 2.4): dense rows 12-16, sparse rows of rank-one matrices about 20.  At
-# w = 20 numpy takes 0.5x (dense) and 0.9x (sparse) the list time; at w = 16
-# it takes 1.4x for sparse rows.
+# `Echelon`'s backend rule: prime-field rows at least this wide are reduced
+# with numpy, narrower ones on Python lists, whose per-call cost is lower.
+# Measured crossover for an echelon of w rows of width w over F_13 (Intel
+# Xeon, Python 3.11, numpy 2.4): dense rows 12-16, sparse rows of rank-one
+# matrices about 20.  At w = 20 numpy takes 0.5x (dense) and 0.9x (sparse)
+# the list time; at w = 16 it takes 1.4x for sparse rows.  Extension-field
+# rows stay on lists: through `_Int64Field`'s gathers, dense rows took
+# 2.3-2.8x the list time at w = 20 over F_4, F_9 and F_{7^4}, and 1.4-1.6x
+# at w = 60 over F_4 and F_9, so they would need a threshold for each field.
 _NUMPY_MIN_WIDTH = 20
 
 
 def _int64_safe(field, terms) -> bool:
-    """A prime field whose sums of `terms` products of two entries fit int64:
-    every numpy backend of the package checks its longest sum with this."""
-    return field.deg == 1 and (field.p - 1) ** 2 * terms < 1 << 63
+    """Whether sums of `terms` products of two entries below p fit int64: every
+    numpy backend checks its longest sum with this.  Gathers over F_{p^k} form
+    no such sum, and p < 2^8 there passes for any array that fits in memory."""
+    return (field.p - 1) ** 2 * terms < 1 << 63
+
+
+class _Int64Field:
+    """A field's arithmetic on int64 arrays of encodings, built per call.  Over
+    F_{p^k} log[0] is 2(q-1) and antilog is zero from 2(q-1) to 4(q-1), so a
+    zero factor gives a zero product without a branch."""
+
+    def __init__(self, field):
+        self.field, self.q, order = field, field.q, field.q - 1
+        if field.deg > 1:
+            self.log = np.array([2 * order] + field._log[1:], dtype=np.int64)
+            self.antilog = np.array(field._antilog + [0] * (order + 1), dtype=np.int64)
+            self.zech = np.array(field._zech, dtype=np.int64)
+            # log(-a) = log(a) + log(-1) for a != 0, and -1 encodes as p - 1
+            lneg = (self.log + self.log[field.p - 1]) % order
+            self.lneg = np.where(self.log < order, lneg, self.log)
+
+    def scaled(self, c, T):
+        """c * T, entrywise; c broadcasts against T."""
+        if self.field.deg == 1:
+            return c * T % self.q
+        return self.antilog[self.log[c] + self.log[T]]
+
+    def sub_scaled(self, T, c, row, a=None):
+        """T - c * row, or a * T - c * row with a: the rank-one update of
+        elimination.  c * row has the shape of the result."""
+        if self.field.deg == 1:
+            out = c * row
+            np.subtract(T if a is None else a * T, out, out=out)
+            out %= self.q
+            return out
+        if a is not None:
+            T = self.scaled(a, T)
+        lp = self.lneg[c] + self.log[row]  # log(-c * row)
+        prod, la = self.antilog[lp], self.log[T]
+        both = self.antilog[la + self.zech[(lp - la) % (self.q - 1)]]
+        return np.where(T == 0, prod, np.where(prod == 0, T, both))
+
+    def residue(self, T, C, R):
+        """T - C R, the residue of T modulo fully reduced rows R when C holds
+        T's entries at their pivots: a product over F_p, a fold over F_{p^k}."""
+        if self.field.deg == 1:
+            return (T - C @ R) % self.q
+        for j, row in enumerate(R):
+            T = self.sub_scaled(T, C[..., j, None], row)
+        return T
+
+    def inv(self, a):
+        """a^(q-2), entrywise: 1/a for a != 0."""
+        return _power(self.scaled, a, self.q - 2, np.ones_like(a))
 
 
 def _scale(F, c, vec):
@@ -332,19 +389,19 @@ class Echelon:
     entries, in pivot order, are its coordinates in the canonical basis
     `rref()`, the unique RREF of everything inserted.
 
-    Over prime fields, rows at least `_NUMPY_MIN_WIDTH` wide live in an int64
-    numpy array, with a residue as one vector-matrix product, when p is small
-    enough that the sums of products fit in int64; all other rows are Python
-    lists.  Not safe to fill from several threads at once.
+    Rows chosen by the rule at `_NUMPY_MIN_WIDTH` live in an int64 numpy
+    array, with a residue as one vector-matrix product; all other rows are
+    Python lists.  Not safe to fill from several threads at once.
     """
 
-    __slots__ = ("field", "width", "_rows", "_pivots", "_np_pivots")
+    __slots__ = ("field", "width", "_rows", "_pivots", "_np_pivots", "_arith")
 
     def __init__(self, field: Field, width: int, vectors=()):
         self.field = field
         self.width = width
         self._pivots = []  # in insertion order, the order of the rows
-        if width >= _NUMPY_MIN_WIDTH and _int64_safe(field, width):
+        if field.deg == 1 and width >= _NUMPY_MIN_WIDTH and _int64_safe(field, width):
+            self._arith = _Int64Field(field)
             cap = max(1, min(len(vectors), width))  # grows on demand
             self._rows = np.zeros((cap, width), dtype=np.int64)  # rank used
             self._np_pivots = np.zeros(cap, dtype=np.intp)
@@ -442,21 +499,20 @@ class Echelon:
         r = self.rank
         if not r:
             return V
-        return (V - V[..., self._np_pivots[:r]] @ self._rows[:r]) % self.field.p
+        return self._arith.residue(V, V[..., self._np_pivots[:r]], self._rows[:r])
 
     def _insert_np(self, v) -> bool:
-        p = self.field.p
         v = self._residue_np(v)
         nz = np.flatnonzero(v)
         if not nz.size:
             return False
         lead = int(nz[0])
-        v = v * pow(int(v[lead]), p - 2, p) % p
+        v = self._arith.scaled(self.field.inv(int(v[lead])), v)
         r = self.rank
         R = self._rows
         hit = np.flatnonzero(R[:r, lead])
         if hit.size:
-            R[hit] = (R[hit] - R[hit, lead, None] * v) % p
+            R[hit] = self._arith.sub_scaled(R[hit], R[hit, lead, None], v)
         if r == len(R):
             R = self._rows = np.concatenate((R, np.zeros_like(R)))
             self._np_pivots = np.concatenate((self._np_pivots,
@@ -545,7 +601,7 @@ def _min_distance(field, rows, guard, width=None) -> int:
             f"{needed} codewords exceed the guard",
             progress={"phase": "distance", "needed": needed, "guard": guard})
     if needed >= _SCAN_NUMPY_MIN_WORDS and _int64_safe(field, k):
-        return _min_distance_np(field.p, rows, width)
+        return _min_distance_np(field, rows, width)
     best = size = len(rows[0])
     for coeffs in _normalized_vectors(field, k):
         word = _combine(field, coeffs, rows, size)
@@ -561,37 +617,38 @@ def _min_distance(field, rows, guard, width=None) -> int:
     return best
 
 
-def _min_distance_np(p, rows, width):
-    """`_min_distance` over F_p in int64 batches of words."""
+def _min_distance_np(field, rows, width):
+    """`_min_distance` in int64 batches: for each lead row l, the words B_l -
+    c B_(l+1:) for all c are those with coefficient 1 at l and 0 before it."""
+    arith, q = _Int64Field(field), field.q
     basis = np.array(rows, dtype=np.int64)
     k, size = basis.shape
     chunk = max(1, (1 << 18) // size)  # words per batch
     best = size
     for lead in range(k):
         free = k - lead - 1
-        total = p ** free
+        total = q ** free
         for start in range(0, total, chunk):
             idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            coeffs = np.zeros((idx.size, free + 1), dtype=np.int64)
-            coeffs[:, 0] = 1
-            for t in range(1, free + 1):
-                idx, coeffs[:, t] = np.divmod(idx, p)
-            words = coeffs @ basis[lead:] % p
+            coeffs = np.zeros((idx.size, free), dtype=np.int64)
+            for t in range(free):
+                idx, coeffs[:, t] = np.divmod(idx, q)
+            words = arith.residue(basis[lead, None], coeffs, basis[lead + 1:])
             stats = (np.count_nonzero(words, axis=1) if width is None
-                     else _np_ranks(words.reshape(len(words), -1, width), p))
+                     else _np_ranks(words.reshape(len(words), -1, width), arith))
             best = min(best, int(stats.min()))
             if best == 1:
                 return 1
     return best
 
 
-def _np_ranks(W, p):
-    """The rank of each matrix of an int64 batch with entries in [0, p).
+def _np_ranks(W, arith):
+    """The rank of each matrix of an int64 batch, in `arith`'s arithmetic.
 
     Fraction-free elimination: a pivot a in column j, from a row not yet a
     pivot row, clears the column by r <- a r - r[j] (pivot row), which needs
-    no inverse and no product above (p - 1)^2.  As a != 0 this keeps the
-    span of the rows not yet used; used rows are never read again.
+    no inverse and over F_p no product above (p - 1)^2.  As a != 0 this
+    keeps the span of the rows not yet used; used rows are never read again.
     """
     if W.shape[2] > W.shape[1]:  # eliminate along the shorter side
         W = W.transpose(0, 2, 1)
@@ -606,7 +663,7 @@ def _np_ranks(W, p):
         used[batch[has], piv[has]] = True
         pivot = W[batch, piv]
         a = np.where(has, pivot[:, j], 1)
-        W = (a[:, None, None] * W - col[:, :, None] * pivot[:, None, :]) % p
+        W = arith.sub_scaled(W, col[:, :, None], pivot[:, None, :], a[:, None, None])
     return used.sum(axis=1)
 
 

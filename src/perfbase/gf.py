@@ -553,12 +553,15 @@ def field_make(p: int, deg: int = 1, modulus=None) -> Field:
     """Build F_{p^deg}; the modulus defaults to the canonical irreducible.
 
     Equal arguments return the same Field object; a modulus may be given as
-    a tuple, a list or an FqPolynomial.
+    a tuple, a list or an FqPolynomial.  A prime field's empty modulus, the
+    one it reports, names the field as no modulus does.
     """
     if modulus is not None:
         if isinstance(modulus, FqPolynomial):
             modulus = modulus.coeffs
         modulus = tuple(map(operator.index, modulus))
+        if deg == 1 and not modulus:
+            modulus = None
     return _cached_field(p, deg, modulus)
 
 

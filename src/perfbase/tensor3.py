@@ -13,8 +13,8 @@ subset.  It starts at the Kruskal bound dim V + d - 1, with d from the
 package's one distance scan `exactla._min_distance` when V has at most 4096
 words up to scalar, and at dim V otherwise.  A search node holds the residues
 of the later candidates modulo the chosen span and modulo the chosen span plus
-V, as int64 arrays over every field: products mod p over F_p, gathers from
-the field's log, antilog and Zech tables over F_{p^k}.  It reads the
+V, as int64 arrays over every field, with the arithmetic of the package's
+one int64 field kernel, `exactla._Int64Field`.  It reads the
 projective class of each table row once, as a base-q integer, and its
 children's membership tests are bit operations on the rows of those classes.
 Only a child with a viable pick and a level below it gets tables.  A 1x1
@@ -43,9 +43,10 @@ from .exactla import (
     _min_distance,
     _normalized_vectors,
     _projective_count,
+    _Int64Field,
     _solve_combination,
 )
-from .gf import Field, _power
+from .gf import Field
 
 DEFAULT_GUARD = 100_000_000
 
@@ -295,53 +296,30 @@ def rank_one_completion_exists(span_space: MatrixSpace, targets,
 
 
 class _Tables:
-    """Residue tables as int64 arrays.  Only `scaled` and `sub_scaled` see
-    the field: over F_p they multiply and reduce mod p (the size check keeps
-    p below 2^19 once nm > 1); over F_{p^k} they gather, as `Field.sub_scaled`
-    does.  There log[0] is 2(q-1) and antilog is zero from 2(q-1) to 4(q-1),
-    so a zero factor gives a zero product without a branch.  A class id packs
-    the row scaled to leading coefficient 1 as a base-q integer, which is
-    exact: q^(nm) < 2^63 for every input the oracle admits."""
+    """Residue tables as int64 arrays.  Their arithmetic is `arith`, the
+    field's `exactla._Int64Field`: over F_p the size check keeps p below
+    2^19 once nm > 1, so its products and sums fit in int64.  A class id
+    packs the row scaled to leading coefficient 1 as a base-q integer, which
+    is exact: q^(nm) < 2^63 for every input the oracle admits."""
 
     def __init__(self, field):
-        self.field, self.q, order = field, field.q, field.q - 1
-        if field.deg > 1:
-            self.log = np.array([2 * order] + field._log[1:], dtype=np.int64)
-            self.antilog = np.array(field._antilog + [0] * (order + 1), dtype=np.int64)
-            self.zech = np.array(field._zech, dtype=np.int64)
-            self.lneg = self.log[[field.neg(a) for a in range(field.q)]]  # log(-a)
+        self.arith = _Int64Field(field)
         # a^(q-2) = 1/a for a != 0, and inv[0] only ever scales a zero row
-        self.inv = _power(self.scaled, np.arange(self.q), self.q - 2,
-                          np.ones(self.q, dtype=np.int64))
-
-    def scaled(self, c, T):
-        """c * T, entrywise; c broadcasts against T."""
-        if self.field.deg == 1:
-            return c * T % self.q
-        return self.antilog[self.log[c] + self.log[T]]
-
-    def sub_scaled(self, T, c, row):
-        """T - c * row for a column c: the row update of elimination."""
-        if self.field.deg == 1:
-            out = c * row
-            np.subtract(T, out, out=out)
-            out %= self.q
-            return out
-        lp = self.lneg[c] + self.log[row]  # log(-c * row)
-        prod, la = self.antilog[lp], self.log[T]
-        both = self.antilog[la + self.zech[(lp - la) % (self.q - 1)]]
-        return np.where(T == 0, prod, np.where(prod == 0, T, both))
+        self.inv = self.arith.inv(np.arange(field.q))
 
     def candidates(self, n, m):
-        self.powers = self.q ** np.arange(n * m, dtype=np.int64)
-        U = np.array(list(_normalized_vectors(self.field, n)), dtype=np.int64)
-        W = np.array(list(_normalized_vectors(self.field, m)), dtype=np.int64)
-        return self.scaled(U[:, None, :, None], W[None, :, None, :]).reshape(-1, n * m)
+        field = self.arith.field
+        self.powers = field.q ** np.arange(n * m, dtype=np.int64)
+        U = np.array(list(_normalized_vectors(field, n)), dtype=np.int64)
+        W = np.array(list(_normalized_vectors(field, m)), dtype=np.int64)
+        return self.arith.scaled(U[:, None, :, None],
+                                 W[None, :, None, :]).reshape(-1, n * m)
 
     def quotient(self, A, V, free):
-        # V's rows are reduced, so no step changes a later pivot column of A
-        for row, pc in zip(V._rrows, V._pivots):
-            A = self.sub_scaled(A, A[:, pc, None], np.array(row, dtype=np.int64))
+        # V's rows are fully reduced, so A's entries at their pivots are the
+        # coefficients of its residue
+        A = self.arith.residue(A, A[:, list(V._pivots)],
+                               np.array(V._rrows, dtype=np.int64))
         return np.ascontiguousarray(A[:, free])
 
     @staticmethod
@@ -358,7 +336,7 @@ class _Tables:
         needs no mask, and N one-row classes do not cost N^2 bits."""
         T, w = T[:stop], T.shape[1]  # w = 0 when V is the whole space
         lead = T[np.arange(len(T)), (T != 0).argmax(axis=1)] if w else 0
-        ids = (self.scaled(self.inv[lead, None], T) @ self.powers[:w]).tolist()
+        ids = (self.arith.scaled(self.inv[lead, None], T) @ self.powers[:w]).tolist()
         masks, first = {}, {}  # first: class id -> its first row
         for i, c in enumerate(ids):
             j = first.setdefault(c, i)
@@ -371,8 +349,8 @@ class _Tables:
         """The rows after i modulo the nonzero row i."""
         row, rest = T[i], T[i + 1:]
         lead = next(j for j, x in enumerate(row.tolist()) if x)
-        return self.sub_scaled(rest, rest[:, lead, None],
-                               self.scaled(self.inv[row[lead]], row))
+        return self.arith.sub_scaled(rest, rest[:, lead, None],
+                                     self.arith.scaled(self.inv[row[lead]], row))
 
 
 def _guard_exceeded(R, limit):

@@ -11,13 +11,14 @@ from perfbase import cli, construct, rmcode, tensor3
 from perfbase.cli import (
     dumps_certificate,
     field_from_json,
+    field_to_json,
     load_certificate,
     main,
     matrix_from_json,
     matrix_to_json,
     reverify,
 )
-from perfbase.errors import ParametersOutOfRange
+from perfbase.errors import DegreeMismatch, ParametersOutOfRange
 from perfbase.exactla import FqMatrix, MatrixSpace
 from perfbase.gf import field_make
 from perfbase.tensor3 import BaseCandidate
@@ -548,15 +549,44 @@ def test_verify_refuses_non_canonical_code_facts(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("modulus,code", [([1, 1, 1], 0), ([3, 1, 1], 2),
-                                          ([1, 1.0, 1], 2), ([1, -1, 1], 2)])
+                                          ([1, 1.0, 1], 2), ([1, -1, 1], 2),
+                                          (False, 2), (0, 2), ({}, 2), (None, 2),
+                                          ([], 2)])
 def test_verify_refuses_modulus_coefficients_outside_f_p(tmp_path, capsys,
                                                           modulus, code):
+    # a present modulus is read as written: a value that is not a list, or
+    # the empty list on F_4, is refused and never means the default modulus
     one = {"n": 1, "m": 1, "entries": [[1]]}
     cert = {"schema_version": "1", "field": {"p": 2, "deg": 2, "modulus": modulus},
             "construction": {"name": "hand", "params": {}},
             "target_basis": [one], "base": [one], "auxiliary": {}}
     rc, line = _verify(tmp_path, capsys, cert)
     assert rc == code and line["ok"] == (code == 0)
+    if code:
+        assert line["kind"] == "input"
+
+
+def test_a_prime_fields_empty_modulus_names_the_field():
+    # `field_to_json` writes [] for F_p, and it reads back as the one F_p
+    assert field_to_json(field_make(3))["modulus"] == []
+    assert field_from_json({"p": 3, "deg": 1, "modulus": []}) is field_make(3)
+    assert field_make(3, 1, ()) is field_make(3)
+    with pytest.raises(DegreeMismatch):
+        field_from_json({"p": 3, "deg": 2, "modulus": []})
+
+
+@pytest.mark.parametrize("field", [["--deg", "0"], ["--deg", "-1"],
+                                   ["--deg", "2", "--modulus", ""]])
+def test_construct_reads_the_field_as_given(tmp_path, capsys, field):
+    # a degree below 1, or an empty modulus on F_25, is refused and never
+    # replaced by a default
+    out = tmp_path / "c.json"
+    assert main(["construct", "dual-powers", "--p", "5", *field,
+                 "--m", "3", "--s", "2", "--bottom", "1,0,0",
+                 "--out", str(out)]) == 2
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input" and "degree" in line["error"]
+    assert not out.exists()
 
 
 def test_oracle_refuses_an_entry_outside_the_field(tmp_path, capsys):

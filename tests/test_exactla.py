@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from perfbase.exactla import (
     Echelon,
     FqMatrix,
     MatrixSpace,
+    _Int64Field,
     _unvectorize,
     trace_pair,
 )
@@ -514,3 +516,71 @@ def test_combination_stream_matches_the_reference_loop(p, k):
                  for _ in range(rng.randint(1, 3))]
         assert (list(construct._combination_stream(F, basis))
                 == list(ref_combination_stream(F, basis)))
+
+
+# --- the int64 field kernel ---------------------------------------------------------
+
+
+def _small_fields(limit):
+    """Every field with q <= limit, as (p, k)."""
+    out = []
+    for q in range(2, limit + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k = round(math.log(q, p))
+        if p ** k == q:
+            out.append((p, k))
+    return out
+
+
+def _kernel_matches_the_field(F, a, b, cs, rng):
+    """Each `_Int64Field` operation on the pairs (a_i, b_i) and the scalars
+    cs against `Field.mul`, `Field.sub_scaled` and `Field.inv`."""
+    K = _Int64Field(F)
+    A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    C = np.array(cs, dtype=np.int64)[:, None]
+    assert K.scaled(A, B).tolist() == [F.mul(x, y) for x, y in zip(a, b)]
+    assert K.scaled(C, B).tolist() == [[F.mul(c, y) for y in b] for c in cs]
+    units = [x for x in a if x]
+    assert K.inv(np.array(units, dtype=np.int64)).tolist() == list(map(F.inv, units))
+    # the rank-one update, plain and fused with a scale of T by a
+    assert K.sub_scaled(A, C, B).tolist() == [F.sub_scaled(a, c, b) for c in cs]
+    fused = K.sub_scaled(np.broadcast_to(A, (len(cs), len(a))), C, B, C[::-1])
+    assert fused.tolist() == [F.sub_scaled([F.mul(s, x) for x in a], c, b)
+                              for s, c in zip(cs[::-1], cs)]
+    # the residue T - C R against a fold of Field.sub_scaled, and with one
+    # row T broadcast against every row of C, as the distance scan calls it
+    w, r = 7, 3
+    T = [[rng.randrange(F.q) for _ in range(w)] for _ in range(len(cs))]
+    R = [[rng.randrange(F.q) for _ in range(w)] for _ in range(r)]
+    Cm = [[rng.choice(cs) for _ in range(r)] for _ in cs]
+
+    def fold(t, coeffs):
+        for c, row in zip(coeffs, R):
+            t = F.sub_scaled(t, c, row)
+        return t
+
+    got = K.residue(np.array(T), np.array(Cm), np.array(R))
+    assert got.tolist() == [fold(t, coeffs) for t, coeffs in zip(T, Cm)]
+    got = K.residue(np.array(T[:1]), np.array(Cm), np.array(R))
+    assert got.tolist() == [fold(T[0], coeffs) for coeffs in Cm]
+
+
+@pytest.mark.parametrize("p,k", _small_fields(125), ids=lambda v: str(v))
+def test_int64_kernel_matches_the_field_on_every_small_field(p, k):
+    # every pair (a, b) of F_q, and the scalars 0, 1, -1 and three more
+    F = field_make(p, k)
+    assert len(_small_fields(125)) == 42
+    rng = random.Random(F.q)
+    pairs = list(itertools.product(range(F.q), repeat=2))
+    cs = [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(3)]
+    _kernel_matches_the_field(F, [x for x, _ in pairs], [y for _, y in pairs], cs, rng)
+
+
+@pytest.mark.parametrize("p,k", [(7, 4), (2, 16), (524269, 1)])
+def test_int64_kernel_matches_the_field_on_sampled_large_fields(p, k):
+    F = field_make(p, k)
+    rng = random.Random(F.q)
+    a = [rng.randrange(F.q) for _ in range(2000)] + [0, 1, F.q - 1]
+    b = [rng.randrange(F.q) for _ in range(2000)] + [F.q - 1, 0, 1]
+    cs = [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(5)]
+    _kernel_matches_the_field(F, a, b, cs, rng)

@@ -3,8 +3,10 @@ private name the package defines is used somewhere in it, numpy is
 imported where the package loads, not where a scan first needs it, and
 `Field.encode` is the package's only rule for turning a scalar into an
 encoding, `FqMatrix.outer` its only builder of a product matrix u v^t,
-`Field.sub_scaled` its only row combination acc + c * row, and no
-module-level function is an alias that only forwards to a method.
+`Field.sub_scaled` its only row combination acc + c * row, no
+module-level function is an alias that only forwards to a method, and
+outside `gf` only exactla's int64 kernel reads a field's log, antilog and
+Zech tables.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.  `__init__.py` re-exports names and is skipped.
@@ -236,6 +238,46 @@ def test_alias_check_sees_forwarding_functions():
               "def helper(x):\n    return len(x)\n"
               "class C:\n    def rank(self):\n        return self.rref()\n")
     assert alias_wrappers(source) == ["rref", "transform"]
+
+
+_FIELD_TABLES = ("_log", "_antilog", "_zech")
+
+
+def field_table_reads(source: str, kernel=None):
+    """Lines that read a field's `_log`, `_antilog` or `_zech` table outside
+    the module-level class named `kernel`."""
+    tree = ast.parse(source)
+    inside = {id(n) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == kernel
+              for n in ast.walk(cls)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in _FIELD_TABLES
+                  and id(n) not in inside)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf.py"],
+                         ids=lambda p: p.name)
+def test_only_the_int64_kernel_reads_field_tables(path):
+    kernel = "_Int64Field" if path.name == "exactla.py" else None
+    assert field_table_reads(path.read_text(), kernel) == []
+
+
+def test_field_table_check_sees_copies_of_the_tables():
+    # table copies made in a class other than the kernel are flagged, and
+    # the kernel's own three reads are not
+    copy = ("class _Tables:\n"
+            "    def __init__(self, field):\n"
+            "        self.field, self.q, order = field, field.q, field.q - 1\n"
+            "        if field.deg > 1:\n"
+            "            self.log = np.array([2 * order] + field._log[1:], dtype=np.int64)\n"
+            "            self.antilog = np.array(field._antilog + [0] * (order + 1),"
+            " dtype=np.int64)\n"
+            "            self.zech = np.array(field._zech, dtype=np.int64)\n")
+    assert field_table_reads(copy) == [5, 6, 7]
+    assert field_table_reads(copy, "_Tables") == []
+    assert field_table_reads(copy, "_Int64Field") == [5, 6, 7]
+    exactla = (SRC / "exactla.py").read_text()
+    assert len(field_table_reads(exactla)) == 3
 
 
 def imported_modules(source: str):

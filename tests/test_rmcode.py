@@ -231,17 +231,24 @@ def test_min_hamming_distance_extension_field_matches_brute_force():
     assert len(seen) > 1
 
 
-@pytest.mark.parametrize("q", [5, 7, 9])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_distance_scan_backends_match_brute_force(monkeypatch, q):
     # k = 2 scans fewer words than the numpy crossover, k = 3 more; each
-    # input runs on both backends (numpy stays off over F_9)
-    F = field_make(3, 2) if q == 9 else field_make(q)
+    # input runs on both backends
+    p = {4: 2, 8: 2, 9: 3}.get(q, q)
+    F = field_make(p, round(math.log(q, p)))
     assert (exactla._projective_count(q, 2) < exactla._SCAN_NUMPY_MIN_WORDS
             <= exactla._projective_count(q, 3))
+    batched = []
+    scan_np = exactla._min_distance_np
+    monkeypatch.setattr(exactla, "_min_distance_np",
+                        lambda *args: batched.append(args) or scan_np(*args))
     rng = random.Random(q)
     seen = set()
     for k in (2, 3):
-        for _ in range(4):
+        for tries in range(16):  # four inputs, and more until d = 2 is seen
+            if tries >= 4 and {d for _, d in seen} == {1, 2}:
+                break
             m = rng.choice([2, 3])
             mats = [FqMatrix(F, [[rng.randrange(q) for _ in range(m)]
                                  for _ in range(2)]) for _ in range(k)]
@@ -258,8 +265,10 @@ def test_distance_scan_backends_match_brute_force(monkeypatch, q):
             weight = min(sum(1 for v in w if v) for w in words)
             for threshold in (1, 1 << 30):
                 monkeypatch.setattr(exactla, "_SCAN_NUMPY_MIN_WORDS", threshold)
+                del batched[:]
                 assert exactla._min_distance(F, rows, 1 << 24, m) == rank
                 assert exactla._min_distance(F, rows, 1 << 24) == weight
+                assert len(batched) == (2 if threshold == 1 else 0)
             seen.add((k, rank))
     assert {k for k, _ in seen} == {2, 3} and {d for _, d in seen} == {1, 2}
 
