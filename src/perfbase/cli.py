@@ -265,7 +265,7 @@ def _spec_from_args(field, args) -> cons.CompanionSpec:
 
 
 def _gammas_from_args(field, args, s):
-    if getattr(args, "gammas", None):
+    if args.gammas is not None:
         return cons.GammaSet(field, tuple(_parse_ints(args.gammas)))
     return cons.GammaSet.canonical(field, s)
 
@@ -327,7 +327,7 @@ def cmd_construct(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(name)
     cert = certificate_from_result(result, code_info)
-    out = args.out or f"{name}.cert.json"
+    out = f"{name}.cert.json" if args.out is None else args.out
     write_certificate(cert, out)
     print(json.dumps({"ok": True, "construction": name,
                       "base_size": len(cert["base"]),
@@ -369,7 +369,7 @@ def cmd_oracle(args) -> int:
     result = cons._finish(witness, "oracle", {"guard": guard}, {})
     cert = certificate_from_result(result)
     cert["tensor_rank"] = trk
-    if args.out:
+    if args.out is not None:
         write_certificate(cert, args.out)
     print(json.dumps({"ok": True, "tensor_rank": trk,
                       "witness_size": len(witness.matrices),

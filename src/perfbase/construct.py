@@ -619,9 +619,7 @@ def _quadratic_pair(F, a1, a2):
 
 
 def _singular_pair(F, a2):
-    """The displayed 2-base for a 2x2 companion with zero first column."""
-    if a2 == 0:
-        raise CaseNotCovered("trailing coefficient must be nonzero")
+    """The displayed 2-base for a 2x2 companion with zero first column, a2 != 0."""
     inv = F.inv(a2)
     return [FqMatrix.outer(F, [0, 1], [1, 0]),
             FqMatrix.outer(F, [1, F.neg(inv)], [inv, 1])]

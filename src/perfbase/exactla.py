@@ -313,14 +313,14 @@ def _int64_safe(field, terms) -> bool:
 
 class _Int64Field:
     """A field's arithmetic on int64 arrays of encodings, built per call.  Over
-    F_{p^k} log[0] is 2(q-1) and antilog is zero from 2(q-1) to 4(q-1), so a
-    zero factor gives a zero product without a branch."""
+    F_{p^k} it copies the field's tables in the layout `gf` builds them in,
+    where a zero factor gives a zero product without a branch."""
 
     def __init__(self, field):
         self.field, self.q, order = field, field.q, field.q - 1
         if field.deg > 1:
-            self.log = np.array([2 * order] + field._log[1:], dtype=np.int64)
-            self.antilog = np.array(field._antilog + [0] * (order + 1), dtype=np.int64)
+            self.log = np.array(field._log, dtype=np.int64)
+            self.antilog = np.array(field._antilog, dtype=np.int64)
             self.zech = np.array(field._zech, dtype=np.int64)
             # log(-a) = log(a) + log(-1) for a != 0, and -1 encodes as p - 1
             lneg = (self.log + self.log[field.p - 1]) % order

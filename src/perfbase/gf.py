@@ -14,12 +14,14 @@ work with machine integers mod p.  Extension fields walk the powers of the
 primitive element g once, at construction, to build log, antilog and Zech
 tables: multiply and invert add or negate logs, and a + b =
 g^(la + zech[lb - la]) with zech[i] = log(1 + g^i) (Lidl and Niederreiter,
-*Finite Fields*).  The modulus search, the primitive element and the walk
-work on plain ints mod p, with `_poly_mulmod` as the one polynomial
-multiply.  Tables take O(q) memory, so extension fields stop at 2^16
-elements: F_{2^16} takes about 0.15 s (half of it the irreducible search,
-which doubles in time with each degree over F_2) and 7 MB of tables, and a
-larger field is refused before any search.
+*Finite Fields*).  The tables have one layout, the one `exactla`'s int64
+kernel copies (see `Field._build_tables`).  The modulus search and the
+primitive element work on plain ints mod p, with `_poly_mulmod` as the one
+polynomial multiply; the walk takes g e for every e from one numpy array
+product.  Tables take O(q) memory, so extension fields stop at 2^16
+elements: F_{2^16} takes 0.14-0.17 s on an Intel Xeon (0.06 s of it the
+irreducible search, which doubles in time with each degree over F_2) and
+7 MB of tables, and a larger field is refused before any search.
 
 `Field.encode` is the package's one rule for turning a scalar into an
 encoding, and every entry point that takes a scalar goes through it.
@@ -33,6 +35,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+
+import numpy as np
 
 from .errors import (
     DegreeMismatch,
@@ -204,8 +208,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.deg == 1:
             return (a * b) % self.p
-        if not (a and b):
-            return 0
         log = self._log
         return self._antilog[log[a] + log[b]]
 
@@ -241,15 +243,16 @@ class Field:
     def _build_tables(self):
         """Log, antilog and Zech tables from the powers of the primitive element.
 
-        antilog has length 3(q-1): two periods of g^i, so a sum of two logs
-        needs no reduction, then q-1 zeros.  Where 1 + g^i = 0, zech[i] is
-        2(q-1), so `add` lands in the zeros and a + (-a) needs no branch.
+        This is the one layout of the tables, the one `exactla._Int64Field`
+        copies into arrays.  antilog has length 4(q-1) + 1: two periods of
+        g^i, so a sum of two logs needs no reduction, then zeros from 2(q-1)
+        through 4(q-1).  log[0] is 2(q-1), so a product with a zero factor
+        lands in the zeros and `mul` needs no branch; where 1 + g^i = 0,
+        zech[i] is log[0] too, so `add` gives a + (-a) = 0 without one.
 
-        The walk splits a power e = u + P v (P = p^h, h = deg // 2), so that
-        g e = g u + g x^h v.  Both products are looked up in radix 2p - 1,
-        where their digit sum cannot carry; each half of the sum is then
-        reduced mod p and re-encoded by one table of (2p - 1)^(deg - h)
-        entries (fewer than q, but for the 9 of F_8).
+        Multiplying by g is F_p-linear, so the base-p digit rows of all q
+        encodings, times the deg x deg matrix whose row j is g x^j, give g e
+        for every e in one array product; the walk follows that list from 1.
         """
         p, deg, q = self.p, self.deg, self.q
         order = q - 1
@@ -258,33 +261,21 @@ class Field:
         # the elements of F_p, encoded below p, have orders dividing p - 1
         g = _least_primitive(
             q, p, lambda a, e: _poly_powmod(self.coeffs_of(a), e, tail, p) == one)
-        h = deg // 2
-        P, R = p ** h, 2 * p - 1
-        RH = R ** h
-
-        def times_g(enc):  # in radix R
-            prod = _poly_mulmod(self.coeffs_of(g), self.coeffs_of(enc), tail, p)
-            return sum(c * R ** j for j, c in enumerate(prod))
-
-        low = [times_g(u) for u in range(P)]
-        high = [times_g(v * P) for v in range(q // P)]
-        # radix-R digits, each reduced mod p, in base p; h digits take a prefix
-        red = [0]
-        for j in range(deg - h):
-            red = [t + p ** j * (d % p) for d in range(R) for t in red]
-        walk = []
-        u, v = 1, 0
+        times_g = np.array([_poly_mulmod(self.coeffs_of(g), self.coeffs_of(p ** j), tail, p)
+                            for j in range(deg)], dtype=np.int64)
+        place = p ** np.arange(deg, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // place % p
+        successor = ((digits @ times_g % p) @ place).tolist()
+        walk, x = [], 1
         for _ in range(order):
-            walk.append(u + P * v)
-            s = low[u] + high[v]
-            u, v = red[s % RH], red[s // RH]
-        log = [0] * q
+            walk.append(x)
+            x = successor[x]
+        log = [2 * order] * q
         for i, x in enumerate(walk):
             log[x] = i
         # 1 + x adds 1 to the constant coefficient, the lowest base-p digit
         zech = [log[x + 1 - p if x % p == p - 1 else x + 1] for x in walk]
-        zech[log[p - 1]] = 2 * order
-        self._log, self._antilog, self._zech = log, walk + walk + [0] * order, zech
+        self._log, self._antilog, self._zech = log, walk + walk + [0] * (2 * order + 1), zech
 
 
 class FieldElement:

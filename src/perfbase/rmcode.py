@@ -68,8 +68,6 @@ class GammaBasis:
     """An ordered basis of F_{q^m} over a prime F_q for coordinate expansion."""
 
     def __init__(self, ext_field: Field, elements=None):
-        if ext_field.deg < 1:
-            raise ParametersOutOfRange("extension field required")
         self.ext_field = ext_field
         self.base_field = field_make(ext_field.p)
         self.m = ext_field.deg

@@ -31,7 +31,7 @@ kernel, over every field alike: the residues of u (x) v are linear in v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,17 +106,7 @@ class VerificationReport:
         return self.all_rank_one and self.independent and self.contains_target
 
     def to_dict(self):
-        return {
-            "all_rank_one": self.all_rank_one,
-            "independent": self.independent,
-            "contains_target": self.contains_target,
-            "passed": self.passed,
-            "base_size": self.base_size,
-            "target_dim": self.target_dim,
-            "bad_rank_index": self.bad_rank_index,
-            "dependent_index": self.dependent_index,
-            "missing_target_index": self.missing_target_index,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def slice_space(X: Tensor3) -> MatrixSpace:

@@ -614,6 +614,36 @@ def test_construct_refuses_a_negative_gamma(tmp_path, capsys):
     assert load_certificate(str(out))["construction"]["params"]["gammas"] == [1, 2]
 
 
+@pytest.mark.parametrize("extra", [["--s", "2", "--gammas", ""],
+                                   ["--s", "2", "--gammas", ",,"],
+                                   [], ["--s", "2", "--m", "4"]],
+                         ids=["empty-gammas", "commas-only", "no-s", "m-disagrees"])
+def test_construct_refuses_empty_gammas_and_missing_or_disagreeing_args(
+        tmp_path, capsys, extra):
+    # an empty --gammas is an empty gamma set (BadGammaSet), never the
+    # canonical one; --m must match the bottom row's length
+    out = tmp_path / "c.json"
+    assert main(["construct", "dual-powers", "--p", "5", "--bottom", "1,0,0",
+                 "--out", str(out), *extra]) == 2
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "dual-powers", "--p", "5", "--m", "3", "--s", "2", "--bottom", "1,0,0"],
+    ["oracle", "space.json"]])
+def test_an_empty_out_path_is_refused_not_replaced(tmp_path, capsys, monkeypatch,
+                                                   command):
+    (tmp_path / "space.json").write_text(json.dumps({
+        "field": {"p": 3}, "basis": [{"n": 2, "m": 2, "entries": [[1, 0], [0, 1]]}]}))
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--out", ""]) == 2
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input"
+    assert sorted(os.listdir(tmp_path)) == ["space.json"]
+
+
 def test_verify_flags_a_stored_report_that_differs_from_the_fresh_one(
         tmp_path, capsys):
     cert = load_certificate(os.path.join(FIXDIR, "dual_powers_f5_m4_s3.cert.json"))

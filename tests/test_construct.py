@@ -58,12 +58,19 @@ def test_companion_bottom_rows_bit_exact():
     h = FqPolynomial(F3, (2, 0, 1))  # x^2 - 1
     assert companion(CompanionSpec.from_polynomial(h)) \
         == FqMatrix(F3, [[0, 1], [1, 0]])
+    for make in (lambda: CompanionSpec(F5, 1, (1,)),
+                 lambda: CompanionSpec(F5, 3, (1, 0)),
+                 lambda: CompanionSpec.from_polynomial(FqPolynomial(F5, (1, 0, 2)))):
+        with pytest.raises(ParametersOutOfRange):
+            make()
 
 
 def test_companion_inverse_closed_form():
     spec = spec_of(F7, 6, 5, 5, 2, 4)
     M = companion(spec)
     assert M @ companion_inverse(spec) == FqMatrix.identity(F7, 5)
+    with pytest.raises(SingularM):
+        companion_inverse(spec_of(F7, 0, 5, 5))
 
 
 def test_shift_and_epsilon_displays():
@@ -80,6 +87,11 @@ def test_shift_and_epsilon_displays():
     assert Ea.rank() == 1
     with pytest.raises(ZeroGamma):
         epsilon(F5.zero(), 4)
+    with pytest.raises(ZeroGamma):
+        epsilon(3, 3)  # an int, not a field element
+    for make in (lambda: shift_J(F5, 1), lambda: epsilon(a, 1)):
+        with pytest.raises(ParametersOutOfRange):
+            make()
 
 
 @settings(deadline=None, max_examples=40)
@@ -208,6 +220,12 @@ def test_base_dual_powers_errors():
         GammaSet(F5, (2, 1))
     with pytest.raises(BadGammaSet):
         GammaSet(F5, (1, 0))
+    with pytest.raises(BadGammaSet):
+        GammaSet(F5, (1, 2, 2))
+    with pytest.raises(FieldTooSmall):
+        GammaSet.canonical(F5, 5)
+    with pytest.raises(ParametersOutOfRange):
+        base_dual_powers(spec_of(F5, 1, 0, 0, 0), 0)
 
 
 def test_specs_and_gamma_sets_encode_their_scalars():
@@ -241,6 +259,8 @@ def test_base_dual_powers_rect_counts_and_exclusions():
     n, m, s = 3, 5, 4
     res = base_dual_powers_rect(spec, n, s)
     assert res.candidate.size == n * m - s == 11 and res.report.passed
+    with pytest.raises(ParametersOutOfRange):
+        base_dual_powers_rect(spec, 1, s)
 
     # excluded members with shift index >= n vanish under row truncation
     J = shift_J(F7, m)
@@ -322,6 +342,8 @@ def test_inverse_family_errors():
     doubled = FqPolynomial.from_roots(F7, [1, 1, 2])
     with pytest.raises(RepeatedRoot):
         base_inverse_family(CompanionSpec.from_polynomial(doubled))
+    with pytest.raises(FieldTooSmall):
+        base_inverse_family(spec_of(F2, 1, 1, 0))
 
 
 # --- rectangular small-n family ------------------------------------------------------
@@ -439,6 +461,8 @@ def test_singular_glued_cases():
 def test_singular_delegates_when_invertible():
     res = base_singular(spec_of(F5, 1, 0, 0, 0), 2)
     assert res.candidate.size == 14 and res.report.passed
+    with pytest.raises(CaseNotCovered):
+        base_singular(spec_of(F5, 1, 0, 0), 3)
 
 
 # --- the pencil base ---------------------------------------------------------------------
@@ -449,6 +473,8 @@ def test_atkinson_base_small():
     assert res.candidate.size == 4 and res.report.passed
     res = atkinson_base(3, F5)
     assert res.candidate.size == 10 and res.report.passed
+    with pytest.raises(ParametersOutOfRange):
+        atkinson_base(1, F5)
 
 
 def test_atkinson_base_over_extension_fields():

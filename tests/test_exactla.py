@@ -237,6 +237,8 @@ def test_matrix_refusals():
     A = FqMatrix(F5, [[1, 2, 3], [4, 0, 1]])
     with pytest.raises(FieldMismatch):
         A @ FqMatrix(F9, [[1], [2], [0]])
+    with pytest.raises(FieldMismatch):
+        A + FqMatrix(F9, [[1, 2, 3], [4, 0, 1]])
     with pytest.raises(ShapeMismatch):
         A @ A
     for op in (lambda M: M.power(2), lambda M: M.trace()):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from perfbase import gf
 from perfbase.errors import (
+    DegreeMismatch,
     FieldMismatch,
     NotASubfield,
     NotIrreducible,
@@ -44,6 +45,8 @@ def test_field_make_prime_and_validation():
         field_make(6)
     with pytest.raises(NotIrreducible):
         field_make(2, 2, modulus=(1, 0, 1))  # x^2+1 = (x+1)^2 over F_2
+    with pytest.raises(DegreeMismatch):
+        field_make(5, 1, [1])
 
 
 def multiplicative_order(F, a):
@@ -265,6 +268,11 @@ def test_table_arithmetic_at_zero_one_and_opposites(p, deg):
         for b in (0, a, F.neg(a), 1, F.q - 1):
             check_against_references(F, a, b)
         assert F.add(a, F.neg(a)) == 0
+        if a:
+            assert F.pow(a, -3) == F.pow(F.inv(a), 3) == slow_pow(F, F.inv(a), 3)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
 
 
 @pytest.mark.parametrize(
@@ -432,14 +440,15 @@ def test_reducible_modulus_is_refused():
 
 def reference_tables(F):
     """Least primitive g by its factored order test, then log, antilog and
-    Zech tables from g^i, one reference_mul per power."""
+    Zech tables from g^i, one reference_mul per power, in `gf`'s layout:
+    log[0] = 2(q-1), and antilog is zero from 2(q-1) through 4(q-1)."""
     q, order = F.q, F.q - 1
     exponents = [order // r for r in range(2, q) if order % r == 0
                  and _is_prime(r)]
     mul = functools.partial(reference_mul, F)
     g = next(a for a in range(1, q)
              if all(gf._power(mul, a, e) != 1 for e in exponents))
-    log, antilog, x = [0] * q, [0] * (3 * order), 1
+    log, antilog, x = [2 * order] * q, [0] * (4 * order + 1), 1
     for i in range(order):
         log[x] = i
         antilog[i] = antilog[i + order] = x
@@ -452,8 +461,7 @@ def reference_tables(F):
     return log, antilog, zech
 
 
-@pytest.mark.parametrize("p,deg", [(2, 2), (3, 3), (7, 3), (5, 4), (7, 4),
-                                   (2, 12), (67, 2)])
+@pytest.mark.parametrize("p,deg", FIELDS_LE_2_12 + [(67, 2)])
 def test_tables_match_a_walk_with_the_reference_multiply(p, deg):
     F = Field(p, deg)
     assert (F._log, F._antilog, F._zech) == reference_tables(F)
@@ -558,6 +566,10 @@ def test_poly_roots_worked_example():
     roots, cofactor = poly_roots(f, F7)
     assert sorted(r.enc for r in roots) == [1, 2]
     assert cofactor == g
+    with pytest.raises(ValueError):
+        poly_roots(FqPolynomial.zero(F7), F7)
+    with pytest.raises(FieldMismatch):
+        poly_roots(f, field_make(5))
 
 
 def test_poly_roots_power_and_rootless():
@@ -607,6 +619,8 @@ def test_polynomial_division():
     q, r = f.divmod(g)
     assert q * g + r == f
     assert r.degree < g.degree
+    with pytest.raises(ZeroDivisionError):
+        f.divmod(FqPolynomial.zero(F7))
 
 
 # --- the one scalar rule, Field.encode ------------------------------------------------

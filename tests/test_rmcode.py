@@ -307,6 +307,8 @@ def test_gabidulin_basic_and_errors():
         gabidulin([FieldElement(ext, 1), FieldElement(ext, 1)], 1, 1, 0)
     with pytest.raises(ParametersOutOfRange):
         gabidulin(U, 2, 1, 0)
+    with pytest.raises(ParametersOutOfRange):
+        gabidulin([1, 2], 1, 1, 0)  # encodings, not field elements
 
 
 def test_gabidulin_encodes_its_basis_by_the_field():
@@ -341,6 +343,7 @@ def test_is_mrd_and_dual_mrd():
     assert is_mrd(C) and is_mrd(D)
     full = RankCode(MatrixSpace.full(g.base_field, (2, 3)))
     assert is_mrd(full) and full.distance() == 1
+    assert not is_mrd(RankCode(MatrixSpace(g.base_field, (2, 3), [])))
     # MRD duality across every evaluation-code instance with q <= 3, nm <= 9
     for q, m, n, k in [(2, 2, 2, 1), (2, 3, 2, 1), (2, 3, 3, 1), (2, 3, 3, 2),
                        (3, 3, 2, 1), (3, 3, 3, 1), (3, 3, 3, 2), (2, 4, 2, 1)]:
@@ -369,6 +372,10 @@ def test_is_mtr_full_space():
     units = tuple(FqMatrix.unit(F3, 2, 2, i, j)
                   for i in range(2) for j in range(2))
     assert is_mtr(full, BaseCandidate(units, full.space))
+    assert not is_mtr(full, BaseCandidate(units[:3], full.space))
+    wide = MatrixSpace.full(F3, (2, 3))
+    with pytest.raises(InvalidWitness):
+        is_mtr(full, BaseCandidate(units, wide))
 
 
 # --- base extension -----------------------------------------------------------------------
@@ -568,6 +575,10 @@ def test_code_and_basis_constructors_refuse_bad_generators():
         GammaBasis(F9, [1])  # one element for m = 2
     with pytest.raises(DependentBasis):
         GammaBasis(F9, [1, 2])  # 2 is the base-field scalar 2 * 1
+    with pytest.raises(ParametersOutOfRange):
+        GammaBasis(F7).generator_companion()  # m = 1
+    with pytest.raises(FieldMismatch):
+        GammaBasis(F9).frame_change_from(GammaBasis(field_make(5, 2)))
     with pytest.raises(ParametersOutOfRange):
         VectorCode(F9, [])
     with pytest.raises(ShapeMismatch):

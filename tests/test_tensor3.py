@@ -32,6 +32,9 @@ def test_slice_space_dims():
     M = FqMatrix(F3, [[0, 1], [1, 0]])
     t = Tensor3(F3, (I2, M))
     assert slice_space(t).dim == 2 and t.is_1_nondegenerate()
+    for slices in ((), (I2, FqMatrix.zeros(F3, 2, 3))):
+        with pytest.raises(ShapeMismatch):
+            Tensor3(F3, slices)
 
 
 def test_slice_space_worked_family_dim_five():
@@ -48,8 +51,9 @@ def test_kruskal_bound():
     assert kruskal_bound(0, 3) == 0
     n, m = 3, 4
     assert kruskal_bound(m * (n - 1), 2) == n * m - m + 1
-    with pytest.raises(ValueError):
-        kruskal_bound(2, 0)
+    for dim, d in ((2, 0), (-1, 1)):
+        with pytest.raises(ValueError):
+            kruskal_bound(dim, d)
 
 
 def test_verify_base_accepts_power_dual_construction():
