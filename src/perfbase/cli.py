@@ -242,7 +242,12 @@ def _code_info(code: rmcode.RankCode, guard: int, mtr: bool) -> dict:
 
 
 def _parse_ints(text: str):
-    return [int(t) for t in text.split(",") if t != ""]
+    """A comma-separated list of ints: "" is the empty list, and an empty
+    field anywhere else is refused, never dropped."""
+    fields = text.split(",") if text else []
+    if "" in fields:
+        raise ValueError(f"empty entry in the list {text!r}")
+    return [int(t) for t in fields]
 
 
 def _field_from_args(args) -> Field:

@@ -16,11 +16,15 @@ and `inverse`, every `MatrixSpace` (`intersect` by Zassenhaus included),
 fully reduced, so the rows sorted by pivot are the unique RREF and results
 do not depend on the order of elimination.  A `MatrixSpace` holds only its
 canonical rows, and each residue, membership or coordinate query reduces
-them again in a new `Echelon`.  The backend is chosen from the input alone,
-by the rule stated once, at `_NUMPY_MIN_WIDTH`: numpy row operations for
-prime-field rows at least 20 wide whose int64 sums cannot overflow
-(`_int64_safe`, the package's one int64 rule), and Python lists updated by
-`Field.sub_scaled` for all other rows, extension fields' at every width.
+them again in a new `Echelon`.  `dual_complement`, `intersect` and
+`sum_with` wrap the canonical rows they derive (`MatrixSpace._of`) and never
+eliminate them again; `tensor3.verify_base` compares a span of as many
+dimensions as its target with the target's rows, as RREF is unique.  The
+backend is chosen from the input alone, by the rule stated once, at
+`_NUMPY_MIN_WIDTH`: numpy row operations for prime-field rows at least 20
+wide whose int64 sums cannot overflow (`_int64_safe`, the package's one
+int64 rule), and Python lists updated by `Field.sub_scaled` for all other
+rows, extension fields' at every width.
 
 Every minimum distance is one scan, `_min_distance`: rmcode's
 `min_rank_distance` and `min_hamming_distance` (behind certificate
@@ -690,6 +694,17 @@ class MatrixSpace:
         self._rrows, self._pivots = Echelon(field, self.n * self.m, vecs).rref()
 
     @classmethod
+    def _of(cls, field, shape, rows):
+        """Wrap rows that are already the canonical RREF, in pivot order; each
+        row's pivot is its leading entry."""
+        S = object.__new__(cls)
+        S.field = field
+        S.n, S.m = shape
+        S._rrows = rows
+        S._pivots = tuple(next(j for j, v in enumerate(r) if v) for r in rows)
+        return S
+
+    @classmethod
     def from_matrices(cls, matrices):
         mats = list(matrices)
         if not mats:
@@ -759,11 +774,18 @@ class MatrixSpace:
         return self._echelon().coords(vec)
 
     def dual_complement(self) -> "MatrixSpace":
-        """Orthogonal complement under the trace bilinear form."""
-        basis = _nullspace(self.field, self._rrows, self.n * self.m)
-        return MatrixSpace(self.field, self.shape,
-                           [_unvectorize(self.field, v, self.n, self.m)
-                            for v in basis])
+        """Orthogonal complement under the trace bilinear form.
+
+        The null space is taken of the rows reversed.  Reversed back, each
+        row i of that echelon ends in a 1 at a column t_i where every other
+        row is 0, so the null vector e_f - sum_i row_i[f] e_(t_i) of a free
+        column f has its first nonzero at f (row_i[f] != 0 forces f < t_i):
+        those vectors, by ascending f, are already the canonical RREF, and
+        only the space's own rows are eliminated.
+        """
+        basis = _nullspace(self.field, [r[::-1] for r in self._rrows], self.n * self.m)
+        return MatrixSpace._of(self.field, self.shape,
+                               tuple(v[::-1] for v in reversed(basis)))
 
     def transform(self, L: FqMatrix, N: FqMatrix) -> "MatrixSpace":
         """The space {L B N : B in basis}; L and N must be invertible."""
@@ -775,14 +797,15 @@ class MatrixSpace:
     def sum_with(self, other: "MatrixSpace") -> "MatrixSpace":
         if self.shape != other.shape or self.field != other.field:
             raise ShapeMismatch("sum of spaces with different ambient")
-        return MatrixSpace(self.field, self.shape,
-                           list(self.basis) + list(other.basis))
+        rows, _ = Echelon(self.field, self.n * self.m, self._rrows + other._rrows).rref()
+        return MatrixSpace._of(self.field, self.shape, rows)
 
     def intersect(self, other: "MatrixSpace") -> "MatrixSpace":
         """Intersection by Zassenhaus: echelon [u | u] and [w | 0] together.
 
         The rows whose pivot lies in the right half are [0 | x], and those x
-        span the intersection.
+        span the intersection.  The echelon is fully reduced, so the x rows,
+        in pivot order, are already the intersection's canonical RREF.
         """
         if self.shape != other.shape or self.field != other.field:
             raise ShapeMismatch("intersection across ambients")
@@ -790,9 +813,8 @@ class MatrixSpace:
         E = Echelon(self.field, 2 * size,
                     [u + u for u in self._rrows]
                     + [w + (0,) * size for w in other._rrows])
-        return MatrixSpace(self.field, self.shape,
-                           [_unvectorize(self.field, row[size:], self.n, self.m)
-                            for row, pc in zip(*E.rref()) if pc >= size])
+        return MatrixSpace._of(self.field, self.shape,
+                               tuple(row[size:] for row, pc in zip(*E.rref()) if pc >= size))
 
     def iter_elements(self, nonzero_only=False, projective=False):
         """All members as coefficient combinations of the canonical basis.

@@ -129,7 +129,10 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
 
     One incremental elimination of the members gives the first member that
     depends on the earlier ones; target containment is then tested against
-    the same echelon.
+    the same echelon.  When the independent members span as many dimensions
+    as the target has, containment is equality, and RREF is unique: the
+    span's canonical rows are compared with the target's, and the target is
+    reduced only when they differ, to find the first missing row.
     """
     target = cand.target
     field = target.field
@@ -143,7 +146,10 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
     span = Echelon(field, target.n * target.m)
     dependent = next((idx for idx, A in enumerate(cand.matrices)
                       if not span.insert(A.vectorize())), None)
-    missing = span.first_missing(target._rrows) if dependent is None else None
+    missing = None
+    if dependent is None and not (span.rank == target.dim
+                                  and span.rref()[0] == target._rrows):
+        missing = span.first_missing(target._rrows)
     return VerificationReport(
         all_rank_one=bad_rank is None,
         independent=dependent is None,

@@ -616,12 +616,18 @@ def test_construct_refuses_a_negative_gamma(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [["--s", "2", "--gammas", ""],
                                    ["--s", "2", "--gammas", ",,"],
-                                   [], ["--s", "2", "--m", "4"]],
-                         ids=["empty-gammas", "commas-only", "no-s", "m-disagrees"])
+                                   [], ["--s", "2", "--m", "4"],
+                                   ["--s", "2", "--m", "3", "--bottom", "1,,0,0"],
+                                   ["--s", "2", "--gammas", "1,,2"],
+                                   ["--s", "2", "--deg", "2", "--modulus", "1,1,,1"]],
+                         ids=["empty-gammas", "commas-only", "no-s", "m-disagrees",
+                              "bottom-empty-entry", "gammas-empty-entry",
+                              "modulus-empty-entry"])
 def test_construct_refuses_empty_gammas_and_missing_or_disagreeing_args(
         tmp_path, capsys, extra):
     # an empty --gammas is an empty gamma set (BadGammaSet), never the
-    # canonical one; --m must match the bottom row's length
+    # canonical one; --m must match the bottom row's length; an empty entry
+    # of a list is refused, never dropped (without it, each list is valid)
     out = tmp_path / "c.json"
     assert main(["construct", "dual-powers", "--p", "5", "--bottom", "1,0,0",
                  "--out", str(out), *extra]) == 2

@@ -309,6 +309,9 @@ def test_intersect_matches_reference(p, deg, backend):
         for A, B in pairs:
             inter = A.intersect(B)
             assert inter == reference_intersect(A, B)
+            # the wrapped rows and pivots are those a new elimination gives
+            again = MatrixSpace(F, inter.shape, list(inter.basis))
+            assert (inter._rrows, inter._pivots) == (again._rrows, again._pivots)
             assert inter == B.intersect(A)
             dims.append(inter.dim)
         assert dims[0] == 0 and dims[1] >= 1 and dims[4] == k
@@ -373,6 +376,42 @@ def test_verify_base_reports_match_reference_on_wide_bases():
     for _ in range(8):
         cand = mutated_candidate(rng, F, n, m)
         assert verify_base(cand) == reference_verify_base(cand)
+
+
+@pytest.mark.parametrize("p,deg,n,m", [(5, 1, 2, 3), (13, 1, 4, 5), (3, 2, 3, 3)])
+def test_verify_base_compares_rows_only_at_equal_dimension(p, deg, n, m, monkeypatch):
+    # k independent unit matrices against targets of k and fewer dimensions:
+    # at equal dimension the span's RREF rows are compared with the target's,
+    # and `first_missing` runs only when they differ or the dimensions do
+    F = field_make(p, deg)
+    units = [FqMatrix.unit(F, n, m, i, j) for i in range(n) for j in range(m)]
+    k = n * m - 2
+    calls = []
+    first_missing = Echelon.first_missing
+
+    def counted(self, vectors):
+        calls.append(1)
+        return first_missing(self, vectors)
+
+    monkeypatch.setattr(Echelon, "first_missing", counted)
+
+    def check(members, target_members, missing, looked):
+        calls.clear()
+        cand = BaseCandidate(tuple(members), MatrixSpace(F, (n, m), target_members))
+        report = verify_base(cand)
+        assert report == reference_verify_base(cand)
+        assert report.independent and report.missing_target_index == missing
+        assert report.contains_target == (missing is None)
+        assert len(calls) == looked
+
+    # the same span, members reordered and scaled: no reduction of the target
+    check([U.scale(2) for U in reversed(units[:k])], units[:k], None, 0)
+    # as many members as the target's dimension, spanning another space: the
+    # target's row k - 1 (E at position k) is the first outside the span
+    check(units[:k], units[:k - 1] + [units[k]], k - 1, 1)
+    # more members than the target's dimension, covering it or not
+    check(units[:k + 1], units[:k], None, 1)
+    check(units[:k], units[:2] + [units[k + 1]], 2, 1)
 
 
 @settings(deadline=None, max_examples=150)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfbase import construct
+from perfbase import construct, exactla
 from perfbase.errors import FieldMismatch, ShapeMismatch, Singular
 from perfbase.exactla import (
     Echelon,
@@ -155,20 +155,63 @@ def test_dual_complement_extremes():
     assert all(B.trace().enc == 0 for B in dual.basis)
 
 
+def assert_canonical(S):
+    """S holds the rows and pivots that eliminating its basis again gives;
+    `MatrixSpace.__eq__` compares rows only."""
+    again = MatrixSpace(S.field, S.shape, list(S.basis))
+    assert (S._rrows, S._pivots) == (again._rrows, again._pivots)
+
+
 def test_dual_dimensions_and_involution_random_corpus():
+    # widths 20 and 25 run on numpy over the prime fields, on lists over F_4, F_9
+    fields = [F2, F3, F5, field_make(13), field_make(2, 2), field_make(3, 2)]
     rng = random.Random(1234)
-    for _ in range(100):
-        F = {2: F2, 3: F3, 5: F5}[rng.choice([2, 3, 5])]
-        n = rng.choice([2, 3])
-        m = rng.choice([2, 3, 4])
-        if n * m > 12:
-            m = 12 // n
+    for _ in range(120):
+        F = rng.choice(fields)
+        n, m = rng.choice([(2, 2), (2, 3), (3, 3), (3, 4), (4, 5), (5, 5)])
         k = rng.randrange(0, n * m + 1)
         V = MatrixSpace(F, (n, m),
                         [rand_matrix(rng, F, n, m) for _ in range(k)])
         D = V.dual_complement()
         assert V.dim + D.dim == n * m
+        assert all(trace_pair(A, B).enc == 0 for A in V.basis[:3] for B in D.basis)
         assert D.dual_complement() == V
+        W = MatrixSpace(F, (n, m), [rand_matrix(rng, F, n, m)
+                                    for _ in range(rng.randrange(0, n * m + 1))])
+        for S in (D, V.sum_with(W)):
+            assert_canonical(S)
+
+
+@pytest.mark.parametrize("F,n,m", [(field_make(13), 14, 14), (field_make(3, 2), 3, 4)])
+def test_derived_spaces_eliminate_only_their_inputs(monkeypatch, F, n, m):
+    # the dual eliminates the space's own rows, the intersection its
+    # Zassenhaus echelon, and neither eliminates its result again; the dual
+    # of a 7-dim space of 14x14 matrices once eliminated 7 + 189 vectors
+    rng = random.Random(f"counted-{F.q}")
+    V = MatrixSpace(F, (n, m), [rand_matrix(rng, F, n, m) for _ in range(7)])
+    A = MatrixSpace(F, (n, m), list(V.basis[:5]) + [rand_matrix(rng, F, n, m)])
+    B = MatrixSpace(F, (n, m), list(V.basis[2:]) + [rand_matrix(rng, F, n, m)])
+    assert V.dim == 7 and A.intersect(B).dim >= 3
+    inserted = []
+
+    class Counting(Echelon):
+        __slots__ = ()
+
+        def insert(self, vec):
+            if not self._np:  # the numpy path counts in `_insert_np`
+                inserted.append(1)
+            return super().insert(vec)
+
+        def _insert_np(self, v):
+            inserted.append(1)
+            return super()._insert_np(v)
+
+    monkeypatch.setattr(exactla, "Echelon", Counting)
+    for run, bound in ((V.dual_complement, V.dim), (lambda: A.intersect(B), A.dim + B.dim),
+                       (lambda: A.sum_with(B), A.dim + B.dim)):
+        inserted.clear()
+        run()
+        assert 0 < len(inserted) <= bound
 
 
 def test_space_contains():
