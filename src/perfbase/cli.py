@@ -93,11 +93,11 @@ def matrix_from_json(field: Field, obj) -> FqMatrix:
 
 
 # Certificates and oracle input declaring more matrix entries than this are
-# refused before any matrix is built.  At the cap, `verify` of a full-space
-# 16x32 certificate (512 random dense target members, 512 random u v^t base
-# members with nonzero factors) takes 2.3-2.5 s over F_5 and 18-21 s over
-# F_4, in process and as a CLI run alike; with the 512 unit matrices as the
-# target it takes 10-11 s over F_4 (Intel Xeon, Python 3.11).
+# refused before any matrix is built, and `construct` writes none.  At the
+# cap, a `perfbase verify` run on a full-space 16x32 certificate (512 random
+# dense target members, 512 random u v^t base members with nonzero factors)
+# takes 1.8-2.1 s over F_5 and 17.6-18.8 s over F_4; with the 512 unit matrices
+# as the target, 8.2-10.2 s over F_4 (Intel Xeon, Python 3.11, numpy 2.4).
 MAX_INPUT_ENTRIES = 1 << 19
 
 
@@ -332,6 +332,8 @@ def cmd_construct(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(name)
     cert = certificate_from_result(result, code_info)
+    _check_size(cert["target_basis"], cert["base"],
+                () if code_info is None else code_info["space_basis"])
     out = f"{name}.cert.json" if args.out is None else args.out
     write_certificate(cert, out)
     print(json.dumps({"ok": True, "construction": name,

@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedCofactorDegree,
     ZeroGamma,
 )
-from .exactla import FqMatrix, MatrixSpace, _combine, _nullspace, _scale
+from .exactla import FqMatrix, MatrixSpace, _combine, _nullspace
 from .gf import Field, FieldElement, FqPolynomial, poly_roots
 from .tensor3 import BaseCandidate, VerificationReport, verify_base
 
@@ -311,7 +311,7 @@ def _left_eigenrows(M: FqMatrix, eig_encs) -> FqMatrix:
 def _normalize_lead(F, vec):
     for v in vec:
         if v:
-            return _scale(F, F.inv(v), vec)
+            return F.scale(F.inv(v), vec)
     raise InternalVerificationError("zero vector cannot be normalized")
 
 

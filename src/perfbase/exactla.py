@@ -34,12 +34,10 @@ at least `_SCAN_NUMPY_MIN_WORDS` (16) words whose sums pass `_int64_safe`
 run as int64 batches with fraction-free elimination, which needs no
 inverses; all others run on lists with an `Echelon` per word.
 
-All int64 array arithmetic of the package, in `Echelon`'s numpy backend,
-the batched scan and the oracle's residue tables, is one kernel,
-`_Int64Field`: over F_p products mod p, kept within `_int64_safe`, and over
-F_{p^k} gathers from copies of the field's log, antilog and Zech tables, as
-`Field.sub_scaled` does.  numpy is imported with this module, so the
-package pays for it once, at import.
+`Echelon`'s numpy backend and the batched scan compute with the field's
+int64 form, `Field._int64`, which `gf` builds once per field with its
+tables; this module reads no field table.  numpy is imported with this
+module, so the package pays for it once, at import.
 
 `Field.sub_scaled` is the one row combination on lists.  Sums
 sum c_i * row_i are `_combine`, a fold of it: extension-field `FqMatrix`
@@ -62,7 +60,7 @@ import operator
 import numpy as np
 
 from .errors import FieldMismatch, GuardExceeded, ShapeMismatch, Singular
-from .gf import Field, FieldElement, _power
+from .gf import Field, FieldElement, _int64_safe
 
 
 class FqMatrix:
@@ -126,7 +124,7 @@ class FqMatrix:
         if not u or not v:
             raise ShapeMismatch("outer product of an empty vector")
         zero = (0,) * len(v)
-        return cls._of(field, tuple(tuple(_scale(field, a, v)) if a else zero
+        return cls._of(field, tuple(tuple(field.scale(a, v)) if a else zero
                                     for a in u))
 
     @classmethod
@@ -163,9 +161,6 @@ class FqMatrix:
         body = "; ".join(",".join(str(v) for v in row) for row in self.rows)
         return f"FqMatrix({self.n}x{self.m})[{body}]"
 
-    def entry(self, i, j) -> FieldElement:
-        return FieldElement(self.field, self.rows[i][j])
-
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)
 
@@ -195,7 +190,7 @@ class FqMatrix:
     def scale(self, c):
         F = self.field
         ce = F.encode(c)
-        return FqMatrix._of(F, tuple(tuple(_scale(F, ce, row)) for row in self.rows))
+        return FqMatrix._of(F, tuple(tuple(F.scale(ce, row)) for row in self.rows))
 
     def __matmul__(self, other):
         if self.field != other.field:
@@ -263,13 +258,13 @@ class FqMatrix:
         if first is None:
             return False
         lead = next(j for j, v in enumerate(first) if v)
-        unit = _scale(F, F.inv(first[lead]), first)  # first, scaled to unit[lead] == 1
+        unit = F.scale(F.inv(first[lead]), first)  # first, scaled to unit[lead] == 1
         for row in self.rows:
             c = row[lead]
             if c == 0:
                 if any(row):
                     return False
-            elif _scale(F, c, unit) != list(row):
+            elif F.scale(c, unit) != list(row):
                 return False
         return True
 
@@ -302,76 +297,10 @@ def trace_pair(A: FqMatrix, B: FqMatrix) -> FieldElement:
 # Xeon, Python 3.11, numpy 2.4): dense rows 12-16, sparse rows of rank-one
 # matrices about 20.  At w = 20 numpy takes 0.5x (dense) and 0.9x (sparse)
 # the list time; at w = 16 it takes 1.4x for sparse rows.  Extension-field
-# rows stay on lists: through `_Int64Field`'s gathers, dense rows took
+# rows stay on lists: through the int64 form's gathers, dense rows took
 # 2.3-2.8x the list time at w = 20 over F_4, F_9 and F_{7^4}, and 1.4-1.6x
 # at w = 60 over F_4 and F_9, so they would need a threshold for each field.
 _NUMPY_MIN_WIDTH = 20
-
-
-def _int64_safe(field, terms) -> bool:
-    """Whether sums of `terms` products of two entries below p fit int64: every
-    numpy backend checks its longest sum with this.  Gathers over F_{p^k} form
-    no such sum, and p < 2^8 there passes for any array that fits in memory."""
-    return (field.p - 1) ** 2 * terms < 1 << 63
-
-
-class _Int64Field:
-    """A field's arithmetic on int64 arrays of encodings, built per call.  Over
-    F_{p^k} it copies the field's tables in the layout `gf` builds them in,
-    where a zero factor gives a zero product without a branch."""
-
-    def __init__(self, field):
-        self.field, self.q, order = field, field.q, field.q - 1
-        if field.deg > 1:
-            self.log = np.array(field._log, dtype=np.int64)
-            self.antilog = np.array(field._antilog, dtype=np.int64)
-            self.zech = np.array(field._zech, dtype=np.int64)
-            # log(-a) = log(a) + log(-1) for a != 0, and -1 encodes as p - 1
-            lneg = (self.log + self.log[field.p - 1]) % order
-            self.lneg = np.where(self.log < order, lneg, self.log)
-
-    def scaled(self, c, T):
-        """c * T, entrywise; c broadcasts against T."""
-        if self.field.deg == 1:
-            return c * T % self.q
-        return self.antilog[self.log[c] + self.log[T]]
-
-    def sub_scaled(self, T, c, row, a=None):
-        """T - c * row, or a * T - c * row with a: the rank-one update of
-        elimination.  c * row has the shape of the result."""
-        if self.field.deg == 1:
-            out = c * row
-            np.subtract(T if a is None else a * T, out, out=out)
-            out %= self.q
-            return out
-        if a is not None:
-            T = self.scaled(a, T)
-        lp = self.lneg[c] + self.log[row]  # log(-c * row)
-        prod, la = self.antilog[lp], self.log[T]
-        both = self.antilog[la + self.zech[(lp - la) % (self.q - 1)]]
-        return np.where(T == 0, prod, np.where(prod == 0, T, both))
-
-    def residue(self, T, C, R):
-        """T - C R, the residue of T modulo fully reduced rows R when C holds
-        T's entries at their pivots: a product over F_p, a fold over F_{p^k}."""
-        if self.field.deg == 1:
-            return (T - C @ R) % self.q
-        for j, row in enumerate(R):
-            T = self.sub_scaled(T, C[..., j, None], row)
-        return T
-
-    def inv(self, a):
-        """a^(q-2), entrywise: 1/a for a != 0."""
-        return _power(self.scaled, a, self.q - 2, np.ones_like(a))
-
-
-def _scale(F, c, vec):
-    """c * vec, entrywise, as a list."""
-    if F.deg == 1:
-        p = F.p
-        return [c * a % p for a in vec]
-    mul = F.mul
-    return [mul(c, a) for a in vec]
 
 
 def _combine(F, coeffs, rows, width):
@@ -398,14 +327,13 @@ class Echelon:
     Python lists.  Not safe to fill from several threads at once.
     """
 
-    __slots__ = ("field", "width", "_rows", "_pivots", "_np_pivots", "_arith")
+    __slots__ = ("field", "width", "_rows", "_pivots", "_np_pivots")
 
     def __init__(self, field: Field, width: int, vectors=()):
         self.field = field
         self.width = width
         self._pivots = []  # in insertion order, the order of the rows
         if field.deg == 1 and width >= _NUMPY_MIN_WIDTH and _int64_safe(field, width):
-            self._arith = _Int64Field(field)
             cap = max(1, min(len(vectors), width))  # grows on demand
             self._rows = np.zeros((cap, width), dtype=np.int64)  # rank used
             self._np_pivots = np.zeros(cap, dtype=np.intp)
@@ -435,7 +363,7 @@ class Echelon:
         lead = next((j for j, v in enumerate(vec) if v), None)
         if lead is None:
             return False
-        vec = _scale(F, F.inv(vec[lead]), vec)
+        vec = F.scale(F.inv(vec[lead]), vec)
         rows = self._rows
         for i, row in enumerate(rows):
             if row[lead]:
@@ -503,7 +431,7 @@ class Echelon:
         r = self.rank
         if not r:
             return V
-        return self._arith.residue(V, V[..., self._np_pivots[:r]], self._rows[:r])
+        return self.field._int64.residue(V, V[..., self._np_pivots[:r]], self._rows[:r])
 
     def _insert_np(self, v) -> bool:
         v = self._residue_np(v)
@@ -511,12 +439,12 @@ class Echelon:
         if not nz.size:
             return False
         lead = int(nz[0])
-        v = self._arith.scaled(self.field.inv(int(v[lead])), v)
+        v = self.field._int64.scaled(self.field.inv(int(v[lead])), v)
         r = self.rank
         R = self._rows
         hit = np.flatnonzero(R[:r, lead])
         if hit.size:
-            R[hit] = self._arith.sub_scaled(R[hit], R[hit, lead, None], v)
+            R[hit] = self.field._int64.sub_scaled(R[hit], R[hit, lead, None], v)
         if r == len(R):
             R = self._rows = np.concatenate((R, np.zeros_like(R)))
             self._np_pivots = np.concatenate((self._np_pivots,
@@ -624,7 +552,7 @@ def _min_distance(field, rows, guard, width=None) -> int:
 def _min_distance_np(field, rows, width):
     """`_min_distance` in int64 batches: for each lead row l, the words B_l -
     c B_(l+1:) for all c are those with coefficient 1 at l and 0 before it."""
-    arith, q = _Int64Field(field), field.q
+    arith, q = field._int64, field.q
     basis = np.array(rows, dtype=np.int64)
     k, size = basis.shape
     chunk = max(1, (1 << 18) // size)  # words per batch
@@ -639,15 +567,15 @@ def _min_distance_np(field, rows, width):
                 idx, coeffs[:, t] = np.divmod(idx, q)
             words = arith.residue(basis[lead, None], coeffs, basis[lead + 1:])
             stats = (np.count_nonzero(words, axis=1) if width is None
-                     else _np_ranks(words.reshape(len(words), -1, width), arith))
+                     else _np_ranks(words.reshape(len(words), -1, width), field))
             best = min(best, int(stats.min()))
             if best == 1:
                 return 1
     return best
 
 
-def _np_ranks(W, arith):
-    """The rank of each matrix of an int64 batch, in `arith`'s arithmetic.
+def _np_ranks(W, field):
+    """The rank of each matrix of an int64 batch of encodings over `field`.
 
     Fraction-free elimination: a pivot a in column j, from a row not yet a
     pivot row, clears the column by r <- a r - r[j] (pivot row), which needs
@@ -667,7 +595,7 @@ def _np_ranks(W, arith):
         used[batch[has], piv[has]] = True
         pivot = W[batch, piv]
         a = np.where(has, pivot[:, j], 1)
-        W = arith.sub_scaled(W, col[:, :, None], pivot[:, None, :], a[:, None, None])
+        W = field._int64.sub_scaled(W, col[:, :, None], pivot[:, None, :], a[:, None, None])
     return used.sum(axis=1)
 
 

@@ -14,14 +14,19 @@ work with machine integers mod p.  Extension fields walk the powers of the
 primitive element g once, at construction, to build log, antilog and Zech
 tables: multiply and invert add or negate logs, and a + b =
 g^(la + zech[lb - la]) with zech[i] = log(1 + g^i) (Lidl and Niederreiter,
-*Finite Fields*).  The tables have one layout, the one `exactla`'s int64
-kernel copies (see `Field._build_tables`).  The modulus search and the
-primitive element work on plain ints mod p, with `_poly_mulmod` as the one
-polynomial multiply; the walk takes g e for every e from one numpy array
-product.  Tables take O(q) memory, so extension fields stop at 2^16
-elements: F_{2^16} takes 0.14-0.17 s on an Intel Xeon (0.06 s of it the
-irreducible search, which doubles in time with each degree over F_2) and
-7 MB of tables, and a larger field is refused before any search.
+*Finite Fields*).  The modulus search and the primitive element work on
+plain ints mod p, with `_poly_mulmod` as the one polynomial multiply; the
+walk takes g e for every e from one numpy array product.  Tables take O(q)
+memory, so extension fields stop at 2^16 elements: F_{2^16} takes
+0.10-0.17 s on an Intel Xeon (0.06 s of it the irreducible search, which
+doubles in time with each degree over F_2) and 14.5 MB of tables, and a
+larger field is refused before any search.
+
+This module is the one home of the tables and of their int64 array form,
+`_Int64Field`, which each Field builds once, with its tables, as
+`Field._int64`: the arithmetic of `exactla`'s numpy `Echelon`, its batched
+distance scan and the oracle's residue tables.  No other module reads the
+tables.
 
 `Field.encode` is the package's one rule for turning a scalar into an
 encoding, and every entry point that takes a scalar goes through it.
@@ -50,6 +55,10 @@ from .errors import (
 # Fields are defined for p below this bound; certificates and oracle inputs
 # are untrusted, so a larger p is refused before any arithmetic.
 _P_LIMIT = 1 << 64
+
+# `poly_roots` evaluates f at every element, so it refuses a larger field;
+# at p = 1000003, below this, it takes about 4-5 s (Intel Xeon, Python 3.11).
+_ROOTS_LIMIT = 1 << 20
 
 # The prime bases 2..37 make Miller-Rabin exact for every n below
 # 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 2017), far above _P_LIMIT.
@@ -83,7 +92,7 @@ def _is_prime(n: int) -> bool:
 class Field:
     """An exact finite field F_{p^deg} with a fixed monic irreducible modulus."""
 
-    __slots__ = ("p", "deg", "q", "modulus", "_log", "_antilog", "_zech")
+    __slots__ = ("p", "deg", "q", "modulus", "_log", "_antilog", "_zech", "_int64")
 
     def __init__(self, p: int, deg: int = 1, modulus=None):
         if p >= _P_LIMIT:
@@ -115,8 +124,7 @@ class Field:
                     raise NotIrreducible(
                         f"modulus {coeffs} is reducible over F_{p}")
             self.modulus = coeffs
-        if deg > 1:
-            self._build_tables()
+        self._int64 = self._build_tables() if deg > 1 else _Int64Field(self)
 
     # -- identity -------------------------------------------------------------
 
@@ -179,9 +187,6 @@ class Field:
         """All elements in canonical (encoding) order."""
         return (FieldElement(self, e) for e in range(self.q))
 
-    def units(self):
-        return (FieldElement(self, e) for e in range(1, self.q))
-
     # -- arithmetic on encodings ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -210,6 +215,14 @@ class Field:
             return (a * b) % self.p
         log = self._log
         return self._antilog[log[a] + log[b]]
+
+    def scale(self, c: int, vec) -> list:
+        """c * vec, entrywise, as a list."""
+        if self.deg == 1:
+            p = self.p
+            return [c * a % p for a in vec]
+        mul = self.mul
+        return [mul(c, a) for a in vec]
 
     def sub_scaled(self, vec, c: int, row) -> list:
         """vec - c * row, entrywise, as a list: the row update of elimination.
@@ -241,14 +254,14 @@ class Field:
         return _power(self.mul, a, e)
 
     def _build_tables(self):
-        """Log, antilog and Zech tables from the powers of the primitive element.
+        """Log, antilog and Zech tables from the powers of the primitive
+        element: lists for the scalar methods and the int64 form it returns.
 
-        This is the one layout of the tables, the one `exactla._Int64Field`
-        copies into arrays.  antilog has length 4(q-1) + 1: two periods of
-        g^i, so a sum of two logs needs no reduction, then zeros from 2(q-1)
-        through 4(q-1).  log[0] is 2(q-1), so a product with a zero factor
-        lands in the zeros and `mul` needs no branch; where 1 + g^i = 0,
-        zech[i] is log[0] too, so `add` gives a + (-a) = 0 without one.
+        antilog has length 4(q-1) + 1: two periods of g^i, so a sum of two
+        logs needs no reduction, then zeros from 2(q-1) through 4(q-1).
+        log[0] is 2(q-1), so a product with a zero factor lands in the zeros
+        and `mul` needs no branch; where 1 + g^i = 0, zech[i] is log[0] too,
+        so `add` gives a + (-a) = 0 without one.
 
         Multiplying by g is F_p-linear, so the base-p digit rows of all q
         encodings, times the deg x deg matrix whose row j is g x^j, give g e
@@ -270,12 +283,72 @@ class Field:
         for _ in range(order):
             walk.append(x)
             x = successor[x]
-        log = [2 * order] * q
-        for i, x in enumerate(walk):
-            log[x] = i
+        walk = np.array(walk, dtype=np.int64)
+        log = np.full(q, 2 * order, dtype=np.int64)
+        log[walk] = np.arange(order)
         # 1 + x adds 1 to the constant coefficient, the lowest base-p digit
-        zech = [log[x + 1 - p if x % p == p - 1 else x + 1] for x in walk]
-        self._log, self._antilog, self._zech = log, walk + walk + [0] * (2 * order + 1), zech
+        zech = log[np.where(walk % p == p - 1, walk + 1 - p, walk + 1)]
+        antilog = np.concatenate((walk, walk, np.zeros(2 * order + 1, dtype=np.int64)))
+        # log(-a) = log(a) + log(-1) for a != 0, and -1 encodes as p - 1
+        lneg = np.where(log < order, (log + log[p - 1]) % order, log)
+        for table in (log, antilog, zech, lneg):  # shared by every caller
+            table.flags.writeable = False
+        self._log, self._antilog, self._zech = log.tolist(), antilog.tolist(), zech.tolist()
+        return _Int64Field(self, log, antilog, zech, lneg)
+
+
+def _int64_safe(field, terms) -> bool:
+    """Whether sums of `terms` products of two entries below p fit int64: every
+    numpy backend checks its longest sum with this.  Gathers over F_{p^k} form
+    no such sum, and p < 2^8 there passes for any array that fits in memory."""
+    return (field.p - 1) ** 2 * terms < 1 << 63
+
+
+class _Int64Field:
+    """A field's arithmetic on int64 arrays of encodings: products mod p over
+    F_p, kept within `_int64_safe`, and gathers from the tables over F_{p^k},
+    in whose layout a zero factor gives a zero product without a branch."""
+
+    def __init__(self, field, *tables):
+        """Over F_{p^k}, `tables` are the log, antilog, Zech and log(-a)
+        arrays that `Field._build_tables` makes; over F_p there are none."""
+        self.field, self.q = field, field.q
+        if tables:
+            self.log, self.antilog, self.zech, self.lneg = tables
+
+    def scaled(self, c, T):
+        """c * T, entrywise; c broadcasts against T."""
+        if self.field.deg == 1:
+            return c * T % self.q
+        return self.antilog[self.log[c] + self.log[T]]
+
+    def sub_scaled(self, T, c, row, a=None):
+        """T - c * row, or a * T - c * row with a: the rank-one update of
+        elimination.  c * row has the shape of the result."""
+        if self.field.deg == 1:
+            out = c * row
+            np.subtract(T if a is None else a * T, out, out=out)
+            out %= self.q
+            return out
+        if a is not None:
+            T = self.scaled(a, T)
+        lp = self.lneg[c] + self.log[row]  # log(-c * row)
+        prod, la = self.antilog[lp], self.log[T]
+        both = self.antilog[la + self.zech[(lp - la) % (self.q - 1)]]
+        return np.where(T == 0, prod, np.where(prod == 0, T, both))
+
+    def residue(self, T, C, R):
+        """T - C R, the residue of T modulo fully reduced rows R when C holds
+        T's entries at their pivots: a product over F_p, a fold over F_{p^k}."""
+        if self.field.deg == 1:
+            return (T - C @ R) % self.q
+        for j, row in enumerate(R):
+            T = self.sub_scaled(T, C[..., j, None], row)
+        return T
+
+    def inv(self, a):
+        """a^(q-2), entrywise: 1/a for a != 0."""
+        return _power(self.scaled, a, self.q - 2, np.ones_like(a))
 
 
 class FieldElement:
@@ -399,20 +472,12 @@ class FqPolynomial:
         return f"poly[{self.to_string()}]"
 
     def __add__(self, other):
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        out = [F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-               for i in range(n)]
-        return FqPolynomial(F, out)
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return FqPolynomial(self.field, [self.field.add(a, b) for a, b in pairs])
 
     def __sub__(self, other):
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        out = [F.sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-               for i in range(n)]
-        return FqPolynomial(F, out)
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return FqPolynomial(self.field, [self.field.sub(a, b) for a, b in pairs])
 
     def __mul__(self, other):
         F = self.field
@@ -428,7 +493,7 @@ class FqPolynomial:
     def scale(self, c) -> "FqPolynomial":
         F = self.field
         enc = F.encode(c)
-        return FqPolynomial(F, [F.mul(x, enc) for x in self.coeffs])
+        return FqPolynomial(F, F.scale(enc, self.coeffs))
 
     def divmod(self, other):
         if other.is_zero():
@@ -631,12 +696,16 @@ def poly_roots(f: FqPolynomial, field: Field):
     """All roots of f in the field (with multiplicity) plus the rootless cofactor.
 
     Roots are found by exhaustive evaluation and removed by repeated division;
-    they are returned in canonical order, repeated by multiplicity.
+    they are returned in canonical order, repeated by multiplicity.  A field
+    above `_ROOTS_LIMIT` raises ParametersOutOfRange before the scan.
     """
     if f.is_zero():
         raise ValueError("root extraction needs a nonzero polynomial")
     if f.field != field:
         raise FieldMismatch("polynomial is over a different field")
+    if field.q > _ROOTS_LIMIT:
+        raise ParametersOutOfRange(
+            f"root search over F_{field.q} exceeds 2^20 elements")
     roots = []
     g = f
     for enc in range(field.q):

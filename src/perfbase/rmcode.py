@@ -130,7 +130,7 @@ class GammaBasis:
     def mult_matrix(self, beta) -> FqMatrix:
         """Right-multiplication matrix of beta in this coordinate frame."""
         enc = self.ext_field.encode(beta)
-        return gamma_expand([self.ext_field.mul(g, enc) for g in self.elements], self)
+        return gamma_expand(self.ext_field.scale(enc, self.elements), self)
 
     def frame_change_from(self, other: "GammaBasis") -> FqMatrix:
         """T with expand_self(theta) = expand_other(theta) @ T ... inverse map."""
@@ -238,7 +238,7 @@ def gamma_expand_code(C: VectorCode, gamma: GammaBasis) -> RankCode:
     mats = []
     for g in C.generators:
         for s in scales:
-            mats.append(gamma_expand([ext.mul(s, x) for x in g], gamma))
+            mats.append(gamma_expand(ext.scale(s, g), gamma))
     space = MatrixSpace(gamma.base_field, (C.n, gamma.m), mats)
     if space.dim != gamma.m * C.dim:
         raise InternalVerificationError("expansion dimension mismatch")
@@ -490,7 +490,7 @@ def _row_candidate(gamma: GammaBasis, v) -> BaseCandidate:
     mult_pi = gamma.mult_matrix(pi)
     # coefficients of v_t / pi in the power frame, restricted to degree < s
     pi_inv = ext.inv(pi)
-    coords = gamma_expand([ext.mul(x, pi_inv) for x in v], gamma).rows
+    coords = gamma_expand(ext.scale(pi_inv, v), gamma).rows
     if any(any(row[s:]) for row in coords):
         raise InternalVerificationError("entry left the power span")
     Lam = FqMatrix(Fq, [row[:s] for row in coords])

@@ -13,8 +13,8 @@ subset.  It starts at the Kruskal bound dim V + d - 1, with d from the
 package's one distance scan `exactla._min_distance` when V has at most 4096
 words up to scalar, and at dim V otherwise.  A search node holds the residues
 of the later candidates modulo the chosen span and modulo the chosen span plus
-V, as int64 arrays over every field, with the arithmetic of the package's
-one int64 field kernel, `exactla._Int64Field`.  It reads the
+V, as int64 arrays over every field, with the field's int64 form
+`Field._int64`, built once per field by `gf`.  It reads the
 projective class of each table row once, as a base-q integer, and its
 children's membership tests are bit operations on the rows of those classes.
 Only a child with a viable pick and a level below it gets tables.  A 1x1
@@ -43,7 +43,6 @@ from .exactla import (
     _min_distance,
     _normalized_vectors,
     _projective_count,
-    _Int64Field,
     _solve_combination,
 )
 from .gf import Field
@@ -293,13 +292,13 @@ def rank_one_completion_exists(span_space: MatrixSpace, targets,
 
 class _Tables:
     """Residue tables as int64 arrays.  Their arithmetic is `arith`, the
-    field's `exactla._Int64Field`: over F_p the size check keeps p below
+    field's int64 form `Field._int64`: over F_p the size check keeps p below
     2^19 once nm > 1, so its products and sums fit in int64.  A class id
     packs the row scaled to leading coefficient 1 as a base-q integer, which
     is exact: q^(nm) < 2^63 for every input the oracle admits."""
 
     def __init__(self, field):
-        self.arith = _Int64Field(field)
+        self.arith = field._int64
         # a^(q-2) = 1/a for a != 0, and inv[0] only ever scales a zero row
         self.inv = self.arith.inv(np.arange(field.q))
 

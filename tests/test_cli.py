@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -22,6 +24,7 @@ from perfbase.errors import DegreeMismatch, ParametersOutOfRange
 from perfbase.exactla import FqMatrix, MatrixSpace
 from perfbase.gf import field_make
 from perfbase.tensor3 import BaseCandidate
+from test_echelon import reference_rref
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FIXDIR = os.path.join(ROOT, "fixtures")
@@ -664,3 +667,78 @@ def test_verify_refuses_other_schemas_and_empty_targets(tmp_path, capsys, edit):
     cert = load_certificate(os.path.join(FIXDIR, "dual_powers_f5_m4_s3.cert.json"))
     rc, line = _verify(tmp_path, capsys, dict(cert, **edit))
     assert rc == 2 and line["kind"] == "input"
+
+
+def test_construct_writes_no_certificate_that_verify_would_refuse(tmp_path, capsys):
+    # 528 base and 528 target members of 23 x 23 entries each declare
+    # 558,624 entries: `verify` refuses that, so `construct` must not write it
+    out = tmp_path / "c.json"
+    assert main(["construct", "dual-powers", "--p", "29", "--s", "1",
+                 "--bottom", ",".join(["1"] * 23), "--out", str(out)]) == 2
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input" and "entries" in line["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["rect-small-n", "--n", "2", "--bottom", "1,2,3"],
+    ["inverse-family", "--bottom", "1,2,3"],
+    ["singular", "--s", "2", "--bottom", "0,1,2"]])
+def test_root_search_over_a_huge_field_is_refused_at_once(tmp_path, capsys, args):
+    # the root search evaluates every element: over F_(10^9 + 7) it ran for
+    # over an hour
+    out = tmp_path / "c.json"
+    t0 = time.perf_counter()
+    assert main(["construct", args[0], "--p", "1000000007", *args[1:],
+                 "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input" and "2^20" in line["error"]
+    assert not out.exists()
+
+
+def _judge(F, cert):
+    """`reverify`'s verdict on a certificate whose stored report passed, from
+    Field methods alone: every base member is nonzero with all 2x2 minors
+    zero, the members are independent, the target keeps its stored
+    dimension, and the members' span holds it."""
+    def rank_one(E):
+        return any(map(any, E)) and all(
+            F.mul(E[i][j], E[k][l]) == F.mul(E[i][l], E[k][j])
+            for i, k in itertools.combinations(range(len(E)), 2)
+            for j, l in itertools.combinations(range(len(E[0])), 2))
+
+    def vectors(key):
+        return [[x for row in obj["entries"] for x in row] for obj in cert[key]]
+
+    base, target = vectors("base"), vectors("target_basis")
+    rank = lambda vecs: reference_rref(F, vecs, len(base[0]))[1]
+    return (all(rank_one(obj["entries"]) for obj in cert["base"])
+            and rank(base) == len(base)
+            and rank(target) == cert["report"]["target_dim"]
+            and rank(base + target) == len(base))
+
+
+@pytest.mark.parametrize("key", ["base", "target_basis"])
+def test_verify_of_an_extension_field_certificate_with_one_entry_changed(
+        tmp_path, capsys, key):
+    # every entry of one member of a certificate over F_9, set to each other
+    # value in turn: verify accepts exactly the certificates that are true
+    out = tmp_path / "f9.json"
+    assert main(["construct", "dual-powers", "--p", "3", "--deg", "2", "--s", "2",
+                 "--bottom", "1,3,5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    cert = load_certificate(str(out))
+    F = field_from_json(cert["field"])
+    assert F.q == 9 and len(cert["base"]) == 7 and _judge(F, cert)
+    entries = cert[key][0]["entries"]
+    verdicts = []
+    for i, j in itertools.product(range(len(entries)), range(len(entries[0]))):
+        for value in range(F.q):
+            if value != entries[i][j]:
+                edited = copy.deepcopy(cert)
+                edited[key][0]["entries"][i][j] = value
+                ok = reverify(edited, 1 << 24)["ok"]
+                assert ok == _judge(F, edited), (i, j, value)
+                verdicts.append(ok)
+    assert len(verdicts) == 72 and not all(verdicts)

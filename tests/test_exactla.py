@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfbase import construct, exactla
+from perfbase import construct, exactla, gf, tensor3
 from perfbase.errors import FieldMismatch, ShapeMismatch, Singular
 from perfbase.exactla import (
     Echelon,
     FqMatrix,
     MatrixSpace,
-    _Int64Field,
     _unvectorize,
     trace_pair,
 )
@@ -578,9 +577,9 @@ def _small_fields(limit):
 
 
 def _kernel_matches_the_field(F, a, b, cs, rng):
-    """Each `_Int64Field` operation on the pairs (a_i, b_i) and the scalars
-    cs against `Field.mul`, `Field.sub_scaled` and `Field.inv`."""
-    K = _Int64Field(F)
+    """Each operation of the field's int64 form on the pairs (a_i, b_i) and
+    the scalars cs against `Field.mul`, `Field.sub_scaled` and `Field.inv`."""
+    K = F._int64
     A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     C = np.array(cs, dtype=np.int64)[:, None]
     assert K.scaled(A, B).tolist() == [F.mul(x, y) for x, y in zip(a, b)]
@@ -629,3 +628,27 @@ def test_int64_kernel_matches_the_field_on_sampled_large_fields(p, k):
     b = [rng.randrange(F.q) for _ in range(2000)] + [F.q - 1, 0, 1]
     cs = [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(5)]
     _kernel_matches_the_field(F, a, b, cs, rng)
+
+
+def test_scans_use_the_int64_form_the_field_built_once(monkeypatch):
+    # two 2x2 k = 2 scans over F_(2^16), an echelon over F_13 and the
+    # oracle's tables take the arrays the field built with its tables
+    built = []
+    init = gf._Int64Field.__init__
+
+    def counted(self, field, *tables):
+        built.append(field)
+        init(self, field, *tables)
+
+    monkeypatch.setattr(gf._Int64Field, "__init__", counted)
+    F = gf.Field(2, 16)
+    assert built == [F]
+    form = F._int64
+    assert not any(t.flags.writeable for t in (form.log, form.antilog, form.zech, form.lneg))
+    rows = [(1, 2, 3, 4), (5, 6, 7, 8)]
+    first = exactla._min_distance(F, rows, 1 << 24, 2)
+    assert exactla._min_distance(F, rows, 1 << 24, 2) == first
+    assert tensor3._Tables(F).arith is form
+    F13 = gf.Field(13)
+    E = Echelon(F13, 20, [[1] * 20, list(range(20))])
+    assert E.rank == 2 and built == [F, F13] and F._int64 is form

@@ -572,6 +572,16 @@ def test_poly_roots_worked_example():
         poly_roots(f, field_make(5))
 
 
+def test_poly_roots_refuses_a_field_beyond_2_20_before_the_scan():
+    # 2^20 + 7 is the least prime above the bound; a scan of F_1000003,
+    # below it, takes seconds
+    F = field_make(1048583)
+    t0 = time.perf_counter()
+    with pytest.raises(ParametersOutOfRange):
+        poly_roots(FqPolynomial(F, (1, 1)), F)
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_poly_roots_power_and_rootless():
     F7 = field_make(7)
     m = 4

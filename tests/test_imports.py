@@ -5,8 +5,8 @@ imported where the package loads, not where a scan first needs it, and
 encoding, `FqMatrix.outer` its only builder of a product matrix u v^t,
 `Field.sub_scaled` its only row combination acc + c * row, no
 module-level function is an alias that only forwards to a method, and
-outside `gf` only exactla's int64 kernel reads a field's log, antilog and
-Zech tables.
+no module outside `gf` reads a field's log, antilog and Zech tables or
+names `_Int64Field`, the int64 form each field builds once.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.  `__init__.py` re-exports names and is skipped.
@@ -243,28 +243,21 @@ def test_alias_check_sees_forwarding_functions():
 _FIELD_TABLES = ("_log", "_antilog", "_zech")
 
 
-def field_table_reads(source: str, kernel=None):
-    """Lines that read a field's `_log`, `_antilog` or `_zech` table outside
-    the module-level class named `kernel`."""
-    tree = ast.parse(source)
-    inside = {id(n) for cls in tree.body
-              if isinstance(cls, ast.ClassDef) and cls.name == kernel
-              for n in ast.walk(cls)}
-    return sorted(n.lineno for n in ast.walk(tree)
-                  if isinstance(n, ast.Attribute) and n.attr in _FIELD_TABLES
-                  and id(n) not in inside)
+def field_table_reads(source: str):
+    """Lines that read a field's `_log`, `_antilog` or `_zech` table."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr in _FIELD_TABLES)
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf.py"],
                          ids=lambda p: p.name)
 def test_only_the_int64_kernel_reads_field_tables(path):
-    kernel = "_Int64Field" if path.name == "exactla.py" else None
-    assert field_table_reads(path.read_text(), kernel) == []
+    # the int64 form is built by gf with the tables, so no module outside
+    # gf has a reason to read them
+    assert field_table_reads(path.read_text()) == []
 
 
 def test_field_table_check_sees_copies_of_the_tables():
-    # table copies made in a class other than the kernel are flagged, and
-    # the kernel's own three reads are not
     copy = ("class _Tables:\n"
             "    def __init__(self, field):\n"
             "        self.field, self.q, order = field, field.q, field.q - 1\n"
@@ -274,10 +267,34 @@ def test_field_table_check_sees_copies_of_the_tables():
             " dtype=np.int64)\n"
             "            self.zech = np.array(field._zech, dtype=np.int64)\n")
     assert field_table_reads(copy) == [5, 6, 7]
-    assert field_table_reads(copy, "_Tables") == []
-    assert field_table_reads(copy, "_Int64Field") == [5, 6, 7]
     exactla = (SRC / "exactla.py").read_text()
-    assert len(field_table_reads(exactla)) == 3
+    assert len(field_table_reads(exactla)) == 0
+
+
+def int64_form_names(source: str):
+    """Lines that name `_Int64Field`: as a name, an attribute or an import."""
+    tree = ast.parse(source)
+    return sorted({n.lineno for n in ast.walk(tree)
+                   if (isinstance(n, ast.Name) and n.id == "_Int64Field")
+                   or (isinstance(n, ast.Attribute) and n.attr == "_Int64Field")
+                   or (isinstance(n, ast.ImportFrom)
+                       and any(a.name == "_Int64Field" for a in n.names))})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf.py"],
+                         ids=lambda p: p.name)
+def test_only_gf_names_the_int64_form(path):
+    # every other module takes a field's int64 form from `Field._int64`
+    assert int64_form_names(path.read_text()) == []
+
+
+def test_int64_form_check_sees_every_naming():
+    source = ("from .gf import Field, _Int64Field\n"
+              "arith = _Int64Field(field)\n"
+              "arith = gf._Int64Field(field)\n"
+              "arith = field._int64\n")
+    assert int64_form_names(source) == [1, 2, 3]
+    assert int64_form_names((SRC / "gf.py").read_text()) != []
 
 
 def imported_modules(source: str):
