@@ -9,7 +9,9 @@ this library.
 
 Exit codes: 0 verified, 1 internal verification failure (a bug), 2 invalid
 input, 3 search guard exceeded.  The last stdout line is always a single
-JSON object.
+JSON object, usage errors included.  `construct` refuses a parameter flag
+that its kind does not read, and `verify` refuses a key that no object of
+a certificate may carry.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import construct as cons
 from . import rmcode
@@ -63,7 +66,15 @@ def _json_int(value, what: str, low: int = 0, high: int | None = None) -> int:
     return value
 
 
+def _only(obj, keys, what: str):
+    """Refuse a JSON object that carries a key outside `keys`."""
+    unknown = sorted(set(obj) - keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
+
+
 def field_from_json(obj) -> Field:
+    _only(obj, {"p", "deg", "modulus"}, "field")
     p = _json_int(obj["p"], "field.p", 2)
     deg = _json_int(obj.get("deg", 1), "field.deg", 1)
     modulus = obj.get("modulus")  # absent: the default; present: a list as written
@@ -102,9 +113,10 @@ MAX_INPUT_ENTRIES = 1 << 19
 
 
 def _check_size(*groups):
-    """Refuse matrix objects whose declared n x m sizes exceed the cap."""
+    """Refuse matrix objects with keys beyond n, m, entries or sizes beyond the cap."""
     total = 0
     for obj in itertools.chain(*groups):
+        _only(obj, {"n", "m", "entries"}, "matrix")
         total += _json_int(obj["n"], "n", 1) * _json_int(obj["m"], "m", 1)
         if total > MAX_INPUT_ENTRIES:
             raise ParametersOutOfRange(
@@ -150,15 +162,15 @@ def reverify(cert: dict, guard: int) -> dict:
     `construction` and `auxiliary` are labels: nothing is proved from them.
     `guard` bounds each distance scan and the oracle re-run.
     """
-    unknown = sorted(set(cert) - CERTIFICATE_KEYS)
-    if unknown:
-        raise ValueError(f"unknown certificate keys {unknown}")
+    _only(cert, CERTIFICATE_KEYS, "certificate")
+    _only(cert.get("construction", {}), {"name", "params"}, "construction")
     if cert.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported schema version")
     code = cert.get("code")
     _check_size(cert["target_basis"], cert["base"],
                 () if code is None else code["space_basis"])
     if code is not None:
+        _only(code, {*"qnmkd", "mtr", "space_basis"}, "code")
         facts = [_json_int(code[key], f"code.{key}") for key in "qnmkd"]
         if type(code.get("mtr", False)) is not bool:
             raise ValueError("code.mtr must be a JSON boolean")
@@ -174,9 +186,11 @@ def reverify(cert: dict, guard: int) -> dict:
     fresh = report.to_dict()
     verdict = {"checks": fresh, "ok": report.passed}
     stored = cert.get("report")
-    if stored is not None and {k: stored.get(k) for k in fresh} != fresh:
-        verdict["ok"] = False
-        verdict["stored_report_mismatch"] = True
+    if stored is not None:
+        _only(stored, fresh.keys(), "report")
+        if {k: stored.get(k) for k in fresh} != fresh:
+            verdict["ok"] = False
+            verdict["stored_report_mismatch"] = True
     if code is not None:
         q, n, m, claimed_k, claimed_d = facts
         space = MatrixSpace(
@@ -250,29 +264,17 @@ def _parse_ints(text: str):
     return [int(t) for t in fields]
 
 
-def _field_from_args(args) -> Field:
-    modulus = _parse_ints(args.modulus) if args.modulus is not None else None
-    return field_make(args.p, args.deg, modulus)
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError(f"--{name} is required for this construction")
-
-
-def _spec_from_args(field, args) -> cons.CompanionSpec:
-    _require(args, "bottom")
+def _spec(field, args) -> cons.CompanionSpec:
     bottom = _parse_ints(args.bottom)
     if args.m is not None and args.m != len(bottom):
         raise ValueError("--m disagrees with the bottom row length")
     return cons.CompanionSpec(field, len(bottom), tuple(bottom))
 
 
-def _gammas_from_args(field, args, s):
+def _gammas(field, args):
     if args.gammas is not None:
         return cons.GammaSet(field, tuple(_parse_ints(args.gammas)))
-    return cons.GammaSet.canonical(field, s)
+    return cons.GammaSet.canonical(field, args.s)
 
 
 def _guard(args, default: int) -> int:
@@ -288,49 +290,50 @@ def _guard(args, default: int) -> int:
 # --- subcommands -------------------------------------------------------------------------
 
 
+class _Kind(NamedTuple):
+    needs: tuple  # the parameter flags the kind requires
+    takes: tuple  # those it may also be given
+    build: Callable  # (field, args) -> (the rank code or None, the ConstructionResult)
+    prime_only: bool = False  # a code kind builds over F_p: --deg must be 1
+
+
+_KINDS = {
+    "dual-powers": _Kind(("s", "bottom"), ("m", "gammas"), lambda F, a: (
+        None, cons.base_dual_powers(_spec(F, a), a.s, _gammas(F, a)))),
+    "dual-powers-rect": _Kind(("n", "s", "bottom"), ("m", "gammas"), lambda F, a: (
+        None, cons.base_dual_powers_rect(_spec(F, a), a.n, a.s, _gammas(F, a)))),
+    "inverse-family": _Kind(("bottom",), ("m", "powers"), lambda F, a: (
+        None, cons.base_inverse_family(_spec(F, a), tuple(_parse_ints(a.powers or ""))))),
+    "rect-small-n": _Kind(("n", "bottom"), ("m",), lambda F, a: (
+        None, cons.base_rect_small_n(_spec(F, a), a.n))),
+    "singular": _Kind(("s", "bottom"), ("m",), lambda F, a: (
+        None, cons.base_singular(_spec(F, a), a.s))),
+    "atkinson": _Kind(("n",), (), lambda F, a: (None, cons.atkinson_base(a.n, F))),
+    "gabidulin-dual-mtr": _Kind(("m", "n"), (), lambda F, a: rmcode.dual_gabidulin_mtr_base(
+        a.p, a.m, a.n), prime_only=True),
+    "build-mtr": _Kind(("m", "n", "k", "d"), (), lambda F, a: rmcode._build_mtr(
+        a.p, a.n, a.m, a.k, a.d), prime_only=True),
+}
+# the parameter flags: each is read by some kinds, and refused by the others
+_FLAGS = sorted({flag for kind in _KINDS.values() for flag in kind.needs + kind.takes})
+
+
 def cmd_construct(args) -> int:
     name = args.kind
-    # the code constructions always build over the prime field
-    if name in ("gabidulin-dual-mtr", "build-mtr") and args.deg != 1:
+    kind = _KINDS[name]
+    for flag in _FLAGS:
+        given = getattr(args, flag) is not None
+        if given and flag not in kind.needs + kind.takes:
+            raise ValueError(f"{name} does not take --{flag}")
+        if not given and flag in kind.needs:
+            raise ValueError(f"--{flag} is required for this construction")
+    if kind.prime_only and args.deg != 1:
         raise ParametersOutOfRange(f"{name} builds over F_p: --deg must be 1")
-    field = _field_from_args(args)
+    field = field_make(args.p, args.deg,
+                       None if args.modulus is None else _parse_ints(args.modulus))
     guard = _guard(args, rmcode.DEFAULT_SCAN_GUARD)
-    code_info = None
-    if name == "dual-powers":
-        _require(args, "s")
-        spec = _spec_from_args(field, args)
-        result = cons.base_dual_powers(spec, args.s,
-                                       _gammas_from_args(field, args, args.s))
-    elif name == "dual-powers-rect":
-        _require(args, "n", "s")
-        spec = _spec_from_args(field, args)
-        result = cons.base_dual_powers_rect(spec, args.n, args.s,
-                                            _gammas_from_args(field, args, args.s))
-    elif name == "inverse-family":
-        spec = _spec_from_args(field, args)
-        powers = _parse_ints(args.powers) if args.powers else []
-        result = cons.base_inverse_family(spec, tuple(powers))
-    elif name == "rect-small-n":
-        _require(args, "n")
-        spec = _spec_from_args(field, args)
-        result = cons.base_rect_small_n(spec, args.n)
-    elif name == "singular":
-        _require(args, "s")
-        spec = _spec_from_args(field, args)
-        result = cons.base_singular(spec, args.s)
-    elif name == "atkinson":
-        _require(args, "n")
-        result = cons.atkinson_base(args.n, field)
-    elif name == "gabidulin-dual-mtr":
-        _require(args, "m", "n")
-        code, result = rmcode.dual_gabidulin_mtr_base(args.p, args.m, args.n)
-        code_info = _code_info(code, guard, mtr=True)
-    elif name == "build-mtr":
-        _require(args, "n", "m", "k", "d")
-        code, result = rmcode._build_mtr(args.p, args.n, args.m, args.k, args.d)
-        code_info = _code_info(code, guard, mtr=True)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(name)
+    code, result = kind.build(field, args)
+    code_info = None if code is None else _code_info(code, guard, mtr=True)
     cert = certificate_from_result(result, code_info)
     _check_size(cert["target_basis"], cert["base"],
                 () if code_info is None else code_info["space_basis"])
@@ -359,6 +362,7 @@ def cmd_verify(args) -> int:
 def _space_from_json(obj) -> MatrixSpace:
     """The space of an oracle input `{"field": {...}, "basis": [matrix...]}`."""
     try:
+        _only(obj, {"field", "basis"}, "oracle input")
         _check_size(obj["basis"])
         field = field_from_json(obj["field"])
         mats = [matrix_from_json(field, o) for o in obj["basis"]]
@@ -384,17 +388,23 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, which `main` prints as an input error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="perfbase",
         description="construct and verify rank-one bases of matrix spaces "
                     "over finite fields")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("construct", help="run a construction, emit a certificate")
-    pc.add_argument("kind", choices=[
-        "dual-powers", "dual-powers-rect", "inverse-family", "rect-small-n",
-        "singular", "atkinson", "gabidulin-dual-mtr", "build-mtr"])
+    pc.add_argument("kind", choices=_KINDS)
     pc.add_argument("--p", type=int, required=True, help="field characteristic")
     pc.add_argument("--deg", type=int, default=1, help="extension degree")
     pc.add_argument("--modulus", help="modulus coefficients, low to high")
@@ -424,9 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except GuardExceeded as exc:
         line = {"ok": False, "error": str(exc), "kind": "guard"}

@@ -60,7 +60,7 @@ import operator
 import numpy as np
 
 from .errors import FieldMismatch, GuardExceeded, ShapeMismatch, Singular
-from .gf import Field, FieldElement, _int64_safe
+from .gf import Field, FieldElement, _int64_safe, _power
 
 
 class FqMatrix:
@@ -212,14 +212,7 @@ class FqMatrix:
             raise ShapeMismatch("powers need a square matrix")
         if e < 0:
             return self.inverse().power(-e)
-        result = FqMatrix.identity(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        return _power(operator.matmul, self, e, FqMatrix.identity(self.field, self.n))
 
     def trace(self) -> FieldElement:
         if self.n != self.m:

@@ -443,11 +443,6 @@ class FqPolynomial:
             poly = poly * cls(field, (field.neg(field.encode(r)), 1))
         return poly
 
-    @classmethod
-    def from_string(cls, field: Field, text: str) -> "FqPolynomial":
-        """Parse the exchange format: comma-separated encodings, low to high."""
-        return cls(field, [int(t) for t in text.split(",")])
-
     def to_string(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
 

@@ -59,6 +59,7 @@ from .gf import Field, FieldElement, field_make, find_primitive
 from .tensor3 import BaseCandidate, kruskal_bound, verify_base
 
 DEFAULT_SCAN_GUARD = 1 << 24
+_GABIDULIN_CHECK = 1 << 14  # `gabidulin` re-checks MRD on scans of this many points or fewer
 
 
 # --- coordinate bases ---------------------------------------------------------------
@@ -333,8 +334,7 @@ def _norm_condition_holds(ext: Field, eta: int, m: int, k: int, s: int) -> bool:
     return val != sign
 
 
-def gabidulin(U_basis, k: int, s: int, eta, gamma: GammaBasis | None = None,
-              check_guard: int = 1 << 14):
+def gabidulin(U_basis, k: int, s: int, eta, gamma: GammaBasis | None = None):
     """Evaluation code of twisted linearized polynomials on a subspace basis.
 
     Returns the vector code; the expansion of any such code is MRD, which is
@@ -364,7 +364,7 @@ def gabidulin(U_basis, k: int, s: int, eta, gamma: GammaBasis | None = None,
         f = LinearizedPoly(ext, s, tuple(coeffs), eta_enc if i == 0 else 0)
         rows.append([f.evaluate(e).enc for e in entries])
     code = VectorCode(ext, rows)
-    if _projective_count(ext.p, m * k) <= check_guard:
+    if _projective_count(ext.p, m * k) <= _GABIDULIN_CHECK:
         d = min_rank_distance(gamma_expand_code(code, gamma))
         if d != n - k + 1:
             raise InternalVerificationError("evaluation code is not MRD")

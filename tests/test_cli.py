@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -247,14 +248,15 @@ def test_construct_build_mtr_verifies_each_base_once(tmp_path, capsys, monkeypat
             "ed3a7d39074e6280b29261d7a683bee5299c520664e2f4bc94cc3db5fce35b8a"
 
 
-@pytest.mark.parametrize("kind", ["build-mtr", "gabidulin-dual-mtr"])
-def test_code_constructions_refuse_extension_degrees(tmp_path, capsys, kind):
+@pytest.mark.parametrize("args", [
+    ["build-mtr", "--n", "2", "--m", "2", "--k", "2", "--d", "2"],
+    ["gabidulin-dual-mtr", "--n", "2", "--m", "2"]], ids=lambda a: a[0])
+def test_code_constructions_refuse_extension_degrees(tmp_path, capsys, args):
     # they build over F_p; an F_25 label would make `verify` reject the code
     out = tmp_path / "c.json"
-    assert main(["construct", kind, "--p", "5", "--deg", "2", "--n", "2",
-                 "--m", "2", "--k", "2", "--d", "2", "--out", str(out)]) == 2
+    assert main(["construct", *args, "--p", "5", "--deg", "2", "--out", str(out)]) == 2
     line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert line["kind"] == "input" and not out.exists()
+    assert line["kind"] == "input" and "--deg" in line["error"] and not out.exists()
 
 
 @pytest.mark.parametrize("args,field", [
@@ -742,3 +744,107 @@ def test_verify_of_an_extension_field_certificate_with_one_entry_changed(
                 assert ok == _judge(F, edited), (i, j, value)
                 verdicts.append(ok)
     assert len(verdicts) == 72 and not all(verdicts)
+
+
+# the `perfbase construct` lines of README's CLI section, by kind
+with open(os.path.join(ROOT, "README.md")) as fh:
+    README_CONSTRUCT = {args[0]: args for args in (
+        shlex.split(line)[2:] for line in fh if line.startswith("perfbase construct "))}
+
+
+def test_readme_shows_one_construct_line_for_every_kind():
+    assert sorted(README_CONSTRUCT) == sorted(cli._KINDS)
+    # the flags the table names are the eight parameter flags, no other
+    assert cli._FLAGS == sorted(["m", "n", "s", "k", "d", "bottom", "gammas", "powers"])
+
+
+def _construct(tmp_path, capsys, monkeypatch, args):
+    """Run `construct` in an empty directory: its exit code, its last stdout
+    line and the files it left there."""
+    monkeypatch.chdir(tmp_path)
+    rc = main(["construct", *args])
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    return rc, line, sorted(os.listdir(tmp_path))
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+def test_each_kind_builds_its_readme_line_and_reads_only_its_own_flags(
+        tmp_path, capsys, monkeypatch, kind):
+    args, table = README_CONSTRUCT[kind], cli._KINDS[kind]
+    rc, line, files = _construct(tmp_path, capsys, monkeypatch, args)
+    assert rc == 0 and line["ok"] and files == [line["certificate"]]
+    os.remove(tmp_path / line["certificate"])
+    for flag in cli._FLAGS:
+        if flag not in table.needs + table.takes:
+            rc, line, files = _construct(tmp_path, capsys, monkeypatch,
+                                         [*args, f"--{flag}", "1"])
+            assert (rc, line["kind"], files) == (2, "input", []), flag
+            assert line["error"] == f"{kind} does not take --{flag}"
+    for flag in table.needs:
+        i = args.index(f"--{flag}")
+        rc, line, files = _construct(tmp_path, capsys, monkeypatch,
+                                     args[:i] + args[i + 2:])
+        assert (rc, line["kind"], files) == (2, "input", []), flag
+        assert line["error"] == f"--{flag} is required for this construction"
+
+
+@pytest.mark.parametrize("args", [
+    ["construct", "dual-powers", "--p", "abc"],
+    ["construct", "nope", "--p", "5"],
+    ["verify"]], ids=["bad-int", "unknown-kind", "no-certificate"])
+def test_usage_errors_print_the_json_line(args):
+    proc = run_cli(args)
+    assert proc.returncode == 2
+    assert proc.stdout.count("\n") == 1
+    line = last_json(proc)
+    assert line["ok"] is False and line["kind"] == "input" and line["error"]
+    assert "usage:" in proc.stderr
+
+
+def test_help_still_prints_and_exits_0():
+    proc = run_cli(["construct", "-h"])
+    assert proc.returncode == 0 and "build-mtr" in proc.stdout
+
+
+def _inject(cert, where, key):
+    """The certificate with `key` added to the object `where` names."""
+    cert = copy.deepcopy(cert)
+    obj = {"top": cert, "field": cert["field"], "code": cert["code"],
+           "report": cert["report"], "construction": cert["construction"],
+           "base": cert["base"][0], "target_basis": cert["target_basis"][-1],
+           "code.space_basis": cert["code"]["space_basis"][1]}[where]
+    obj[key] = 2
+    return cert
+
+
+@pytest.mark.parametrize("where,key", [
+    ("field", "q"), ("base", "rank"), ("target_basis", "rank"),
+    ("code.space_basis", "rank"), ("code", "distance_lower"),
+    ("report", "verified_by"), ("construction", "notes"), ("top", "extra")])
+def test_verify_refuses_a_key_that_no_object_of_a_certificate_may_carry(
+        tmp_path, capsys, where, key):
+    cert = load_certificate(os.path.join(FIXDIR, "gabidulin_dual_f3_m3_n3.cert.json"))
+    assert _verify(tmp_path, capsys, cert)[0] == 0
+    rc, line = _verify(tmp_path, capsys, _inject(cert, where, key))
+    assert (rc, line["kind"]) == (2, "input") and repr(key) in line["error"]
+
+
+def test_labels_stay_free_form(tmp_path, capsys):
+    cert = load_certificate(os.path.join(FIXDIR, "gabidulin_dual_f3_m3_n3.cert.json"))
+    cert["construction"]["params"]["note"] = "any label"
+    cert["auxiliary"]["X"] = {"anything": [1]}
+    rc, line = _verify(tmp_path, capsys, cert)
+    assert rc == 0 and line["ok"]
+
+
+@pytest.mark.parametrize("edit", [lambda s: s.update(note=1),
+                                  lambda s: s["basis"][0].update(rank=1)],
+                         ids=["top", "basis-matrix"])
+def test_oracle_refuses_unknown_input_keys(tmp_path, capsys, edit):
+    space = {"field": {"p": 3}, "basis": [{"n": 2, "m": 2, "entries": [[1, 0], [0, 1]]}]}
+    edit(space)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    assert main(["oracle", str(path)]) == 2
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input" and "unknown" in line["error"]

@@ -616,7 +616,7 @@ def test_poly_roots_factorization_identity(p, coeffs, lead):
 
 def test_polynomial_text_format_round_trip():
     F5 = field_make(5)
-    f = FqPolynomial.from_string(F5, "2,4,4,0,1")
+    f = FqPolynomial(F5, (2, 4, 4, 0, 1))
     assert f.degree == 4
     assert f.to_string() == "2,4,4,0,1"
     assert f.evaluate(0).enc == 2
@@ -681,3 +681,27 @@ def test_element_equality_with_ints_reduces_mod_q_in_every_field():
         FieldElement(F9, 1) + 0.5
     with pytest.raises(FieldMismatch):
         FieldElement(F9, 1) * FieldElement(F25, 1)
+
+
+@pytest.mark.parametrize("q", [(7, 1), (3, 2)], ids=["F7", "F9"])
+def test_element_methods_match_the_field_methods_they_wrap(q):
+    F = field_make(*q)
+    elements = list(F.elements())
+    assert [x.enc for x in elements] == list(range(F.q))
+    assert all(x.field is F for x in elements)
+    for x in elements:
+        a = x.enc
+        assert (-x).enc == F.neg(a)
+        assert bool(x) == (a != 0) and int(x) == a
+        assert x.coeffs == F.coeffs_of(a)
+        assert hash(x) == hash(FieldElement(F, a))
+        assert repr(x) == f"{F!r}:{a}"
+        if a:
+            assert x.inverse().enc == F.inv(a)
+        for y in elements:
+            b = y.enc
+            assert (x - y).enc == F.sub(a, b) and (x - b).enc == F.sub(a, b)
+            assert (a - y).enc == F.sub(a, b)  # __rsub__
+            if b:
+                assert (x / y).enc == F.mul(a, F.inv(b)) == (x / b).enc
+    assert len({FieldElement(F, a) for a in range(F.q)} | set(elements)) == F.q
