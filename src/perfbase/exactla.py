@@ -9,21 +9,23 @@ canonical RREF-reduced basis of their vectorized members, so equality of
 spaces is equality of canonical bases.
 
 All row reduction goes through one kernel, the incremental `Echelon`
-(`insert`, `reduce`, `contains`, `coords`, `rank`): `FqMatrix.rref`, `rank`
-and `inverse`, every `MatrixSpace` (`intersect` by Zassenhaus included),
-`tensor3.verify_base` and its completion check, the row-combination solve
+(`insert`, `extend`, `reduce`, `contains`, `coords`, `rank`): `FqMatrix.rref`,
+`rank` and `inverse`, every `MatrixSpace` (`intersect` by Zassenhaus
+included), `tensor3.verify_base` and its completion check, the solve
 `_solve_combination` and rmcode's probe loops use it.  It keeps its rows
-fully reduced, so the rows sorted by pivot are the unique RREF and results
-do not depend on the order of elimination.  A `MatrixSpace` holds only its
-canonical rows, and each residue, membership or coordinate query reduces
-them again in a new `Echelon`.  `dual_complement`, `intersect` and
-`sum_with` wrap the canonical rows they derive (`MatrixSpace._of`) and never
-eliminate them again; `tensor3.verify_base` compares a span of as many
-dimensions as its target with the target's rows, as RREF is unique.  The
-backend is chosen from the input alone, by the rule stated once, at
-`_NUMPY_MIN_WIDTH`: numpy row operations for prime-field rows at least 20
-wide whose int64 sums cannot overflow (`_int64_safe`, the package's one
-int64 rule), and Python lists updated by `Field.sub_scaled` for all other
+fully reduced, so the rows sorted by pivot are the unique RREF, and the
+flags of `extend` are the row rank profile, whatever the order of
+elimination.  A `MatrixSpace` holds only its canonical rows, and each
+residue, membership or coordinate query reduces them again in a new
+`Echelon`.  `dual_complement`, `intersect` and `sum_with` wrap the canonical
+rows they derive (`MatrixSpace._of`) and never eliminate them again;
+`tensor3.verify_base` extends one echelon by all its members, on numpy as
+one array, and compares a span of the target's dimension with the target's
+rows.  The backend is chosen from the input alone, by the rule stated once,
+at `_NUMPY_MIN_WIDTH`: numpy for prime-field rows at least 20 wide whose
+int64 sums cannot overflow (`_int64_safe`, the package's one int64 rule),
+where a batch is one recursive elimination with its work in products
+(`_eliminate`), and Python lists updated by `Field.sub_scaled` for all other
 rows, extension fields' at every width.
 
 Every minimum distance is one scan, `_min_distance`: rmcode's
@@ -294,6 +296,7 @@ def trace_pair(A: FqMatrix, B: FqMatrix) -> FieldElement:
 # 2.3-2.8x the list time at w = 20 over F_4, F_9 and F_{7^4}, and 1.4-1.6x
 # at w = 60 over F_4 and F_9, so they would need a threshold for each field.
 _NUMPY_MIN_WIDTH = 20
+_LEAF_ROWS = 8  # `_eliminate` splits a batch of more rows in two
 
 
 def _combine(F, coeffs, rows, width):
@@ -316,41 +319,29 @@ class Echelon:
     `rref()`, the unique RREF of everything inserted.
 
     Rows chosen by the rule at `_NUMPY_MIN_WIDTH` live in an int64 numpy
-    array, with a residue as one vector-matrix product; all other rows are
-    Python lists.  Not safe to fill from several threads at once.
+    array, with a residue as one product and a batch inserted by
+    `_eliminate`; all other rows are Python lists.  Not safe to fill from
+    several threads at once.
     """
 
-    __slots__ = ("field", "width", "_rows", "_pivots", "_np_pivots")
+    __slots__ = ("field", "width", "_rows", "_pivots", "_np")
 
     def __init__(self, field: Field, width: int, vectors=()):
         self.field = field
         self.width = width
         self._pivots = []  # in insertion order, the order of the rows
-        if field.deg == 1 and width >= _NUMPY_MIN_WIDTH and _int64_safe(field, width):
-            cap = max(1, min(len(vectors), width))  # grows on demand
-            self._rows = np.zeros((cap, width), dtype=np.int64)  # rank used
-            self._np_pivots = np.zeros(cap, dtype=np.intp)
-            if len(vectors):
-                for vec in self._as_array(vectors):
-                    self._insert_np(vec)
-        else:
-            self._rows = []
-            self._np_pivots = None
-            for vec in vectors:
-                self.insert(vec)
+        self._np = field.deg == 1 and width >= _NUMPY_MIN_WIDTH and _int64_safe(field, width)
+        self._rows = np.zeros((0, width), dtype=np.int64) if self._np else []
+        self.extend(vectors)
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
 
-    @property
-    def _np(self) -> bool:
-        return self._np_pivots is not None
-
     def insert(self, vec) -> bool:
         """Add a vector; True when it was not already in the span."""
         if self._np:
-            return self._insert_np(self._as_array(vec))
+            return self.extend([vec])[0]
         F = self.field
         vec = self._residue(vec)
         lead = next((j for j, v in enumerate(vec) if v), None)
@@ -365,10 +356,26 @@ class Echelon:
         self._pivots.append(lead)
         return True
 
+    def extend(self, vectors) -> list:
+        """`insert` each of a sequence of vectors in order; for each, whether
+        it grew the span.  On numpy one product reduces the batch by the held
+        rows, `_eliminate` the batch itself, and one more product clears the
+        new pivots from the held rows."""
+        if not self._np:
+            return [self.insert(vec) for vec in vectors]
+        if not len(vectors):
+            return []
+        arith = self.field._int64
+        grew, rows, pivots = _eliminate(arith, self._residue_np(vectors))
+        if pivots:
+            self._rows = np.concatenate((_reduced(arith, self._rows, rows, pivots), rows))
+            self._pivots += pivots
+        return grew
+
     def reduce(self, vec) -> tuple:
         """The residue of a vector modulo the span (zero when contained)."""
         if self._np:
-            return tuple(self._residue_np(self._as_array(vec)).tolist())
+            return tuple(self._residue_np(vec).tolist())
         return tuple(self._residue(vec))
 
     def contains(self, vec) -> bool:
@@ -381,8 +388,7 @@ class Echelon:
                          if any(self._residue(vec))), None)
         if not len(vectors):
             return None
-        V = self._as_array(vectors)
-        outside = self._residue_np(V).any(axis=1)
+        outside = self._residue_np(vectors).any(axis=1)
         return int(np.argmax(outside)) if outside.any() else None
 
     def coords(self, vec):
@@ -394,7 +400,7 @@ class Echelon:
     def rref(self):
         """(rows, pivots): the rows as tuples in pivot order, and the pivots."""
         order = sorted(range(self.rank), key=self._pivots.__getitem__)
-        rows = self._rows[:self.rank].tolist() if self._np else self._rows
+        rows = self._rows.tolist() if self._np else self._rows
         return (tuple(tuple(rows[i]) for i in order),
                 tuple(self._pivots[i] for i in order))
 
@@ -413,39 +419,43 @@ class Echelon:
 
     # -- numpy backend --------------------------------------------------------
 
-    def _as_array(self, vectors):
+    def _residue_np(self, vectors):
+        """Residues of a vector or of the rows of a matrix, as int64."""
         V = np.asarray(vectors, dtype=np.int64)
         if V.shape[-1:] != (self.width,):
             raise ShapeMismatch(f"vectors of shape {V.shape}, expected width {self.width}")
-        return V
+        return _reduced(self.field._int64, V, self._rows, self._pivots)
 
-    def _residue_np(self, V):
-        """Residues of a vector or of the rows of a matrix."""
-        r = self.rank
-        if not r:
-            return V
-        return self.field._int64.residue(V, V[..., self._np_pivots[:r]], self._rows[:r])
 
-    def _insert_np(self, v) -> bool:
-        v = self._residue_np(v)
-        nz = np.flatnonzero(v)
-        if not nz.size:
-            return False
-        lead = int(nz[0])
-        v = self.field._int64.scaled(self.field.inv(int(v[lead])), v)
-        r = self.rank
-        R = self._rows
-        hit = np.flatnonzero(R[:r, lead])
-        if hit.size:
-            R[hit] = self.field._int64.sub_scaled(R[hit], R[hit, lead, None], v)
-        if r == len(R):
-            R = self._rows = np.concatenate((R, np.zeros_like(R)))
-            self._np_pivots = np.concatenate((self._np_pivots,
-                                              np.zeros_like(self._np_pivots)))
-        R[r] = v
-        self._np_pivots[r] = lead
-        self._pivots.append(lead)
-        return True
+def _reduced(arith, T, R, pivots):
+    """Residues of the rows of T modulo fully reduced int64 rows R: one product."""
+    return arith.residue(T, T[..., pivots], R) if pivots else T
+
+
+def _eliminate(arith, B):
+    """For each row of an int64 batch B over F_p, whether it is outside the
+    span of the rows before it; and B's fully reduced rows and their pivots.
+    The second half is reduced by the first half's rows, then eliminated, and
+    its pivots are cleared from the first half's rows, each by one product;
+    at most `_LEAF_ROWS` rows go row by row (Jeannerod, Pernet, Storjohann,
+    J. Symbolic Comput. 2013)."""
+    if len(B) > _LEAF_ROWS:
+        half = len(B) // 2
+        grew, top, pivots = _eliminate(arith, B[:half])
+        more, low, new = _eliminate(arith, _reduced(arith, B[half:], top, pivots))
+        return (grew + more, np.concatenate((_reduced(arith, top, low, new), low)),
+                pivots + new)
+    grew, pivots = [], []
+    for i in range(len(B)):
+        nonzero = np.flatnonzero(B[i])
+        grew.append(bool(nonzero.size))
+        if nonzero.size:
+            lead = int(nonzero[0])
+            row = arith.scaled(arith.field.inv(int(B[i, lead])), B[i])
+            B = arith.sub_scaled(B, B[:, lead, None], row)  # a new array
+            B[i] = row
+            pivots.append(lead)
+    return grew, B[grew], pivots
 
 
 def _nullspace(field, rows, width):

@@ -25,8 +25,8 @@ larger field is refused before any search.
 This module is the one home of the tables and of their int64 array form,
 `_Int64Field`, which each Field builds once, with its tables, as
 `Field._int64`: the arithmetic of `exactla`'s numpy `Echelon`, its batched
-distance scan and the oracle's residue tables.  No other module reads the
-tables.
+distance scan, `verify_base`'s rank-one batch and the oracle's residue
+tables.  No other module reads the tables.
 
 `Field.encode` is the package's one rule for turning a scalar into an
 encoding, and every entry point that takes a scalar goes through it.

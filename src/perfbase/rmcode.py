@@ -575,8 +575,8 @@ def two_dim_bound(G_rows, gamma: GammaBasis):
         return size, size, res.candidate
     parts = [_row_candidate(gamma, red.rows[i]) for i in range(2)]
     union = parts[0].matrices + parts[1].matrices
-    probe = Echelon(Fq, union[0].n * union[0].m)
-    picked = [A for A in union if probe.insert(A.vectorize())]
+    grew = Echelon(Fq, union[0].n * union[0].m).extend([A.vectorize() for A in union])
+    picked = [A for A, g in zip(union, grew) if g]
     target = parts[0].target.sum_with(parts[1].target)
     cand = _finish(BaseCandidate(tuple(picked), target), "two-dim-bound",
                    {"q": Fq.p, "m": m}, {}).candidate

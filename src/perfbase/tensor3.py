@@ -126,12 +126,13 @@ def kruskal_bound(dim: int, d: int) -> int:
 def verify_base(cand: BaseCandidate) -> VerificationReport:
     """Check rank-one-ness, independence, and target containment.
 
-    One incremental elimination of the members gives the first member that
-    depends on the earlier ones; target containment is then tested against
-    the same echelon.  When the independent members span as many dimensions
-    as the target has, containment is equality, and RREF is unique: the
-    span's canonical rows are compared with the target's, and the target is
-    reduced only when they differ, to find the first missing row.
+    One elimination of the members, `Echelon.extend`, gives the first member
+    that depends on the earlier ones; target containment is then tested
+    against the same echelon.  When the independent members span as many
+    dimensions as the target has, containment is equality, and RREF is
+    unique: the span's canonical rows are compared with the target's, and the
+    target is reduced only when they differ, to find the first missing row.
+    On numpy the members are one int64 array, rank-one tested as one batch.
     """
     target = cand.target
     field = target.field
@@ -139,12 +140,16 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
     for idx, A in enumerate(cand.matrices):
         if A.field != field or A.shape != shape:
             raise ShapeMismatch(f"member {idx} has wrong field or shape")
-    bad_rank = next((idx for idx, A in enumerate(cand.matrices)
-                     if not A.is_rank_one()), None)
-
     span = Echelon(field, target.n * target.m)
-    dependent = next((idx for idx, A in enumerate(cand.matrices)
-                      if not span.insert(A.vectorize())), None)
+    if span._np:
+        M = np.array([A.rows for A in cand.matrices], dtype=np.int64).reshape(-1, *shape)
+        rank_one, vectors = _rank_one_np(field._int64, M).tolist(), M.reshape(len(M), -1)
+    else:
+        rank_one = map(FqMatrix.is_rank_one, cand.matrices)  # stops at the first False
+        vectors = [A.vectorize() for A in cand.matrices]
+    bad_rank = next((idx for idx, one in enumerate(rank_one) if not one), None)
+    grew = span.extend(vectors)
+    dependent = grew.index(False) if False in grew else None
     missing = None
     if dependent is None and not (span.rank == target.dim
                                   and span.rref()[0] == target._rrows):
@@ -159,6 +164,19 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
         dependent_index=dependent,
         missing_target_index=missing,
     )
+
+
+def _rank_one_np(arith, M):
+    """Which matrices of an int64 batch over F_p have rank one.  A nonzero
+    matrix's first nonzero row, scaled to 1 at its lead column j, is a unit
+    row v; the matrix has rank one exactly when it equals (its column j) v."""
+    idx = np.arange(len(M))
+    nonzero = M.any(axis=2)
+    first = M[idx, nonzero.argmax(axis=1)]
+    lead = (first != 0).argmax(axis=1)
+    unit = arith.scaled(arith.inv(first[idx, lead])[:, None], first)
+    outer = arith.scaled(M[idx, :, lead][:, :, None], unit[:, None, :])
+    return nonzero.any(axis=1) & (outer == M).all(axis=(1, 2))
 
 
 # --- rank-one enumeration and the exact oracle -----------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -786,6 +787,47 @@ def test_each_kind_builds_its_readme_line_and_reads_only_its_own_flags(
                                      args[:i] + args[i + 2:])
         assert (rc, line["kind"], files) == (2, "input", []), flag
         assert line["error"] == f"--{flag} is required for this construction"
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "oracle"])
+def test_a_negative_guard_is_invalid_input(tmp_path, capsys, monkeypatch, command):
+    # a guard below 0, from the flag or the variable, exits 2 naming its
+    # source, and writes no file; a guard of 0 stays a guard
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"field": {"p": 3, "deg": 1, "modulus": []},
+                                 "basis": [{"n": 2, "m": 2, "entries": [[1, 0], [0, 1]]}]}))
+    args = {"construct": ["construct", *README_CONSTRUCT["build-mtr"]],
+            "verify": ["verify", os.path.join(FIXDIR, "gabidulin_dual_f3_m3_n3.cert.json")],
+            "oracle": ["oracle", str(space)]}[command]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("PERFBASE_GUARD", raising=False)
+
+    def run(*extra):
+        rc = main([*args, *extra])
+        return rc, json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+    rc, line = run("--guard", "-1")
+    assert (rc, line["kind"]) == (2, "input") and "--guard" in line["error"]
+    monkeypatch.setenv("PERFBASE_GUARD", "-1")
+    rc, line = run()
+    assert (rc, line["kind"]) == (2, "input") and "PERFBASE_GUARD" in line["error"]
+    assert os.listdir(work) == []
+    rc, line = run("--guard", "0")  # the flag wins over the variable
+    assert (rc, line["kind"]) == (3, "guard")
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in cli._KINDS if "s" in cli._KINDS[k].needs))
+@pytest.mark.parametrize("s", ["0", "-1"])
+def test_s_below_one_is_blamed_on_s(tmp_path, capsys, monkeypatch, kind, s):
+    args = list(README_CONSTRUCT[kind])
+    args[args.index("--s") + 1] = s
+    rc, line, files = _construct(tmp_path, capsys, monkeypatch, args)
+    assert (rc, line["kind"], files) == (2, "input", [])
+    assert re.search(r"\bs\b", line["error"]) and "first element" not in line["error"]
+    with pytest.raises(ParametersOutOfRange, match="s must be at least 1"):
+        construct.GammaSet.canonical(field_make(5), int(s))
 
 
 @pytest.mark.parametrize("args", [

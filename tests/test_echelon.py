@@ -7,15 +7,17 @@ exercised: the numpy one by forcing `_NUMPY_MIN_WIDTH` down and by widths
 above it, the list one over extension fields and narrow prime-field rows.
 """
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfbase import exactla
+from perfbase import exactla, tensor3
 from perfbase.errors import ShapeMismatch
 from perfbase.exactla import Echelon, FqMatrix, MatrixSpace
-from perfbase.gf import field_make
+from perfbase.gf import _int64_safe, field_make
 from perfbase.tensor3 import BaseCandidate, VerificationReport, verify_base
 
 FIELDS = [(2, 1), (13, 1), (3, 2), (5, 4)]  # F_2, F_13, F_9, F_625
@@ -188,6 +190,68 @@ def test_numpy_backend_at_its_natural_width(p):
         rows = random_rows(rng, F, 12, width, rank_cap=cap)
         probes = random_rows(rng, F, 2, width) + rows[:2]
         check_against_reference(F, rows, width, probes)
+
+
+def reference_profile(F, rows, width):
+    """For each row, whether it grows the rank of the rows before it, from
+    the `reference_rref` of each prefix; and the RREF rows and pivots of all."""
+    red, pivots, grew = [], (), []
+    for vec in rows:
+        grew.append(any(reference_residue(F, red, pivots, vec)))
+        if grew[-1]:
+            red, _, pivots = reference_rref(F, red + [vec], width)
+    return grew, tuple(red), pivots
+
+
+def profile_rows(rng, F, n, width, cap):
+    """n rows of rank at most `cap`, with zero and dependent rows at the first
+    leaf boundary (rows 7 to 9), in the first half, in the second and last."""
+    rows = random_rows(rng, F, n, width, rank_cap=cap)
+    for i in (7, 8, 9, n // 4, 3 * n // 4, n - 1):
+        if 0 < i < n:
+            rows[i] = (0,) * width if i % 2 else tuple(reference_combine(F, rng, rows[:i]))
+    return rows
+
+
+def check_extend(F, rows, width, probes):
+    grew, red, pivots = reference_profile(F, rows, width)
+    one = Echelon(F, width)
+    assert [one.insert(vec) for vec in rows] == grew
+    E = Echelon(F, width)
+    assert E.extend(rows) == grew
+    assert E.rref() == one.rref() == (red, pivots)
+    assert Echelon(F, width, rows).rref() == (red, pivots)
+    # later single inserts agree with the one-at-a-time echelon
+    assert [E.insert(v) for v in probes] == [one.insert(v) for v in probes]
+    assert E.rref() == one.rref()
+    # extend on an echelon that already holds rows
+    for k in (1, len(rows) // 2):
+        held = Echelon(F, width, rows[:k])
+        assert held.extend(rows[k:]) == grew[k:]
+        assert held.rref() == (red, pivots)
+    assert E.extend([]) == []
+
+
+# the largest prime p with (p - 1)^2 * 40 < 2^63: at width 40 the products of
+# the numpy backend run at the int64 limit
+_TOP_AT_40 = math.isqrt(((1 << 63) - 1) // 40) + 1
+LARGEST_AT_40 = next(p for p in range(_TOP_AT_40, 2, -1)
+                     if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+@pytest.mark.parametrize("p", [2, 13, LARGEST_AT_40])
+def test_extend_gives_the_row_rank_profile(p, backend):
+    F = field_make(p)
+    if p == LARGEST_AT_40:  # no prime above it up to the first p the rule refuses
+        assert Echelon(F, 40)._np and _TOP_AT_40 ** 2 * 40 >= 1 << 63
+    rng = random.Random(f"extend-{p}-{backend}")
+    cases = [(n, width, cap) for n in (1, 2, 8, 9, 10, 17, 33) for width in (5, 24)
+             for cap in (0, 3, width // 2, None)]
+    cases += [(200, 40, cap) for cap in (0, 1, 20, None)] + [(64, 40, 39), (100, 24, None)]
+    for n, width, cap in cases:
+        rows = profile_rows(rng, F, n, width, cap)
+        probes = random_rows(rng, F, 2, width) + rows[:2] + [(0,) * width]
+        check_extend(F, rows, width, probes)
 
 
 def test_backend_choice_depends_only_on_the_input():
@@ -412,6 +476,64 @@ def test_verify_base_compares_rows_only_at_equal_dimension(p, deg, n, m, monkeyp
     # more members than the target's dimension, covering it or not
     check(units[:k + 1], units[:k], None, 1)
     check(units[:k], units[:2] + [units[k + 1]], 2, 1)
+
+
+@pytest.mark.parametrize("p", [13, LARGEST_AT_40])
+def test_batched_rank_one_test_matches_is_rank_one(p):
+    F = field_make(p)
+    rng = random.Random(f"rank-one-{p}")
+    for n, m in [(5, 8), (1, 6), (6, 1), (3, 3)]:
+        mats = [FqMatrix.zeros(F, n, m), FqMatrix.unit(F, n, m, n - 1, m - 1)]
+        for zeros in range(4):  # rank one with the first rows, then columns, zero
+            u = [rng.randrange(1, F.q) for _ in range(n)]
+            v = [rng.randrange(1, F.q) for _ in range(m)]
+            u[:zeros], v[:zeros // 2] = [0] * min(zeros, n), [0] * min(zeros // 2, m)
+            mats.append(FqMatrix.outer(F, u, v))
+            mats.append(mats[-1] + rank_one(rng, F, n, m))  # rank two, mostly
+            mats.append(FqMatrix(F, [[rng.randrange(F.q) for _ in range(m)]
+                                     for _ in range(n)]))
+        if n > 2:  # two proportional rows and one outside their line
+            row = [rng.randrange(1, F.q) for _ in range(m)]
+            other = [F.add(x, 1) for x in row]
+            mats.append(FqMatrix(F, [[0] * m, row, F.scale(3, row)] + [other] * (n - 3)))
+        M = np.array([A.rows for A in mats], dtype=np.int64)
+        assert tensor3._rank_one_np(F._int64, M).tolist() == [A.is_rank_one() for A in mats]
+        assert any(A.is_rank_one() for A in mats) and not all(A.is_rank_one() for A in mats)
+
+
+@pytest.mark.parametrize("p", [13, LARGEST_AT_40])
+def test_verify_base_reports_agree_on_both_backends(p, monkeypatch):
+    # corrupted 4x6 candidates, whose 24-wide rows run on numpy by default
+    F = field_make(p)
+    rng = random.Random(f"reports-{p}")
+    n, m, k = 4, 6, 20
+    members = [rank_one(rng, F, n, m) for _ in range(k)]
+    target = MatrixSpace(F, (n, m), members)
+    assert target.dim == k
+    cands = [BaseCandidate(tuple(members), target)]
+    for i in (0, 9, k - 1):  # a member of rank two at index i
+        bad = list(members)
+        bad[i] = members[i] + rank_one(rng, F, n, m)
+        cands.append(BaseCandidate(tuple(bad), target))
+    for i in (k // 4, 9, 3 * k // 4):  # a dependent member in either half
+        dep = list(members)
+        dep[i] = members[rng.randrange(i)].scale(rng.randrange(1, F.q))
+        cands.append(BaseCandidate(tuple(dep), target))
+        dep = list(members)
+        dep[i] = members[0] + members[i - 1]
+        cands.append(BaseCandidate(tuple(dep), target))
+    extra = MatrixSpace(F, (n, m), members + [rank_one(rng, F, n, m)])
+    cands.append(BaseCandidate(tuple(members), extra))  # a span missing a row
+    cands.append(BaseCandidate(tuple(members[:-1]), target))
+    reports = []
+    for width in (1, 10 ** 9):
+        monkeypatch.setattr(exactla, "_NUMPY_MIN_WIDTH", width)
+        reports.append([verify_base(c) for c in cands])
+    assert reports[0] == reports[1] == [reference_verify_base(c) for c in cands]
+    assert reports[0][0].passed and not any(r.passed for r in reports[0][1:])
+    assert [r.bad_rank_index for r in reports[0][1:4]] == [0, 9, k - 1]
+    assert [r.dependent_index for r in reports[0][4:10]] == [5, 5, 9, 9, 15, 15]
+    assert all(r.missing_target_index is not None for r in reports[0][-2:])
 
 
 @settings(deadline=None, max_examples=150)
