@@ -53,6 +53,7 @@ from .tensor3 import (
     VerificationReport,
     exhaustive_trk,
     kruskal_bound,
+    rank_lower_bound,
     rank_one_matrices,
     slice_space,
     verify_base,

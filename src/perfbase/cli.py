@@ -38,6 +38,7 @@ from .tensor3 import (
     BaseCandidate,
     exhaustive_trk,
     kruskal_bound,
+    rank_lower_bound,
     verify_base,
 )
 
@@ -226,15 +227,12 @@ def _rank_checks(target: MatrixSpace, R: int, upper_ok: bool, guard: int) -> dic
     """Proof that the tensor rank of `target` is R, given that a verified base
     of R members bounds it from above (`upper_ok`).
 
-    The lower bound is the cheapest that reaches R: the dimension, then
-    Kruskal's dim + d - 1, then a re-run of the oracle, which is exact.
+    The lower bound is the cheapest of `rank_lower_bound` that reaches R,
+    else a re-run of the oracle, which is exact.
     """
     lower = by = None
     if upper_ok:
-        lower, by = target.dim, "dimension"
-        if 0 < lower < R:  # the zero space has rank 0 and no distance
-            d = rmcode.RankCode(target).distance(guard)
-            lower, by = kruskal_bound(target.dim, d), "kruskal"
+        lower, by = rank_lower_bound(target, R, guard)
         if lower < R:
             lower, by = exhaustive_trk(target, guard)[0], "oracle"
     return {"upper_ok": upper_ok, "lower": lower, "lower_by": by}
@@ -282,7 +280,11 @@ def _guard(args, default: int) -> int:
     a guard below 0 is invalid input."""
     env = os.environ.get("PERFBASE_GUARD")
     name, guard = ("--guard", args.guard) if args.guard is not None else (
-        "PERFBASE_GUARD", int(env) if env else default)
+        "PERFBASE_GUARD", env or default)
+    try:
+        guard = int(guard)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {guard!r}") from None
     if guard < 0:
         raise ValueError(f"{name} must be at least 0, got {guard}")
     return guard

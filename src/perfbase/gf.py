@@ -23,10 +23,10 @@ doubles in time with each degree over F_2) and 14.5 MB of tables, and a
 larger field is refused before any search.
 
 This module is the one home of the tables and of their int64 array form,
-`_Int64Field`, which each Field builds once, with its tables, as
-`Field._int64`: the arithmetic of `exactla`'s numpy `Echelon`, its batched
-distance scan, `verify_base`'s rank-one batch and the oracle's residue
-tables.  No other module reads the tables.
+`_Int64Field`, built once per Field with its tables as `Field._int64` (its
+read-only `inverses` lazily, on first use): the arithmetic of `exactla`'s
+numpy `Echelon`, its batched distance scan, `verify_base`'s rank-one batch
+and the oracle's residue tables.  No other module reads the tables.
 
 `Field.encode` is the package's one rule for turning a scalar into an
 encoding, and every entry point that takes a scalar goes through it.
@@ -349,6 +349,13 @@ class _Int64Field:
     def inv(self, a):
         """a^(q-2), entrywise: 1/a for a != 0."""
         return _power(self.scaled, a, self.q - 2, np.ones_like(a))
+
+    @functools.cached_property
+    def inverses(self):
+        """`inv` of every encoding, read-only: built on first use, once."""
+        table = self.inv(np.arange(self.q, dtype=np.int64))
+        table.flags.writeable = False
+        return table
 
 
 class FieldElement:

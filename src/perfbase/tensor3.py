@@ -9,14 +9,13 @@ the first failure of each kind.
 The oracle enumerates rank-one matrices up to scalar (both factors normalized
 to leading coefficient one) and searches independent subsets in lexicographic
 order, so the returned witness is the lexicographically least successful
-subset.  It starts at the Kruskal bound dim V + d - 1, with d from the
-package's one distance scan `exactla._min_distance` when V has at most 4096
-words up to scalar, and at dim V otherwise.  A search node holds the residues
-of the later candidates modulo the chosen span and modulo the chosen span plus
-V, as int64 arrays over every field, with the field's int64 form
-`Field._int64`, built once per field by `gf`.  It reads the
-projective class of each table row once, as a base-q integer, and its
-children's membership tests are bit operations on the rows of those classes.
+subset.  It starts at `rank_lower_bound`, the package's one lower bound on
+a tensor rank, so no level it skips can hold a witness.  A search node holds
+the residues of the later candidates modulo the chosen span and modulo the
+chosen span plus V, as int64 arrays over every field, with the field's int64
+form `Field._int64`, built once per field by `gf`.  It reads the projective
+class of each table row once, as a base-q integer, and its children's
+membership tests are bit operations on the rows of those classes.
 Only a child with a viable pick and a level below it gets tables.  A 1x1
 space has one candidate and is answered without tables.  A work guard bounds
 the number of subset-membership tests, counted as if the candidates were
@@ -123,6 +122,40 @@ def kruskal_bound(dim: int, d: int) -> int:
     return 0 if dim == 0 else dim + d - 1
 
 
+def rank_lower_bound(V: MatrixSpace, goal: float = float("inf"), guard: int | None = None):
+    """(value, kind): a lower bound on the tensor rank of V and its proof.
+
+    Tried cheapest first, until one reaches `goal`; a kind is named only
+    when it raises the value.  "dimension": dim V.  "kruskal": dim V + d - 1,
+    by a distance scan bounded by `guard` (without one, only on at most 4096
+    words up to scalar).  "diagonal", for n x n V while the value is at most
+    n: with A the first invertible member of V's canonical basis, if any,
+    and M_j = A^-1 B_j over its members B_j, n if every M_j^q = M_j and M_j
+    commute, else n + 1.  Proof: V holds A, so trk >= n.  If trk = n, then
+    B = U D_B W^t for every B in V, with D_B diagonal and U, W invertible as
+    A is, so the M_j = W^-t (D_A^-1 D_B) W^t are simultaneously
+    diagonalizable.  Over F_q, M is diagonalizable exactly when its minimal
+    polynomial divides x^q - x, that is, when M^q = M; and commuting
+    diagonalizable matrices are simultaneously diagonalizable.  (More than
+    n independent M_j never are, but then dim V > n.)
+    """
+    field, k, (n, m) = V.field, V.dim, V.shape
+    value, kind = k, "dimension"
+    if 0 < k < goal and (guard is not None or _projective_count(field.q, k) <= 4096):
+        d = _min_distance(field, V._rrows, 4096 if guard is None else guard, m)
+        if d > 1:
+            value, kind = kruskal_bound(k, d), "kruskal"
+    if n == m and value <= n and value < goal and k > 1:  # one member: M = [I]
+        inverse = next((A.inverse() for A in V.basis if A.is_invertible()), None)
+        if inverse is not None:
+            M = [inverse @ B for B in V.basis]
+            bound = n + 1 - (all(X.power(field.q) == X for X in M) and all(
+                X @ Y == Y @ X for i, X in enumerate(M) for Y in M[:i]))
+            if bound > value:
+                value, kind = bound, "diagonal"
+    return value, kind
+
+
 def verify_base(cand: BaseCandidate) -> VerificationReport:
     """Check rank-one-ness, independence, and target containment.
 
@@ -201,9 +234,9 @@ ORACLE_MAX_ENTRIES = 1 << 20
 def exhaustive_trk(V: MatrixSpace, limit: int = DEFAULT_GUARD):
     """Exact tensor rank of V with a lexicographically least witness.
 
-    Searches subsets of the canonical rank-one list by size, requiring each
-    pick to grow the chosen span and pruning branches whose span together
-    with V already exceeds the subset size.  Raises GuardExceeded, with
+    Searches subsets of the canonical rank-one list by size, from
+    `rank_lower_bound(V)` on; each pick grows the chosen span, and a branch
+    whose span with V exceeds the subset size is cut.  Raises GuardExceeded, with
     `progress = {"phase", "R", "tests_used"}`, once more than `limit`
     subset-membership tests would run, and ParametersOutOfRange before any
     enumeration when the candidate list would exceed ORACLE_MAX_ENTRIES.
@@ -217,7 +250,7 @@ def exhaustive_trk(V: MatrixSpace, limit: int = DEFAULT_GUARD):
 
 
 def _rank_levels(V: MatrixSpace, limit: int):
-    """Yield (R, witness vectors or None, membership tests) for R = bound, ...
+    """Yield (R, witness vectors or None, tests) from R = rank_lower_bound(V).
 
     The first level with a witness is the tensor rank; the generator stops
     there.  `limit` bounds the tests of all levels together.
@@ -244,11 +277,8 @@ def _rank_levels(V: MatrixSpace, limit: int):
     tables = _Tables(field)
     A = tables.candidates(n, m)
     Q = tables.quotient(A, V, [j for j in range(width) if j not in V._pivots])
-    start = k  # raised to the Kruskal bound when V's scan is at most 4096 words
-    if _projective_count(field.q, k) <= 4096:
-        start = kruskal_bound(k, _min_distance(field, V._rrows, 4096, m))
     budget = [limit]
-    for R in range(start, width + 1):
+    for R in range(rank_lower_bound(V)[0], width + 1):
         before = budget[0]
         found = _search_subsets(tables, A, Q, k, R, budget, limit)
         witness = None if found is None else [tuple(map(int, A[i])) for i in found]
@@ -318,7 +348,7 @@ class _Tables:
     def __init__(self, field):
         self.arith = field._int64
         # a^(q-2) = 1/a for a != 0, and inv[0] only ever scales a zero row
-        self.inv = self.arith.inv(np.arange(field.q))
+        self.inv = self.arith.inverses
 
     def candidates(self, n, m):
         field = self.arith.field

@@ -27,6 +27,7 @@ from perfbase.exactla import FqMatrix, MatrixSpace
 from perfbase.gf import field_make
 from perfbase.tensor3 import BaseCandidate
 from test_echelon import reference_rref
+from test_oracle import _all_two_dim_spaces, _pencil, kruskal_start
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FIXDIR = os.path.join(ROOT, "fixtures")
@@ -494,23 +495,67 @@ def test_verify_proves_tensor_rank_by_kruskal(tmp_path, capsys):
         "upper_ok": True, "lower": 3, "lower_by": "kruskal"}
 
 
+EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_verify_proves_tensor_rank_by_the_oracle(tmp_path, capsys):
-    # a nilpotent pencil: Kruskal bound 2, tensor rank 3
-    mats = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
-    cert = _oracle_certificate(tmp_path, capsys, 3, mats)
+    # <I, C(x^3 + x + 1)> over F_2: Kruskal bound 4 = n + 1, which the
+    # diagonal bound cannot raise, and tensor rank 5
+    mats = [EYE3, [[0, 1, 0], [0, 0, 1], [1, 1, 0]]]
+    cert = _oracle_certificate(tmp_path, capsys, 2, mats)
     rc, line = _verify(tmp_path, capsys, cert)
     assert rc == 0 and line["rank_checks"] == {
-        "upper_ok": True, "lower": 3, "lower_by": "oracle"}
+        "upper_ok": True, "lower": 5, "lower_by": "oracle"}
     rc, line = _verify(tmp_path, capsys, cert, "--guard", "0")
     assert rc == 3 and line["kind"] == "guard"
-    # a guard that covers the distance scan (4 words) but not the oracle
-    space = MatrixSpace.from_matrices([FqMatrix(field_make(3), A) for A in mats])
+    # a guard that covers the distance scan (3 words) but not the oracle
+    space = MatrixSpace.from_matrices([FqMatrix(field_make(2), A) for A in mats])
     tests = sum(used for _, _, used in tensor3._rank_levels(space, tensor3.DEFAULT_GUARD))
     rc, line = _verify(tmp_path, capsys, cert, "--guard", str(tests - 1))
-    assert rc == 3 and line["progress"] == {"phase": "oracle", "R": 3,
+    assert rc == 3 and line["progress"] == {"phase": "oracle", "R": 5,
                                             "tests_used": tests - 1}
     rc, line = _verify(tmp_path, capsys, cert, "--guard", str(tests))
     assert rc == 0
+
+
+def test_verify_proves_tensor_rank_by_the_diagonal_bound(tmp_path, capsys, monkeypatch):
+    # <I, C(x^3)> over F_3: Kruskal bound 3, tensor rank 4.  C is nilpotent,
+    # not diagonalizable, so the diagonal bound proves 4 without the oracle
+    cert = _oracle_certificate(tmp_path, capsys, 3,
+                               [EYE3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]]])
+    assert cert["tensor_rank"] == 4
+
+    def no_oracle(*args):
+        raise AssertionError("the oracle re-ran")
+
+    monkeypatch.setattr(cli, "exhaustive_trk", no_oracle)
+    verdict = reverify(cert, rmcode.DEFAULT_SCAN_GUARD)
+    assert verdict["ok"] and verdict["rank_checks"] == {
+        "upper_ok": True, "lower": 4, "lower_by": "diagonal"}
+    rc, line = _verify(tmp_path, capsys, dict(cert, tensor_rank=3))
+    assert rc == 1 and not line["ok"] and line["rank_checks"]["lower"] is None
+
+
+def test_rank_checks_keep_their_dimension_and_kruskal_proofs():
+    # on spaces of every kind of proof: a rank the dimension or Kruskal's
+    # bound reached before the diagonal bound existed is proved by it still,
+    # and the diagonal bound takes only ranks the oracle proved
+    F2, F3 = field_make(2), field_make(3)
+    spaces = (_all_two_dim_spaces(F2) + _all_two_dim_spaces(F3)
+              + [_pencil(F, b) for F in (F2, F3)
+                 for b in itertools.product(range(F.q), repeat=3)])
+    kinds = set()
+    for V in spaces:
+        R = tensor3.exhaustive_trk(V)[0]
+        before = ("dimension" if V.dim >= R else
+                  "kruskal" if kruskal_start(V) >= R else "oracle")
+        checks = cli._rank_checks(V, R, True, rmcode.DEFAULT_SCAN_GUARD)
+        assert checks["lower"] == R
+        assert checks["lower_by"] == before or (before, checks["lower_by"]) == (
+            "oracle", "diagonal"), V
+        kinds.add((before, checks["lower_by"]))
+    assert kinds == {("dimension", "dimension"), ("kruskal", "kruskal"),
+                     ("oracle", "diagonal"), ("oracle", "oracle")}
 
 
 # --- canonical input --------------------------------------------------------------
@@ -816,6 +861,29 @@ def test_a_negative_guard_is_invalid_input(tmp_path, capsys, monkeypatch, comman
     assert os.listdir(work) == []
     rc, line = run("--guard", "0")  # the flag wins over the variable
     assert (rc, line["kind"]) == (3, "guard")
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "oracle"])
+def test_a_guard_variable_that_is_not_an_integer_is_named(tmp_path, capsys, monkeypatch,
+                                                           command):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"field": {"p": 3},
+                                 "basis": [{"n": 2, "m": 2, "entries": [[1, 0], [0, 1]]}]}))
+    args = {"construct": ["construct", *README_CONSTRUCT["build-mtr"]],
+            "verify": ["verify", os.path.join(FIXDIR, "gabidulin_dual_f3_m3_n3.cert.json")],
+            "oracle": ["oracle", str(space)]}[command]
+    monkeypatch.chdir(tmp_path)
+    for value in ("abc", "1.5", ""):
+        monkeypatch.setenv("PERFBASE_GUARD", value)
+        rc = main(args)
+        line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        if value:
+            assert (rc, line["kind"]) == (2, "input")
+            assert line["error"] == f"PERFBASE_GUARD must be an integer, got {value!r}"
+        else:  # an empty variable is no guard: the default applies
+            assert rc == 0 and line["ok"]
+    assert sorted(os.listdir(tmp_path)) == (["build-mtr.cert.json", "space.json"]
+                                            if command == "construct" else ["space.json"])
 
 
 @pytest.mark.parametrize("kind", sorted(k for k in cli._KINDS if "s" in cli._KINDS[k].needs))

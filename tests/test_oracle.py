@@ -4,7 +4,10 @@
 every candidate against the chosen rows and against V at every node and
 charges one test per candidate tried.  The table search must give the same
 tensor rank, the same witness and the same number of membership tests at
-every candidate rank R, so its guard fires on exactly the same inputs.
+every candidate rank R from the start level on, so its guard fires on
+exactly the same inputs from there.  The start, `tensor3.rank_lower_bound`,
+is checked against an independent diagonalizability test here, and the
+reference finds no witness below it, from Kruskal's start on.
 """
 
 import itertools
@@ -97,18 +100,50 @@ def _reference_search(F, candidates, R, vrows, vpivots, budget):
     return dfs(0, [], [], [], [list(r) for r in vrows], list(vpivots))
 
 
+def kruskal_start(V):
+    """Kruskal's bound when V has at most 4096 words up to scalar, else dim V."""
+    k = V.dim
+    if (V.field.q ** k - 1) // (V.field.q - 1) > 4096:
+        return k
+    return kruskal_bound(k, min(A.rank() for A in V.iter_elements(nonzero_only=True)))
+
+
+def _diagonalizable(F, M):
+    """Whether M is diagonalizable over F: its eigenspaces, of dimension
+    n - rank(M - c I) for each c in F, add up to n."""
+    eye = FqMatrix.identity(F, M.n)
+    return sum(M.n - (M - eye.scale(c)).rank() for c in range(F.q)) == M.n
+
+
+def reference_diagonal_bound(V):
+    """n if A^-1 V is simultaneously diagonalizable, for the first invertible
+    member A of V's canonical basis, n + 1 if not, None without such an A."""
+    n = V.n
+    A = next((B for B in V.basis if B.rank() == n), None) if n == V.m else None
+    if A is None:
+        return None
+    M = [A.inverse() @ B for B in V.basis]
+    split = (all(_diagonalizable(V.field, X) for X in M)
+             and all(X @ Y == Y @ X for X, Y in itertools.combinations(M, 2)))
+    return n if split else n + 1
+
+
+def reference_start(V):
+    """The first level the oracle searches: Kruskal's start, raised by the
+    diagonal bound when that start is at most n."""
+    start = kruskal_start(V)
+    if V.n == V.m and start <= V.n:
+        start = max(start, reference_diagonal_bound(V) or 0)
+    return start
+
+
 def reference_levels(V, limit):
     """(R, witness vectors or None, tests) per level, as `tensor3._rank_levels`."""
     n, m = V.shape
-    k = V.dim
     candidates = [A.vectorize() for A in rank_one_matrices(V.field, n, m)]
-    start = k
-    if (V.field.q ** k - 1) // (V.field.q - 1) <= 4096:
-        d = min(A.rank() for A in V.iter_elements(nonzero_only=True))
-        start = kruskal_bound(k, d)
     budget = [limit]
     out = []
-    for R in range(start, n * m + 1):
+    for R in range(reference_start(V), n * m + 1):
         before = budget[0]
         found = _reference_search(V.field, candidates, R, V._rrows, V._pivots,
                                   budget)
@@ -224,18 +259,100 @@ def test_table_search_matches_reference_on_every_cubic_pencil_over_f3(bottom):
     _assert_same_levels(_pencil(F3, bottom))
 
 
+# --- the start level -------------------------------------------------------------
+
+
+def _all_two_dim_spaces(F):
+    """Every 2-dim space of 2x2 matrices over F, once each."""
+    spaces = {}
+    for a, b in itertools.combinations(itertools.product(range(F.q), repeat=4), 2):
+        V = _space(F, [[a[:2], a[2:]], [b[:2], b[2:]]])
+        if V.dim == 2:
+            spaces.setdefault(V._rrows, V)
+    return list(spaces.values())
+
+
+# <I, X, Y> over F_2 with idempotents X and Y that do not commute (XY = 0,
+# YX != 0): the diagonal bound gives 4 above Kruskal's 3.  With Y' in place
+# of Y they commute, and the bound stays 3.  I stays in the canonical basis.
+_X = [[0, 1, 0], [0, 1, 0], [0, 0, 0]]
+PROJECTION_SPACES = [
+    _space(F2, [[[int(i == j) for j in range(3)] for i in range(3)], _X, Y])
+    for Y in ([[0, 0, 0], [0, 0, 0], [0, 1, 1]], [[0, 0, 1], [0, 0, 0], [0, 0, 1]])]
+
+START_CASES = (_tensor3_cases() + [V for _, V in SMALL_FIELD_CASES] + PROJECTION_SPACES
+               + [_pencil(F2, b) for b in itertools.product(range(2), repeat=3)]
+               + [_pencil(F3, b) for b in CUBIC_BOTTOMS_F3])
+
+
+@pytest.mark.parametrize("V", START_CASES, ids=map(repr, START_CASES))
+def test_no_witness_below_the_start_level(V):
+    # the levels the diagonal bound skips, from Kruskal's start on, are
+    # refuted by the reference search
+    n, m = V.shape
+    candidates = [A.vectorize() for A in rank_one_matrices(V.field, n, m)]
+    start = tensor3.rank_lower_bound(V)[0]
+    assert start == reference_start(V)
+    for R in range(kruskal_start(V), start):
+        assert _reference_search(V.field, candidates, R, V._rrows, V._pivots,
+                                 [tensor3.DEFAULT_GUARD]) is None, R
+
+
+VERDICT_CASES = (
+    [_pencil(F, b) for F in (F2, F3, F4, F5, F8, F9)
+     for b in itertools.product(range(F.q), repeat=2)]
+    + [_pencil(F, b) for F in (F2, F3, F4) for b in itertools.product(range(F.q), repeat=3)]
+    + _all_two_dim_spaces(F2) + _all_two_dim_spaces(F3)
+    + [V for V in START_CASES if V.n == V.m])
+
+
+def test_diagonal_bound_matches_the_eigenspace_count(monkeypatch):
+    # the oracle's start on every case, then rank_lower_bound's diagonal
+    # verdict against counting eigenspaces: with the distance scan made to
+    # give d = 1, Kruskal's bound is dim V <= n and cannot hide the verdict.
+    # A space of one member is left out: the test is skipped there, as its
+    # true Kruskal bound, the rank of the member, is n when the member is
+    # invertible
+    for V in VERDICT_CASES:
+        assert tensor3.rank_lower_bound(V)[0] == reference_start(V), V
+    monkeypatch.setattr(tensor3, "_min_distance", lambda *args: 1)
+    verdicts = []
+    for V in VERDICT_CASES:
+        if 1 < V.dim <= V.n:
+            verdict = reference_diagonal_bound(V)
+            expected = ((verdict, "diagonal") if verdict is not None and verdict > V.dim
+                        else (V.dim, "dimension"))
+            assert tensor3.rank_lower_bound(V) == expected, V
+            verdicts.append(None if verdict is None else verdict - V.n)
+    assert len(verdicts) > 500 and {None, 0, 1} <= set(verdicts)
+
+
+def test_rank_lower_bound_stops_at_its_goal():
+    # <I, C(x^3)> over F_3: dimension 2, Kruskal 3 from a scan of 4 words,
+    # diagonal 4.  A bound that reaches the goal ends the call, so a goal
+    # the dimension reaches runs no scan, and a guard of 0 does not fire
+    V = _pencil(F3, (0, 0, 0))
+    assert tensor3.rank_lower_bound(V, 2, guard=0) == (2, "dimension")
+    with pytest.raises(GuardExceeded):
+        tensor3.rank_lower_bound(V, 3, guard=3)
+    assert tensor3.rank_lower_bound(V, 3, guard=4) == (3, "kruskal")
+    assert tensor3.rank_lower_bound(V, 4, guard=4) == (4, "diagonal")
+    assert tensor3.rank_lower_bound(V) == (4, "diagonal")
+
+
 # (R, witness, tests) per level on spaces where the reference search takes
 # seconds, each witness vector packed as a base-q integer.  Pinned from the
 # earlier two-class implementation, whose int64 and list tables both gave
-# exactly these levels.
+# exactly these levels; the refuted levels below the diagonal bound, which
+# that implementation also searched, are left out.
 PINNED_LEVELS = [
     (F5, 3, 51, [
         [(3, [1, 6826, 761191], 404098)],
-        [(3, None, 470785), (4, [1, 156255, 1536416, 1441871], 92948)],
+        [(4, [1, 156255, 1536416, 1441871], 92948)],
         [(8, [101, 106, 796926, 875056, 812526, 2016, 5166, 409526], 188)]]),
     (F7, 2, 71, [
         [(2, [1, 1653], 46)],
-        [(2, None, 77), (3, [1, 1100, 1485], 19)],
+        [(3, [1, 1100, 1485], 19)],
         [(3, [29, 1100, 1485], 19)]]),
 ]
 
@@ -309,6 +426,13 @@ def test_inverse_table_inverts_every_unit_of_small_fields():
         F = field_make(p, k)
         inv = tensor3._Tables(F).inv.tolist()
         assert inv[1:] == [F.inv(a) for a in range(1, F.q)], F
+
+
+def test_inverse_table_is_built_once_per_field_and_read_only():
+    for F in (F5, F9):
+        first, second = tensor3._Tables(F).inv, tensor3._Tables(F).inv
+        assert first is second is F._int64.inverses
+        assert not first.flags.writeable
 
 
 @pytest.mark.parametrize("p,k", [(7, 4), (2, 16), (524269, 1)])
@@ -462,17 +586,23 @@ def test_guard_boundary_is_the_exact_test_count(deg):
 
 
 def test_guard_on_a_quartic_pencil_over_f5():
-    # <I, C((x-1)^2 (x-2)(x-3))>: 24336 candidates, undecided at R = 4
+    # <I, C((x-1)^2 (x-2)(x-3))>: 24336 candidates; C is not diagonalizable,
+    # so the search starts at R = 5, undecided there
     with pytest.raises(GuardExceeded) as info:
         exhaustive_trk(_pencil(F5, (4, 2, 3, 2)), limit=10 ** 6)
-    assert info.value.progress == {"phase": "oracle", "R": 4, "tests_used": 10 ** 6}
+    assert info.value.progress == {"phase": "oracle", "R": 5, "tests_used": 10 ** 6}
+
+
+# <I, C(x^3 + x + 1)> over F_2: Kruskal bound 4 = n + 1, which the diagonal
+# bound cannot raise, and tensor rank 5
+IRREDUCIBLE_CUBIC_F2 = (1, 1, 0)
 
 
 def test_guard_progress_names_the_rank_reached():
-    # a nilpotent pencil: Kruskal bound 2, tensor rank 3
-    V = _space(F3, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    V = _pencil(F2, IRREDUCIBLE_CUBIC_F2)
+    assert tensor3.rank_lower_bound(V) == (4, "kruskal")
     levels = table_levels(V)
-    assert [R for R, _, _ in levels] == [2, 3]
+    assert [(R, w is None) for R, w, _ in levels] == [(4, True), (5, False)]
     first = levels[0][2]
     with pytest.raises(GuardExceeded) as info:
         exhaustive_trk(V, limit=first + 1)
@@ -587,11 +717,11 @@ def test_cli_guard_exit_reports_progress(tmp_path, capsys):
     rc, out = _oracle_cli(tmp_path, capsys, obj, "--guard", "0")
     assert rc == 3 and out["kind"] == "guard"
     assert out["progress"] == {"phase": "oracle", "R": 3, "tests_used": 0}
-    # mid-search: the nilpotent pencil spends its guard in its second level
-    pencil = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
-    first = table_levels(_space(F3, pencil))[0][2]
-    obj = {"field": {"p": 3},
-           "basis": [{"n": 2, "m": 2, "entries": A} for A in pencil]}
+    # mid-search: the pencil spends its guard in its second level
+    V = _pencil(F2, IRREDUCIBLE_CUBIC_F2)
+    first = table_levels(V)[0][2]
+    obj = {"field": {"p": 2},
+           "basis": [{"n": 3, "m": 3, "entries": A.rows} for A in V.basis]}
     rc, out = _oracle_cli(tmp_path, capsys, obj, "--guard", str(first + 1))
     assert rc == 3 and out["kind"] == "guard"
-    assert out["progress"] == {"phase": "oracle", "R": 3, "tests_used": first + 1}
+    assert out["progress"] == {"phase": "oracle", "R": 5, "tests_used": first + 1}
