@@ -108,8 +108,9 @@ def matrix_from_json(field: Field, obj) -> FqMatrix:
 # refused before any matrix is built, and `construct` writes none.  At the
 # cap, a `perfbase verify` run on a full-space 16x32 certificate (512 random
 # dense target members, 512 random u v^t base members with nonzero factors)
-# takes 1.0-1.2 s over F_5 and 17.6-18.8 s over F_4; with the 512 unit matrices
-# as the target, 8.2-10.2 s over F_4 (Intel Xeon, Python 3.11, numpy 2.4).
+# takes 0.44-0.57 s over F_5 and 10.5-16.7 s over F_4; with the 512 unit
+# matrices as the target, 6.1-7.1 s over F_4 (Intel Xeon, 2 CPUs, Python 3.11,
+# numpy 2.4).
 MAX_INPUT_ENTRIES = 1 << 19
 
 
@@ -228,13 +229,13 @@ def _rank_checks(target: MatrixSpace, R: int, upper_ok: bool, guard: int) -> dic
     of R members bounds it from above (`upper_ok`).
 
     The lower bound is the cheapest of `rank_lower_bound` that reaches R,
-    else a re-run of the oracle, which is exact.
+    else a re-run of the oracle, which is exact and starts at that bound.
     """
     lower = by = None
     if upper_ok:
         lower, by = rank_lower_bound(target, R, guard)
         if lower < R:
-            lower, by = exhaustive_trk(target, guard)[0], "oracle"
+            lower, by = exhaustive_trk(target, guard, lower)[0], "oracle"
     return {"upper_ok": upper_ok, "lower": lower, "lower_by": by}
 
 

@@ -6,7 +6,9 @@ bases (diagonalizable part plus one or two companion-difference corrections),
 the singular-companion glue, and the square-plus-one-column pencil base.
 Every rank-one member is built from its two factors, u v^t by
 `FqMatrix.outer`: a spectral projector, a geometric epsilon member, a unit
-matrix or a three-term sign member.  The corrections that complete a base
+matrix or a three-term sign member.  The power-family members, the largest
+bases, are built as arrays of the field's int64 form `Field._int64` and
+wrapped by one `FqMatrix.outers`.  The corrections that complete a base
 are differences of powers, Y (M^e - M_h^e).
 
 Every public constructor verifies its own output once (rank one,
@@ -26,6 +28,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BadGammaSet,
     BadN,
@@ -42,7 +46,7 @@ from .errors import (
     ZeroGamma,
 )
 from .exactla import FqMatrix, MatrixSpace, _combine, _nullspace
-from .gf import Field, FieldElement, FqPolynomial, poly_roots
+from .gf import Field, FieldElement, FqPolynomial, _int64_safe, poly_roots
 from .tensor3 import BaseCandidate, VerificationReport, verify_base
 
 
@@ -209,14 +213,17 @@ def _power_target(spec: CompanionSpec, s: int, left=None) -> MatrixSpace:
 
 
 def _power_members(spec: CompanionSpec, nrows: int, s: int,
-                   S: GammaSet | None = None):
+                   S: GammaSet | None = None, left: FqMatrix | None = None):
     """Checked members J^i E (M^{-i})^t of the nrows x m dual-power base.
 
     Per shift index i: the geometric members first (in S order, while
     i <= nrows-2), then the single-entry members for columns s+1..m (while
     i <= nrows-1).  Rows beyond `nrows` are never touched, so the list is
-    built at the truncated shape directly.  Returns (members, S), S defaulting
-    to the canonical gamma set.
+    built at the truncated shape directly.  Member u v^t takes v from
+    V_i = H (M^{-i})^t, where H stacks the geometric rows over the unit rows
+    e_{s+1}..e_m, so V_{i+1} = V_i (M^{-1})^t is one array product; all u v^t
+    are one `FqMatrix.outers`, and with `left` = B they are B^t u v^t.
+    Returns (members, S), S defaulting to the canonical gamma set.
     """
     if not spec.invertible:
         raise SingularM("a_1 = 0: use the singular-companion constructor")
@@ -228,23 +235,34 @@ def _power_members(spec: CompanionSpec, nrows: int, s: int,
         S = GammaSet.canonical(spec.field, s)
     if S.field != spec.field or len(S) != s:
         raise BadGammaSet("gamma set must have s elements of the same field")
-    F = spec.field
-    m = spec.m
-    Minv_t = companion_inverse(spec).transpose()
-    T = FqMatrix.identity(F, m)  # (M^{-i})^t, updated incrementally
-    geos = [FqMatrix(F, [[F.pow(g, m - 1 - j) for j in range(m)]]) for g in S.elements]
-    members = []
-    for i in range(nrows):
-        e_i = [0] * nrows
-        e_i[i] = 1
-        if i <= nrows - 2:
-            for g, geo in zip(S.elements, geos):
-                u = list(e_i)
-                u[i + 1] = F.neg(g)  # e_i - g e_{i+1}
-                members.append(FqMatrix.outer(F, u, (geo @ T).rows[0]))
-        members += [FqMatrix.outer(F, e_i, row) for row in T.rows[s:]]
-        T = Minv_t @ T
-    return tuple(members), S
+    F, m, n = spec.field, spec.m, nrows
+    if left is not None and (left.shape != (m, m) or left.field != F
+                             or not left.is_invertible()):
+        raise Singular("B must be an invertible m x m matrix")
+    arith = F._int64
+    dtype = np.int64 if _int64_safe(F, m) else object
+
+    def by(B):  # X -> X B: the residue of zero modulo the rows of -B
+        neg = np.array((-B).rows, dtype=dtype)
+        return lambda X: arith.residue(np.zeros_like(X), X, neg)
+
+    geo = [[F.pow(g, m - 1 - j) for j in range(m)] for g in S.elements]
+    V = np.array(geo + [[int(j == k) for j in range(m)] for k in range(s, m)],
+                 dtype=dtype)
+    step = by(companion_inverse(spec).transpose())
+    blocks = [V]
+    for _ in range(n - 1):
+        blocks.append(V := step(V))
+    # u = e_i - g e_{i+1} beside the geometric rows, e_i beside the unit rows
+    U = np.zeros((n, m, n), dtype=dtype)
+    U[range(n), :, range(n)] = 1
+    U[range(n - 1), :s, range(1, n)] = [F.neg(g) for g in S.elements]
+    keep = np.ones(n * m, dtype=bool)
+    keep[(n - 1) * m:(n - 1) * m + s] = False  # row n-1 has no geometric member
+    U, W = U.reshape(n * m, n)[keep], np.concatenate(blocks)[keep]
+    if left is not None:
+        U = by(left)(U)  # the rows (B^t u)^t = u^t B
+    return FqMatrix.outers(F, U, W), S
 
 
 # --- power-family dual bases -----------------------------------------------------
@@ -274,13 +292,9 @@ def base_dual_powers_rect(spec: CompanionSpec, n: int, s: int,
 def base_left_factor(spec: CompanionSpec, s: int, B: FqMatrix,
                      S: GammaSet | None = None) -> ConstructionResult:
     """(m^2-s)-base for the dual of the span of B^{-1}M^r, r < s."""
-    members, S = _power_members(spec, spec.m, s, S)
     m = spec.m
-    if B.shape != (m, m) or B.field != spec.field or not B.is_invertible():
-        raise Singular("B must be an invertible m x m matrix")
-    Bt = B.transpose()
-    cand = BaseCandidate(tuple(Bt @ A for A in members),
-                         _power_target(spec, s, B.inverse()))
+    members, S = _power_members(spec, m, s, S, B)
+    cand = BaseCandidate(members, _power_target(spec, s, B.inverse()))
     return _finish(cand, "left-factor",
                    {"m": m, "s": s, "bottom": list(spec.bottom),
                     "gammas": list(S.elements), "B": [list(r) for r in B.rows]},

@@ -4,7 +4,8 @@ Matrices store entries by canonical integer encoding; all arithmetic is exact
 (no pivot-magnitude concerns can exist).  Entries and scalars given to a
 matrix are encoded by `Field.encode`, the package's one coercion rule, with
 plain ints reduced inline.  Every rank-one matrix u v^t of the package is
-built by `FqMatrix.outer` from its two factors.  Matrix spaces always keep a
+built from its two factors by `FqMatrix.outer`, or for a batch of factor
+arrays by its batch form `FqMatrix.outers`.  Matrix spaces always keep a
 canonical RREF-reduced basis of their vectorized members, so equality of
 spaces is equality of canonical bases.
 
@@ -26,7 +27,9 @@ at `_NUMPY_MIN_WIDTH`: numpy for prime-field rows at least 20 wide whose
 int64 sums cannot overflow (`_int64_safe`, the package's one int64 rule),
 where a batch is one recursive elimination with its work in products
 (`_eliminate`), and Python lists updated by `Field.sub_scaled` for all other
-rows, extension fields' at every width.
+rows, extension fields' at every width.  Those products are the int64
+form's `residue`, which `gf` forms in float64, on BLAS, where that is exact
+(`_float64_exact`, beside `_int64_safe`) and in int64 beyond.
 
 Every minimum distance is one scan, `_min_distance`: rmcode's
 `min_rank_distance` and `min_hamming_distance` (behind certificate
@@ -128,6 +131,18 @@ class FqMatrix:
         zero = (0,) * len(v)
         return cls._of(field, tuple(tuple(field.scale(a, v)) if a else zero
                                     for a in u))
+
+    @classmethod
+    def outers(cls, field, U, V):
+        """`outer` of each pair of rows of U and V, arrays of encodings of the
+        field's int64 form (of Python ints where int64 would overflow), from
+        one `scaled` broadcast of their nonzero rows; all zero rows are one
+        shared tuple."""
+        zero = (0,) * V.shape[1]
+        member, i = np.nonzero(U)
+        rows = map(tuple, field._int64.scaled(U[member, i, None], V[member]).tolist())
+        return tuple(cls._of(field, tuple([next(rows) if a else zero for a in u]))
+                     for u in U.tolist())
 
     @classmethod
     def from_vector(cls, field, vec, n, m):

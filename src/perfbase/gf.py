@@ -19,14 +19,18 @@ plain ints mod p, with `_poly_mulmod` as the one polynomial multiply; the
 walk takes g e for every e from one numpy array product.  Tables take O(q)
 memory, so extension fields stop at 2^16 elements: F_{2^16} takes
 0.10-0.17 s on an Intel Xeon (0.06 s of it the irreducible search, which
-doubles in time with each degree over F_2) and 14.5 MB of tables, and a
-larger field is refused before any search.
+doubles in time with each degree over F_2) and 10.5 MB of tables (by
+tracemalloc; the lists share their ints), and a larger field is refused
+before any search.
 
 This module is the one home of the tables and of their int64 array form,
 `_Int64Field`, built once per Field with its tables as `Field._int64` (its
 read-only `inverses` lazily, on first use): the arithmetic of `exactla`'s
-numpy `Echelon`, its batched distance scan, `verify_base`'s rank-one batch
-and the oracle's residue tables.  No other module reads the tables.
+numpy `Echelon`, its batched distance scan, `verify_base`'s rank-one batch,
+the oracle's residue tables and `construct`'s power-family members.  No
+other module reads the tables, and no other module forms float64 arrays:
+`_Int64Field.residue` forms its F_p product in float64, on BLAS, when
+`_float64_exact` says the result is exact.
 
 `Field.encode` is the package's one rule for turning a scalar into an
 encoding, and every entry point that takes a scalar goes through it.
@@ -283,17 +287,21 @@ class Field:
         for _ in range(order):
             walk.append(x)
             x = successor[x]
+        self._antilog = walk + walk + [0] * (2 * order + 1)
         walk = np.array(walk, dtype=np.int64)
         log = np.full(q, 2 * order, dtype=np.int64)
         log[walk] = np.arange(order)
         # 1 + x adds 1 to the constant coefficient, the lowest base-p digit
-        zech = log[np.where(walk % p == p - 1, walk + 1 - p, walk + 1)]
+        one_plus = np.where(walk % p == p - 1, walk + 1 - p, walk + 1)
+        zech = log[one_plus]
         antilog = np.concatenate((walk, walk, np.zeros(2 * order + 1, dtype=np.int64)))
         # log(-a) = log(a) + log(-1) for a != 0, and -1 encodes as p - 1
         lneg = np.where(log < order, (log + log[p - 1]) % order, log)
         for table in (log, antilog, zech, lneg):  # shared by every caller
             table.flags.writeable = False
-        self._log, self._antilog, self._zech = log.tolist(), antilog.tolist(), zech.tolist()
+        # the lists share their ints: antilog's are the walk's, zech's are log's
+        self._log = log.tolist()
+        self._zech = list(map(self._log.__getitem__, one_plus.tolist()))
         return _Int64Field(self, log, antilog, zech, lneg)
 
 
@@ -302,6 +310,16 @@ def _int64_safe(field, terms) -> bool:
     numpy backend checks its longest sum with this.  Gathers over F_{p^k} form
     no such sum, and p < 2^8 there passes for any array that fits in memory."""
     return (field.p - 1) ** 2 * terms < 1 << 63
+
+
+def _float64_exact(field, terms) -> bool:
+    """Whether a product with sums of `terms` products of two entries below p
+    is exact in float64, which `_Int64Field.residue` then uses (BLAS): every
+    partial sum is a non-negative integer at most (p-1)^2 * terms, and float64
+    holds each integer below 2^53 exactly, so no sum rounds, in any summation
+    order and with or without FMA (Dumas, Gautier and Pernet, "Finite field
+    linear algebra subroutines", ISSAC 2002)."""
+    return (field.p - 1) ** 2 * terms < 1 << 53
 
 
 class _Int64Field:
@@ -339,9 +357,14 @@ class _Int64Field:
 
     def residue(self, T, C, R):
         """T - C R, the residue of T modulo fully reduced rows R when C holds
-        T's entries at their pivots: a product over F_p, a fold over F_{p^k}."""
+        T's entries at their pivots: a product over F_p, in float64 within
+        `_float64_exact` and in int64 beyond it, and a fold over F_{p^k}."""
         if self.field.deg == 1:
-            return (T - C @ R) % self.q
+            if _float64_exact(self.field, R.shape[-2]):
+                P = (C.astype(np.float64) @ R.astype(np.float64)).astype(np.int64)
+            else:
+                P = C @ R
+            return (T - P) % self.q
         for j, row in enumerate(R):
             T = self.sub_scaled(T, C[..., j, None], row)
         return T

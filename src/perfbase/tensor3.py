@@ -231,17 +231,19 @@ def rank_one_matrices(field: Field, n: int, m: int):
 ORACLE_MAX_ENTRIES = 1 << 20
 
 
-def exhaustive_trk(V: MatrixSpace, limit: int = DEFAULT_GUARD):
+def exhaustive_trk(V: MatrixSpace, limit: int = DEFAULT_GUARD, start: int | None = None):
     """Exact tensor rank of V with a lexicographically least witness.
 
-    Searches subsets of the canonical rank-one list by size, from
-    `rank_lower_bound(V)` on; each pick grows the chosen span, and a branch
-    whose span with V exceeds the subset size is cut.  Raises GuardExceeded, with
-    `progress = {"phase", "R", "tests_used"}`, once more than `limit`
-    subset-membership tests would run, and ParametersOutOfRange before any
-    enumeration when the candidate list would exceed ORACLE_MAX_ENTRIES.
+    Searches subsets of the canonical rank-one list by size, from `start`
+    on, which must be a lower bound such as a caller's value of
+    `rank_lower_bound(V)` (computed when not given); each pick grows the
+    chosen span, and a branch whose span with V exceeds the subset size is
+    cut.  Raises GuardExceeded, with `progress = {"phase", "R",
+    "tests_used"}`, once more than `limit` subset-membership tests would
+    run, and ParametersOutOfRange before any enumeration when the candidate
+    list would exceed ORACLE_MAX_ENTRIES.
     """
-    for R, witness, _ in _rank_levels(V, limit):
+    for R, witness, _ in _rank_levels(V, limit, start):
         if witness is not None:
             n, m = V.shape
             mats = [FqMatrix.from_vector(V.field, vec, n, m) for vec in witness]
@@ -249,8 +251,9 @@ def exhaustive_trk(V: MatrixSpace, limit: int = DEFAULT_GUARD):
     raise AssertionError("the full unit basis always succeeds")  # unreachable
 
 
-def _rank_levels(V: MatrixSpace, limit: int):
-    """Yield (R, witness vectors or None, tests) from R = rank_lower_bound(V).
+def _rank_levels(V: MatrixSpace, limit: int, start: int | None = None):
+    """Yield (R, witness vectors or None, tests) from R = `start`, a lower
+    bound on the tensor rank, or `rank_lower_bound(V)` when not given.
 
     The first level with a witness is the tensor rank; the generator stops
     there.  `limit` bounds the tests of all levels together.
@@ -278,7 +281,9 @@ def _rank_levels(V: MatrixSpace, limit: int):
     A = tables.candidates(n, m)
     Q = tables.quotient(A, V, [j for j in range(width) if j not in V._pivots])
     budget = [limit]
-    for R in range(rank_lower_bound(V)[0], width + 1):
+    if start is None:
+        start = rank_lower_bound(V)[0]
+    for R in range(start, width + 1):
         before = budget[0]
         found = _search_subsets(tables, A, Q, k, R, budget, limit)
         witness = None if found is None else [tuple(map(int, A[i])) for i in found]

@@ -518,6 +518,26 @@ def test_verify_proves_tensor_rank_by_the_oracle(tmp_path, capsys):
     assert rc == 0
 
 
+def test_verify_computes_the_lower_bound_once_when_the_oracle_reruns(
+        tmp_path, capsys, monkeypatch):
+    # the oracle starts at the bound `_rank_checks` already has, so the
+    # distance scan and the diagonal test run once per verify
+    cert = _oracle_certificate(tmp_path, capsys, 2,
+                               [EYE3, [[0, 1, 0], [0, 0, 1], [1, 1, 0]]])
+    calls, bound = [], tensor3.rank_lower_bound
+
+    def counted(*args):
+        calls.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(cli, "rank_lower_bound", counted)
+    monkeypatch.setattr(tensor3, "rank_lower_bound", counted)
+    rc, line = _verify(tmp_path, capsys, cert)
+    assert rc == 0 and line["rank_checks"] == {
+        "upper_ok": True, "lower": 5, "lower_by": "oracle"}
+    assert len(calls) == 1
+
+
 def test_verify_proves_tensor_rank_by_the_diagonal_bound(tmp_path, capsys, monkeypatch):
     # <I, C(x^3)> over F_3: Kruskal bound 3, tensor rank 4.  C is nilpotent,
     # not diagonalizable, so the diagonal bound proves 4 without the oracle

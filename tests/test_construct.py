@@ -305,6 +305,71 @@ def test_base_left_factor():
     assert res.candidate.size == 14 and res.report.passed
 
 
+def reference_power_members(spec, nrows, s, S, B=None):
+    """The dual-power members one `outer` at a time: per shift i, e_i - g
+    e_{i+1} against the geometric row times (M^{-i})^t, then e_i against the
+    rows s.. of (M^{-i})^t; with B, each member is B^t times it."""
+    F, m = spec.field, spec.m
+    Minv_t = companion_inverse(spec).transpose()
+    T = FqMatrix.identity(F, m)
+    geos = [FqMatrix(F, [[F.pow(g, m - 1 - j) for j in range(m)]]) for g in S.elements]
+    members = []
+    for i in range(nrows):
+        e_i = [0] * nrows
+        e_i[i] = 1
+        if i <= nrows - 2:
+            for g, geo in zip(S.elements, geos):
+                u = list(e_i)
+                u[i + 1] = F.neg(g)
+                members.append(FqMatrix.outer(F, u, (geo @ T).rows[0]))
+        members += [FqMatrix.outer(F, e_i, row) for row in T.rows[s:]]
+        T = Minv_t @ T
+    if B is not None:
+        members = [B.transpose() @ A for A in members]
+    return tuple(members)
+
+
+@pytest.mark.parametrize("p,k", [(13, 1), (2, 2), (3, 2), (5, 2)],
+                         ids=["F13", "F4", "F9", "F25"])
+def test_power_members_equal_the_one_outer_at_a_time_reference(p, k):
+    F = field_make(p, k)
+    q = F.q
+    rng = random.Random(q)
+    for m in (3, 4, 5, 7):
+        spec = CompanionSpec(F, m, (rng.randrange(1, q),)
+                             + tuple(rng.randrange(q) for _ in range(m - 1)))
+        while True:
+            B = FqMatrix(F, [[rng.randrange(q) for _ in range(m)] for _ in range(m)])
+            if B.is_invertible():
+                break
+        for s in range(1, min(m - 1, q - 1) + 1):
+            gammas = [1] + rng.sample(range(2, q), s - 1)
+            for S in (GammaSet.canonical(F, s), GammaSet(F, tuple(gammas))):
+                square = reference_power_members(spec, m, s, S)
+                assert base_dual_powers(spec, s, S).candidate.matrices == square
+                assert base_left_factor(spec, s, B, S).candidate.matrices \
+                    == reference_power_members(spec, m, s, S, B)
+                for n in range(2, m):  # truncated
+                    assert base_dual_powers_rect(spec, n, s, S).candidate.matrices \
+                        == reference_power_members(spec, n, s, S)
+
+
+@pytest.mark.parametrize("p", [10 ** 9 + 7, (1 << 61) - 1])
+def test_power_members_over_primes_beyond_int64_products(p):
+    # (p - 1)^2 overflows int64 here, so the members are built from arrays
+    # of Python ints
+    F = field_make(p)
+    spec = spec_of(F, 3, p - 1, 5, 1 << 29)
+    S = GammaSet(F, (1, p - 2))
+    B = FqMatrix(F, [[1, 2, 0, 0], [0, 1, 0, p - 5], [0, 0, 1, 0], [7, 0, 0, 1]])
+    assert base_dual_powers(spec, 2, S).candidate.matrices \
+        == reference_power_members(spec, 4, 2, S)
+    assert base_dual_powers_rect(spec, 3, 2, S).candidate.matrices \
+        == reference_power_members(spec, 3, 2, S)
+    assert base_left_factor(spec, 2, B, S).candidate.matrices \
+        == reference_power_members(spec, 4, 2, S, B)
+
+
 # --- inverse-power family ----------------------------------------------------------
 
 

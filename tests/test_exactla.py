@@ -67,6 +67,25 @@ def test_outer_is_the_product_of_its_factors(p, k):
         assert len(zero_rows) <= 1  # one shared tuple
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (13, 1), (3, 2), (5, 4), ((1 << 61) - 1, 1)],
+                         ids=["F2", "F13", "F9", "F625", "F2^61-1"])
+def test_outers_is_outer_of_each_pair_of_rows(p, k):
+    # one array broadcast, of Python ints where int64 products overflow;
+    # every zero row of the batch is one shared tuple
+    F = field_make(p, k)
+    dtype = np.int64 if gf._int64_safe(F, 1) else object
+    rng = random.Random(p)
+    n, m = rng.randint(1, 5), rng.randint(1, 5)
+    U = [[rng.choice((0, rng.randrange(F.q))) for _ in range(n)] for _ in range(30)]
+    V = [[rng.choice((0, rng.randrange(F.q))) for _ in range(m)] for _ in range(30)]
+    U[0] = [0] * n
+    got = FqMatrix.outers(F, np.array(U, dtype=dtype), np.array(V, dtype=dtype))
+    assert got == tuple(FqMatrix.outer(F, u, v) for u, v in zip(U, V))
+    assert all(type(x) is int for A in got for row in A.rows for x in row)
+    zero_rows = {id(row) for u, A in zip(U, got) for a, row in zip(u, A.rows) if not a}
+    assert len(zero_rows) == 1
+
+
 def test_outer_encodes_its_factors():
     F9 = field_make(3, 2)
     assert FqMatrix.outer(F5, [6, -1], [7, np.int64(10)]).rows == ((2, 0), (3, 0))
@@ -629,6 +648,40 @@ def test_int64_kernel_matches_the_field_on_sampled_large_fields(p, k):
     b = [rng.randrange(F.q) for _ in range(2000)] + [F.q - 1, 0, 1]
     cs = [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(5)]
     _kernel_matches_the_field(F, a, b, cs, rng)
+
+
+def _primes_at_the_float64_bound(terms):
+    """The largest prime p with (p-1)^2 * terms < 2^53, and the next prime."""
+    p = math.isqrt(((1 << 53) - 1) // terms) + 1
+    while not gf._is_prime(p):
+        p -= 1
+    above = p + 1
+    while not gf._is_prime(above):
+        above += 1
+    return p, above
+
+
+@pytest.mark.parametrize("terms", [1, 20, 64, 511])
+def test_residue_is_exact_on_both_sides_of_the_float64_bound(terms, monkeypatch):
+    # entries of p - 1 make the largest sums the bound admits: the largest
+    # prime inside it forms the product in float64, the next one in int64,
+    # and inside the bound the int64 product gives the same residue
+    inside, outside = _primes_at_the_float64_bound(terms)
+    rng = random.Random(terms)
+    bound = gf._float64_exact
+    for p, floats in ((inside, True), (outside, False)):
+        F = field_make(p)
+        assert bound(F, terms) == floats and gf._int64_safe(F, terms)
+        T = [[rng.randrange(p) for _ in range(5)] for _ in range(3)]
+        C = [[p - 1] * terms, [rng.randrange(p) for _ in range(terms)], [1] * terms]
+        R = [[p - 1] * 4 + [rng.randrange(p)] for _ in range(terms)]
+        want = [[(t - sum(c[k] * R[k][j] for k in range(terms))) % p
+                 for j, t in enumerate(row)] for row, c in zip(T, C)]
+        for forced in ((None, False) if floats else (None,)):
+            monkeypatch.setattr(gf, "_float64_exact", bound if forced is None
+                                else lambda field, n: forced)
+            got = F._int64.residue(np.array(T), np.array(C), np.array(R))
+            assert got.dtype == np.int64 and got.tolist() == want, (p, forced)
 
 
 def test_scans_use_the_int64_form_the_field_built_once(monkeypatch):

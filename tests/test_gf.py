@@ -467,6 +467,20 @@ def test_tables_match_a_walk_with_the_reference_multiply(p, deg):
     assert (F._log, F._antilog, F._zech) == reference_tables(F)
 
 
+@pytest.mark.parametrize("p,deg", [(2, 2), (3, 2), (7, 4), (2, 16)])
+def test_table_lists_equal_their_arrays_and_share_their_ints(p, deg):
+    # the scalar methods' lists hold the int64 form's values; antilog's
+    # nonzero ints are the walk's, repeated, and zech's are log's
+    F = Field(p, deg)
+    form, order = F._int64, F.q - 1
+    assert F._log == form.log.tolist()
+    assert F._antilog == form.antilog.tolist()
+    assert F._zech == form.zech.tolist()
+    assert all(F._antilog[i] is F._antilog[i + order] for i in range(order))
+    assert all(z is F._log[F._antilog[i] + 1 - (F._antilog[i] % p == p - 1) * p]
+               for i, z in enumerate(F._zech))
+
+
 def test_fields_are_built_on_plain_ints(monkeypatch):
     class Used(Exception):
         pass

@@ -297,6 +297,48 @@ def test_int64_form_check_sees_every_naming():
     assert int64_form_names((SRC / "gf.py").read_text()) != []
 
 
+def _names_float(node) -> bool:
+    """Whether a dtype argument names float64: float, np.float64 or its strings."""
+    return ((isinstance(node, ast.Name) and node.id in ("float", "float64"))
+            or (isinstance(node, ast.Attribute) and node.attr in ("float64", "double"))
+            or (isinstance(node, ast.Constant)
+                and node.value in ("float", "float64", "f8", "<f8", "double")))
+
+
+def float64_forms(source: str):
+    """Lines that form a float64 array: np.float64 anywhere, or float64 as a
+    `dtype=` keyword or as the argument of `astype`."""
+    lines = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute) and n.attr in ("float64", "double"):
+            lines.add(n.lineno)
+        elif isinstance(n, ast.keyword) and n.arg == "dtype" and _names_float(n.value):
+            lines.add(n.value.lineno)
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and n.func.attr == "astype" and n.args and _names_float(n.args[0])):
+            lines.add(n.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf.py"],
+                         ids=lambda p: p.name)
+def test_only_gf_forms_float64_arrays(path):
+    # float64 products are exact only within `gf._float64_exact`, which the
+    # int64 form checks before it forms one
+    assert float64_forms(path.read_text()) == []
+
+
+def test_float64_check_sees_every_form():
+    source = ("P = C.astype(np.float64)\n"
+              "P = np.zeros(3, dtype=float)\n"
+              "P = C.astype('f8')\n"
+              "P = np.array(rows, dtype=np.double)\n"
+              "bound = float('inf')\n"
+              "P = C.astype(np.int64)\n")
+    assert float64_forms(source) == [1, 2, 3, 4]
+    assert float64_forms((SRC / "gf.py").read_text()) != []
+
+
 def imported_modules(source: str):
     """Top-level names of the modules a source imports from."""
     mods = set()
