@@ -6,10 +6,10 @@ bases (diagonalizable part plus one or two companion-difference corrections),
 the singular-companion glue, and the square-plus-one-column pencil base.
 Every rank-one member is built from its two factors, u v^t by
 `FqMatrix.outer`: a spectral projector, a geometric epsilon member, a unit
-matrix or a three-term sign member.  The power-family members, the largest
-bases, are built as arrays of the field's int64 form `Field._int64` and
-wrapped by one `FqMatrix.outers`.  The corrections that complete a base
-are differences of powers, Y (M^e - M_h^e).
+matrix or a three-term sign member.  The power-family bases, the largest,
+stay in arrays of the field's int64 form `Field._int64` from their target's
+slices to the member array A = u (x) v that `verify_base` checks.  The
+corrections that complete a base are differences of powers, Y (M^e - M_h^e).
 
 Every public constructor verifies its own output once (rank one,
 independent, contains the target) before returning; a failure raises
@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedCofactorDegree,
     ZeroGamma,
 )
-from .exactla import FqMatrix, MatrixSpace, _combine, _nullspace
+from .exactla import FqMatrix, MatrixSpace, _combine, _dual, _nullspace
 from .gf import Field, FieldElement, FqPolynomial, _int64_safe, poly_roots
 from .tensor3 import BaseCandidate, VerificationReport, verify_base
 
@@ -139,6 +139,7 @@ def _finish(candidate, construction, params, auxiliary) -> ConstructionResult:
     if not report.passed:
         raise InternalVerificationError(
             f"{construction} failed self-verification: {report.to_dict()}")
+    vars(candidate).pop("_array", None)  # results are kept; a builder's array is not
     return ConstructionResult(candidate, construction, dict(params),
                               dict(auxiliary), report)
 
@@ -149,11 +150,8 @@ def _finish(candidate, construction, params, auxiliary) -> ConstructionResult:
 def companion(spec: CompanionSpec) -> FqMatrix:
     """Identity superdiagonal block over the bottom row (a_1, ..., a_m)."""
     m = spec.m
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m - 1):
-        rows[i][i + 1] = 1
-    rows[m - 1] = list(spec.bottom)
-    return FqMatrix(spec.field, rows)
+    return FqMatrix._of(spec.field, tuple(tuple([int(j == i + 1) for j in range(m)])
+                                          for i in range(m - 1)) + (spec.bottom,))
 
 
 def companion_inverse(spec: CompanionSpec) -> FqMatrix:
@@ -163,11 +161,9 @@ def companion_inverse(spec: CompanionSpec) -> FqMatrix:
     F = spec.field
     m = spec.m
     inv = F.inv(spec.bottom[0])
-    first = [F.neg(F.mul(a, inv)) for a in spec.bottom[1:]] + [inv]
-    rows = [first]
-    for i in range(1, m):
-        rows.append([1 if j == i - 1 else 0 for j in range(m)])
-    return FqMatrix(F, rows)
+    first = tuple([F.neg(F.mul(a, inv)) for a in spec.bottom[1:]] + [inv])
+    return FqMatrix._of(F, (first,) + tuple(tuple([int(j == i - 1) for j in range(m)])
+                                            for i in range(1, m)))
 
 
 def shift_J(field: Field, m: int) -> FqMatrix:
@@ -201,15 +197,23 @@ def y_matrix(field: Field, n: int, m: int) -> FqMatrix:
                             for i in range(n)])
 
 
-def _power_target(spec: CompanionSpec, s: int, left=None) -> MatrixSpace:
-    """Dual of the span of left M^r for r < s; left defaults to the identity."""
-    M = companion(spec)
-    cur = FqMatrix.identity(spec.field, spec.m) if left is None else left
-    slices = []
-    for _ in range(s):
-        slices.append(cur)
-        cur = cur @ M
-    return MatrixSpace(spec.field, cur.shape, slices).dual_complement()
+def _times(B: FqMatrix, dtype):
+    """X -> X B on arrays of `dtype`: the residue of zero modulo -B = (p - 1) B."""
+    arith = B.field._int64
+    neg = arith.scaled(B.field.p - 1, np.array(B.rows, dtype=dtype))
+    return lambda X: arith.residue(np.zeros_like(X), X, neg)
+
+
+def _power_target(spec: CompanionSpec, s: int, left: FqMatrix | None = None) -> MatrixSpace:
+    """Dual of the span of left M^r for r < s; left defaults to the identity.
+    The s slices are one array chain, and `_dual` eliminates them once."""
+    F, m = spec.field, spec.m
+    dtype = np.int64 if _int64_safe(F, m) else object
+    X = np.eye(m, dtype=dtype) if left is None else np.array(left.rows, dtype=dtype)
+    step, slices = _times(companion(spec), dtype), [X]
+    for _ in range(s - 1):
+        slices.append(X := step(X))
+    return _dual(F, X.shape, np.reshape(slices, (s, -1))[:, ::-1])
 
 
 def _power_members(spec: CompanionSpec, nrows: int, s: int,
@@ -218,12 +222,12 @@ def _power_members(spec: CompanionSpec, nrows: int, s: int,
 
     Per shift index i: the geometric members first (in S order, while
     i <= nrows-2), then the single-entry members for columns s+1..m (while
-    i <= nrows-1).  Rows beyond `nrows` are never touched, so the list is
-    built at the truncated shape directly.  Member u v^t takes v from
+    i <= nrows-1).  Rows beyond `nrows` are never touched, so the members
+    are built at the truncated shape directly.  Member u v^t takes v from
     V_i = H (M^{-i})^t, where H stacks the geometric rows over the unit rows
     e_{s+1}..e_m, so V_{i+1} = V_i (M^{-1})^t is one array product; all u v^t
-    are one `FqMatrix.outers`, and with `left` = B they are B^t u v^t.
-    Returns (members, S), S defaulting to the canonical gamma set.
+    are one `scaled` broadcast, and with `left` = B they are B^t u v^t.
+    Returns (A, S): the members as one array, and the gamma set, by default canonical.
     """
     if not spec.invertible:
         raise SingularM("a_1 = 0: use the singular-companion constructor")
@@ -239,17 +243,12 @@ def _power_members(spec: CompanionSpec, nrows: int, s: int,
     if left is not None and (left.shape != (m, m) or left.field != F
                              or not left.is_invertible()):
         raise Singular("B must be an invertible m x m matrix")
-    arith = F._int64
     dtype = np.int64 if _int64_safe(F, m) else object
-
-    def by(B):  # X -> X B: the residue of zero modulo the rows of -B
-        neg = np.array((-B).rows, dtype=dtype)
-        return lambda X: arith.residue(np.zeros_like(X), X, neg)
-
-    geo = [[F.pow(g, m - 1 - j) for j in range(m)] for g in S.elements]
+    geo = [list(itertools.accumulate([g] * (m - 1), F.mul, initial=1))[::-1]
+           for g in S.elements]
     V = np.array(geo + [[int(j == k) for j in range(m)] for k in range(s, m)],
                  dtype=dtype)
-    step = by(companion_inverse(spec).transpose())
+    step = _times(companion_inverse(spec).transpose(), dtype)
     blocks = [V]
     for _ in range(n - 1):
         blocks.append(V := step(V))
@@ -261,8 +260,8 @@ def _power_members(spec: CompanionSpec, nrows: int, s: int,
     keep[(n - 1) * m:(n - 1) * m + s] = False  # row n-1 has no geometric member
     U, W = U.reshape(n * m, n)[keep], np.concatenate(blocks)[keep]
     if left is not None:
-        U = by(left)(U)  # the rows (B^t u)^t = u^t B
-    return FqMatrix.outers(F, U, W), S
+        U = _times(left, dtype)(U)  # the rows (B^t u)^t = u^t B
+    return F._int64.scaled(U[:, :, None], W[:, None, :]), S
 
 
 # --- power-family dual bases -----------------------------------------------------
@@ -271,8 +270,8 @@ def _power_members(spec: CompanionSpec, nrows: int, s: int,
 def base_dual_powers(spec: CompanionSpec, s: int,
                      S: GammaSet | None = None) -> ConstructionResult:
     """(m^2-s)-base for the dual of the span of I, M, ..., M^{s-1}."""
-    members, S = _power_members(spec, spec.m, s, S)
-    return _finish(BaseCandidate(members, _power_target(spec, s)), "dual-powers",
+    A, S = _power_members(spec, spec.m, s, S)
+    return _finish(BaseCandidate._from_array(A, _power_target(spec, s)), "dual-powers",
                    {"m": spec.m, "s": s, "bottom": list(spec.bottom),
                     "gammas": list(S.elements)}, {})
 
@@ -282,9 +281,9 @@ def base_dual_powers_rect(spec: CompanionSpec, n: int, s: int,
     """(nm-s)-base for the dual of the truncated power span in K^{n x m}."""
     if not 2 <= n <= spec.m:
         raise ParametersOutOfRange("need 2 <= n <= m")
-    members, S = _power_members(spec, n, s, S)
+    A, S = _power_members(spec, n, s, S)
     target = _power_target(spec, s, y_matrix(spec.field, n, spec.m))
-    return _finish(BaseCandidate(members, target), "dual-powers-rect",
+    return _finish(BaseCandidate._from_array(A, target), "dual-powers-rect",
                    {"m": spec.m, "n": n, "s": s, "bottom": list(spec.bottom),
                     "gammas": list(S.elements)}, {})
 
@@ -293,8 +292,8 @@ def base_left_factor(spec: CompanionSpec, s: int, B: FqMatrix,
                      S: GammaSet | None = None) -> ConstructionResult:
     """(m^2-s)-base for the dual of the span of B^{-1}M^r, r < s."""
     m = spec.m
-    members, S = _power_members(spec, m, s, S, B)
-    cand = BaseCandidate(members, _power_target(spec, s, B.inverse()))
+    A, S = _power_members(spec, m, s, S, B)
+    cand = BaseCandidate._from_array(A, _power_target(spec, s, B.inverse()))
     return _finish(cand, "left-factor",
                    {"m": m, "s": s, "bottom": list(spec.bottom),
                     "gammas": list(S.elements), "B": [list(r) for r in B.rows]},
@@ -474,22 +473,15 @@ def _block_split(spec: CompanionSpec, alpha_encs, g: FqPolynomial, nrows: int):
 
 def _identity_block_diag(F, head: int, B: FqMatrix) -> FqMatrix:
     """Block diagonal of I_head and B; head may be zero."""
-    if head == 0:
-        return B
     n = head + B.n
-    rows = [[1 if j == i else 0 for j in range(n)] for i in range(head)]
-    for i in range(B.n):
-        rows.append([0] * head + list(B.rows[i]))
-    return FqMatrix(F, rows)
+    return FqMatrix(F, [[int(j == i) for j in range(n)] for i in range(head)]
+                    + [(0,) * head + row for row in B.rows])
 
 
 def _embed_bottom_right(F, m, B: FqMatrix) -> FqMatrix:
-    rows = [[0] * m for _ in range(m)]
+    """The square B in the bottom-right corner of an m x m zero matrix."""
     off = m - B.n
-    for i in range(B.n):
-        for j in range(B.m):
-            rows[off + i][off + j] = B.rows[i][j]
-    return FqMatrix(F, rows)
+    return FqMatrix(F, [(0,) * m] * off + [(0,) * off + row for row in B.rows])
 
 
 # --- rectangular small-n family ----------------------------------------------------
@@ -586,7 +578,7 @@ def _singular_members(spec: CompanionSpec, s: int):
 
     if i == 1:
         if 1 <= s <= m - 1:
-            return _power_members(spec, m, s)[0], "invertible"
+            return FqMatrix._from_array(F, _power_members(spec, m, s)[0]), "invertible"
         if m == 2 and s == 2:
             return _quadratic_pair(F, spec.bottom[0], spec.bottom[1]), "quadratic"
         raise CaseNotCovered("invertible companion with s out of range")
@@ -600,7 +592,8 @@ def _singular_members(spec: CompanionSpec, s: int):
 
     if 2 <= i <= m - 1 and 1 <= s <= m - i:
         tail = CompanionSpec(F, m - i + 1, spec.bottom[i - 1:])
-        return _glue(spec, s, i, _power_members(tail, tail.m, s)[0]), "glued"
+        tail_members = FqMatrix._from_array(F, _power_members(tail, tail.m, s)[0])
+        return _glue(spec, s, i, tail_members), "glued"
 
     if i == m - 1 and s == 2:
         pair = _quadratic_pair(F, spec.bottom[m - 2], spec.bottom[m - 1])
@@ -620,7 +613,8 @@ def _shift_dual_members(F, m, nrows, s):
 
     With nrows = m and s = 1 they are a base of the trace-zero space.
     """
-    return _power_members(CompanionSpec(F, m, (1,) + (0,) * (m - 1)), nrows, s)[0]
+    A, _ = _power_members(CompanionSpec(F, m, (1,) + (0,) * (m - 1)), nrows, s)
+    return FqMatrix._from_array(F, A)
 
 
 def _quadratic_pair(F, a1, a2):
@@ -642,26 +636,14 @@ def _singular_pair(F, a2):
 
 
 def _glue(spec, s, i, tail_members):
-    """Stack a shift-dual base over an embedded trailing-block base."""
-    F = spec.field
-    m = spec.m
-    members = []
-    seen = set()
-    for A in _shift_dual_members(F, m, i, s):
-        padded = FqMatrix(F, list(A.rows) + [[0] * m for _ in range(m - i)])
-        members.append(padded)
-        seen.add(padded.rows)
-    for A in tail_members:  # square, of size m - i + 1
-        emb = _embed_bottom_right(F, m, A)
-        if emb.rows not in seen:
-            members.append(emb)
-            seen.add(emb.rows)
-    for k in range(i + 1, m + 1):
-        for j in range(1, i):
-            single = FqMatrix.unit(F, m, m, k - 1, j - 1)
-            if single.rows not in seen:
-                members.append(single)
-                seen.add(single.rows)
+    """Stack a shift-dual base over an embedded trailing-block base and the
+    units below row i left of column i, each member once, in that order."""
+    F, m = spec.field, spec.m
+    padded = [FqMatrix(F, A.rows + ((0,) * m,) * (m - i))
+              for A in _shift_dual_members(F, m, i, s)]
+    embedded = [_embed_bottom_right(F, m, A) for A in tail_members]  # of size m - i + 1
+    units = [FqMatrix.unit(F, m, m, k, j) for k in range(i, m) for j in range(i - 1)]
+    members = list(dict.fromkeys(padded + embedded + units))
     if len(members) != m * m - s:
         raise InternalVerificationError(
             f"glued base has {len(members)} members, expected {m * m - s}")

@@ -4,10 +4,10 @@ Matrices store entries by canonical integer encoding; all arithmetic is exact
 (no pivot-magnitude concerns can exist).  Entries and scalars given to a
 matrix are encoded by `Field.encode`, the package's one coercion rule, with
 plain ints reduced inline.  Every rank-one matrix u v^t of the package is
-built from its two factors by `FqMatrix.outer`, or for a batch of factor
-arrays by its batch form `FqMatrix.outers`.  Matrix spaces always keep a
-canonical RREF-reduced basis of their vectorized members, so equality of
-spaces is equality of canonical bases.
+built from its two factors by `FqMatrix.outer`, or as one array and wrapped
+by `FqMatrix._from_array`.  Matrix spaces always keep a canonical
+RREF-reduced basis of their vectorized members, so equality of spaces is
+equality of canonical bases.
 
 All row reduction goes through one kernel, the incremental `Echelon`
 (`insert`, `extend`, `reduce`, `contains`, `coords`, `rank`): `FqMatrix.rref`,
@@ -18,8 +18,9 @@ fully reduced, so the rows sorted by pivot are the unique RREF, and the
 flags of `extend` are the row rank profile, whatever the order of
 elimination.  A `MatrixSpace` holds only its canonical rows, and each
 residue, membership or coordinate query reduces them again in a new
-`Echelon`.  `dual_complement`, `intersect` and `sum_with` wrap the canonical
-rows they derive (`MatrixSpace._of`) and never eliminate them again;
+`Echelon`.  `dual_complement` (`_dual`, one array of null vectors),
+`intersect` and `sum_with` wrap the canonical rows they derive with their
+pivots (`MatrixSpace._of`), never eliminating them again;
 `tensor3.verify_base` extends one echelon by all its members, on numpy as
 one array, and compares a span of the target's dimension with the target's
 rows.  The backend is chosen from the input alone, by the rule stated once,
@@ -133,16 +134,15 @@ class FqMatrix:
                                     for a in u))
 
     @classmethod
-    def outers(cls, field, U, V):
-        """`outer` of each pair of rows of U and V, arrays of encodings of the
-        field's int64 form (of Python ints where int64 would overflow), from
-        one `scaled` broadcast of their nonzero rows; all zero rows are one
+    def _from_array(cls, field, A):
+        """The matrices of an array (count, n, m) of encodings, as int64 or as
+        Python ints: the entries are Python ints, and all zero rows are one
         shared tuple."""
-        zero = (0,) * V.shape[1]
-        member, i = np.nonzero(U)
-        rows = map(tuple, field._int64.scaled(U[member, i, None], V[member]).tolist())
+        zero = (0,) * A.shape[2]
+        nonzero = A.any(axis=2)
+        rows = map(tuple, A[nonzero].tolist())
         return tuple(cls._of(field, tuple([next(rows) if a else zero for a in u]))
-                     for u in U.tolist())
+                     for u in nonzero.tolist())
 
     @classmethod
     def from_vector(cls, field, vec, n, m):
@@ -377,6 +377,8 @@ class Echelon:
         rows, `_eliminate` the batch itself, and one more product clears the
         new pivots from the held rows."""
         if not self._np:
+            if isinstance(vectors, np.ndarray):
+                vectors = vectors.tolist()  # list rows hold Python ints
             return [self.insert(vec) for vec in vectors]
         if not len(vectors):
             return []
@@ -474,19 +476,9 @@ def _eliminate(arith, B):
 
 
 def _nullspace(field, rows, width):
-    """Null space basis of the row list, free-column index ascending."""
-    red_rows, pivots = Echelon(field, width, rows).rref()
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(width):
-        if fc in pivot_set:
-            continue
-        vec = [0] * width
-        vec[fc] = 1
-        for row, pc in zip(red_rows, pivots):
-            vec[pc] = field.neg(row[fc])
-        basis.append(tuple(vec))
-    return basis
+    """Null space basis of the row list, free-column index ascending: `_dual`
+    of the rows read as reversed, read back."""
+    return [v[::-1] for v in reversed(_dual(field, (1, width), rows)._rrows)]
 
 
 def _solve_combination(field, rows, targets):
@@ -640,14 +632,14 @@ class MatrixSpace:
         self._rrows, self._pivots = Echelon(field, self.n * self.m, vecs).rref()
 
     @classmethod
-    def _of(cls, field, shape, rows):
-        """Wrap rows that are already the canonical RREF, in pivot order; each
-        row's pivot is its leading entry."""
+    def _of(cls, field, shape, rows, pivots):
+        """Wrap rows that are already the canonical RREF, in pivot order, with
+        their pivots, the column of each row's leading entry."""
         S = object.__new__(cls)
         S.field = field
         S.n, S.m = shape
         S._rrows = rows
-        S._pivots = tuple(next(j for j, v in enumerate(r) if v) for r in rows)
+        S._pivots = pivots
         return S
 
     @classmethod
@@ -720,18 +712,8 @@ class MatrixSpace:
         return self._echelon().coords(vec)
 
     def dual_complement(self) -> "MatrixSpace":
-        """Orthogonal complement under the trace bilinear form.
-
-        The null space is taken of the rows reversed.  Reversed back, each
-        row i of that echelon ends in a 1 at a column t_i where every other
-        row is 0, so the null vector e_f - sum_i row_i[f] e_(t_i) of a free
-        column f has its first nonzero at f (row_i[f] != 0 forces f < t_i):
-        those vectors, by ascending f, are already the canonical RREF, and
-        only the space's own rows are eliminated.
-        """
-        basis = _nullspace(self.field, [r[::-1] for r in self._rrows], self.n * self.m)
-        return MatrixSpace._of(self.field, self.shape,
-                               tuple(v[::-1] for v in reversed(basis)))
+        """Orthogonal complement under the trace bilinear form (`_dual`)."""
+        return _dual(self.field, self.shape, [r[::-1] for r in self._rrows])
 
     def transform(self, L: FqMatrix, N: FqMatrix) -> "MatrixSpace":
         """The space {L B N : B in basis}; L and N must be invertible."""
@@ -743,8 +725,8 @@ class MatrixSpace:
     def sum_with(self, other: "MatrixSpace") -> "MatrixSpace":
         if self.shape != other.shape or self.field != other.field:
             raise ShapeMismatch("sum of spaces with different ambient")
-        rows, _ = Echelon(self.field, self.n * self.m, self._rrows + other._rrows).rref()
-        return MatrixSpace._of(self.field, self.shape, rows)
+        return MatrixSpace._of(self.field, self.shape, *Echelon(
+            self.field, self.n * self.m, self._rrows + other._rrows).rref())
 
     def intersect(self, other: "MatrixSpace") -> "MatrixSpace":
         """Intersection by Zassenhaus: echelon [u | u] and [w | 0] together.
@@ -759,8 +741,10 @@ class MatrixSpace:
         E = Echelon(self.field, 2 * size,
                     [u + u for u in self._rrows]
                     + [w + (0,) * size for w in other._rrows])
-        return MatrixSpace._of(self.field, self.shape,
-                               tuple(row[size:] for row, pc in zip(*E.rref()) if pc >= size))
+        rows, pivots = E.rref()
+        k = sum(pc < size for pc in pivots)  # the left-half pivots come first
+        return MatrixSpace._of(self.field, self.shape, tuple(r[size:] for r in rows[k:]),
+                               tuple(pc - size for pc in pivots[k:]))
 
     def iter_elements(self, nonzero_only=False, projective=False):
         """All members as coefficient combinations of the canonical basis.
@@ -784,3 +768,25 @@ class MatrixSpace:
             if nonzero_only and not any(coeffs):
                 continue
             yield combine(coeffs)
+
+
+def _dual(field, shape, reversed_rows):
+    """The trace-form orthogonal complement of a span of reversed n x m vectors.
+
+    Only those rows are eliminated.  Reversed back, each row i of their
+    echelon ends in a 1 at a column t_i where every other row is 0, so the
+    null vector e_f - sum_i row_i[f] e_(t_i) of a free column f has its
+    first nonzero at f (row_i[f] != 0 forces f < t_i): those vectors, by
+    ascending f, are the canonical RREF, the free columns their pivots, and
+    they are one array (-1 is the encoding p - 1 in every field).
+    """
+    width = shape[0] * shape[1]
+    E = Echelon(field, width, reversed_rows)
+    free = np.delete(np.arange(width), E._pivots)
+    dtype = np.int64 if _int64_safe(field, 1) else object
+    R = np.array(E._rows, dtype=dtype).reshape(-1, width)  # in `E._pivots` order
+    null = np.zeros((len(free), width), dtype=dtype)
+    null[range(len(free)), free] = 1
+    null[:, E._pivots] = field._int64.scaled(field.p - 1, R[:, free].T)
+    return MatrixSpace._of(field, shape, tuple(map(tuple, null[::-1, ::-1].tolist())),
+                           tuple((width - 1 - free[::-1]).tolist()))

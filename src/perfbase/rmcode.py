@@ -539,7 +539,8 @@ def dual_gabidulin_mtr_base(q: int, m: int, n: int,
     primal_v = VectorCode(ext, [[power.elements[i] for i in range(n)]])
     primal = gamma_expand_code(primal_v, power)
     code = dual_code(primal)
-    members, _ = _power_members(power.generator_companion(), n, m - 1)
+    A, _ = _power_members(power.generator_companion(), n, m - 1)
+    members = FqMatrix._from_array(power.base_field, A)
     if gamma is not None and gamma.elements != power.elements:
         T = gamma.frame_change_from(power)
         primal = RankCode(primal.space.transform(

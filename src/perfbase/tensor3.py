@@ -79,9 +79,19 @@ class BaseCandidate:
 
     matrices: tuple
     target: MatrixSpace
+    _array = None  # not a field: set only by `_from_array`
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(self.matrices))
+
+    @classmethod
+    def _from_array(cls, A, target):
+        """The candidate of the matrices of A (`FqMatrix._from_array`), which
+        carries A, read-only, so that `verify_base` checks that very array."""
+        cand = cls(FqMatrix._from_array(target.field, A), target)
+        A.flags.writeable = False
+        object.__setattr__(cand, "_array", A)
+        return cand
 
     @property
     def size(self) -> int:
@@ -165,7 +175,7 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
     dimensions as the target has, containment is equality, and RREF is
     unique: the span's canonical rows are compared with the target's, and the
     target is reduced only when they differ, to find the first missing row.
-    On numpy the members are one int64 array, rank-one tested as one batch.
+    On numpy the members are one int64 array, `cand._array` if carried, one rank-one batch.
     """
     target = cand.target
     field = target.field
@@ -175,7 +185,8 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
             raise ShapeMismatch(f"member {idx} has wrong field or shape")
     span = Echelon(field, target.n * target.m)
     if span._np:
-        M = np.array([A.rows for A in cand.matrices], dtype=np.int64).reshape(-1, *shape)
+        M = cand._array if cand._array is not None else np.array(
+            [A.rows for A in cand.matrices], dtype=np.int64).reshape(-1, *shape)
         rank_one, vectors = _rank_one_np(field._int64, M).tolist(), M.reshape(len(M), -1)
     else:
         rank_one = map(FqMatrix.is_rank_one, cand.matrices)  # stops at the first False

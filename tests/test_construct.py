@@ -370,6 +370,78 @@ def test_power_members_over_primes_beyond_int64_products(p):
         == reference_power_members(spec, 4, 2, S, B)
 
 
+CARRY_FIELDS = [field_make(13), field_make(3, 2), field_make((1 << 61) - 1)]
+
+
+def _invertible(rng, F, m):
+    while True:
+        B = FqMatrix(F, [[rng.randrange(F.q) for _ in range(m)] for _ in range(m)])
+        if B.is_invertible():
+            return B
+
+
+@pytest.mark.parametrize("F", CARRY_FIELDS, ids=["F13", "F9", "F2^61-1"])
+def test_a_carried_array_is_verified_and_then_dropped(monkeypatch, F):
+    # the three power-family bases hand verify_base the read-only array their
+    # members were made from (on numpy over F_13, 5x5 and 4x5); the report is
+    # the one the members get alone, and the result does not keep the array
+    carried = []
+
+    def recording(cand):
+        carried.append(cand._array)
+        return tensor3.verify_base(cand)
+
+    monkeypatch.setattr(construct, "verify_base", recording)
+    rng = random.Random(F.q)
+    spec = CompanionSpec(F, 5, tuple(rng.randrange(1, F.q) for _ in range(5)))
+    B = _invertible(rng, F, 5)
+    for build in (lambda: base_dual_powers(spec, 2), lambda: base_dual_powers_rect(spec, 4, 2),
+                  lambda: base_left_factor(spec, 2, B)):
+        carried.clear()
+        result = build()
+        (A,) = carried
+        cand = result.candidate
+        assert not A.flags.writeable
+        assert A.tolist() == [[list(row) for row in M.rows] for M in cand.matrices]
+        assert cand._array is None and "_array" not in vars(cand)
+        alone = tensor3.verify_base(tensor3.BaseCandidate(cand.matrices, cand.target))
+        assert result.report == alone and alone.passed
+
+
+@pytest.mark.parametrize("F", CARRY_FIELDS, ids=["F13", "F9", "F2^61-1"])
+def test_a_carried_array_of_failing_members_gets_their_report(F):
+    # a member of rank two, a repeated member, a member short and a target of
+    # another companion: each report equals the one without the array
+    rng = random.Random(F.q)
+    spec = CompanionSpec(F, 5, tuple(rng.randrange(1, F.q) for _ in range(5)))
+    other = CompanionSpec(F, 5, (1,) + (0,) * 4)
+    A, _ = construct._power_members(spec, 5, 2)
+    target = construct._power_target(spec, 2)
+    rank_two, repeated = A.copy(), A.copy()
+    rank_two[3] = 0
+    rank_two[3, 0, 0] = rank_two[3, 1, 1] = 1
+    repeated[7] = repeated[2]
+    cases = [(A, target, None), (rank_two, target, "bad_rank_index"),
+             (repeated, target, "dependent_index"), (A[:-1], target, "missing_target_index"),
+             (A, construct._power_target(other, 2), "missing_target_index")]
+    for members, T, failure in cases:
+        plain = tensor3.BaseCandidate(FqMatrix._from_array(F, members), T)
+        report = tensor3.verify_base(tensor3.BaseCandidate._from_array(members.copy(), T))
+        assert report == tensor3.verify_base(plain)
+        assert report.passed if failure is None else getattr(report, failure) is not None
+
+
+def test_the_public_candidate_takes_no_array():
+    A, _ = construct._power_members(spec_of(F7, 3, 1, 4), 3, 1)
+    members = FqMatrix._from_array(F7, A)
+    target = construct._power_target(spec_of(F7, 3, 1, 4), 1)
+    with pytest.raises(TypeError):
+        tensor3.BaseCandidate(members, target, A)
+    with pytest.raises(TypeError):
+        tensor3.BaseCandidate(members, target, _array=A)
+    assert tensor3.BaseCandidate(members, target)._array is None
+
+
 # --- inverse-power family ----------------------------------------------------------
 
 

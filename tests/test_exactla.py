@@ -69,9 +69,9 @@ def test_outer_is_the_product_of_its_factors(p, k):
 
 @pytest.mark.parametrize("p,k", [(2, 1), (13, 1), (3, 2), (5, 4), ((1 << 61) - 1, 1)],
                          ids=["F2", "F13", "F9", "F625", "F2^61-1"])
-def test_outers_is_outer_of_each_pair_of_rows(p, k):
-    # one array broadcast, of Python ints where int64 products overflow;
-    # every zero row of the batch is one shared tuple
+def test_from_array_of_outers_is_outer_of_each_pair_of_rows(p, k):
+    # the matrices of one array broadcast u v^t, of Python ints where int64
+    # products overflow; every zero row of the batch is one shared tuple
     F = field_make(p, k)
     dtype = np.int64 if gf._int64_safe(F, 1) else object
     rng = random.Random(p)
@@ -79,7 +79,8 @@ def test_outers_is_outer_of_each_pair_of_rows(p, k):
     U = [[rng.choice((0, rng.randrange(F.q))) for _ in range(n)] for _ in range(30)]
     V = [[rng.choice((0, rng.randrange(F.q))) for _ in range(m)] for _ in range(30)]
     U[0] = [0] * n
-    got = FqMatrix.outers(F, np.array(U, dtype=dtype), np.array(V, dtype=dtype))
+    U_, V_ = np.array(U, dtype=dtype), np.array(V, dtype=dtype)
+    got = FqMatrix._from_array(F, F._int64.scaled(U_[:, :, None], V_[:, None, :]))
     assert got == tuple(FqMatrix.outer(F, u, v) for u, v in zip(U, V))
     assert all(type(x) is int for A in got for row in A.rows for x in row)
     zero_rows = {id(row) for u, A in zip(U, got) for a, row in zip(u, A.rows) if not a}
@@ -231,6 +232,93 @@ def test_derived_spaces_eliminate_only_their_inputs(monkeypatch, F, n, m):
         inserted.clear()
         run()
         assert 0 < len(inserted) <= bound
+
+
+# --- the array dual against the list path ---------------------------------------------
+#
+# `dual_complement` builds its null vectors as one array, and construct's
+# `_power_target` forms its slices as one array chain.  Each is compared here
+# with the list implementation it replaced: a null vector per free column,
+# and a space's pivots found by scanning for each row's leading entry.
+
+def ref_nullspace(field, rows, width):
+    red_rows, pivots = Echelon(field, width, rows).rref()
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(width):
+        if fc in pivot_set:
+            continue
+        vec = [0] * width
+        vec[fc] = 1
+        for row, pc in zip(red_rows, pivots):
+            vec[pc] = field.neg(row[fc])
+        basis.append(tuple(vec))
+    return basis
+
+
+def ref_space_of(field, shape, rows):
+    return MatrixSpace._of(field, shape, rows,
+                           tuple(next(j for j, v in enumerate(r) if v) for r in rows))
+
+
+def ref_dual_complement(V):
+    basis = ref_nullspace(V.field, [r[::-1] for r in V._rrows], V.n * V.m)
+    return ref_space_of(V.field, V.shape, tuple(v[::-1] for v in reversed(basis)))
+
+
+def ref_power_target(spec, s, left=None):
+    M = construct.companion(spec)
+    cur = FqMatrix.identity(spec.field, spec.m) if left is None else left
+    slices = []
+    for _ in range(s):
+        slices.append(cur)
+        cur = cur @ M
+    return ref_dual_complement(MatrixSpace(spec.field, cur.shape, slices))
+
+
+def assert_same_space(got, want):
+    assert got == want
+    assert (got._rrows, got._pivots) == (want._rrows, want._pivots)
+    assert all(type(x) is int for row in got._rrows for x in row)
+    assert all(type(pc) is int for pc in got._pivots)
+
+
+ARRAY_PATH_FIELDS = [(13, 1), (2, 2), (3, 2), (5, 4), ((1 << 61) - 1, 1)]
+ARRAY_PATH_IDS = ["F13", "F4", "F9", "F625", "F2^61-1"]
+
+
+@pytest.mark.parametrize("p,k", ARRAY_PATH_FIELDS, ids=ARRAY_PATH_IDS)
+def test_dual_complement_matches_the_list_reference(p, k):
+    # widths 20 and more run the echelon on numpy over F_13; the zero space,
+    # the full space and random subspaces, dependent spanning sets included.
+    # The sum and the intersection pass on the pivots their echelon found.
+    F = field_make(p, k)
+    rng = random.Random(f"dual-{F.q}")
+    for n, m in [(1, 1), (2, 2), (2, 3), (3, 4), (4, 5), (5, 5)]:
+        spaces = [MatrixSpace.zero(F, (n, m)), MatrixSpace.full(F, (n, m))]
+        for _ in range(6):
+            mats = [sparse_matrix(rng, F, n, m) for _ in range(rng.randrange(n * m + 2))]
+            spaces.append(MatrixSpace(F, (n, m), mats + mats[:2]))
+        for V in spaces:
+            assert_same_space(V.dual_complement(), ref_dual_complement(V))
+            W = rng.choice(spaces)
+            for S in (V.sum_with(W), V.intersect(W)):
+                assert_same_space(S, ref_space_of(F, S.shape, S._rrows))
+
+
+@pytest.mark.parametrize("p,k", ARRAY_PATH_FIELDS, ids=ARRAY_PATH_IDS)
+def test_power_target_matches_the_list_reference(p, k):
+    # every s up to m, with left the identity, a truncation (I_n | 0) and the
+    # inverse of a random invertible B, as the three constructors pass it
+    F = field_make(p, k)
+    rng = random.Random(f"target-{F.q}")
+    for m in (2, 3, 4, 6):
+        spec = construct.CompanionSpec(F, m, tuple(rng.randrange(F.q) for _ in range(m)))
+        B = rand_invertible(rng, F, m).inverse()
+        for s in range(1, m + 1):
+            for left in (None, construct.y_matrix(F, rng.randint(1, m), m), B):
+                assert_same_space(construct._power_target(spec, s, left),
+                                  ref_power_target(spec, s, left))
 
 
 def test_space_contains():

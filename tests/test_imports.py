@@ -1,6 +1,7 @@
 """Every name a perfbase module imports is used in that module, every
 private name the package defines is used somewhere in it, numpy is
-imported where the package loads, not where a scan first needs it, and
+imported where the package loads, not where a scan first needs it,
+building the power-family bases loads no module more, and
 `Field.encode` is the package's only rule for turning a scalar into an
 encoding, `FqMatrix.outer` its only builder of a product matrix u v^t,
 `Field.sub_scaled` its only row combination acc + c * row, no
@@ -362,3 +363,30 @@ def test_importing_the_cli_loads_numpy():
     out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True"
+
+
+BUILD_THE_SWEEP_BASES = """
+import sys
+import perfbase
+from perfbase import construct as c
+before = set(sys.modules)
+F13, F7 = perfbase.field_make(13), perfbase.field_make(7)
+spec = c.CompanionSpec(F13, 6, (1, 2, 3, 4, 5, 6))
+B = perfbase.FqMatrix(F13, [[int(j in (i, i + 1)) for j in range(6)] for i in range(6)])
+results = [c.base_dual_powers(spec, 3), c.base_dual_powers_rect(spec, 4, 2),
+           c.base_left_factor(spec, 2, B),
+           c.base_singular(c.CompanionSpec(F7, 5, (0, 3, 1, 2, 4)), 3),
+           c.atkinson_base(4, F7)]
+assert all(r.report.passed for r in results)
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_building_the_power_bases_imports_no_more_modules():
+    # numpy's np.setdiff1d, np.isin and np.unique with inverse import numpy.ma
+    # on first use, which every fresh process would pay for; the bases of
+    # the construct sweep, on numpy and on lists, need only what
+    # `import perfbase` loaded
+    out = subprocess.run([sys.executable, "-c", BUILD_THE_SWEEP_BASES],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
