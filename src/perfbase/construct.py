@@ -46,7 +46,7 @@ from .errors import (
     ZeroGamma,
 )
 from .exactla import FqMatrix, MatrixSpace, _combine, _dual, _nullspace
-from .gf import Field, FieldElement, FqPolynomial, _int64_safe, poly_roots
+from .gf import Field, FieldElement, FqPolynomial, _backend, poly_roots
 from .tensor3 import BaseCandidate, VerificationReport, verify_base
 
 
@@ -208,7 +208,7 @@ def _power_target(spec: CompanionSpec, s: int, left: FqMatrix | None = None) -> 
     """Dual of the span of left M^r for r < s; left defaults to the identity.
     The s slices are one array chain, and `_dual` eliminates them once."""
     F, m = spec.field, spec.m
-    dtype = np.int64 if _int64_safe(F, m) else object
+    dtype = _backend(F, "array", terms=m)
     X = np.eye(m, dtype=dtype) if left is None else np.array(left.rows, dtype=dtype)
     step, slices = _times(companion(spec), dtype), [X]
     for _ in range(s - 1):
@@ -227,7 +227,8 @@ def _power_members(spec: CompanionSpec, nrows: int, s: int,
     V_i = H (M^{-i})^t, where H stacks the geometric rows over the unit rows
     e_{s+1}..e_m, so V_{i+1} = V_i (M^{-1})^t is one array product; all u v^t
     are one `scaled` broadcast, and with `left` = B they are B^t u v^t.
-    Returns (A, S): the members as one array, and the gamma set, by default canonical.
+    Returns (A, S, inverse): the members as one array, the gamma set (by
+    default canonical), and B^-1 from the elimination that checks B, or None.
     """
     if not spec.invertible:
         raise SingularM("a_1 = 0: use the singular-companion constructor")
@@ -240,10 +241,11 @@ def _power_members(spec: CompanionSpec, nrows: int, s: int,
     if S.field != spec.field or len(S) != s:
         raise BadGammaSet("gamma set must have s elements of the same field")
     F, m, n = spec.field, spec.m, nrows
+    inverse = None
     if left is not None and (left.shape != (m, m) or left.field != F
-                             or not left.is_invertible()):
+                             or (inverse := left._inverse()) is None):
         raise Singular("B must be an invertible m x m matrix")
-    dtype = np.int64 if _int64_safe(F, m) else object
+    dtype = _backend(F, "array", terms=m)
     geo = [list(itertools.accumulate([g] * (m - 1), F.mul, initial=1))[::-1]
            for g in S.elements]
     V = np.array(geo + [[int(j == k) for j in range(m)] for k in range(s, m)],
@@ -261,7 +263,7 @@ def _power_members(spec: CompanionSpec, nrows: int, s: int,
     U, W = U.reshape(n * m, n)[keep], np.concatenate(blocks)[keep]
     if left is not None:
         U = _times(left, dtype)(U)  # the rows (B^t u)^t = u^t B
-    return F._int64.scaled(U[:, :, None], W[:, None, :]), S
+    return F._int64.scaled(U[:, :, None], W[:, None, :]), S, inverse
 
 
 # --- power-family dual bases -----------------------------------------------------
@@ -270,7 +272,7 @@ def _power_members(spec: CompanionSpec, nrows: int, s: int,
 def base_dual_powers(spec: CompanionSpec, s: int,
                      S: GammaSet | None = None) -> ConstructionResult:
     """(m^2-s)-base for the dual of the span of I, M, ..., M^{s-1}."""
-    A, S = _power_members(spec, spec.m, s, S)
+    A, S, _ = _power_members(spec, spec.m, s, S)
     return _finish(BaseCandidate._from_array(A, _power_target(spec, s)), "dual-powers",
                    {"m": spec.m, "s": s, "bottom": list(spec.bottom),
                     "gammas": list(S.elements)}, {})
@@ -281,7 +283,7 @@ def base_dual_powers_rect(spec: CompanionSpec, n: int, s: int,
     """(nm-s)-base for the dual of the truncated power span in K^{n x m}."""
     if not 2 <= n <= spec.m:
         raise ParametersOutOfRange("need 2 <= n <= m")
-    A, S = _power_members(spec, n, s, S)
+    A, S, _ = _power_members(spec, n, s, S)
     target = _power_target(spec, s, y_matrix(spec.field, n, spec.m))
     return _finish(BaseCandidate._from_array(A, target), "dual-powers-rect",
                    {"m": spec.m, "n": n, "s": s, "bottom": list(spec.bottom),
@@ -292,8 +294,8 @@ def base_left_factor(spec: CompanionSpec, s: int, B: FqMatrix,
                      S: GammaSet | None = None) -> ConstructionResult:
     """(m^2-s)-base for the dual of the span of B^{-1}M^r, r < s."""
     m = spec.m
-    A, S = _power_members(spec, m, s, S, B)
-    cand = BaseCandidate._from_array(A, _power_target(spec, s, B.inverse()))
+    A, S, inverse = _power_members(spec, m, s, S, B)
+    cand = BaseCandidate._from_array(A, _power_target(spec, s, inverse))
     return _finish(cand, "left-factor",
                    {"m": m, "s": s, "bottom": list(spec.bottom),
                     "gammas": list(S.elements), "B": [list(r) for r in B.rows]},
@@ -613,7 +615,7 @@ def _shift_dual_members(F, m, nrows, s):
 
     With nrows = m and s = 1 they are a base of the trace-zero space.
     """
-    A, _ = _power_members(CompanionSpec(F, m, (1,) + (0,) * (m - 1)), nrows, s)
+    A = _power_members(CompanionSpec(F, m, (1,) + (0,) * (m - 1)), nrows, s)[0]
     return FqMatrix._from_array(F, A)
 
 

@@ -18,32 +18,23 @@ fully reduced, so the rows sorted by pivot are the unique RREF, and the
 flags of `extend` are the row rank profile, whatever the order of
 elimination.  A `MatrixSpace` holds only its canonical rows, and each
 residue, membership or coordinate query reduces them again in a new
-`Echelon`.  `dual_complement` (`_dual`, one array of null vectors),
+`Echelon`.  `full`, `dual_complement` (`_dual`, one array of null vectors),
 `intersect` and `sum_with` wrap the canonical rows they derive with their
 pivots (`MatrixSpace._of`), never eliminating them again;
 `tensor3.verify_base` extends one echelon by all its members, on numpy as
 one array, and compares a span of the target's dimension with the target's
-rows.  The backend is chosen from the input alone, by the rule stated once,
-at `_NUMPY_MIN_WIDTH`: numpy for prime-field rows at least 20 wide whose
-int64 sums cannot overflow (`_int64_safe`, the package's one int64 rule),
-where a batch is one recursive elimination with its work in products
-(`_eliminate`), and Python lists updated by `Field.sub_scaled` for all other
-rows, extension fields' at every width.  Those products are the int64
-form's `residue`, which `gf` forms in float64, on BLAS, where that is exact
-(`_float64_exact`, beside `_int64_safe`) and in int64 beyond.
+rows.  `gf._backend`, the package's one backend rule, picks numpy, where a
+batch is one recursive elimination with its work in the int64 form's
+`residue` products (`_eliminate`), or Python lists and `Field.sub_scaled`.
 
 Every minimum distance is one scan, `_min_distance`: rmcode's
 `min_rank_distance` and `min_hamming_distance` (behind certificate
 verification and gabidulin's MRD check) and the oracle's starting level.  It
-visits one word per scalar class under a guard.  Over every field, scans of
-at least `_SCAN_NUMPY_MIN_WORDS` (16) words whose sums pass `_int64_safe`
-run as int64 batches with fraction-free elimination, which needs no
-inverses; all others run on lists with an `Echelon` per word.
-
-`Echelon`'s numpy backend and the batched scan compute with the field's
-int64 form, `Field._int64`, which `gf` builds once per field with its
-tables; this module reads no field table.  numpy is imported with this
-module, so the package pays for it once, at import.
+visits one word per scalar class under a guard, in int64 batches with
+fraction-free elimination (no inverses), or on lists with an `Echelon` per
+word, as `gf._backend` says.  Both numpy paths compute with the field's
+int64 form, `Field._int64`; this module reads no field table.  numpy is
+imported with this module, so the package pays for it once, at import.
 
 `Field.sub_scaled` is the one row combination on lists.  Sums
 sum c_i * row_i are `_combine`, a fold of it: extension-field `FqMatrix`
@@ -66,7 +57,7 @@ import operator
 import numpy as np
 
 from .errors import FieldMismatch, GuardExceeded, ShapeMismatch, Singular
-from .gf import Field, FieldElement, _int64_safe, _power
+from .gf import Field, FieldElement, _backend, _power
 
 
 class FqMatrix:
@@ -281,12 +272,20 @@ class FqMatrix:
     def inverse(self):
         if self.n != self.m:
             raise Singular("only square matrices invert")
+        inverse = self._inverse()
+        if inverse is None:
+            raise Singular("matrix is singular")
+        return inverse
+
+    def _inverse(self):
+        """The inverse of a square matrix, or None when it is singular: one
+        elimination of [A | I], which is also the invertibility check."""
         n = self.n
         aug = [row + tuple(1 if j == i else 0 for j in range(n))
                for i, row in enumerate(self.rows)]
         rows, pivots = Echelon(self.field, 2 * n, aug).rref()
         if pivots[:n] != tuple(range(n)):
-            raise Singular("matrix is singular")
+            return None
         return FqMatrix._of(self.field, tuple(row[n:] for row in rows))
 
     def is_invertible(self) -> bool:
@@ -301,16 +300,6 @@ def trace_pair(A: FqMatrix, B: FqMatrix) -> FieldElement:
 
 # --- the echelon kernel -----------------------------------------------------------
 
-# `Echelon`'s backend rule: prime-field rows at least this wide are reduced
-# with numpy, narrower ones on Python lists, whose per-call cost is lower.
-# Measured crossover for an echelon of w rows of width w over F_13 (Intel
-# Xeon, Python 3.11, numpy 2.4): dense rows 12-16, sparse rows of rank-one
-# matrices about 20.  At w = 20 numpy takes 0.5x (dense) and 0.9x (sparse)
-# the list time; at w = 16 it takes 1.4x for sparse rows.  Extension-field
-# rows stay on lists: through the int64 form's gathers, dense rows took
-# 2.3-2.8x the list time at w = 20 over F_4, F_9 and F_{7^4}, and 1.4-1.6x
-# at w = 60 over F_4 and F_9, so they would need a threshold for each field.
-_NUMPY_MIN_WIDTH = 20
 _LEAF_ROWS = 8  # `_eliminate` splits a batch of more rows in two
 
 
@@ -333,10 +322,9 @@ class Echelon:
     entries, in pivot order, are its coordinates in the canonical basis
     `rref()`, the unique RREF of everything inserted.
 
-    Rows chosen by the rule at `_NUMPY_MIN_WIDTH` live in an int64 numpy
-    array, with a residue as one product and a batch inserted by
-    `_eliminate`; all other rows are Python lists.  Not safe to fill from
-    several threads at once.
+    Rows that `gf._backend` sends to numpy live in an int64 array, with a
+    residue as one product and a batch inserted by `_eliminate`; all other
+    rows are Python lists.  Not safe to fill from several threads at once.
     """
 
     __slots__ = ("field", "width", "_rows", "_pivots", "_np")
@@ -345,7 +333,7 @@ class Echelon:
         self.field = field
         self.width = width
         self._pivots = []  # in insertion order, the order of the rows
-        self._np = field.deg == 1 and width >= _NUMPY_MIN_WIDTH and _int64_safe(field, width)
+        self._np = _backend(field, "echelon", width, width) is np.int64
         self._rows = np.zeros((0, width), dtype=np.int64) if self._np else []
         self.extend(vectors)
 
@@ -505,14 +493,6 @@ def _solve_combination(field, rows, targets):
 
 # --- the exact distance scan --------------------------------------------------------
 
-# A scan of at least this many projective words runs on numpy, a smaller one
-# on lists.  Measured on 3x3 rank scans with d >= 2 (Intel Xeon, Python 3.11,
-# numpy 2.4), numpy against lists: 13 words over F_3 0.31 and 0.33 ms, 15
-# over F_2 0.42 and 0.35 ms, 12 over F_11 0.21 and 0.36 ms, 20 over F_19
-# 0.24 and 0.63 ms; 400 words (F_7, 4x4) 1.3 and 19 ms.
-_SCAN_NUMPY_MIN_WORDS = 16
-
-
 def _projective_count(q, k) -> int:
     """(q^k - 1) / (q - 1): nonzero vectors of F_q^k up to a scalar."""
     return (q ** k - 1) // (q - 1)
@@ -533,8 +513,7 @@ def _min_distance(field, rows, guard, width=None) -> int:
     without, its number of nonzero entries.  One word per scalar class is
     scanned, (q^k - 1) / (q - 1) of them; more than `guard` raises
     GuardExceeded with `progress = {"phase": "distance", "needed", "guard"}`
-    before any work.  The backend follows from the input, as the module
-    docstring says.
+    before any work.  `gf._backend` picks the backend from the input.
     """
     k = len(rows)
     needed = _projective_count(field.q, k)
@@ -542,7 +521,7 @@ def _min_distance(field, rows, guard, width=None) -> int:
         raise GuardExceeded(
             f"{needed} codewords exceed the guard",
             progress={"phase": "distance", "needed": needed, "guard": guard})
-    if needed >= _SCAN_NUMPY_MIN_WORDS and _int64_safe(field, k):
+    if _backend(field, "scan", needed, k) is np.int64:
         return _min_distance_np(field, rows, width)
     best = size = len(rows[0])
     for coeffs in _normalized_vectors(field, k):
@@ -655,10 +634,10 @@ class MatrixSpace:
 
     @classmethod
     def full(cls, field, shape):
-        n, m = shape
-        return cls(field, shape,
-                   [FqMatrix.unit(field, n, m, i, j)
-                    for i in range(n) for j in range(m)])
+        """All n x m matrices: the identity rows are the canonical RREF."""
+        size = shape[0] * shape[1]
+        return cls._of(field, shape, tuple((0,) * i + (1,) + (0,) * (size - 1 - i)
+                                           for i in range(size)), tuple(range(size)))
 
     @property
     def dim(self) -> int:
@@ -783,7 +762,7 @@ def _dual(field, shape, reversed_rows):
     width = shape[0] * shape[1]
     E = Echelon(field, width, reversed_rows)
     free = np.delete(np.arange(width), E._pivots)
-    dtype = np.int64 if _int64_safe(field, 1) else object
+    dtype = _backend(field, "array")
     R = np.array(E._rows, dtype=dtype).reshape(-1, width)  # in `E._pivots` order
     null = np.zeros((len(free), width), dtype=dtype)
     null[range(len(free)), free] = 1

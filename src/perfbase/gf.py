@@ -28,9 +28,8 @@ This module is the one home of the tables and of their int64 array form,
 read-only `inverses` lazily, on first use): the arithmetic of `exactla`'s
 numpy `Echelon`, its batched distance scan, `verify_base`'s rank-one batch,
 the oracle's residue tables and `construct`'s power-family members.  No
-other module reads the tables, and no other module forms float64 arrays:
-`_Int64Field.residue` forms its F_p product in float64, on BLAS, when
-`_float64_exact` says the result is exact.
+other module reads the tables.  `_backend`, the one backend rule, makes
+every choice between Python lists and int64, float64 or object arrays.
 
 `Field.encode` is the package's one rule for turning a scalar into an
 encoding, and every entry point that takes a scalar goes through it.
@@ -305,27 +304,45 @@ class Field:
         return _Int64Field(self, log, antilog, zech, lneg)
 
 
-def _int64_safe(field, terms) -> bool:
-    """Whether sums of `terms` products of two entries below p fit int64: every
-    numpy backend checks its longest sum with this.  Gathers over F_{p^k} form
-    no such sum, and p < 2^8 there passes for any array that fits in memory."""
-    return (field.p - 1) ** 2 * terms < 1 << 63
+# --- the backend rule -------------------------------------------------------------
+#
+# Floors over F_13 (Intel Xeon, Python 3.11, numpy 2.4, one OpenBLAS thread),
+# from the table `scripts/calibrate.py` prints.  Its whole-batch crossovers
+# sit lower for echelons (12 wide) and scans (8 words); those two floors stay
+# until end-to-end runs show that narrow spans gain.  Extension-field rows
+# stay on lists: the gathers took 1.4-2.8x the list time at widths 20-60.
+_ECHELON_MIN_WIDTH = 20  # prime-field `Echelon` rows this wide run on int64, not lists
+_SCAN_MIN_WORDS = 16  # distance scans of this many words run in int64 batches
+_FLOAT64_MIN_WORK = 2048  # F_p residues of b r w multiply-adds use float64, not int64
 
 
-def _float64_exact(field, terms) -> bool:
-    """Whether a product with sums of `terms` products of two entries below p
-    is exact in float64, which `_Int64Field.residue` then uses (BLAS): every
-    partial sum is a non-negative integer at most (p-1)^2 * terms, and float64
-    holds each integer below 2^53 exactly, so no sum rounds, in any summation
-    order and with or without FMA (Dumas, Gautier and Pernet, "Finite field
-    linear algebra subroutines", ISSAC 2002)."""
-    return (field.p - 1) ** 2 * terms < 1 << 53
+def _backend(field, op, size=0, terms=1):
+    """"lists", or the dtype of the arrays that `op` computes with over `field`.
+
+    `size` is the width of an "echelon", the words of a "scan" or the
+    multiply-adds of a "residue"; an "array" built for products has none.
+    `terms` is the longest sum of products of two entries below p that `op`
+    forms.  int64 holds it when (p - 1)^2 terms < 2^63, else arrays hold
+    Python ints (object); gathers over F_{p^k}, where p < 2^8, form none.
+    float64 holds it when (p - 1)^2 terms < 2^53, as every partial sum is then
+    an integer below 2^53, exact in any order, with or without FMA (Dumas,
+    Gautier and Pernet, "Finite field linear algebra subroutines", ISSAC 2002).
+    """
+    if op == "echelon":  # the most frequent question, and mostly on narrow rows
+        return np.int64 if (field.deg == 1 and size >= _ECHELON_MIN_WIDTH
+                            and (field.p - 1) ** 2 * terms < 1 << 63) else "lists"
+    top = (field.p - 1) ** 2 * terms
+    if op == "scan":
+        return np.int64 if size >= _SCAN_MIN_WORDS and top < 1 << 63 else "lists"
+    if op == "residue" and field.deg == 1 and size >= _FLOAT64_MIN_WORK and top < 1 << 53:
+        return np.float64
+    return np.int64 if top < 1 << 63 else object
 
 
 class _Int64Field:
     """A field's arithmetic on int64 arrays of encodings: products mod p over
-    F_p, kept within `_int64_safe`, and gathers from the tables over F_{p^k},
-    in whose layout a zero factor gives a zero product without a branch."""
+    F_p, within `_backend`'s int64 bound, and gathers from the tables over
+    F_{p^k}, where a zero factor gives a zero product without a branch."""
 
     def __init__(self, field, *tables):
         """Over F_{p^k}, `tables` are the log, antilog, Zech and log(-a)
@@ -357,10 +374,10 @@ class _Int64Field:
 
     def residue(self, T, C, R):
         """T - C R, the residue of T modulo fully reduced rows R when C holds
-        T's entries at their pivots: a product over F_p, in float64 within
-        `_float64_exact` and in int64 beyond it, and a fold over F_{p^k}."""
+        T's entries at their pivots: a product over F_p, in the dtype
+        `_backend` names, and a fold over F_{p^k}."""
         if self.field.deg == 1:
-            if _float64_exact(self.field, R.shape[-2]):
+            if _backend(self.field, "residue", C.size * R.shape[-1], R.shape[-2]) is np.float64:
                 P = (C.astype(np.float64) @ R.astype(np.float64)).astype(np.int64)
             else:
                 P = C @ R

@@ -82,10 +82,10 @@ class GammaBasis:
         self.elements = tuple(encs)
         G = FqMatrix(self.base_field,
                      [ext_field.coeffs_of(e) for e in self.elements])
-        if not G.is_invertible():
-            raise DependentBasis("coordinate matrix is singular")
         self._G = G
-        self._Ginv = G.inverse()
+        self._Ginv = G._inverse()
+        if self._Ginv is None:
+            raise DependentBasis("coordinate matrix is singular")
 
     @staticmethod
     @functools.lru_cache(maxsize=64)
@@ -539,7 +539,7 @@ def dual_gabidulin_mtr_base(q: int, m: int, n: int,
     primal_v = VectorCode(ext, [[power.elements[i] for i in range(n)]])
     primal = gamma_expand_code(primal_v, power)
     code = dual_code(primal)
-    A, _ = _power_members(power.generator_companion(), n, m - 1)
+    A = _power_members(power.generator_companion(), n, m - 1)[0]
     members = FqMatrix._from_array(power.base_field, A)
     if gamma is not None and gamma.elements != power.elements:
         T = gamma.frame_change_from(power)

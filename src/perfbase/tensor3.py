@@ -44,7 +44,7 @@ from .exactla import (
     _projective_count,
     _solve_combination,
 )
-from .gf import Field
+from .gf import Field, _backend
 
 DEFAULT_GUARD = 100_000_000
 
@@ -156,7 +156,7 @@ def rank_lower_bound(V: MatrixSpace, goal: float = float("inf"), guard: int | No
         if d > 1:
             value, kind = kruskal_bound(k, d), "kruskal"
     if n == m and value <= n and value < goal and k > 1:  # one member: M = [I]
-        inverse = next((A.inverse() for A in V.basis if A.is_invertible()), None)
+        inverse = next((inv for A in V.basis if (inv := A._inverse()) is not None), None)
         if inverse is not None:
             M = [inverse @ B for B in V.basis]
             bound = n + 1 - (all(X.power(field.q) == X for X in M) and all(
@@ -184,7 +184,7 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
         if A.field != field or A.shape != shape:
             raise ShapeMismatch(f"member {idx} has wrong field or shape")
     span = Echelon(field, target.n * target.m)
-    if span._np:
+    if _backend(field, "echelon", span.width, span.width) is np.int64:
         M = cand._array if cand._array is not None else np.array(
             [A.rows for A in cand.matrices], dtype=np.int64).reshape(-1, *shape)
         rank_one, vectors = _rank_one_np(field._int64, M).tolist(), M.reshape(len(M), -1)

@@ -415,7 +415,7 @@ def test_a_carried_array_of_failing_members_gets_their_report(F):
     rng = random.Random(F.q)
     spec = CompanionSpec(F, 5, tuple(rng.randrange(1, F.q) for _ in range(5)))
     other = CompanionSpec(F, 5, (1,) + (0,) * 4)
-    A, _ = construct._power_members(spec, 5, 2)
+    A = construct._power_members(spec, 5, 2)[0]
     target = construct._power_target(spec, 2)
     rank_two, repeated = A.copy(), A.copy()
     rank_two[3] = 0
@@ -432,7 +432,7 @@ def test_a_carried_array_of_failing_members_gets_their_report(F):
 
 
 def test_the_public_candidate_takes_no_array():
-    A, _ = construct._power_members(spec_of(F7, 3, 1, 4), 3, 1)
+    A = construct._power_members(spec_of(F7, 3, 1, 4), 3, 1)[0]
     members = FqMatrix._from_array(F7, A)
     target = construct._power_target(spec_of(F7, 3, 1, 4), 1)
     with pytest.raises(TypeError):

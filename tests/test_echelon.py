@@ -3,8 +3,9 @@
 `reference_rref` and `reference_verify_base` are the Gauss-Jordan
 elimination and the two-pass base check that `exactla.Echelon` replaced,
 kept here as the simple path the kernel must agree with.  Both backends are
-exercised: the numpy one by forcing `_NUMPY_MIN_WIDTH` down and by widths
-above it, the list one over extension fields and narrow prime-field rows.
+exercised: the numpy one by forcing `gf._ECHELON_MIN_WIDTH`, the threshold of
+the backend rule `gf._backend`, down and by widths above it, the list one
+over extension fields and narrow prime-field rows.
 """
 
 import math
@@ -14,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfbase import exactla, tensor3
+from perfbase import exactla, gf, tensor3
 from perfbase.errors import ShapeMismatch
 from perfbase.exactla import Echelon, FqMatrix, MatrixSpace
-from perfbase.gf import _int64_safe, field_make
+from perfbase.gf import field_make
 from perfbase.tensor3 import BaseCandidate, VerificationReport, verify_base
 
 FIELDS = [(2, 1), (13, 1), (3, 2), (5, 4)]  # F_2, F_13, F_9, F_625
@@ -120,7 +121,7 @@ def random_rows(rng, F, n, width, rank_cap=None):
 @pytest.fixture(params=["default", "numpy-forced"])
 def backend(request, monkeypatch):
     if request.param == "numpy-forced":
-        monkeypatch.setattr(exactla, "_NUMPY_MIN_WIDTH", 1)
+        monkeypatch.setattr(gf, "_ECHELON_MIN_WIDTH", 1)
     return request.param
 
 
@@ -183,7 +184,7 @@ def test_echelon_matches_reference_rref(p, deg, backend):
 @pytest.mark.parametrize("p", [2, 13])
 def test_numpy_backend_at_its_natural_width(p):
     F = field_make(p)
-    width = exactla._NUMPY_MIN_WIDTH + 3
+    width = gf._ECHELON_MIN_WIDTH + 3
     assert Echelon(F, width)._np and not Echelon(F, width - 4)._np
     rng = random.Random(p)
     for cap in (None, 5, 0):
@@ -255,7 +256,7 @@ def test_extend_gives_the_row_rank_profile(p, backend):
 
 
 def test_backend_choice_depends_only_on_the_input():
-    wide = exactla._NUMPY_MIN_WIDTH
+    wide = gf._ECHELON_MIN_WIDTH
     assert Echelon(field_make(13), wide)._np
     assert not Echelon(field_make(13), wide - 1)._np
     assert not Echelon(field_make(5, 4), 4 * wide)._np
@@ -527,7 +528,7 @@ def test_verify_base_reports_agree_on_both_backends(p, monkeypatch):
     cands.append(BaseCandidate(tuple(members[:-1]), target))
     reports = []
     for width in (1, 10 ** 9):
-        monkeypatch.setattr(exactla, "_NUMPY_MIN_WIDTH", width)
+        monkeypatch.setattr(gf, "_ECHELON_MIN_WIDTH", width)
         reports.append([verify_base(c) for c in cands])
     assert reports[0] == reports[1] == [reference_verify_base(c) for c in cands]
     assert reports[0][0].passed and not any(r.passed for r in reports[0][1:])

@@ -73,7 +73,7 @@ def test_from_array_of_outers_is_outer_of_each_pair_of_rows(p, k):
     # the matrices of one array broadcast u v^t, of Python ints where int64
     # products overflow; every zero row of the batch is one shared tuple
     F = field_make(p, k)
-    dtype = np.int64 if gf._int64_safe(F, 1) else object
+    dtype = gf._backend(F, "array")
     rng = random.Random(p)
     n, m = rng.randint(1, 5), rng.randint(1, 5)
     U = [[rng.choice((0, rng.randrange(F.q))) for _ in range(n)] for _ in range(30)]
@@ -285,6 +285,20 @@ def assert_same_space(got, want):
 
 ARRAY_PATH_FIELDS = [(13, 1), (2, 2), (3, 2), (5, 4), ((1 << 61) - 1, 1)]
 ARRAY_PATH_IDS = ["F13", "F4", "F9", "F625", "F2^61-1"]
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (13, 1), ((1 << 61) - 1, 1)],
+                         ids=["F2", "F4", "F13", "F2^61-1"])
+def test_full_space_is_the_eliminated_unit_matrices(p, k):
+    # `MatrixSpace.full` wraps the identity rows with pivots 0..nm-1 and
+    # eliminates nothing: the same space as its n m unit matrices eliminated
+    F = field_make(p, k)
+    for shape in [(1, 1), (1, 4), (3, 1), (2, 2), (3, 4), (5, 5)]:
+        n, m = shape
+        units = [FqMatrix.unit(F, n, m, i, j) for i in range(n) for j in range(m)]
+        full = MatrixSpace.full(F, shape)
+        assert_same_space(full, MatrixSpace(F, shape, units))
+        assert full.dim == n * m and full.dual_complement().dim == 0
 
 
 @pytest.mark.parametrize("p,k", ARRAY_PATH_FIELDS, ids=ARRAY_PATH_IDS)
@@ -751,25 +765,27 @@ def _primes_at_the_float64_bound(terms):
 
 @pytest.mark.parametrize("terms", [1, 20, 64, 511])
 def test_residue_is_exact_on_both_sides_of_the_float64_bound(terms, monkeypatch):
-    # entries of p - 1 make the largest sums the bound admits: the largest
-    # prime inside it forms the product in float64, the next one in int64,
-    # and inside the bound the int64 product gives the same residue
+    # entries of p - 1 make the largest sums the bound admits: with the
+    # backend rule's size floor at zero the largest prime inside it forms the
+    # product in float64, the next one in int64, and with the floor above
+    # the product inside the bound the int64 product gives the same residue
     inside, outside = _primes_at_the_float64_bound(terms)
     rng = random.Random(terms)
-    bound = gf._float64_exact
+    work = 3 * terms * 5
     for p, floats in ((inside, True), (outside, False)):
         F = field_make(p)
-        assert bound(F, terms) == floats and gf._int64_safe(F, terms)
+        assert gf._backend(F, "array", terms=terms) is np.int64
         T = [[rng.randrange(p) for _ in range(5)] for _ in range(3)]
         C = [[p - 1] * terms, [rng.randrange(p) for _ in range(terms)], [1] * terms]
         R = [[p - 1] * 4 + [rng.randrange(p)] for _ in range(terms)]
         want = [[(t - sum(c[k] * R[k][j] for k in range(terms))) % p
                  for j, t in enumerate(row)] for row, c in zip(T, C)]
-        for forced in ((None, False) if floats else (None,)):
-            monkeypatch.setattr(gf, "_float64_exact", bound if forced is None
-                                else lambda field, n: forced)
+        for floor in (0, work + 1):
+            monkeypatch.setattr(gf, "_FLOAT64_MIN_WORK", floor)
+            dtype = gf._backend(F, "residue", work, terms)
+            assert dtype is (np.float64 if floats and floor == 0 else np.int64)
             got = F._int64.residue(np.array(T), np.array(C), np.array(R))
-            assert got.dtype == np.int64 and got.tolist() == want, (p, forced)
+            assert got.dtype == np.int64 and got.tolist() == want, (p, floor)
 
 
 def test_scans_use_the_int64_form_the_field_built_once(monkeypatch):

@@ -7,7 +7,10 @@ encoding, `FqMatrix.outer` its only builder of a product matrix u v^t,
 `Field.sub_scaled` its only row combination acc + c * row, no
 module-level function is an alias that only forwards to a method, and
 no module outside `gf` reads a field's log, antilog and Zech tables or
-names `_Int64Field`, the int64 form each field builds once.
+names `_Int64Field`, the int64 form each field builds once, no module
+outside `gf` names a piece of the backend rule `_backend` (its constants,
+or the int64 and float64 bounds it absorbed), and no module outside
+`exactla` reads a private attribute of an `Echelon` it built.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.  `__init__.py` re-exports names and is skipped.
@@ -324,8 +327,8 @@ def float64_forms(source: str):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf.py"],
                          ids=lambda p: p.name)
 def test_only_gf_forms_float64_arrays(path):
-    # float64 products are exact only within `gf._float64_exact`, which the
-    # int64 form checks before it forms one
+    # float64 products are exact only where `gf._backend` says so, which the
+    # int64 form asks before it forms one
     assert float64_forms(path.read_text()) == []
 
 
@@ -338,6 +341,82 @@ def test_float64_check_sees_every_form():
               "P = C.astype(np.int64)\n")
     assert float64_forms(source) == [1, 2, 3, 4]
     assert float64_forms((SRC / "gf.py").read_text()) != []
+
+
+def backend_rule_names(gf_source: str):
+    """The names of the backend rule: `_backend`'s module-level constants,
+    the ones it reads, and the two bounds it absorbed."""
+    tree = ast.parse(gf_source)
+    constants = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name)}
+    rule = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_backend")
+    read = {n.id for n in ast.walk(rule) if isinstance(n, ast.Name)}
+    return {"_int64_safe", "_float64_exact"} | (constants & read)
+
+
+def names_of(source: str, names):
+    """Lines that name one of `names`: as a name, an attribute or an import."""
+    return sorted({n.lineno for n in ast.walk(ast.parse(source))
+                   if (isinstance(n, ast.Name) and n.id in names)
+                   or (isinstance(n, ast.Attribute) and n.attr in names)
+                   or (isinstance(n, ast.ImportFrom)
+                       and any(a.name in names for a in n.names))})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf.py"],
+                         ids=lambda p: p.name)
+def test_only_gf_holds_the_backend_rule(path):
+    # every lists / int64 / float64 / object choice asks `gf._backend`, so no
+    # other module holds a threshold or a bound of its own
+    names = backend_rule_names((SRC / "gf.py").read_text())
+    assert names_of(path.read_text(), names) == []
+
+
+def test_backend_rule_check_sees_every_naming():
+    names = backend_rule_names((SRC / "gf.py").read_text())
+    assert {"_ECHELON_MIN_WIDTH", "_SCAN_MIN_WORDS", "_FLOAT64_MIN_WORK"} <= names
+    assert "_P_LIMIT" not in names
+    source = ("from .gf import Field, _int64_safe\n"
+              "exact = gf._float64_exact(field, 3)\n"
+              "wide = width >= _ECHELON_MIN_WIDTH\n"
+              "dtype = _backend(field, 'array')\n")
+    assert names_of(source, names) == [1, 2, 3]
+
+
+def _builds_echelon(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return ((isinstance(func, ast.Name) and func.id == "Echelon")
+            or (isinstance(func, ast.Attribute) and func.attr == "Echelon"))
+
+
+def echelon_private_reads(source: str):
+    """Lines that read a private attribute of a name bound to `Echelon(...)`."""
+    tree = ast.parse(source)
+    bound = {t.id for n in ast.walk(tree)
+             if isinstance(n, ast.Assign) and _builds_echelon(n.value)
+             for t in n.targets if isinstance(t, ast.Name)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id in bound and _is_private(n.attr))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "exactla.py"],
+                         ids=lambda p: p.name)
+def test_no_module_reads_an_echelons_private_state(path):
+    # `verify_base` asks `gf._backend` which backend its echelon runs on
+    # rather than reading the echelon's own flag
+    assert echelon_private_reads(path.read_text()) == []
+
+
+def test_echelon_read_check_sees_private_reads():
+    source = ("span = Echelon(field, 4)\n"
+              "if span._np:\n"
+              "    rows = span._rows\n"
+              "r = span.rank, V._rrows\n"
+              "E = exactla.Echelon(field, 4, rows)\n"
+              "pivots = E._pivots\n")
+    assert echelon_private_reads(source) == [2, 3, 6]
 
 
 def imported_modules(source: str):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perfbase import exactla, rmcode
+from perfbase import exactla, gf, rmcode
 from perfbase.construct import CompanionSpec, companion, y_matrix
 from perfbase.errors import (
     BadEta,
@@ -237,7 +237,7 @@ def test_distance_scan_backends_match_brute_force(monkeypatch, q):
     # input runs on both backends
     p = {4: 2, 8: 2, 9: 3}.get(q, q)
     F = field_make(p, round(math.log(q, p)))
-    assert (exactla._projective_count(q, 2) < exactla._SCAN_NUMPY_MIN_WORDS
+    assert (exactla._projective_count(q, 2) < gf._SCAN_MIN_WORDS
             <= exactla._projective_count(q, 3))
     batched = []
     scan_np = exactla._min_distance_np
@@ -264,7 +264,7 @@ def test_distance_scan_backends_match_brute_force(monkeypatch, q):
             rank = min(_brute_rank(F, [w[:m], w[m:]]) for w in words)
             weight = min(sum(1 for v in w if v) for w in words)
             for threshold in (1, 1 << 30):
-                monkeypatch.setattr(exactla, "_SCAN_NUMPY_MIN_WORDS", threshold)
+                monkeypatch.setattr(gf, "_SCAN_MIN_WORDS", threshold)
                 del batched[:]
                 assert exactla._min_distance(F, rows, 1 << 24, m) == rank
                 assert exactla._min_distance(F, rows, 1 << 24) == weight
@@ -276,7 +276,7 @@ def test_distance_scan_backends_match_brute_force(monkeypatch, q):
 def test_min_rank_distance_beyond_the_int64_rule_scans_lists(monkeypatch):
     # over p = 2^61 - 1 a product of two entries overflows int64, so even a
     # scan that the word count would send to numpy runs on lists
-    monkeypatch.setattr(exactla, "_SCAN_NUMPY_MIN_WORDS", 1)
+    monkeypatch.setattr(gf, "_SCAN_MIN_WORDS", 1)
     p = (1 << 61) - 1
     F = field_make(p)
     u, v = (3 << 40, 5), (7, 11 << 35)
