@@ -7,8 +7,9 @@ Run from the repository root, on an otherwise idle machine:
 Each table times the same work on both sides of one constant of
 `gf._backend`, by moving that constant in this process only, and prints the
 median time per call in microseconds:
-  echelon  `Echelon(F_13, w, rows).rref()` of w rows of width w, dense rows
-           and rows of rank-one 2 x w/2 matrices, on lists and on int64
+  echelon  `Echelon(F, w, rows).rref()` of w rows of width w, dense rows
+           and rows of rank-one 2 x w/2 matrices, on lists and on int64, over
+           F_13, F_4 and F_{7^4}: one floor for every kind of field
            (`_ECHELON_MIN_WIDTH`);
   scan     `_min_distance` of a random 2-dim space of 3x3 matrices over F_q
            for q + 1 = 8 .. 32 words, on lists and on int64 (`_SCAN_MIN_WORDS`);
@@ -33,7 +34,8 @@ import numpy as np  # noqa: E402
 
 from perfbase import exactla, gf  # noqa: E402
 
-ECHELON_WIDTHS = tuple(range(12, 29, 2))
+ECHELON_CASES = tuple((q, w) for q in (13, 4, 2401)  # F_13, F_4, F_{7^4}
+                      for w in (12, 16, 20, 24, 28, 32, 40))
 SCAN_FIELDS = (7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31)  # q + 1 = 8 .. 32 words
 RESIDUE_SHAPES = ((1, 4, 16), (25, 2, 16), (2, 8, 64), (4, 4, 100), (8, 8, 24),
                   (8, 8, 32), (4, 8, 64), (8, 16, 16), (8, 8, 40), (4, 4, 225),
@@ -93,22 +95,24 @@ def _dense_rows(rng, F, count, width):
 
 def table(kind, sizes, repeat=9):
     """Rows (kind, case, {label: microseconds}, ratio) of one table; `sizes`
-    are widths for "echelon", field orders for "scan", (b, r, w) shapes for
-    "residue" and ("dense" or "rank-one", m) cases for "leaf"."""
+    are (field order, width) cases for "echelon", field orders for "scan",
+    (b, r, w) shapes for "residue" and ("dense" or "rank-one", m) cases for
+    "leaf"."""
     rng = random.Random(kind)
     F13 = gf.field_make(13)
     out = []
     for size in sizes:
         if kind == "echelon":
-            for label, rows in (("dense", _dense_rows(rng, F13, size, size)),
-                                ("rank-one", _rank_one_rows(rng, F13, size, 2, size // 2))):
+            F, w = _field(size[0]), size[1]
+            for label, rows in (("dense", _dense_rows(rng, F, w, w)),
+                                ("rank-one", _rank_one_rows(rng, F, w, 2, w // 2))):
 
                 def run():
-                    return exactla.Echelon(F13, size, rows).rref()
+                    return exactla.Echelon(F, w, rows).rref()
 
                 times = {"lists": _with(gf, "_ECHELON_MIN_WIDTH", _NEVER, run, repeat),
                          "int64": _with(gf, "_ECHELON_MIN_WIDTH", 0, run, repeat)}
-                out.append((kind, f"{label} w={size}", times))
+                out.append((kind, f"F_{F.q} {label} w={w}", times))
         elif kind == "scan":
             F = _field(size)
             rows = [tuple(rng.randrange(F.q) for _ in range(9)) for _ in range(2)]
@@ -157,7 +161,7 @@ def main(argv=None):
     print(f"constants: _ECHELON_MIN_WIDTH={gf._ECHELON_MIN_WIDTH} "
           f"_SCAN_MIN_WORDS={gf._SCAN_MIN_WORDS} "
           f"_FLOAT64_MIN_WORK={gf._FLOAT64_MIN_WORK} _LEAF_ROWS={exactla._LEAF_ROWS}")
-    for kind, sizes in (("echelon", ECHELON_WIDTHS), ("scan", SCAN_FIELDS),
+    for kind, sizes in (("echelon", ECHELON_CASES), ("scan", SCAN_FIELDS),
                         ("residue", RESIDUE_SHAPES), ("leaf", LEAF_CASES)):
         print(f"\n{kind}")
         for _, case, times, ratio in table(kind, sizes, args.repeat):

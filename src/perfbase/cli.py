@@ -108,9 +108,9 @@ def matrix_from_json(field: Field, obj) -> FqMatrix:
 # refused before any matrix is built, and `construct` writes none.  At the
 # cap, a `perfbase verify` run on a full-space 16x32 certificate (512 random
 # dense target members, 512 random u v^t base members with nonzero factors)
-# takes 0.44-0.57 s over F_5 and 10.5-16.7 s over F_4; with the 512 unit
-# matrices as the target, 6.1-7.1 s over F_4 (Intel Xeon, 2 CPUs, Python 3.11,
-# numpy 2.4).
+# takes 0.64-0.74 s over F_5, 6.8-7.4 s over F_4 and 6.2-7.1 s over F_9; with
+# the 512 unit matrices as the target, 6.0-6.2 s over F_4 (Intel Xeon, 2 CPUs,
+# Python 3.11, numpy 2.4, one CPU, one OpenBLAS thread, three runs each).
 MAX_INPUT_ENTRIES = 1 << 19
 
 

@@ -332,8 +332,8 @@ def _normalize_lead(F, vec):
     raise InternalVerificationError("zero vector cannot be normalized")
 
 
-def _split_block_form(spec: CompanionSpec, alpha_encs, g: FqPolynomial) -> FqMatrix:
-    """P with P M P^{-1} = diag(alphas) over a trailing companion block of g.
+def _split_block_form(spec: CompanionSpec, alpha_encs, g: FqPolynomial):
+    """(P, P^{-1}): P M P^{-1} = diag(alphas) over a trailing companion block of g.
 
     The top rows are left eigenvectors for the distinct linear roots; the
     trailing rows are the orbit w, wM, ..., wM^{r-1} of a row vector w killed
@@ -354,8 +354,8 @@ def _split_block_form(spec: CompanionSpec, alpha_encs, g: FqPolynomial) -> FqMat
         for _ in range(r - 1):
             orbit.append((FqMatrix(F, [orbit[-1]]) @ M).rows[0])
         P = FqMatrix(F, rows + orbit)
-        if P.is_invertible():
-            return P
+        if (Pinv := P._inverse()) is not None:  # one elimination: check and inverse
+            return P, Pinv
     raise InternalVerificationError("no cyclic row for the cofactor block")
 
 
@@ -461,10 +461,9 @@ def _block_split(spec: CompanionSpec, alpha_encs, g: FqPolynomial, nrows: int):
     h = FqPolynomial.from_roots(F, betas)
     Mg = CompanionSpec.from_polynomial(g).matrix()
     Mh = CompanionSpec.from_polynomial(h).matrix()
-    P = _split_block_form(spec, alpha_encs, g)
+    P, Pinv = _split_block_form(spec, alpha_encs, g)
     Q = _identity_block_diag(F, m - r, _left_eigenrows(Mh, betas))
     members = _projectors(Q @ P, nrows)
-    Pinv = P.inverse()
     aux = {"P": P, "Q": Q, "M_h": Mh, "D1": _embed_bottom_right(F, m, Mg - Mh)}
     if r >= 3:
         aux["D2"] = _embed_bottom_right(F, m, Mg.inverse() - Mh.inverse())

@@ -23,9 +23,10 @@ residue, membership or coordinate query reduces them again in a new
 pivots (`MatrixSpace._of`), never eliminating them again;
 `tensor3.verify_base` extends one echelon by all its members, on numpy as
 one array, and compares a span of the target's dimension with the target's
-rows.  `gf._backend`, the package's one backend rule, picks numpy, where a
-batch is one recursive elimination with its work in the int64 form's
-`residue` products (`_eliminate`), or Python lists and `Field.sub_scaled`.
+rows.  `gf._backend`, the package's one backend rule, picks by width and the
+int64 bound alone, for every field: numpy, a batch as one recursive
+elimination with its work in the int64 form's `residue` (`_eliminate`), or
+Python lists.
 
 Every minimum distance is one scan, `_min_distance`: rmcode's
 `min_rank_distance` and `min_hamming_distance` (behind certificate
@@ -322,9 +323,9 @@ class Echelon:
     entries, in pivot order, are its coordinates in the canonical basis
     `rref()`, the unique RREF of everything inserted.
 
-    Rows that `gf._backend` sends to numpy live in an int64 array, with a
-    residue as one product and a batch inserted by `_eliminate`; all other
-    rows are Python lists.  Not safe to fill from several threads at once.
+    Rows that `gf._backend` sends to numpy, by width over any field, live in an
+    int64 array, a residue as one product and a batch inserted by `_eliminate`;
+    other rows are Python lists.  Not safe to fill from several threads at once.
     """
 
     __slots__ = ("field", "width", "_rows", "_pivots", "_np")
@@ -438,12 +439,12 @@ def _reduced(arith, T, R, pivots):
 
 
 def _eliminate(arith, B):
-    """For each row of an int64 batch B over F_p, whether it is outside the
-    span of the rows before it; and B's fully reduced rows and their pivots.
-    The second half is reduced by the first half's rows, then eliminated, and
-    its pivots are cleared from the first half's rows, each by one product;
-    at most `_LEAF_ROWS` rows go row by row (Jeannerod, Pernet, Storjohann,
-    J. Symbolic Comput. 2013)."""
+    """For each row of an int64 batch B over any field, whether it is outside
+    the span of the rows before it; and B's fully reduced rows and their
+    pivots.  The second half is reduced by the first half's rows, then
+    eliminated, and its pivots are cleared from the first half's rows, each by
+    one `residue`; at most `_LEAF_ROWS` rows go row by row (Jeannerod, Pernet,
+    Storjohann, J. Symbolic Comput. 2013)."""
     if len(B) > _LEAF_ROWS:
         half = len(B) // 2
         grew, top, pivots = _eliminate(arith, B[:half])

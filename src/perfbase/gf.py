@@ -306,12 +306,12 @@ class Field:
 
 # --- the backend rule -------------------------------------------------------------
 #
-# Floors over F_13 (Intel Xeon, Python 3.11, numpy 2.4, one OpenBLAS thread),
-# from the table `scripts/calibrate.py` prints.  Its whole-batch crossovers
-# sit lower for echelons (12 wide) and scans (8 words); those two floors stay
-# until end-to-end runs show that narrow spans gain.  Extension-field rows
-# stay on lists: the gathers took 1.4-2.8x the list time at widths 20-60.
-_ECHELON_MIN_WIDTH = 20  # prime-field `Echelon` rows this wide run on int64, not lists
+# Floors from the tables `scripts/calibrate.py` prints (Intel Xeon, Python 3.11,
+# numpy 2.4, one OpenBLAS thread).  Over F_13 they cross lower, for echelons at
+# 12 wide and scans at 8 words; the floors stay until end-to-end runs show that
+# narrow spans gain.  One echelon floor for every field: at 20 wide int64 takes
+# 0.3x the list time over F_13, 0.8x over F_{7^4}, 1.4x over F_4 (1.0x at 28).
+_ECHELON_MIN_WIDTH = 20  # `Echelon` rows this wide run on int64, not lists, over any field
 _SCAN_MIN_WORDS = 16  # distance scans of this many words run in int64 batches
 _FLOAT64_MIN_WORK = 2048  # F_p residues of b r w multiply-adds use float64, not int64
 
@@ -329,7 +329,7 @@ def _backend(field, op, size=0, terms=1):
     Gautier and Pernet, "Finite field linear algebra subroutines", ISSAC 2002).
     """
     if op == "echelon":  # the most frequent question, and mostly on narrow rows
-        return np.int64 if (field.deg == 1 and size >= _ECHELON_MIN_WIDTH
+        return np.int64 if (size >= _ECHELON_MIN_WIDTH
                             and (field.p - 1) ** 2 * terms < 1 << 63) else "lists"
     top = (field.p - 1) ** 2 * terms
     if op == "scan":

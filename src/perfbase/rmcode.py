@@ -591,8 +591,7 @@ def two_dim_bound(G_rows, gamma: GammaBasis):
     return lower, len(picked), cand
 
 
-def psi_block(C: RankCode, A: BaseCandidate,
-              guard: int = DEFAULT_SCAN_GUARD) -> BlockCode:
+def psi_block(C: RankCode, A: BaseCandidate) -> BlockCode:
     """Coordinates of the code with respect to a base, as a block code."""
     try:
         cand = BaseCandidate(A.matrices, C.space)

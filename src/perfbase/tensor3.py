@@ -175,7 +175,8 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
     dimensions as the target has, containment is equality, and RREF is
     unique: the span's canonical rows are compared with the target's, and the
     target is reduced only when they differ, to find the first missing row.
-    On numpy the members are one int64 array, `cand._array` if carried, one rank-one batch.
+    On numpy (`gf._backend`, by width, over F_p and F_{p^k} alike) the members
+    are one int64 array, `cand._array` if carried, one rank-one batch.
     """
     target = cand.target
     field = target.field
@@ -211,7 +212,7 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
 
 
 def _rank_one_np(arith, M):
-    """Which matrices of an int64 batch over F_p have rank one.  A nonzero
+    """Which matrices of an int64 batch, over any field, have rank one.  A nonzero
     matrix's first nonzero row, scaled to 1 at its lead column j, is a unit
     row v; the matrix has rank one exactly when it equals (its column j) v."""
     idx = np.arange(len(M))

@@ -8,7 +8,8 @@ float64 against int64 at `_FLOAT64_MIN_WORK` and at the 2^53 bound of exact
 float64 sums.  Each input also runs with the threshold moved to either
 extreme, so both kernels see the same input.  The fields are F_13, F_4,
 F_625, 2^31 - 1 (no int64 echelon, no float64 product) and 2^61 - 1 (object
-arrays, lists everywhere else).
+arrays, lists everywhere else).  The echelon rule is one for every field:
+F_4 and F_625 rows at the width floor run on int64, as F_13 rows do.
 """
 
 import importlib.util
@@ -45,7 +46,7 @@ def test_echelon_on_both_sides_of_its_width_floor(p, k, monkeypatch):
     floor = gf._ECHELON_MIN_WIDTH
     rng = random.Random(f"echelon-floor-{F.q}")
     for width in (floor - 1, floor):
-        numpy = p == 13 and width == floor  # int64 sums overflow at 2^31 - 1
+        numpy = F.q <= 625 and width == floor  # int64 sums overflow at 2^31 - 1
         assert (gf._backend(F, "echelon", width, width) is np.int64) == numpy
         assert Echelon(F, width)._np == numpy
         for n, cap in ((3, None), (12, 5), (width + 4, None), (9, 0)):
@@ -155,7 +156,7 @@ def test_residue_on_both_sides_of_the_float64_bound(terms, monkeypatch):
         assert all(X.dtype == np.int64 and X.tolist() == want for X in got), p
 
 
-def test_calibration_script_prints_each_table_on_a_tiny_size():
+def test_calibration_script_prints_each_table_on_a_tiny_size(monkeypatch, capsys):
     path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "calibrate.py"
     spec = importlib.util.spec_from_file_location("calibrate", path)
     calibrate = importlib.util.module_from_spec(spec)
@@ -165,7 +166,7 @@ def test_calibration_script_prints_each_table_on_a_tiny_size():
                 exactla._LEAF_ROWS)
 
     before = constants()
-    for kind, size, labels in (("echelon", 4, ["lists", "int64"]),
+    for kind, size, labels in (("echelon", (4, 4), ["lists", "int64"]),
                                ("scan", 3, ["lists", "int64"]),
                                ("residue", (1, 2, 3), ["int64", "float64"]),
                                ("leaf", ("rank-one", 2), ["leaf=2", "leaf=4", "leaf=8",
@@ -174,3 +175,13 @@ def test_calibration_script_prints_each_table_on_a_tiny_size():
         assert rows and all(row[0] == kind and list(row[2]) == labels for row in rows)
         assert all(us > 0 for row in rows for us in row[2].values())
     assert constants() == before  # moved only within the script's own calls
+    # the echelon table times the one floor over a prime and two extension fields
+    assert {q for q, _ in calibrate.ECHELON_CASES} == {13, 4, 2401}
+    for name, sizes in (("ECHELON_CASES", ((13, 4), (4, 4), (2401, 4))),
+                        ("SCAN_FIELDS", (7,)), ("RESIDUE_SHAPES", ((1, 2, 3),)),
+                        ("LEAF_CASES", (("rank-one", 2),))):
+        monkeypatch.setattr(calibrate, name, sizes)
+    calibrate.main(["--repeat", "1"])
+    echelon = capsys.readouterr().out.split("\nscan\n")[0]
+    assert all(f"F_{q} {rows} w=4" in echelon
+               for q in (13, 4, 2401) for rows in ("dense", "rank-one"))

@@ -3,9 +3,10 @@
 `reference_rref` and `reference_verify_base` are the Gauss-Jordan
 elimination and the two-pass base check that `exactla.Echelon` replaced,
 kept here as the simple path the kernel must agree with.  Both backends are
-exercised: the numpy one by forcing `gf._ECHELON_MIN_WIDTH`, the threshold of
-the backend rule `gf._backend`, down and by widths above it, the list one
-over extension fields and narrow prime-field rows.
+exercised over prime and extension fields alike, as the backend rule
+`gf._backend` has one echelon floor for every field: the numpy one by forcing
+that floor, `gf._ECHELON_MIN_WIDTH`, down and by widths at or above it, the
+list one by narrower rows and by primes whose sums overflow int64.
 """
 
 import math
@@ -259,7 +260,10 @@ def test_backend_choice_depends_only_on_the_input():
     wide = gf._ECHELON_MIN_WIDTH
     assert Echelon(field_make(13), wide)._np
     assert not Echelon(field_make(13), wide - 1)._np
-    assert not Echelon(field_make(5, 4), 4 * wide)._np
+    # one floor for every field: extension-field rows as wide run on int64
+    assert Echelon(field_make(2, 2), wide)._np and Echelon(field_make(5, 4), wide)._np
+    assert not Echelon(field_make(2, 2), wide - 1)._np
+    assert not Echelon(field_make(5, 4), wide - 1)._np
     # sums of products would overflow int64: lists, whatever the width
     assert not Echelon(field_make(2 ** 31 - 1), 4 * wide)._np
 
@@ -349,7 +353,7 @@ def space_of(F, vecs, n, m):
 def test_intersect_matches_reference(p, deg, backend):
     F = field_make(p, deg)
     rng = random.Random(f"intersect-{p}-{deg}-{backend}")
-    # doubled widths 12 and 18 run on lists, 20 and 24 on numpy over prime fields
+    # doubled widths 12 and 18 run on lists, 20 and 24 on numpy
     for n, m in [(2, 3), (3, 3), (2, 5), (3, 4)]:
         size = n * m
         full = random_rows(rng, F, size, size)
@@ -479,10 +483,14 @@ def test_verify_base_compares_rows_only_at_equal_dimension(p, deg, n, m, monkeyp
     check(units[:k], units[:2] + [units[k + 1]], 2, 1)
 
 
-@pytest.mark.parametrize("p", [13, LARGEST_AT_40])
-def test_batched_rank_one_test_matches_is_rank_one(p):
-    F = field_make(p)
-    rng = random.Random(f"rank-one-{p}")
+PRIME_AND_EXTENSION = [(13, 1), (LARGEST_AT_40, 1), (2, 2), (3, 2), (5, 4)]
+PRIME_AND_EXTENSION_IDS = [str(p ** k) for p, k in PRIME_AND_EXTENSION]
+
+
+@pytest.mark.parametrize("p,k", PRIME_AND_EXTENSION, ids=PRIME_AND_EXTENSION_IDS)
+def test_batched_rank_one_test_matches_is_rank_one(p, k):
+    F = field_make(p, k)
+    rng = random.Random(f"rank-one-{F.q}")
     for n, m in [(5, 8), (1, 6), (6, 1), (3, 3)]:
         mats = [FqMatrix.zeros(F, n, m), FqMatrix.unit(F, n, m, n - 1, m - 1)]
         for zeros in range(4):  # rank one with the first rows, then columns, zero
@@ -502,11 +510,11 @@ def test_batched_rank_one_test_matches_is_rank_one(p):
         assert any(A.is_rank_one() for A in mats) and not all(A.is_rank_one() for A in mats)
 
 
-@pytest.mark.parametrize("p", [13, LARGEST_AT_40])
-def test_verify_base_reports_agree_on_both_backends(p, monkeypatch):
+@pytest.mark.parametrize("p,k", PRIME_AND_EXTENSION, ids=PRIME_AND_EXTENSION_IDS)
+def test_verify_base_reports_agree_on_both_backends(p, k, monkeypatch):
     # corrupted 4x6 candidates, whose 24-wide rows run on numpy by default
-    F = field_make(p)
-    rng = random.Random(f"reports-{p}")
+    F = field_make(p, k)
+    rng = random.Random(f"reports-{F.q}")
     n, m, k = 4, 6, 20
     members = [rank_one(rng, F, n, m) for _ in range(k)]
     target = MatrixSpace(F, (n, m), members)

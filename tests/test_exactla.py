@@ -182,7 +182,7 @@ def assert_canonical(S):
 
 
 def test_dual_dimensions_and_involution_random_corpus():
-    # widths 20 and 25 run on numpy over the prime fields, on lists over F_4, F_9
+    # widths 20 and 25 run on numpy, narrower ones on lists, over every field
     fields = [F2, F3, F5, field_make(13), field_make(2, 2), field_make(3, 2)]
     rng = random.Random(1234)
     for _ in range(120):
@@ -505,7 +505,7 @@ def test_basis_is_built_from_the_rows(p, k, shape):
     n, m = shape
     rng = random.Random(f"basis-{F.q}-{n}x{m}")
     V = MatrixSpace(F, shape, [rand_matrix(rng, F, n, m) for _ in range(n * m // 2)])
-    assert V._echelon()._np == (k == 1 and n * m >= 20)
+    assert V._echelon()._np == (n * m >= 20)  # one width floor for every field
     assert V.dim > 0
     assert V.basis == tuple(_unvectorize(F, r, n, m) for r in V._rrows)
     assert V.basis == V.basis
