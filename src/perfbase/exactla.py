@@ -506,6 +506,14 @@ def _normalized_vectors(field, length):
             yield (0,) * lead + (1,) + tail
 
 
+def _scan_guard(field, k, guard) -> int:
+    """(q^k - 1) / (q - 1), the words a scan of k rows visits, if `guard` allows."""
+    if (needed := _projective_count(field.q, k)) > guard:
+        raise GuardExceeded(f"{needed} codewords exceed the guard", progress={
+            "phase": "distance", "needed": needed, "guard": guard})
+    return needed
+
+
 def _min_distance(field, rows, guard, width=None) -> int:
     """Least rank, or Hamming weight, of a nonzero combination of `rows`.
 
@@ -514,14 +522,10 @@ def _min_distance(field, rows, guard, width=None) -> int:
     without, its number of nonzero entries.  One word per scalar class is
     scanned, (q^k - 1) / (q - 1) of them; more than `guard` raises
     GuardExceeded with `progress = {"phase": "distance", "needed", "guard"}`
-    before any work.  `gf._backend` picks the backend from the input.
+    before any work (`_scan_guard`).  `gf._backend` picks the backend.
     """
     k = len(rows)
-    needed = _projective_count(field.q, k)
-    if needed > guard:
-        raise GuardExceeded(
-            f"{needed} codewords exceed the guard",
-            progress={"phase": "distance", "needed": needed, "guard": guard})
+    needed = _scan_guard(field, k, guard)
     if _backend(field, "scan", needed, k) is np.int64:
         return _min_distance_np(field, rows, width)
     best = size = len(rows[0])

@@ -6,7 +6,7 @@ families.  The dual of a one-dimensional such code admits an explicit
 (nm-m+1)-base, one-dimensional codes admit evaluation-interpolation bases of
 size m+s-1, and shortening plus row extension turns those into codes meeting
 the tensor-rank lower bound for every admissible parameter set.  `build_mtr`
-builds each such seed once per (q, m, d) per process, shared and never changed.
+builds each seed per (q, m, d) and each core per (q, m, k, d) once per process.
 
 Minimum distances are computed exhaustively by `exactla._min_distance`
 (one word per scalar class, under a guard); `min_rank_distance` and
@@ -53,6 +53,7 @@ from .exactla import (
     _combine,
     _min_distance,
     _projective_count,
+    _scan_guard,
     _solve_combination,
 )
 from .gf import Field, FieldElement, field_make, find_primitive
@@ -177,6 +178,7 @@ class RankCode:
     def __init__(self, space: MatrixSpace):
         self.space = space
         self._distance = None
+        self._core = None  # a code with the same distance, whose scan is shared
 
     @property
     def field(self):
@@ -195,9 +197,12 @@ class RankCode:
         return self.space.dim
 
     def distance(self, guard: int = DEFAULT_SCAN_GUARD) -> int:
-        if self._distance is None:
-            self._distance = min_rank_distance(self, guard)
-        return self._distance
+        core = self._core or self
+        if core._distance is None:  # a memo hit is guarded as its scan was
+            core._distance = min_rank_distance(core, guard)
+        elif self.k:
+            _scan_guard(self.field, self.k, guard)
+        return core._distance
 
     def __repr__(self):
         return f"RankCode[{self.n}x{self.m}, k={self.k}]"
@@ -222,8 +227,10 @@ class BlockCode:
         return len(self.generators)
 
     def distance(self, guard: int = DEFAULT_SCAN_GUARD) -> int:
-        if self._distance is None:
+        if self._distance is None:  # a memo hit is guarded as its scan was
             self._distance = min_hamming_distance(self, guard)
+        else:
+            _scan_guard(self.field, self.k, guard)
         return self._distance
 
     def is_mds(self, guard: int = DEFAULT_SCAN_GUARD) -> bool:
@@ -377,8 +384,8 @@ def gabidulin(U_basis, k: int, s: int, eta, gamma: GammaBasis | None = None):
 def extend_base_lindep(base_s: BaseCandidate, lambdas) -> BaseCandidate:
     """Append rows that are fixed combinations of the first s rows.
 
-    Every member (and every target basis matrix) gains the same dependent
-    rows, so ranks are unchanged and spanning is preserved in both directions.
+    Members and canonical target rows r gain the same dependent rows, [r; Lambda r]:
+    ranks and spanning are kept, and the target's RREF is read off, with r's pivots.
     """
     lam = [tuple(row) for row in lambdas]
     s = base_s.target.n
@@ -393,8 +400,9 @@ def extend_base_lindep(base_s: BaseCandidate, lambdas) -> BaseCandidate:
         return FqMatrix.row_stack(F, (M, Lam @ M))
 
     members = tuple(extend(M) for M in base_s.matrices)
-    target = MatrixSpace(F, (s + len(lam), base_s.target.m),
-                         [extend(B) for B in base_s.target.basis])
+    target = MatrixSpace._of(F, (s + len(lam), base_s.target.m),
+                             tuple(extend(B).vectorize() for B in base_s.target.basis),
+                             base_s.target._pivots)
     return BaseCandidate(members, target)
 
 
@@ -631,9 +639,7 @@ def shorten_mtr(C: RankCode, A: BaseCandidate, S):
     if inter.dim != expected:
         raise InternalVerificationError(
             f"shortening produced dimension {inter.dim}, expected {expected}")
-    sub = RankCode(inter)
-    witness = BaseCandidate(tuple(chosen), inter)
-    return sub, witness
+    return RankCode(inter), BaseCandidate(tuple(chosen), inter)
 
 
 @functools.lru_cache(maxsize=64)
@@ -643,13 +649,20 @@ def _mtr_seed(q, m, d):
     return base, RankCode(base.target)
 
 
+@functools.lru_cache(maxsize=64)
+def _mtr_core(q, m, k, d):
+    """`build_mtr`'s seed shortened to dimension k: the n = d code and its witness."""
+    base, C0 = _mtr_seed(q, m, d)
+    return shorten_mtr(C0, base, range(k + d - 1))
+
+
 def build_mtr(q: int, n: int, m: int, k: int, d: int):
     """An [n x m, k, d] code meeting the tensor-rank bound, with witness.
 
     Pipeline: expand the one-dimensional power code on d rows (an
     [d x m, m, d] code with an (m+d-1)-base), shorten to dimension k, then
-    append n-d zero rows to both the code and the witness.  The seed is
-    built and scanned once per (q, m, d) per process, shared and never changed.
+    append n-d zero rows to code and witness.  Seeds are built and scanned once
+    per (q, m, d) per process, shortened cores once per (q, m, k, d).
     """
     code, result = _build_mtr(q, n, m, k, d)
     return code, result.candidate
@@ -662,11 +675,9 @@ def _build_mtr(q, n, m, k, d):
         raise ParametersOutOfRange("need 1 <= k <= m and 1 <= d <= min(n, m)")
     if q < m + d - 2:
         raise FieldTooSmall("need q >= m + d - 2")
-    base, C0 = _mtr_seed(q, m, d)
-    sub, witness = shorten_mtr(C0, base, range(k + d - 1))
-    if n > d:
-        zeros = [[0] * d for _ in range(n - d)]
-        witness = extend_base_lindep(witness, zeros)
-        sub = RankCode(witness.target)
+    core, witness = _mtr_core(q, m, k, d)
+    witness = extend_base_lindep(witness, [[0] * d] * (n - d))
+    sub = RankCode(witness.target)
+    sub._core = core  # appended zero rows change no rank
     return sub, _finish(BaseCandidate(witness.matrices, sub.space), "build-mtr",
                         {"q": q, "n": n, "m": m, "k": k, "d": d}, {})

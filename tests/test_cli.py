@@ -236,6 +236,7 @@ def test_construct_build_mtr_verifies_each_base_once(tmp_path, capsys, monkeypat
     for module in (construct, rmcode, cli):
         monkeypatch.setattr(module, "verify_base", counting)
     rmcode._mtr_seed.cache_clear()
+    rmcode._mtr_core.cache_clear()
     for seed in ("cold", "warm"):
         calls.clear()
         out = tmp_path / f"{seed}.json"

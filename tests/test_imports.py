@@ -9,8 +9,10 @@ module-level function is an alias that only forwards to a method, and
 no module outside `gf` reads a field's log, antilog and Zech tables or
 names `_Int64Field`, the int64 form each field builds once, no module
 outside `gf` names a piece of the backend rule `_backend` (its constants,
-or the int64 and float64 bounds it absorbed), and no module outside
-`exactla` reads a private attribute of an `Echelon` it built.
+or the int64 and float64 bounds it absorbed), no module outside
+`exactla` reads a private attribute of an `Echelon` it built, and every
+`functools.lru_cache` holds at most 64 entries and is named in the
+README's "Per-process memos".
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.  `__init__.py` re-exports names and is skipped.
@@ -18,6 +20,7 @@ with the standard library.  `__init__.py` re-exports names and is skipped.
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -417,6 +420,57 @@ def test_echelon_read_check_sees_private_reads():
               "E = exactla.Echelon(field, 4, rows)\n"
               "pivots = E._pivots\n")
     assert echelon_private_reads(source) == [2, 3, 6]
+
+
+def memos_section() -> str:
+    """The "Per-process memos" section of the README, up to the next heading."""
+    text = (SRC.parent.parent / "README.md").read_text()
+    return text.split("## Per-process memos\n", 1)[1].split("\n## ", 1)[0]
+
+
+def undocumented_memos(source: str, documented: str):
+    """Lines of the `lru_cache` and `cache` decorators that may hold more
+    than 64 entries, or whose function `documented` does not name in
+    backticks (as `name` or `Owner.name`)."""
+    lines = []
+    functions = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef)]
+    for node in functions:
+        for dec in node.decorator_list:
+            func = dec.func if isinstance(dec, ast.Call) else dec
+            kind = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if kind not in ("lru_cache", "cache"):
+                continue
+            size = 128 if kind == "lru_cache" else None  # the defaults
+            if isinstance(dec, ast.Call):
+                given = dec.args + [k.value for k in dec.keywords if k.arg == "maxsize"]
+                size = given[0].value if given and isinstance(given[0], ast.Constant) else None
+            named = re.search(rf"`(\w+\.)*{node.name}`", documented)
+            if not (type(size) is int and size <= 64 and named):
+                lines.append(dec.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_memo_is_small_and_documented(path):
+    # a memo lives as long as the process, so each is bounded and the README
+    # says what it keeps
+    assert undocumented_memos(path.read_text(), memos_section()) == []
+
+
+def test_memo_check_sees_large_and_undocumented_memos():
+    documented = "`_seed`, `Basis.power`, `_table` and `_big`"
+    source = ("@functools.lru_cache(maxsize=64)\ndef _seed(q): pass\n"
+              "class Basis:\n    @staticmethod\n    @lru_cache(32)\n"
+              "    def power(q): pass\n"
+              "@functools.lru_cache(maxsize=64)\ndef _hidden(q): pass\n"
+              "@functools.lru_cache\ndef _table(q): pass\n"
+              "@functools.lru_cache(maxsize=None)\ndef _big(q): pass\n"
+              "@functools.cache\ndef _seed(q): pass\n"
+              "@functools.cached_property\ndef _seed(q): pass\n")
+    assert undocumented_memos(source, documented) == [7, 9, 11, 13]
+    memos = [undocumented_memos(p.read_text(), "") for p in MODULES]
+    assert sum(map(len, memos)) >= 4
 
 
 def imported_modules(source: str):

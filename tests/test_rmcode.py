@@ -31,6 +31,7 @@ from perfbase.rmcode import (
     LinearizedPoly,
     RankCode,
     VectorCode,
+    _mtr_core,
     _mtr_seed,
     _power_candidate,
     build_mtr,
@@ -163,6 +164,51 @@ def test_distance_scan_guard_boundary_and_progress():
         assert exc.value.progress == {"phase": "distance", "needed": needed,
                                       "guard": needed - 1}
         assert scan(code, guard=needed) == d
+
+
+def test_a_memoised_distance_is_guarded_as_its_scan():
+    # a scan, then memo hits: under a smaller guard each raises what a fresh
+    # code's scan raises, and under the scan's guard it answers again
+    g = GammaBasis.power(3, 3)
+
+    def fresh_rank():
+        return dual_code(gamma_expand_code(power_vector_code(g, 3), g))
+
+    def fresh_block():
+        return BlockCode(F5, [(1, 1, 1, 0), (0, 0, 1, 1)])
+
+    for fresh, needed, d in ((fresh_rank, 364, 2), (fresh_block, 6, 2)):
+        code = fresh()
+        assert code.distance(needed) == d
+        for guard in (needed - 1, 0):
+            with pytest.raises(GuardExceeded) as hit:
+                code.distance(guard)
+            with pytest.raises(GuardExceeded) as scan:
+                fresh().distance(guard)
+            assert str(hit.value) == str(scan.value) == f"{needed} codewords exceed the guard"
+            assert hit.value.progress == scan.value.progress == {
+                "phase": "distance", "needed": needed, "guard": guard}
+        assert code.distance(needed) == code.distance() == d
+
+
+def test_a_carried_core_distance_is_guarded_as_its_scan(monkeypatch):
+    code, _ = build_mtr(7, 3, 3, 2, 3)
+    assert code.distance(10 ** 6) == 3
+    with pytest.raises(GuardExceeded) as exc:
+        code.distance(0)
+    assert exc.value.progress == {"phase": "distance", "needed": 8, "guard": 0}
+    # a taller code of the same core carries the core's distance, unscanned,
+    # and under the same guard
+    scans = []
+    monkeypatch.setattr(rmcode, "_min_distance", lambda *a: scans.append(a))
+    tall, _ = build_mtr(7, 4, 3, 2, 3)
+    with pytest.raises(GuardExceeded) as exc:
+        tall.distance(7)
+    assert exc.value.progress == {"phase": "distance", "needed": 8, "guard": 7}
+    assert tall.distance(8) == 3 and scans == []
+    # the zero code scans nothing, so no guard refuses it, fresh or memoised
+    zero = RankCode(MatrixSpace.zero(F5, (2, 2)))
+    assert zero.distance(-1) == zero.distance(-1) == 3
 
 
 def test_distance_is_basis_independent():
@@ -436,6 +482,29 @@ def test_extend_base_lindep_zero_rows():
     assert all(A.rows[3] == (0,) * 4 and A.rows[4] == (0,) * 4
                for A in ext.matrices)
     assert verify_base(ext).passed
+
+
+def test_extend_base_lindep_reads_off_the_eliminated_target():
+    # [r; Lambda r] over the canonical rows r is the RREF an elimination of
+    # the extended basis finds, with the same pivots, over prime and
+    # extension fields alike, the zero space included
+    rng = random.Random(29)
+    fields = [field_make(2), field_make(7), field_make(2, 2), field_make(3, 2),
+              field_make(5, 2)]
+    for case in range(750):
+        F = fields[case % len(fields)]
+        s, m = rng.randint(1, 3), rng.randint(1, 3)
+        mats = [FqMatrix(F, [[rng.randrange(F.q) for _ in range(m)] for _ in range(s)])
+                for _ in range(rng.randint(0, s * m))]
+        target = MatrixSpace(F, (s, m), mats)
+        lam = [[rng.randrange(F.q) for _ in range(s)] for _ in range(rng.randint(1, 3))]
+        got = extend_base_lindep(BaseCandidate((), target), lam).target
+        Lam = FqMatrix(F, lam)
+        want = MatrixSpace(F, (s + len(lam), m),
+                           [FqMatrix.row_stack(F, (B, Lam @ B)) for B in target.basis])
+        assert (got._rrows, got._pivots) == (want._rrows, want._pivots)
+        assert got.shape == want.shape and got == want
+        assert all(type(v) is int for row in got._rrows for v in row)
 
 
 # --- one-dimensional bases -----------------------------------------------------------------
@@ -812,6 +881,7 @@ def test_mtr_seed_is_one_shared_object():
 
 def test_mtr_seeds_are_unchanged_by_the_full_sweep():
     _mtr_seed.cache_clear()
+    _mtr_core.cache_clear()
     params = list(criterion_7_parameters())
     for q, n, m, k, d in params:
         code, wit = build_mtr(q, n, m, k, d)
@@ -820,6 +890,7 @@ def test_mtr_seeds_are_unchanged_by_the_full_sweep():
     assert _mtr_seed.cache_info().currsize == len(keys) == 19
     kept = {key: _mtr_seed(*key) for key in keys}
     _mtr_seed.cache_clear()
+    _mtr_core.cache_clear()
     for key, (base, C0) in kept.items():
         fresh, fresh_C0 = _mtr_seed(*key)
         assert fresh is not base
@@ -830,6 +901,7 @@ def test_mtr_seeds_are_unchanged_by_the_full_sweep():
 
 def test_refused_mtr_calls_leave_the_seed_memo_unchanged():
     _mtr_seed.cache_clear()
+    _mtr_core.cache_clear()
     build_mtr(7, 3, 3, 2, 3)
     before = _mtr_seed.cache_info().currsize
     for args, error in [((5, 4, 4, 2, 4), FieldTooSmall),
@@ -843,6 +915,7 @@ def test_refused_mtr_calls_leave_the_seed_memo_unchanged():
 
 def test_warm_mtr_calls_do_no_seed_work(monkeypatch):
     _mtr_seed.cache_clear()
+    _mtr_core.cache_clear()
     calls = {"_power_candidate": 0, "_min_distance": 0}
 
     def counting(name):
@@ -860,6 +933,77 @@ def test_warm_mtr_calls_do_no_seed_work(monkeypatch):
         assert (code.k, len(wit.matrices)) == (k, k + 2)
     # the seed's build and its distance scan, once for both calls
     assert calls == {"_power_candidate": 1, "_min_distance": 1}
+
+
+# --- the MTR core memo -----------------------------------------------------------------
+
+
+def sweep_criterion_7():
+    for q, n, m, k, d in criterion_7_parameters():
+        code, wit = build_mtr(q, n, m, k, d)
+        assert (code.k, code.distance(), len(wit.matrices)) == (k, d, k + d - 1)
+
+
+def test_mtr_cores_are_built_and_scanned_once_per_sweep(monkeypatch):
+    _mtr_seed.cache_clear()
+    _mtr_core.cache_clear()
+    sweep_criterion_7()
+    keys = sorted({(q, m, k, d) for q, n, m, k, d in criterion_7_parameters()})
+    assert _mtr_core.cache_info().currsize == len(keys) == 56
+    calls = []
+    for name in ("shorten_mtr", "_min_distance"):
+        monkeypatch.setattr(rmcode, name, lambda *a, name=name: calls.append(name))
+    sweep_criterion_7()
+    assert calls == []
+    monkeypatch.undo()
+    kept = {key: _mtr_core(*key) for key in keys}
+    _mtr_seed.cache_clear()
+    _mtr_core.cache_clear()
+    for key, (core, wit) in kept.items():
+        fresh, fresh_wit = _mtr_core(*key)
+        assert fresh is not core
+        assert (core.space._rrows, core.space._pivots) == \
+            (fresh.space._rrows, fresh.space._pivots)
+        assert wit.matrices == fresh_wit.matrices and wit.target == fresh_wit.target
+        assert core._distance == fresh.distance() == key[3]
+
+
+def test_each_mtr_call_returns_a_new_code_and_witness():
+    for n in (3, 4):  # the core itself, and extended by a zero row
+        first, second = build_mtr(7, n, 3, 2, 3), build_mtr(7, n, 3, 2, 3)
+        assert first[0] is not second[0] and first[1] is not second[1]
+        assert first[0].space == second[0].space
+        assert first[1].matrices == second[1].matrices
+        assert first[0].distance() == second[0].distance() == 3
+
+
+def test_refused_mtr_calls_leave_no_core():
+    _mtr_seed.cache_clear()
+    _mtr_core.cache_clear()
+    build_mtr(7, 3, 3, 2, 3)
+    assert _mtr_core.cache_info().currsize == 1
+    for args, error in [((5, 4, 4, 2, 4), FieldTooSmall),
+                        ((7, 3, 3, 4, 3), ParametersOutOfRange),
+                        ((7, 2, 3, 1, 3), ParametersOutOfRange),
+                        ((6, 2, 2, 1, 1), NotPrime)]:
+        with pytest.raises(error):
+            build_mtr(*args)
+        assert _mtr_core.cache_info().currsize == 1
+
+
+def test_mtr_cores_match_the_uncached_pipeline():
+    # shortening, row extension and the distance scan done afresh for every
+    # tuple give what the shared core gives
+    for q, n, m, k, d in criterion_7_parameters():
+        code, result = rmcode._build_mtr(q, n, m, k, d)
+        base = _power_candidate(GammaBasis.power(q, m), d)
+        _, wit = shorten_mtr(RankCode(base.target), base, range(k + d - 1))
+        wit = extend_base_lindep(wit, [[0] * d for _ in range(n - d)])
+        assert (code.space._rrows, code.space._pivots) == \
+            (wit.target._rrows, wit.target._pivots)
+        assert result.candidate.matrices == wit.matrices
+        assert result.report.to_dict() == verify_base(wit).to_dict()
+        assert code.distance() == min_rank_distance(RankCode(wit.target)) == d
 
 
 def test_singleton_and_kruskal_on_constructed_codes():
