@@ -352,7 +352,7 @@ def _split_block_form(spec: CompanionSpec, alpha_encs, g: FqPolynomial):
     for w in _combination_stream(F, null):
         orbit = [w]
         for _ in range(r - 1):
-            orbit.append((FqMatrix(F, [orbit[-1]]) @ M).rows[0])
+            orbit.append(_combine(F, orbit[-1], M.rows, m))
         P = FqMatrix(F, rows + orbit)
         if (Pinv := P._inverse()) is not None:  # one elimination: check and inverse
             return P, Pinv

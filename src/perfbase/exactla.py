@@ -37,14 +37,13 @@ word, as `gf._backend` says.  Both numpy paths compute with the field's
 int64 form, `Field._int64`; this module reads no field table.  numpy is
 imported with this module, so the package pays for it once, at import.
 
-`Field.sub_scaled` is the one row combination on lists.  Sums
-sum c_i * row_i are `_combine`, a fold of it: extension-field `FqMatrix`
-products (a row of A times the rows of B), `MatrixSpace.iter_elements`, the
-list scan's words, construct's combination stream and rmcode's two-row
-distance words.  Other row combinations outside the kernel are `FqMatrix`
-products: rmcode's coordinate expansion (`gamma_expand`, behind
-`GammaBasis.expand_scalar` and `mult_matrix`) and its dependent-row
-extension (`extend_base_lindep`).
+`Field.sub_scaled` is the one row combination on lists.  Every sum
+sum c_i * row_i, a vector times a matrix included, is `_combine`, a fold of
+it: extension-field `FqMatrix` products, `MatrixSpace.iter_elements`, the list
+scan's words, construct's combination stream and block-form orbit, and rmcode's
+two-row distance words, dependent-row extension and power multiple.  The one
+exception is rmcode's coordinate expansion `gamma_expand`, an `FqMatrix`
+product that changes the basis of a batch of rows.
 
 Everything here except a filling `Echelon` is immutable after construction
 and safe for concurrent use.

@@ -55,6 +55,7 @@ from .exactla import (
     _projective_count,
     _scan_guard,
     _solve_combination,
+    _unvectorize,
 )
 from .gf import Field, FieldElement, field_make, find_primitive
 from .tensor3 import BaseCandidate, kruskal_bound, verify_base
@@ -384,26 +385,26 @@ def gabidulin(U_basis, k: int, s: int, eta, gamma: GammaBasis | None = None):
 def extend_base_lindep(base_s: BaseCandidate, lambdas) -> BaseCandidate:
     """Append rows that are fixed combinations of the first s rows.
 
-    Members and canonical target rows r gain the same dependent rows, [r; Lambda r]:
-    ranks and spanning are kept, and the target's RREF is read off, with r's pivots.
+    Members and canonical target rows r gain the same dependent rows, [r; Lambda r],
+    one `_combine` per coefficient row: ranks and spanning are kept, the target's RREF
+    is read off, with r's pivots, and a member of another field or shape raises.
     """
-    lam = [tuple(row) for row in lambdas]
-    s = base_s.target.n
+    target = base_s.target
+    F, s, m = target.field, target.n, target.m
+    lam = [list(map(F.encode, row)) for row in lambdas]
     if any(len(row) != s for row in lam):
         raise ShapeMismatch("each coefficient row must have s entries")
     if not lam:
         return base_s
-    F = base_s.target.field
-    Lam = FqMatrix(F, lam)
 
-    def extend(M: FqMatrix) -> FqMatrix:
-        return FqMatrix.row_stack(F, (M, Lam @ M))
+    def extend(vec):  # row-major [r; Lambda r]
+        rows = [vec[i:i + m] for i in range(0, s * m, m)]
+        return vec + tuple(v for c in lam for v in _combine(F, c, rows, m))
 
-    members = tuple(extend(M) for M in base_s.matrices)
-    target = MatrixSpace._of(F, (s + len(lam), base_s.target.m),
-                             tuple(extend(B).vectorize() for B in base_s.target.basis),
-                             base_s.target._pivots)
-    return BaseCandidate(members, target)
+    members = tuple(_unvectorize(F, extend(target._vector(M)), s + len(lam), m)
+                    for M in base_s.matrices)
+    return BaseCandidate(members, MatrixSpace._of(
+        F, (s + len(lam), m), tuple(map(extend, target._rrows)), target._pivots))
 
 
 # --- one-dimensional code bases ---------------------------------------------------------
@@ -524,8 +525,8 @@ def _power_multiple(gamma: GammaBasis, span: MatrixSpace, s: int) -> int:
         if shifted.dim == 0:
             raise CaseNotCovered(
                 "entry span is not a scalar multiple of a power span")
-    # the extension scalar whose expansion is the first row of the basis
-    return gamma.ext_field.enc_of((shifted.basis[0] @ gamma._G).rows[0])
+    row = _combine(gamma.base_field, shifted._rrows[0], gamma._G.rows, gamma.m)
+    return gamma.ext_field.enc_of(row)  # the scalar whose expansion is that row
 
 
 # --- headline constructions ---------------------------------------------------------------

@@ -4,7 +4,9 @@ imported where the package loads, not where a scan first needs it,
 building the power-family bases loads no module more, and
 `Field.encode` is the package's only rule for turning a scalar into an
 encoding, `FqMatrix.outer` its only builder of a product matrix u v^t,
-`Field.sub_scaled` its only row combination acc + c * row, no
+`Field.sub_scaled` its only row combination acc + c * row,
+`exactla._combine` its only vector times a matrix (no one-row matrix
+literal and no `.basis[i]` is the left operand of `@`), no
 module-level function is an alias that only forwards to a method, and
 no module outside `gf` reads a field's log, antilog and Zech tables or
 names `_Int64Field`, the int64 form each field builds once, no module
@@ -207,6 +209,48 @@ def test_row_combination_check_sees_hand_built_copies():
               "D = [F.add(a, b) for a, b in zip(u, v)]\n"
               "E = [F.add(F.neg(a), b) for a, b in zip(u, v)]\n")
     assert hand_built_combinations(source) == [1, 2, 4]
+
+
+def _is_one_row_matrix(node):
+    """`FqMatrix(F, [v])` or `FqMatrix._of(F, (v,))`: one row wrapped as a matrix."""
+    if not (isinstance(node, ast.Call) and len(node.args) == 2
+            and isinstance(node.args[1], (ast.List, ast.Tuple))
+            and len(node.args[1].elts) == 1):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "_of":
+        func = func.value
+    return isinstance(func, ast.Name) and func.id == "FqMatrix"
+
+
+def wrapped_vector_products(source: str):
+    """Lines of the `@` products whose left operand is a one-row matrix
+    literal or a `.basis[i]` subscript: a vector times a matrix, which is
+    `exactla._combine` of the vector with the matrix's rows."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        and (_is_one_row_matrix(node.left)
+             or isinstance(node.left, ast.Subscript)
+             and isinstance(node.left.value, ast.Attribute)
+             and node.left.value.attr == "basis"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_vector_times_matrix_goes_through_combine(path):
+    assert wrapped_vector_products(path.read_text()) == []
+
+
+def test_vector_product_check_sees_wrapped_rows():
+    source = ("w = (FqMatrix(F, [orbit[-1]]) @ M).rows[0]\n"
+              "x = FqMatrix._of(F, (row,)) @ G @ H\n"
+              "pi = (shifted.basis[0] @ gamma._G).rows[0]\n"
+              "P = FqMatrix(F, rows) @ M\n"
+              "Q = FqMatrix(F, [[1, 2], [3, 4]]) @ M\n"
+              "R = Lam @ B @ mult_pi\n"
+              "S = M @ FqMatrix(F, [v])\n"
+              "T = [B @ M for B in space.basis]\n")
+    assert wrapped_vector_products(source) == [1, 2, 3]
 
 
 def alias_wrappers(source: str):

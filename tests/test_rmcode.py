@@ -474,6 +474,17 @@ def test_extend_base_lindep_checks_its_coefficient_rows():
     assert extend_base_lindep(cand, []) is cand
     with pytest.raises(ShapeMismatch):
         extend_base_lindep(cand, [[1, 2]])
+    F7 = field_make(7)
+    with pytest.raises(FieldMismatch):  # a coefficient of another field
+        extend_base_lindep(cand, [[F7.element(1), 0, 0]])
+    # a member over another field, with other than s = 3 rows, or with other
+    # than m = 4 columns is refused before any row is combined
+    for bad, error in ((FqMatrix(F7, [[1, 0, 0, 0]] * 3), FieldMismatch),
+                       (FqMatrix(F5, [[1, 0, 0, 0]] * 2), ShapeMismatch),
+                       (FqMatrix(F5, [[1, 0, 0]] * 3), ShapeMismatch)):
+        with pytest.raises(error):
+            extend_base_lindep(BaseCandidate(cand.matrices + (bad,), cand.target),
+                               [[1, 2, 3]])
 
 
 def test_extend_base_lindep_zero_rows():
@@ -486,9 +497,11 @@ def test_extend_base_lindep_zero_rows():
 
 def test_extend_base_lindep_reads_off_the_eliminated_target():
     # [r; Lambda r] over the canonical rows r is the RREF an elimination of
-    # the extended basis finds, with the same pivots, over prime and
-    # extension fields alike, the zero space included
-    rng = random.Random(29)
+    # the extended basis finds, with the same pivots, and each member M becomes
+    # [M; Lambda M], over prime and extension fields alike, the zero space
+    # included; Lambda is also given as field elements, as ints outside
+    # [0, q), and all zero, the only Lambda `build_mtr` passes
+    rng, spell = random.Random(29), random.Random(30)
     fields = [field_make(2), field_make(7), field_make(2, 2), field_make(3, 2),
               field_make(5, 2)]
     for case in range(750):
@@ -498,13 +511,26 @@ def test_extend_base_lindep_reads_off_the_eliminated_target():
                 for _ in range(rng.randint(0, s * m))]
         target = MatrixSpace(F, (s, m), mats)
         lam = [[rng.randrange(F.q) for _ in range(s)] for _ in range(rng.randint(1, 3))]
-        got = extend_base_lindep(BaseCandidate((), target), lam).target
-        Lam = FqMatrix(F, lam)
-        want = MatrixSpace(F, (s + len(lam), m),
-                           [FqMatrix.row_stack(F, (B, Lam @ B)) for B in target.basis])
-        assert (got._rrows, got._pivots) == (want._rrows, want._pivots)
-        assert got.shape == want.shape and got == want
-        assert all(type(v) is int for row in got._rrows for v in row)
+        members = tuple(
+            FqMatrix(F, [[spell.randrange(F.q) for _ in range(m)] for _ in range(s)])
+            for _ in range(spell.randint(1, 3)))
+        zero = [[0] * s for _ in lam]
+        for coeffs, given in (
+                (lam, lam),
+                (lam, [[F.element(c) for c in row] for row in lam]),
+                (lam, [[c + F.q * spell.randint(-3, 3) for c in row] for row in lam]),
+                (zero, zero)):
+            ext = extend_base_lindep(BaseCandidate(members, target), given)
+            Lam = FqMatrix(F, coeffs)
+            want = MatrixSpace(F, (s + len(lam), m),
+                               [FqMatrix.row_stack(F, (B, Lam @ B)) for B in target.basis])
+            got = ext.target
+            assert (got._rrows, got._pivots) == (want._rrows, want._pivots)
+            assert got.shape == want.shape and got == want
+            assert ext.matrices == tuple(FqMatrix.row_stack(F, (M, Lam @ M))
+                                         for M in members)
+            assert all(type(v) is int for row in got._rrows for v in row)
+            assert all(type(v) is int for M in ext.matrices for row in M.rows for v in row)
 
 
 # --- one-dimensional bases -----------------------------------------------------------------
