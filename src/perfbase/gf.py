@@ -309,7 +309,9 @@ class Field:
 # Floors from the tables `scripts/calibrate.py` prints (Intel Xeon, Python 3.11,
 # numpy 2.4, one OpenBLAS thread).  Over F_13 they cross lower, for echelons at
 # 12 wide and scans at 8 words; the floors stay until end-to-end runs show that
-# narrow spans gain.  One echelon floor for every field: at 20 wide int64 takes
+# narrow spans gain.  They do not at 12 wide: `mtr-sweep`, which makes many
+# narrow echelons, ran 19 % fewer items/s (5 of 5 pairs) and its median item
+# took 46 % longer.  One echelon floor for every field: at 20 wide int64 takes
 # 0.3x the list time over F_13, 0.8x over F_{7^4}, 1.4x over F_4 (1.0x at 28).
 _ECHELON_MIN_WIDTH = 20  # `Echelon` rows this wide run on int64, not lists, over any field
 _SCAN_MIN_WORDS = 16  # distance scans of this many words run in int64 batches

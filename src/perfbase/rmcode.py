@@ -179,7 +179,6 @@ class RankCode:
     def __init__(self, space: MatrixSpace):
         self.space = space
         self._distance = None
-        self._core = None  # a code with the same distance, whose scan is shared
 
     @property
     def field(self):
@@ -198,12 +197,11 @@ class RankCode:
         return self.space.dim
 
     def distance(self, guard: int = DEFAULT_SCAN_GUARD) -> int:
-        core = self._core or self
-        if core._distance is None:  # a memo hit is guarded as its scan was
-            core._distance = min_rank_distance(core, guard)
+        if self._distance is None:  # a memo hit is guarded as its scan was
+            self._distance = min_rank_distance(self, guard)
         elif self.k:
             _scan_guard(self.field, self.k, guard)
-        return core._distance
+        return self._distance
 
     def __repr__(self):
         return f"RankCode[{self.n}x{self.m}, k={self.k}]"
@@ -621,7 +619,8 @@ def shorten_mtr(C: RankCode, A: BaseCandidate, S):
 
     Below the distance the intersection is zero; from the distance upward it
     is a minimal-tensor-rank subcode of dimension |S| - d + 1 whose witness
-    is the selected members themselves.  Returns (code, witness-or-None).
+    is the selected members themselves, and whose distance is d, recorded
+    unscanned.  Returns (code, witness-or-None).
     """
     R = len(A.matrices)
     S = sorted(set(map(operator.index, S)))
@@ -640,7 +639,11 @@ def shorten_mtr(C: RankCode, A: BaseCandidate, S):
     if inter.dim != expected:
         raise InternalVerificationError(
             f"shortening produced dimension {inter.dim}, expected {expected}")
-    return RankCode(inter), BaseCandidate(tuple(chosen), inter)
+    code = RankCode(inter)
+    # a nonzero subcode of C has words of rank at least d, as words of C, and
+    # at most n = d, as n-row matrices: its distance is d
+    code._distance = d
+    return code, BaseCandidate(tuple(chosen), inter)
 
 
 @functools.lru_cache(maxsize=64)
@@ -652,8 +655,12 @@ def _mtr_seed(q, m, d):
 
 @functools.lru_cache(maxsize=64)
 def _mtr_core(q, m, k, d):
-    """`build_mtr`'s seed shortened to dimension k: the n = d code and its witness."""
+    """`build_mtr`'s seed shortened to dimension k: the n = d code and its
+    witness.  At k = m every member is kept, and the core is the seed itself."""
     base, C0 = _mtr_seed(q, m, d)
+    if k == m:
+        C0.distance()  # the scan `shorten_mtr` would run
+        return C0, base
     return shorten_mtr(C0, base, range(k + d - 1))
 
 
@@ -663,7 +670,8 @@ def build_mtr(q: int, n: int, m: int, k: int, d: int):
     Pipeline: expand the one-dimensional power code on d rows (an
     [d x m, m, d] code with an (m+d-1)-base), shorten to dimension k, then
     append n-d zero rows to code and witness.  Seeds are built and scanned once
-    per (q, m, d) per process, shortened cores once per (q, m, k, d).
+    per (q, m, d) per process, shortened cores built once per (q, m, k, d) and
+    never scanned: each takes the seed's distance d.
     """
     code, result = _build_mtr(q, n, m, k, d)
     return code, result.candidate
@@ -679,6 +687,6 @@ def _build_mtr(q, n, m, k, d):
     core, witness = _mtr_core(q, m, k, d)
     witness = extend_base_lindep(witness, [[0] * d] * (n - d))
     sub = RankCode(witness.target)
-    sub._core = core  # appended zero rows change no rank
+    sub._distance = core._distance  # appended zero rows change no rank
     return sub, _finish(BaseCandidate(witness.matrices, sub.space), "build-mtr",
                         {"q": q, "n": n, "m": m, "k": k, "d": d}, {})

@@ -15,6 +15,7 @@ from perfbase.errors import (
     FieldMismatch,
     FieldTooSmall,
     GuardExceeded,
+    InternalVerificationError,
     InvalidWitness,
     NotABase,
     NotCoprime,
@@ -874,6 +875,48 @@ def test_shorten_mtr_refuses_non_integer_indices():
             shorten_mtr(code, wit, S)
 
 
+def test_shortened_codes_carry_the_seed_distance(monkeypatch):
+    # every nonzero shortening of a criterion-7 seed C0 (distance d = n) is
+    # returned with distance d already recorded, and a fresh scan agrees
+    scans = count_calls(monkeypatch, "_min_distance")
+    rng = random.Random(31)
+    for q, m, d in sorted({(q, m, d) for q, n, m, k, d in criterion_7_parameters()}):
+        base = _power_candidate(GammaBasis.power(q, m), d)
+        C0 = RankCode(base.target)
+        assert C0.distance() == d == C0.n
+        R = len(base.matrices)
+        for size in range(R + 1):
+            subsets = [range(size)] + [rng.sample(range(R), size) for _ in range(2)]
+            for S in subsets:
+                scans["_min_distance"] = 0
+                code, wit = shorten_mtr(C0, base, S)
+                assert scans["_min_distance"] == 0
+                if size <= d - 1:
+                    assert code.k == 0 and wit is None and code._distance is None
+                    assert code.distance() == C0.n + 1
+                    continue
+                assert code.k == size - d + 1 and code._distance == d
+                assert min_rank_distance(RankCode(code.space)) == d
+                assert scans["_min_distance"] == 1
+
+
+def test_shorten_mtr_checks_the_dimension_it_produced(monkeypatch):
+    # the recorded distance rests on the intersection being a nonzero subcode
+    # of the stated dimension; a wrong one raises and leaves no core
+    _mtr_seed.cache_clear()
+    _mtr_core.cache_clear()
+    base, C0 = _mtr_seed(7, 3, 3)
+    monkeypatch.setattr(MatrixSpace, "intersect", lambda self, other: self)
+    with pytest.raises(InternalVerificationError, match="shortening produced dimension 3"):
+        shorten_mtr(C0, base, range(3))
+    with pytest.raises(InternalVerificationError, match="shortening produced dimension 3"):
+        build_mtr(7, 3, 3, 2, 3)
+    assert _mtr_core.cache_info().currsize == 0
+    monkeypatch.undo()
+    code, _ = build_mtr(7, 3, 3, 2, 3)
+    assert code.k == 2 and _mtr_core.cache_info().currsize == 1
+
+
 def test_build_mtr_examples():
     code, wit = build_mtr(7, 3, 3, 2, 3)
     assert (code.k, code.distance(), len(wit.matrices)) == (2, 3, 4)
@@ -897,6 +940,23 @@ def criterion_7_parameters():
                     for d in range(1, min(n, m) + 1):
                         if q >= m + d - 2:
                             yield q, n, m, k, d
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named `rmcode` functions, which still run."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        original = getattr(rmcode, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(rmcode, name, counting(name))
+    return calls
 
 
 def test_mtr_seed_is_one_shared_object():
@@ -942,18 +1002,7 @@ def test_refused_mtr_calls_leave_the_seed_memo_unchanged():
 def test_warm_mtr_calls_do_no_seed_work(monkeypatch):
     _mtr_seed.cache_clear()
     _mtr_core.cache_clear()
-    calls = {"_power_candidate": 0, "_min_distance": 0}
-
-    def counting(name):
-        original = getattr(rmcode, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(rmcode, name, counting(name))
+    calls = count_calls(monkeypatch, "_power_candidate", "_min_distance")
     for k in (2, 3):
         code, wit = build_mtr(7, 4, 4, k, 3)
         assert (code.k, len(wit.matrices)) == (k, k + 2)
@@ -992,6 +1041,20 @@ def test_mtr_cores_are_built_and_scanned_once_per_sweep(monkeypatch):
             (fresh.space._rrows, fresh.space._pivots)
         assert wit.matrices == fresh_wit.matrices and wit.target == fresh_wit.target
         assert core._distance == fresh.distance() == key[3]
+
+
+def test_a_cold_sweep_scans_each_seed_once_and_no_core(monkeypatch):
+    _mtr_seed.cache_clear()
+    _mtr_core.cache_clear()
+    calls = count_calls(monkeypatch, "_min_distance", "shorten_mtr")
+    sweep_criterion_7()
+    # one scan per seed; a shortening per core below k = m, where the core
+    # is the seed itself
+    assert calls == {"_min_distance": 19, "shorten_mtr": 56 - 19}
+    for q, m, d in sorted({(q, m, d) for q, n, m, k, d in criterion_7_parameters()}):
+        base, C0 = _mtr_seed(q, m, d)
+        core, wit = _mtr_core(q, m, m, d)
+        assert core is C0 and wit is base
 
 
 def test_each_mtr_call_returns_a_new_code_and_witness():
