@@ -375,7 +375,10 @@ def _space_from_json(obj) -> MatrixSpace:
         raise ValueError(f"malformed oracle input: {exc!r}") from exc
     if not mats:
         raise ValueError("malformed oracle input: the basis is empty")
-    return MatrixSpace(field, mats[0].shape, mats)
+    space = MatrixSpace(field, mats[0].shape, mats)
+    if not space.dim:  # `verify` refuses a certificate with an empty target
+        raise ValueError("oracle input spans only the zero matrix")
+    return space
 
 
 def cmd_oracle(args) -> int:

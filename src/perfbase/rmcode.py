@@ -6,7 +6,7 @@ families.  The dual of a one-dimensional such code admits an explicit
 (nm-m+1)-base, one-dimensional codes admit evaluation-interpolation bases of
 size m+s-1, and shortening plus row extension turns those into codes meeting
 the tensor-rank lower bound for every admissible parameter set.  `build_mtr`
-builds each seed per (q, m, d) and each core per (q, m, k, d) once per process.
+builds each core per (q, m, k, d) once per process; the k = m core is the seed.
 
 Minimum distances are computed exhaustively by `exactla._min_distance`
 (one word per scalar class, under a guard); `min_rank_distance` and
@@ -31,6 +31,8 @@ from .construct import (
     ConstructionResult,
     _finish,
     _power_members,
+    _power_target,
+    y_matrix,
 )
 from .errors import (
     BadEta,
@@ -57,7 +59,7 @@ from .exactla import (
     _solve_combination,
     _unvectorize,
 )
-from .gf import Field, FieldElement, field_make, find_primitive
+from .gf import Field, FieldElement, field_make, find_primitive, norm
 from .tensor3 import BaseCandidate, kruskal_bound, verify_base
 
 DEFAULT_SCAN_GUARD = 1 << 24
@@ -328,18 +330,6 @@ class LinearizedPoly:
         return FieldElement(ext, acc)
 
 
-def _norm_condition_holds(ext: Field, eta: int, m: int, k: int, s: int) -> bool:
-    """N over the degree-s subextension differs from (-1)^{mk}."""
-    if eta == 0:
-        return True
-    q = ext.p
-    order = ext.q - 1
-    t = sum(pow(q, s * l, order) for l in range(m)) % order
-    val = ext.pow(eta, t)
-    sign = 1 if (m * k) % 2 == 0 else ext.neg(1)
-    return val != sign
-
-
 def gabidulin(U_basis, k: int, s: int, eta, gamma: GammaBasis | None = None):
     """Evaluation code of twisted linearized polynomials on a subspace basis.
 
@@ -357,7 +347,9 @@ def gabidulin(U_basis, k: int, s: int, eta, gamma: GammaBasis | None = None):
     if math.gcd(s, m) != 1:
         raise NotCoprime("the Frobenius step must be coprime to m")
     eta_enc = ext.encode(eta)
-    if not _norm_condition_holds(ext, eta_enc, m, k, s):
+    # as gcd(s, m) = 1, prod_{l<m} eta^(q^(sl)) is the norm of eta onto F_q
+    sign = ext.pow(ext.neg(1), m * k)
+    if eta_enc and norm(FieldElement(ext, eta_enc), ext.p).enc == sign:
         raise BadEta("the twist violates the norm condition")
     gamma = gamma or GammaBasis(ext)
     coords = gamma_expand(list(map(ext.encode, entries)), gamma)
@@ -534,29 +526,27 @@ def dual_gabidulin_mtr_base(q: int, m: int, n: int,
                             gamma: GammaBasis | None = None):
     """The dual of a one-dimensional evaluation code plus its minimal base.
 
-    The dual has dimension m(n-1) and distance 2; the returned base has
-    nm-m+1 members, matching the tensor-rank lower bound exactly.
+    With M the companion of the power basis's generator a, theta (1, a, ...,
+    a^{n-1}) expands to [x; xM; ...; xM^{n-1}], x the coordinates of theta,
+    so the code is the dual power span of Y_n M^r, r < m (s = m), of
+    dimension m(n-1) and distance 2.  The base is the dual-powers-rect members
+    of s = m-1: nm-m+1 of them, matching the tensor-rank lower bound exactly.
+    In another frame gamma both move by T^{-t}, T = gamma.frame_change_from(power).
     """
     if q < m:
         raise FieldTooSmall("need q >= m")
     if not 2 <= n <= m:
         raise ParametersOutOfRange("need 2 <= n <= m")
     power = GammaBasis.power(q, m)
-    ext = power.ext_field
-    primal_v = VectorCode(ext, [[power.elements[i] for i in range(n)]])
-    primal = gamma_expand_code(primal_v, power)
-    code = dual_code(primal)
-    A = _power_members(power.generator_companion(), n, m - 1)[0]
-    members = FqMatrix._from_array(power.base_field, A)
+    spec, Fq = power.generator_companion(), power.base_field
+    space = _power_target(spec, m, y_matrix(Fq, n, m))
+    members = FqMatrix._from_array(Fq, _power_members(spec, n, m - 1)[0])
     if gamma is not None and gamma.elements != power.elements:
-        T = gamma.frame_change_from(power)
-        primal = RankCode(primal.space.transform(
-            FqMatrix.identity(power.base_field, n), T))
-        code = dual_code(primal)
-        Tt_inv = T.transpose().inverse()
+        Tt_inv = gamma.frame_change_from(power).transpose().inverse()
+        space = space.transform(FqMatrix.identity(Fq, n), Tt_inv)
         members = tuple(A @ Tt_inv for A in members)
-    return code, _finish(BaseCandidate(members, code.space), "gabidulin-dual-mtr",
-                         {"q": q, "m": m, "n": n}, {})
+    return RankCode(space), _finish(BaseCandidate(members, space), "gabidulin-dual-mtr",
+                                    {"q": q, "m": m, "n": n}, {})
 
 
 def two_dim_bound(G_rows, gamma: GammaBasis):
@@ -647,21 +637,16 @@ def shorten_mtr(C: RankCode, A: BaseCandidate, S):
 
 
 @functools.lru_cache(maxsize=64)
-def _mtr_seed(q, m, d):
-    """`build_mtr`'s seed: the power base on d rows and its code C0."""
-    base = _power_candidate(GammaBasis.power(q, m), d)
-    return base, RankCode(base.target)
-
-
-@functools.lru_cache(maxsize=64)
 def _mtr_core(q, m, k, d):
     """`build_mtr`'s seed shortened to dimension k: the n = d code and its
-    witness.  At k = m every member is kept, and the core is the seed itself."""
-    base, C0 = _mtr_seed(q, m, d)
-    if k == m:
-        C0.distance()  # the scan `shorten_mtr` would run
-        return C0, base
-    return shorten_mtr(C0, base, range(k + d - 1))
+    witness.  The k = m core is the seed, the power base on d rows and its
+    code C0, scanned here once; every other core shortens it."""
+    if k < m:
+        return shorten_mtr(*_mtr_core(q, m, m, d), range(k + d - 1))
+    base = _power_candidate(GammaBasis.power(q, m), d)
+    C0 = RankCode(base.target)
+    C0.distance()
+    return C0, base
 
 
 def build_mtr(q: int, n: int, m: int, k: int, d: int):
@@ -669,9 +654,9 @@ def build_mtr(q: int, n: int, m: int, k: int, d: int):
 
     Pipeline: expand the one-dimensional power code on d rows (an
     [d x m, m, d] code with an (m+d-1)-base), shorten to dimension k, then
-    append n-d zero rows to code and witness.  Seeds are built and scanned once
-    per (q, m, d) per process, shortened cores built once per (q, m, k, d) and
-    never scanned: each takes the seed's distance d.
+    append n-d zero rows to code and witness.  Cores are built once per
+    (q, m, k, d) per process; the k = m core is the seed, the one scanned, and
+    every shortened core takes its distance d.
     """
     code, result = _build_mtr(q, n, m, k, d)
     return code, result.candidate

@@ -42,6 +42,7 @@ from .exactla import (
     _min_distance,
     _normalized_vectors,
     _projective_count,
+    _reduced,
     _solve_combination,
 )
 from .gf import Field, _backend
@@ -376,10 +377,7 @@ class _Tables:
                                  W[None, :, None, :]).reshape(-1, n * m)
 
     def quotient(self, A, V, free):
-        # V's rows are fully reduced, so A's entries at their pivots are the
-        # coefficients of its residue
-        A = self.arith.residue(A, A[:, list(V._pivots)],
-                               np.array(V._rrows, dtype=np.int64))
+        A = _reduced(self.arith, A, np.array(V._rrows, dtype=np.int64), list(V._pivots))
         return np.ascontiguousarray(A[:, free])
 
     @staticmethod

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -235,7 +236,6 @@ def test_construct_build_mtr_verifies_each_base_once(tmp_path, capsys, monkeypat
 
     for module in (construct, rmcode, cli):
         monkeypatch.setattr(module, "verify_base", counting)
-    rmcode._mtr_seed.cache_clear()
     rmcode._mtr_core.cache_clear()
     for seed in ("cold", "warm"):
         calls.clear()
@@ -393,6 +393,46 @@ def test_oracle_witness_failing_verification_exits_1(tmp_path, capsys, monkeypat
     assert main(["oracle", str(space)]) == 1
     line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert line["kind"] == "internal" and not line["ok"]
+
+
+@pytest.mark.parametrize("kind", [
+    ["dual-powers", "--p", "5", "--m", "4", "--s", "3", "--bottom", "1,0,0,0"],
+    ["build-mtr", "--p", "7", "--n", "4", "--m", "4", "--k", "2", "--d", "3"]],
+    ids=["dual-powers", "build-mtr"])
+def test_construct_failing_self_verification_exits_1(tmp_path, capsys, monkeypatch,
+                                                     kind):
+    # build-mtr reaches `_finish` through rmcode
+    def failing(cand):
+        return dataclasses.replace(tensor3.verify_base(cand), contains_target=False)
+    monkeypatch.setattr(construct, "verify_base", failing)
+    out = tmp_path / "c.json"
+    assert main(["construct", *kind, "--out", str(out)]) == 1
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "internal" and not line["ok"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,n,m", [({"p": 3}, 2, 2), ({"p": 2, "deg": 2}, 1, 3)],
+                         ids=["F3", "F4"])
+def test_oracle_refuses_a_zero_space_before_the_search(tmp_path, capsys, monkeypatch,
+                                                       field, n, m):
+    # its certificate would have an empty target, which `verify` refuses
+    def write(first):
+        entries = [[first] + [0] * (m - 1)] + [[0] * m] * (n - 1)
+        space.write_text(json.dumps({"field": field, "basis": [
+            {"n": n, "m": m, "entries": entries}] * 2}))
+    space, out = tmp_path / "space.json", tmp_path / "out.json"
+    write(0)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "exhaustive_trk", None)
+        assert main(["oracle", str(space), "--out", str(out)]) == 2
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["kind"] == "input" and "zero matrix" in line["error"]
+    assert not out.exists()
+    write(1)  # a nonzero space of the same shape: oracle --out, then verify
+    assert main(["oracle", str(space), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["ok"]
 
 
 def test_verify_guard_exit_reports_distance_progress():

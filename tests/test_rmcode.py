@@ -33,7 +33,6 @@ from perfbase.rmcode import (
     RankCode,
     VectorCode,
     _mtr_core,
-    _mtr_seed,
     _power_candidate,
     build_mtr,
     dual_code,
@@ -378,6 +377,35 @@ def test_gabidulin_twisted_valid_eta():
     code = gabidulin(U, 1, 1, FieldElement(ext, target))
     C = gamma_expand_code(code, g)
     assert C.distance() == 2
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2), (3, 3)])
+def test_gabidulin_refuses_eta_exactly_by_the_norm_condition(p, m):
+    # BadEta exactly when eta != 0 and prod_{l<m} eta^(q^(sl)), formed by
+    # hand, is (-1)^{mk}; at m = 2 the points 1, a, a^2 are dependent, which
+    # is refused only after the twist is checked
+    ext = field_make(p, m)
+    g = GammaBasis(ext)
+    refused = set()
+    for k in (1, 2):
+        sign = ext.neg(1) if m * k % 2 else 1
+        U = [FieldElement(ext, ext.pow(g.elements[1], i)) for i in range(k + 1)]
+        for s in (s for s in range(1, 2 * m + 1) if math.gcd(s, m) == 1):
+            for eta in range(ext.q):
+                product = 1
+                for l in range(m):
+                    product = ext.mul(product, ext.pow(eta, p ** (s * l)))
+                bad = eta != 0 and product == sign
+                try:
+                    gabidulin(U, k, s, FieldElement(ext, eta), g)
+                except BadEta:
+                    assert bad, (k, s, eta)
+                    refused.add(eta)
+                except DependentBasis:
+                    assert not bad and k + 1 > m
+                else:
+                    assert not bad, (k, s, eta)
+    assert refused
 
 
 # --- predicates and duality -------------------------------------------------------------
@@ -818,6 +846,31 @@ def test_dual_gabidulin_mtr_base(q, m, n, size):
     assert is_mtr(code, res.candidate)
 
 
+def test_dual_gabidulin_code_is_the_dual_of_the_expanded_evaluation_code(monkeypatch):
+    # against the route it replaced: expand theta (1, a, ..., a^{n-1}) and
+    # dualise; in another frame, transform the expanded primal by T first
+    cases = [(q, m, n) for q in (2, 3, 5, 7, 11, 13) for m in range(2, 5)
+             if q >= m and q ** m <= 1 << 16 for n in range(2, m + 1)]
+    assert len(cases) == 28
+    for q, m, n in cases:
+        power = GammaBasis.power(q, m)
+        ext, a = power.ext_field, power.elements[1]
+        swapped = GammaBasis(ext, (a, 1) + power.elements[2:])
+        for gamma in (None, swapped):
+            with monkeypatch.context() as patch:
+                calls = count_calls(patch, "VectorCode", "gamma_expand_code", "dual_code")
+                code, res = dual_gabidulin_mtr_base(q, m, n, gamma)
+            assert calls == {"VectorCode": 0, "gamma_expand_code": 0, "dual_code": 0}
+            primal = gamma_expand_code(
+                VectorCode(ext, [[ext.pow(a, i) for i in range(n)]]), power).space
+            if gamma is not None:
+                primal = primal.transform(FqMatrix.identity(power.base_field, n),
+                                          gamma.frame_change_from(power))
+            assert code.space == dual_code(RankCode(primal)).space
+            assert res.candidate.target is code.space and res.report.passed
+            assert (code.k, res.candidate.size) == (m * (n - 1), n * m - m + 1)
+
+
 def test_dual_gabidulin_accepts_alternate_basis():
     ext = field_make(3, 3)
     power = GammaBasis(ext)
@@ -902,19 +955,18 @@ def test_shortened_codes_carry_the_seed_distance(monkeypatch):
 
 def test_shorten_mtr_checks_the_dimension_it_produced(monkeypatch):
     # the recorded distance rests on the intersection being a nonzero subcode
-    # of the stated dimension; a wrong one raises and leaves no core
-    _mtr_seed.cache_clear()
+    # of the stated dimension; a wrong one raises and leaves no core but the seed
     _mtr_core.cache_clear()
-    base, C0 = _mtr_seed(7, 3, 3)
+    C0, base = _mtr_core(7, 3, 3, 3)
     monkeypatch.setattr(MatrixSpace, "intersect", lambda self, other: self)
     with pytest.raises(InternalVerificationError, match="shortening produced dimension 3"):
         shorten_mtr(C0, base, range(3))
     with pytest.raises(InternalVerificationError, match="shortening produced dimension 3"):
         build_mtr(7, 3, 3, 2, 3)
-    assert _mtr_core.cache_info().currsize == 0
+    assert _mtr_core.cache_info().currsize == 1
     monkeypatch.undo()
     code, _ = build_mtr(7, 3, 3, 2, 3)
-    assert code.k == 2 and _mtr_core.cache_info().currsize == 1
+    assert code.k == 2 and _mtr_core.cache_info().currsize == 2
 
 
 def test_build_mtr_examples():
@@ -929,7 +981,7 @@ def test_build_mtr_examples():
         build_mtr(7, 3, 3, 4, 3)
 
 
-# --- the MTR seed memo -----------------------------------------------------------------
+# --- the MTR seed: the k = m core ------------------------------------------------------
 
 
 def criterion_7_parameters():
@@ -960,47 +1012,30 @@ def count_calls(monkeypatch, *names):
 
 
 def test_mtr_seed_is_one_shared_object():
-    assert _mtr_seed(7, 3, 3) is _mtr_seed(7, 3, 3)
-    base, C0 = _mtr_seed(7, 3, 3)
+    assert _mtr_core(7, 3, 3, 3) is _mtr_core(7, 3, 3, 3)
+    C0, base = _mtr_core(7, 3, 3, 3)
     assert C0.space is base.target and len(base.matrices) == 3 + 3 - 1
 
 
 def test_mtr_seeds_are_unchanged_by_the_full_sweep():
-    _mtr_seed.cache_clear()
     _mtr_core.cache_clear()
     params = list(criterion_7_parameters())
     for q, n, m, k, d in params:
         code, wit = build_mtr(q, n, m, k, d)
         assert (code.k, code.distance(), len(wit.matrices)) == (k, d, k + d - 1)
-    keys = sorted({(q, m, d) for q, n, m, k, d in params})
-    assert _mtr_seed.cache_info().currsize == len(keys) == 19
-    kept = {key: _mtr_seed(*key) for key in keys}
-    _mtr_seed.cache_clear()
+    keys = sorted({(q, m, m, d) for q, n, m, k, d in params})
+    assert len(keys) == 19
+    kept = {key: _mtr_core(*key) for key in keys}
     _mtr_core.cache_clear()
-    for key, (base, C0) in kept.items():
-        fresh, fresh_C0 = _mtr_seed(*key)
+    for key, (C0, base) in kept.items():
+        fresh_C0, fresh = _mtr_core(*key)
         assert fresh is not base
         assert base.target._rrows == fresh.target._rrows
         assert base.matrices == fresh.matrices
-        assert C0._distance == fresh_C0.distance() == key[2]
-
-
-def test_refused_mtr_calls_leave_the_seed_memo_unchanged():
-    _mtr_seed.cache_clear()
-    _mtr_core.cache_clear()
-    build_mtr(7, 3, 3, 2, 3)
-    before = _mtr_seed.cache_info().currsize
-    for args, error in [((5, 4, 4, 2, 4), FieldTooSmall),
-                        ((7, 3, 3, 4, 3), ParametersOutOfRange),
-                        ((7, 2, 3, 1, 3), ParametersOutOfRange),
-                        ((6, 2, 2, 1, 1), NotPrime)]:
-        with pytest.raises(error):
-            build_mtr(*args)
-        assert _mtr_seed.cache_info().currsize == before
+        assert C0._distance == fresh_C0.distance() == key[3]
 
 
 def test_warm_mtr_calls_do_no_seed_work(monkeypatch):
-    _mtr_seed.cache_clear()
     _mtr_core.cache_clear()
     calls = count_calls(monkeypatch, "_power_candidate", "_min_distance")
     for k in (2, 3):
@@ -1020,7 +1055,6 @@ def sweep_criterion_7():
 
 
 def test_mtr_cores_are_built_and_scanned_once_per_sweep(monkeypatch):
-    _mtr_seed.cache_clear()
     _mtr_core.cache_clear()
     sweep_criterion_7()
     keys = sorted({(q, m, k, d) for q, n, m, k, d in criterion_7_parameters()})
@@ -1032,7 +1066,6 @@ def test_mtr_cores_are_built_and_scanned_once_per_sweep(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     kept = {key: _mtr_core(*key) for key in keys}
-    _mtr_seed.cache_clear()
     _mtr_core.cache_clear()
     for key, (core, wit) in kept.items():
         fresh, fresh_wit = _mtr_core(*key)
@@ -1044,17 +1077,16 @@ def test_mtr_cores_are_built_and_scanned_once_per_sweep(monkeypatch):
 
 
 def test_a_cold_sweep_scans_each_seed_once_and_no_core(monkeypatch):
-    _mtr_seed.cache_clear()
     _mtr_core.cache_clear()
-    calls = count_calls(monkeypatch, "_min_distance", "shorten_mtr")
+    calls = count_calls(monkeypatch, "_power_candidate", "_min_distance", "shorten_mtr")
     sweep_criterion_7()
-    # one scan per seed; a shortening per core below k = m, where the core
-    # is the seed itself
-    assert calls == {"_min_distance": 19, "shorten_mtr": 56 - 19}
+    # one build and one scan per seed, the k = m core; a shortening per core
+    # below it; one memo holds them all
+    assert calls == {"_power_candidate": 19, "_min_distance": 19, "shorten_mtr": 56 - 19}
+    assert _mtr_core.cache_info().currsize == 56
     for q, m, d in sorted({(q, m, d) for q, n, m, k, d in criterion_7_parameters()}):
-        base, C0 = _mtr_seed(q, m, d)
-        core, wit = _mtr_core(q, m, m, d)
-        assert core is C0 and wit is base
+        C0, base = _mtr_core(q, m, m, d)
+        assert C0.space is base.target and C0._distance == d
 
 
 def test_each_mtr_call_returns_a_new_code_and_witness():
@@ -1067,17 +1099,33 @@ def test_each_mtr_call_returns_a_new_code_and_witness():
 
 
 def test_refused_mtr_calls_leave_no_core():
-    _mtr_seed.cache_clear()
     _mtr_core.cache_clear()
     build_mtr(7, 3, 3, 2, 3)
-    assert _mtr_core.cache_info().currsize == 1
+    assert _mtr_core.cache_info().currsize == 2  # the core and its seed
     for args, error in [((5, 4, 4, 2, 4), FieldTooSmall),
                         ((7, 3, 3, 4, 3), ParametersOutOfRange),
                         ((7, 2, 3, 1, 3), ParametersOutOfRange),
                         ((6, 2, 2, 1, 1), NotPrime)]:
         with pytest.raises(error):
             build_mtr(*args)
-        assert _mtr_core.cache_info().currsize == 1
+        assert _mtr_core.cache_info().currsize == 2
+
+
+def test_refused_mtr_calls_leave_the_seed_memo_unchanged():
+    # the seed is the k = m core: refused calls add no seed, and the seed they
+    # leave behind is the one built before them
+    _mtr_core.cache_clear()
+    build_mtr(7, 3, 3, 2, 3)
+    seed = _mtr_core(7, 3, 3, 3)
+    before = _mtr_core.cache_info().currsize
+    for args, error in [((5, 4, 4, 2, 4), FieldTooSmall),
+                        ((7, 3, 3, 4, 3), ParametersOutOfRange),
+                        ((7, 2, 3, 1, 3), ParametersOutOfRange),
+                        ((6, 2, 2, 1, 1), NotPrime)]:
+        with pytest.raises(error):
+            build_mtr(*args)
+        assert _mtr_core.cache_info().currsize == before
+    assert _mtr_core(7, 3, 3, 3) is seed
 
 
 def test_mtr_cores_match_the_uncached_pipeline():
