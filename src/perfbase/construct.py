@@ -4,6 +4,8 @@ Covers the power-family dual bases built from shift-conjugated rank ones,
 their rectangular truncations, left-factor variants, the inverse-power family
 bases (diagonalizable part plus one or two companion-difference corrections),
 the singular-companion glue, and the square-plus-one-column pencil base.
+A companion's left eigenrow for a root e of f is the coefficient row of
+f(x)/(x - e), and its inverse is closed form: neither takes an elimination.
 Every rank-one member is built from its two factors, u v^t by
 `FqMatrix.outer`: a spectral projector, a geometric epsilon member, a unit
 matrix or a three-term sign member.  The power-family bases, the largest,
@@ -81,9 +83,6 @@ class CompanionSpec:
     def char_poly(self) -> FqPolynomial:
         F = self.field
         return FqPolynomial(F, [F.neg(a) for a in self.bottom] + [1])
-
-    def matrix(self) -> FqMatrix:
-        return companion(self)
 
 
 @dataclass(frozen=True)
@@ -305,31 +304,27 @@ def base_left_factor(spec: CompanionSpec, s: int, B: FqMatrix,
 # --- eigen machinery for the inverse-power family ---------------------------------
 
 
-def _left_eigenrows(M: FqMatrix, eig_encs) -> FqMatrix:
-    """Lead-normalized left eigenvectors of M, one row per eigenvalue, in order.
+def _left_eigenrows(spec: CompanionSpec, eig_encs) -> FqMatrix:
+    """Lead-normalized left eigenvectors of the companion, one row per eigenvalue.
 
-    For a full list of eigenvalues this is P with P M P^{-1} diagonal.
+    The row for a root e of f is the coefficient row of f(x)/(x - e): with
+    w_{m-1} = 1, synthetic division gives w_{j-1} = e w_j - a_{j+1}, and
+    e w_0 = a_1 is the remainder's test that e is a root.  For a full list
+    of eigenvalues this is P with P M P^{-1} diagonal.
     """
-    F = M.field
+    F, a = spec.field, spec.bottom
     rows = []
-    Mt = M.transpose()
     for e in eig_encs:
-        shifted = Mt - FqMatrix.identity(F, M.n).scale(e)
-        basis = _nullspace(F, shifted.rows, M.n)
-        if not basis:
+        w = list(itertools.accumulate(  # w_{m-1} = 1, w_{m-2}, ..., w_0
+            reversed(a[1:]), lambda wj, aj: F.sub(F.mul(e, wj), aj), initial=1))
+        if F.mul(e, w[-1]) != a[0]:
             raise InternalVerificationError(f"{e} is not an eigenvalue")
-        rows.append(_normalize_lead(F, basis[0]))
+        lead = next(v for v in reversed(w) if v)
+        rows.append(F.scale(F.inv(lead), w[::-1]))
     P = FqMatrix(F, rows)
     if P.rank() != P.n:
         raise InternalVerificationError("eigenvector rows were dependent")
     return P
-
-
-def _normalize_lead(F, vec):
-    for v in vec:
-        if v:
-            return F.scale(F.inv(v), vec)
-    raise InternalVerificationError("zero vector cannot be normalized")
 
 
 def _split_block_form(spec: CompanionSpec, alpha_encs, g: FqPolynomial):
@@ -344,7 +339,7 @@ def _split_block_form(spec: CompanionSpec, alpha_encs, g: FqPolynomial):
     m, r = spec.m, g.degree
     rows = []
     if alpha_encs:
-        rows.extend(_left_eigenrows(M, alpha_encs).rows)
+        rows.extend(_left_eigenrows(spec, alpha_encs).rows)
     gM = _poly_at_matrix(g, M)
     null = _nullspace(F, gM.transpose().rows, m)
     if len(null) != r:
@@ -427,7 +422,7 @@ def base_inverse_family(spec: CompanionSpec,
     m = spec.m
     M = companion(spec)
     if r == 0:
-        P = _left_eigenrows(M, alphas)
+        P = _left_eigenrows(spec, alphas)
         members = _projectors(P)
         aux = {"P": P}
     else:
@@ -459,14 +454,15 @@ def _block_split(spec: CompanionSpec, alpha_encs, g: FqPolynomial, nrows: int):
     m, r = spec.m, g.degree
     betas, _ = _beta_pool(F, alpha_encs, r, allow_zero_fallback=(r == 2))
     h = FqPolynomial.from_roots(F, betas)
-    Mg = CompanionSpec.from_polynomial(g).matrix()
-    Mh = CompanionSpec.from_polynomial(h).matrix()
+    gspec, hspec = CompanionSpec.from_polynomial(g), CompanionSpec.from_polynomial(h)
+    Mg, Mh = companion(gspec), companion(hspec)
     P, Pinv = _split_block_form(spec, alpha_encs, g)
-    Q = _identity_block_diag(F, m - r, _left_eigenrows(Mh, betas))
+    Q = _identity_block_diag(F, m - r, _left_eigenrows(hspec, betas))
     members = _projectors(Q @ P, nrows)
     aux = {"P": P, "Q": Q, "M_h": Mh, "D1": _embed_bottom_right(F, m, Mg - Mh)}
     if r >= 3:
-        aux["D2"] = _embed_bottom_right(F, m, Mg.inverse() - Mh.inverse())
+        aux["D2"] = _embed_bottom_right(
+            F, m, companion_inverse(gspec) - companion_inverse(hspec))
     members += [FqMatrix._of(F, (Pinv @ aux[D] @ P).rows[:nrows])
                 for D in ("D1", "D2") if D in aux]
     return members, aux
@@ -523,7 +519,7 @@ def base_rect_small_n(spec: CompanionSpec, n: int,
     aux = {}
 
     if r == 0:
-        P = _left_eigenrows(M, alphas)
+        P = _left_eigenrows(spec, alphas)
         core = _projectors(P, nrows=n)
         aux["P"] = P
     elif n == 3 and r == 2:
@@ -531,8 +527,8 @@ def base_rect_small_n(spec: CompanionSpec, n: int,
     else:
         betas, used_zero = _beta_pool(F, alphas, r, allow_zero_fallback=(n == 2))
         h = FqPolynomial.from_roots(F, alphas + betas)
-        Mh = CompanionSpec.from_polynomial(h).matrix()
-        P = _left_eigenrows(Mh, sorted(alphas + betas))
+        Mh = companion(hspec := CompanionSpec.from_polynomial(h))
+        P = _left_eigenrows(hspec, sorted(alphas + betas))
         core = _projectors(P, nrows=n)
         aux.update({"P": P, "M_h": Mh})
         # a singular M_h (zero was used) has no inverse: its top power stands in

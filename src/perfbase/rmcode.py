@@ -532,6 +532,7 @@ def dual_gabidulin_mtr_base(q: int, m: int, n: int,
     dimension m(n-1) and distance 2.  The base is the dual-powers-rect members
     of s = m-1: nm-m+1 of them, matching the tensor-rank lower bound exactly.
     In another frame gamma both move by T^{-t}, T = gamma.frame_change_from(power).
+    A gamma of another field raises FieldMismatch, whatever its encodings.
     """
     if q < m:
         raise FieldTooSmall("need q >= m")
@@ -541,7 +542,8 @@ def dual_gabidulin_mtr_base(q: int, m: int, n: int,
     spec, Fq = power.generator_companion(), power.base_field
     space = _power_target(spec, m, y_matrix(Fq, n, m))
     members = FqMatrix._from_array(Fq, _power_members(spec, n, m - 1)[0])
-    if gamma is not None and gamma.elements != power.elements:
+    if gamma is not None and (gamma.ext_field != power.ext_field
+                              or gamma.elements != power.elements):
         Tt_inv = gamma.frame_change_from(power).transpose().inverse()
         space = space.transform(FqMatrix.identity(Fq, n), Tt_inv)
         members = tuple(A @ Tt_inv for A in members)

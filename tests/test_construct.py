@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from perfbase.errors import (
     CharTwo,
     FieldMismatch,
     FieldTooSmall,
+    InternalVerificationError,
     ParametersOutOfRange,
     RepeatedRoot,
     Singular,
@@ -34,7 +36,7 @@ from perfbase.errors import (
     UnsupportedCofactorDegree,
     ZeroGamma,
 )
-from perfbase.exactla import FqMatrix, MatrixSpace, trace_pair
+from perfbase.exactla import FqMatrix, MatrixSpace, _nullspace, trace_pair
 from perfbase.gf import FieldElement, FqPolynomial, field_make
 
 F2 = field_make(2)
@@ -483,6 +485,64 @@ def test_inverse_family_errors():
         base_inverse_family(spec_of(F2, 1, 1, 0))
 
 
+def nullspace_eigenrows(spec, encs):
+    """The null-space route: lead-normalized null rows of C^t - eI."""
+    F, m = spec.field, spec.m
+    Ct = companion(spec).transpose()
+    rows = []
+    for e in encs:
+        (v,) = _nullspace(F, (Ct - FqMatrix.identity(F, m).scale(e)).rows, m)
+        lead = next(x for x in v if x)
+        rows.append(tuple(F.scale(F.inv(lead), v)))
+    return tuple(rows)
+
+
+def test_left_eigenrows_equal_the_nullspace_route(monkeypatch):
+    # every companion with a root over small fields, singular ones included
+    fields = [F2, F3, F5, F7, field_make(2, 2), field_make(2, 3), field_make(3, 2)]
+    calls = []
+    monkeypatch.setattr(construct, "_nullspace", lambda *a: calls.append(a))
+    cases = 0
+    for F in fields:
+        for m in range(2, 5):
+            if F.q ** m > 5000:
+                continue
+            for bottom in itertools.product(range(F.q), repeat=m):
+                spec = CompanionSpec(F, m, bottom)
+                f = spec.char_poly()
+                roots = [e for e in range(F.q) if f.evaluate(e) == 0]
+                if not roots:
+                    continue
+                cases += 1
+                assert construct._left_eigenrows(spec, roots).rows \
+                    == nullspace_eigenrows(spec, roots)
+    assert cases == 6289 and calls == []
+
+
+def test_eigen_machinery_self_checks():
+    spec = spec_of(F3, 1, 0)  # x^2 - 1, roots 1 and 2
+    with pytest.raises(InternalVerificationError, match="0 is not an eigenvalue"):
+        construct._left_eigenrows(spec, [1, 0])
+    with pytest.raises(InternalVerificationError, match="rows were dependent"):
+        construct._left_eigenrows(spec, [2, 2])
+    split = CompanionSpec.from_polynomial(FqPolynomial.from_roots(F7, [1, 2, 3]))
+    coprime = FqPolynomial(F7, (1, 0, 1))  # x^2 + 1, rootless over F_7
+    with pytest.raises(InternalVerificationError, match="cofactor kernel"):
+        construct._split_block_form(split, [1, 2, 3], coprime)
+
+
+def test_block_split_inverts_no_companion(monkeypatch):
+    spec = spec_of(F7, 3, 6, 0, 0, 0)  # cofactor of degree 4, so D2 is built
+    inverted = []
+    original = FqMatrix.inverse
+    monkeypatch.setattr(FqMatrix, "inverse",
+                        lambda X: inverted.append(X) or original(X))
+    res = base_inverse_family(spec)
+    assert "D2" in res.auxiliary
+    # only the 5 x 5 conjugator QP; M_g and M_h are 4 x 4
+    assert [X.n for X in inverted] == [5] and inverted[0] != companion(spec)
+
+
 # --- rectangular small-n family ------------------------------------------------------
 
 
@@ -600,6 +660,18 @@ def test_singular_delegates_when_invertible():
     assert res.candidate.size == 14 and res.report.passed
     with pytest.raises(CaseNotCovered):
         base_singular(spec_of(F5, 1, 0, 0), 3)
+
+
+def test_glue_refuses_a_repeated_member(monkeypatch):
+    original = construct._shift_dual_members
+
+    def repeating(*args):
+        members = original(*args)
+        return members[:1] + members[:-1]
+
+    monkeypatch.setattr(construct, "_shift_dual_members", repeating)
+    with pytest.raises(InternalVerificationError, match="glued base has 13 members"):
+        base_singular(spec_of(F5, 0, 1, 2, 0), 2)
 
 
 # --- the pencil base ---------------------------------------------------------------------

@@ -879,6 +879,19 @@ def test_dual_gabidulin_accepts_alternate_basis():
     assert res.report.passed and is_mtr(code, res.candidate)
 
 
+def test_dual_gabidulin_refuses_a_basis_of_another_field():
+    # F_27 modulo x^3 + 2x + 1; the default modulus is x^3 + 2x^2 + 1
+    other = field_make(3, 3, (1, 2, 0, 1))
+    assert other != GammaBasis.power(3, 3).ext_field
+    for encs in ([1, 3, 9], [3, 1, 9]):  # the power basis's encodings, then swapped
+        with pytest.raises(FieldMismatch):
+            dual_gabidulin_mtr_base(3, 3, 3, GammaBasis(other, encs))
+    # the power basis, however given, keeps the power-frame code
+    code, _ = dual_gabidulin_mtr_base(3, 3, 3)
+    for gamma in (GammaBasis.power(3, 3), GammaBasis(field_make(3, 3), [1, 3, 9])):
+        assert dual_gabidulin_mtr_base(3, 3, 3, gamma)[0].space == code.space
+
+
 def test_psi_block_identity_and_mds():
     F3 = field_make(3)
     full = RankCode(MatrixSpace.full(F3, (2, 2)))
