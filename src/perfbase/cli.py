@@ -299,6 +299,7 @@ class _Kind(NamedTuple):
     takes: tuple  # those it may also be given
     build: Callable  # (field, args) -> (the rank code or None, the ConstructionResult)
     prime_only: bool = False  # a code kind builds over F_p: --deg must be 1
+    shapes: Callable = lambda F, a: ()  # the cert's shapes the flags fix: size-checked first
 
 
 _KINDS = {
@@ -312,7 +313,9 @@ _KINDS = {
         None, cons.base_rect_small_n(_spec(F, a), a.n))),
     "singular": _Kind(("s", "bottom"), ("m",), lambda F, a: (
         None, cons.base_singular(_spec(F, a), a.s))),
-    "atkinson": _Kind(("n",), (), lambda F, a: (None, cons.atkinson_base(a.n, F))),
+    "atkinson": _Kind(("n",), (), lambda F, a: (None, cons.atkinson_base(a.n, F)),
+                      shapes=lambda F, a: () if a.n < 2 or F.p == 2 else itertools.repeat(
+                          {"n": a.n, "m": a.n + 1}, 2 * (a.n ** 2 + a.n - 2))),
     "gabidulin-dual-mtr": _Kind(("m", "n"), (), lambda F, a: rmcode.dual_gabidulin_mtr_base(
         a.p, a.m, a.n), prime_only=True),
     "build-mtr": _Kind(("m", "n", "k", "d"), (), lambda F, a: rmcode._build_mtr(
@@ -336,6 +339,7 @@ def cmd_construct(args) -> int:
     field = field_make(args.p, args.deg,
                        None if args.modulus is None else _parse_ints(args.modulus))
     guard = _guard(args, rmcode.DEFAULT_SCAN_GUARD)
+    _check_size(kind.shapes(field, args))
     code, result = kind.build(field, args)
     code_info = None if code is None else _code_info(code, guard, mtr=True)
     cert = certificate_from_result(result, code_info)

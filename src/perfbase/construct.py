@@ -6,6 +6,9 @@ bases (diagonalizable part plus one or two companion-difference corrections),
 the singular-companion glue, and the square-plus-one-column pencil base.
 A companion's left eigenrow for a root e of f is the coefficient row of
 f(x)/(x - e), and its inverse is closed form: neither takes an elimination.
+A row w is the polynomial sum w_j x^j and wM = x w mod f, so the block form's
+rows for a rootless cofactor g of degree r are the shifts x^j f/g, j < r; as
+F[x]/(f) = F[x]/(f/g) x F[x]/(g), they and the eigenrows are independent.
 Every rank-one member is built from its two factors, u v^t by
 `FqMatrix.outer`: a spectral projector, a geometric epsilon member, a unit
 matrix or a three-term sign member.  The power-family bases, the largest,
@@ -47,7 +50,7 @@ from .errors import (
     UnsupportedCofactorDegree,
     ZeroGamma,
 )
-from .exactla import FqMatrix, MatrixSpace, _combine, _dual, _nullspace
+from .exactla import FqMatrix, MatrixSpace, _dual
 from .gf import Field, FieldElement, FqPolynomial, _backend, poly_roots
 from .tensor3 import BaseCandidate, VerificationReport, verify_base
 
@@ -330,44 +333,22 @@ def _left_eigenrows(spec: CompanionSpec, eig_encs) -> FqMatrix:
 def _split_block_form(spec: CompanionSpec, alpha_encs, g: FqPolynomial):
     """(P, P^{-1}): P M P^{-1} = diag(alphas) over a trailing companion block of g.
 
-    The top rows are left eigenvectors for the distinct linear roots; the
-    trailing rows are the orbit w, wM, ..., wM^{r-1} of a row vector w killed
-    on the left by g(M), chosen canonically among the null combinations.
+    The top rows are left eigenvectors for the distinct linear roots.  As wM
+    is x w mod f for a row w read as sum w_j x^j, the left kernel of g(M) is
+    the multiples of L = f/g, and the trailing rows are the shifts x^j L, j < r.
+    By CRT, F[x]/(f) = F[x]/(L) x F[x]/(g), they are independent of the
+    eigenrows; P's one elimination checks that and gives P^{-1}.
     """
-    F = spec.field
-    M = companion(spec)
-    m, r = spec.m, g.degree
-    rows = []
-    if alpha_encs:
-        rows.extend(_left_eigenrows(spec, alpha_encs).rows)
-    gM = _poly_at_matrix(g, M)
-    null = _nullspace(F, gM.transpose().rows, m)
-    if len(null) != r:
-        raise InternalVerificationError("cofactor kernel has unexpected size")
-    for w in _combination_stream(F, null):
-        orbit = [w]
-        for _ in range(r - 1):
-            orbit.append(_combine(F, orbit[-1], M.rows, m))
-        P = FqMatrix(F, rows + orbit)
-        if (Pinv := P._inverse()) is not None:  # one elimination: check and inverse
-            return P, Pinv
-    raise InternalVerificationError("no cyclic row for the cofactor block")
-
-
-def _poly_at_matrix(f: FqPolynomial, M: FqMatrix) -> FqMatrix:
-    F = M.field
-    acc = FqMatrix.zeros(F, M.n, M.m)
-    for c in reversed(f.coeffs):
-        acc = acc @ M + FqMatrix.identity(F, M.n).scale(c)
-    return acc
-
-
-def _combination_stream(F, basis):
-    """Nonzero combinations of basis rows in canonical coefficient order, the
-    first coefficient varying fastest."""
-    digits = itertools.product(range(F.q), repeat=len(basis))
-    for coeffs in itertools.islice(digits, 1, None):
-        yield _combine(F, coeffs[::-1], basis, len(basis[0]))
+    r = g.degree
+    L, rem = spec.char_poly().divmod(g)
+    if not rem.is_zero():
+        raise InternalVerificationError("cofactor does not divide the char poly")
+    rows = list(_left_eigenrows(spec, alpha_encs).rows) if alpha_encs else []
+    rows += [(0,) * j + L.coeffs + (0,) * (r - 1 - j) for j in range(r)]
+    P = FqMatrix(spec.field, rows)
+    if (Pinv := P._inverse()) is None:
+        raise InternalVerificationError("block-form rows were dependent")
+    return P, Pinv
 
 
 def _projectors(X: FqMatrix, nrows=None):

@@ -40,10 +40,9 @@ imported with this module, so the package pays for it once, at import.
 `Field.sub_scaled` is the one row combination on lists.  Every sum
 sum c_i * row_i, a vector times a matrix included, is `_combine`, a fold of
 it: extension-field `FqMatrix` products, `MatrixSpace.iter_elements`, the list
-scan's words, construct's combination stream and block-form orbit, and rmcode's
-two-row distance words, dependent-row extension and power multiple.  The one
-exception is rmcode's coordinate expansion `gamma_expand`, an `FqMatrix`
-product that changes the basis of a batch of rows.
+scan's words, and rmcode's two-row distance words, dependent-row extension and
+power multiple.  The one exception, rmcode's coordinate expansion `gamma_expand`,
+is an `FqMatrix` product that changes the basis of a batch of rows.
 
 Everything here except a filling `Echelon` is immutable after construction
 and safe for concurrent use.
@@ -461,12 +460,6 @@ def _eliminate(arith, B):
             B[i] = row
             pivots.append(lead)
     return grew, B[grew], pivots
-
-
-def _nullspace(field, rows, width):
-    """Null space basis of the row list, free-column index ascending: `_dual`
-    of the rows read as reversed, read back."""
-    return [v[::-1] for v in reversed(_dual(field, (1, width), rows)._rrows)]
 
 
 def _solve_combination(field, rows, targets):

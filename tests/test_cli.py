@@ -484,6 +484,33 @@ def test_declared_size_beyond_the_cap_exits_2_before_building(tmp_path, capsys,
     assert line["kind"] == "input" and "entries" in line["error"]
 
 
+def test_construct_refuses_an_oversized_atkinson_before_building(tmp_path, capsys,
+                                                                 monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(construct, "atkinson_base", refuse)
+        out = tmp_path / "big.json"
+        t0 = time.perf_counter()
+        assert main(["construct", "atkinson", "--p", "3", "--n", "60",
+                     "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 0.5
+        line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert line == {"ok": False, "kind": "input", "error":
+                        f"input declares more than {cli.MAX_INPUT_ENTRIES} matrix entries"}
+        assert not out.exists()
+    # n = 22 is the largest under the cap: 2 (22^2 + 20) 22 * 23 entries
+    out = tmp_path / "n22.json"
+    assert main(["construct", "atkinson", "--p", "3", "--n", "22",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    cert = load_certificate(str(out))
+    entries = sum(B["n"] * B["m"] for B in cert["target_basis"] + cert["base"])
+    assert entries == 2 * (22 ** 2 + 20) * 22 * 23 <= cli.MAX_INPUT_ENTRIES
+    assert 2 * (23 ** 2 + 21) * 23 * 24 > cli.MAX_INPUT_ENTRIES
+
+
 def _oracle_certificate(tmp_path, capsys, p, mats):
     """Run `perfbase oracle` on span(mats) over F_p; returns the certificate."""
     space = tmp_path / "space.json"

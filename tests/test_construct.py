@@ -36,8 +36,9 @@ from perfbase.errors import (
     UnsupportedCofactorDegree,
     ZeroGamma,
 )
-from perfbase.exactla import FqMatrix, MatrixSpace, _nullspace, trace_pair
+from perfbase.exactla import FqMatrix, MatrixSpace, trace_pair
 from perfbase.gf import FieldElement, FqPolynomial, field_make
+from test_exactla import ref_nullspace
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -491,19 +492,19 @@ def nullspace_eigenrows(spec, encs):
     Ct = companion(spec).transpose()
     rows = []
     for e in encs:
-        (v,) = _nullspace(F, (Ct - FqMatrix.identity(F, m).scale(e)).rows, m)
+        (v,) = ref_nullspace(F, (Ct - FqMatrix.identity(F, m).scale(e)).rows, m)
         lead = next(x for x in v if x)
         rows.append(tuple(F.scale(F.inv(lead), v)))
     return tuple(rows)
 
 
-def test_left_eigenrows_equal_the_nullspace_route(monkeypatch):
+SMALL_FIELDS = [F2, F3, F5, F7, field_make(2, 2), field_make(2, 3), field_make(3, 2)]
+
+
+def test_left_eigenrows_equal_the_nullspace_route():
     # every companion with a root over small fields, singular ones included
-    fields = [F2, F3, F5, F7, field_make(2, 2), field_make(2, 3), field_make(3, 2)]
-    calls = []
-    monkeypatch.setattr(construct, "_nullspace", lambda *a: calls.append(a))
     cases = 0
-    for F in fields:
+    for F in SMALL_FIELDS:
         for m in range(2, 5):
             if F.q ** m > 5000:
                 continue
@@ -516,7 +517,51 @@ def test_left_eigenrows_equal_the_nullspace_route(monkeypatch):
                 cases += 1
                 assert construct._left_eigenrows(spec, roots).rows \
                     == nullspace_eigenrows(spec, roots)
-    assert cases == 6289 and calls == []
+    assert cases == 6289
+
+
+def orbit_block_form(spec, alpha_encs, g):
+    """The search route: g(M) by Horner, the null rows of g(M)^t, and the
+    first nonzero combination (first coefficient fastest) whose orbit w, wM,
+    ..., wM^{r-1} completes the eigenrows to an invertible P."""
+    F, m, r = spec.field, spec.m, g.degree
+    M = companion(spec)
+    gM = FqMatrix.zeros(F, m, m)
+    for c in reversed(g.coeffs):
+        gM = gM @ M + FqMatrix.identity(F, m).scale(c)
+    null = ref_nullspace(F, gM.transpose().rows, m)
+    assert len(null) == r
+    top = list(construct._left_eigenrows(spec, alpha_encs).rows) if alpha_encs else []
+    for coeffs in itertools.islice(itertools.product(range(F.q), repeat=r), 1, None):
+        w = FqMatrix(F, [coeffs[::-1]]) @ FqMatrix(F, null)
+        orbit = [w]
+        for _ in range(r - 1):
+            orbit.append(orbit[-1] @ M)
+        P = FqMatrix(F, top + [o.rows[0] for o in orbit])
+        if P.is_invertible():
+            return P, P.inverse()
+    raise AssertionError("no cyclic row")
+
+
+def test_split_block_form_equals_the_orbit_route():
+    # every companion with distinct roots and a rootless cofactor of degree >= 2
+    cases = 0
+    for F in SMALL_FIELDS:
+        for m in range(2, 7):
+            if F.q ** m > 1000:
+                continue
+            for bottom in itertools.product(range(F.q), repeat=m):
+                spec = CompanionSpec(F, m, bottom)
+                try:
+                    alphas, g = construct._factor_char_poly(spec)
+                except RepeatedRoot:
+                    continue
+                if g.degree < 2:
+                    continue
+                cases += 1
+                assert construct._split_block_form(spec, alphas, g) \
+                    == orbit_block_form(spec, alphas, g)
+    assert cases == 2980
 
 
 def test_eigen_machinery_self_checks():
@@ -527,8 +572,21 @@ def test_eigen_machinery_self_checks():
         construct._left_eigenrows(spec, [2, 2])
     split = CompanionSpec.from_polynomial(FqPolynomial.from_roots(F7, [1, 2, 3]))
     coprime = FqPolynomial(F7, (1, 0, 1))  # x^2 + 1, rootless over F_7
-    with pytest.raises(InternalVerificationError, match="cofactor kernel"):
+    with pytest.raises(InternalVerificationError, match="does not divide"):
         construct._split_block_form(split, [1, 2, 3], coprime)
+
+
+def test_split_block_form_refuses_dependent_rows(monkeypatch):
+    # f = (x - 1)(x^2 + 1) over F_7; an "eigenrow" equal to L = f/g = x - 1
+    spec = CompanionSpec.from_polynomial(
+        FqPolynomial.from_roots(F7, [1]) * FqPolynomial(F7, (1, 0, 1)))
+    g = FqPolynomial(F7, (1, 0, 1))
+    assert construct._split_block_form(spec, [1], g)[0].rows[1:] \
+        == ((6, 1, 0), (0, 6, 1))
+    monkeypatch.setattr(construct, "_left_eigenrows",
+                        lambda spec, encs: FqMatrix(F7, [(6, 1, 0)]))
+    with pytest.raises(InternalVerificationError, match="block-form rows were dependent"):
+        construct._split_block_form(spec, [1], g)
 
 
 def test_block_split_inverts_no_companion(monkeypatch):

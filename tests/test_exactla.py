@@ -596,16 +596,6 @@ def ref_iter_elements(V, nonzero_only, projective):
         yield combine(coeffs)
 
 
-def ref_combination_stream(F, basis):
-    digits = itertools.product(range(F.q), repeat=len(basis))
-    for coeffs in itertools.islice(digits, 1, None):
-        acc = [0] * len(basis[0])
-        for coeff, row in zip(reversed(coeffs), basis):
-            if coeff:
-                acc = [F.add(a, F.mul(coeff, b)) for a, b in zip(acc, row)]
-        yield acc
-
-
 def sparse_matrix(rng, F, n, m):
     """Random entries, a third of them zero, and now and then a zero row."""
     return FqMatrix(F, [[0] * m if rng.random() < 0.2 else
@@ -670,18 +660,6 @@ def test_iter_elements_matches_the_reference_loop(p, k):
             full = F.q ** V.dim
             nonzero = (full - 1) // (F.q - 1) if projective else full - 1
             assert len(got) == nonzero + (not nonzero_only)
-
-
-@pytest.mark.parametrize("p,k", [(3, 1), (3, 2)], ids=["F3", "F9"])
-def test_combination_stream_matches_the_reference_loop(p, k):
-    F = field_make(p, k)
-    rng = random.Random(f"stream-{F.q}")
-    for _ in range(10):
-        width = rng.randint(1, 4)
-        basis = [tuple(sparse_matrix(rng, F, 1, width).rows[0])
-                 for _ in range(rng.randint(1, 3))]
-        assert (list(construct._combination_stream(F, basis))
-                == list(ref_combination_stream(F, basis)))
 
 
 # --- the int64 field kernel ---------------------------------------------------------

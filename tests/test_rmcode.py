@@ -909,6 +909,45 @@ def test_psi_block_identity_and_mds():
                                       MatrixSpace.full(F3, (2, 2))))
 
 
+def test_self_checks_catch_a_broken_step(monkeypatch):
+    # each check raises once the step it re-checks is made to go wrong
+    ext = field_make(5, 3)
+    g = GammaBasis(ext)  # the power basis (1, a, a^2)
+    with monkeypatch.context() as patch:
+        patch.setattr(rmcode, "gamma_expand",
+                      lambda v, gamma: FqMatrix.zeros(gamma.base_field, len(v), gamma.m))
+        with pytest.raises(InternalVerificationError, match="expansion dimension"):
+            gamma_expand_code(power_vector_code(g, 3), g)
+    U = [FieldElement(ext, e) for e in g.elements[:2]]
+    with monkeypatch.context() as patch:
+        patch.setattr(rmcode, "min_rank_distance", lambda C: 1)
+        with pytest.raises(InternalVerificationError, match="not MRD"):
+            gabidulin(U, 1, 1, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(rmcode, "_power_multiple", lambda gamma, span, s: 1)
+        with pytest.raises(InternalVerificationError, match="left the power span"):
+            rmcode._row_candidate(g, [g.elements[2]])  # a^2 is not a multiple of 1
+    row = list(g.elements)  # spans F_125, so pi = 1; every other expansion collapses
+    real = rmcode.gamma_expand
+    with monkeypatch.context() as patch:
+        patch.setattr(rmcode, "gamma_expand", lambda v, gamma: real(v, gamma) if v is row
+                      else FqMatrix(gamma.base_field, [real(v, gamma).rows[0]] * len(v)))
+        with pytest.raises(InternalVerificationError, match="no longer span"):
+            rmcode._row_candidate(g, row)
+    code, res = dual_gabidulin_mtr_base(3, 3, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(rmcode, "_solve_combination",
+                      lambda field, rows, targets: [None] * len(targets))
+        with pytest.raises(InternalVerificationError, match="not a combination"):
+            psi_block(code, res.candidate)
+    # unpatched, each step passes its check
+    assert gamma_expand_code(power_vector_code(g, 3), g).space.dim == 3
+    gabidulin(U, 1, 1, 0)
+    rmcode._row_candidate(g, [g.elements[2]])
+    rmcode._row_candidate(g, row)
+    psi_block(code, res.candidate)
+
+
 def test_shorten_mtr_cases():
     code, wit = build_mtr(7, 3, 3, 3, 3)
     sub, w = shorten_mtr(code, wit, range(len(wit.matrices)))
