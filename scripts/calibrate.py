@@ -15,8 +15,10 @@ median time per call in microseconds:
            for q + 1 = 8 .. 32 words, on lists and on int64 (`_SCAN_MIN_WORDS`);
   residue  `residue` T - C R over F_13 for C b x r and R r x w, in int64 and
            in float64, by its work b r w (`_FLOAT64_MIN_WORK`);
-  leaf     `Echelon(F_13, ...)` of dense rows and of rank-one m x m members
-           with `exactla._LEAF_ROWS` at 2, 4, 8 and 16.
+  leaf     `Echelon(F_13, ...)` of dense rows, of random rank-one m x m
+           members and of the banded m^2 - m/2 members of a dual-power base
+           (`construct._power_members`, s = m/2, as `construct-sweep` verifies
+           them) with `exactla._LEAF_ROWS` at 2, 4, 8 and 16.
 A constant sits where the last column, the array time over the list time
 (or float64 over int64), crosses 1.
 """
@@ -32,7 +34,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np  # noqa: E402
 
-from perfbase import exactla, gf  # noqa: E402
+from perfbase import construct, exactla, gf  # noqa: E402
 
 ECHELON_CASES = tuple((q, w) for q in (13, 4, 2401)  # F_13, F_4, F_{7^4}
                       for w in (12, 16, 20, 24, 28, 32, 40))
@@ -41,7 +43,8 @@ RESIDUE_SHAPES = ((1, 4, 16), (25, 2, 16), (2, 8, 64), (4, 4, 100), (8, 8, 24),
                   (8, 8, 32), (4, 8, 64), (8, 16, 16), (8, 8, 40), (4, 4, 225),
                   (8, 8, 64), (16, 16, 16), (32, 8, 32), (64, 16, 64))
 LEAF_ROWS = (2, 4, 8, 16)
-LEAF_CASES = (("dense", 40), ("rank-one", 6), ("rank-one", 10), ("rank-one", 15))
+LEAF_CASES = (("dense", 40), ("rank-one", 6), ("rank-one", 10), ("rank-one", 15),
+              ("dual-power", 10), ("dual-power", 14))
 _NEVER = 1 << 62  # a threshold no input reaches
 
 
@@ -93,11 +96,18 @@ def _dense_rows(rng, F, count, width):
     return [tuple(rng.randrange(F.q) for _ in range(width)) for _ in range(count)]
 
 
+def _dual_power_rows(rng, F, m):
+    """The m^2 - m/2 members of the dual-power base of a random companion with
+    no zero in its bottom row, s = m/2, as rows of width m^2."""
+    spec = construct.CompanionSpec(F, m, tuple(rng.randrange(1, F.q) for _ in range(m)))
+    return construct._power_members(spec, m, m // 2)[0].reshape(m * m - m // 2, -1).tolist()
+
+
 def table(kind, sizes, repeat=9):
     """Rows (kind, case, {label: microseconds}, ratio) of one table; `sizes`
     are (field order, width) cases for "echelon", field orders for "scan",
-    (b, r, w) shapes for "residue" and ("dense" or "rank-one", m) cases for
-    "leaf"."""
+    (b, r, w) shapes for "residue" and ("dense", "rank-one" or "dual-power",
+    m) cases for "leaf"."""
     rng = random.Random(kind)
     F13 = gf.field_make(13)
     out = []
@@ -137,8 +147,9 @@ def table(kind, sizes, repeat=9):
             out.append((kind, f"{b}x{r}x{w} work={b * r * w}", times))
         elif kind == "leaf":
             label, m = size
-            rows = (_dense_rows(rng, F13, m, m) if label == "dense"
-                    else _rank_one_rows(rng, F13, m * m - 2, m, m))
+            rows = {"dense": lambda: _dense_rows(rng, F13, m, m),
+                    "rank-one": lambda: _rank_one_rows(rng, F13, m * m - 2, m, m),
+                    "dual-power": lambda: _dual_power_rows(rng, F13, m)}[label]()
             width = len(rows[0])
 
             def run():

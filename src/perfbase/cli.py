@@ -276,6 +276,31 @@ def _gammas(field, args):
     return cons.GammaSet.canonical(field, args.s)
 
 
+def _dual_power_shapes(field, args):
+    """A dual-power certificate's 2(nm - s) shapes n x m (n = m when square),
+    or none where the constructor refuses the flags, so its error comes first."""
+    spec, S = _spec(field, args), _gammas(field, args)
+    m, s = spec.m, args.s
+    n = m if args.n is None else args.n
+    if spec.invertible and 1 <= s < m and len(S) == s and 2 <= n <= m:
+        return itertools.repeat({"n": n, "m": m}, 2 * (n * m - s))
+    return ()
+
+
+def _singular_shapes(field, args):
+    """`base_singular`'s 2(m^2 - s) shapes m x m where its case dispatch
+    (`construct._singular_members`) surely builds, else none: the identity
+    dual (s = 1), the invertible and glued cases and the glued trailing pair,
+    for least nonzero index i of the bottom row."""
+    spec = _spec(field, args)
+    m, s = spec.m, args.s
+    i = next((j for j, a in enumerate(spec.bottom, start=1) if a), m + 1)
+    if s == 1 or (1 < s < field.q and (i == 1 and s < m or 1 < i < m and s <= m - i
+                                       or i == m and s == 2)):
+        return itertools.repeat({"n": m, "m": m}, 2 * (m * m - s))
+    return ()
+
+
 def _guard(args, default: int) -> int:
     """--guard if given (0 included), else PERFBASE_GUARD if set, else default;
     a guard below 0 is invalid input."""
@@ -304,15 +329,17 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     "dual-powers": _Kind(("s", "bottom"), ("m", "gammas"), lambda F, a: (
-        None, cons.base_dual_powers(_spec(F, a), a.s, _gammas(F, a)))),
+        None, cons.base_dual_powers(_spec(F, a), a.s, _gammas(F, a))),
+                         shapes=_dual_power_shapes),
     "dual-powers-rect": _Kind(("n", "s", "bottom"), ("m", "gammas"), lambda F, a: (
-        None, cons.base_dual_powers_rect(_spec(F, a), a.n, a.s, _gammas(F, a)))),
+        None, cons.base_dual_powers_rect(_spec(F, a), a.n, a.s, _gammas(F, a))),
+                              shapes=_dual_power_shapes),
     "inverse-family": _Kind(("bottom",), ("m", "powers"), lambda F, a: (
         None, cons.base_inverse_family(_spec(F, a), tuple(_parse_ints(a.powers or ""))))),
     "rect-small-n": _Kind(("n", "bottom"), ("m",), lambda F, a: (
         None, cons.base_rect_small_n(_spec(F, a), a.n))),
     "singular": _Kind(("s", "bottom"), ("m",), lambda F, a: (
-        None, cons.base_singular(_spec(F, a), a.s))),
+        None, cons.base_singular(_spec(F, a), a.s)), shapes=_singular_shapes),
     "atkinson": _Kind(("n",), (), lambda F, a: (None, cons.atkinson_base(a.n, F)),
                       shapes=lambda F, a: () if a.n < 2 or F.p == 2 else itertools.repeat(
                           {"n": a.n, "m": a.n + 1}, 2 * (a.n ** 2 + a.n - 2))),

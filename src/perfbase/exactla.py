@@ -25,8 +25,9 @@ pivots (`MatrixSpace._of`), never eliminating them again;
 one array, and compares a span of the target's dimension with the target's
 rows.  `gf._backend`, the package's one backend rule, picks by width and the
 int64 bound alone, for every field: numpy, a batch as one recursive
-elimination with its work in the int64 form's `residue` (`_eliminate`), or
-Python lists.
+elimination with its work in the int64 form's `residue` (`_eliminate`), whose
+pieces of at most `_LEAF_ROWS` rows go row by row on their nonzero column
+window, or Python lists.
 
 Every minimum distance is one scan, `_min_distance`: rmcode's
 `min_rank_distance` and `min_hamming_distance` (behind certificate
@@ -442,24 +443,36 @@ def _eliminate(arith, B):
     pivots.  The second half is reduced by the first half's rows, then
     eliminated, and its pivots are cleared from the first half's rows, each by
     one `residue`; at most `_LEAF_ROWS` rows go row by row (Jeannerod, Pernet,
-    Storjohann, J. Symbolic Comput. 2013)."""
+    Storjohann, J. Symbolic Comput. 2013), on the columns [lo, hi) from their
+    first to their last nonzero one.  That is exact: a row operation of the
+    leaf combines only the leaf's rows, so the columns outside stay zero, and
+    the reduced rows go back into zero rows of full width (structured Gaussian
+    elimination: LaMacchia, Odlyzko, CRYPTO 1990)."""
     if len(B) > _LEAF_ROWS:
         half = len(B) // 2
         grew, top, pivots = _eliminate(arith, B[:half])
         more, low, new = _eliminate(arith, _reduced(arith, B[half:], top, pivots))
         return (grew + more, np.concatenate((_reduced(arith, top, low, new), low)),
                 pivots + new)
-    grew, pivots = [], []
-    for i in range(len(B)):
-        nonzero = np.flatnonzero(B[i])
+    lo, hi = 0, B.shape[1]  # the window; one row, with no other row to update, keeps it full
+    if len(B) > 1:
+        cols = B.any(axis=0).nonzero()[0]
+        lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+    W, grew, pivots = B[:, lo:hi], [], []
+    for i in range(len(W)):
+        nonzero = W[i].nonzero()[0]
         grew.append(bool(nonzero.size))
         if nonzero.size:
             lead = int(nonzero[0])
-            row = arith.scaled(arith.field.inv(int(B[i, lead])), B[i])
-            B = arith.sub_scaled(B, B[:, lead, None], row)  # a new array
-            B[i] = row
-            pivots.append(lead)
-    return grew, B[grew], pivots
+            row = arith.scaled(arith.field.inv(int(W[i, lead])), W[i])
+            W = arith.sub_scaled(W, W[:, lead, None], row)  # a new array
+            W[i] = row
+            pivots.append(lo + lead)
+    if hi - lo == B.shape[1]:
+        return grew, W[grew], pivots
+    rows = np.zeros((len(pivots), B.shape[1]), dtype=B.dtype)
+    rows[:, lo:hi] = W[grew]
+    return grew, rows, pivots
 
 
 def _solve_combination(field, rows, targets):

@@ -20,7 +20,7 @@ import random
 import numpy as np
 import pytest
 
-from perfbase import exactla, gf
+from perfbase import construct, exactla, gf
 from perfbase.exactla import Echelon, _combine, _normalized_vectors
 from perfbase.gf import field_make
 from test_echelon import profile_rows, reference_profile, reference_rref
@@ -58,6 +58,30 @@ def test_echelon_on_both_sides_of_its_width_floor(p, k, monkeypatch):
                 return E.extend(rows), *E.rref()
 
             assert both_extremes(monkeypatch, "_ECHELON_MIN_WIDTH", run) == [want] * 3
+
+
+def test_echelon_backends_agree_on_the_dual_power_traffic(monkeypatch):
+    """`Echelon.extend` of the members that `construct-sweep` verifies, every
+    (m, s) of its square and rectangular schedules over F_13 and two cases over
+    F_9: the same flags and RREF on numpy and on lists."""
+    monkeypatch.syspath_prepend(pathlib.Path(__file__).resolve().parent.parent / "perfbench")
+    import workloads
+
+    F13, F9 = field_make(13), field_make(3, 2)
+    cases = ([(F13, m, m, s) for m, s in workloads.SQUARE]
+             + [(F13, m, n, s) for m, n, s in workloads.RECT]
+             + [(F9, 5, 5, 2), (F9, 6, 3, 4)])
+    rng = random.Random("dual-power-traffic")
+    for F, m, n, s in cases:
+        spec = construct.CompanionSpec(F, m, tuple(rng.randrange(1, F.q) for _ in range(m)))
+        members = construct._power_members(spec, n, s)[0].reshape(n * m - s, n * m)
+
+        def run():
+            E = Echelon(F, n * m)
+            return E.extend(members), *E.rref()
+
+        default, numpy, lists = both_extremes(monkeypatch, "_ECHELON_MIN_WIDTH", run)
+        assert default == numpy == lists and all(default[0]), (F.q, m, n, s)
 
 
 def reference_distance(F, rows, width):
@@ -170,7 +194,9 @@ def test_calibration_script_prints_each_table_on_a_tiny_size(monkeypatch, capsys
                                ("scan", 3, ["lists", "int64"]),
                                ("residue", (1, 2, 3), ["int64", "float64"]),
                                ("leaf", ("rank-one", 2), ["leaf=2", "leaf=4", "leaf=8",
-                                                          "leaf=16"])):
+                                                          "leaf=16"]),
+                               ("leaf", ("dual-power", 4), ["leaf=2", "leaf=4", "leaf=8",
+                                                            "leaf=16"])):
         rows = calibrate.table(kind, [size], repeat=1)
         assert rows and all(row[0] == kind and list(row[2]) == labels for row in rows)
         assert all(us > 0 for row in rows for us in row[2].values())
@@ -179,9 +205,12 @@ def test_calibration_script_prints_each_table_on_a_tiny_size(monkeypatch, capsys
     assert {q for q, _ in calibrate.ECHELON_CASES} == {13, 4, 2401}
     for name, sizes in (("ECHELON_CASES", ((13, 4), (4, 4), (2401, 4))),
                         ("SCAN_FIELDS", (7,)), ("RESIDUE_SHAPES", ((1, 2, 3),)),
-                        ("LEAF_CASES", (("rank-one", 2),))):
+                        ("LEAF_CASES", (("rank-one", 2), ("dual-power", 4)))):
         monkeypatch.setattr(calibrate, name, sizes)
     calibrate.main(["--repeat", "1"])
-    echelon = capsys.readouterr().out.split("\nscan\n")[0]
+    out = capsys.readouterr().out
+    echelon = out.split("\nscan\n")[0]
     assert all(f"F_{q} {rows} w=4" in echelon
                for q in (13, 4, 2401) for rows in ("dense", "rank-one"))
+    # the leaf table times the banded dual-power members: 4^2 - 2 rows of width 16
+    assert "dual-power 14x16" in out.split("\nleaf\n")[1]

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import dataclasses
 import hashlib
@@ -23,7 +24,7 @@ from perfbase.cli import (
     matrix_to_json,
     reverify,
 )
-from perfbase.errors import DegreeMismatch, ParametersOutOfRange
+from perfbase.errors import DegreeMismatch, ParametersOutOfRange, PerfbaseError
 from perfbase.exactla import FqMatrix, MatrixSpace
 from perfbase.gf import field_make
 from perfbase.tensor3 import BaseCandidate
@@ -509,6 +510,78 @@ def test_construct_refuses_an_oversized_atkinson_before_building(tmp_path, capsy
     entries = sum(B["n"] * B["m"] for B in cert["target_basis"] + cert["base"])
     assert entries == 2 * (22 ** 2 + 20) * 22 * 23 <= cli.MAX_INPUT_ENTRIES
     assert 2 * (23 ** 2 + 21) * 23 * 24 > cli.MAX_INPUT_ENTRIES
+
+
+@pytest.mark.parametrize("kind,constructor,flags,over,under,entries", [
+    ("dual-powers", "base_dual_powers", ["--s", "1"], [1] * 23, [1] * 22,
+     2 * (22 ** 2 - 1) * 22 ** 2),
+    ("dual-powers-rect", "base_dual_powers_rect", ["--n", "2", "--s", "1"], [1] * 257,
+     [1] * 256, 2 * (2 * 256 - 1) * 2 * 256),
+    # a singular companion: least nonzero index m, the glued trailing pair
+    ("singular", "base_singular", ["--s", "2"], [0] * 22 + [1], [0] * 21 + [1],
+     2 * (22 ** 2 - 2) * 22 ** 2),
+])
+def test_construct_refuses_an_oversized_power_kind_before_building(
+        tmp_path, capsys, monkeypatch, kind, constructor, flags, over, under, entries):
+    def refuse(*args):
+        raise AssertionError("built")
+
+    def construct_cli(bottom, out):
+        return main(["construct", kind, *flags, "--p", "13", "--bottom",
+                     ",".join(map(str, bottom)), "--out", str(out)])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(construct, constructor, refuse)
+        out = tmp_path / "big.json"
+        t0 = time.perf_counter()
+        assert construct_cli(over, out) == 2
+        assert time.perf_counter() - t0 < 0.5
+        line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert line == {"ok": False, "kind": "input", "error":
+                        f"input declares more than {cli.MAX_INPUT_ENTRIES} matrix entries"}
+        assert not out.exists()
+    # the largest bottom row under the cap
+    out = tmp_path / "largest.json"
+    assert construct_cli(under, out) == 0
+    capsys.readouterr()
+    cert = load_certificate(str(out))
+    assert sum(B["n"] * B["m"] for B in cert["target_basis"] + cert["base"]) == entries
+    assert entries <= cli.MAX_INPUT_ENTRIES
+
+
+def test_power_kind_shapes_are_the_certificate_or_none():
+    """On every small request the size pre-check names exactly the shapes of
+    the certificate the constructor writes, or none; and none wherever the
+    constructor refuses the flags, so its own error still comes first."""
+    seen = {"sized": 0, "refused": 0}
+    for (p, deg), m in itertools.product(((2, 1), (3, 1), (5, 1), (2, 2)), (2, 3, 4)):
+        F = field_make(p, deg)
+        if F.q ** m > 100:
+            continue
+        for bottom, s in itertools.product(itertools.product(range(F.q), repeat=m),
+                                           range(0, m + 2)):
+            for kind, n in [("dual-powers", None), ("singular", None)] + [
+                    ("dual-powers-rect", n) for n in (1, 2, m, m + 1)]:
+                args = argparse.Namespace(bottom=",".join(map(str, bottom)), s=s, n=n,
+                                          m=None, gammas=None)
+                outcome = []
+                for step in (lambda: list(cli._KINDS[kind].shapes(F, args)),
+                             lambda: cli._KINDS[kind].build(F, args)[1]):
+                    try:
+                        outcome.append(step())
+                    except (PerfbaseError, ValueError) as exc:
+                        outcome.append((type(exc), str(exc)))
+                shapes, result = outcome
+                if isinstance(result, tuple):  # refused: by the same error, or not sized
+                    assert shapes in ([], result), (kind, F.q, bottom, s, n)
+                    seen["refused"] += 1
+                    continue
+                cert = cli.certificate_from_result(result)
+                if shapes:
+                    seen["sized"] += 1
+                    assert shapes == [{"n": B["n"], "m": B["m"]}
+                                      for B in cert["target_basis"] + cert["base"]]
+    assert seen["sized"] > 300 and seen["refused"] > 300
 
 
 def _oracle_certificate(tmp_path, capsys, p, mats):

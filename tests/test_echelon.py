@@ -9,6 +9,7 @@ that floor, `gf._ECHELON_MIN_WIDTH`, down and by widths at or above it, the
 list one by narrower rows and by primes whose sums overflow int64.
 """
 
+import itertools
 import math
 import random
 
@@ -241,19 +242,89 @@ LARGEST_AT_40 = next(p for p in range(_TOP_AT_40, 2, -1)
                      if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
 
-@pytest.mark.parametrize("p", [2, 13, LARGEST_AT_40])
+def banded_rows(rng, F, n, width, windows):
+    """n random rows in blocks of `_LEAF_ROWS`: block k is nonzero only in
+    columns lo..hi-1 for (lo, hi) = windows[k % len(windows)], and its first
+    row at both ends of that window."""
+    rows = []
+    for i in range(n):
+        lo, hi = windows[i // exactla._LEAF_ROWS % len(windows)]
+        row = [0] * width
+        row[lo:hi] = [rng.randrange(F.q) for _ in range(lo, hi)]
+        if i % exactla._LEAF_ROWS == 0 and hi > lo:
+            row[lo], row[hi - 1] = rng.randrange(1, F.q), rng.randrange(1, F.q)
+        rows.append(tuple(row))
+    return rows
+
+
+def staircase(width, n, band, step):
+    """n windows, the i-th [step i, step i + band) cut at the last column: the
+    shape of the dual-power members, each nonzero in a few rows of its matrix."""
+    return [(min(step * i, width - 1), min(step * i + band, width)) for i in range(n)]
+
+
+def banded_cases(width):
+    """Windows per leaf: at the left edge, in the middle, ending at the last
+    column, all zero, a single column, those mixed, and a staircase."""
+    edges = [(0, 6), (width // 2 - 3, width // 2 + 3), (width - 5, width), (0, 0),
+             (width // 3, width // 3 + 1)]
+    return [[w] for w in edges] + [edges, edges[::-1], staircase(width, 8, 7, 4)]
+
+
+# F_4 and F_9 by (p, deg) take the banded batches only: those are at least as
+# wide as the echelon floor, so they run on the numpy path under either backend
+EXTENSIONS = {4: (2, 2), 9: (3, 2)}
+
+
+@pytest.mark.parametrize("p", [2, 13, LARGEST_AT_40, 4, 9])
 def test_extend_gives_the_row_rank_profile(p, backend):
-    F = field_make(p)
+    F = field_make(*EXTENSIONS.get(p, (p,)))
     if p == LARGEST_AT_40:  # no prime above it up to the first p the rule refuses
         assert Echelon(F, 40)._np and _TOP_AT_40 ** 2 * 40 >= 1 << 63
     rng = random.Random(f"extend-{p}-{backend}")
     cases = [(n, width, cap) for n in (1, 2, 8, 9, 10, 17, 33) for width in (5, 24)
              for cap in (0, 3, width // 2, None)]
     cases += [(200, 40, cap) for cap in (0, 1, 20, None)] + [(64, 40, 39), (100, 24, None)]
-    for n, width, cap in cases:
+    for n, width, cap in [] if p in EXTENSIONS else cases:
         rows = profile_rows(rng, F, n, width, cap)
         probes = random_rows(rng, F, 2, width) + rows[:2] + [(0,) * width]
         check_extend(F, rows, width, probes)
+    # banded batches: one leaf, leaves that the halving aligns, and leaves it does not
+    for width, n in itertools.product((24, 40), (8, 32, 20)):
+        assert Echelon(F, width)._np
+        for windows in banded_cases(width):
+            rows = banded_rows(rng, F, n, width, windows)
+            probes = random_rows(rng, F, 2, width) + rows[:2] + [(0,) * width]
+            check_extend(F, rows, width, probes)
+
+
+def test_each_leaf_works_on_its_nonzero_window(monkeypatch):
+    """A leaf's row operations see only the columns between its first and last
+    nonzero column: a staircase batch of width 100 gives the same profile."""
+    F, width = field_make(13), 100
+    rows = banded_rows(random.Random("window"), F, 48, width, staircase(width, 6, 24, 15))
+    grew, red, pivots = reference_profile(F, rows, width)
+    assert Echelon(F, width)._np
+    windows, seen = [], []
+    eliminate, sub_scaled = exactla._eliminate, gf._Int64Field.sub_scaled
+
+    def leaf(arith, B):
+        if len(B) <= exactla._LEAF_ROWS:
+            cols = np.flatnonzero(B.any(axis=0))
+            windows.append(int(cols[-1]) + 1 - int(cols[0]) if cols.size else 0)
+        return eliminate(arith, B)
+
+    def watched(self, T, c, row, a=None):
+        seen.append((T.shape[-1], windows[-1]))
+        return sub_scaled(self, T, c, row, a)
+
+    monkeypatch.setattr(exactla, "_eliminate", leaf)
+    monkeypatch.setattr(gf._Int64Field, "sub_scaled", watched)
+    E = Echelon(F, width)
+    assert E.extend(rows) == grew
+    monkeypatch.undo()
+    assert E.rref() == (red, pivots)
+    assert seen and all(cols <= window < width for cols, window in seen)
 
 
 def test_backend_choice_depends_only_on_the_input():
