@@ -12,6 +12,11 @@ input, 3 search guard exceeded.  The last stdout line is always a single
 JSON object, usage errors included.  `construct` refuses a parameter flag
 that its kind does not read, and `verify` refuses a key that no object of
 a certificate may carry.
+
+Inputs and certificates are capped at MAX_INPUT_ENTRIES matrix entries.
+`construct` refuses a request before building it when its kind's lower bound
+on the certificate's entries, a formula of the flags, is over the cap; the
+built certificate is then checked against the cap exactly.
 """
 
 from __future__ import annotations
@@ -114,15 +119,21 @@ def matrix_from_json(field: Field, obj) -> FqMatrix:
 MAX_INPUT_ENTRIES = 1 << 19
 
 
+def _refuse_over_cap(entries: int):
+    if entries > MAX_INPUT_ENTRIES:
+        raise ParametersOutOfRange(
+            f"input declares more than {MAX_INPUT_ENTRIES} matrix entries")
+
+
 def _check_size(*groups):
-    """Refuse matrix objects with keys beyond n, m, entries or sizes beyond the cap."""
+    """Refuse matrix objects with keys beyond n, m, entries or sizes beyond the
+    cap; each declares an entry at least, so their count is checked first."""
+    _refuse_over_cap(sum(map(len, groups)))
     total = 0
     for obj in itertools.chain(*groups):
         _only(obj, {"n", "m", "entries"}, "matrix")
         total += _json_int(obj["n"], "n", 1) * _json_int(obj["m"], "m", 1)
-        if total > MAX_INPUT_ENTRIES:
-            raise ParametersOutOfRange(
-                f"input declares more than {MAX_INPUT_ENTRIES} matrix entries")
+        _refuse_over_cap(total)
 
 
 def certificate_from_result(result, code_info=None) -> dict:
@@ -276,31 +287,6 @@ def _gammas(field, args):
     return cons.GammaSet.canonical(field, args.s)
 
 
-def _dual_power_shapes(field, args):
-    """A dual-power certificate's 2(nm - s) shapes n x m (n = m when square),
-    or none where the constructor refuses the flags, so its error comes first."""
-    spec, S = _spec(field, args), _gammas(field, args)
-    m, s = spec.m, args.s
-    n = m if args.n is None else args.n
-    if spec.invertible and 1 <= s < m and len(S) == s and 2 <= n <= m:
-        return itertools.repeat({"n": n, "m": m}, 2 * (n * m - s))
-    return ()
-
-
-def _singular_shapes(field, args):
-    """`base_singular`'s 2(m^2 - s) shapes m x m where its case dispatch
-    (`construct._singular_members`) surely builds, else none: the identity
-    dual (s = 1), the invertible and glued cases and the glued trailing pair,
-    for least nonzero index i of the bottom row."""
-    spec = _spec(field, args)
-    m, s = spec.m, args.s
-    i = next((j for j, a in enumerate(spec.bottom, start=1) if a), m + 1)
-    if s == 1 or (1 < s < field.q and (i == 1 and s < m or 1 < i < m and s <= m - i
-                                       or i == m and s == 2)):
-        return itertools.repeat({"n": m, "m": m}, 2 * (m * m - s))
-    return ()
-
-
 def _guard(args, default: int) -> int:
     """--guard if given (0 included), else PERFBASE_GUARD if set, else default;
     a guard below 0 is invalid input."""
@@ -324,29 +310,35 @@ class _Kind(NamedTuple):
     takes: tuple  # those it may also be given
     build: Callable  # (field, args) -> (the rank code or None, the ConstructionResult)
     prime_only: bool = False  # a code kind builds over F_p: --deg must be 1
-    shapes: Callable = lambda F, a: ()  # the cert's shapes the flags fix: size-checked first
+    # (m, args) -> a lower bound on the certificate's matrix entries, from the flags and
+    # m, the length of --bottom (else --m): over the cap, the request is refused unbuilt
+    entries: Callable = lambda m, a: 0
 
 
 _KINDS = {
     "dual-powers": _Kind(("s", "bottom"), ("m", "gammas"), lambda F, a: (
         None, cons.base_dual_powers(_spec(F, a), a.s, _gammas(F, a))),
-                         shapes=_dual_power_shapes),
+                         entries=lambda m, a: 2 * (m * m - a.s) * m * m),
     "dual-powers-rect": _Kind(("n", "s", "bottom"), ("m", "gammas"), lambda F, a: (
         None, cons.base_dual_powers_rect(_spec(F, a), a.n, a.s, _gammas(F, a))),
-                              shapes=_dual_power_shapes),
+                              entries=lambda m, a: 2 * (a.n * m - a.s) * a.n * m),
     "inverse-family": _Kind(("bottom",), ("m", "powers"), lambda F, a: (
-        None, cons.base_inverse_family(_spec(F, a), tuple(_parse_ints(a.powers or ""))))),
+        None, cons.base_inverse_family(_spec(F, a), tuple(_parse_ints(a.powers or "")))),
+                            entries=lambda m, a: (m + 2) * m * m),  # base >= m, target >= 2
     "rect-small-n": _Kind(("n", "bottom"), ("m",), lambda F, a: (
-        None, cons.base_rect_small_n(_spec(F, a), a.n))),
+        None, cons.base_rect_small_n(_spec(F, a), a.n)),
+                          entries=lambda m, a: (m + a.n) * a.n * m),  # base >= m, target >= n
     "singular": _Kind(("s", "bottom"), ("m",), lambda F, a: (
-        None, cons.base_singular(_spec(F, a), a.s)), shapes=_singular_shapes),
+        None, cons.base_singular(_spec(F, a), a.s)),
+                      entries=lambda m, a: 2 * (m * m - a.s) * m * m),
     "atkinson": _Kind(("n",), (), lambda F, a: (None, cons.atkinson_base(a.n, F)),
-                      shapes=lambda F, a: () if a.n < 2 or F.p == 2 else itertools.repeat(
-                          {"n": a.n, "m": a.n + 1}, 2 * (a.n ** 2 + a.n - 2))),
+                      entries=lambda m, a: 2 * (a.n ** 2 + a.n - 2) * a.n * (a.n + 1)),
+    # unbounded: with 2 <= n <= m <= p and p^m <= 2^16, it declares 1525 entries at most
     "gabidulin-dual-mtr": _Kind(("m", "n"), (), lambda F, a: rmcode.dual_gabidulin_mtr_base(
         a.p, a.m, a.n), prime_only=True),
     "build-mtr": _Kind(("m", "n", "k", "d"), (), lambda F, a: rmcode._build_mtr(
-        a.p, a.n, a.m, a.k, a.d), prime_only=True),
+        a.p, a.n, a.m, a.k, a.d), prime_only=True,  # k code, k target, k + d - 1 base
+                       entries=lambda m, a: (3 * a.k + a.d - 1) * a.n * m),
 }
 # the parameter flags: each is read by some kinds, and refused by the others
 _FLAGS = sorted({flag for kind in _KINDS.values() for flag in kind.needs + kind.takes})
@@ -366,7 +358,8 @@ def cmd_construct(args) -> int:
     field = field_make(args.p, args.deg,
                        None if args.modulus is None else _parse_ints(args.modulus))
     guard = _guard(args, rmcode.DEFAULT_SCAN_GUARD)
-    _check_size(kind.shapes(field, args))
+    _refuse_over_cap(kind.entries(
+        args.m if args.bottom is None else len(_parse_ints(args.bottom)), args))
     code, result = kind.build(field, args)
     code_info = None if code is None else _code_info(code, guard, mtr=True)
     cert = certificate_from_result(result, code_info)

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -24,7 +25,12 @@ from perfbase.cli import (
     matrix_to_json,
     reverify,
 )
-from perfbase.errors import DegreeMismatch, ParametersOutOfRange, PerfbaseError
+from perfbase.errors import (
+    DegreeMismatch,
+    InternalVerificationError,
+    ParametersOutOfRange,
+    PerfbaseError,
+)
 from perfbase.exactla import FqMatrix, MatrixSpace
 from perfbase.gf import field_make
 from perfbase.tensor3 import BaseCandidate
@@ -348,6 +354,9 @@ def test_verify_unreadable_and_malformed_certificates_exit_2_as_input(
 @pytest.mark.parametrize("cert", [
     [1, 2],
     {"schema_version": "1", "field": [3], "target_basis": [], "base": []},
+    # a member group that is not a list: `_check_size` counts it before the walk
+    *({"schema_version": "1", "field": {"p": 5}, "target_basis": [], "base": base}
+      for base in (5, None, "x", {"n": 1, "m": 1, "entries": [[1]]})),
 ])
 def test_verify_certificate_of_wrong_json_types_exits_2(tmp_path, capsys, cert):
     path = tmp_path / "bad.json"
@@ -454,6 +463,11 @@ def test_size_check_boundary():
         cli._check_size([{"n": 1, "m": cap - 4}], [{"n": 1, "m": 5}])
     with pytest.raises(ValueError):
         cli._check_size([{"n": -1, "m": cap}, {"n": 1, "m": cap}])
+    # cap objects of 1 x 1 pass; one more is refused by the count, before the walk
+    one = {"n": 1, "m": 1}
+    cli._check_size([one] * (cap - 1), [one])
+    with pytest.raises(ParametersOutOfRange):
+        cli._check_size([{"n": -1}] + [one] * (cap - 1), [one])
 
 
 def test_million_member_certificate_is_refused_at_once():
@@ -549,39 +563,124 @@ def test_construct_refuses_an_oversized_power_kind_before_building(
     assert entries <= cli.MAX_INPUT_ENTRIES
 
 
-def test_power_kind_shapes_are_the_certificate_or_none():
-    """On every small request the size pre-check names exactly the shapes of
-    the certificate the constructor writes, or none; and none wherever the
-    constructor refuses the flags, so its own error still comes first."""
-    seen = {"sized": 0, "refused": 0}
+def _ones(m):
+    return ",".join(["1"] * m)
+
+
+@pytest.mark.parametrize("kind,constructor,over,under,entries", [
+    ("inverse-family", "construct.base_inverse_family",
+     ["--p", "251", "--bottom", _ones(200)], None, None),
+    # the least m over each inexact bound: (m + 2) m^2, and (m + n) nm at n = 3
+    ("inverse-family", "construct.base_inverse_family",
+     ["--p", "13", "--bottom", _ones(80)], None, None),
+    ("rect-small-n", "construct.base_rect_small_n",
+     ["--p", "13", "--n", "3", "--bottom", _ones(417)], None, None),
+    # the glued quadratic case of `singular`: least nonzero index m - 1 and s = 2
+    ("singular", "construct.base_singular",
+     ["--p", "13", "--s", "2", "--bottom", "0," * 21 + "1,0"], None, None),
+    ("build-mtr", "rmcode._build_mtr",
+     ["--p", "13", "--m", "4", "--n", "200000", "--k", "4", "--d", "4"], None, None),
+    # (3k + d - 1) nm entries: n = 8738 is the largest under the cap
+    ("build-mtr", "rmcode._build_mtr",
+     ["--p", "13", "--m", "4", "--n", "8739", "--k", "4", "--d", "4"],
+     ["--p", "13", "--m", "4", "--n", "8738", "--k", "4", "--d", "4"], 15 * 8738 * 4),
+])
+def test_construct_refuses_a_kind_over_its_entry_bound_before_building(
+        tmp_path, capsys, monkeypatch, kind, constructor, over, under, entries):
+    def refuse(*args):
+        raise AssertionError("built")
+
+    module, name = constructor.split(".")
+    with monkeypatch.context() as patch:
+        patch.setattr({"construct": construct, "rmcode": rmcode}[module], name, refuse)
+        out = tmp_path / "big.json"
+        t0 = time.perf_counter()
+        assert main(["construct", kind, *over, "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 0.5
+        line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert line == {"ok": False, "kind": "input", "error":
+                        f"input declares more than {cli.MAX_INPUT_ENTRIES} matrix entries"}
+        assert not out.exists()
+    if under is not None:  # an exact bound: the largest request under the cap builds
+        out = tmp_path / "largest.json"
+        assert main(["construct", kind, *under, "--out", str(out)]) == 0
+        capsys.readouterr()
+        cert = load_certificate(str(out))
+        members = cert["target_basis"] + cert["base"] + cert["code"]["space_basis"]
+        assert sum(B["n"] * B["m"] for B in members) == entries <= cli.MAX_INPUT_ENTRIES
+
+
+def _small_requests(F, m):
+    """(kind, args) of every kind over F with matrix size m: each bottom row of
+    length m, and s, n, k, d in small ranges that hold both valid and refused values."""
+    flags = dict.fromkeys(cli._FLAGS, None)
+    small = range(0, m + 2)
+    sizes = sorted({1, 2, m, m + 1})
+    for bottom in itertools.product(range(F.q), repeat=m):
+        at = dict(flags, bottom=",".join(map(str, bottom)))
+        for s in small:
+            yield from [("dual-powers", dict(at, s=s)), ("singular", dict(at, s=s))]
+            yield from (("dual-powers-rect", dict(at, s=s, n=n)) for n in sizes)
+        yield from [("inverse-family", at), ("inverse-family", dict(at, powers="2"))]
+        yield from (("rect-small-n", dict(at, n=n)) for n in sizes)
+    yield from (("atkinson", dict(flags, n=n)) for n in sizes)
+    if F.deg == 1:
+        yield from (("gabidulin-dual-mtr", dict(flags, m=m, n=n)) for n in sizes)
+        yield from (("build-mtr", dict(flags, m=m, n=n, k=k, d=d))
+                    for n, k, d in itertools.product(sizes, small, small))
+
+
+def test_entry_bounds_are_lower_bounds_and_exact_where_claimed():
+    """On every small request, each kind's entry bound is at most the entries of
+    the certificate it builds, and equal for the kinds whose size the flags fix.
+    No small request is over the cap by its bound, so wherever the constructor
+    refuses the flags, its own error still comes first."""
+    exact = {"dual-powers", "dual-powers-rect", "singular", "atkinson", "build-mtr"}
+    built, refused, tight = (collections.Counter() for _ in range(3))
     for (p, deg), m in itertools.product(((2, 1), (3, 1), (5, 1), (2, 2)), (2, 3, 4)):
         F = field_make(p, deg)
         if F.q ** m > 100:
             continue
-        for bottom, s in itertools.product(itertools.product(range(F.q), repeat=m),
-                                           range(0, m + 2)):
-            for kind, n in [("dual-powers", None), ("singular", None)] + [
-                    ("dual-powers-rect", n) for n in (1, 2, m, m + 1)]:
-                args = argparse.Namespace(bottom=",".join(map(str, bottom)), s=s, n=n,
-                                          m=None, gammas=None)
-                outcome = []
-                for step in (lambda: list(cli._KINDS[kind].shapes(F, args)),
-                             lambda: cli._KINDS[kind].build(F, args)[1]):
-                    try:
-                        outcome.append(step())
-                    except (PerfbaseError, ValueError) as exc:
-                        outcome.append((type(exc), str(exc)))
-                shapes, result = outcome
-                if isinstance(result, tuple):  # refused: by the same error, or not sized
-                    assert shapes in ([], result), (kind, F.q, bottom, s, n)
-                    seen["refused"] += 1
-                    continue
-                cert = cli.certificate_from_result(result)
-                if shapes:
-                    seen["sized"] += 1
-                    assert shapes == [{"n": B["n"], "m": B["m"]}
-                                      for B in cert["target_basis"] + cert["base"]]
-    assert seen["sized"] > 300 and seen["refused"] > 300
+        for kind, flags in _small_requests(F, m):
+            args = argparse.Namespace(p=p, deg=deg, **flags)
+            bound = cli._KINDS[kind].entries(m, args)
+            assert bound <= cli.MAX_INPUT_ENTRIES, (kind, F.q, flags)
+            try:
+                code, result = cli._KINDS[kind].build(F, args)
+            except (PerfbaseError, ValueError) as exc:
+                assert not isinstance(exc, InternalVerificationError), (kind, F.q, flags)
+                refused[kind] += 1
+                continue
+            cert = cli.certificate_from_result(result)
+            entries = sum(B["n"] * B["m"] for B in cert["target_basis"] + cert["base"])
+            if code is not None:
+                entries += sum(B.n * B.m for B in code.space.basis)
+            assert bound <= entries, (kind, F.q, flags)
+            assert bound == entries or kind not in exact, (kind, F.q, flags)
+            built[kind] += 1
+            tight[kind] += bound == entries
+    assert set(built) == set(refused) == set(cli._KINDS)
+    assert tight["inverse-family"] > 0  # the inexact bound is attained
+
+
+def test_gabidulin_dual_certificates_are_far_below_the_cap():
+    """`gabidulin-dual-mtr` has no entry bound: it needs 2 <= n <= m <= p, and
+    `field_make` builds F_(p^m) only up to 2^16 elements, so its certificate of
+    3m(n - 1) + 1 members of n x m entries is small for every admissible request."""
+    def entries(m, n):
+        return (3 * m * (n - 1) + 1) * n * m
+
+    fixture = load_certificate(os.path.join(FIXDIR, "gabidulin_dual_f3_m3_n3.cert.json"))
+    members = fixture["target_basis"] + fixture["base"] + fixture["code"]["space_basis"]
+    assert sum(B["n"] * B["m"] for B in members) == entries(3, 3)
+    primes = [p for p in range(2, 257) if all(p % d for d in range(2, p))]
+    admissible = [(m, n) for p in primes for m in range(2, p + 1) if p ** m <= 1 << 16
+                  for n in range(2, m + 1)]
+    assert max(m for m, _ in admissible) == 5  # at p = 5 and p = 7
+    assert max(entries(m, n) for m, n in admissible) == entries(5, 5) == 1525
+    assert entries(5, 5) < cli.MAX_INPUT_ENTRIES
+    with pytest.raises(ParametersOutOfRange):
+        field_make(7, 6)  # 7^6 > 2^16: no m = 6 for any p >= 6
 
 
 def _oracle_certificate(tmp_path, capsys, p, mats):
@@ -878,15 +977,22 @@ def test_verify_refuses_other_schemas_and_empty_targets(tmp_path, capsys, edit):
     assert rc == 2 and line["kind"] == "input"
 
 
-def test_construct_writes_no_certificate_that_verify_would_refuse(tmp_path, capsys):
+def test_construct_writes_no_certificate_that_verify_would_refuse(tmp_path, capsys,
+                                                                   monkeypatch):
     # 528 base and 528 target members of 23 x 23 entries each declare
-    # 558,624 entries: `verify` refuses that, so `construct` must not write it
+    # 558,624 entries: `verify` refuses that, so `construct` must not write it.
+    # With the kind's entry bound at 0, the refusal is the built certificate's.
+    kind = cli._KINDS["dual-powers"]
+    monkeypatch.setitem(cli._KINDS, "dual-powers", kind._replace(entries=lambda m, a: 0))
+    built, build = [], construct.base_dual_powers
+    monkeypatch.setattr(construct, "base_dual_powers",
+                        lambda *args: built.append(1) or build(*args))
     out = tmp_path / "c.json"
     assert main(["construct", "dual-powers", "--p", "29", "--s", "1",
                  "--bottom", ",".join(["1"] * 23), "--out", str(out)]) == 2
     line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert line["kind"] == "input" and "entries" in line["error"]
-    assert not out.exists()
+    assert not out.exists() and built
 
 
 @pytest.mark.parametrize("args", [
