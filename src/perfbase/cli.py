@@ -16,7 +16,15 @@ a certificate may carry.
 Inputs and certificates are capped at MAX_INPUT_ENTRIES matrix entries.
 `construct` refuses a request before building it when its kind's lower bound
 on the certificate's entries, a formula of the flags, is over the cap; the
-built certificate is then checked against the cap exactly.
+built certificate is then checked against the cap exactly.  A negative size
+flag (--m, --n, --s, --k, --d) is refused as it is parsed.
+
+`construct` and `rmcode` are imported only to construct or to run the
+oracle, through the package's names resolved on first use, and `verify`
+checks a code's distance with `exactla._min_distance`, the scan that
+`RankCode.distance` runs.  So `verify` of a small certificate never imports
+numpy; a wide one loads it from `gf._backend`, after `main` has set one
+OpenBLAS thread unless the caller set OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -28,15 +36,15 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from . import construct as cons
-from . import rmcode
+import perfbase
+
 from .errors import (
     GuardExceeded,
     InternalVerificationError,
     ParametersOutOfRange,
     PerfbaseError,
 )
-from .exactla import FqMatrix, MatrixSpace
+from .exactla import DEFAULT_SCAN_GUARD, FqMatrix, MatrixSpace, _min_distance
 from .gf import Field, field_make
 from .tensor3 import (
     DEFAULT_GUARD,
@@ -212,9 +220,10 @@ def reverify(cert: dict, guard: int) -> dict:
         # the base was checked against target_basis, so it proves nothing
         # about the code unless the two spaces coincide
         space_ok = space == target
-        rank_code = rmcode.RankCode(space)
-        dim_ok = rank_code.k == claimed_k
-        d_real = rank_code.distance(guard)
+        dim_ok = space.dim == claimed_k
+        # `RankCode.distance`, without importing `rmcode`: the zero code has distance n + 1
+        d_real = (_min_distance(field, space._rrows, guard, shape[1]) if space.dim
+                  else shape[0] + 1)
         d_ok = d_real == claimed_d
         facts_ok = (q, n, m) == (field.q, *shape)
         verdict["code_checks"] = {"dim_ok": dim_ok, "distance": d_real, "distance_ok": d_ok,
@@ -250,7 +259,7 @@ def _rank_checks(target: MatrixSpace, R: int, upper_ok: bool, guard: int) -> dic
     return {"upper_ok": upper_ok, "lower": lower, "lower_by": by}
 
 
-def _code_info(code: rmcode.RankCode, guard: int, mtr: bool) -> dict:
+def _code_info(code: perfbase.rmcode.RankCode, guard: int, mtr: bool) -> dict:
     return {
         "q": code.field.q,
         "n": code.n,
@@ -274,17 +283,31 @@ def _parse_ints(text: str):
     return [int(t) for t in fields]
 
 
-def _spec(field, args) -> cons.CompanionSpec:
+def _size(text: str) -> int:
+    """The value of a size flag (--m, --n, --s, --k, --d): an int, at least 0.
+    A negative one is refused as it is parsed, since a kind's entry bound, a
+    polynomial in the flags, can read it as a large count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer at least 0, got {text!r}")
+    return value
+
+
+def _spec(field, args) -> perfbase.construct.CompanionSpec:
     bottom = _parse_ints(args.bottom)
     if args.m is not None and args.m != len(bottom):
         raise ValueError("--m disagrees with the bottom row length")
-    return cons.CompanionSpec(field, len(bottom), tuple(bottom))
+    return perfbase.construct.CompanionSpec(field, len(bottom), tuple(bottom))
 
 
 def _gammas(field, args):
+    gammas = perfbase.construct.GammaSet
     if args.gammas is not None:
-        return cons.GammaSet(field, tuple(_parse_ints(args.gammas)))
-    return cons.GammaSet.canonical(field, args.s)
+        return gammas(field, tuple(_parse_ints(args.gammas)))
+    return gammas.canonical(field, args.s)
 
 
 def _guard(args, default: int) -> int:
@@ -317,26 +340,27 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     "dual-powers": _Kind(("s", "bottom"), ("m", "gammas"), lambda F, a: (
-        None, cons.base_dual_powers(_spec(F, a), a.s, _gammas(F, a))),
+        None, perfbase.construct.base_dual_powers(_spec(F, a), a.s, _gammas(F, a))),
                          entries=lambda m, a: 2 * (m * m - a.s) * m * m),
     "dual-powers-rect": _Kind(("n", "s", "bottom"), ("m", "gammas"), lambda F, a: (
-        None, cons.base_dual_powers_rect(_spec(F, a), a.n, a.s, _gammas(F, a))),
+        None, perfbase.construct.base_dual_powers_rect(_spec(F, a), a.n, a.s, _gammas(F, a))),
                               entries=lambda m, a: 2 * (a.n * m - a.s) * a.n * m),
     "inverse-family": _Kind(("bottom",), ("m", "powers"), lambda F, a: (
-        None, cons.base_inverse_family(_spec(F, a), tuple(_parse_ints(a.powers or "")))),
+        None, perfbase.construct.base_inverse_family(
+            _spec(F, a), tuple(_parse_ints(a.powers or "")))),
                             entries=lambda m, a: (m + 2) * m * m),  # base >= m, target >= 2
     "rect-small-n": _Kind(("n", "bottom"), ("m",), lambda F, a: (
-        None, cons.base_rect_small_n(_spec(F, a), a.n)),
+        None, perfbase.construct.base_rect_small_n(_spec(F, a), a.n)),
                           entries=lambda m, a: (m + a.n) * a.n * m),  # base >= m, target >= n
     "singular": _Kind(("s", "bottom"), ("m",), lambda F, a: (
-        None, cons.base_singular(_spec(F, a), a.s)),
+        None, perfbase.construct.base_singular(_spec(F, a), a.s)),
                       entries=lambda m, a: 2 * (m * m - a.s) * m * m),
-    "atkinson": _Kind(("n",), (), lambda F, a: (None, cons.atkinson_base(a.n, F)),
+    "atkinson": _Kind(("n",), (), lambda F, a: (None, perfbase.construct.atkinson_base(a.n, F)),
                       entries=lambda m, a: 2 * (a.n ** 2 + a.n - 2) * a.n * (a.n + 1)),
     # unbounded: with 2 <= n <= m <= p and p^m <= 2^16, it declares 1525 entries at most
-    "gabidulin-dual-mtr": _Kind(("m", "n"), (), lambda F, a: rmcode.dual_gabidulin_mtr_base(
-        a.p, a.m, a.n), prime_only=True),
-    "build-mtr": _Kind(("m", "n", "k", "d"), (), lambda F, a: rmcode._build_mtr(
+    "gabidulin-dual-mtr": _Kind(("m", "n"), (), lambda F, a: (
+        perfbase.rmcode.dual_gabidulin_mtr_base(a.p, a.m, a.n)), prime_only=True),
+    "build-mtr": _Kind(("m", "n", "k", "d"), (), lambda F, a: perfbase.rmcode._build_mtr(
         a.p, a.n, a.m, a.k, a.d), prime_only=True,  # k code, k target, k + d - 1 base
                        entries=lambda m, a: (3 * a.k + a.d - 1) * a.n * m),
 }
@@ -357,7 +381,7 @@ def cmd_construct(args) -> int:
         raise ParametersOutOfRange(f"{name} builds over F_p: --deg must be 1")
     field = field_make(args.p, args.deg,
                        None if args.modulus is None else _parse_ints(args.modulus))
-    guard = _guard(args, rmcode.DEFAULT_SCAN_GUARD)
+    guard = _guard(args, DEFAULT_SCAN_GUARD)
     _refuse_over_cap(kind.entries(
         args.m if args.bottom is None else len(_parse_ints(args.bottom)), args))
     code, result = kind.build(field, args)
@@ -375,7 +399,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    guard = _guard(args, rmcode.DEFAULT_SCAN_GUARD)
+    guard = _guard(args, DEFAULT_SCAN_GUARD)
     try:
         cert = load_certificate(args.certificate)
     except (OSError, json.JSONDecodeError) as exc:
@@ -409,7 +433,7 @@ def cmd_oracle(args) -> int:
     space = _space_from_json(load_certificate(args.space))
     guard = _guard(args, DEFAULT_GUARD)
     trk, witness = exhaustive_trk(space, guard)
-    result = cons._finish(witness, "oracle", {"guard": guard}, {})
+    result = perfbase.construct._finish(witness, "oracle", {"guard": guard}, {})
     cert = certificate_from_result(result)
     cert["tensor_rank"] = trk
     if args.out is not None:
@@ -440,11 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--p", type=int, required=True, help="field characteristic")
     pc.add_argument("--deg", type=int, default=1, help="extension degree")
     pc.add_argument("--modulus", help="modulus coefficients, low to high")
-    pc.add_argument("--m", type=int, help="matrix size / extension degree")
-    pc.add_argument("--n", type=int, help="row count")
-    pc.add_argument("--s", type=int, help="number of powers in the span")
-    pc.add_argument("--k", type=int, help="code dimension")
-    pc.add_argument("--d", type=int, help="code distance")
+    pc.add_argument("--m", type=_size, help="matrix size / extension degree")
+    pc.add_argument("--n", type=_size, help="row count")
+    pc.add_argument("--s", type=_size, help="number of powers in the span")
+    pc.add_argument("--k", type=_size, help="code dimension")
+    pc.add_argument("--d", type=_size, help="code distance")
     pc.add_argument("--bottom", help="companion bottom row a_1,...,a_m")
     pc.add_argument("--gammas", help="distinct nonzero scalars, first 1")
     pc.add_argument("--powers", help="extra exponents, comma separated")
@@ -466,6 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # before numpy is first imported, unless the caller chose: one OpenBLAS thread
+    # made a fresh `verify` at the input cap faster (README's CLI section)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

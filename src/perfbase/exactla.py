@@ -36,7 +36,10 @@ visits one word per scalar class under a guard, in int64 batches with
 fraction-free elimination (no inverses), or on lists with an `Echelon` per
 word, as `gf._backend` says.  Both numpy paths compute with the field's
 int64 form, `Field._int64`; this module reads no field table.  numpy is
-imported with this module, so the package pays for it once, at import.
+imported on first use, by the first `gf._backend` answer that is an array
+dtype: a small certificate's echelons and scans stay on lists and never
+load it.  `construct` imports it at module top, so library constructions
+pay for it once, at import, never inside their first timed call.
 
 `Field.sub_scaled` is the one row combination on lists.  Every sum
 sum c_i * row_i, a vector times a matrix included, is `_combine`, a fold of
@@ -53,8 +56,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-
-import numpy as np
 
 from .errors import FieldMismatch, GuardExceeded, ShapeMismatch, Singular
 from .gf import Field, FieldElement, _backend, _power
@@ -333,8 +334,11 @@ class Echelon:
         self.field = field
         self.width = width
         self._pivots = []  # in insertion order, the order of the rows
-        self._np = _backend(field, "echelon", width, width) is np.int64
-        self._rows = np.zeros((0, width), dtype=np.int64) if self._np else []
+        self._np = _backend(field, "echelon", width, width) != "lists"
+        self._rows = []
+        if self._np:
+            import numpy as np
+            self._rows = np.zeros((0, width), dtype=np.int64)
         self.extend(vectors)
 
     @property
@@ -365,14 +369,15 @@ class Echelon:
         rows, `_eliminate` the batch itself, and one more product clears the
         new pivots from the held rows."""
         if not self._np:
-            if isinstance(vectors, np.ndarray):
-                vectors = vectors.tolist()  # list rows hold Python ints
+            if hasattr(vectors, "tolist"):  # an array: list rows hold Python ints
+                vectors = vectors.tolist()
             return [self.insert(vec) for vec in vectors]
         if not len(vectors):
             return []
         arith = self.field._int64
         grew, rows, pivots = _eliminate(arith, self._residue_np(vectors))
         if pivots:
+            import numpy as np
             self._rows = np.concatenate((_reduced(arith, self._rows, rows, pivots), rows))
             self._pivots += pivots
         return grew
@@ -394,7 +399,7 @@ class Echelon:
         if not len(vectors):
             return None
         outside = self._residue_np(vectors).any(axis=1)
-        return int(np.argmax(outside)) if outside.any() else None
+        return int(outside.argmax()) if outside.any() else None
 
     def coords(self, vec):
         """Coefficients of vec in the `rref()` rows; None if not contained."""
@@ -426,6 +431,7 @@ class Echelon:
 
     def _residue_np(self, vectors):
         """Residues of a vector or of the rows of a matrix, as int64."""
+        import numpy as np
         V = np.asarray(vectors, dtype=np.int64)
         if V.shape[-1:] != (self.width,):
             raise ShapeMismatch(f"vectors of shape {V.shape}, expected width {self.width}")
@@ -448,6 +454,7 @@ def _eliminate(arith, B):
     leaf combines only the leaf's rows, so the columns outside stay zero, and
     the reduced rows go back into zero rows of full width (structured Gaussian
     elimination: LaMacchia, Odlyzko, CRYPTO 1990)."""
+    import numpy as np
     if len(B) > _LEAF_ROWS:
         half = len(B) // 2
         grew, top, pivots = _eliminate(arith, B[:half])
@@ -511,6 +518,9 @@ def _normalized_vectors(field, length):
             yield (0,) * lead + (1,) + tail
 
 
+DEFAULT_SCAN_GUARD = 1 << 24  # the words a distance scan visits unless told otherwise
+
+
 def _scan_guard(field, k, guard) -> int:
     """(q^k - 1) / (q - 1), the words a scan of k rows visits, if `guard` allows."""
     if (needed := _projective_count(field.q, k)) > guard:
@@ -531,9 +541,12 @@ def _min_distance(field, rows, guard, width=None) -> int:
     """
     k = len(rows)
     needed = _scan_guard(field, k, guard)
-    if _backend(field, "scan", needed, k) is np.int64:
+    size = len(rows[0])
+    # on lists a word is a fold of k rows, then one pass of its entries, or a
+    # rank by an echelon of rows `width` wide: about size (k + width) multiply-adds
+    if _backend(field, "scan", needed, k, needed * size * (k + (width or 1))) != "lists":
         return _min_distance_np(field, rows, width)
-    best = size = len(rows[0])
+    best = size
     for coeffs in _normalized_vectors(field, k):
         word = _combine(field, coeffs, rows, size)
         if width is None:
@@ -551,6 +564,7 @@ def _min_distance(field, rows, guard, width=None) -> int:
 def _min_distance_np(field, rows, width):
     """`_min_distance` in int64 batches: for each lead row l, the words B_l -
     c B_(l+1:) for all c are those with coefficient 1 at l and 0 before it."""
+    import numpy as np
     arith, q = field._int64, field.q
     basis = np.array(rows, dtype=np.int64)
     k, size = basis.shape
@@ -581,6 +595,7 @@ def _np_ranks(W, field):
     no inverse and over F_p no product above (p - 1)^2.  As a != 0 this
     keeps the span of the rows not yet used; used rows are never read again.
     """
+    import numpy as np
     if W.shape[2] > W.shape[1]:  # eliminate along the shorter side
         W = W.transpose(0, 2, 1)
     B, n, m = W.shape
@@ -769,6 +784,7 @@ def _dual(field, shape, reversed_rows):
     ascending f, are the canonical RREF, the free columns their pivots, and
     they are one array (-1 is the encoding p - 1 in every field).
     """
+    import numpy as np
     width = shape[0] * shape[1]
     E = Echelon(field, width, reversed_rows)
     free = np.delete(np.arange(width), E._pivots)

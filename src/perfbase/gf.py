@@ -30,6 +30,9 @@ numpy `Echelon`, its batched distance scan, `verify_base`'s rank-one batch,
 the oracle's residue tables and `construct`'s power-family members.  No
 other module reads the tables.  `_backend`, the one backend rule, makes
 every choice between Python lists and int64, float64 or object arrays.
+numpy is imported on first use: by `_backend`, on its first array answer,
+and by an extension field's table build.  Prime fields and list work need
+none of it.
 
 `Field.encode` is the package's one rule for turning a scalar into an
 encoding, and every entry point that takes a scalar goes through it.
@@ -43,8 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-
-import numpy as np
+import sys
 
 from .errors import (
     DegreeMismatch,
@@ -270,6 +272,7 @@ class Field:
         encodings, times the deg x deg matrix whose row j is g x^j, give g e
         for every e in one array product; the walk follows that list from 1.
         """
+        import numpy as np
         p, deg, q = self.p, self.deg, self.q
         order = q - 1
         tail = [(-c) % p for c in self.modulus[:-1]]  # x^deg, reduced mod f
@@ -316,9 +319,15 @@ class Field:
 _ECHELON_MIN_WIDTH = 20  # `Echelon` rows this wide run on int64, not lists, over any field
 _SCAN_MIN_WORDS = 16  # distance scans of this many words run in int64 batches
 _FLOAT64_MIN_WORK = 2048  # F_p residues of b r w multiply-adds use float64, not int64
+# Before numpy is loaded, an echelon or scan of less list work than this, in
+# multiply-adds, stays on lists: importing numpy takes 0.12-0.19 s cold, a
+# dense square list echelon 72-132 ns a multiply-add (width^3 of them) at 64-192
+# wide over F_5, F_13, F_4 and F_49, and a list rank scan 115-360 ns (Intel Xeon,
+# Python 3.11, numpy 2.4).  So an echelon stays on lists up to 101 wide.
+_NUMPY_IMPORT_WORK = 1 << 20
 
 
-def _backend(field, op, size=0, terms=1):
+def _backend(field, op, size=0, terms=1, work=0):
     """"lists", or the dtype of the arrays that `op` computes with over `field`.
 
     `size` is the width of an "echelon", the words of a "scan" or the
@@ -329,13 +338,28 @@ def _backend(field, op, size=0, terms=1):
     float64 holds it when (p - 1)^2 terms < 2^53, as every partial sum is then
     an integer below 2^53, exact in any order, with or without FMA (Dumas,
     Gautier and Pernet, "Finite field linear algebra subroutines", ISSAC 2002).
+
+    numpy is imported here, on the first answer that is an array dtype.  Until
+    then an echelon or scan past its floor and within the int64 bound stays
+    on lists while its list work, size^2 terms for an "echelon" and `work`
+    for a "scan", is below `_NUMPY_IMPORT_WORK`; so a small `perfbase verify`
+    never loads numpy.
     """
     if op == "echelon":  # the most frequent question, and mostly on narrow rows
-        return np.int64 if (size >= _ECHELON_MIN_WIDTH
-                            and (field.p - 1) ** 2 * terms < 1 << 63) else "lists"
+        if size < _ECHELON_MIN_WIDTH or (field.p - 1) ** 2 * terms >= 1 << 63:
+            return "lists"
+        work = size * size * terms  # a square elimination
+    elif op == "scan" and (size < _SCAN_MIN_WORDS or (field.p - 1) ** 2 * terms >= 1 << 63):
+        return "lists"
+    either = op in ("echelon", "scan")  # the ops that may stay on lists
+    np = sys.modules.get("numpy")  # None until some caller has imported numpy
+    if np is None:
+        if either and work < _NUMPY_IMPORT_WORK:
+            return "lists"
+        import numpy as np
+    if either:
+        return np.int64
     top = (field.p - 1) ** 2 * terms
-    if op == "scan":
-        return np.int64 if size >= _SCAN_MIN_WORDS and top < 1 << 63 else "lists"
     if op == "residue" and field.deg == 1 and size >= _FLOAT64_MIN_WORK and top < 1 << 53:
         return np.float64
     return np.int64 if top < 1 << 63 else object
@@ -363,10 +387,10 @@ class _Int64Field:
         """T - c * row, or a * T - c * row with a: the rank-one update of
         elimination.  c * row has the shape of the result."""
         if self.field.deg == 1:
-            out = c * row
-            np.subtract(T if a is None else a * T, out, out=out)
+            out = (T if a is None else a * T) - c * row
             out %= self.q
             return out
+        import numpy as np
         if a is not None:
             T = self.scaled(a, T)
         lp = self.lneg[c] + self.log[row]  # log(-c * row)
@@ -379,6 +403,7 @@ class _Int64Field:
         T's entries at their pivots: a product over F_p, in the dtype
         `_backend` names, and a fold over F_{p^k}."""
         if self.field.deg == 1:
+            import numpy as np
             if _backend(self.field, "residue", C.size * R.shape[-1], R.shape[-2]) is np.float64:
                 P = (C.astype(np.float64) @ R.astype(np.float64)).astype(np.int64)
             else:
@@ -390,11 +415,13 @@ class _Int64Field:
 
     def inv(self, a):
         """a^(q-2), entrywise: 1/a for a != 0."""
+        import numpy as np
         return _power(self.scaled, a, self.q - 2, np.ones_like(a))
 
     @functools.cached_property
     def inverses(self):
         """`inv` of every encoding, read-only: built on first use, once."""
+        import numpy as np
         table = self.inv(np.arange(self.q, dtype=np.int64))
         table.flags.writeable = False
         return table

@@ -49,6 +49,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .exactla import (
+    DEFAULT_SCAN_GUARD,
     Echelon,
     FqMatrix,
     MatrixSpace,
@@ -62,7 +63,6 @@ from .exactla import (
 from .gf import Field, FieldElement, field_make, find_primitive, norm
 from .tensor3 import BaseCandidate, kruskal_bound, verify_base
 
-DEFAULT_SCAN_GUARD = 1 << 24
 _GABIDULIN_CHECK = 1 << 14  # `gabidulin` re-checks MRD on scans of this many points or fewer
 
 

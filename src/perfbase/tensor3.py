@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import GuardExceeded, ParametersOutOfRange, ShapeMismatch
 from .exactla import (
     Echelon,
@@ -186,7 +184,8 @@ def verify_base(cand: BaseCandidate) -> VerificationReport:
         if A.field != field or A.shape != shape:
             raise ShapeMismatch(f"member {idx} has wrong field or shape")
     span = Echelon(field, target.n * target.m)
-    if _backend(field, "echelon", span.width, span.width) is np.int64:
+    if _backend(field, "echelon", span.width, span.width) != "lists":
+        import numpy as np
         M = cand._array if cand._array is not None else np.array(
             [A.rows for A in cand.matrices], dtype=np.int64).reshape(-1, *shape)
         rank_one, vectors = _rank_one_np(field._int64, M).tolist(), M.reshape(len(M), -1)
@@ -216,6 +215,7 @@ def _rank_one_np(arith, M):
     """Which matrices of an int64 batch, over any field, have rank one.  A nonzero
     matrix's first nonzero row, scaled to 1 at its lead column j, is a unit
     row v; the matrix has rank one exactly when it equals (its column j) v."""
+    import numpy as np
     idx = np.arange(len(M))
     nonzero = M.any(axis=2)
     first = M[idx, nonzero.argmax(axis=1)]
@@ -369,6 +369,7 @@ class _Tables:
         self.inv = self.arith.inverses
 
     def candidates(self, n, m):
+        import numpy as np
         field = self.arith.field
         self.powers = field.q ** np.arange(n * m, dtype=np.int64)
         U = np.array(list(_normalized_vectors(field, n)), dtype=np.int64)
@@ -377,12 +378,14 @@ class _Tables:
                                  W[None, :, None, :]).reshape(-1, n * m)
 
     def quotient(self, A, V, free):
+        import numpy as np
         A = _reduced(self.arith, A, np.array(V._rrows, dtype=np.int64), list(V._pivots))
         return np.ascontiguousarray(A[:, free])
 
     @staticmethod
     def nonzero(T, stop):
         """The bits of the nonzero rows i < stop of T."""
+        import numpy as np
         rows = np.packbits(T[:stop].any(axis=1), bitorder="little")
         return int.from_bytes(rows.tobytes(), "little")
 
@@ -392,6 +395,7 @@ class _Tables:
         each class of two rows or more to the bits of its rows.  A pick of
         row i clears only the later rows of its class, so a one-row class
         needs no mask, and N one-row classes do not cost N^2 bits."""
+        import numpy as np
         T, w = T[:stop], T.shape[1]  # w = 0 when V is the whole space
         lead = T[np.arange(len(T)), (T != 0).argmax(axis=1)] if w else 0
         ids = (self.arith.scaled(self.inv[lead, None], T) @ self.powers[:w]).tolist()

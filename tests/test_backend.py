@@ -13,9 +13,12 @@ F_4 and F_625 rows at the width floor run on int64, as F_13 rows do.
 """
 
 import importlib.util
+import json
 import math
 import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +85,34 @@ def test_echelon_backends_agree_on_the_dual_power_traffic(monkeypatch):
 
         default, numpy, lists = both_extremes(monkeypatch, "_ECHELON_MIN_WIDTH", run)
         assert default == numpy == lists and all(default[0]), (F.q, m, n, s)
+
+
+BEFORE_NUMPY = """
+import json, sys
+from perfbase import gf
+F, big = gf.field_make(5), gf.field_make((1 << 61) - 1)
+work = gf._NUMPY_IMPORT_WORK
+def lists(field, op, *args):
+    return gf._backend(field, op, *args) == "lists"
+def loaded():
+    return "numpy" in sys.modules
+first, then = map(json.loads, sys.argv[1:])
+print([lists(F, "echelon", 101, 101), lists(F, "scan", 16, 4, work - 1),
+       lists(big, "echelon", 512, 512), lists(big, "scan", 1 << 20, 2, work), loaded(),
+       lists(F, *first), loaded(), lists(F, *then)])
+"""
+
+
+@pytest.mark.parametrize("first", [["echelon", 102, 102],
+                                   ["scan", 16, 4, gf._NUMPY_IMPORT_WORK]])
+def test_echelon_and_scan_stay_on_lists_until_numpy_pays(first):
+    # before numpy is loaded an echelon or scan past its floor stays on lists
+    # while its list work, width^3 or the scan's, is below the numpy import;
+    # past it, or past the int64 bound, the floors alone decide once more
+    out = subprocess.run([sys.executable, "-c", BEFORE_NUMPY, json.dumps(first),
+                          json.dumps(["echelon", 20, 20])],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str([True] * 4 + [False, False, True, False])
 
 
 def reference_distance(F, rows, width):

@@ -117,6 +117,75 @@ def test_shipped_fixtures_verify(name):
     assert last_json(proc)["ok"]
 
 
+FIXTURES = sorted(name for name in os.listdir(FIXDIR) if name.endswith(".cert.json"))
+WITHOUT_NUMPY = ('import sys; sys.modules["numpy"] = None; from perfbase.cli import main; '
+                 'sys.exit(main(sys.argv[1:]))')
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_verify_without_numpy_matches_a_normal_run(tmp_path, name):
+    # a fixture and a copy with one base entry changed verify in a process
+    # that cannot import numpy exactly as in a normal one, so neither loads it
+    cert = load_certificate(os.path.join(FIXDIR, name))
+    entries = cert["base"][-1]["entries"]
+    entries[0][0] = (entries[0][0] + 1) % cert["field"]["p"]
+    tampered = tmp_path / name
+    tampered.write_text(dumps_certificate(cert))
+    for path, code in ((os.path.join(FIXDIR, name), 0), (str(tampered), 1)):
+        normal = run_cli(["verify", path])
+        blocked = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, "verify", path],
+                                 capture_output=True, text=True)
+        assert (blocked.returncode, blocked.stdout) == (normal.returncode, normal.stdout)
+        assert normal.returncode == code and blocked.stderr == "", blocked.stderr
+
+
+@pytest.mark.parametrize("given,kept", [(None, "1"), ("3", "3")])
+def test_main_sets_one_openblas_thread_unless_the_caller_chose(capsys, monkeypatch, given,
+                                                               kept):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", given or "")  # restored after the test
+    if given is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main(["verify", os.path.join(FIXDIR, FIXTURES[0])]) == 0
+    capsys.readouterr()
+    assert os.environ["OPENBLAS_NUM_THREADS"] == kept
+
+
+MAKE_CAP_CERTIFICATE = """
+import random, sys
+from perfbase.cli import write_certificate
+p, n, m = 5, 16, 32
+rng = random.Random("input-cap")
+def member(rows):
+    return {"n": n, "m": m, "entries": rows}
+target = [member([[rng.randrange(p) for _ in range(m)] for _ in range(n)]) for _ in range(n * m)]
+base = []
+for _ in range(n * m):
+    u, v = [rng.randrange(1, p) for _ in range(n)], [rng.randrange(1, p) for _ in range(m)]
+    base.append(member([[a * b % p for b in v] for a in u]))
+write_certificate({"schema_version": "1", "field": {"p": p, "deg": 1, "modulus": []},
+                   "construction": {"name": "cap", "params": {}},
+                   "target_basis": target, "base": base}, sys.argv[1])
+"""
+
+
+@pytest.mark.slow
+def test_verify_at_the_input_cap_loads_numpy_within_its_documented_time(tmp_path):
+    # the F_5 16x32 certificate at the cap (512 dense target members, 512
+    # u v^t base members) has 512-wide rows: far more list work than the
+    # numpy import, so verify loads numpy and keeps README's 0.64-0.74 s
+    path = tmp_path / "cap.json"
+    subprocess.run([sys.executable, "-c", MAKE_CAP_CERTIFICATE, str(path)], check=True)
+    code = ("import sys; from perfbase.cli import main; rc = main(sys.argv[1:]); "
+            "print('numpy' in sys.modules); sys.exit(rc)")
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code, "verify", str(path)],
+                          capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
+    verdict, loaded = proc.stdout.strip().splitlines()
+    assert proc.returncode == 0 and json.loads(verdict)["ok"] and loaded == "True"
+    assert elapsed < 1.5, elapsed
+
+
 def test_verify_rejects_code_space_other_than_target(tmp_path):
     # L.C.N has the same dimension and distance as C but is another space,
     # which the stored base does not cover
@@ -1099,6 +1168,30 @@ def test_each_kind_builds_its_readme_line_and_reads_only_its_own_flags(
                                      args[:i] + args[i + 2:])
         assert (rc, line["kind"], files) == (2, "input", []), flag
         assert line["error"] == f"--{flag} is required for this construction"
+
+
+SIZE_FLAGS = ("m", "n", "s", "k", "d")
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+def test_a_negative_size_flag_is_refused_as_it_is_parsed(tmp_path, capsys, monkeypatch, kind):
+    # each entry bound is a polynomial in the flags, large and positive at a
+    # negative one, so the parser refuses it, as it does a non-integer,
+    # before the kind's bound or its constructor is read
+    args, table = README_CONSTRUCT[kind], cli._KINDS[kind]
+    flags = [flag for flag in SIZE_FLAGS if flag in table.needs + table.takes]
+    assert flags
+    monkeypatch.setitem(cli._KINDS, kind, table._replace(entries=None, build=None))
+    for flag, value in itertools.product(flags, ("-1", "-100", "x")):
+        given = args[:]
+        if f"--{flag}" in given:
+            given[given.index(f"--{flag}") + 1] = value
+        else:
+            given += [f"--{flag}", value]
+        rc, line, files = _construct(tmp_path, capsys, monkeypatch, given)
+        assert (rc, line["kind"], files) == (2, "input", []), (flag, value)
+        assert line["error"] == (f"perfbase construct: argument --{flag}: "
+                                 f"expected an integer at least 0, got '{value}'")
 
 
 @pytest.mark.parametrize("command", ["construct", "verify", "oracle"])

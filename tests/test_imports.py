@@ -1,7 +1,8 @@
 """Every name a perfbase module imports is used in that module, every
-private name the package defines is used somewhere in it, numpy is
-imported where the package loads, not where a scan first needs it,
-building the power-family bases loads no module more, and
+private name the package defines is used somewhere in it, importing
+the cli loads no numpy while importing `construct` or `rmcode` does,
+every public name of the package is its module's object, building
+the power-family bases loads no module more, and
 `Field.encode` is the package's only rule for turning a scalar into an
 encoding, `FqMatrix.outer` its only builder of a product matrix u v^t,
 `Field.sub_scaled` its only row combination acc + c * row,
@@ -21,12 +22,15 @@ with the standard library.  `__init__.py` re-exports names and is skipped.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 import subprocess
 import sys
 
 import pytest
+
+import perfbase
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "perfbase"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -535,13 +539,45 @@ def test_rmcode_imports_no_numpy():
     assert "numpy" in imported_modules("from numpy import int64\n")
 
 
-def test_importing_the_cli_loads_numpy():
-    # exactla imports numpy at module top, so a process pays for it at start
-    # and never inside the first call that scans or eliminates with it
-    code = "import sys, perfbase.cli; print('numpy' in sys.modules)"
+def loads_numpy(statement: str) -> bool:
+    """Whether a fresh interpreter has numpy loaded after `statement`."""
+    code = f"import sys\n{statement}\nprint('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "True"
+    return out.stdout.strip() == "True"
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # gf, exactla and tensor3 import numpy on first use, and the cli imports
+    # construct and rmcode only to construct, so `verify` starts without it
+    assert not loads_numpy("import perfbase, perfbase.cli")
+
+
+@pytest.mark.parametrize("module", ["construct", "rmcode"])
+def test_importing_the_constructions_loads_numpy(module):
+    # construct imports numpy at module top, so a library construction pays
+    # for it at import and never inside its first timed call
+    assert loads_numpy(f"import perfbase.{module}")
+
+
+def test_every_public_name_is_its_modules_object():
+    # the package resolves its names on first use: each is the object its
+    # defining module holds, and each module name is that module; the 88
+    # names are those it exported when it imported every module at once
+    modules = {"errors", "gf", "exactla", "tensor3", "construct", "rmcode"}
+    assert perfbase.__all__ == sorted(set(perfbase.__all__)) and len(perfbase.__all__) == 88
+    assert modules <= set(perfbase.__all__)
+    for name in perfbase.__all__:
+        got = getattr(perfbase, name)
+        if name in modules:
+            assert got is importlib.import_module(f"perfbase.{name}"), name
+        else:
+            owner = got.__module__
+            assert owner.split(".")[1] in modules, name
+            assert got is getattr(sys.modules[owner], name), name
+    assert set(perfbase.__all__) <= set(dir(perfbase))
+    with pytest.raises(AttributeError):
+        getattr(perfbase, "no_such_name")
 
 
 BUILD_THE_SWEEP_BASES = """
