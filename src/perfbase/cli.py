@@ -112,9 +112,12 @@ def matrix_from_json(field: Field, obj) -> FqMatrix:
     if len(rows) != n or any(len(r) != m for r in rows):
         raise ValueError("matrix entries disagree with the declared shape")
     q = field.q
-    if not all(type(v) is int and 0 <= v < q for r in rows for v in r):
+    entries = tuple(map(tuple, rows))
+    flat = tuple(itertools.chain.from_iterable(entries))
+    # only ints, not bools, with the least and the largest in [0, q)
+    if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= q:
         raise ValueError(f"matrix entries must be JSON integers in [0, {q})")
-    return FqMatrix(field, rows)
+    return FqMatrix._of(field, entries)
 
 
 # Certificates and oracle input declaring more matrix entries than this are
@@ -248,8 +251,10 @@ def _rank_checks(target: MatrixSpace, R: int, upper_ok: bool, guard: int) -> dic
     """Proof that the tensor rank of `target` is R, given that a verified base
     of R members bounds it from above (`upper_ok`).
 
-    The lower bound is the cheapest of `rank_lower_bound` that reaches R,
-    else a re-run of the oracle, which is exact and starts at that bound.
+    The lower bound is the cheapest of `rank_lower_bound` that reaches R:
+    "dimension", "kruskal", "griesmer" (from the same distance scan) or
+    "diagonal".  Else it is a re-run of the oracle ("oracle"), which is
+    exact and starts at that bound, so the scan runs once.
     """
     lower = by = None
     if upper_ok:

@@ -13,10 +13,12 @@ subset.  It starts at `rank_lower_bound`, the package's one lower bound on
 a tensor rank, so no level it skips can hold a witness.  A search node holds
 the residues of the later candidates modulo the chosen span and modulo the
 chosen span plus V, as int64 arrays over every field, with the field's int64
-form `Field._int64`, built once per field by `gf`.  It reads the projective
-class of each table row once, as a base-q integer, and its children's
-membership tests are bit operations on the rows of those classes.
-Only a child with a viable pick and a level below it gets tables.  A 1x1
+form `Field._int64`, built once per field by `gf`.  A node two picks or
+more above the last reads the projective class of each table row once, as a
+base-q integer, and its children's membership tests are bit operations on
+the rows of those classes, so only a child with a viable pick gets tables.
+A node whose children make the last pick reads only its rows' nonzero bits,
+and each viable child's from that child's own tables.  A 1x1
 space has one candidate and is answered without tables.  A work guard bounds
 the number of subset-membership tests, counted as if the candidates were
 tested one at a time; sharded runs must reduce with lexicographic minimum to
@@ -31,6 +33,7 @@ kernel, over every field alike: the residues of u (x) v are linear in v.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 from .errors import GuardExceeded, ParametersOutOfRange, ShapeMismatch
 from .exactla import (
@@ -137,10 +140,22 @@ def rank_lower_bound(V: MatrixSpace, goal: float = float("inf"), guard: int | No
     Tried cheapest first, until one reaches `goal`; a kind is named only
     when it raises the value.  "dimension": dim V.  "kruskal": dim V + d - 1,
     by a distance scan bounded by `guard` (without one, only on at most 4096
-    words up to scalar).  "diagonal", for n x n V while the value is at most
-    n: with A the first invertible member of V's canonical basis, if any,
-    and M_j = A^-1 B_j over its members B_j, n if every M_j^q = M_j and M_j
-    commute, else n + 1.  Proof: V holds A, so trk >= n.  If trk = n, then
+    words up to scalar).  "griesmer": the sum of ceil(d / q^i) over
+    i < dim V, from the same d.  Proof: a least base A_1..A_R of V is
+    independent, so the coordinates c(B) of B in V, with B = sum c_i A_i,
+    form an injective F_q-linear map V -> F_q^R, and rank B <= wt c(B).  So
+    c(V) is an [R, dim V, >= d]_q linear code, Griesmer's bound (IBM J. Res.
+    Dev. 1960) holds for it, and the bound grows with d.  It exceeds
+    Kruskal's exactly when d > q and dim V > 1.  "diagonal", for n x n V while the value
+    is at most n: with A an invertible member of V, if any, and M_j =
+    A^-1 B_j over V's canonical basis B_j, n if every M_j^q = M_j and M_j
+    commute, else n + 1.  A is the first invertible member of the canonical
+    basis, or for a pencil (dim 2, canonical basis B_1, B_2) of B_1, B_2
+    and B_2 + c B_1 for the units c of encodings 1 to min(n, q) - 1.  These
+    are min(n, q) + 1 members up to scalar, and det(x B_1 + y B_2) is
+    either 0, when no member is invertible, or has at most n roots up to
+    scalar; when q < n they are all of V's members.  So a pencil's A is
+    found whenever V has one.  Proof: V holds A, so trk >= n.  If trk = n, then
     B = U D_B W^t for every B in V, with D_B diagonal and U, W invertible as
     A is, so the M_j = W^-t (D_A^-1 D_B) W^t are simultaneously
     diagonalizable.  Over F_q, M is diagonalizable exactly when its minimal
@@ -149,16 +164,24 @@ def rank_lower_bound(V: MatrixSpace, goal: float = float("inf"), guard: int | No
     n independent M_j never are, but then dim V > n.)
     """
     field, k, (n, m) = V.field, V.dim, V.shape
+    q = field.q
     value, kind = k, "dimension"
-    if 0 < k < goal and (guard is not None or _projective_count(field.q, k) <= 4096):
+    if 0 < k < goal and (guard is not None or _projective_count(q, k) <= 4096):
         d = _min_distance(field, V._rrows, 4096 if guard is None else guard, m)
         if d > 1:
             value, kind = kruskal_bound(k, d), "kruskal"
+        griesmer = sum(-(-d // q ** i) for i in range(k))
+        if value < goal and griesmer > value:
+            value, kind = griesmer, "griesmer"
     if n == m and value <= n and value < goal and k > 1:  # one member: M = [I]
-        inverse = next((inv for A in V.basis if (inv := A._inverse()) is not None), None)
+        members = V.basis
+        if k == 2:
+            B1, B2 = members
+            members = chain(members, (B2 + B1.scale(c) for c in range(1, min(n, q))))
+        inverse = next((inv for A in members if (inv := A._inverse()) is not None), None)
         if inverse is not None:
             M = [inverse @ B for B in V.basis]
-            bound = n + 1 - (all(X.power(field.q) == X for X in M) and all(
+            bound = n + 1 - (all(X.power(q) == X for X in M) and all(
                 X @ Y == Y @ X for i, X in enumerate(M) for Y in M[:i]))
             if bound > value:
                 value, kind = bound, "diagonal"
@@ -352,8 +375,8 @@ def rank_one_completion_exists(span_space: MatrixSpace, targets,
 # span(chosen) + V, in V's non-pivot coordinates.  A candidate is independent
 # of the chosen ones when its A row is nonzero, and grows span(chosen) + V
 # when its Q row is nonzero.  Picking row i zeroes exactly the later rows
-# that are scalar multiples of row i, so a node reads each table's row
-# classes once and derives its children's nonzero rows with bit operations.
+# that are scalar multiples of row i, so a node can read each table's row
+# classes once and derive its children's nonzero rows with bit operations.
 
 
 class _Tables:
@@ -427,8 +450,9 @@ def _search_subsets(tables, A, Q, k, R, budget, limit):
 
     Each candidate a node tests costs one unit of `budget`, as in a search
     that tests them one at a time: candidates that cannot be picked are
-    charged in bulk, and a node with no viable pick, or whose pick is the
-    last, is decided from its parent's bits without tables.
+    charged in bulk.  A node with no viable pick is decided from its
+    parent's bits without tables, and a node whose pick is the last from
+    its own bits, which its parent reads from the node's tables.
     """
     n_cand = len(A)
 
@@ -451,22 +475,29 @@ def _search_subsets(tables, A, Q, k, R, budget, limit):
         # av = dim(span(chosen) + V); a pick must keep it at most R.  The
         # node tests its first `stop` candidates: a later pick would leave
         # fewer candidates after it than the R - t - 1 picks still needed.
-        # Its classes take one row more, the last one its children test.
-        # There are at least nm >= R candidates, so stop >= 1.
+        # Its classes and bits take one row more, the last one its children
+        # test.  There are at least nm >= R candidates, so stop >= 1.
         stop = n_cand - start - (R - t) + 1
         if t == R - 1:  # the root, when R = 1: its picks are last picks
             independent = tables.nonzero(A, stop)
             return last(start, stop, independent & ~tables.nonzero(Q, stop)
                         if av == R else independent)
-        # at av == R every viable pick has a zero Q row, so no pick reads
-        # Q's classes: its child keeps Q, and Q's bits shift past the pick
-        independent, ids_a, masks_a = tables.classes(A, stop + 1)
-        if av < R:
+        # Most nodes whose children make the last pick have one viable pick,
+        # so such a node reads only its bits, and each viable child's from
+        # the child's tables.  Any other node reads its classes, whose masks
+        # cut children with no viable pick before they get tables.  At
+        # av == R every viable pick has a zero Q row, so no pick reads Q's
+        # classes: its child keeps Q, and Q's bits shift past the pick
+        leaves = t + 2 == R
+        if leaves:
+            independent = tables.nonzero(A, stop + 1)
+        else:
+            independent, ids_a, masks_a = tables.classes(A, stop + 1)
+        if av < R and not leaves:
             outside, ids_q, masks_q = tables.classes(Q, stop + 1)
-            viable = independent
         else:
             outside = tables.nonzero(Q, stop + 1)
-            viable = independent & ~outside
+        viable = independent if av < R else independent & ~outside
         viable &= (1 << stop) - 1
         tested = 0
         while viable:
@@ -478,10 +509,16 @@ def _search_subsets(tables, A, Q, k, R, budget, limit):
             # the pick zeroes the later rows of row i's class; a pick with a
             # zero Q row leaves Q as it is
             grew = outside >> i & 1
-            independent2 = (independent & ~masks_a.get(ids_a[i], 0)) >> (i + 1)
-            outside2 = (outside & ~masks_q.get(ids_q[i], 0) if grew else outside) >> (i + 1)
+            if leaves:
+                independent2 = tables.nonzero(tables.pick(A, i), stop - i)
+                outside2 = (tables.nonzero(tables.pick(Q, i), stop - i) if grew
+                            else outside >> (i + 1))
+            else:
+                independent2 = (independent & ~masks_a.get(ids_a[i], 0)) >> (i + 1)
+                outside2 = (outside & ~masks_q.get(ids_q[i], 0) if grew
+                            else outside) >> (i + 1)
             viable2 = independent2 & ~outside2 if av + grew == R else independent2
-            if t + 2 == R or not viable2:
+            if leaves or not viable2:
                 hit = last(start + i + 1, stop - i, viable2)
             else:
                 hit = node(t + 1, start + i + 1, av + grew, tables.pick(A, i),

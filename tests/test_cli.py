@@ -35,7 +35,7 @@ from perfbase.exactla import FqMatrix, MatrixSpace
 from perfbase.gf import field_make
 from perfbase.tensor3 import BaseCandidate
 from test_echelon import reference_rref
-from test_oracle import _all_two_dim_spaces, _pencil, kruskal_start
+from test_oracle import KRUSKAL_GAP_F3, _all_two_dim_spaces, _pencil, kruskal_start
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FIXDIR = os.path.join(ROOT, "fixtures")
@@ -808,17 +808,16 @@ EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_verify_proves_tensor_rank_by_the_oracle(tmp_path, capsys):
-    # <I, C(x^3 + x + 1)> over F_2: Kruskal bound 4 = n + 1, which the
+    # a 3-dim space over F_3: Kruskal's and Griesmer's bound 4 > n, which the
     # diagonal bound cannot raise, and tensor rank 5
-    mats = [EYE3, [[0, 1, 0], [0, 0, 1], [1, 1, 0]]]
-    cert = _oracle_certificate(tmp_path, capsys, 2, mats)
+    cert = _oracle_certificate(tmp_path, capsys, 3, KRUSKAL_GAP_F3)
     rc, line = _verify(tmp_path, capsys, cert)
     assert rc == 0 and line["rank_checks"] == {
         "upper_ok": True, "lower": 5, "lower_by": "oracle"}
     rc, line = _verify(tmp_path, capsys, cert, "--guard", "0")
     assert rc == 3 and line["kind"] == "guard"
-    # a guard that covers the distance scan (3 words) but not the oracle
-    space = MatrixSpace.from_matrices([FqMatrix(field_make(2), A) for A in mats])
+    # a guard that covers the distance scan (13 words) but not the oracle
+    space = MatrixSpace.from_matrices([FqMatrix(field_make(3), A) for A in KRUSKAL_GAP_F3])
     tests = sum(used for _, _, used in tensor3._rank_levels(space, tensor3.DEFAULT_GUARD))
     rc, line = _verify(tmp_path, capsys, cert, "--guard", str(tests - 1))
     assert rc == 3 and line["progress"] == {"phase": "oracle", "R": 5,
@@ -831,8 +830,7 @@ def test_verify_computes_the_lower_bound_once_when_the_oracle_reruns(
         tmp_path, capsys, monkeypatch):
     # the oracle starts at the bound `_rank_checks` already has, so the
     # distance scan and the diagonal test run once per verify
-    cert = _oracle_certificate(tmp_path, capsys, 2,
-                               [EYE3, [[0, 1, 0], [0, 0, 1], [1, 1, 0]]])
+    cert = _oracle_certificate(tmp_path, capsys, 3, KRUSKAL_GAP_F3)
     calls, bound = [], tensor3.rank_lower_bound
 
     def counted(*args):
@@ -845,6 +843,25 @@ def test_verify_computes_the_lower_bound_once_when_the_oracle_reruns(
     assert rc == 0 and line["rank_checks"] == {
         "upper_ok": True, "lower": 5, "lower_by": "oracle"}
     assert len(calls) == 1
+
+
+def test_verify_proves_tensor_rank_by_the_griesmer_bound(tmp_path, capsys, monkeypatch):
+    # <I, C(x^3 + x + 1)> over F_2: every nonzero member is invertible, so
+    # d = 3 and Griesmer's 3 + ceil(3/2) = 5 is the tensor rank, where
+    # Kruskal's bound is 4
+    cert = _oracle_certificate(tmp_path, capsys, 2,
+                               [EYE3, [[0, 1, 0], [0, 0, 1], [1, 1, 0]]])
+    assert cert["tensor_rank"] == 5
+
+    def no_oracle(*args):
+        raise AssertionError("the oracle re-ran")
+
+    monkeypatch.setattr(cli, "exhaustive_trk", no_oracle)
+    verdict = reverify(cert, rmcode.DEFAULT_SCAN_GUARD)
+    assert verdict["ok"] and verdict["rank_checks"] == {
+        "upper_ok": True, "lower": 5, "lower_by": "griesmer"}
+    rc, line = _verify(tmp_path, capsys, dict(cert, tensor_rank=4))
+    assert rc == 1 and not line["ok"] and line["rank_checks"]["lower"] is None
 
 
 def test_verify_proves_tensor_rank_by_the_diagonal_bound(tmp_path, capsys, monkeypatch):
@@ -867,12 +884,14 @@ def test_verify_proves_tensor_rank_by_the_diagonal_bound(tmp_path, capsys, monke
 
 def test_rank_checks_keep_their_dimension_and_kruskal_proofs():
     # on spaces of every kind of proof: a rank the dimension or Kruskal's
-    # bound reached before the diagonal bound existed is proved by it still,
-    # and the diagonal bound takes only ranks the oracle proved
+    # bound reached before the diagonal and Griesmer bounds existed is
+    # proved by it still, and those two bounds take only ranks the oracle
+    # proved
     F2, F3 = field_make(2), field_make(3)
     spaces = (_all_two_dim_spaces(F2) + _all_two_dim_spaces(F3)
               + [_pencil(F, b) for F in (F2, F3)
-                 for b in itertools.product(range(F.q), repeat=3)])
+                 for b in itertools.product(range(F.q), repeat=3)]
+              + [MatrixSpace.from_matrices([FqMatrix(F3, A) for A in KRUSKAL_GAP_F3])])
     kinds = set()
     for V in spaces:
         R = tensor3.exhaustive_trk(V)[0]
@@ -880,11 +899,11 @@ def test_rank_checks_keep_their_dimension_and_kruskal_proofs():
                   "kruskal" if kruskal_start(V) >= R else "oracle")
         checks = cli._rank_checks(V, R, True, rmcode.DEFAULT_SCAN_GUARD)
         assert checks["lower"] == R
-        assert checks["lower_by"] == before or (before, checks["lower_by"]) == (
-            "oracle", "diagonal"), V
+        assert checks["lower_by"] == before or (before, checks["lower_by"]) in {
+            ("oracle", "diagonal"), ("oracle", "griesmer")}, V
         kinds.add((before, checks["lower_by"]))
     assert kinds == {("dimension", "dimension"), ("kruskal", "kruskal"),
-                     ("oracle", "diagonal"), ("oracle", "oracle")}
+                     ("oracle", "diagonal"), ("oracle", "griesmer"), ("oracle", "oracle")}
 
 
 # --- canonical input --------------------------------------------------------------
@@ -917,6 +936,27 @@ def test_verify_refuses_non_canonical_json(tmp_path, capsys, edit):
     CANONICAL_EDITS[edit](cert)
     rc, line = _verify(tmp_path, capsys, cert)
     assert rc == 2 and line["kind"] == "input" and not line["ok"]
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.0, 0.5, -1, -5, 5, 6, 1 << 70, "1", None])
+def test_matrix_from_json_refuses_an_entry_outside_the_encodings(entry):
+    # a bool beside the int it equals, a float, a negative, one at or past
+    # q: the same error, and no entry is reduced or coerced
+    F5 = field_make(5)
+    for at in ((0, 0), (1, 1), (1, 2)):
+        rows = [[1, 0, 4], [2, 1, 3]]
+        rows[at[0]][at[1]] = entry
+        with pytest.raises(ValueError) as info:
+            matrix_from_json(F5, {"n": 2, "m": 3, "entries": rows})
+        assert str(info.value) == "matrix entries must be JSON integers in [0, 5)"
+
+
+def test_matrix_from_json_keeps_the_encodings_as_written():
+    F4 = field_make(2, 2)
+    rows = [[0, 1, 2, 3], [3, 2, 1, 0]]
+    M = matrix_from_json(F4, {"n": 2, "m": 4, "entries": rows})
+    assert M == FqMatrix(F4, rows) and M.rows == ((0, 1, 2, 3), (3, 2, 1, 0))
+    assert all(type(row) is tuple for row in M.rows) and M.shape == (2, 4)
 
 
 @pytest.mark.parametrize("key,value", [("k", "6"), ("d", 2.0), ("q", True),

@@ -6,17 +6,20 @@ charges one test per candidate tried.  The table search must give the same
 tensor rank, the same witness and the same number of membership tests at
 every candidate rank R from the start level on, so its guard fires on
 exactly the same inputs from there.  The start, `tensor3.rank_lower_bound`,
-is checked against an independent diagonalizability test here, and the
-reference finds no witness below it, from Kruskal's start on.
+is checked against an independent Griesmer sum and diagonalizability test
+here, the reference finds no witness below it, from Kruskal's start on, and
+on whole families of small spaces it is at most the tensor rank.
 """
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,12 +103,27 @@ def _reference_search(F, candidates, R, vrows, vpivots, budget):
     return dfs(0, [], [], [], [list(r) for r in vrows], list(vpivots))
 
 
+def _scanned_distance(V):
+    """The least rank of a nonzero member of V when V has at most 4096 words
+    up to scalar, else None."""
+    if (V.field.q ** V.dim - 1) // (V.field.q - 1) > 4096:
+        return None
+    return min(A.rank() for A in V.iter_elements(nonzero_only=True))
+
+
 def kruskal_start(V):
     """Kruskal's bound when V has at most 4096 words up to scalar, else dim V."""
-    k = V.dim
-    if (V.field.q ** k - 1) // (V.field.q - 1) > 4096:
-        return k
-    return kruskal_bound(k, min(A.rank() for A in V.iter_elements(nonzero_only=True)))
+    d = _scanned_distance(V)
+    return V.dim if d is None else kruskal_bound(V.dim, d)
+
+
+def griesmer_start(V):
+    """Griesmer's bound, the sum of ceil(d / q^i) over i < dim V, when V has
+    at most 4096 words up to scalar, else dim V."""
+    d = _scanned_distance(V)
+    if d is None:
+        return V.dim
+    return sum(math.ceil(Fraction(d, V.field.q ** i)) for i in range(V.dim))
 
 
 def _diagonalizable(F, M):
@@ -116,10 +134,15 @@ def _diagonalizable(F, M):
 
 
 def reference_diagonal_bound(V):
-    """n if A^-1 V is simultaneously diagonalizable, for the first invertible
-    member A of V's canonical basis, n + 1 if not, None without such an A."""
+    """n if A^-1 V is simultaneously diagonalizable, n + 1 if not, None
+    without an invertible A.  A is the first invertible member of V's
+    canonical basis, or of a pencil, the first invertible member of all of
+    V.  The verdict does not depend on which invertible member A is."""
     n = V.n
-    A = next((B for B in V.basis if B.rank() == n), None) if n == V.m else None
+    if n != V.m:
+        return None
+    members = V.iter_elements(nonzero_only=True) if V.dim == 2 else V.basis
+    A = next((B for B in members if B.rank() == n), None)
     if A is None:
         return None
     M = [A.inverse() @ B for B in V.basis]
@@ -129,21 +152,22 @@ def reference_diagonal_bound(V):
 
 
 def reference_start(V):
-    """The first level the oracle searches: Kruskal's start, raised by the
-    diagonal bound when that start is at most n."""
-    start = kruskal_start(V)
+    """The first level the oracle searches: the larger of Kruskal's and
+    Griesmer's starts, raised by the diagonal bound when that is at most n."""
+    start = max(kruskal_start(V), griesmer_start(V))
     if V.n == V.m and start <= V.n:
         start = max(start, reference_diagonal_bound(V) or 0)
     return start
 
 
-def reference_levels(V, limit):
-    """(R, witness vectors or None, tests) per level, as `tensor3._rank_levels`."""
+def reference_levels(V, limit, start=None):
+    """(R, witness vectors or None, tests) per level, as `tensor3._rank_levels`,
+    from `start`, or from `reference_start(V)` when not given."""
     n, m = V.shape
     candidates = [A.vectorize() for A in rank_one_matrices(V.field, n, m)]
     budget = [limit]
     out = []
-    for R in range(reference_start(V), n * m + 1):
+    for R in range(reference_start(V) if start is None else start, n * m + 1):
         before = budget[0]
         found = _reference_search(V.field, candidates, R, V._rrows, V._pivots,
                                   budget)
@@ -154,9 +178,9 @@ def reference_levels(V, limit):
     raise AssertionError("the full unit basis always succeeds")
 
 
-def table_levels(V, limit=tensor3.DEFAULT_GUARD):
+def table_levels(V, limit=tensor3.DEFAULT_GUARD, start=None):
     return [(R, None if w is None else [tuple(v) for v in w], tests)
-            for R, w, tests in tensor3._rank_levels(V, limit)]
+            for R, w, tests in tensor3._rank_levels(V, limit, start)]
 
 
 # --- the spaces compared ------------------------------------------------------------
@@ -302,7 +326,7 @@ VERDICT_CASES = (
     [_pencil(F, b) for F in (F2, F3, F4, F5, F8, F9)
      for b in itertools.product(range(F.q), repeat=2)]
     + [_pencil(F, b) for F in (F2, F3, F4) for b in itertools.product(range(F.q), repeat=3)]
-    + _all_two_dim_spaces(F2) + _all_two_dim_spaces(F3)
+    + _all_two_dim_spaces(F2) + _all_two_dim_spaces(F3) + _all_two_dim_spaces(F4)
     + [V for V in START_CASES if V.n == V.m])
 
 
@@ -338,6 +362,95 @@ def test_rank_lower_bound_stops_at_its_goal():
     assert tensor3.rank_lower_bound(V, 3, guard=4) == (3, "kruskal")
     assert tensor3.rank_lower_bound(V, 4, guard=4) == (4, "diagonal")
     assert tensor3.rank_lower_bound(V) == (4, "diagonal")
+
+
+# <I, C(f)> over F_2 for the two irreducible cubics f: every nonzero member
+# is invertible, so d = 3 > q, and Griesmer's 3 + 2 = 5 is the tensor rank,
+# one above Kruskal's 4
+IRREDUCIBLE_CUBICS_F2 = [(1, 1, 0), (1, 0, 1)]
+
+
+@pytest.mark.parametrize("bottom", IRREDUCIBLE_CUBICS_F2)
+def test_griesmer_bound_starts_past_the_refuted_level(bottom):
+    # from Kruskal's start the table search refutes R = 4 as the reference
+    # does; from the bound it searches R = 5 alone, with the same tests
+    V = _pencil(F2, bottom)
+    assert kruskal_start(V) == 4 and griesmer_start(V) == 5
+    assert tensor3.rank_lower_bound(V) == (5, "griesmer")
+    levels = table_levels(V, start=4)
+    assert levels == reference_levels(V, tensor3.DEFAULT_GUARD, start=4)
+    assert [(R, w is None) for R, w, _ in levels] == [(4, True), (5, False)]
+    assert table_levels(V) == levels[1:]
+
+
+def _identity_pencils(F, n):
+    """Every 2-dim space <I, M> of n x n matrices over F, once each."""
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    spaces = {}
+    for e in itertools.product(range(F.q), repeat=n * n):
+        V = _space(F, [eye, [e[i * n:(i + 1) * n] for i in range(n)]])
+        if V.dim == 2:
+            spaces.setdefault(V._rrows, V)
+    return list(spaces.values())
+
+
+BOUND_FAMILIES = {
+    "3x3-identity-pencils-F2": (lambda: _identity_pencils(F2, 3), 255),
+    "3x3-identity-pencils-F3": (lambda: _identity_pencils(F3, 3), 3280),
+    "2x2-pencils-F2": (lambda: _all_two_dim_spaces(F2), 35),
+    "2x2-pencils-F3": (lambda: _all_two_dim_spaces(F3), 130),
+    "2x2-pencils-F4": (lambda: _all_two_dim_spaces(F4), 357),
+}
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(name, marks=[pytest.mark.slow] if name == "3x3-identity-pencils-F3" else [])
+    for name in BOUND_FAMILIES])
+def test_rank_lower_bound_is_at_most_the_tensor_rank(family):
+    # the oracle starts from dim V here, a bound that needs no proof, as
+    # from rank_lower_bound it could not return less than the bound.  The
+    # 3280 spaces over F_3 take about 9 s, so they are `slow`
+    build, count = BOUND_FAMILIES[family]
+    spaces = build()
+    assert len(spaces) == count
+    kinds = set()
+    for V in spaces:
+        bound, kind = tensor3.rank_lower_bound(V)
+        assert bound <= exhaustive_trk(V, start=V.dim)[0], V
+        kinds.add(kind)
+    if family == "3x3-identity-pencils-F2":
+        assert "griesmer" in kinds
+
+
+def _block_diagonal(*blocks):
+    n = sum(map(len, blocks))
+    M = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            M[at + i][at:at + len(row)] = row
+        at += len(block)
+    return M
+
+
+@pytest.mark.parametrize("blocks,before,trk", [
+    # invariant factors (x+1, x+1, x^2+x): diagonalizable, trk = n
+    (([[1]], [[1]], [[0, 1], [0, 1]]), (2, "dimension"), 4),
+    # (x+1, x^3+x^2): not diagonalizable, trk = n + 1
+    (([[1]], [[0, 1, 0], [0, 0, 1], [0, 0, 1]]), (3, "kruskal"), 5),
+])
+def test_diagonal_bound_finds_an_invertible_member_off_the_canonical_basis(
+        blocks, before, trk):
+    # <I, M> over F_2 for M in rational canonical form: neither member of
+    # the canonical basis is invertible, but their sum is.  The bound took
+    # the value `before` when it read only the canonical basis
+    V = _space(F2, [[[int(i == j) for j in range(4)] for i in range(4)],
+                    _block_diagonal(*blocks)])
+    assert all(B._inverse() is None for B in V.basis)
+    assert kruskal_start(V) == griesmer_start(V) == before[0]
+    assert tensor3.rank_lower_bound(V) == (trk, "diagonal")
+    assert reference_diagonal_bound(V) == trk
+    assert exhaustive_trk(V, start=before[0])[0] == trk
 
 
 # (R, witness, tests) per level on spaces where the reference search takes
@@ -593,13 +706,16 @@ def test_guard_on_a_quartic_pencil_over_f5():
     assert info.value.progress == {"phase": "oracle", "R": 5, "tests_used": 10 ** 6}
 
 
-# <I, C(x^3 + x + 1)> over F_2: Kruskal bound 4 = n + 1, which the diagonal
-# bound cannot raise, and tensor rank 5
-IRREDUCIBLE_CUBIC_F2 = (1, 1, 0)
+# A 3-dim space of 3x3 matrices over F_3, from a seeded search: d = 2 <= q,
+# so Kruskal's and Griesmer's bounds are both 4 > n, which the diagonal
+# bound cannot raise, and its tensor rank is 5
+KRUSKAL_GAP_F3 = [[[1, 0, 0], [1, 0, 0], [2, 1, 0]],
+                  [[0, 1, 0], [0, 1, 1], [2, 1, 0]],
+                  [[0, 0, 1], [2, 0, 2], [2, 2, 1]]]
 
 
 def test_guard_progress_names_the_rank_reached():
-    V = _pencil(F2, IRREDUCIBLE_CUBIC_F2)
+    V = _space(F3, KRUSKAL_GAP_F3)
     assert tensor3.rank_lower_bound(V) == (4, "kruskal")
     levels = table_levels(V)
     assert [(R, w is None) for R, w, _ in levels] == [(4, True), (5, False)]
@@ -717,11 +833,10 @@ def test_cli_guard_exit_reports_progress(tmp_path, capsys):
     rc, out = _oracle_cli(tmp_path, capsys, obj, "--guard", "0")
     assert rc == 3 and out["kind"] == "guard"
     assert out["progress"] == {"phase": "oracle", "R": 3, "tests_used": 0}
-    # mid-search: the pencil spends its guard in its second level
-    V = _pencil(F2, IRREDUCIBLE_CUBIC_F2)
-    first = table_levels(V)[0][2]
-    obj = {"field": {"p": 2},
-           "basis": [{"n": 3, "m": 3, "entries": A.rows} for A in V.basis]}
+    # mid-search: the space spends its guard in its second level
+    first = table_levels(_space(F3, KRUSKAL_GAP_F3))[0][2]
+    obj = {"field": {"p": 3},
+           "basis": [{"n": 3, "m": 3, "entries": A} for A in KRUSKAL_GAP_F3]}
     rc, out = _oracle_cli(tmp_path, capsys, obj, "--guard", str(first + 1))
     assert rc == 3 and out["kind"] == "guard"
     assert out["progress"] == {"phase": "oracle", "R": 5, "tests_used": first + 1}
