@@ -21,10 +21,10 @@ flag (--m, --n, --s, --k, --d) is refused as it is parsed.
 
 `construct` and `rmcode` are imported only to construct or to run the
 oracle, through the package's names resolved on first use, and `verify`
-checks a code's distance with `exactla._min_distance`, the scan that
-`RankCode.distance` runs.  So `verify` of a small certificate never imports
-numpy; a wide one loads it from `gf._backend`, after `main` has set one
-OpenBLAS thread unless the caller set OPENBLAS_NUM_THREADS.
+takes a code's distance from `exactla._least_rank`, the one least-rank rule.
+So `verify` of a small certificate never imports numpy; a wide one loads it
+from `gf._backend`, after `main` has set one OpenBLAS thread unless the
+caller set OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
     ParametersOutOfRange,
     PerfbaseError,
 )
-from .exactla import DEFAULT_SCAN_GUARD, FqMatrix, MatrixSpace, _min_distance
+from .exactla import DEFAULT_SCAN_GUARD, FqMatrix, MatrixSpace, _least_rank
 from .gf import Field, field_make
 from .tensor3 import (
     DEFAULT_GUARD,
@@ -122,11 +122,11 @@ def matrix_from_json(field: Field, obj) -> FqMatrix:
 
 # Certificates and oracle input declaring more matrix entries than this are
 # refused before any matrix is built, and `construct` writes none.  At the
-# cap, a `perfbase verify` run on a full-space 16x32 certificate (512 random
+# cap, a fresh `perfbase verify` of a full-space 16x32 certificate (512 random
 # dense target members, 512 random u v^t base members with nonzero factors)
-# takes 0.64-0.74 s over F_5, 6.8-7.4 s over F_4 and 6.2-7.1 s over F_9; with
-# the 512 unit matrices as the target, 6.0-6.2 s over F_4 (Intel Xeon, 2 CPUs,
-# Python 3.11, numpy 2.4, one CPU, one OpenBLAS thread, three runs each).
+# takes 0.35-0.50 s over F_5, 4.4-5.1 s over F_4 and 4.9-5.4 s over F_9; with
+# the 512 unit matrices as the target, 5.0-5.3 s over F_4 (Intel Xeon, 2 CPUs,
+# Python 3.11, numpy 2.4, one CPU, one OpenBLAS thread; 9 runs on F_5, else 3).
 MAX_INPUT_ENTRIES = 1 << 19
 
 
@@ -224,9 +224,7 @@ def reverify(cert: dict, guard: int) -> dict:
         # about the code unless the two spaces coincide
         space_ok = space == target
         dim_ok = space.dim == claimed_k
-        # `RankCode.distance`, without importing `rmcode`: the zero code has distance n + 1
-        d_real = (_min_distance(field, space._rrows, guard, shape[1]) if space.dim
-                  else shape[0] + 1)
+        d_real = _least_rank(space, guard)
         d_ok = d_real == claimed_d
         facts_ok = (q, n, m) == (field.q, *shape)
         verdict["code_checks"] = {"dim_ok": dim_ok, "distance": d_real, "distance_ok": d_ok,

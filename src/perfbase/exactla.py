@@ -29,10 +29,9 @@ elimination with its work in the int64 form's `residue` (`_eliminate`), whose
 pieces of at most `_LEAF_ROWS` rows go row by row on their nonzero column
 window, or Python lists.
 
-Every minimum distance is one scan, `_min_distance`: rmcode's
-`min_rank_distance` and `min_hamming_distance` (behind certificate
-verification and gabidulin's MRD check) and the oracle's starting level.  It
-visits one word per scalar class under a guard, in int64 batches with
+Every minimum distance is one scan, `_min_distance`, and every least rank of
+a matrix space is `_least_rank`, that scan with n + 1 for the zero space.
+The scan visits one word per scalar class under a guard, in int64 batches with
 fraction-free elimination (no inverses), or on lists with an `Echelon` per
 word, as `gf._backend` says.  Both numpy paths compute with the field's
 int64 form, `Field._int64`; this module reads no field table.  numpy is
@@ -43,10 +42,9 @@ pay for it once, at import, never inside their first timed call.
 
 `Field.sub_scaled` is the one row combination on lists.  Every sum
 sum c_i * row_i, a vector times a matrix included, is `_combine`, a fold of
-it: extension-field `FqMatrix` products, `MatrixSpace.iter_elements`, the list
-scan's words, and rmcode's two-row distance words, dependent-row extension and
-power multiple.  The one exception, rmcode's coordinate expansion `gamma_expand`,
-is an `FqMatrix` product that changes the basis of a batch of rows.
+it: every `FqMatrix` product, `MatrixSpace.iter_elements`, the list scan's
+words, and rmcode's two-row distance words, dependent-row extension and power
+multiple.
 
 Everything here except a filling `Echelon` is immutable after construction
 and safe for concurrent use.
@@ -207,12 +205,6 @@ class FqMatrix:
         if self.m != other.n:
             raise ShapeMismatch(f"{self.shape} @ {other.shape}")
         F = self.field
-        if F.deg == 1:
-            p = F.p
-            cols = tuple(zip(*other.rows))
-            out = tuple(tuple([sum(map(operator.mul, row, col)) % p for col in cols])
-                        for row in self.rows)
-            return FqMatrix._of(F, out)
         return FqMatrix._of(F, tuple(tuple(_combine(F, row, other.rows, other.m))
                                      for row in self.rows))
 
@@ -559,6 +551,14 @@ def _min_distance(field, rows, guard, width=None) -> int:
             if best == 1:
                 break
     return best
+
+
+def _least_rank(space, guard) -> int:
+    """Least rank of a nonzero member of a `MatrixSpace`, by `_min_distance`
+    under `guard`; n + 1 for the zero space, which scans nothing."""
+    if not space.dim:
+        return space.n + 1
+    return _min_distance(space.field, space._rrows, guard, space.m)
 
 
 def _min_distance_np(field, rows, width):

@@ -9,8 +9,9 @@ the tensor-rank lower bound for every admissible parameter set.  `build_mtr`
 builds each core per (q, m, k, d) once per process; the k = m core is the seed.
 
 Minimum distances are computed exhaustively by `exactla._min_distance`
-(one word per scalar class, under a guard); `min_rank_distance` and
-`min_hamming_distance` are its public faces, and no estimation is ever used.
+(one word per scalar class, under a guard), ranks by `exactla._least_rank`;
+`min_rank_distance` and `min_hamming_distance` are their public faces, and
+no estimation is ever used.
 Scans may be sharded externally as long as results reduce with `min`.
 
 The base field of every expansion here is prime: all constructions at desk
@@ -54,6 +55,7 @@ from .exactla import (
     FqMatrix,
     MatrixSpace,
     _combine,
+    _least_rank,
     _min_distance,
     _projective_count,
     _scan_guard,
@@ -155,24 +157,38 @@ def gamma_expand(v, gamma: GammaBasis) -> FqMatrix:
 # --- codes ---------------------------------------------------------------------------
 
 
+def _generator_rows(field: Field, generators) -> tuple:
+    """The generator rows of a code as encodings; they must be at least one,
+    of one nonzero length (`FqMatrix` checks it) and independent."""
+    rows = tuple(tuple(map(field.encode, g)) for g in generators)
+    if not rows:
+        raise ParametersOutOfRange("need at least one generator row")
+    if FqMatrix(field, rows).rank() != len(rows):
+        raise DependentBasis("generator rows are dependent")
+    return rows
+
+
 class VectorCode:
     """A subspace of F_{q^m}^n given by independent generator rows."""
 
     def __init__(self, ext_field: Field, generators):
         self.ext_field = ext_field
-        rows = [tuple(map(ext_field.encode, g)) for g in generators]
-        if not rows:
-            raise ParametersOutOfRange("need at least one generator row")
-        self.n = len(rows[0])
-        if any(len(r) != self.n for r in rows):
-            raise ShapeMismatch("ragged generator rows")
-        if FqMatrix(ext_field, rows).rank() != len(rows):
-            raise DependentBasis("generator rows are dependent")
-        self.generators = tuple(rows)
+        self.generators = _generator_rows(ext_field, generators)
+        self.n = len(self.generators[0])
 
     @property
     def dim(self) -> int:
         return len(self.generators)
+
+
+def _kept_distance(code, scan, guard: int) -> int:
+    """The distance of a `RankCode` or `BlockCode`: `scan(code, guard)` once,
+    then the kept value; a construction that knows d sets it unscanned."""
+    if code._distance is None:  # a memo hit is guarded as its scan was
+        code._distance = scan(code, guard)
+    elif code.k:  # the zero code scans nothing
+        _scan_guard(code.field, code.k, guard)
+    return code._distance
 
 
 class RankCode:
@@ -199,11 +215,7 @@ class RankCode:
         return self.space.dim
 
     def distance(self, guard: int = DEFAULT_SCAN_GUARD) -> int:
-        if self._distance is None:  # a memo hit is guarded as its scan was
-            self._distance = min_rank_distance(self, guard)
-        elif self.k:
-            _scan_guard(self.field, self.k, guard)
-        return self._distance
+        return _kept_distance(self, min_rank_distance, guard)
 
     def __repr__(self):
         return f"RankCode[{self.n}x{self.m}, k={self.k}]"
@@ -214,13 +226,8 @@ class BlockCode:
 
     def __init__(self, field: Field, generators):
         self.field = field
-        rows = [tuple(map(field.encode, g)) for g in generators]
-        if not rows:
-            raise ParametersOutOfRange("need at least one generator row")
-        self.length = len(rows[0])
-        if FqMatrix(field, rows).rank() != len(rows):
-            raise DependentBasis("generator rows are dependent")
-        self.generators = tuple(rows)
+        self.generators = _generator_rows(field, generators)
+        self.length = len(self.generators[0])
         self._distance = None
 
     @property
@@ -228,11 +235,7 @@ class BlockCode:
         return len(self.generators)
 
     def distance(self, guard: int = DEFAULT_SCAN_GUARD) -> int:
-        if self._distance is None:  # a memo hit is guarded as its scan was
-            self._distance = min_hamming_distance(self, guard)
-        else:
-            _scan_guard(self.field, self.k, guard)
-        return self._distance
+        return _kept_distance(self, min_hamming_distance, guard)
 
     def is_mds(self, guard: int = DEFAULT_SCAN_GUARD) -> bool:
         return self.distance(guard) == self.length - self.k + 1
@@ -259,9 +262,7 @@ def gamma_expand_code(C: VectorCode, gamma: GammaBasis) -> RankCode:
 
 def min_rank_distance(C: RankCode, guard: int = DEFAULT_SCAN_GUARD) -> int:
     """Exact minimum rank over nonzero codewords; n+1 for the zero code."""
-    if C.k == 0:
-        return C.n + 1
-    return _min_distance(C.field, C.space._rrows, guard, C.m)
+    return _least_rank(C.space, guard)
 
 
 def min_hamming_distance(B: BlockCode, guard: int = DEFAULT_SCAN_GUARD) -> int:

@@ -40,7 +40,7 @@ from .exactla import (
     Echelon,
     FqMatrix,
     MatrixSpace,
-    _min_distance,
+    _least_rank,
     _normalized_vectors,
     _projective_count,
     _reduced,
@@ -167,7 +167,7 @@ def rank_lower_bound(V: MatrixSpace, goal: float = float("inf"), guard: int | No
     q = field.q
     value, kind = k, "dimension"
     if 0 < k < goal and (guard is not None or _projective_count(q, k) <= 4096):
-        d = _min_distance(field, V._rrows, 4096 if guard is None else guard, m)
+        d = _least_rank(V, 4096 if guard is None else guard)
         if d > 1:
             value, kind = kruskal_bound(k, d), "kruskal"
         griesmer = sum(-(-d // q ** i) for i in range(k))

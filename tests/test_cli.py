@@ -172,7 +172,7 @@ write_certificate({"schema_version": "1", "field": {"p": p, "deg": 1, "modulus":
 def test_verify_at_the_input_cap_loads_numpy_within_its_documented_time(tmp_path):
     # the F_5 16x32 certificate at the cap (512 dense target members, 512
     # u v^t base members) has 512-wide rows: far more list work than the
-    # numpy import, so verify loads numpy and keeps README's 0.64-0.74 s
+    # numpy import, so verify loads numpy and keeps README's 0.35-0.50 s
     path = tmp_path / "cap.json"
     subprocess.run([sys.executable, "-c", MAKE_CAP_CERTIFICATE, str(path)], check=True)
     code = ("import sys; from perfbase.cli import main; rc = main(sys.argv[1:]); "

@@ -603,9 +603,10 @@ def sparse_matrix(rng, F, n, m):
                         for _ in range(n)])
 
 
-@pytest.mark.parametrize("p,k,trials", [(5, 1, 40), (2, 2, 200), (3, 2, 200),
+@pytest.mark.parametrize("p,k,trials", [(5, 1, 40), (13, 1, 40), ((1 << 61) - 1, 1, 40),
+                                        (2, 2, 200), (3, 2, 200),
                                         (5, 2, 200), (7, 4, 200), (2, 16, 30)],
-                         ids=["F5", "F4", "F9", "F25", "F2401", "F65536"])
+                         ids=["F5", "F13", "F2^61-1", "F4", "F9", "F25", "F2401", "F65536"])
 def test_products_match_the_reference_loop(p, k, trials):
     F = field_make(p, k)
     rng = random.Random(f"matmul-{F.q}")

@@ -12,7 +12,8 @@ module-level function is an alias that only forwards to a method, and
 no module outside `gf` reads a field's log, antilog and Zech tables or
 names `_Int64Field`, the int64 form each field builds once, no module
 outside `gf` names a piece of the backend rule `_backend` (its constants,
-or the int64 and float64 bounds it absorbed), no module outside
+or the int64 and float64 bounds it absorbed) or compares a field's `.deg`
+to branch on its kind, no module outside
 `exactla` reads a private attribute of an `Echelon` it built, and every
 `functools.lru_cache` holds at most 64 entries and is named in the
 README's "Per-process memos".
@@ -433,6 +434,34 @@ def test_backend_rule_check_sees_every_naming():
               "wide = width >= _ECHELON_MIN_WIDTH\n"
               "dtype = _backend(field, 'array')\n")
     assert names_of(source, names) == [1, 2, 3]
+
+
+def field_kind_tests(source: str):
+    """Lines of the comparisons that read a `.deg`: a branch on a field's
+    kind.  `args.deg`, the command line's flag, is not a field's."""
+    return sorted({n.lineno for n in ast.walk(ast.parse(source))
+                   if isinstance(n, ast.Compare)
+                   for side in (n.left, *n.comparators) for a in ast.walk(side)
+                   if isinstance(a, ast.Attribute) and a.attr == "deg"
+                   and not (isinstance(a.value, ast.Name) and a.value.id == "args")})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gf.py"],
+                         ids=lambda p: p.name)
+def test_only_gf_branches_on_a_fields_kind(path):
+    # prime and extension fields differ only inside gf's arithmetic, so every
+    # other module has one path for both
+    assert field_kind_tests(path.read_text()) == []
+
+
+def test_field_kind_check_sees_every_comparison():
+    source = ("if F.deg == 1:\n    pass\n"
+              "wide = self.field.deg > 1\n"
+              "m = ext.deg\n"
+              "if kind.prime_only and args.deg != 1:\n    pass\n"
+              "prime = 1 == len(rows) and 1 < M.field.deg\n")
+    assert field_kind_tests(source) == [1, 3, 7]
+    assert field_kind_tests((SRC / "gf.py").read_text()) != []
 
 
 def _builds_echelon(node) -> bool:

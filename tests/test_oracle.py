@@ -339,7 +339,7 @@ def test_diagonal_bound_matches_the_eigenspace_count(monkeypatch):
     # invertible
     for V in VERDICT_CASES:
         assert tensor3.rank_lower_bound(V)[0] == reference_start(V), V
-    monkeypatch.setattr(tensor3, "_min_distance", lambda *args: 1)
+    monkeypatch.setattr(tensor3, "_least_rank", lambda *args: 1)
     verdicts = []
     for V in VERDICT_CASES:
         if 1 < V.dim <= V.n:

@@ -200,7 +200,7 @@ def test_a_carried_core_distance_is_guarded_as_its_scan(monkeypatch):
     # a taller code of the same core carries the core's distance, unscanned,
     # and under the same guard
     scans = []
-    monkeypatch.setattr(rmcode, "_min_distance", lambda *a: scans.append(a))
+    monkeypatch.setattr(exactla, "_min_distance", lambda *a: scans.append(a))
     tall, _ = build_mtr(7, 4, 3, 2, 3)
     with pytest.raises(GuardExceeded) as exc:
         tall.distance(7)
@@ -1047,7 +1047,8 @@ def criterion_7_parameters():
 
 
 def count_calls(monkeypatch, *names):
-    """Count the calls of the named `rmcode` functions, which still run."""
+    """Count the calls of the named `rmcode` functions, which still run.  A
+    rank scan runs in `exactla`, from `_least_rank`: it counts as `_min_distance`."""
     calls = dict.fromkeys(names, 0)
 
     def counting(name):
@@ -1060,6 +1061,8 @@ def count_calls(monkeypatch, *names):
 
     for name in names:
         monkeypatch.setattr(rmcode, name, counting(name))
+    if "_min_distance" in names:
+        monkeypatch.setattr(exactla, "_min_distance", rmcode._min_distance)
     return calls
 
 
@@ -1112,8 +1115,9 @@ def test_mtr_cores_are_built_and_scanned_once_per_sweep(monkeypatch):
     keys = sorted({(q, m, k, d) for q, n, m, k, d in criterion_7_parameters()})
     assert _mtr_core.cache_info().currsize == len(keys) == 56
     calls = []
-    for name in ("shorten_mtr", "_min_distance"):
-        monkeypatch.setattr(rmcode, name, lambda *a, name=name: calls.append(name))
+    for module, name in ((rmcode, "shorten_mtr"), (rmcode, "_min_distance"),
+                         (exactla, "_min_distance")):
+        monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
     sweep_criterion_7()
     assert calls == []
     monkeypatch.undo()
