@@ -168,15 +168,16 @@ def companion_inverse(spec: CompanionSpec) -> FqMatrix:
                                             for i in range(1, m)))
 
 
+def _cyclic_spec(field: Field, m: int) -> CompanionSpec:
+    """The companion of x^m - 1, whose transpose is `shift_J`."""
+    return CompanionSpec(field, m, (1,) + (0,) * (m - 1))
+
+
 def shift_J(field: Field, m: int) -> FqMatrix:
     """Cyclic permutation matrix: left multiplication shifts rows down by one."""
     if m < 2:
         raise ParametersOutOfRange("shift matrices need m >= 2")
-    rows = [[0] * m for _ in range(m)]
-    rows[0][m - 1] = 1
-    for i in range(1, m):
-        rows[i][i - 1] = 1
-    return FqMatrix(field, rows)
+    return companion(_cyclic_spec(field, m)).transpose()
 
 
 def epsilon(gamma, m: int) -> FqMatrix:
@@ -310,20 +311,18 @@ def base_left_factor(spec: CompanionSpec, s: int, B: FqMatrix,
 def _left_eigenrows(spec: CompanionSpec, eig_encs) -> FqMatrix:
     """Lead-normalized left eigenvectors of the companion, one row per eigenvalue.
 
-    The row for a root e of f is the coefficient row of f(x)/(x - e): with
-    w_{m-1} = 1, synthetic division gives w_{j-1} = e w_j - a_{j+1}, and
-    e w_0 = a_1 is the remainder's test that e is a root.  For a full list
-    of eigenvalues this is P with P M P^{-1} diagonal.
+    The row for a root e of f is the coefficient row of f(x)/(x - e), and a
+    nonzero remainder says e is not a root.  For a full list of eigenvalues
+    this is P with P M P^{-1} diagonal.
     """
-    F, a = spec.field, spec.bottom
+    F, f = spec.field, spec.char_poly()
     rows = []
     for e in eig_encs:
-        w = list(itertools.accumulate(  # w_{m-1} = 1, w_{m-2}, ..., w_0
-            reversed(a[1:]), lambda wj, aj: F.sub(F.mul(e, wj), aj), initial=1))
-        if F.mul(e, w[-1]) != a[0]:
+        w, rem = f.divmod(FqPolynomial(F, (F.neg(e), 1)))
+        if not rem.is_zero():
             raise InternalVerificationError(f"{e} is not an eigenvalue")
-        lead = next(v for v in reversed(w) if v)
-        rows.append(F.scale(F.inv(lead), w[::-1]))
+        lead = next(v for v in w.coeffs if v)
+        rows.append(F.scale(F.inv(lead), w.coeffs))
     P = FqMatrix(F, rows)
     if P.rank() != P.n:
         raise InternalVerificationError("eigenvector rows were dependent")
@@ -591,7 +590,7 @@ def _shift_dual_members(F, m, nrows, s):
 
     With nrows = m and s = 1 they are a base of the trace-zero space.
     """
-    A = _power_members(CompanionSpec(F, m, (1,) + (0,) * (m - 1)), nrows, s)[0]
+    A = _power_members(_cyclic_spec(F, m), nrows, s)[0]
     return FqMatrix._from_array(F, A)
 
 
@@ -657,7 +656,7 @@ def atkinson_base(n: int, field: Field) -> ConstructionResult:
             pad = [0] * (n - i - 2)
             members.append(FqMatrix.outer(field, [0] * i + [1, su] + pad,
                                           [0] * i + [1, sv, 1] + pad))
-    spec = CompanionSpec(field, m, (1,) + (0,) * n)
+    spec = _cyclic_spec(field, m)
     target = _power_target(spec, 2, y_matrix(field, n, m))
     cand = BaseCandidate(tuple(members), target)
     return _finish(cand, "atkinson", {"n": n}, {})

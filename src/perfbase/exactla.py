@@ -9,25 +9,26 @@ by `FqMatrix._from_array`.  Matrix spaces always keep a canonical
 RREF-reduced basis of their vectorized members, so equality of spaces is
 equality of canonical bases.
 
-All row reduction goes through one kernel, the incremental `Echelon`
-(`insert`, `extend`, `reduce`, `contains`, `coords`, `rank`): `FqMatrix.rref`,
-`rank` and `inverse`, every `MatrixSpace` (`intersect` by Zassenhaus
-included), `tensor3.verify_base` and its completion check, the solve
-`_solve_combination` and rmcode's probe loops use it.  It keeps its rows
-fully reduced, so the rows sorted by pivot are the unique RREF, and the
-flags of `extend` are the row rank profile, whatever the order of
-elimination.  A `MatrixSpace` holds only its canonical rows, and each
-residue, membership or coordinate query reduces them again in a new
-`Echelon`.  `full`, `dual_complement` (`_dual`, one array of null vectors),
-`intersect` and `sum_with` wrap the canonical rows they derive with their
-pivots (`MatrixSpace._of`), never eliminating them again;
-`tensor3.verify_base` extends one echelon by all its members, on numpy as
-one array, and compares a span of the target's dimension with the target's
-rows.  `gf._backend`, the package's one backend rule, picks by width and the
-int64 bound alone, for every field: numpy, a batch as one recursive
-elimination with its work in the int64 form's `residue` (`_eliminate`), whose
-pieces of at most `_LEAF_ROWS` rows go row by row on their nonzero column
-window, or Python lists.
+All row reduction of one span goes through one kernel, the incremental
+`Echelon` (`insert`, `extend`, `reduce`, `contains`, `coords`, `rank`):
+`FqMatrix.rref`, `rank` and `inverse`, every `MatrixSpace` (`intersect` by
+Zassenhaus included), `tensor3.verify_base` and its completion check, the
+solve `_solve_combination` and rmcode's probe loops use it.  Two batched
+reductions stay outside it: the scan's fraction-free ranks (`_np_ranks`) and
+the oracle's residue tables (`tensor3._Tables.pick`).  `Echelon` keeps its
+rows fully reduced, so the rows sorted by pivot are the unique RREF, and the
+flags of `extend` are the row rank profile, whatever the order of elimination.
+A `MatrixSpace` holds only its canonical rows, and each residue, membership or
+coordinate query reduces them again in a new `Echelon`.  `full`,
+`dual_complement` (`_dual`, one array of null vectors), `intersect` and
+`sum_with` wrap the canonical rows they derive with their pivots
+(`MatrixSpace._of`), never eliminating them again; `tensor3.verify_base`
+extends one echelon by all its members, on numpy as one array, and compares a
+span of the target's dimension with the target's rows.  `gf._backend`, the
+package's one backend rule, picks by width and the int64 bound alone, for
+every field: numpy, a batch as one recursive elimination with its work in the
+int64 form's `residue` (`_eliminate`), whose pieces of at most `_LEAF_ROWS`
+rows go row by row on their nonzero column window, or Python lists.
 
 Every minimum distance is one scan, `_min_distance`, and every least rank of
 a matrix space is `_least_rank`, that scan with n + 1 for the zero space.
@@ -288,7 +289,8 @@ class FqMatrix:
 def trace_pair(A: FqMatrix, B: FqMatrix) -> FieldElement:
     """Trace bilinear form Tr(A B^t) = dot of the vectorizations."""
     A._check_same(B)
-    return (A @ B.transpose()).trace()
+    F = A.field
+    return FieldElement(F, _combine(F, A.vectorize(), [(b,) for b in B.vectorize()], 1)[0])
 
 
 # --- the echelon kernel -----------------------------------------------------------
@@ -513,11 +515,11 @@ def _normalized_vectors(field, length):
 DEFAULT_SCAN_GUARD = 1 << 24  # the words a distance scan visits unless told otherwise
 
 
-def _scan_guard(field, k, guard) -> int:
-    """(q^k - 1) / (q - 1), the words a scan of k rows visits, if `guard` allows."""
-    if (needed := _projective_count(field.q, k)) > guard:
-        raise GuardExceeded(f"{needed} codewords exceed the guard", progress={
-            "phase": "distance", "needed": needed, "guard": guard})
+def _scan_guard(needed, guard, phase="distance", unit="codewords") -> int:
+    """`needed`, the items a scan visits, if `guard` allows; else GuardExceeded."""
+    if needed > guard:
+        raise GuardExceeded(f"{needed} {unit} exceed the guard", progress={
+            "phase": phase, "needed": needed, "guard": guard})
     return needed
 
 
@@ -532,7 +534,7 @@ def _min_distance(field, rows, guard, width=None) -> int:
     before any work (`_scan_guard`).  `gf._backend` picks the backend.
     """
     k = len(rows)
-    needed = _scan_guard(field, k, guard)
+    needed = _scan_guard(_projective_count(field.q, k), guard)
     size = len(rows[0])
     # on lists a word is a fold of k rows, then one pass of its entries, or a
     # rank by an echelon of rows `width` wide: about size (k + width) multiply-adds
@@ -726,9 +728,11 @@ class MatrixSpace:
         return MatrixSpace(self.field, (L.n, N.m),
                            [L @ B @ N for B in self.basis])
 
+    # another field raises FieldMismatch, then another shape ShapeMismatch
+    _check_same = FqMatrix._check_same
+
     def sum_with(self, other: "MatrixSpace") -> "MatrixSpace":
-        if self.shape != other.shape or self.field != other.field:
-            raise ShapeMismatch("sum of spaces with different ambient")
+        self._check_same(other)
         return MatrixSpace._of(self.field, self.shape, *Echelon(
             self.field, self.n * self.m, self._rrows + other._rrows).rref())
 
@@ -739,8 +743,7 @@ class MatrixSpace:
         span the intersection.  The echelon is fully reduced, so the x rows,
         in pivot order, are already the intersection's canonical RREF.
         """
-        if self.shape != other.shape or self.field != other.field:
-            raise ShapeMismatch("intersection across ambients")
+        self._check_same(other)
         size = self.n * self.m
         E = Echelon(self.field, 2 * size,
                     [u + u for u in self._rrows]

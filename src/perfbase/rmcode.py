@@ -22,7 +22,6 @@ encoded by `Field.encode`, the package's one coercion rule.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -57,6 +56,7 @@ from .exactla import (
     _combine,
     _least_rank,
     _min_distance,
+    _normalized_vectors,
     _projective_count,
     _scan_guard,
     _solve_combination,
@@ -187,7 +187,7 @@ def _kept_distance(code, scan, guard: int) -> int:
     if code._distance is None:  # a memo hit is guarded as its scan was
         code._distance = scan(code, guard)
     elif code.k:  # the zero code scans nothing
-        _scan_guard(code.field, code.k, guard)
+        _scan_guard(_projective_count(code.field.q, code.k), guard)
     return code._distance
 
 
@@ -582,11 +582,9 @@ def two_dim_bound(G_rows, gamma: GammaBasis):
     cand = _finish(BaseCandidate(tuple(picked), target), "two-dim-bound",
                    {"q": Fq.p, "m": m}, {}).candidate
     # rank weight is invariant under F_{q^m} scalars, so the q^m + 1
-    # projective codewords row0 and a*row0 + row1 attain the distance
-    row0, row1 = red.rows[0], red.rows[1]
-    words = itertools.chain([row0], (_combine(ext, (a, 1), (row0, row1), len(row0))
-                                     for a in range(ext.q)))
-    d = min(gamma_expand(w, gamma).rank() for w in words)
+    # projective codewords of the two rows attain the distance
+    d = min(gamma_expand(_combine(ext, c, red.rows, red.m), gamma).rank()
+            for c in _normalized_vectors(ext, 2))
     lower = kruskal_bound(target.dim, d)
     return lower, len(picked), cand
 

@@ -44,7 +44,9 @@ from .exactla import (
     _normalized_vectors,
     _projective_count,
     _reduced,
+    _scan_guard,
     _solve_combination,
+    _unvectorize,
 )
 from .gf import Field, _backend
 
@@ -281,8 +283,7 @@ def exhaustive_trk(V: MatrixSpace, limit: int = DEFAULT_GUARD, start: int | None
     """
     for R, witness, _ in _rank_levels(V, limit, start):
         if witness is not None:
-            n, m = V.shape
-            mats = [FqMatrix.from_vector(V.field, vec, n, m) for vec in witness]
+            mats = [_unvectorize(V.field, vec, *V.shape) for vec in witness]
             return R, BaseCandidate(tuple(mats), V)
     raise AssertionError("the full unit basis always succeeds")  # unreachable
 
@@ -339,8 +340,8 @@ def rank_one_completion_exists(span_space: MatrixSpace, targets,
     rows of R_u, and then u (x) v is a witness.  One solve per u decides every
     target.  The witness comes from the first u in canonical order and, for
     that u, the lowest target index.  The guard counts the (u, v) pairs of
-    normalized factors and is checked once, before the scan: GuardExceeded
-    carries `progress = {"phase": "completion", "needed", "guard"}`.
+    normalized factors and is checked once, before the scan (`_scan_guard`):
+    GuardExceeded carries `progress = {"phase": "completion", "needed", "guard"}`.
     Targets of another field or shape raise as `MatrixSpace.contains` does,
     and the span's rows are reduced once per call.  Returns (found, detail),
     detail holding `pairs_scanned` when nothing is found.
@@ -353,11 +354,8 @@ def rank_one_completion_exists(span_space: MatrixSpace, targets,
     for j, res in enumerate(residues):
         if not any(res):
             return True, {"target_index": j, "inside_span": True}
-    pairs = _projective_count(F.q, n) * _projective_count(F.q, m)
-    if pairs > guard:
-        raise GuardExceeded(
-            "completion scan exceeded its guard",
-            progress={"phase": "completion", "needed": pairs, "guard": guard})
+    pairs = _scan_guard(_projective_count(F.q, n) * _projective_count(F.q, m), guard,
+                        "completion", "rank-one pairs")
     for u in _normalized_vectors(F, n):
         R_u = [span.reduce([a if c == j else 0 for a in u for c in range(m)])
                for j in range(m)]

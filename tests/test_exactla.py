@@ -139,6 +139,14 @@ def test_trace_pair_examples():
                       FqMatrix.unit(F5, 2, 2, 1, 1)).enc == 0
     with pytest.raises(ShapeMismatch):
         trace_pair(I2, FqMatrix.zeros(F5, 2, 3))
+    # the dot of the vectorizations against the trace of the whole product
+    for F in (F5, field_make(2, 2), field_make((1 << 61) - 1)):
+        rng = random.Random(f"trace-pair-{F.q}")
+        for _ in range(50):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            A, B = (FqMatrix(F, [[rng.randrange(F.q) for _ in range(m)] for _ in range(n)])
+                    for _ in range(2))
+            assert trace_pair(A, B) == (A @ B.transpose()).trace()
 
 
 def test_trace_pair_equals_vector_dot_exhaustive_f2():
@@ -468,11 +476,21 @@ def test_matrix_space_refusals():
     V = MatrixSpace.from_matrices([A])
     with pytest.raises(ShapeMismatch):
         V.contains(FqMatrix.identity(F5, 3))
-    for other in (MatrixSpace.full(F5, (2, 3)), MatrixSpace.full(F9, (2, 2))):
-        with pytest.raises(ShapeMismatch):
-            V.sum_with(other)
-        with pytest.raises(ShapeMismatch):
-            V.intersect(other)
+
+
+@pytest.mark.parametrize("method", ["sum_with", "intersect"])
+def test_space_pairs_refuse_another_field_then_another_shape(method):
+    # the kinds and order of `FqMatrix._check_same`: another field is a
+    # FieldMismatch even when the shape differs too
+    F9 = field_make(3, 2)
+    V = MatrixSpace.from_matrices([FqMatrix.unit(F5, 2, 2, 0, 1)])
+    for other, kind in ((MatrixSpace.full(F9, (2, 2)), FieldMismatch),
+                        (MatrixSpace.full(F9, (2, 3)), FieldMismatch),
+                        (MatrixSpace.full(F5, (2, 3)), ShapeMismatch)):
+        with pytest.raises(kind):
+            getattr(V, method)(other)
+    same = getattr(V, method)(MatrixSpace.full(F5, (2, 2)))
+    assert same.dim == {"sum_with": 4, "intersect": 1}[method]
 
 
 def test_space_queries_refuse_another_field_or_shape():

@@ -14,9 +14,10 @@ names `_Int64Field`, the int64 form each field builds once, no module
 outside `gf` names a piece of the backend rule `_backend` (its constants,
 or the int64 and float64 bounds it absorbed) or compares a field's `.deg`
 to branch on its kind, no module outside
-`exactla` reads a private attribute of an `Echelon` it built, and every
-`functools.lru_cache` holds at most 64 entries and is named in the
-README's "Per-process memos".
+`exactla` reads a private attribute of an `Echelon` it built, only
+`exactla._scan_guard` and `tensor3._guard_exceeded` build a
+`GuardExceeded`, and every `functools.lru_cache` holds at most 64 entries
+and is named in the README's "Per-process memos".
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.  `__init__.py` re-exports names and is skipped.
@@ -462,6 +463,44 @@ def test_field_kind_check_sees_every_comparison():
               "prime = 1 == len(rows) and 1 < M.field.deg\n")
     assert field_kind_tests(source) == [1, 3, 7]
     assert field_kind_tests((SRC / "gf.py").read_text()) != []
+
+
+# the one function per module that may build a GuardExceeded
+_GUARD_OWNERS = {"exactla.py": "_scan_guard", "tensor3.py": "_guard_exceeded"}
+
+
+def guard_constructions(source: str, owner=None):
+    """Lines that call `GuardExceeded(...)`, bare or as an attribute,
+    outside the function named `owner`."""
+    tree = ast.parse(source)
+    owned = {id(n) for f in ast.walk(tree)
+             if isinstance(f, ast.FunctionDef) and f.name == owner for n in ast.walk(f)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and id(n) not in owned
+                  and getattr(n.func, "id", getattr(n.func, "attr", None)) == "GuardExceeded")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_guard_errors_are_built_by_their_owners(path):
+    # the scan rule and the oracle's guard each build their GuardExceeded in
+    # one place, so `progress` has one shape per phase
+    assert guard_constructions(path.read_text(), _GUARD_OWNERS.get(path.name)) == []
+
+
+def test_guard_construction_check_sees_inline_raises():
+    source = ("def _scan_guard(needed, guard):\n"
+              "    raise GuardExceeded('over', progress={})\n"
+              "def completion(pairs, guard):\n"
+              "    if pairs > guard:\n"
+              "        raise GuardExceeded(\n"
+              "            'completion scan exceeded its guard', progress={})\n"
+              "try:\n    completion(2, 1)\nexcept GuardExceeded as exc:\n    raise exc\n"
+              "error = errors.GuardExceeded('over')\n")
+    assert guard_constructions(source, "_scan_guard") == [5, 11]
+    assert guard_constructions(source) == [2, 5, 11]
+    # each owner really builds one
+    for name in _GUARD_OWNERS:
+        assert len(guard_constructions((SRC / name).read_text())) == 1, name
 
 
 def _builds_echelon(node) -> bool:
